@@ -16,10 +16,8 @@ from .errors import (
     DiscreteKindError,
     HopcapError,
     HypothesisNotMet,
-    NoBracket,
     NonPositivePi,
     NoStationaryPoint,
-    NotDiscrete,
     NumericalError,
     OrderingViolation,
     ValidationError,
@@ -44,10 +42,8 @@ __all__ = [
     "HopProblem",
     "HypothesisNotMet",
     "MacProfile",
-    "NoBracket",
     "NonPositivePi",
     "NoStationaryPoint",
-    "NotDiscrete",
     "NumericalError",
     "OrderingViolation",
     "ScalingCheck",

@@ -153,19 +153,15 @@ def _cmd_sweep(args) -> int:
         raise ConfigError("sweep: section missing and no --grid given")
 
     base = _problem(cfg)
+    model = base.model
     unit = "bits" if args.bits else "nats"
-    table = discrete.build_table(cfg.model) if cfg.model.is_discrete else None
     rows = []
     for factor in factors:
         pt_prime = factor * base.pt_prime
         for d in ds:
             pi = pt_prime / d**base.eta
-            if table is not None:
-                gamma = discrete.gamma_of_pi(table, pi)
-                segment = discrete.segment_index(table, pi) + 1
-            else:
-                gamma, _ = waterfill.gamma_and_lambda(cfg.model, pi)
-                segment = ""
+            gamma, _ = waterfill.gamma_and_lambda(model, pi)
+            segment = discrete.segment_index(model.table, pi) + 1 if model.is_discrete else ""
             rows.append(
                 (
                     factor,

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from .errors import NotDiscrete, ValidationError
+from .errors import DiscreteKindError, ValidationError
 from .fading import FadingModel
 from .stationary import StationaryPoint, StationarySet
 
@@ -62,7 +62,7 @@ class DiscreteWaterfillTable:
 def build_table(model: FadingModel) -> DiscreteWaterfillTable:
     """Precompute cumulative sums, breakpoints and integration constants."""
     if not model.is_discrete:
-        raise NotDiscrete("closed-form tables require a discrete model")
+        raise DiscreteKindError("closed-form tables require a discrete model")
     x, a = model.x_states()
     p = np.cumsum(a)
     alpha = np.cumsum(a / x)
@@ -73,7 +73,7 @@ def build_table(model: FadingModel) -> DiscreteWaterfillTable:
     for k in range(n - 1):
         pi_breaks[k] = (ratio_alpha[k + 1] - ratio_alpha[k]) / (inv_p[k] - inv_p[k + 1])
     if n > 1 and (np.any(pi_breaks <= 0) or np.any(np.diff(pi_breaks) <= 0)):
-        raise NotDiscrete("breakpoints must be positive and strictly increasing")
+        raise ValidationError("breakpoints must be positive and strictly increasing")
     log_gamma = np.empty(n)
     log_gamma[0] = -math.log(alpha[0])
     for k in range(1, n):

@@ -23,11 +23,7 @@ class ConfigError(ValidationError):
 
 
 class DiscreteKindError(ValidationError):
-    """A density-only operation was called on a discrete fading model."""
-
-
-class NotDiscrete(ValidationError):
-    """A discrete-only operation was called on a continuous fading model."""
+    """An operation was called on a fading kind it does not support."""
 
 
 class NonPositivePi(ValidationError):
@@ -47,11 +43,7 @@ class HypothesisNotMet(ValidationError):
 
 
 class BracketFailure(NumericalError):
-    """No sign change found when bracketing the water-level equation."""
-
-
-class NoBracket(NumericalError):
-    """No sign change found for the direct water-level characterisation."""
+    """No sign change found when bracketing a water-level or stationarity equation."""
 
 
 class NoStationaryPoint(NumericalError):

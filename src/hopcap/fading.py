@@ -11,6 +11,7 @@ Models are immutable after construction; every operation is pure.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -20,6 +21,7 @@ from .errors import DiscreteKindError, ValidationError
 
 PROB_SUM_TOL = 1e-12
 DENSITY_NORM_TOL = 1e-6
+_TAIL_POINTS = 50
 
 # Fixed-order Gauss-Legendre rule applied per grid cell.  Tabulated
 # densities are piecewise linear, so a 12-point rule integrates
@@ -140,9 +142,12 @@ class FadingModel:
     def is_discrete(self) -> bool:
         return isinstance(self.kind, DiscreteFinite)
 
-    @property
-    def is_continuous(self) -> bool:
-        return not self.is_discrete
+    @functools.cached_property
+    def table(self):
+        """Closed-form water-fill table of a discrete model, built once per model."""
+        from . import discrete  # discrete imports this module
+
+        return discrete.build_table(self)
 
     def x_states(self):
         """Discrete states in x-space: (values descending, probabilities)."""
@@ -166,7 +171,7 @@ class FadingModel:
     def x_grid(self):
         """Tabulated density transformed to x-space: (grid, f values)."""
         if not isinstance(self.kind, TabulatedDensity):
-            raise ValidationError("x_grid is only defined for tabulated models")
+            raise DiscreteKindError("x_grid is only defined for tabulated models")
         c = self.alpha_over_sigma2
         return c * self.kind.grid, self.kind.density / c
 
@@ -220,11 +225,11 @@ class FadingModel:
     def mean_x(self) -> float:
         return self.alpha_over_sigma2 * self.mean_h()
 
-    def tail_decay_check(self, points: int = 50) -> bool:
+    def tail_decay_check(self) -> bool:
         """True when h^2 * P(H > h) stays bounded past the 99th percentile.
 
         Exponential and finite discrete models pass unconditionally; a
-        tabulated model is tested on a log grid of ``points`` abscissae.
+        tabulated model is tested on a log grid of ``_TAIL_POINTS`` abscissae.
         """
         if isinstance(self.kind, (Exponential, DiscreteFinite)):
             return True
@@ -236,7 +241,7 @@ class FadingModel:
         q99 = g[min(idx, g.size - 1)]
         if q99 <= 0 or q99 >= g[-1]:
             return True
-        hs = np.geomspace(q99, g[-1], points)
+        hs = np.geomspace(q99, g[-1], _TAIL_POINTS)
         t = hs**2 * np.interp(hs, g, surv)
         slack = 1e-9 * max(float(t.max()), 1e-300)
         return bool(np.all(np.diff(t) <= slack))

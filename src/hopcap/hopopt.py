@@ -31,9 +31,9 @@ from scipy.optimize import brentq
 from . import discrete as _discrete
 from . import waterfill as _waterfill
 from .errors import (
+    BracketFailure,
     DiscreteKindError,
     HypothesisNotMet,
-    NoBracket,
     NoStationaryPoint,
     NumericalError,
     ValidationError,
@@ -41,9 +41,16 @@ from .errors import (
 from .fading import Exponential, FadingModel
 from .stationary import StationaryPoint, StationarySet
 
-DEFAULT_PI_MIN = 1e-8
-DEFAULT_PI_MAX = 1e8
-DEFAULT_SCAN_POINTS = 2000
+# fixed solver grids: pi window and size of the continuous stationary scan,
+# the y-domain scan, the monotonicity certificate, the boundary decades
+PI_MIN = 1e-8
+PI_MAX = 1e8
+SCAN_POINTS = 2000
+RECHAR_POINTS = 400
+MONOTONE_PAIRS = 20
+MONOTONE_GRID_POINTS = 200
+MONOTONE_SEED = 20260809
+BOUNDARY_DECADES = 6
 
 _RESIDUAL_REL = 1e-8
 _RECHAR_NODES, _RECHAR_WEIGHTS = np.polynomial.legendre.leggauss(24)
@@ -109,16 +116,6 @@ class BoundaryLimits:
     infinity_ok: bool | None
 
 
-def gamma_and_lambda(problem: HopProblem, pi: float):
-    """(Gamma, lam) at normalized power pi, routed to the cheapest exact path."""
-    if problem.model.is_discrete:
-        if pi == 0.0:
-            return 0.0, math.inf
-        table = _discrete.build_table(problem.model)
-        return _discrete.gamma_of_pi(table, pi), _discrete.lambda_closed_form(table, pi)
-    return _waterfill.gamma_and_lambda(problem.model, pi)
-
-
 def psi(problem: HopProblem, d: float) -> float:
     """Transport-capacity core d * Gamma(pi(d)), nats x meters per use."""
     if d <= 0:
@@ -129,39 +126,34 @@ def psi(problem: HopProblem, d: float) -> float:
             NearFieldWarning,
             stacklevel=2,
         )
-    gamma, _ = gamma_and_lambda(problem, problem.pi_of_d(d))
+    gamma, _ = _waterfill.gamma_and_lambda(problem.model, problem.pi_of_d(d))
     return d * gamma
 
 
 def stationary_residual(problem: HopProblem, pi: float) -> float:
     """Gamma(pi) - eta*pi*lam(pi); the d-derivative of psi at pi(d)."""
-    gamma, lam = gamma_and_lambda(problem, pi)
+    gamma, lam = _waterfill.gamma_and_lambda(problem.model, pi)
     return gamma - problem.eta * pi * lam
 
 
-def stationary_points(
-    problem: HopProblem,
-    pi_min: float = DEFAULT_PI_MIN,
-    pi_max: float = DEFAULT_PI_MAX,
-    scan_points: int = DEFAULT_SCAN_POINTS,
-) -> StationarySet:
+def stationary_points(problem: HopProblem) -> StationarySet:
     """All interior roots of the stationary equation, with the maximizer.
 
     Discrete models delegate to the exhaustive closed-form enumeration.
     Continuous models are scanned on a log grid of the multiplier
-    (equivalent to the pi window [pi_min, pi_max] through the monotone
+    (equivalent to the pi window [PI_MIN, PI_MAX] through the monotone
     map pi <-> lam, and free of nested root-finding); each sign change
     is refined by Brent's method.
     """
     if problem.model.is_discrete:
-        table = _discrete.build_table(problem.model)
+        table = problem.model.table
         return _discrete.stationary_points_discrete(table, problem.eta, problem.pt_prime)
 
     model = problem.model
     eta = problem.eta
-    lam_lo = _waterfill.solve(model, pi_max).lam
-    lam_hi = _waterfill.solve(model, pi_min).lam
-    lams = np.geomspace(lam_lo, lam_hi, scan_points)
+    lam_lo = _waterfill.solve(model, PI_MAX).lam
+    lam_hi = _waterfill.solve(model, PI_MIN).lam
+    lams = np.geomspace(lam_lo, lam_hi, SCAN_POINTS)
 
     def residual_of_lam(lam: float) -> float:
         return _waterfill.optimal_rate(model, lam) - eta * lam * _waterfill.expected_power(
@@ -196,8 +188,8 @@ def stationary_points(
 
     maximizer_index = max(range(len(points)), key=lambda i: points[i].psi)
     boundary = None
-    psi_low = psi(problem, problem.d_of_pi(pi_max) / 10.0)
-    psi_high = psi(problem, problem.d_of_pi(pi_min) * 10.0)
+    psi_low = psi(problem, problem.d_of_pi(PI_MAX) / 10.0)
+    psi_high = psi(problem, problem.d_of_pi(PI_MIN) * 10.0)
     if max(psi_low, psi_high) > points[maximizer_index].psi:
         boundary = "d->0" if psi_low > psi_high else "d->inf"
         maximizer_index = None
@@ -254,17 +246,13 @@ def rechar_integral(model: FadingModel, lam: float, eta: float) -> float:
     return float(np.sum(cells * stationarity_weight(ys, eta) * (lam**2 / ys**2) * fv))
 
 
-def solve_rechar(
-    problem: HopProblem,
-    scan_points: int = 400,
-    cross_check: bool = True,
-) -> float:
+def solve_rechar(problem: HopProblem) -> float:
     """Solve the y-domain characterisation directly for the multiplier.
 
     Returns the optimal lam without ever inverting the power constraint;
     when several sign changes appear, the root with the largest psi
-    wins.  With ``cross_check`` the result is verified against the
-    pi-space stationary-point scan to 1e-6 relative.
+    wins.  The result is verified against the pi-space stationary-point
+    scan to 1e-6 relative.
     """
     model = problem.model
     if model.is_discrete:
@@ -272,10 +260,10 @@ def solve_rechar(
     eta = problem.eta
     if isinstance(model.kind, Exponential):
         scale = 1.0 / (model.kind.rate / model.alpha_over_sigma2)
-        lams = scale * np.geomspace(1e-6, 1e2, scan_points)
+        lams = scale * np.geomspace(1e-6, 1e2, RECHAR_POINTS)
     else:
         x_lo, x_hi = model.x_support()
-        lams = np.geomspace(max(x_lo, x_hi * 1e-9) * 1e-3, x_hi * (1 - 1e-9), scan_points)
+        lams = np.geomspace(max(x_lo, x_hi * 1e-9) * 1e-3, x_hi * (1 - 1e-9), RECHAR_POINTS)
     vals = np.array([rechar_integral(model, l, eta) for l in lams])
     roots = []
     for i in range(lams.size - 1):
@@ -294,7 +282,7 @@ def solve_rechar(
                 )
             )
     if not roots:
-        raise NoBracket("the stationarity integral never changes sign on the scan grid")
+        raise BracketFailure("the stationarity integral never changes sign on the scan grid")
     if len(roots) == 1:
         lam_opt = roots[0]
     else:
@@ -303,36 +291,30 @@ def solve_rechar(
             return problem.d_of_pi(pi) * _waterfill.optimal_rate(model, lam)
 
         lam_opt = max(roots, key=psi_of_lam)
-    if cross_check:
-        sset = stationary_points(problem)
-        nearest = min(sset.points, key=lambda pt: abs(math.log(pt.lam / lam_opt)))
-        if abs(nearest.lam - lam_opt) > 1e-6 * lam_opt:
-            raise NumericalError(
-                f"y-domain root lam={lam_opt} disagrees with the pi-space scan "
-                f"(nearest lam={nearest.lam})"
-            )
+    sset = stationary_points(problem)
+    nearest = min(sset.points, key=lambda pt: abs(math.log(pt.lam / lam_opt)))
+    if abs(nearest.lam - lam_opt) > 1e-6 * lam_opt:
+        raise NumericalError(
+            f"y-domain root lam={lam_opt} disagrees with the pi-space scan "
+            f"(nearest lam={nearest.lam})"
+        )
     return lam_opt
 
 
-def check_monotonicity_condition(
-    model: FadingModel,
-    n_pairs: int = 20,
-    grid_points: int = 200,
-    seed: int = 20260809,
-) -> bool:
+def check_monotonicity_condition(model: FadingModel) -> bool:
     """Certify that f(lam2/y)/f(lam1/y) strictly decreases in y.
 
     Sufficient condition for a unique interior stationary point; a False
     return means "not certified", never "violated".  Checked in log
-    space on ``n_pairs`` random multiplier pairs drawn around the mean
-    channel state.
+    space on ``MONOTONE_PAIRS`` seeded random multiplier pairs drawn
+    around the mean channel state.
     """
     if model.is_discrete:
         raise DiscreteKindError("the monotonicity condition needs a density")
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = np.random.Generator(np.random.PCG64(MONOTONE_SEED))
     scale = model.mean_x()
-    ys = np.linspace(1.0 / grid_points, 1.0, grid_points)
-    for _ in range(n_pairs):
+    ys = np.linspace(1.0 / MONOTONE_GRID_POINTS, 1.0, MONOTONE_GRID_POINTS)
+    for _ in range(MONOTONE_PAIRS):
         pair = scale * np.exp(rng.uniform(math.log(1 / 30), math.log(30), size=2))
         lam1, lam2 = max(pair), min(pair)
         if lam1 == lam2:
@@ -365,8 +347,8 @@ def scaling_check(problem: HopProblem, factor: float):
     )
 
 
-def boundary_limits(problem: HopProblem, decades: int = 6) -> BoundaryLimits:
-    """Certify psi -> 0 along d_opt * 10**(+-k), k = 1..decades.
+def boundary_limits(problem: HopProblem) -> BoundaryLimits:
+    """Certify psi -> 0 along d_opt * 10**(+-k), k = 1..BOUNDARY_DECADES.
 
     Each side requires monotone decay ending below 1e-3 of the peak.
     The d -> 0 side needs a finite mean gain; the d -> inf side
@@ -390,7 +372,7 @@ def boundary_limits(problem: HopProblem, decades: int = 6) -> BoundaryLimits:
         vals = np.array([psi(problem, d) for d in ds])
         return bool(np.all(np.diff(vals) <= 0.0) and vals[-1] < 1e-3 * psi_opt)
 
-    ks = np.arange(1, decades + 1, dtype=float)
+    ks = np.arange(1, BOUNDARY_DECADES + 1, dtype=float)
     zero_ok = decays(d_opt * 10.0**-ks) if zero_applicable else None
     infinity_ok = decays(d_opt * 10.0**ks) if inf_applicable else None
     return BoundaryLimits(zero_ok=zero_ok, infinity_ok=infinity_ok)

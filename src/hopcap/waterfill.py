@@ -9,10 +9,14 @@ reciprocal ``lam`` makes the power constraint tight:
 The optimal value is ``Gamma(pi) = integral_lam^inf log(x/lam) f(x) dx``
 in nats per unit bandwidth, and ``dGamma/dpi = lam`` (envelope identity).
 
-Exponential models use exponential-integral closed forms so no
-truncation error enters the root-finding; discrete models reduce to
-finite sums; tabulated models integrate their piecewise-linear density
-cell by cell.
+`gamma_and_lambda` is the one entry point for the pair (Gamma, lam);
+`solve` wraps it.  Discrete models need no root-finding: both values
+come from the piecewise closed form of `discrete`, whose table each
+model builds once (`FadingModel.table`).  Continuous models root-find
+the constraint above on `expected_power` and then take `optimal_rate`,
+which use exponential-integral closed forms for exponential fading (so
+no truncation error enters) and integrate a tabulated piecewise-linear
+density cell by cell; both raise DiscreteKindError on discrete models.
 """
 
 from __future__ import annotations
@@ -24,8 +28,9 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.special import exp1
 
+from . import discrete as _discrete
 from .errors import BracketFailure, NonPositivePi
-from .fading import DiscreteFinite, Exponential, FadingModel, integrate_against_density
+from .fading import Exponential, FadingModel, integrate_against_density
 
 # bracket scanned (in lam) when solving the power-constraint equation
 _LAM_FLOOR = 1e-14
@@ -69,10 +74,6 @@ def expected_power(model: FadingModel, lam: float) -> float:
         nu = model.kind.rate / model.alpha_over_sigma2
         u = nu * lam
         return float(math.exp(-u) / lam - nu * exp1(u))
-    if isinstance(model.kind, DiscreteFinite):
-        x, a = model.x_states()
-        active = x > lam
-        return float(np.sum(a[active] * (1.0 / lam - 1.0 / x[active])))
     xg, fg = model.x_grid()
     return integrate_against_density(xg, fg, lambda x: 1.0 / lam - 1.0 / x, lower=lam)
 
@@ -82,40 +83,26 @@ def optimal_rate(model: FadingModel, lam: float) -> float:
     if isinstance(model.kind, Exponential):
         nu = model.kind.rate / model.alpha_over_sigma2
         return float(exp1(nu * lam))
-    if isinstance(model.kind, DiscreteFinite):
-        x, a = model.x_states()
-        active = x > lam
-        return float(np.sum(a[active] * np.log(x[active] / lam)))
     xg, fg = model.x_grid()
     return integrate_against_density(xg, fg, lambda x: np.log(x / lam), lower=lam)
 
 
 def solve(model: FadingModel, pi: float) -> WaterfillSolution:
-    """Solve the water-filling problem at normalized power ``pi``.
+    """Solve the water-filling problem at normalized power ``pi`` > 0.
 
-    The constraint gap is continuous and strictly decreasing in ``lam``,
-    so a decade scan always brackets the unique root, refined by Brent's
-    method to relative width ~1e-14.  Discrete models are root-found in
-    the best-state allocation instead, which keeps the rate
-    well-conditioned when the budget is many orders below the gains.
+    Discrete models read lam and Gamma off the closed-form table.  For
+    continuous models the constraint gap is continuous and strictly
+    decreasing in ``lam``, so a decade scan always brackets the unique
+    root, refined by Brent's method to relative width ~1e-14.
     """
     if pi <= 0:
         raise NonPositivePi(f"pi must be > 0, got {pi}")
-    if isinstance(model.kind, DiscreteFinite):
-        lam, gamma = _solve_discrete(model, pi)
-    else:
-        lam = _solve_lambda(model, pi)
-        gamma = optimal_rate(model, lam)
+    gamma, lam = gamma_and_lambda(model, pi)
     return WaterfillSolution(pi=float(pi), lam=lam, gamma=gamma, model=model)
 
 
-def gamma_derivative(model: FadingModel, pi: float) -> float:
-    """dGamma/dpi at ``pi``; equals the multiplier lam(pi)."""
-    return solve(model, pi).lam
-
-
 def gamma_and_lambda(model: FadingModel, pi: float):
-    """(Gamma, lam) with the degenerate pi = 0 limit allowed.
+    """(Gamma, lam) at normalized power ``pi``, the limit pi = 0 allowed.
 
     Internal sweep paths reach d -> inf where pi = 0; the public
     ``solve`` still rejects pi <= 0.
@@ -124,53 +111,13 @@ def gamma_and_lambda(model: FadingModel, pi: float):
         return 0.0, math.inf
     if pi < 0:
         raise NonPositivePi(f"pi must be >= 0, got {pi}")
-    if isinstance(model.kind, DiscreteFinite):
-        lam, gamma = _solve_discrete(model, pi)
-        return gamma, lam
-    lam = _solve_lambda(model, pi)
-    return optimal_rate(model, lam), lam
-
-
-def power_allocation_physical(
-    sol: WaterfillSolution,
-    d: float,
-    eta: float,
-    h: float,
-    alpha_over_sigma2: float | None = None,
-) -> float:
-    """Transmit power P(h) = d**eta * xi(c*h) at hop distance d (watts)."""
-    if d <= 0:
-        raise NonPositivePi(f"hop distance must be > 0, got {d}")
-    c = sol.model.alpha_over_sigma2 if alpha_over_sigma2 is None else alpha_over_sigma2
-    return d**eta * sol.allocation(c * h)
-
-
-def _solve_discrete(model: FadingModel, pi: float):
-    """(lam, gamma) via root-finding in the best-state allocation s.
-
-    With s = 1/lam - 1/x_1, state i is active when u_i = s + (1/x_1 -
-    1/x_i) > 0, the spent power is sum(a_i * u_i) and the rate is
-    sum(a_i * log1p(x_i * u_i)); every quantity is built by addition, so
-    no digits cancel even when pi is many orders below the gains.  The
-    root lies in [pi, pi/a_1] because a_1*s <= power(s) <= s; the
-    bracket below widens that by enough to absorb summation rounding.
-    """
     if not math.isfinite(pi):
         raise BracketFailure(f"no finite water level supports pi={pi}")
-    x, a = model.x_states()
-    offsets = 1.0 / x[0] - 1.0 / x
-
-    def spent(s: float) -> float:
-        u = s + offsets
-        return float(np.sum(a[u > 0] * u[u > 0]))
-
-    lo = pi * (1.0 - 1e-9)
-    hi = 2.0 * pi / a[0]
-    s = brentq(lambda s_: spent(s_) - pi, lo, hi, xtol=_BRENTQ_XTOL, rtol=_BRENTQ_RTOL)
-    u = s + offsets
-    active = u > 0
-    gamma = float(np.sum(a[active] * np.log1p(x[active] * u[active])))
-    return 1.0 / (s + 1.0 / x[0]), gamma
+    if model.is_discrete:
+        table = model.table
+        return _discrete.gamma_of_pi(table, pi), _discrete.lambda_closed_form(table, pi)
+    lam = _solve_lambda(model, pi)
+    return optimal_rate(model, lam), lam
 
 
 def _solve_lambda(model: FadingModel, pi: float) -> float:
@@ -178,7 +125,7 @@ def _solve_lambda(model: FadingModel, pi: float) -> float:
     _, x_hi = model.x_support()
     ceil = min(_LAM_CEIL, x_hi) if math.isfinite(x_hi) else _LAM_CEIL
     # the root obeys lam < 1/pi, so huge budgets need a deeper floor
-    floor = _LAM_FLOOR if not math.isfinite(pi) else max(min(_LAM_FLOOR, 1e-3 / pi), 1e-300)
+    floor = max(min(_LAM_FLOOR, 1e-3 / pi), 1e-300)
     grid = np.geomspace(floor, ceil, 60)
     lo = grid[0]
     g_lo = gap(lo)

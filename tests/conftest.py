@@ -141,20 +141,42 @@ def bisect_scalar(func, lo: float, hi: float, tol: float = 1e-12) -> float:
     return 0.5 * (lo + hi)
 
 
-def oracle_discrete_psi(model, eta: float, pt_prime: float, d: float) -> float:
-    """d * Gamma(pt'/d**eta) for a discrete model, in nats x meters.
+def oracle_discrete_waterfill(model, pi: float):
+    """(Gamma, lam) of a discrete model at normalized power ``pi``.
 
-    The multiplier comes from bisection in log(lam) on the finite-sum
-    power integral; Gamma is the finite-sum rate integral at that lam.
+    Bisection in the best-state allocation s = 1/lam - 1/x_1: state i
+    gets u_i = (s + 1/x_1 - 1/x_i)^+, and the spent power sum a_i*u_i
+    lies between a_1*s and s, so [pi*(1-1e-9), 2*pi/a_1] brackets the
+    root.  Halving stops when the midpoint equals an endpoint; then
+    Gamma = sum a_i*log1p(x_i*u_i).  Every quantity is built by addition
+    (exactly rounded sums), so no digits cancel when pi is many orders
+    below the gains.
     """
-    pi = pt_prime / d**eta
-    x_top = float(model.x_states()[0][0])
-    log_lam = bisect_scalar(
-        lambda t: oracle_power_integral(model, math.exp(t)) - pi,
-        math.log(x_top) - 60.0,
-        math.log(x_top),
+    x, a = (v.tolist() for v in model.x_states())
+    offsets = [1.0 / x[0] - 1.0 / xi for xi in x]
+
+    def spent(s):
+        return math.fsum(ai * (s + oi) for ai, oi in zip(a, offsets) if s + oi > 0)
+
+    lo, hi = pi * (1.0 - 1e-9), 2.0 * pi / a[0]
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        if spent(mid) > pi:
+            hi = mid
+        else:
+            lo = mid
+    gamma = math.fsum(
+        ai * math.log1p(xi * (mid + oi)) for ai, xi, oi in zip(a, x, offsets) if mid + oi > 0
     )
-    return d * oracle_rate_integral(model, math.exp(log_lam))
+    return gamma, 1.0 / (mid + 1.0 / x[0])
+
+
+def oracle_discrete_psi(model, eta: float, pt_prime: float, d: float) -> float:
+    """d * Gamma(pt'/d**eta) for a discrete model, in nats x meters."""
+    gamma, _ = oracle_discrete_waterfill(model, pt_prime / d**eta)
+    return d * gamma
 
 
 def oracle_discrete_psi_argmax(model, eta: float, pt_prime: float):

@@ -11,6 +11,7 @@ import pytest
 from conftest import (
     make_rng,
     oracle_discrete_psi_argmax,
+    oracle_discrete_waterfill,
     oracle_power_integral,
     random_discrete_model,
     random_model,
@@ -163,7 +164,7 @@ def test_c4_waterfill_correctness_random_models():
         pi = float(np.exp(rng.uniform(np.log(1e-2), np.log(1e2))))
         sol = waterfill.solve(model, pi)
 
-        bound_points = 200_001 if model.is_continuous else 0
+        bound_points = 0 if model.is_discrete else 200_001
         recovered = oracle_power_integral(model, sol.lam, n_points=max(bound_points, 3))
         worst_bind = max(worst_bind, abs(recovered - pi) / pi)
 
@@ -206,7 +207,7 @@ def test_c5_closed_form_agreement_and_count_bound():
             eta = float(rng.uniform(2.0, 4.0))
             pt = float(np.exp(rng.uniform(np.log(1e-2), np.log(1e2))))
             cf = discrete.gamma_closed_form(table, d, eta, pt)
-            wf = waterfill.solve(model, pt / d**eta).gamma
+            wf, _ = oracle_discrete_waterfill(model, pt / d**eta)
             worst = max(worst, abs(cf - wf) / max(wf, 1e-300))
     counts_ok = True
     for _ in range(200):
@@ -220,7 +221,7 @@ def test_c5_closed_form_agreement_and_count_bound():
 
     ok = worst < 1e-9 and counts_ok and elapsed < 60.0
     _report(
-        "C5 closed form vs solver + count bound",
+        "C5 closed form vs bisection oracle + count bound",
         ok,
         f"worst_rel={worst:.2e} counts_ok={counts_ok} t={elapsed:.2f}s",
     )

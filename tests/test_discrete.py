@@ -5,10 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from conftest import make_rng, random_discrete_model
-from hopcap.errors import NotDiscrete
-from hopcap.fading import FadingModel
-from hopcap import discrete, waterfill
+from conftest import make_rng, oracle_discrete_waterfill, random_discrete_model
+from hopcap.errors import DiscreteKindError, ValidationError
+from hopcap.fading import DiscreteFinite, FadingModel
+from hopcap import discrete
 
 FIG1 = FadingModel.discrete([(100.0, 0.01), (0.5, 0.99)])
 FIG1_LOW = FadingModel.discrete([(100.0, 0.001), (0.5, 0.999)])
@@ -34,8 +34,20 @@ class TestBuildTable:
         assert table.b[0] == 0.0
 
     def test_rejects_continuous(self):
-        with pytest.raises(NotDiscrete):
+        with pytest.raises(DiscreteKindError):
             discrete.build_table(FadingModel.exponential(1.0))
+
+    def test_degenerate_breakpoints_are_a_validation_error(self):
+        # ascending gains bypass the constructor and give a negative breakpoint
+        model = FadingModel(DiscreteFinite((1.0, 2.0), (0.5, 0.5)))
+        with pytest.raises(ValidationError) as info:
+            discrete.build_table(model)
+        assert not isinstance(info.value, DiscreteKindError)
+
+    def test_table_built_once_per_model(self):
+        assert FIG1.table is FIG1.table
+        with pytest.raises(DiscreteKindError):
+            FadingModel.exponential(1.0).table
 
     def test_lambda_matches_generic_solver(self):
         rng = make_rng(11)
@@ -44,8 +56,8 @@ class TestBuildTable:
             table = discrete.build_table(model)
             for pi in np.exp(rng.uniform(np.log(1e-4), np.log(1e4), size=100)):
                 lam_cf = discrete.lambda_closed_form(table, float(pi))
-                lam_wf = waterfill.solve(model, float(pi)).lam
-                assert lam_cf == pytest.approx(lam_wf, rel=1e-9)
+                _, lam_ref = oracle_discrete_waterfill(model, float(pi))
+                assert lam_cf == pytest.approx(lam_ref, rel=1e-9)
 
 
 class TestGammaClosedForm:
@@ -59,7 +71,7 @@ class TestGammaClosedForm:
         table = discrete.build_table(FIG1)
         for d in np.geomspace(1e-2, 1e3, 200):
             pi = 1.0 / d**3
-            expected = waterfill.solve(FIG1, pi).gamma
+            expected, _ = oracle_discrete_waterfill(FIG1, pi)
             got = discrete.gamma_closed_form(table, d=float(d), eta=3.0, pt_prime=1.0)
             assert got == pytest.approx(expected, rel=1e-9)
 

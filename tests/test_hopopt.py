@@ -213,8 +213,11 @@ class TestBoundaryLimits:
 
 class TestLambdaScanWindow:
     def test_window_can_exclude_roots(self):
+        # pi_opt scales with rate/gain, so gains 1e14 times larger put the
+        # root near pi = 1e-14, below the fixed scan window [1e-8, 1e8]
+        model = FadingModel.exponential(1.0, alpha_over_sigma2=1e14)
         with pytest.raises(NoStationaryPoint):
-            hopopt.stationary_points(exp_problem(), pi_min=1e6, pi_max=1e8)
+            hopopt.stationary_points(hopopt.HopProblem(model=model, eta=2.0, pt_prime=1.0))
 
     def test_psi_strictly_positive(self):
         problem = exp_problem()

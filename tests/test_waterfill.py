@@ -13,8 +13,11 @@ from conftest import (
     oracle_waterfill_lambda,
     random_model,
 )
-from hopcap.errors import BracketFailure, NonPositivePi
+from hopcap.cli import main
+from hopcap.config import load_config
+from hopcap.errors import BracketFailure, DiscreteKindError, NonPositivePi
 from hopcap.fading import FadingModel
+from hopcap.simulator import WaterfillPolicy
 from hopcap import waterfill
 
 # dense-trapezoid + bisection oracle output for f(x) = exp(-x), pi = 1
@@ -56,7 +59,7 @@ class TestSolveExamples:
 class TestGammaDerivative:
     def test_single_state_closed_form(self):
         model = FadingModel.discrete([(1.0, 1.0)])
-        assert waterfill.gamma_derivative(model, 1.0) == pytest.approx(0.5, rel=1e-12)
+        assert waterfill.solve(model, 1.0).lam == pytest.approx(0.5, rel=1e-12)
 
     @pytest.mark.parametrize(
         "model,pi",
@@ -71,30 +74,26 @@ class TestGammaDerivative:
         fd = (waterfill.solve(model, pi + h).gamma - waterfill.solve(model, pi - h).gamma) / (
             2 * h
         )
-        assert waterfill.gamma_derivative(model, pi) == pytest.approx(fd, rel=1e-5)
+        assert waterfill.solve(model, pi).lam == pytest.approx(fd, rel=1e-5)
 
 
 class TestPhysicalAllocation:
     def test_zero_at_cutoff(self):
         model = FadingModel.discrete([(1.0, 1.0)])
         sol = waterfill.solve(model, 1.0)
-        assert waterfill.power_allocation_physical(sol, d=1.0, eta=3.0, h=sol.cutoff_h) == 0.0
+        assert WaterfillPolicy(sol, d=1.0, eta=3.0).power(sol.cutoff_h) == 0.0
 
     def test_unit_distance(self):
         sol = waterfill.WaterfillSolution(
             pi=1.0, lam=0.5, gamma=math.log(2.0), model=FadingModel.discrete([(1.0, 1.0)])
         )
-        assert waterfill.power_allocation_physical(sol, d=1.0, eta=3.0, h=1.0) == pytest.approx(
-            1.0
-        )
+        assert WaterfillPolicy(sol, d=1.0, eta=3.0).power(1.0) == pytest.approx(1.0)
 
     def test_scales_with_path_loss(self):
         sol = waterfill.WaterfillSolution(
             pi=1.0, lam=0.5, gamma=math.log(2.0), model=FadingModel.discrete([(1.0, 1.0)])
         )
-        assert waterfill.power_allocation_physical(sol, d=2.0, eta=3.0, h=1.0) == pytest.approx(
-            8.0
-        )
+        assert WaterfillPolicy(sol, d=2.0, eta=3.0).power(1.0) == pytest.approx(8.0)
 
 
 class TestInvariants:
@@ -154,10 +153,29 @@ class TestDegenerateAndErrors:
         gamma, lam = waterfill.gamma_and_lambda(FadingModel.exponential(1.0), 0.0)
         assert gamma == 0.0 and math.isinf(lam)
 
-    def test_unbrackable_budget_fails_loudly(self):
-        model = FadingModel.exponential(1.0)
+    @pytest.mark.parametrize(
+        "fading_yaml",
+        [
+            "{kind: exponential, rate: 1.0}",
+            "{kind: discrete, states: [{gain: 100.0, prob: 0.01}, {gain: 0.5, prob: 0.99}]}",
+        ],
+        ids=["exponential", "fig1-discrete"],
+    )
+    def test_unbrackable_budget_fails_loudly(self, fading_yaml, tmp_path):
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text(
+            f"schema_version: 1\nfading: {fading_yaml}\neta: 3.0\npower: {{Pt_prime_W: 1.0}}\n"
+        )
         with pytest.raises(BracketFailure):
-            waterfill.solve(model, math.inf)
+            waterfill.solve(load_config(cfg).model, math.inf)
+        assert main(["waterfill", "--config", str(cfg), "--pi", "inf"]) == 3
+
+    def test_density_integrals_reject_discrete(self):
+        model = FadingModel.discrete(FIG1_STATES)
+        with pytest.raises(DiscreteKindError):
+            waterfill.expected_power(model, 0.5)
+        with pytest.raises(DiscreteKindError):
+            waterfill.optimal_rate(model, 0.5)
 
     def test_independent_single_state_stationarity_oracle(self):
         # root of log(1+pi) = 3*pi/(1+pi) by plain bisection
