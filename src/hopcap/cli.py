@@ -9,6 +9,7 @@ can be reproduced byte for byte.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import math
@@ -100,14 +101,14 @@ def _cmd_waterfill(args) -> int:
     cfg = load_config(args.config)
     started = time.monotonic()
     sol = waterfill.solve(cfg.model, args.pi)
-    gamma_out, unit = _rate_out(sol.gamma, args)
+    gamma_out, unit = _rate_out(sol.gamma, args), "bits" if args.bits else "nats"
     print(
         f"pi={_g(sol.pi)} lambda={_g(sol.lam)} gamma_{unit}={_g(gamma_out)} "
-        f"cutoff_x={_g(sol.cutoff_x)} cutoff_h={_g(sol.cutoff_h)}"
+        f"cutoff_x={_g(sol.lam)} cutoff_h={_g(sol.cutoff_h)}"
     )
     if args.out:
         header = ["pi", "lambda", f"gamma_{unit}", "cutoff_x", "cutoff_h"]
-        rows = [(sol.pi, sol.lam, gamma_out, sol.cutoff_x, sol.cutoff_h)]
+        rows = [(sol.pi, sol.lam, gamma_out, sol.lam, sol.cutoff_h)]
         _write_csv(args.out, header, rows)
         _write_manifest(args, started, outputs=[args.out])
     return EXIT_OK
@@ -120,7 +121,7 @@ def _cmd_optimize(args) -> int:
     sset = hopopt.stationary_points(problem)
     unit = "bits" if args.bits else "nats"
     rows = [
-        (pt.d, pt.pi, pt.lam, _rate_out(pt.gamma, args)[0], _psi_out(pt.psi, args))
+        (pt.d, pt.pi, pt.lam, _rate_out(pt.gamma, args), _rate_out(pt.psi, args))
         for pt in sset.points
     ]
     summary = _optimize_summary(cfg, sset, args)
@@ -167,17 +168,15 @@ def _cmd_sweep(args) -> int:
                     factor,
                     float(d),
                     pi,
-                    _rate_out(gamma, args)[0],
-                    _psi_out(d * gamma, args),
+                    _rate_out(gamma, args),
+                    _rate_out(d * gamma, args),
                     segment,
                 )
             )
     header = ["power_factor", "d_m", "pi", f"gamma_{unit}", "psi", "segment"]
+    _write_csv(args.out, header, rows)
     if args.out:
-        _write_csv(args.out, header, rows)
         _write_manifest(args, started, outputs=[args.out])
-    else:
-        _print_csv(header, rows)
     return EXIT_OK
 
 
@@ -188,20 +187,18 @@ def _cmd_stationary(args) -> int:
     sset = hopopt.stationary_points(problem)
     unit = "bits" if args.bits else "nats"
     rows = [
-        (pt.d, _rate_out(pt.gamma, args)[0], _psi_out(pt.psi, args),
+        (pt.d, _rate_out(pt.gamma, args), _rate_out(pt.psi, args),
          pt.segment if pt.segment is not None else "")
         for pt in sset.points
     ]
     header = ["d_m", f"gamma_{unit}", "psi", "segment"]
     print(f"stationary_points={len(sset.points)} unique={str(sset.unique).lower()}")
+    _write_csv(args.out, header, rows)
     if args.out:
-        _write_csv(args.out, header, rows)
         _write_manifest(
             args, started, outputs=[args.out],
             summary={"count": len(sset.points), "unique": sset.unique},
         )
-    else:
-        _print_csv(header, rows)
     return EXIT_OK
 
 
@@ -285,11 +282,9 @@ def _cmd_single_cell_bound(args) -> int:
         ):
             rows.append((power, k, c_k, bound, reach, c_k * reach, bound_reach))
     header = ["power_W", "K", "C_K_nats", "bound_nats", "reach_m", "C_times_r", "bound_times_r"]
+    _write_csv(args.out, header, rows)
     if args.out:
-        _write_csv(args.out, header, rows)
         _write_manifest(args, started, outputs=[args.out])
-    else:
-        _print_csv(header, rows)
     return EXIT_OK
 
 
@@ -321,8 +316,8 @@ def _optimize_summary(cfg, sset, args) -> dict:
         d_opt_m=best.d,
         pi_opt=best.pi,
         lambda_opt=best.lam,
-        gamma_opt=_rate_out(best.gamma, args)[0],
-        psi_opt=_psi_out(best.psi, args),
+        gamma_opt=_rate_out(best.gamma, args),
+        psi_opt=_rate_out(best.psi, args),
     )
     if cfg.d0 > 0:
         summary["d_opt_above_d0"] = str(best.d > cfg.d0).lower()
@@ -332,37 +327,22 @@ def _optimize_summary(cfg, sset, args) -> dict:
     return summary
 
 
-def _rate_out(gamma_nats: float, args):
-    if args.bits:
-        return gamma_nats / LN2, "bits"
-    return gamma_nats, "nats"
-
-
-def _psi_out(psi_nats: float, args) -> float:
-    return psi_nats / LN2 if args.bits else psi_nats
+def _rate_out(nats: float, args) -> float:
+    """A rate, or a rate times meters, in the unit the flags ask for."""
+    return nats / LN2 if args.bits else nats
 
 
 def _g(value: float) -> str:
     return format(float(value), ".17g")
 
 
-def _fmt_cell(value) -> str:
-    if isinstance(value, float):
-        return _g(value)
-    return str(value)
-
-
 def _write_csv(path, header, rows) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    """Write header and rows as CSV to the file ``path``, or to stdout when it is None."""
+    with (open(path, "w", newline="", encoding="utf-8") if path
+          else contextlib.nullcontext(sys.stdout)) as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(_fmt_cell(v) for v in row) + "\n")
-
-
-def _print_csv(header, rows) -> None:
-    print(",".join(header))
-    for row in rows:
-        print(",".join(_fmt_cell(v) for v in row))
+            fh.write(",".join(_g(v) if isinstance(v, float) else str(v) for v in row) + "\n")
 
 
 def _sha256(path) -> str:

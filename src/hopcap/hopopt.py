@@ -312,7 +312,7 @@ def check_monotonicity_condition(model: FadingModel) -> bool:
     if model.is_discrete:
         raise DiscreteKindError("the monotonicity condition needs a density")
     rng = np.random.Generator(np.random.PCG64(MONOTONE_SEED))
-    scale = model.mean_x()
+    scale = model.alpha_over_sigma2 * model.mean_h()
     ys = np.linspace(1.0 / MONOTONE_GRID_POINTS, 1.0, MONOTONE_GRID_POINTS)
     for _ in range(MONOTONE_PAIRS):
         pair = scale * np.exp(rng.uniform(math.log(1 / 30), math.log(30), size=2))

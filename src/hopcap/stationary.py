@@ -43,6 +43,3 @@ class StationarySet:
         if self.maximizer_index is None:
             return None
         return self.points[self.maximizer_index]
-
-    def __len__(self) -> int:
-        return len(self.points)

@@ -14,9 +14,9 @@ in nats per unit bandwidth, and ``dGamma/dpi = lam`` (envelope identity).
 come from the piecewise closed form of `discrete`, whose table each
 model builds once (`FadingModel.table`).  Continuous models root-find
 the constraint above on `expected_power` and then take `optimal_rate`,
-which use exponential-integral closed forms for exponential fading (so
-no truncation error enters) and integrate a tabulated piecewise-linear
-density cell by cell; both raise DiscreteKindError on discrete models.
+both exact: exponential-integral closed forms for exponential fading,
+the tail table of a tabulated density (`FadingModel.tails`) plus one
+closed-form partial cell; both raise DiscreteKindError on discrete models.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from scipy.special import exp1
 
 from . import discrete as _discrete
 from .errors import BracketFailure, NonPositivePi
-from .fading import Exponential, FadingModel, integrate_against_density
+from .fading import Exponential, FadingModel
 
 # bracket scanned (in lam) when solving the power-constraint equation
 _LAM_FLOOR = 1e-14
@@ -43,8 +43,9 @@ _BRENTQ_XTOL = 1e-30
 class WaterfillSolution:
     """Solved allocation for one normalized power level.
 
-    ``lam`` is the Lagrange multiplier (reciprocal water level) and
-    ``gamma`` the optimal mean rate in nats per unit bandwidth.
+    ``lam`` is the Lagrange multiplier (reciprocal water level), so
+    states with x <= lam receive zero power, and ``gamma`` the optimal
+    mean rate in nats per unit bandwidth.
     """
 
     pi: float
@@ -59,11 +60,6 @@ class WaterfillSolution:
         return float(out) if np.isscalar(x) else out
 
     @property
-    def cutoff_x(self) -> float:
-        """States with x <= cutoff receive zero power."""
-        return self.lam
-
-    @property
     def cutoff_h(self) -> float:
         return self.lam / self.model.alpha_over_sigma2
 
@@ -74,8 +70,7 @@ def expected_power(model: FadingModel, lam: float) -> float:
         nu = model.kind.rate / model.alpha_over_sigma2
         u = nu * lam
         return float(math.exp(-u) / lam - nu * exp1(u))
-    xg, fg = model.x_grid()
-    return integrate_against_density(xg, fg, lambda x: 1.0 / lam - 1.0 / x, lower=lam)
+    return model.tails.above(lam)[0]
 
 
 def optimal_rate(model: FadingModel, lam: float) -> float:
@@ -83,8 +78,7 @@ def optimal_rate(model: FadingModel, lam: float) -> float:
     if isinstance(model.kind, Exponential):
         nu = model.kind.rate / model.alpha_over_sigma2
         return float(exp1(nu * lam))
-    xg, fg = model.x_grid()
-    return integrate_against_density(xg, fg, lambda x: np.log(x / lam), lower=lam)
+    return model.tails.above(lam)[1]
 
 
 def solve(model: FadingModel, pi: float) -> WaterfillSolution:

@@ -1,13 +1,14 @@
 """Shared factories and independent numerical oracles for the test suite.
 
 The oracles deliberately avoid the production code paths: dense
-trapezoid quadrature plus plain bisection, nothing from `waterfill` or
-`discrete`.
+trapezoid or per-cell adaptive quadrature plus plain bisection, nothing
+from `waterfill` or `discrete`.
 """
 
 import math
 
 import numpy as np
+from scipy.integrate import quad
 
 from hopcap.fading import FadingModel
 
@@ -110,6 +111,30 @@ def oracle_rate_integral(model, lam: float, n_points: int = 400_001) -> float:
         return 0.0
     x = np.geomspace(lam, hi, n_points)
     return float(np.trapezoid(np.log(x / lam) * model.pdf_x(x), x))
+
+
+def oracle_cell_integrals(model, lam: float):
+    """(E[(1/lam - 1/X)^+], E[log(X/lam)^+]) of a tabulated model, cell by cell.
+
+    Each x-cell above ``lam`` (the density is linear there) is integrated
+    with `scipy.integrate.quad` at ``epsabs=0, epsrel=1e-13`` in the offset
+    u = x - lam, so the weights u/(lam*(lam + u)) and log1p(u/lam) keep
+    their digits near lam, and the cells are summed with `math.fsum`.
+    Only the model's grid, density and scale are read.
+    """
+    c = model.alpha_over_sigma2
+    xs = (c * model.kind.grid).tolist()
+    fs = (model.kind.density / c).tolist()
+    power, rate = [], []
+    for a, b, fa, fb in zip(xs, xs[1:], fs, fs[1:]):
+        if b <= lam:
+            continue
+        def f(u, a=a, b=b, fa=fa, fb=fb):  # the density at x = lam + u
+            return (fa * ((b - lam) - u) + fb * ((lam - a) + u)) / (b - a)
+        lo, hi = max(a - lam, 0.0), b - lam
+        power.append(quad(lambda u: u / (lam * (lam + u)) * f(u), lo, hi, epsabs=0, epsrel=1e-13)[0])
+        rate.append(quad(lambda u: math.log1p(u / lam) * f(u), lo, hi, epsabs=0, epsrel=1e-13)[0])
+    return math.fsum(power), math.fsum(rate)
 
 
 def oracle_waterfill_lambda(model, pi: float, n_points: int = 400_001) -> float:

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from conftest import make_rng, random_tabulated_model
+from conftest import make_rng, oracle_cell_integrals, random_tabulated_model
+from hopcap import waterfill
 from hopcap.errors import DiscreteKindError, ValidationError
-from hopcap.fading import FadingModel, integrate_against_density
+from hopcap.fading import FadingModel
 
 
 def tabulated_exp(mu=1.0, top=20.0, points=4001, scale=1.0):
@@ -70,6 +71,17 @@ class TestMeanH:
 
     def test_tabulated_quadrature(self):
         assert tabulated_exp().mean_h() == pytest.approx(1.0, abs=1e-4)
+
+    def test_tabulated_mean_is_exact_for_the_linear_density(self):
+        # the trapezoid rule on h*a(h) is not exact for a linear density (0.9595 vs 1.00034)
+        model = tabulated_exp(points=41)
+        h, a = model.kind.grid.tolist(), model.kind.density.tolist()
+        cells = [
+            quad(lambda v: v * (a0 * (h1 - v) + a1 * (v - h0)) / (h1 - h0), h0, h1,
+                 epsabs=0, epsrel=1e-13)[0]
+            for h0, h1, a0, a1 in zip(h, h[1:], a, a[1:])
+        ]
+        assert model.mean_h() == pytest.approx(math.fsum(cells), rel=1e-12, abs=0)
 
 
 class TestTailDecay:
@@ -187,12 +199,67 @@ class TestDensityIntegrator:
         model = random_tabulated_model(rng)
         xg, fg = model.x_grid()
         lam = float(0.3 * xg[-1])
-        got = integrate_against_density(xg, fg, lambda x: np.log1p(x), lower=lam)
         dense = np.linspace(lam, xg[-1], 2_000_001)
-        expected = np.trapezoid(np.log1p(dense) * np.interp(dense, xg, fg), dense)
-        assert got == pytest.approx(expected, rel=1e-9)
+        f = np.interp(dense, xg, fg)
+        power = np.trapezoid((1.0 / lam - 1.0 / dense) * f, dense)
+        rate = np.trapezoid(np.log(dense / lam) * f, dense)
+        assert waterfill.expected_power(model, lam) == pytest.approx(power, rel=1e-9)
+        assert waterfill.optimal_rate(model, lam) == pytest.approx(rate, rel=1e-9)
 
     def test_lower_above_support_is_zero(self):
         model = tabulated_exp()
-        xg, fg = model.x_grid()
-        assert integrate_against_density(xg, fg, lambda x: x, lower=xg[-1] + 1) == 0.0
+        lam = model.x_support()[1] + 1.0
+        assert waterfill.expected_power(model, lam) == 0.0
+        assert waterfill.optimal_rate(model, lam) == 0.0
+
+    def test_table_built_once_per_model(self):
+        model = tabulated_exp(points=41)
+        assert model.tails is model.tails
+
+    @pytest.mark.parametrize(
+        "model",
+        [FadingModel.exponential(1.0), FadingModel.discrete([(3.0, 0.4), (1.0, 0.6)])],
+        ids=["exponential", "discrete"],
+    )
+    def test_table_rejects_other_kinds(self, model):
+        with pytest.raises(DiscreteKindError):
+            model.tails
+
+
+class TestTailExactness:
+    """expected_power / optimal_rate against per-cell adaptive quadrature."""
+
+    @staticmethod
+    def check(model, lams):
+        for lam in lams:
+            power, rate = oracle_cell_integrals(model, float(lam))
+            assert power >= 1e-8
+            assert waterfill.expected_power(model, lam) == pytest.approx(power, rel=1e-12, abs=0)
+            assert waterfill.optimal_rate(model, lam) == pytest.approx(rate, rel=1e-12, abs=0)
+
+    def test_deep_in_the_first_cell(self):
+        # the grid starts at h = 0, where 1/x and log x are unbounded
+        model = tabulated_exp(points=41)
+        x1 = float(model.x_grid()[0][1])
+        self.check(model, np.geomspace(x1 * 1e-6, x1 / 2, 13))
+
+    @staticmethod
+    def triangle():
+        h = np.linspace(0.2, 2.2, 201)
+        a = np.minimum(h - 0.2, 2.2 - h)
+        return FadingModel.tabulated(h, a / np.trapezoid(a, h), 2.0)
+
+    def test_near_the_top_of_the_support(self):
+        model = self.triangle()
+        nodes = model.x_grid()[0][-12:-1]
+        lams = np.concatenate([4.4 - np.geomspace(0.4, 0.017, 25), nodes, nodes * (1 - 1e-9)])
+        self.check(model, lams)
+
+    def test_below_the_start_of_the_support(self):
+        # the support starts at x = 0.4; below it the density is zero
+        self.check(self.triangle(), [1e-6, 0.1, 0.39, 0.4, 0.4 * (1 + 1e-9), 0.41])
+
+    def test_random_tabulated_model(self):
+        model = random_tabulated_model(make_rng(11))
+        lo, hi = model.x_support()
+        self.check(model, np.geomspace(max(lo, hi * 1e-3) * 0.5, hi * 0.9, 25))
