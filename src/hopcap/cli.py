@@ -347,7 +347,9 @@ def _write_csv(path, header, rows) -> None:
 
 def _sha256(path) -> str:
     digest = hashlib.sha256()
-    digest.update(Path(path).read_bytes())
+    with open(path, "rb") as fh:  # in blocks: a --trace file can be large
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(block)
     return digest.hexdigest()
 
 

@@ -263,11 +263,21 @@ class FadingModel:
             return np.array(self.kind.gains)[idx]
         g, a = self.kind.grid, self.kind.density
         cdf = np.concatenate(([0.0], np.cumsum(0.5 * (a[1:] + a[:-1]) * np.diff(g))))
-        cdf /= cdf[-1]
+        total = cdf[-1]
+        cdf /= total
         u = rng.random(size)
-        # invert the piecewise-quadratic cdf linearly per cell; adequate for
-        # validation purposes and exactly reproducible
-        return np.interp(u, cdf, g)
+        # invert the piecewise-quadratic cdf exactly: u < 1 falls in a cell j
+        # of positive mass, where the offset s above g_j solves
+        # a_j*s + k*s**2/2 = w (k the cell's slope, w the mass to cover).
+        # The root 2w/(a_j + sqrt(a_j**2 + 2kw)) keeps its digits for either
+        # sign of k and is w/a_j on a flat cell.
+        j = np.searchsorted(cdf, u, side="right") - 1
+        w = (u - cdf[j]) * total
+        width = g[j + 1] - g[j]
+        k = (a[j + 1] - a[j]) / width
+        root = a[j] + np.sqrt(np.maximum(a[j] * a[j] + 2.0 * k * w, 0.0))
+        s = np.divide(2.0 * w, root, out=np.zeros_like(w), where=root > 0.0)
+        return g[j] + np.minimum(s, width)
 
 
 def _check_scale(alpha_over_sigma2: float) -> None:

@@ -8,7 +8,11 @@ aggregate bit rate and the network power are ratio estimators, so the
 
 The generator is numpy's PCG64, seeded from the config: identical seeds
 reproduce reports byte for byte (draw order: period types first, then
-fades for the successful periods, in sequence order).
+fades for the successful periods, in sequence order).  `run` works in
+fixed chunks without changing that order, so its memory is one byte per
+period for the period types plus a few arrays of one chunk's length,
+whatever the horizon; the estimators merge centred co-moments chunk by
+chunk, and the trace is written one formatted block per chunk.
 
 The fixed-transmission-time vs fixed-packet-size comparison works on
 two channel samples: the fixed-packet totals define a time and energy
@@ -18,7 +22,7 @@ two states; its bit count never falls short.
 
 from __future__ import annotations
 
-import csv
+import contextlib
 import json
 import math
 import warnings
@@ -33,6 +37,7 @@ from .waterfill import WaterfillSolution
 
 _CI_FACTOR = 1.959963984540054  # two-sided 95% normal quantile
 MIN_HORIZON_FOR_CI = 10_000
+_CHUNK = 1 << 16  # periods per chunk of `run`
 
 
 class SmallHorizonWarning(UserWarning):
@@ -130,79 +135,145 @@ class SimReport:
 
 
 def run(config: SimConfig, trace_path=None) -> SimReport:
-    """Simulate ``horizon`` contention periods and estimate rate and power."""
+    """Simulate ``horizon`` contention periods and estimate rate and power.
+
+    Period types are drawn chunk by chunk into one int8 array, then each
+    chunk's successes get their fades; sequential draws give the numbers
+    one call over the horizon would, so nothing depends on ``_CHUNK``.
+    Idle and collision periods enter the totals and co-moments by count.
+    """
     prof = config.profile
     rng = np.random.Generator(np.random.PCG64(config.seed))
-    kinds = rng.choice(
-        3, size=config.horizon, p=[prof.p_idle, prof.p_collision, prof.p_success]
+    chunks = [
+        slice(s, min(s + _CHUNK, config.horizon)) for s in range(0, config.horizon, _CHUNK)
+    ]
+    kinds = np.empty(config.horizon, dtype=np.int8)
+    for c in chunks:
+        kinds[c] = rng.choice(
+            3, size=c.stop - c.start, p=[prof.p_idle, prof.p_collision, prof.p_success]
+        )
+
+    # rows: duration, energy, bits; columns: idle, collision, success.  A
+    # success's values vary per period, so its column is a placeholder
+    fixed = np.array(
+        [[prof.t_idle, prof.t_collision, 0.0], [prof.e_idle, prof.e_collision, 0.0], [0.0] * 3]
     )
-    success = kinds == 2
-    n_success = int(success.sum())
-
-    durations = np.where(
-        kinds == 0, prof.t_idle, np.where(kinds == 1, prof.t_collision, 0.0)
-    )
-    energies = np.where(
-        kinds == 0, prof.e_idle, np.where(kinds == 1, prof.e_collision, 0.0)
-    )
-    bits = np.zeros(config.horizon)
-
-    if n_success:
-        h = config.model.sample_h(rng, n_success)
-        p = config.policy.power(h)
-        x = config.model.alpha_over_sigma2 * h
-        rate_nats = np.log1p(x * p / config.d**config.eta)
-        tx_bits = prof.t_txop * prof.bandwidth * rate_nats / LN2
-        occupancy = np.full(n_success, prof.t_overhead + prof.t_txop)
-        if config.relinquish_overhead is not None:
-            idle_tx = p == 0.0
-            occupancy[idle_tx] = prof.t_overhead + config.relinquish_overhead
-        durations[success] = occupancy
-        energies[success] = prof.e_overhead + prof.t_txop * p
-        bits[success] = tx_bits
-
-    total_time = float(durations.sum())
-    theta_hat, theta_se = _ratio_estimate(bits, durations)
-    power_hat, power_se = _ratio_estimate(energies, durations)
-
+    counts = np.zeros(3, dtype=np.int64)
+    moments = _CoMoments()
+    success_sums = []
+    trace = contextlib.nullcontext()
     if trace_path is not None:
-        _write_trace(trace_path, kinds, durations, energies, bits)
+        trace = open(trace_path, "w", newline="", encoding="utf-8")
+    with trace as fh:
+        if fh is not None:
+            fh.write("period_type,duration_s,energy_J,bits\n")
+        for c in chunks:
+            kc = kinds[c]
+            n_kind = np.bincount(kc, minlength=3)
+            counts += n_kind
+            moments.merge(int(n_kind[0]), fixed[:, 0], 0.0)
+            moments.merge(int(n_kind[1]), fixed[:, 1], 0.0)
+            rows = None
+            if n_kind[2]:
+                rows = _success_rows(config, config.model.sample_h(rng, int(n_kind[2])))
+                success_sums.append(rows.sum(axis=1))
+                moments.merge_rows(rows)
+            if fh is not None:
+                fh.write(_trace_block(kc, fixed, rows))
 
+    n_idle, n_collision, n_success = counts.tolist()
+    total_time, total_energy, total_bits = (
+        math.fsum([n_idle * fixed[j, 0], n_collision * fixed[j, 1]] + [s[j] for s in success_sums])
+        for j in range(3)
+    )
+    theta_hat = total_bits / total_time
+    power_hat = total_energy / total_time
     return SimReport(
         theta_hat=theta_hat,
-        theta_ci95=_CI_FACTOR * theta_se,
+        theta_ci95=_CI_FACTOR * moments.ratio_se(2, theta_hat, total_time),
         power_hat=power_hat,
-        power_ci95=_CI_FACTOR * power_se,
-        n_idle=int((kinds == 0).sum()),
-        n_collision=int((kinds == 1).sum()),
+        power_ci95=_CI_FACTOR * moments.ratio_se(1, power_hat, total_time),
+        n_idle=n_idle,
+        n_collision=n_collision,
         n_success=n_success,
         horizon=config.horizon,
         seed=config.seed,
         elapsed_time=total_time,
-        total_bits=float(bits.sum()),
-        total_energy=float(energies.sum()),
+        total_bits=total_bits,
+        total_energy=total_energy,
     )
 
 
-def _ratio_estimate(numerators, durations):
-    """Mean-per-time ratio with its delta-method standard error."""
-    n = numerators.size
-    ratio = float(numerators.sum() / durations.sum())
-    if n < 2:
-        return ratio, 0.0
-    centred = numerators - ratio * durations
-    var = float(np.dot(centred, centred)) / (n - 1)
-    se = math.sqrt(var / n) / float(durations.mean())
-    return ratio, se
+def _success_rows(config, h):
+    """(duration, energy, bits) of successful periods with fades ``h``, by row."""
+    prof = config.profile
+    p = config.policy.power(h)
+    x = config.model.alpha_over_sigma2 * h
+    rows = np.empty((3, h.size))
+    rows[0] = prof.t_overhead + prof.t_txop
+    if config.relinquish_overhead is not None:
+        rows[0, p == 0.0] = prof.t_overhead + config.relinquish_overhead
+    rows[1] = prof.e_overhead + prof.t_txop * p
+    rows[2] = prof.t_txop * prof.bandwidth * np.log1p(x * p / config.d**config.eta) / LN2
+    return rows
 
 
-def _write_trace(path, kinds, durations, energies, bits):
-    names = np.array(["idle", "collision", "success"])
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["period_type", "duration_s", "energy_J", "bits"])
-        for k, t, e, b in zip(kinds, durations, energies, bits):
-            writer.writerow([names[k], f"{t:.17g}", f"{e:.17g}", f"{b:.17g}"])
+class _CoMoments:
+    """Count, mean and centred co-moment matrix of (duration, energy, bits).
+
+    Groups of periods are merged by Chan's pairwise update, so nothing
+    depends on raw power sums; a group of identical periods adds an exact
+    zero, and identical periods throughout give a variance of exactly 0.
+    """
+
+    def __init__(self):
+        self.n, self.mean, self.m2 = 0, np.zeros(3), np.zeros((3, 3))
+
+    def merge(self, n, mean, m2):
+        """Add a group of ``n`` periods (``m2`` is 0 for identical periods)."""
+        if n == 0:
+            return
+        total = self.n + n
+        delta = mean - self.mean
+        self.mean = self.mean + delta * (n / total)
+        self.m2 = self.m2 + m2 + np.outer(delta, delta) * (self.n * n / total)
+        self.n = total
+
+    def merge_rows(self, rows):
+        # centred on the group mean, taken relative to its first period so
+        # that a group of identical periods has exactly that mean
+        first = rows[:, :1]
+        mean = first + (rows - first).mean(axis=1, keepdims=True)
+        dev = rows - mean
+        self.merge(rows.shape[1], mean[:, 0], dev @ dev.T)
+
+    def ratio_se(self, j, ratio, total_time):
+        """Delta-method standard error of total[j] / total duration."""
+        if self.n < 2:
+            return 0.0
+        m2 = self.m2  # sum of (y_j - ratio * duration)**2 over the periods
+        ss = m2[j, j] - 2.0 * ratio * m2[j, 0] + ratio * ratio * m2[0, 0]
+        return math.sqrt(max(ss, 0.0) / (self.n - 1) / self.n) / (total_time / self.n)
+
+
+_TRACE_NAMES = np.array(["idle,", "collision,", "success,"], dtype=object)
+
+
+def _trace_block(kinds, fixed, success_rows):
+    """CSV rows of one chunk; each distinct cell is formatted once (``%.17g``)."""
+    rows = fixed[:, kinds]
+    if success_rows is not None:
+        rows[:, kinds == 2] = success_rows
+    cells = [_TRACE_NAMES[kinds]]
+    for column, end in zip(rows, (",", ",", "\n")):
+        # unique bit patterns, so that -0.0 and 0.0 keep their own text
+        values, where = np.unique(column.view(np.int64), return_inverse=True)
+        text = np.array([f"{v:.17g}{end}" for v in values.view(np.float64).tolist()], dtype=object)
+        cells.append(text[where])
+    out = [""] * (4 * kinds.size)
+    for j, column in enumerate(cells):
+        out[j::4] = column.tolist()
+    return "".join(out)
 
 
 # -- fixed transmission time vs fixed packet size -------------------------

@@ -2,13 +2,16 @@
 
 The oracles deliberately avoid the production code paths: dense
 trapezoid or per-cell adaptive quadrature plus plain bisection, nothing
-from `waterfill` or `discrete`.
+from `waterfill` or `discrete`.  The simulator references rebuild whole
+runs with arrays the length of the horizon and a per-row `csv.writer`.
 """
 
+import csv
 import math
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.special import ndtri
 
 from hopcap.fading import FadingModel
 
@@ -221,3 +224,59 @@ def oracle_discrete_psi_argmax(model, eta: float, pt_prime: float):
     fine = np.geomspace(coarse[max(k - 1, 0)], coarse[min(k + 1, coarse.size - 1)], 401)
     _, d_best, psi_best = argmax_on(fine)
     return d_best, psi_best
+
+
+# -- simulator references -------------------------------------------------------
+
+
+def reference_periods(config):
+    """(kinds, durations, energies, bits) of every period of a simulator run.
+
+    Draws in the documented order with one call each: all period types,
+    then the fades of all successes.  Arrays span the whole horizon; only
+    the model's sampler and the policy's power come from hopcap.
+    """
+    prof = config.profile
+    rng = make_rng(config.seed)
+    kinds = rng.choice(3, size=config.horizon, p=[prof.p_idle, prof.p_collision, prof.p_success])
+    success = kinds == 2
+    durations = np.where(kinds == 0, prof.t_idle, np.where(kinds == 1, prof.t_collision, 0.0))
+    energies = np.where(kinds == 0, prof.e_idle, np.where(kinds == 1, prof.e_collision, 0.0))
+    bits = np.zeros(config.horizon)
+    n = int(success.sum())
+    if n:
+        h = config.model.sample_h(rng, n)
+        p = config.policy.power(h)
+        rate = np.log1p(config.model.alpha_over_sigma2 * h * p / config.d**config.eta)
+        occupancy = np.full(n, prof.t_overhead + prof.t_txop)
+        if config.relinquish_overhead is not None:
+            occupancy[p == 0.0] = prof.t_overhead + config.relinquish_overhead
+        durations[success] = occupancy
+        energies[success] = prof.e_overhead + prof.t_txop * p
+        bits[success] = prof.t_txop * prof.bandwidth * rate / math.log(2.0)
+    return kinds, durations, energies, bits
+
+
+def reference_trace(path, kinds, durations, energies, bits):
+    """The per-period trace CSV, one `csv.writer` row per period, cells as %.17g."""
+    names = ["idle", "collision", "success"]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["period_type", "duration_s", "energy_J", "bits"])
+        for k, t, e, b in zip(kinds.tolist(), durations.tolist(), energies.tolist(), bits.tolist()):
+            writer.writerow([names[k], "%.17g" % t, "%.17g" % e, "%.17g" % b])
+
+
+def oracle_ratio_estimate(numerators, durations):
+    """(sum(numerators)/sum(durations), its delta-method 95% half-width).
+
+    Two passes over whole arrays: the ratio, then the sum of squares of
+    ``numerators - ratio*durations`` divided by n - 1.
+    """
+    n = numerators.size
+    ratio = float(numerators.sum() / durations.sum())
+    if n < 2:
+        return ratio, 0.0
+    centred = numerators - ratio * durations
+    var = float(np.dot(centred, centred)) / (n - 1)
+    return ratio, float(ndtri(0.975)) * math.sqrt(var / n) / float(durations.mean())

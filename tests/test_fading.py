@@ -1,5 +1,6 @@
 """Distribution kinds, change-of-variable densities, moments and tails."""
 
+import bisect
 import math
 
 import numpy as np
@@ -263,3 +264,58 @@ class TestTailExactness:
         model = random_tabulated_model(make_rng(11))
         lo, hi = model.x_support()
         self.check(model, np.geomspace(max(lo, hi * 1e-3) * 0.5, hi * 0.9, 25))
+
+
+class TestTabulatedSampling:
+    """`sample_h` inverts the piecewise-quadratic cdf of a linear density exactly."""
+
+    class Uniforms:
+        """Stands in for the generator: `random` returns the given values."""
+
+        def __init__(self, u):
+            self.u = np.asarray(u, dtype=float)
+
+        def random(self, size):
+            assert size == self.u.size
+            return self.u
+
+    @staticmethod
+    def cdf(model, h):
+        """P(H <= h) of the linear density: whole cells plus one trapezoid."""
+        g, a = model.kind.grid.tolist(), model.kind.density.tolist()
+        cells = [0.5 * (g1 - g0) * (a0 + a1) for g0, g1, a0, a1 in zip(g, g[1:], a, a[1:])]
+        j = min(max(bisect.bisect_right(g, h) - 1, 0), len(cells) - 1)
+        ah = a[j] + (a[j + 1] - a[j]) * (h - g[j]) / (g[j + 1] - g[j])
+        return (math.fsum(cells[:j]) + 0.5 * (h - g[j]) * (a[j] + ah)) / math.fsum(cells)
+
+    @staticmethod
+    def gap_model():
+        # flat cells [0, 1] and [4, 5], a falling and a rising cell, and a
+        # cell of zero mass in [2, 3]
+        return FadingModel.tabulated(np.arange(6.0), np.array([1, 1, 0, 0, 1, 1]) / 3.0)
+
+    @pytest.mark.parametrize("name", ["exp41", "triangle", "gap"])
+    def test_draws_sit_at_their_cdf_value(self, name):
+        model = {
+            "exp41": tabulated_exp(points=41),
+            "triangle": TestTailExactness.triangle(),
+            "gap": self.gap_model(),
+        }[name]
+        u = np.concatenate([np.linspace(0.0, 1.0, 2001)[:-1], make_rng(2).random(2000),
+                            [1.0 - 2.0**-53]])
+        h = model.sample_h(self.Uniforms(u), u.size)
+        got = np.array([self.cdf(model, v) for v in h.tolist()])
+        assert np.max(np.abs(got - u)) <= 1e-13
+        assert np.all((h >= model.kind.grid[0]) & (h <= model.kind.grid[-1]))
+
+    def test_zero_mass_cells_are_never_chosen(self):
+        u = np.linspace(0.0, 1.0, 100_001)[:-1]
+        h = self.gap_model().sample_h(self.Uniforms(u), u.size)
+        assert not np.any((h > 2.0) & (h < 3.0))
+
+    def test_sample_mean_agrees_with_the_exact_mean(self):
+        # linear inversion of the cdf put the mean about 7 SE too high here
+        model = tabulated_exp(points=41)
+        h = model.sample_h(make_rng(12), 1_000_000)
+        se = h.std(ddof=1) / math.sqrt(h.size)
+        assert abs(h.mean() - model.mean_h()) <= 4 * se

@@ -2,12 +2,13 @@
 fixed-time vs fixed-packet comparison."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from conftest import make_rng
+from conftest import make_rng, oracle_ratio_estimate, reference_periods, reference_trace
 from hopcap.errors import OrderingViolation, ValidationError
 from hopcap.fading import FadingModel
 from hopcap import macmodel, simulator, waterfill
@@ -187,6 +188,145 @@ class TestTraceAndKnobs:
         early = simulator.run(SimConfig(relinquish_overhead=1e-4, **base))
         assert early.elapsed_time < plain.elapsed_time
         assert early.total_bits == plain.total_bits
+
+
+def trace_cases():
+    """Three runs that differ in what a trace row can hold."""
+    exp = FadingModel.exponential(1.0)
+    h = np.linspace(0.0, 20.0, 41)
+    tab41 = FadingModel.tabulated(h, np.exp(-h) / np.trapezoid(np.exp(-h), h), 2.0)
+    two_state = WaterfillPolicy(waterfill.solve(FIG1, 29.581885819215032), 0.3233, 3.0)
+    return {
+        "two_state_waterfill": dict(
+            profile=profile_a(), model=FIG1, policy=two_state, d=0.3233, eta=3.0, seed=3,
+        ),
+        # a small pi leaves many fades unserved: rows with p == 0 and a
+        # shortened occupancy
+        "exponential_relinquish": dict(
+            profile=profile_b(), model=exp, policy=WaterfillPolicy(waterfill.solve(exp, 0.05), 1.0, 2.0),
+            d=1.0, eta=2.0, seed=4, relinquish_overhead=1e-4,
+        ),
+        "tab41_constant": dict(
+            profile=profile_b(), model=tab41, policy=ConstantPowerPolicy(1.0), d=1.0, eta=3.0, seed=5,
+        ),
+    }
+
+
+REPORT_FLOATS = ("theta_hat", "theta_ci95", "power_hat", "power_ci95",
+                 "elapsed_time", "total_bits", "total_energy")
+
+
+class TestChunkedRun:
+    """`run` works in chunks; draws, trace bytes and estimates must not notice."""
+
+    @pytest.mark.parametrize("case", sorted(trace_cases()))
+    def test_trace_bytes_match_the_per_row_writer(self, case, tmp_path, monkeypatch):
+        monkeypatch.setattr(simulator, "_CHUNK", 1024)
+        config = quiet_config(horizon=5000, **trace_cases()[case])
+        periods = reference_periods(config)
+        reference_trace(tmp_path / "ref.csv", *periods)
+        simulator.run(config, trace_path=tmp_path / "run.csv")
+        assert (tmp_path / "run.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        if case == "exponential_relinquish":
+            kinds, durations, _, _ = periods
+            assert np.any((kinds == 2) & (durations < config.profile.t_overhead + config.profile.t_txop))
+
+    def test_negative_zero_keeps_its_text(self, tmp_path):
+        # a power of -0.0 ships -0.0 bits on successes, 0.0 elsewhere
+        config = quiet_config(
+            profile=profile_a(), model=FIG1, policy=ConstantPowerPolicy(-0.0),
+            d=1.0, eta=3.0, horizon=2000, seed=6,
+        )
+        reference_trace(tmp_path / "ref.csv", *reference_periods(config))
+        simulator.run(config, trace_path=tmp_path / "run.csv")
+        text = (tmp_path / "run.csv").read_text()
+        assert ",-0\n" in text and ",0\n" in text
+        assert text == (tmp_path / "ref.csv").read_text()
+
+    @pytest.mark.parametrize("case", sorted(trace_cases()))
+    def test_chunk_size_changes_nothing(self, case, tmp_path, monkeypatch):
+        horizon = 3000
+        config = quiet_config(horizon=horizon, **trace_cases()[case])
+        runs = []
+        for chunk in (1, 7, 4096, horizon):
+            monkeypatch.setattr(simulator, "_CHUNK", chunk)
+            path = tmp_path / f"trace{chunk}.csv"
+            runs.append((simulator.run(config, trace_path=path), path.read_bytes()))
+        (first, first_bytes), rest = runs[0], runs[1:]
+        for report, trace in rest:
+            assert trace == first_bytes
+            assert (report.n_idle, report.n_collision, report.n_success) == (
+                first.n_idle, first.n_collision, first.n_success)
+            for name in REPORT_FLOATS:
+                assert getattr(report, name) == pytest.approx(getattr(first, name), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("case", sorted(trace_cases()))
+    def test_estimates_match_the_two_pass_oracle(self, case):
+        # 200k periods span four chunks of the default size
+        config = quiet_config(horizon=200_000, **trace_cases()[case])
+        kinds, durations, energies, bits = reference_periods(config)
+        report = simulator.run(config)
+        assert [report.n_idle, report.n_collision, report.n_success] == np.bincount(kinds).tolist()
+        theta, theta_ci = oracle_ratio_estimate(bits, durations)
+        power, power_ci = oracle_ratio_estimate(energies, durations)
+        assert report.theta_hat == pytest.approx(theta, rel=1e-14, abs=0)
+        assert report.power_hat == pytest.approx(power, rel=1e-14, abs=0)
+        assert report.theta_ci95 == pytest.approx(theta_ci, rel=1e-10, abs=0)
+        assert report.power_ci95 == pytest.approx(power_ci, rel=1e-10, abs=0)
+
+    def test_single_period_has_no_interval(self):
+        config = quiet_config(horizon=1, **trace_cases()["two_state_waterfill"])
+        report = simulator.run(config)
+        assert report.theta_ci95 == 0.0 and report.power_ci95 == 0.0
+        assert report.n_idle + report.n_collision + report.n_success == 1
+
+    def test_no_success_draws_no_fade(self, monkeypatch):
+        # MacProfile requires p_success > 0; at 1e-300 the cumulative
+        # probabilities round to 1 before the success cell, so none is drawn
+        profile = MacProfile(
+            p_idle=0.6, p_collision=0.4, p_success=1e-300,
+            t_idle=5e-5, t_collision=5e-4, t_overhead=1e-4, t_txop=1e-3, bandwidth=2e6,
+            e_idle=5e-7, e_collision=6e-5, e_overhead=2e-5,
+        )
+        calls = []
+        sample_h = FadingModel.sample_h
+        monkeypatch.setattr(FadingModel, "sample_h", lambda *a: calls.append(a) or sample_h(*a))
+        report = simulator.run(quiet_config(
+            profile=profile, model=FIG1, policy=ConstantPowerPolicy(0.5),
+            d=1.0, eta=3.0, horizon=5000, seed=9,
+        ))
+        assert calls == []
+        assert report.n_success == 0 and report.n_idle > 0 and report.n_collision > 0
+        assert report.theta_hat == 0.0 and report.theta_ci95 == 0.0 and report.total_bits == 0.0
+        assert report.power_ci95 > 0.0
+
+    def test_identical_periods_have_exactly_zero_interval(self, monkeypatch):
+        profile = MacProfile(
+            p_idle=0.0, p_collision=0.0, p_success=1.0,
+            t_idle=0.0, t_collision=0.0, t_overhead=1e-4,
+            t_txop=1e-3, bandwidth=1e6, e_overhead=3e-5,
+        )
+        monkeypatch.setattr(simulator, "_CHUNK", 777)
+        report = simulator.run(quiet_config(
+            profile=profile, model=FadingModel.discrete([(2.0, 1.0)]),
+            policy=ConstantPowerPolicy(0.3), d=1.0, eta=2.0, horizon=5000, seed=7,
+        ))
+        assert report.theta_ci95 == 0.0 and report.power_ci95 == 0.0
+
+    def test_memory_does_not_grow_with_the_horizon(self):
+        # per-period arrays of the whole horizon would take 32 B a period
+        # (64 MB here); the int8 period types take 2 MB
+        config = SimConfig(
+            profile=profile_a(), model=FIG1, policy=ConstantPowerPolicy(0.5),
+            d=1.0, eta=3.0, horizon=2_000_000, seed=13,
+        )
+        tracemalloc.start()
+        try:
+            simulator.run(config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 class TestCompareFttFp:
