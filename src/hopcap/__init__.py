@@ -23,10 +23,9 @@ from .errors import (
     ValidationError,
 )
 from .fading import FadingModel
-from .hopopt import BoundaryLimits, HopProblem, ScalingCheck
+from .hopopt import BoundaryLimits, HopProblem, ScalingCheck, StationaryPoint, StationarySet
 from .macmodel import MacProfile
 from .simulator import ConstantPowerPolicy, SimConfig, SimReport, WaterfillPolicy
-from .stationary import StationaryPoint, StationarySet
 from .waterfill import WaterfillSolution
 
 __all__ = [

@@ -10,8 +10,8 @@ is ``Gamma(d) = p_k * log(gamma_k * (alpha_k + Pt'/d**eta))`` with the
 integration constants ``gamma_k`` chained so the pieces join
 continuously.  Stationary points of d * Gamma(d) reduce, per segment, to
 ``y * exp(-eta*y) = exp(b_k - eta)`` on a half-open y-interval, which a
-bisection per monotone branch enumerates exhaustively (hence the
-2n - 1 count bound).
+bracketed solve per monotone branch enumerates exhaustively (hence the
+2n - 1 count bound); `hopopt.stationary_points` builds the points.
 """
 
 from __future__ import annotations
@@ -25,11 +25,9 @@ from scipy.optimize import brentq
 
 from .errors import DiscreteKindError, ValidationError
 from .fading import FadingModel
-from .stationary import StationaryPoint, StationarySet
 
 _Y_RTOL = 1e-15
 _Y_XTOL = 1e-30
-_RESIDUAL_REL = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,10 +51,6 @@ class DiscreteWaterfillTable:
     @property
     def n_states(self) -> int:
         return self.x.size
-
-    @property
-    def gamma_consts(self) -> np.ndarray:
-        return np.exp(self.log_gamma)
 
 
 def build_table(model: FadingModel) -> DiscreteWaterfillTable:
@@ -111,33 +105,8 @@ def gamma_of_pi(table: DiscreteWaterfillTable, pi: float) -> float:
     return float(table.p[k] * (math.log1p(pi / table.alpha[k]) + table.b[k]))
 
 
-def gamma_closed_form(
-    table: DiscreteWaterfillTable, d: float, eta: float, pt_prime: float
-) -> float:
-    """Gamma at hop distance d for power pt_prime and path-loss exponent eta."""
-    if d <= 0:
-        raise ValidationError(f"hop distance must be > 0, got {d}")
-    return gamma_of_pi(table, pt_prime / d**eta)
-
-
-def gamma_derivative_wrt_d(
-    table: DiscreteWaterfillTable, d: float, eta: float, pt_prime: float
-) -> float:
-    """Closed-form dGamma/dd; negative, continuous, increasing in d."""
-    pi = pt_prime / d**eta
-    k = segment_index(table, pi)
-    return float(-eta * table.p[k] * pt_prime / (d * (table.alpha[k] * d**eta + pt_prime)))
-
-
-def hop_breakpoints(table: DiscreteWaterfillTable, eta: float, pt_prime: float) -> np.ndarray:
-    """Breakpoint hop distances d_k (descending), d_k = (pt'/Pi_k)**(1/eta)."""
-    return (pt_prime / table.pi_breaks) ** (1.0 / eta)
-
-
-def stationary_points_discrete(
-    table: DiscreteWaterfillTable, eta: float, pt_prime: float
-) -> StationarySet:
-    """Enumerate all interior stationary points of d * Gamma(d).
+def stationary_roots(table: DiscreteWaterfillTable, eta: float) -> list:
+    """(pi, 1-based segment) of every interior stationary point of d * Gamma(d).
 
     Per segment the equation ``y*exp(-eta*y) = exp(b_k - eta)`` has at
     most one root on each monotone branch of the left side, so the total
@@ -145,7 +114,7 @@ def stationary_points_discrete(
     y-boundary (notably y = 1, the d = infinity limit) are dropped.
     """
     n = table.n_states
-    points = []
+    roots = []
     for k in range(n):
         y_hi = 1.0 if k == 0 else float(
             table.alpha[k] / (table.alpha[k] + table.pi_breaks[k - 1])
@@ -156,40 +125,10 @@ def stationary_points_discrete(
         level = math.exp(table.b[k] - eta)
         for y in _branch_roots(level, eta, y_lo, y_hi):
             pi = float(table.alpha[k] * (1.0 - y) / y)
-            if pi <= 0.0:
-                continue
-            d = (pt_prime / pi) ** (1.0 / eta)
-            gamma = gamma_of_pi(table, pi)
-            lam = lambda_closed_form(table, pi)
-            residual = gamma - eta * pi * lam
-            if abs(residual) > _RESIDUAL_REL * max(gamma, 1e-12):
-                continue
-            points.append(
-                StationaryPoint(d=d, pi=pi, lam=lam, gamma=gamma, psi=d * gamma, segment=k + 1)
-            )
-    assert len(points) <= 2 * n - 1
-    points.sort(key=lambda pt: pt.d)
-
-    maximizer_index: int | None = None
-    boundary = None
-    if points:
-        maximizer_index = max(range(len(points)), key=lambda i: points[i].psi)
-        candidates = [pt.d for pt in points]
-        if n > 1:
-            candidates.extend(hop_breakpoints(table, eta, pt_prime))
-        d_ref = 1e6 * max(candidates)
-        psi_far = d_ref * gamma_of_pi(table, pt_prime / d_ref**eta)
-        if psi_far > points[maximizer_index].psi:
-            maximizer_index = None
-            boundary = "d->inf"
-    else:
-        boundary = "d->inf"
-    return StationarySet(
-        points=tuple(points),
-        maximizer_index=maximizer_index,
-        unique=len(points) == 1,
-        boundary=boundary,
-    )
+            if pi > 0.0:
+                roots.append((pi, k + 1))
+    assert len(roots) <= 2 * n - 1
+    return roots
 
 
 def _branch_roots(level: float, eta: float, y_lo: float, y_hi: float):

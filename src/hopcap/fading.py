@@ -1,13 +1,13 @@
-"""Fading-gain distributions and their change-of-variable densities.
+"""Fading-gain distributions and the density of the composite channel state.
 
 Everything downstream works with the composite channel state
-``X = (alpha/sigma^2) * H`` (per-watt SNR at unit distance) and its
-reciprocal ``Z = 1/X``.  This module owns the supported distribution
-kinds, the H -> X -> Z transforms, moments, tail diagnostics, sampling
-and CSV ingestion for tabulated densities.  A tabulated density is
-linear between its nodes, so its moments and tails are exact: `TailTable`
-(``FadingModel.tails``) holds the mass, water-fill power and rate above
-each x-node, and a query at any ``lam`` adds one closed-form partial cell.
+``X = (alpha/sigma^2) * H`` (per-watt SNR at unit distance).  This
+module owns the supported distribution kinds, the H -> X transform,
+moments, tail diagnostics, sampling and CSV ingestion for tabulated
+densities.  A tabulated density is linear between its nodes, so its
+moments and tails are exact: `TailTable` (``FadingModel.tails``) holds
+the mass, water-fill power and rate above each x-node, and a query at
+any ``lam`` adds one closed-form partial cell.
 
 Models are immutable after construction; every operation is pure.
 """
@@ -189,16 +189,6 @@ class FadingModel:
 
     # -- densities --------------------------------------------------------
 
-    def pdf_h(self, h: float) -> float:
-        """Density a(h) of the fading gain; errors on discrete models."""
-        if h < 0:
-            raise ValidationError("fading gain must be non-negative")
-        if isinstance(self.kind, Exponential):
-            return self.kind.rate * math.exp(-self.kind.rate * h)
-        if isinstance(self.kind, DiscreteFinite):
-            raise DiscreteKindError("discrete models have a pmf, not a density")
-        return float(np.interp(h, self.kind.grid, self.kind.density, left=0.0, right=0.0))
-
     def pdf_x(self, x):
         """Density f(x) = a(x / c) / c of X = c*H, with c = alpha/sigma^2."""
         c = self.alpha_over_sigma2
@@ -209,19 +199,6 @@ class FadingModel:
             raise DiscreteKindError("discrete models have a pmf, not a density")
         xv = np.asarray(x, dtype=float)
         return np.interp(xv / c, self.kind.grid, self.kind.density, left=0.0, right=0.0) / c
-
-    def logpdf_x(self, x):
-        """log f(x); -inf where the density vanishes."""
-        if isinstance(self.kind, Exponential):
-            nu = self.kind.rate / self.alpha_over_sigma2
-            return math.log(nu) - nu * np.asarray(x, dtype=float)
-        with np.errstate(divide="ignore"):
-            return np.log(self.pdf_x(x))
-
-    def pdf_z(self, z):
-        """Density g(z) = f(1/z) / z**2 of Z = 1/X."""
-        zv = np.asarray(z, dtype=float)
-        return self.pdf_x(1.0 / zv) / zv**2
 
     # -- moments and tails --------------------------------------------------
 
@@ -319,6 +296,18 @@ class TailTable:
             return self._from(0, lam, 0.0, 0.0)
         a, b = x[j - 1], x[j]
         return self._from(j, lam, (f[j - 1] * (b - lam) + f[j] * (lam - a)) / (b - a), f[j])
+
+    def mass_above(self, lam: float) -> float:
+        """P(X > lam) for lam > 0."""
+        x, f = self.x, self.f
+        j = bisect.bisect_left(x, lam)
+        if j == len(x):
+            return 0.0
+        if j == 0:
+            return self.mass[0]
+        a, b = x[j - 1], x[j]
+        f_lam = (f[j - 1] * (b - lam) + f[j] * (lam - a)) / (b - a)
+        return self.mass[j] + 0.5 * (b - lam) * (f_lam + f[j])
 
     def _from(self, j, lam, fa, fb):
         """Tails at lam <= x_j, the density linear from (lam, fa) to (x_j, fb)."""

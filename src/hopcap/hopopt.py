@@ -7,15 +7,26 @@ distance enter the throughput only through the normalized power
     d/dd [d * Gamma(pi(d))] = Gamma(pi) - eta * pi * lam(pi)
 
 so interior optima are the positive roots of ``Gamma - eta*pi*lam = 0``.
-For discrete models the enumeration is exact (see `discrete`); for
-continuous ones a log-grid scan over the multiplier brackets every sign
-change, which is the honest generic fallback.  The same zero set has a
-direct characterisation in the variable y = lam/x,
+`stationary_points` is the one place that turns roots into a
+`StationarySet`; each fading kind only enumerates its roots, exactly:
+
+- discrete: per segment and monotone branch in closed form (`discrete`);
+- exponential: with ``u = nu*lam`` the residual is
+  ``E1(u)*(1 + eta*u) - eta*exp(-u)``, which tends to +inf as u -> 0, to
+  0 from below as u -> inf, and whose second derivative
+  ``exp(-u)*(1 - (eta-1)*u)/u**2`` changes sign once: exactly one root;
+- tabulated: a cell-by-cell enumeration on the tail table that brackets
+  every critical point of the residual, hence every root (`_tabulated_roots`).
+
+Since ``Gamma(pi)/pi`` rises with d, ``psi = pt'*d**(1-eta)*Gamma(pi)/pi``
+increases strictly when eta <= 1 (no interior point, the optimum is
+d -> inf) and tends to 0 at both ends when eta > 1 (the best root is the
+maximizer).  The same zero set has a direct characterisation in the
+variable y = lam/x,
 
     integral_0^1 (log y - eta*(y-1)) * (lam^2/y^2) * f(lam/y) dy = 0
 
-solved here independently of the pi <-> lam inversion (`solve_rechar`);
-a ratio-monotonicity test on the density certifies uniqueness.
+solved here independently of the pi <-> lam inversion (`solve_rechar`).
 """
 
 from __future__ import annotations
@@ -39,20 +50,16 @@ from .errors import (
     ValidationError,
 )
 from .fading import Exponential, FadingModel
-from .stationary import StationaryPoint, StationarySet
 
-# fixed solver grids: pi window and size of the continuous stationary scan,
-# the y-domain scan, the monotonicity certificate, the boundary decades
-PI_MIN = 1e-8
-PI_MAX = 1e8
-SCAN_POINTS = 2000
+# fixed solver grids: the y-domain scan and the boundary decades
 RECHAR_POINTS = 400
-MONOTONE_PAIRS = 20
-MONOTONE_GRID_POINTS = 200
-MONOTONE_SEED = 20260809
 BOUNDARY_DECADES = 6
 
 _RESIDUAL_REL = 1e-8
+_LAM_XTOL = 1e-30
+_LAM_RTOL = 1e-15
+# exp(-u) and E1(u) leave the normal range just above u = 700
+_U_MAX = 700.0
 _RECHAR_NODES, _RECHAR_WEIGHTS = np.polynomial.legendre.leggauss(24)
 
 
@@ -62,6 +69,46 @@ class EtaBelowTwoWarning(UserWarning):
 
 class NearFieldWarning(UserWarning):
     """Hop distance at or below the far-field reference distance."""
+
+
+@dataclass(frozen=True)
+class StationaryPoint:
+    """One interior zero of the hop-distance derivative.
+
+    ``psi`` is the transport-capacity core d * Gamma(pi) at the point;
+    ``segment`` is the 1-based water-fill segment for discrete models,
+    None for continuous ones.
+    """
+
+    d: float
+    pi: float
+    lam: float
+    gamma: float
+    psi: float
+    segment: int | None = None
+
+
+@dataclass(frozen=True)
+class StationarySet:
+    """All interior stationary points, sorted by ascending hop distance.
+
+    Every kind enumerates its roots exactly, so ``unique`` means exactly
+    one root.  ``boundary`` is "d->inf" when eta <= 1: psi then increases
+    strictly in d, there are no points and ``maximizer_index`` is None.
+    Otherwise psi vanishes at both ends, ``boundary`` is None and the
+    maximizer is the point with the largest psi.
+    """
+
+    points: tuple
+    maximizer_index: int | None
+    unique: bool
+    boundary: str | None = None
+
+    @property
+    def maximizer(self) -> StationaryPoint | None:
+        if self.maximizer_index is None:
+            return None
+        return self.points[self.maximizer_index]
 
 
 @dataclass(frozen=True)
@@ -139,68 +186,140 @@ def stationary_residual(problem: HopProblem, pi: float) -> float:
 def stationary_points(problem: HopProblem) -> StationarySet:
     """All interior roots of the stationary equation, with the maximizer.
 
-    Discrete models delegate to the exhaustive closed-form enumeration.
-    Continuous models are scanned on a log grid of the multiplier
-    (equivalent to the pi window [PI_MIN, PI_MAX] through the monotone
-    map pi <-> lam, and free of nested root-finding); each sign change
-    is refined by Brent's method.
+    Each point is built once from its kind's exact root and kept when
+    its residual is below 1e-8 of its Gamma.
     """
-    if problem.model.is_discrete:
-        table = problem.model.table
-        return _discrete.stationary_points_discrete(table, problem.eta, problem.pt_prime)
-
-    model = problem.model
     eta = problem.eta
-    lam_lo = _waterfill.solve(model, PI_MAX).lam
-    lam_hi = _waterfill.solve(model, PI_MIN).lam
-    lams = np.geomspace(lam_lo, lam_hi, SCAN_POINTS)
-
-    def residual_of_lam(lam: float) -> float:
-        return _waterfill.optimal_rate(model, lam) - eta * lam * _waterfill.expected_power(
-            model, lam
-        )
-
-    vals = np.array([residual_of_lam(l) for l in lams])
+    if eta <= 1.0:
+        return StationarySet(points=(), maximizer_index=None, unique=False, boundary="d->inf")
     points = []
-    for i in range(lams.size - 1):
-        if vals[i] == 0.0:
-            lam_root = float(lams[i])
-        elif vals[i] * vals[i + 1] < 0.0:
-            lam_root = float(brentq(residual_of_lam, lams[i], lams[i + 1], xtol=1e-30, rtol=1e-15))
-        else:
+    for pi, lam, gamma, segment in _roots(problem.model, eta):
+        if abs(gamma - eta * pi * lam) > _RESIDUAL_REL * max(gamma, 1e-12):
             continue
-        pi_root = _waterfill.expected_power(model, lam_root)
-        gamma = _waterfill.optimal_rate(model, lam_root)
-        residual = gamma - eta * pi_root * lam_root
-        if abs(residual) > _RESIDUAL_REL * max(gamma, 1e-12):
-            continue
-        d = problem.d_of_pi(pi_root)
+        d = problem.d_of_pi(pi)
         points.append(
-            StationaryPoint(d=d, pi=pi_root, lam=lam_root, gamma=gamma, psi=d * gamma)
+            StationaryPoint(d=d, pi=pi, lam=lam, gamma=gamma, psi=d * gamma, segment=segment)
         )
-    points.sort(key=lambda pt: pt.d)
-
     if not points:
-        raise NoStationaryPoint(
-            "no interior stationary point in the scanned window; the optimum "
-            "sits at a boundary (d -> inf when the objective is unbounded)"
-        )
-
+        raise NoStationaryPoint("psi vanishes at both ends, yet no interior root was found")
+    points.sort(key=lambda pt: pt.d)
     maximizer_index = max(range(len(points)), key=lambda i: points[i].psi)
-    boundary = None
-    psi_low = psi(problem, problem.d_of_pi(PI_MAX) / 10.0)
-    psi_high = psi(problem, problem.d_of_pi(PI_MIN) * 10.0)
-    if max(psi_low, psi_high) > points[maximizer_index].psi:
-        boundary = "d->0" if psi_low > psi_high else "d->inf"
-        maximizer_index = None
-
-    certified = check_monotonicity_condition(model)
     return StationarySet(
-        points=tuple(points),
-        maximizer_index=maximizer_index,
-        unique=certified and len(points) == 1,
-        boundary=boundary,
+        points=tuple(points), maximizer_index=maximizer_index, unique=len(points) == 1
     )
+
+
+def _roots(model: FadingModel, eta: float):
+    """(pi, lam, Gamma, segment) at every root of Gamma - eta*pi*lam, eta > 1."""
+    if model.is_discrete:
+        for pi, segment in _discrete.stationary_roots(model.table, eta):
+            gamma, lam = _waterfill.gamma_and_lambda(model, pi)
+            yield pi, lam, gamma, segment
+        return
+    if isinstance(model.kind, Exponential):
+        lams = [_exponential_root(model, eta)]
+    else:
+        lams = _tabulated_roots(model, eta)
+    for lam in lams:
+        yield _waterfill.expected_power(model, lam), lam, _waterfill.optimal_rate(model, lam), None
+
+
+def _lam_residual(model: FadingModel, lam: float, eta: float) -> float:
+    """R(lam) = rate - eta*lam*power, the stationary residual on the lam axis."""
+    return _waterfill.optimal_rate(model, lam) - eta * lam * _waterfill.expected_power(model, lam)
+
+
+def _exponential_root(model: FadingModel, eta: float) -> float:
+    """The one root in lam of exponential fading, bracketed by doubling in u = nu*lam."""
+    scale = model.alpha_over_sigma2 / model.kind.rate
+    r = lambda u: _lam_residual(model, scale * u, eta)
+    lo, hi = 0.5, 1.0
+    while r(lo) <= 0.0:
+        lo, hi = 0.5 * lo, lo
+    while r(hi) > 0.0:
+        if hi >= _U_MAX:
+            raise BracketFailure(
+                f"the stationary root lies beyond u = {_U_MAX:g}, where E1 underflows "
+                f"(eta = {eta} is too close to 1)"
+            )
+        lo, hi = hi, min(2.0 * hi, _U_MAX)
+    residual = lambda lam: _lam_residual(model, lam, eta)
+    return float(brentq(residual, scale * lo, scale * hi, xtol=_LAM_XTOL, rtol=_LAM_RTOL))
+
+
+def _tabulated_roots(model: FadingModel, eta: float) -> list:
+    """Every root in lam of R = rate - eta*lam*power for a tabulated density.
+
+    With S the mass above lam, R' = (eta-1)*S/lam - eta*power and R'' has
+    the numerator N = S - (eta-1)*lam*f.  On a cell [a, b] where f is
+    linear with slope k, N is a quadratic in s = lam - a (the lam-form
+    A - eta*c0*lam - (eta - 1/2)*k*lam**2, shifted to the left node):
+
+        N = (mass_a - (eta-1)*a*f_a) - (eta*f_a + (eta-1)*a*k)*s - (eta - 1/2)*k*s**2
+
+    Between the nodes and the in-cell roots of N, R' is monotone, so the
+    sign changes of R' there bracket every critical point of R, and R
+    has at most one root between neighbouring critical points.  R -> +inf
+    and R' -> -inf as lam -> 0; above the last critical point R rises to
+    0 at the top of the support (the first node with no mass above it),
+    which is not a root.
+    """
+    tails = model.tails
+    x, f, mass = np.array(tails.x), np.array(tails.f), np.array(tails.mass)
+    a, h = x[:-1], np.diff(x)
+    k = np.diff(f) / h
+    q0 = mass[:-1] - (eta - 1.0) * a * f[:-1]
+    q1 = -(eta * f[:-1] + (eta - 1.0) * a * k)
+    q2 = -(eta - 0.5) * k
+    # roots of q0 + q1*s + q2*s**2 without cancellation; a flat or empty cell
+    # and a negative discriminant give inf or nan, which the range test drops
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sq = np.sqrt(q1 * q1 - 4.0 * q2 * q0)
+        qq = -0.5 * (q1 + np.copysign(sq, q1))
+        s = np.concatenate((qq / q2, q0 / qq))
+    inside = (s > 0.0) & (s < np.concatenate((h, h)))
+    cuts = (np.concatenate((a, a))[inside] + s[inside]).tolist()
+
+    slope = lambda lam: _slope(tails, lam, eta)
+    residual = lambda lam: _lam_residual(model, lam, eta)
+    # the top of the support: the first node with no mass above it
+    top = next(v for v, m in zip(tails.x, tails.mass) if m == 0.0)
+    # R' at the nodes comes straight off the table columns
+    breaks = [(v, (eta - 1.0) * m / v - eta * p)
+              for v, m, p in zip(tails.x, tails.mass, tails.power) if 0.0 < v < top]
+    breaks += [(v, slope(v)) for v in cuts if v < top]
+    breaks.sort()
+    # a start below every break, where R' < 0 and R > 0
+    lam0 = breaks[0][0] if breaks else top
+    while True:
+        lam0 *= 0.1
+        g0 = slope(lam0)
+        if g0 < 0.0 and residual(lam0) > 0.0:
+            break
+    critical = _sign_change_roots(
+        slope, [lam0] + [v for v, _ in breaks], [g0] + [g for _, g in breaks]
+    )
+    ends = [lam0] + critical
+    return _sign_change_roots(residual, ends, [residual(v) for v in ends])
+
+
+def _slope(tails, lam: float, eta: float) -> float:
+    """R'(lam) = (eta-1)*S/lam - eta*power, S the mass above lam."""
+    return (eta - 1.0) * tails.mass_above(lam) / lam - eta * tails.above(lam)[0]
+
+
+def _sign_change_roots(func, xs, values) -> list:
+    """One root of ``func`` per sign change of ``values`` along increasing ``xs``.
+
+    A zero value past the first point is a root itself.
+    """
+    roots = []
+    for u, v, fu, fv in zip(xs, xs[1:], values, values[1:]):
+        if fv == 0.0:
+            roots.append(v)
+        elif fu * fv < 0.0:
+            roots.append(float(brentq(func, u, v, xtol=_LAM_XTOL, rtol=_LAM_RTOL)))
+    return roots
 
 
 def stationarity_weight(y, eta: float):
@@ -251,8 +370,8 @@ def solve_rechar(problem: HopProblem) -> float:
 
     Returns the optimal lam without ever inverting the power constraint;
     when several sign changes appear, the root with the largest psi
-    wins.  The result is verified against the pi-space stationary-point
-    scan to 1e-6 relative.
+    wins.  The result is verified against `stationary_points` to 1e-6
+    relative.
     """
     model = problem.model
     if model.is_discrete:
@@ -295,37 +414,10 @@ def solve_rechar(problem: HopProblem) -> float:
     nearest = min(sset.points, key=lambda pt: abs(math.log(pt.lam / lam_opt)))
     if abs(nearest.lam - lam_opt) > 1e-6 * lam_opt:
         raise NumericalError(
-            f"y-domain root lam={lam_opt} disagrees with the pi-space scan "
+            f"y-domain root lam={lam_opt} disagrees with the pi-space roots "
             f"(nearest lam={nearest.lam})"
         )
     return lam_opt
-
-
-def check_monotonicity_condition(model: FadingModel) -> bool:
-    """Certify that f(lam2/y)/f(lam1/y) strictly decreases in y.
-
-    Sufficient condition for a unique interior stationary point; a False
-    return means "not certified", never "violated".  Checked in log
-    space on ``MONOTONE_PAIRS`` seeded random multiplier pairs drawn
-    around the mean channel state.
-    """
-    if model.is_discrete:
-        raise DiscreteKindError("the monotonicity condition needs a density")
-    rng = np.random.Generator(np.random.PCG64(MONOTONE_SEED))
-    scale = model.alpha_over_sigma2 * model.mean_h()
-    ys = np.linspace(1.0 / MONOTONE_GRID_POINTS, 1.0, MONOTONE_GRID_POINTS)
-    for _ in range(MONOTONE_PAIRS):
-        pair = scale * np.exp(rng.uniform(math.log(1 / 30), math.log(30), size=2))
-        lam1, lam2 = max(pair), min(pair)
-        if lam1 == lam2:
-            continue
-        with np.errstate(invalid="ignore"):
-            log_ratio = model.logpdf_x(lam2 / ys) - model.logpdf_x(lam1 / ys)
-        if not np.all(np.isfinite(log_ratio)):
-            return False
-        if not np.all(np.diff(log_ratio) < 0.0):
-            return False
-    return True
 
 
 def scaling_check(problem: HopProblem, factor: float):

@@ -149,20 +149,3 @@ def spatial_reuse_sweep(ks, area: float, eta: float, power: float, noise: float)
         reach = math.sqrt(2.0 * area / k)
         rows.append((int(k), c_k, bound, reach, bound * reach))
     return rows
-
-
-def example_profile(bandwidth: float = 1e6) -> MacProfile:
-    """Illustrative DCF-flavoured numbers; not calibrated to any standard."""
-    return MacProfile(
-        p_idle=0.6,
-        p_collision=0.1,
-        p_success=0.3,
-        t_idle=2e-5,
-        t_collision=3e-4,
-        t_overhead=2e-4,
-        t_txop=2e-3,
-        bandwidth=bandwidth,
-        e_idle=1e-6,
-        e_collision=3e-5,
-        e_overhead=5e-5,
-    )

@@ -14,6 +14,7 @@ from scipy.integrate import quad
 from scipy.special import ndtri
 
 from hopcap.fading import FadingModel
+from hopcap.macmodel import MacProfile
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -56,6 +57,23 @@ def random_tabulated_model(rng, points: int = 801) -> FadingModel:
     a = a / np.trapezoid(a, h)
     scale = float(np.exp(rng.uniform(np.log(0.2), np.log(5.0))))
     return FadingModel.tabulated(h, a, scale)
+
+
+def example_profile(bandwidth: float = 1e6) -> MacProfile:
+    """Illustrative DCF-flavoured numbers; not calibrated to any standard."""
+    return MacProfile(
+        p_idle=0.6,
+        p_collision=0.1,
+        p_success=0.3,
+        t_idle=2e-5,
+        t_collision=3e-4,
+        t_overhead=2e-4,
+        t_txop=2e-3,
+        bandwidth=bandwidth,
+        e_idle=1e-6,
+        e_collision=3e-5,
+        e_overhead=5e-5,
+    )
 
 
 def random_model(rng, kinds=("exponential", "discrete", "tabulated")) -> FadingModel:
@@ -138,6 +156,39 @@ def oracle_cell_integrals(model, lam: float):
         power.append(quad(lambda u: u / (lam * (lam + u)) * f(u), lo, hi, epsabs=0, epsrel=1e-13)[0])
         rate.append(quad(lambda u: math.log1p(u / lam) * f(u), lo, hi, epsabs=0, epsrel=1e-13)[0])
     return math.fsum(power), math.fsum(rate)
+
+
+def oracle_cell_mass(model, lam: float) -> float:
+    """P(X > lam) of a tabulated model: `quad` on each x-cell above ``lam``, summed with `math.fsum`."""
+    c = model.alpha_over_sigma2
+    xs = (c * model.kind.grid).tolist()
+    fs = (model.kind.density / c).tolist()
+    parts = []
+    for a, b, fa, fb in zip(xs, xs[1:], fs, fs[1:]):
+        if b <= lam:
+            continue
+        def f(x, a=a, b=b, fa=fa, fb=fb):
+            return (fa * (b - x) + fb * (x - a)) / (b - a)
+        parts.append(quad(f, max(a, lam), b, epsabs=0, epsrel=1e-13)[0])
+    return math.fsum(parts)
+
+
+def oracle_stationary_residuals(model, eta: float, lams, step: float = 1e-3):
+    """Oracle R = rate - eta*lam*power around sorted roots ``lams`` of a tabulated model.
+
+    Returns R at ``lams[0]/(1 + step)``, at the geometric midpoint of each
+    pair of consecutive roots and at ``lams[-1]*(1 + step)``, all from
+    `oracle_cell_integrals`.  At a complete, simple root set the signs
+    alternate, starting positive.
+    """
+    probes = [lams[0] / (1.0 + step)]
+    probes += [math.sqrt(a * b) for a, b in zip(lams, lams[1:])]
+    probes.append(lams[-1] * (1.0 + step))
+    out = []
+    for lam in probes:
+        power, rate = oracle_cell_integrals(model, lam)
+        out.append(rate - eta * lam * power)
+    return out
 
 
 def oracle_waterfill_lambda(model, pi: float, n_points: int = 400_001) -> float:

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    example_profile,
     make_rng,
     oracle_discrete_psi_argmax,
     oracle_discrete_waterfill,
@@ -206,7 +207,7 @@ def test_c5_closed_form_agreement_and_count_bound():
             d = float(np.exp(rng.uniform(np.log(1e-2), np.log(1e2))))
             eta = float(rng.uniform(2.0, 4.0))
             pt = float(np.exp(rng.uniform(np.log(1e-2), np.log(1e2))))
-            cf = discrete.gamma_closed_form(table, d, eta, pt)
+            cf = discrete.gamma_of_pi(table, pt / d**eta)
             wf, _ = oracle_discrete_waterfill(model, pt / d**eta)
             worst = max(worst, abs(cf - wf) / max(wf, 1e-300))
     counts_ok = True
@@ -215,7 +216,7 @@ def test_c5_closed_form_agreement_and_count_bound():
         table = discrete.build_table(model)
         eta = float(rng.uniform(2.0, 4.0))
         pt = float(np.exp(rng.uniform(np.log(1e-2), np.log(1e2))))
-        sset = discrete.stationary_points_discrete(table, eta, pt)
+        sset = hopopt.stationary_points(hopopt.HopProblem(model=model, eta=eta, pt_prime=pt))
         counts_ok = counts_ok and len(sset.points) <= 2 * table.n_states - 1
     elapsed = time.monotonic() - started
 
@@ -257,7 +258,7 @@ def test_c6_boundary_decay():
 
 def test_c7_simulator_matches_renewal_formulas():
     started = time.monotonic()
-    profile_a = macmodel.example_profile()
+    profile_a = example_profile()
     profile_b = MacProfile(
         p_idle=0.3, p_collision=0.2, p_success=0.5,
         t_idle=5e-5, t_collision=5e-4, t_overhead=1e-4,

@@ -8,10 +8,29 @@ import pytest
 from conftest import make_rng, oracle_discrete_waterfill, random_discrete_model
 from hopcap.errors import DiscreteKindError, ValidationError
 from hopcap.fading import DiscreteFinite, FadingModel
-from hopcap import discrete
+from hopcap import discrete, hopopt, waterfill
 
 FIG1 = FadingModel.discrete([(100.0, 0.01), (0.5, 0.99)])
 FIG1_LOW = FadingModel.discrete([(100.0, 0.001), (0.5, 0.999)])
+
+
+def gamma_at(table, d, eta, pt):
+    return discrete.gamma_of_pi(table, pt / d**eta)
+
+
+def hop_breaks(table, eta, pt):
+    """Hop distances of the segment breakpoints, d_k = (pt/Pi_k)**(1/eta)."""
+    return (pt / table.pi_breaks) ** (1.0 / eta)
+
+
+def gamma_slope(model, d, eta, pt):
+    """dGamma/dd by the envelope identity, -eta*pi*lam/d."""
+    pi = pt / d**eta
+    return -eta * pi * waterfill.solve(model, pi).lam / d
+
+
+def stationary(model, eta, pt):
+    return hopopt.stationary_points(hopopt.HopProblem(model=model, eta=eta, pt_prime=pt))
 
 
 class TestBuildTable:
@@ -20,7 +39,7 @@ class TestBuildTable:
         assert np.array_equal(table.p, [1.0])
         assert np.array_equal(table.alpha, [1.0])
         assert table.pi_breaks.size == 0
-        assert table.gamma_consts[0] == pytest.approx(1.0)
+        assert math.exp(table.log_gamma[0]) == pytest.approx(1.0)
 
     def test_fig1_hand_values(self):
         table = discrete.build_table(FIG1)
@@ -30,7 +49,7 @@ class TestBuildTable:
         # breakpoint (1.9801/1 - 0.01) / (100 - 1) = 1.9701 / 99
         assert table.pi_breaks[0] == pytest.approx(1.9701 / 99, rel=1e-12)
         assert table.pi_breaks[0] == pytest.approx(0.0199, rel=1e-10)
-        assert table.gamma_consts[0] == pytest.approx(1e4, rel=1e-12)
+        assert math.exp(table.log_gamma[0]) == pytest.approx(1e4, rel=1e-12)
         assert table.b[0] == 0.0
 
     def test_rejects_continuous(self):
@@ -63,16 +82,14 @@ class TestBuildTable:
 class TestGammaClosedForm:
     def test_single_state_value(self):
         table = discrete.build_table(FadingModel.discrete([(1.0, 1.0)]))
-        assert discrete.gamma_closed_form(table, d=1.0, eta=3.0, pt_prime=1.0) == pytest.approx(
-            math.log(2.0), rel=1e-12
-        )
+        assert gamma_at(table, d=1.0, eta=3.0, pt=1.0) == pytest.approx(math.log(2.0), rel=1e-12)
 
     def test_fig1_matches_generic_solver_across_decades(self):
         table = discrete.build_table(FIG1)
         for d in np.geomspace(1e-2, 1e3, 200):
             pi = 1.0 / d**3
             expected, _ = oracle_discrete_waterfill(FIG1, pi)
-            got = discrete.gamma_closed_form(table, d=float(d), eta=3.0, pt_prime=1.0)
+            got = gamma_at(table, d=float(d), eta=3.0, pt=1.0)
             assert got == pytest.approx(expected, rel=1e-9)
 
     def test_continuity_at_breakpoints(self):
@@ -81,56 +98,50 @@ class TestGammaClosedForm:
             model = random_discrete_model(rng, max_states=6)
             table = discrete.build_table(model)
             eta, pt = 3.0, 1.0
-            for d_k in discrete.hop_breakpoints(table, eta, pt):
-                hi = discrete.gamma_closed_form(table, d_k * (1 + 1e-9), eta, pt)
-                lo = discrete.gamma_closed_form(table, d_k * (1 - 1e-9), eta, pt)
+            for d_k in hop_breaks(table, eta, pt):
+                hi = gamma_at(table, d_k * (1 + 1e-9), eta, pt)
+                lo = gamma_at(table, d_k * (1 - 1e-9), eta, pt)
                 assert abs(hi - lo) < 1e-6 * max(lo, 1e-12)
 
     def test_derivative_matches_finite_difference(self):
         table = discrete.build_table(FIG1)
         rng = make_rng(31)
-        breaks = discrete.hop_breakpoints(table, 3.0, 1.0)
+        breaks = hop_breaks(table, 3.0, 1.0)
         for _ in range(50):
             d = float(np.exp(rng.uniform(np.log(5e-2), np.log(50.0))))
             if np.any(np.abs(d - breaks) / breaks < 1e-3):
                 continue
             h = 1e-6 * d
-            fd = (
-                discrete.gamma_closed_form(table, d + h, 3.0, 1.0)
-                - discrete.gamma_closed_form(table, d - h, 3.0, 1.0)
-            ) / (2 * h)
-            got = discrete.gamma_derivative_wrt_d(table, d, 3.0, 1.0)
+            fd = (gamma_at(table, d + h, 3.0, 1.0) - gamma_at(table, d - h, 3.0, 1.0)) / (2 * h)
+            got = gamma_slope(FIG1, d, 3.0, 1.0)
             assert got == pytest.approx(fd, rel=1e-5)
             assert got < 0.0
 
     def test_derivative_negative_continuous_increasing(self):
         table = discrete.build_table(FIG1)
         ds = np.geomspace(1e-2, 1e3, 400)
-        vals = [discrete.gamma_derivative_wrt_d(table, float(d), 3.0, 1.0) for d in ds]
+        vals = [gamma_slope(FIG1, float(d), 3.0, 1.0) for d in ds]
         assert all(v < 0 for v in vals)
         assert all(b >= a for a, b in zip(vals, vals[1:]))
-        for d_k in discrete.hop_breakpoints(table, 3.0, 1.0):
-            hi = discrete.gamma_derivative_wrt_d(table, d_k * (1 + 1e-9), 3.0, 1.0)
-            lo = discrete.gamma_derivative_wrt_d(table, d_k * (1 - 1e-9), 3.0, 1.0)
+        for d_k in hop_breaks(table, 3.0, 1.0):
+            hi = gamma_slope(FIG1, d_k * (1 + 1e-9), 3.0, 1.0)
+            lo = gamma_slope(FIG1, d_k * (1 - 1e-9), 3.0, 1.0)
             assert hi == pytest.approx(lo, rel=1e-6)
 
 
 class TestStationaryEnumeration:
     def test_fig1_three_points(self):
-        table = discrete.build_table(FIG1)
-        sset = discrete.stationary_points_discrete(table, eta=3.0, pt_prime=1.0)
+        sset = stationary(FIG1, 3.0, 1.0)
         assert len(sset.points) == 3
         assert not sset.unique
 
     def test_fig1_low_weight_three_points_max_at_first(self):
-        table = discrete.build_table(FIG1_LOW)
-        sset = discrete.stationary_points_discrete(table, eta=3.0, pt_prime=1.0)
+        sset = stationary(FIG1_LOW, 3.0, 1.0)
         assert len(sset.points) == 3
         assert sset.maximizer_index == 0
 
     def test_single_state_at_most_one(self):
-        table = discrete.build_table(FadingModel.discrete([(1.0, 1.0)]))
-        sset = discrete.stationary_points_discrete(table, eta=3.0, pt_prime=1.0)
+        sset = stationary(FadingModel.discrete([(1.0, 1.0)]), 3.0, 1.0)
         assert len(sset.points) <= 1
         assert len(sset.points) == 1 and sset.unique
 
@@ -138,11 +149,9 @@ class TestStationaryEnumeration:
         # self-contained oracle: argmax of d*Gamma over a dense log grid
         for model in (FIG1, FIG1_LOW):
             table = discrete.build_table(model)
-            sset = discrete.stationary_points_discrete(table, eta=3.0, pt_prime=1.0)
+            sset = stationary(model, 3.0, 1.0)
             ds = np.geomspace(1e-3, 1e4, 20001)
-            psis = np.array(
-                [d * discrete.gamma_closed_form(table, float(d), 3.0, 1.0) for d in ds]
-            )
+            psis = np.array([d * gamma_at(table, float(d), 3.0, 1.0) for d in ds])
             best = ds[int(np.argmax(psis))]
             assert sset.maximizer is not None
             assert sset.maximizer.d == pytest.approx(best, rel=2e-3)
@@ -155,7 +164,7 @@ class TestStationaryEnumeration:
             table = discrete.build_table(model)
             eta = float(rng.uniform(2.0, 4.0))
             pt = float(np.exp(rng.uniform(np.log(1e-2), np.log(1e2))))
-            sset = discrete.stationary_points_discrete(table, eta, pt)
+            sset = stationary(model, eta, pt)
             n = table.n_states
             assert len(sset.points) <= 2 * n - 1
             for pt_ in sset.points:
@@ -163,8 +172,7 @@ class TestStationaryEnumeration:
                 assert abs(residual) < 1e-8 * max(pt_.gamma, 1e-12)
 
     def test_points_sorted_ascending_in_d(self):
-        table = discrete.build_table(FIG1)
-        sset = discrete.stationary_points_discrete(table, eta=3.0, pt_prime=1.0)
+        sset = stationary(FIG1, 3.0, 1.0)
         ds = [p.d for p in sset.points]
         assert ds == sorted(ds)
 
@@ -179,7 +187,7 @@ class TestStationaryEnumeration:
             table = discrete.build_table(model)
             eta = float(rng.uniform(2.0, 4.0))
             pt = float(np.exp(rng.uniform(np.log(1e-2), np.log(1e2))))
-            sset = discrete.stationary_points_discrete(table, eta, pt)
+            sset = stationary(model, eta, pt)
             k = np.searchsorted(table.pi_breaks, pis, side="left")
             lam = table.p[k] / (table.alpha[k] + pis)
             gam = table.p[k] * (np.log1p(pis / table.alpha[k]) + table.b[k])

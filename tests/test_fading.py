@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from conftest import make_rng, oracle_cell_integrals, random_tabulated_model
+from conftest import make_rng, oracle_cell_integrals, oracle_cell_mass, random_tabulated_model
 from hopcap import waterfill
 from hopcap.errors import DiscreteKindError, ValidationError
 from hopcap.fading import FadingModel
@@ -21,21 +21,22 @@ def tabulated_exp(mu=1.0, top=20.0, points=4001, scale=1.0):
 
 
 class TestPdfH:
+    # at alpha/sigma^2 = 1 the channel state is the gain, so f = a
     def test_exponential_at_zero_boundary(self):
-        assert FadingModel.exponential(1.0).pdf_h(0.0) == pytest.approx(1.0)
+        assert FadingModel.exponential(1.0).pdf_x(0.0) == pytest.approx(1.0)
 
     def test_exponential_closed_form(self):
-        assert FadingModel.exponential(2.0).pdf_h(1.0) == pytest.approx(2.0 * math.exp(-2.0))
+        assert FadingModel.exponential(2.0).pdf_x(1.0) == pytest.approx(2.0 * math.exp(-2.0))
 
     def test_discrete_rejects_density_query(self):
         model = FadingModel.discrete([(1.0, 0.5), (2.0, 0.5)])
         with pytest.raises(DiscreteKindError):
-            model.pdf_h(1.0)
+            model.pdf_x(1.0)
 
     def test_tabulated_tracks_the_sampled_density(self):
         model = tabulated_exp()
         # the grid normalisation nudges values by ~1e-5; stay within 1e-4
-        assert model.pdf_h(1.0) == pytest.approx(math.exp(-1.0), abs=1e-4)
+        assert model.pdf_x(1.0) == pytest.approx(math.exp(-1.0), abs=1e-4)
 
 
 class TestPdfX:
@@ -52,14 +53,9 @@ class TestPdfX:
         c = 2.5
         model = tabulated_exp(scale=c)
         h = np.linspace(0.1, 8.0, 50)
-        expected = np.array([model.pdf_h(v) for v in h]) / c
+        expected = np.interp(h, model.kind.grid, model.kind.density) / c
         got = model.pdf_x(c * h)
         assert np.allclose(got, expected, atol=1e-6)
-
-    def test_pdf_z_change_of_variable(self):
-        model = FadingModel.exponential(1.3, alpha_over_sigma2=0.7)
-        z = np.array([0.2, 1.0, 3.0])
-        assert np.allclose(model.pdf_z(z), model.pdf_x(1.0 / z) / z**2)
 
 
 class TestMeanH:
@@ -111,12 +107,12 @@ class TestTailDecay:
 class TestNormalisationInvariants:
     def test_pdf_h_integrates_to_one(self):
         model = FadingModel.exponential(1.7)
-        val, _ = quad(model.pdf_h, 0, np.inf)
+        val, _ = quad(model.pdf_x, 0, np.inf)
         assert val == pytest.approx(1.0, abs=1e-6)
 
         tab = tabulated_exp(mu=0.8)
         g = tab.kind.grid
-        assert np.trapezoid([tab.pdf_h(v) for v in g], g) == pytest.approx(1.0, abs=1e-6)
+        assert np.trapezoid(tab.pdf_x(g), g) == pytest.approx(1.0, abs=1e-6)
 
     def test_mean_consistency_through_x(self):
         c = 1.9
@@ -125,15 +121,19 @@ class TestNormalisationInvariants:
         assert val == pytest.approx(c * model.mean_h(), abs=1e-6)
 
     def test_z_density_integrates_to_one(self):
+        # the density of Z = 1/X is g(z) = f(1/z)/z**2
+        def pdf_z(model, z):
+            return model.pdf_x(1.0 / z) / z**2
+
         model = FadingModel.exponential(1.0)
-        val, _ = quad(model.pdf_z, 0, np.inf, limit=200)
+        val, _ = quad(lambda z: pdf_z(model, z), 0, np.inf, limit=200)
         assert val == pytest.approx(1.0, abs=1e-6)
 
         # the grid includes h = 0, so g(z) carries an integrable 1/z**2 tail
         tab = tabulated_exp(mu=1.0, top=30.0)
         _, x_hi = tab.x_support()
         z = np.geomspace(1.0 / x_hi, 1e6, 2_000_001)
-        assert np.trapezoid(tab.pdf_z(z), z) == pytest.approx(1.0, abs=1e-4)
+        assert np.trapezoid(pdf_z(tab, z), z) == pytest.approx(1.0, abs=1e-4)
 
     def test_random_tabulated_models_integrate_to_one(self):
         rng = make_rng(101)
@@ -228,7 +228,7 @@ class TestDensityIntegrator:
 
 
 class TestTailExactness:
-    """expected_power / optimal_rate against per-cell adaptive quadrature."""
+    """expected_power / optimal_rate / mass_above against per-cell adaptive quadrature."""
 
     @staticmethod
     def check(model, lams):
@@ -237,6 +237,8 @@ class TestTailExactness:
             assert power >= 1e-8
             assert waterfill.expected_power(model, lam) == pytest.approx(power, rel=1e-12, abs=0)
             assert waterfill.optimal_rate(model, lam) == pytest.approx(rate, rel=1e-12, abs=0)
+            mass = oracle_cell_mass(model, float(lam))
+            assert model.tails.mass_above(lam) == pytest.approx(mass, rel=1e-12, abs=0)
 
     def test_deep_in_the_first_cell(self):
         # the grid starts at h = 0, where 1/x and log x are unbounded

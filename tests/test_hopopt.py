@@ -1,12 +1,20 @@
 """Hop-distance optimization: stationary points, scaling laws, limits."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from conftest import bisect_scalar, make_rng
-from hopcap.errors import DiscreteKindError, NoStationaryPoint
+from conftest import (
+    bisect_scalar,
+    make_rng,
+    oracle_cell_integrals,
+    oracle_stationary_residuals,
+    random_tabulated_model,
+)
+from hopcap.cli import main
+from hopcap.errors import BracketFailure, DiscreteKindError
 from hopcap.fading import FadingModel
 from hopcap import hopopt
 
@@ -20,6 +28,13 @@ SINGLE_STATE_ETA3_PI = 15.801016190708335
 
 EXP_MODEL = FadingModel.exponential(1.0)
 FIG1 = FadingModel.discrete([(100.0, 0.01), (0.5, 0.99)])
+UNIFORM = FadingModel.tabulated(np.linspace(0.5, 1.5, 101), np.ones(101))
+
+# two triangles, peaked at h = 0.5 (weight 1 - w) and h = 100 (weight w): at
+# eta = 3 the rate has a close pair of roots 0.84% apart in lam, closer than
+# the 1.16% step of a 2000-point scan over the pi window [1e-8, 1e8]
+TWO_TRIANGLE_W = 0.2154894657929
+TWO_TRIANGLE_FAR_D = 3.085
 
 
 def exp_problem(eta=2.0, pt=1.0):
@@ -134,28 +149,17 @@ class TestRecharacterisation:
 
 
 class TestMonotonicityCondition:
-    def test_exponential_certifies(self):
-        assert hopopt.check_monotonicity_condition(EXP_MODEL)
-        assert hopopt.check_monotonicity_condition(FadingModel.exponential(0.2, 3.0))
-
-    def test_discrete_rejected(self):
-        with pytest.raises(DiscreteKindError):
-            hopopt.check_monotonicity_condition(FIG1)
-
-    def test_tabulated_uniform_records_a_boolean(self):
-        model = FadingModel.tabulated(np.linspace(0.5, 1.5, 101), np.ones(101))
-        # compact support cannot be certified; no ground truth asserted
-        assert hopopt.check_monotonicity_condition(model) in (True, False)
-
     def test_certified_plus_limits_means_one_point(self):
+        # the exponential density meets the paper's ratio condition; the exact
+        # enumeration then reports exactly one root, flagged unique
         for eta in (2.0, 3.0):
             for rate in (0.5, 1.0, 2.0):
                 model = FadingModel.exponential(rate)
                 problem = hopopt.HopProblem(model=model, eta=eta, pt_prime=1.0)
-                assert hopopt.check_monotonicity_condition(model)
                 limits = hopopt.boundary_limits(problem)
                 assert limits.zero_ok and limits.infinity_ok
-                assert len(hopopt.stationary_points(problem).points) == 1
+                sset = hopopt.stationary_points(problem)
+                assert len(sset.points) == 1 and sset.unique
 
 
 class TestScaling:
@@ -214,10 +218,12 @@ class TestBoundaryLimits:
 class TestLambdaScanWindow:
     def test_window_can_exclude_roots(self):
         # pi_opt scales with rate/gain, so gains 1e14 times larger put the
-        # root near pi = 1e-14, below the fixed scan window [1e-8, 1e8]
+        # root near pi = 1e-14, below the pi window [1e-8, 1e8] that a scan
+        # would need; the exact solve has no window and finds it
         model = FadingModel.exponential(1.0, alpha_over_sigma2=1e14)
-        with pytest.raises(NoStationaryPoint):
-            hopopt.stationary_points(hopopt.HopProblem(model=model, eta=2.0, pt_prime=1.0))
+        sset = hopopt.stationary_points(hopopt.HopProblem(model=model, eta=2.0, pt_prime=1.0))
+        assert len(sset.points) == 1 and sset.unique
+        assert sset.points[0].pi == pytest.approx(EXP_ETA2_PI * 1e-14, rel=1e-9)
 
     def test_psi_strictly_positive(self):
         problem = exp_problem()
@@ -236,3 +242,74 @@ class TestLambdaScanWindow:
                 assert len(sset.points) == 1 and sset.unique
                 normalized.append(sset.points[0].pi / (mu / c))
             assert max(normalized) / min(normalized) - 1 < 1e-12
+
+
+def two_triangle_model(w=TWO_TRIANGLE_W):
+    low, high = np.linspace(0.45, 0.55, 21), np.linspace(95.0, 105.0, 21)
+    a_low = (1.0 - w) * 20.0 * np.maximum(1.0 - np.abs(low - 0.5) / 0.05, 0.0)
+    a_high = w * 0.2 * np.maximum(1.0 - np.abs(high - 100.0) / 5.0, 0.0)
+    return FadingModel.tabulated(np.concatenate((low, high)), np.concatenate((a_low, a_high)))
+
+
+class TestTabulatedEnumeration:
+    def test_close_pair_between_scan_points(self):
+        model = two_triangle_model()
+        sset = hopopt.stationary_points(hopopt.HopProblem(model=model, eta=3.0, pt_prime=1.0))
+        assert len(sset.points) == 3 and not sset.unique
+        lams = sorted(pt.lam for pt in sset.points)
+        assert lams[1] / lams[0] - 1 < 1.16e-2
+        residuals = oracle_stationary_residuals(model, 3.0, lams)
+        assert [r > 0 for r in residuals] == [True, False, True, False]
+        assert sset.maximizer.d == pytest.approx(TWO_TRIANGLE_FAR_D, rel=1e-3)
+        assert sset.maximizer_index == 2
+
+    def test_roots_agree_with_the_cell_oracle(self):
+        # random 41-node densities, plus a single rising cell (R' changes sign
+        # twice inside it) and a density whose top cell carries no mass; the
+        # oracle sees a sign change around every root and zero residual at each
+        rng = make_rng(808)
+        cases = [(random_tabulated_model(rng, points=41), float(rng.uniform(1.5, 4.0)))
+                 for _ in range(12)]
+        rising = FadingModel.tabulated([0.0, 1.5], np.array([0.01, 1.0]) / (0.75 * 1.01))
+        cases += [(rising, 4.0), (FadingModel.tabulated([0.0, 0.8, 2.0], [2.5, 0.0, 0.0]), 2.0)]
+        for model, eta in cases:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", hopopt.EtaBelowTwoWarning)
+                problem = hopopt.HopProblem(model=model, eta=eta, pt_prime=1.0)
+            sset = hopopt.stationary_points(problem)
+            lams = sorted(pt.lam for pt in sset.points)
+            residuals = oracle_stationary_residuals(model, eta, lams)
+            assert [r > 0 for r in residuals] == [i % 2 == 0 for i in range(len(lams) + 1)]
+            for lam in lams:
+                power, rate = oracle_cell_integrals(model, lam)
+                assert abs(rate - eta * lam * power) < 1e-9 * rate
+
+
+class TestEtaAtMostOne:
+    @pytest.mark.parametrize("eta", [0.5, 1.0])
+    @pytest.mark.parametrize("model", [EXP_MODEL, FIG1, UNIFORM], ids=["exp", "fig1", "uniform"])
+    def test_no_points_and_the_far_boundary(self, model, eta):
+        with pytest.warns(hopopt.EtaBelowTwoWarning):
+            problem = hopopt.HopProblem(model=model, eta=eta, pt_prime=1.0)
+        sset = hopopt.stationary_points(problem)
+        assert sset.points == () and not sset.unique
+        assert sset.boundary == "d->inf" and sset.maximizer is None
+
+    def test_exponential_root_past_underflow_is_a_bracket_failure(self):
+        # the root u = nu*lam grows like 1/(eta - 1) and passes u = 700 near
+        # eta = 1.0015, where E1 and exp(-u) leave the normal range
+        with pytest.warns(hopopt.EtaBelowTwoWarning):
+            problem = hopopt.HopProblem(model=EXP_MODEL, eta=1.001, pt_prime=1.0)
+        with pytest.raises(BracketFailure):
+            hopopt.stationary_points(problem)
+
+    def test_cli_optimize_reports_the_boundary(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.yaml"
+        cfg.write_text(
+            "schema_version: 1\nfading:\n  kind: exponential\n  rate: 1.0\n"
+            "eta: 1.0\npower:\n  Pt_prime_W: 1.0\n"
+        )
+        with pytest.warns(hopopt.EtaBelowTwoWarning):
+            assert main(["optimize", "--config", str(cfg)]) == 0
+        out = capsys.readouterr().out
+        assert "boundary=d->inf" in out and "n_points=0" in out

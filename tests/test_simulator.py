@@ -8,7 +8,13 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import make_rng, oracle_ratio_estimate, reference_periods, reference_trace
+from conftest import (
+    example_profile,
+    make_rng,
+    oracle_ratio_estimate,
+    reference_periods,
+    reference_trace,
+)
 from hopcap.errors import OrderingViolation, ValidationError
 from hopcap.fading import FadingModel
 from hopcap import macmodel, simulator, waterfill
@@ -31,7 +37,7 @@ def quiet_config(**kwargs):
 
 
 def profile_a():
-    return macmodel.example_profile()
+    return example_profile()
 
 
 def profile_b():
