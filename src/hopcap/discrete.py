@@ -21,13 +21,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import DiscreteKindError, ValidationError
-from .fading import FadingModel
-
-_Y_RTOL = 1e-15
-_Y_XTOL = 1e-30
+from .fading import FadingModel, refine_root
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,13 +132,8 @@ def _branch_roots(level: float, eta: float, y_lo: float, y_hi: float):
     w = lambda y: y * math.exp(-eta * y) - level
     peak = 1.0 / eta
     roots = []
-    branches = []
-    if peak >= 1.0:
-        branches.append((max(y_lo, 1e-300), min(y_hi, 1.0), +1))
-    else:
-        branches.append((max(y_lo, 1e-300), min(y_hi, peak), +1))
-        branches.append((max(y_lo, peak), min(y_hi, 1.0), -1))
-    for lo, hi, _sign in branches:
+    # the rising branch up to the peak, then the falling one (empty if peak >= 1)
+    for lo, hi in ((max(y_lo, 1e-300), min(y_hi, peak)), (max(y_lo, peak), min(y_hi, 1.0))):
         if hi <= lo:
             continue
         f_lo, f_hi = w(lo), w(hi)
@@ -150,7 +141,7 @@ def _branch_roots(level: float, eta: float, y_lo: float, y_hi: float):
             roots.append(lo)
             continue
         if f_lo * f_hi < 0.0:
-            y = brentq(w, lo, hi, xtol=_Y_XTOL, rtol=_Y_RTOL)
+            y = refine_root(w, lo, hi)
             if y_lo <= y < y_hi:
-                roots.append(float(y))
+                roots.append(y)
     return roots

@@ -47,4 +47,9 @@ class BracketFailure(NumericalError):
 
 
 class NoStationaryPoint(NumericalError):
-    """The scan found no interior stationary point (boundary optimum)."""
+    """No interior maximizer exists where one is needed.
+
+    Raised when a root enumeration at eta > 1 comes back empty, and by
+    `scaling_check` or `boundary_limits` when there is no interior
+    maximizer (eta <= 1, where the optimum is d -> inf).
+    """

@@ -7,7 +7,8 @@ moments, tail diagnostics, sampling and CSV ingestion for tabulated
 densities.  A tabulated density is linear between its nodes, so its
 moments and tails are exact: `TailTable` (``FadingModel.tails``) holds
 the mass, water-fill power and rate above each x-node, and a query at
-any ``lam`` adds one closed-form partial cell.
+any ``lam`` adds one closed-form partial cell.  Every bracketed root in
+the package is refined here, by `refine_root`.
 
 Models are immutable after construction; every operation is pure.
 """
@@ -20,8 +21,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import brentq
 
-from .errors import DiscreteKindError, ValidationError
+from .errors import BracketFailure, DiscreteKindError, ValidationError
 
 PROB_SUM_TOL = 1e-12
 DENSITY_NORM_TOL = 1e-6
@@ -257,6 +259,32 @@ class FadingModel:
         return g[j] + np.minimum(s, width)
 
 
+def refine_root(func, lo: float, hi: float) -> float:
+    """The root of ``func`` on [lo, hi], where its sign changes, by Brent's method.
+
+    The bracket shrinks to about 1e-15 of the root: the one tolerance of
+    every bracketed solve in the package.
+    """
+    return float(brentq(func, lo, hi, xtol=1e-30, rtol=1e-15))
+
+
+def bracket_root(func, start: float, limit: float = math.inf) -> float:
+    """The root of ``func``, positive below it and not above, bracketed from ``start``.
+
+    The bracket [start/2, start] halves down until ``func`` is positive at
+    its low end, then doubles up, never past ``limit``, until ``func`` is
+    not positive at its high end.
+    """
+    lo, hi = 0.5 * start, start
+    while func(lo) <= 0.0:
+        lo, hi = 0.5 * lo, lo
+    while func(hi) > 0.0:
+        if hi >= limit:
+            raise BracketFailure(f"no sign change below {limit:g}")
+        lo, hi = hi, min(2.0 * hi, limit)
+    return refine_root(func, lo, hi)
+
+
 def _check_scale(alpha_over_sigma2: float) -> None:
     if alpha_over_sigma2 <= 0:
         raise ValidationError(
@@ -272,6 +300,8 @@ class TailTable:
     above, plus the mass above times the weight at the node above, plus the
     closed-form cell between them: all non-negative, so no digits cancel
     near the top.  A node at x = 0 has only mass (1/x, log x are undefined).
+    ``top`` indexes the top of the support, the first node with no mass
+    above it; ``power`` decreases strictly from the first positive node to it.
     """
 
     def __init__(self, x, f):
@@ -285,6 +315,7 @@ class TailTable:
             self.mean += (b - a) * (fa * (2.0 * a + b) + fb * (a + 2.0 * b)) / 6.0
             if a > 0.0:
                 self.power[j], self.rate[j] = self._from(j + 1, a, fa, fb)
+        self.top = self.mass.index(0.0)
 
     def above(self, lam: float):
         """(E[(1/lam - 1/X)^+], E[log(X/lam)^+]) for lam > 0."""

@@ -37,7 +37,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.optimize import brentq
 
 from . import discrete as _discrete
 from . import waterfill as _waterfill
@@ -49,15 +48,13 @@ from .errors import (
     NumericalError,
     ValidationError,
 )
-from .fading import Exponential, FadingModel
+from .fading import Exponential, FadingModel, bracket_root, refine_root
 
 # fixed solver grids: the y-domain scan and the boundary decades
 RECHAR_POINTS = 400
 BOUNDARY_DECADES = 6
 
 _RESIDUAL_REL = 1e-8
-_LAM_XTOL = 1e-30
-_LAM_RTOL = 1e-15
 # exp(-u) and E1(u) leave the normal range just above u = 700
 _U_MAX = 700.0
 _RECHAR_NODES, _RECHAR_WEIGHTS = np.polynomial.legendre.leggauss(24)
@@ -230,21 +227,16 @@ def _lam_residual(model: FadingModel, lam: float, eta: float) -> float:
 
 
 def _exponential_root(model: FadingModel, eta: float) -> float:
-    """The one root in lam of exponential fading, bracketed by doubling in u = nu*lam."""
+    """The one root in lam of exponential fading, bracketed from u = nu*lam = 1."""
     scale = model.alpha_over_sigma2 / model.kind.rate
-    r = lambda u: _lam_residual(model, scale * u, eta)
-    lo, hi = 0.5, 1.0
-    while r(lo) <= 0.0:
-        lo, hi = 0.5 * lo, lo
-    while r(hi) > 0.0:
-        if hi >= _U_MAX:
-            raise BracketFailure(
-                f"the stationary root lies beyond u = {_U_MAX:g}, where E1 underflows "
-                f"(eta = {eta} is too close to 1)"
-            )
-        lo, hi = hi, min(2.0 * hi, _U_MAX)
     residual = lambda lam: _lam_residual(model, lam, eta)
-    return float(brentq(residual, scale * lo, scale * hi, xtol=_LAM_XTOL, rtol=_LAM_RTOL))
+    try:
+        return bracket_root(residual, scale, limit=scale * _U_MAX)
+    except BracketFailure:
+        raise BracketFailure(
+            f"the stationary root lies beyond u = {_U_MAX:g}, where E1 underflows "
+            f"(eta = {eta} is too close to 1)"
+        ) from None
 
 
 def _tabulated_roots(model: FadingModel, eta: float) -> list:
@@ -282,8 +274,7 @@ def _tabulated_roots(model: FadingModel, eta: float) -> list:
 
     slope = lambda lam: _slope(tails, lam, eta)
     residual = lambda lam: _lam_residual(model, lam, eta)
-    # the top of the support: the first node with no mass above it
-    top = next(v for v, m in zip(tails.x, tails.mass) if m == 0.0)
+    top = tails.x[tails.top]
     # R' at the nodes comes straight off the table columns
     breaks = [(v, (eta - 1.0) * m / v - eta * p)
               for v, m, p in zip(tails.x, tails.mass, tails.power) if 0.0 < v < top]
@@ -318,7 +309,7 @@ def _sign_change_roots(func, xs, values) -> list:
         if fv == 0.0:
             roots.append(v)
         elif fu * fv < 0.0:
-            roots.append(float(brentq(func, u, v, xtol=_LAM_XTOL, rtol=_LAM_RTOL)))
+            roots.append(refine_root(func, u, v))
     return roots
 
 
@@ -381,25 +372,13 @@ def solve_rechar(problem: HopProblem) -> float:
         scale = 1.0 / (model.kind.rate / model.alpha_over_sigma2)
         lams = scale * np.geomspace(1e-6, 1e2, RECHAR_POINTS)
     else:
-        x_lo, x_hi = model.x_support()
-        lams = np.geomspace(max(x_lo, x_hi * 1e-9) * 1e-3, x_hi * (1 - 1e-9), RECHAR_POINTS)
-    vals = np.array([rechar_integral(model, l, eta) for l in lams])
-    roots = []
-    for i in range(lams.size - 1):
-        if vals[i] == 0.0 and vals[i + 1] != 0.0:
-            continue  # flat zero tail outside the support
-        if vals[i] * vals[i + 1] < 0.0:
-            roots.append(
-                float(
-                    brentq(
-                        lambda l: rechar_integral(model, l, eta),
-                        lams[i],
-                        lams[i + 1],
-                        xtol=1e-30,
-                        rtol=1e-13,
-                    )
-                )
-            )
+        # the scan ends at the top of the support, above which the integral is 0
+        x = model.tails.x
+        top = x[model.tails.top]
+        lams = np.geomspace(max(x[0], top * 1e-9) * 1e-3, top * (1 - 1e-9), RECHAR_POINTS)
+    integral = lambda lam: rechar_integral(model, lam, eta)
+    lams = lams.tolist()
+    roots = _sign_change_roots(integral, lams, [integral(lam) for lam in lams])
     if not roots:
         raise BracketFailure("the stationarity integral never changes sign on the scan grid")
     if len(roots) == 1:

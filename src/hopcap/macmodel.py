@@ -72,11 +72,7 @@ class MacProfile:
     @property
     def overhead_power(self) -> float:
         """Time-average power drawn by overheads alone, watts."""
-        return (
-            self.p_idle * self.e_idle
-            + self.p_collision * self.e_collision
-            + self.p_success * self.e_overhead
-        ) / self.cycle_time
+        return network_power(self, 0.0)
 
 
 def throughput(profile: MacProfile, mean_rate_nats: float) -> float:

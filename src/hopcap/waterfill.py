@@ -12,31 +12,31 @@ in nats per unit bandwidth, and ``dGamma/dpi = lam`` (envelope identity).
 `gamma_and_lambda` is the one entry point for the pair (Gamma, lam);
 `solve` wraps it.  Discrete models need no root-finding: both values
 come from the piecewise closed form of `discrete`, whose table each
-model builds once (`FadingModel.table`).  Continuous models root-find
-the constraint above on `expected_power` and then take `optimal_rate`,
+model builds once (`FadingModel.table`).  Continuous models solve the
+constraint above on `expected_power` and then take `optimal_rate`,
 both exact: exponential-integral closed forms for exponential fading,
 the tail table of a tabulated density (`FadingModel.tails`) plus one
 closed-form partial cell; both raise DiscreteKindError on discrete models.
+The root is bracketed from each kind's structure and refined once by
+`fading.refine_root`: exponential fading halves or doubles from
+``min(1/nu, 1/pi)``; a tabulated density bisects its strictly decreasing
+power column for the root's cell, and below its support has the closed
+form ``lam = mass/(pi + E[1/X])``.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import exp1
 
 from . import discrete as _discrete
 from .errors import BracketFailure, NonPositivePi
-from .fading import Exponential, FadingModel
-
-# bracket scanned (in lam) when solving the power-constraint equation
-_LAM_FLOOR = 1e-14
-_LAM_CEIL = 1e13
-_BRENTQ_RTOL = 1e-15
-_BRENTQ_XTOL = 1e-30
+from .fading import Exponential, FadingModel, bracket_root, refine_root
 
 
 @dataclass(frozen=True)
@@ -86,8 +86,8 @@ def solve(model: FadingModel, pi: float) -> WaterfillSolution:
 
     Discrete models read lam and Gamma off the closed-form table.  For
     continuous models the constraint gap is continuous and strictly
-    decreasing in ``lam``, so a decade scan always brackets the unique
-    root, refined by Brent's method to relative width ~1e-14.
+    decreasing in ``lam``; its unique root is bracketed from the kind's
+    exact structure and refined by Brent's method to relative width ~1e-15.
     """
     if pi <= 0:
         raise NonPositivePi(f"pi must be > 0, got {pi}")
@@ -116,22 +116,17 @@ def gamma_and_lambda(model: FadingModel, pi: float):
 
 def _solve_lambda(model: FadingModel, pi: float) -> float:
     gap = lambda lam: expected_power(model, lam) - pi
-    _, x_hi = model.x_support()
-    ceil = min(_LAM_CEIL, x_hi) if math.isfinite(x_hi) else _LAM_CEIL
-    # the root obeys lam < 1/pi, so huge budgets need a deeper floor
-    floor = max(min(_LAM_FLOOR, 1e-3 / pi), 1e-300)
-    grid = np.geomspace(floor, ceil, 60)
-    lo = grid[0]
-    g_lo = gap(lo)
-    if g_lo < 0:
-        raise BracketFailure(
-            f"no water level above {lo} supports pi={pi} (degenerate model?)"
-        )
-    for hi in grid[1:]:
-        g_hi = gap(hi)
-        if g_hi <= 0:
-            if g_hi == 0.0:
-                return float(hi)
-            return float(brentq(gap, lo, hi, xtol=_BRENTQ_XTOL, rtol=_BRENTQ_RTOL))
-        lo, g_lo = hi, g_hi
-    raise BracketFailure(f"could not bracket the water level for pi={pi}")
+    if isinstance(model.kind, Exponential):
+        # the root obeys lam < 1/pi, and u = nu*lam = 1 is a natural scale
+        return bracket_root(gap, min(model.alpha_over_sigma2 / model.kind.rate, 1.0 / pi))
+    tails = model.tails
+    x, power, mass = tails.x, tails.power, tails.mass
+    if x[0] > 0.0 and pi >= power[0]:
+        # below the support the power is mass[0]/lam - E[1/X], E[1/X] read off row 0
+        return mass[0] / (pi - power[0] + mass[0] / x[0])
+    # from the first positive node up to the top, where it is 0 < pi, the power
+    # column decreases strictly: the root's cell ends at the first node at or under pi
+    j = bisect.bisect_left(power, -pi, 1 if x[0] == 0.0 else 0, tails.top, key=operator.neg)
+    if x[j - 1] == 0.0:
+        return bracket_root(gap, min(x[j], 1.0 / pi))
+    return refine_root(gap, x[j - 1], x[j])

@@ -1,7 +1,9 @@
 """Distribution kinds, change-of-variable densities, moments and tails."""
 
+import ast
 import bisect
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -321,3 +323,30 @@ class TestTabulatedSampling:
         h = model.sample_h(make_rng(12), 1_000_000)
         se = h.std(ddof=1) / math.sqrt(h.size)
         assert abs(h.mean() - model.mean_h()) <= 4 * se
+
+
+def _brentq_uses(node, owner):
+    """Names of the innermost functions (None at module level) that mention brentq."""
+    for child in ast.iter_child_nodes(node):
+        if (isinstance(child, ast.Name) and child.id == "brentq") or (
+            isinstance(child, ast.Attribute) and child.attr == "brentq"
+        ):
+            yield owner
+        inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else owner
+        yield from _brentq_uses(child, inner)
+
+
+def test_brentq_lives_in_one_function():
+    # one bracketed refine for the whole package, so swapping the solver
+    # touches one function
+    importers, users = set(), set()
+    for path in sorted((Path(__file__).parents[1] / "src" / "hopcap").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and any(
+                alias.name.split(".")[-1] == "brentq" for alias in node.names
+            ):
+                importers.add(path.name)
+        users.update((path.name, owner) for owner in _brentq_uses(tree, None))
+    assert importers == {"fading.py"}
+    assert users == {("fading.py", "refine_root")}

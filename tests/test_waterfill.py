@@ -8,6 +8,7 @@ import pytest
 from conftest import (
     bisect_scalar,
     make_rng,
+    oracle_cell_integrals,
     oracle_power_integral,
     oracle_rate_integral,
     oracle_waterfill_lambda,
@@ -16,9 +17,9 @@ from conftest import (
 from hopcap.cli import main
 from hopcap.config import load_config
 from hopcap.errors import BracketFailure, DiscreteKindError, NonPositivePi
-from hopcap.fading import FadingModel
+from hopcap.fading import FadingModel, TabulatedDensity
 from hopcap.simulator import WaterfillPolicy
-from hopcap import waterfill
+from hopcap import hopopt, waterfill
 
 # dense-trapezoid + bisection oracle output for f(x) = exp(-x), pi = 1
 EXP_PI1_LAMBDA = 0.3937738447490893
@@ -26,6 +27,17 @@ EXP_PI1_GAMMA = 0.7129288562089982
 
 FIG1_STATES = [(100.0, 0.01), (0.5, 0.99)]
 FIG1_BREAKPOINT = 0.0199  # (1.9701 / 99), by hand from the cumulative sums
+
+_EXP_H = np.linspace(0.0, 12.0, 41)
+UNIFORM = FadingModel.tabulated([0.5, 1.5], [1.0, 1.0])  # E[1/X] = ln 3
+ZERO_TOP = FadingModel.tabulated([0.0, 0.8, 2.0, 3.0], [2.5, 0.0, 0.0, 0.0])
+BRACKET_MODELS = {
+    "exp": FadingModel.exponential(1.0),
+    "exp-scaled": FadingModel.exponential(2.0, alpha_over_sigma2=1e6),
+    "tab41-from-0": FadingModel.tabulated(_EXP_H, np.exp(-_EXP_H) / np.trapezoid(np.exp(-_EXP_H), _EXP_H)),
+    "uniform": UNIFORM,
+    "zero-top": ZERO_TOP,
+}
 
 
 class TestSolveExamples:
@@ -183,3 +195,38 @@ class TestDegenerateAndErrors:
         model = FadingModel.discrete([(1.0, 1.0)])
         sol = waterfill.solve(model, root)
         assert sol.gamma == pytest.approx(3 * root * sol.lam, rel=1e-8)
+
+
+class TestWaterLevelBracket:
+    """The water level is bracketed from each kind's exact structure, then refined once."""
+
+    @pytest.mark.parametrize("name", list(BRACKET_MODELS))
+    def test_kernel_call_budget(self, name, monkeypatch):
+        model = BRACKET_MODELS[name]
+        power = waterfill.expected_power
+        calls = []
+
+        def counted(m, lam):
+            calls.append(lam)
+            return power(m, lam)
+
+        monkeypatch.setattr(waterfill, "expected_power", counted)
+        for k in np.arange(-12.0, 12.25, 0.5):
+            pi = 10.0**k
+            calls.clear()
+            lam = waterfill.solve(model, pi).lam
+            assert len(calls) <= 40, (pi, len(calls))
+            assert power(model, lam * (1 - 1e-14)) - pi > 0.0 > power(model, lam * (1 + 1e-14)) - pi
+            if isinstance(model.kind, TabulatedDensity) and 1e-6 <= pi <= 1e6:
+                assert oracle_cell_integrals(model, lam)[0] == pytest.approx(pi, rel=1e-12)
+
+    @pytest.mark.parametrize("pi", [3.0, 10.0, 1e6])
+    def test_below_the_support(self, pi):
+        # all of the mass sits above lam: pi = 1/lam - E[1/X], with E[1/X] = ln 3
+        assert waterfill.solve(UNIFORM, pi).lam == pytest.approx(1.0 / (pi + math.log(3.0)), rel=1e-14)
+
+    def test_rechar_with_zero_mass_top_cells(self):
+        problem = hopopt.HopProblem(model=ZERO_TOP, eta=2.0, pt_prime=1.0)
+        lam = hopopt.solve_rechar(problem)
+        # the y-domain route integrates with a fixed Gauss-Legendre rule per cell
+        assert lam == pytest.approx(hopopt.stationary_points(problem).maximizer.lam, rel=1e-8)
