@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import BracketFailure, DiscreteKindError, ValidationError
 
@@ -263,9 +262,56 @@ def refine_root(func, lo: float, hi: float) -> float:
     """The root of ``func`` on [lo, hi], where its sign changes, by Brent's method.
 
     The bracket shrinks to about 1e-15 of the root: the one tolerance of
-    every bracketed solve in the package.
+    every bracketed solve in the package.  Step for step this is the
+    iteration of scipy's ``brentq`` (``xtol=1e-30, rtol=1e-15``, at most
+    100 steps), so it returns the same float.  No sign change, a NaN value
+    or no convergence raises BracketFailure.
     """
-    return float(brentq(func, lo, hi, xtol=1e-30, rtol=1e-15))
+    xtol, rtol = 1e-30, 1e-15
+    xpre, xcur = float(lo), float(hi)
+    fpre, fcur = _finite_value(func, xpre), _finite_value(func, xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise BracketFailure(f"no sign change on [{lo!r}, {hi!r}]")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(100):
+        if (fpre < 0.0) != (fcur < 0.0):  # the root lies between xpre and xcur
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        stry = None
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+        if stry is not None and 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+            spre, scur = scur, stry
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = _finite_value(func, xcur)
+    raise BracketFailure(f"Brent's method did not converge on [{lo!r}, {hi!r}]")
+
+
+def _finite_value(func, x: float) -> float:
+    """func(x) as a float, refusing NaN, on which no bracket can be kept."""
+    value = float(func(x))
+    if math.isnan(value):
+        raise BracketFailure(f"the function is NaN at {x!r}")
+    return value
 
 
 def bracket_root(func, start: float, limit: float = math.inf) -> float:

@@ -36,7 +36,6 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import discrete as _discrete
 from . import waterfill as _waterfill
@@ -57,6 +56,8 @@ BOUNDARY_DECADES = 6
 _RESIDUAL_REL = 1e-8
 # exp(-u) and E1(u) leave the normal range just above u = 700
 _U_MAX = 700.0
+# exp(-nu*x) underflows to 0 past nu*x = 745
+_EXP_UNDERFLOW = 745.0
 _RECHAR_NODES, _RECHAR_WEIGHTS = np.polynomial.legendre.leggauss(24)
 
 
@@ -324,36 +325,36 @@ def rechar_integral(model: FadingModel, lam: float, eta: float) -> float:
     """The y-domain stationarity integral at multiplier lam.
 
     integral_0^1 (log y - eta(y-1)) * (lam^2/y^2) * f(lam/y) dy
+
+    The range runs from y = lam/x at the top of the support (for
+    exponential fading, x = 745/nu, where exp(-nu*x) underflows) to
+    min(1, lam/x_0).  Its cells end at the kinks y = lam/x_i of a tabulated
+    density and at every halving of y, so none spans a ratio above 2, and
+    each takes one fixed Gauss-Legendre rule on ``pdf_x``.  No closed form
+    is involved: this route to the stationary equation stays independent.
     """
     if model.is_discrete:
         raise DiscreteKindError("the y-domain characterisation needs a density")
     if isinstance(model.kind, Exponential):
-        # substituting t = nu*lam/y tames the integrand for quadrature
-        # (the zero set in lam is unchanged); no closed forms involved,
-        # so this stays an independent route to the stationary equation
-        nu = model.kind.rate / model.alpha_over_sigma2
-        u = nu * lam
-
-        def integrand(t):
-            return (math.log(u / t) - eta * (u / t - 1.0)) * math.exp(-t)
-
-        val, _ = quad(integrand, u, np.inf, epsabs=1e-14, epsrel=1e-11, limit=300)
-        return lam * val
-    # tabulated: f(lam/y) is piecewise linear in lam/y with kinks at
-    # y = lam/x_i; integrate per smooth y-cell
-    xg, fg = model.x_grid()
-    y_lo = max(lam / xg[-1], 1e-300)
-    y_hi = min(1.0, lam / xg[0]) if xg[0] > 0 else 1.0
+        x_lo, x_top = 0.0, _EXP_UNDERFLOW * model.alpha_over_sigma2 / model.kind.rate
+        kinks = np.empty(0)
+    else:
+        tails = model.tails
+        x_lo, x_top = tails.x[0], tails.x[tails.top]
+        kinks = lam / np.array(tails.x[1 : tails.top])
+    y_lo = lam / x_top
+    y_hi = min(1.0, lam / x_lo) if x_lo > 0.0 else 1.0
     if y_hi <= y_lo:
         return 0.0
-    kinks = lam / xg[xg > 0][::-1]
-    edges = np.concatenate(([y_lo], kinks[(kinks > y_lo) & (kinks < y_hi)], [y_hi]))
+    halvings = y_hi * 0.5 ** np.arange(1, math.ceil(math.log2(y_hi / y_lo)))
+    inner = np.concatenate((kinks, halvings))
+    edges = np.unique(np.concatenate(([y_lo, y_hi], inner[(inner > y_lo) & (inner < y_hi)])))
     a, b = edges[:-1], edges[1:]
     half = 0.5 * (b - a)
     ys = 0.5 * (a + b)[:, None] + half[:, None] * _RECHAR_NODES[None, :]
-    fv = np.interp(lam / ys, xg, fg, left=0.0, right=0.0)
     cells = half[:, None] * _RECHAR_WEIGHTS[None, :]
-    return float(np.sum(cells * stationarity_weight(ys, eta) * (lam**2 / ys**2) * fv))
+    integrand = stationarity_weight(ys, eta) * (lam**2 / ys**2) * model.pdf_x(lam / ys)
+    return float(np.sum(cells * integrand))
 
 
 def solve_rechar(problem: HopProblem) -> float:

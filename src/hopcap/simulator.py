@@ -134,6 +134,21 @@ class SimReport:
         )
 
 
+def _period_types(rng: np.random.Generator, size: int, p) -> np.ndarray:
+    """``rng.choice(3, size, p=p)`` as int8, by two threshold compares.
+
+    ``choice`` draws ``rng.random(size)`` and counts the entries of the
+    normalised cumulative sum of ``p`` at or below each draw; this does the
+    same, so the draws and the generator state after them are the same.
+    """
+    c = np.cumsum(p)
+    c /= c[-1]
+    u = rng.random(size)
+    kinds = (u >= c[0]).astype(np.int8)
+    kinds += u >= c[1]
+    return kinds
+
+
 def run(config: SimConfig, trace_path=None) -> SimReport:
     """Simulate ``horizon`` contention periods and estimate rate and power.
 
@@ -149,8 +164,8 @@ def run(config: SimConfig, trace_path=None) -> SimReport:
     ]
     kinds = np.empty(config.horizon, dtype=np.int8)
     for c in chunks:
-        kinds[c] = rng.choice(
-            3, size=c.stop - c.start, p=[prof.p_idle, prof.p_collision, prof.p_success]
+        kinds[c] = _period_types(
+            rng, c.stop - c.start, [prof.p_idle, prof.p_collision, prof.p_success]
         )
 
     # rows: duration, energy, bits; columns: idle, collision, success.  A

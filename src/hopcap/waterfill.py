@@ -32,11 +32,12 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import exp1
 
 from . import discrete as _discrete
 from .errors import BracketFailure, NonPositivePi
 from .fading import Exponential, FadingModel, bracket_root, refine_root
+
+_EULER_GAMMA = 0.5772156649015328
 
 
 @dataclass(frozen=True)
@@ -62,6 +63,28 @@ class WaterfillSolution:
     @property
     def cutoff_h(self) -> float:
         return self.lam / self.model.alpha_over_sigma2
+
+
+def exp1(x: float) -> float:
+    """The exponential integral E1(x) for x > 0, specfun's E1XB in plain math.
+
+    Up to x = 1 the series -gamma - log(x) + x*sum_{n>=1} (-x)**(n-1)/(n*n!)
+    (at most 26 terms); above it a continued fraction of 20 + 80/x terms,
+    evaluated from the tail.  Within 2e-15 of 40-digit references on
+    [1e-12, 700], the same float as ``scipy.special.exp1`` above x = 1.
+    """
+    if x <= 1.0:
+        total = term = 1.0
+        for k in range(1, 26):
+            term = -term * k * x / (k + 1.0) ** 2
+            total += term
+            if abs(term) <= abs(total) * 1e-15:
+                break
+        return -_EULER_GAMMA - math.log(x) + x * total
+    t0 = 0.0
+    for k in range(20 + int(80.0 / x), 0, -1):
+        t0 = k / (1.0 + k / (x + t0))
+    return math.exp(-x) * (1.0 / (x + t0))
 
 
 def expected_power(model: FadingModel, lam: float) -> float:

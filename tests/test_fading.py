@@ -3,16 +3,26 @@
 import ast
 import bisect
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.optimize import brentq
 
-from conftest import make_rng, oracle_cell_integrals, oracle_cell_mass, random_tabulated_model
-from hopcap import waterfill
-from hopcap.errors import DiscreteKindError, ValidationError
-from hopcap.fading import FadingModel
+from conftest import (
+    make_rng,
+    oracle_cell_integrals,
+    oracle_cell_mass,
+    random_discrete_model,
+    random_tabulated_model,
+)
+from hopcap import discrete, waterfill
+from hopcap.errors import BracketFailure, DiscreteKindError, ValidationError
+from hopcap.fading import FadingModel, refine_root
 
 
 def tabulated_exp(mu=1.0, top=20.0, points=4001, scale=1.0):
@@ -325,28 +335,116 @@ class TestTabulatedSampling:
         assert abs(h.mean() - model.mean_h()) <= 4 * se
 
 
-def _brentq_uses(node, owner):
-    """Names of the innermost functions (None at module level) that mention brentq."""
-    for child in ast.iter_child_nodes(node):
-        if (isinstance(child, ast.Name) and child.id == "brentq") or (
-            isinstance(child, ast.Attribute) and child.attr == "brentq"
-        ):
-            yield owner
-        inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else owner
-        yield from _brentq_uses(child, inner)
+_SRC = Path(__file__).parents[1] / "src"
 
 
-def test_brentq_lives_in_one_function():
-    # one bracketed refine for the whole package, so swapping the solver
-    # touches one function
-    importers, users = set(), set()
-    for path in sorted((Path(__file__).parents[1] / "src" / "hopcap").glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        for node in ast.walk(tree):
-            if isinstance(node, (ast.Import, ast.ImportFrom)) and any(
-                alias.name.split(".")[-1] == "brentq" for alias in node.names
-            ):
+def test_the_library_imports_no_scipy():
+    # scipy is a test dependency only, so the oracles stay independent
+    importers = set()
+    for path in sorted((_SRC / "hopcap").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "scipy" for name in names):
                 importers.add(path.name)
-        users.update((path.name, owner) for owner in _brentq_uses(tree, None))
-    assert importers == {"fading.py"}
-    assert users == {("fading.py", "refine_root")}
+    assert importers == set()
+
+
+def test_cli_process_loads_no_scipy_module():
+    code = "import hopcap.cli, sys; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    env = dict(os.environ, PYTHONPATH=str(_SRC))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
+
+
+def scipy_brentq(func, lo, hi):
+    return brentq(func, lo, hi, xtol=1e-30, rtol=1e-15)
+
+
+def recorded_brackets(monkeypatch, module, run):
+    """Every (func, lo, hi) that ``run`` hands to ``module.refine_root``."""
+    calls = []
+
+    def record(func, lo, hi):
+        calls.append((func, lo, hi))
+        return refine_root(func, lo, hi)
+
+    monkeypatch.setattr(module, "refine_root", record)
+    run()
+    monkeypatch.undo()
+    return calls
+
+
+class TestRefineRoot:
+    """`refine_root` steps as scipy's brentq does, so it returns the same float."""
+
+    FAMILIES = (
+        lambda a, x: math.expm1(a * x),
+        lambda a, x: x**3 + a * x,
+        lambda a, x: math.atan(a * (x - 1.0)),
+        lambda a, x: math.log(x),
+        lambda a, x: (x - 1.0) ** 5 + 1e-6 * a * (x - 1.0),
+        lambda a, x: math.tanh(a * x) - 0.5 * x,
+    )
+
+    def test_matches_brentq_on_seeded_smooth_brackets(self):
+        rng = make_rng(21)
+        checked = 0
+        for i in range(3000):
+            g = self.FAMILIES[i % len(self.FAMILIES)]
+            a = float(rng.uniform(0.1, 5.0))
+            lo, hi = sorted(rng.uniform(1e-3, 4.0, 2).tolist())
+            root = lo + float(rng.uniform(0.0, 1.0)) * (hi - lo)
+            s = 10.0 ** float(rng.uniform(-12.0, 12.0))
+            func = lambda x, g=g, a=a, s=s, level=g(a, root): g(a, x / s) - level
+            if (func(lo * s) < 0.0) == (func(hi * s) < 0.0):
+                continue
+            assert refine_root(func, lo * s, hi * s) == scipy_brentq(func, lo * s, hi * s)
+            checked += 1
+        assert checked >= 2900  # a root at the very end of its bracket may round away
+
+    def test_matches_brentq_on_the_tabulated_water_level(self, monkeypatch):
+        model = random_tabulated_model(make_rng(22))
+        pis = np.geomspace(1e-6, 1e3, 40).tolist()
+        calls = recorded_brackets(
+            monkeypatch, waterfill, lambda: [waterfill.solve(model, pi) for pi in pis]
+        )
+        assert len(calls) >= 30
+        for func, lo, hi in calls:
+            assert refine_root(func, lo, hi) == scipy_brentq(func, lo, hi)
+
+    def test_matches_brentq_on_the_discrete_branches(self, monkeypatch):
+        rng = make_rng(23)
+        models = [random_discrete_model(rng, max_states=8) for _ in range(40)]
+        etas = rng.uniform(1.2, 5.0, len(models)).tolist()
+        calls = recorded_brackets(
+            monkeypatch,
+            discrete,
+            lambda: [discrete.stationary_roots(m.table, eta) for m, eta in zip(models, etas)],
+        )
+        assert len(calls) >= 40
+        for func, lo, hi in calls:
+            assert refine_root(func, lo, hi) == scipy_brentq(func, lo, hi)
+
+    def test_no_sign_change_is_a_bracket_failure(self):
+        with pytest.raises(BracketFailure):
+            refine_root(lambda x: x * x + 1.0, 0.0, 1.0)
+
+    @pytest.mark.parametrize("func", [
+        lambda x: math.nan if x > 0.9 else x - 0.5,  # NaN at the upper end
+        lambda x: math.nan if 0.2 < x < 0.8 else x - 0.5,  # NaN inside
+    ])
+    def test_nan_is_a_bracket_failure(self, func):
+        with pytest.raises(BracketFailure):
+            refine_root(func, 0.0, 1.0)
+
+    def test_no_convergence_is_a_bracket_failure(self):
+        # a step at 0: the relative tolerance never closes around the jump
+        with pytest.raises(BracketFailure):
+            refine_root(lambda x: math.copysign(1.0, x), -1.0, 0.7)

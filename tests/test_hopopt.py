@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.integrate import IntegrationWarning, quad
 
 from conftest import (
     bisect_scalar,
@@ -137,6 +138,31 @@ class TestRecharacterisation:
     def test_rejects_discrete(self):
         with pytest.raises(DiscreteKindError):
             hopopt.solve_rechar(fig1_problem())
+
+    def test_tabulated_root_on_a_wide_y_range(self):
+        # the density ends at x = 0.8, so at the root the integral runs over
+        # y in [0.0177, 1]; one 24-node rule on that whole range put lam at
+        # 0.0141506, and the cross-check with the pi-space root failed
+        model = FadingModel.tabulated([0.0, 0.8, 2.0, 3.0], [2.5, 0.0, 0.0, 0.0])
+        problem = hopopt.HopProblem(model=model, eta=3.0, pt_prime=1.0)
+        want = hopopt.stationary_points(problem).maximizer.lam
+        assert want == pytest.approx(0.014133626118055, rel=1e-12)
+        assert hopopt.solve_rechar(problem) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("rate,scale", [(1.0, 1.0), (1.0, 10.0), (2.5, 0.3), (0.2, 40.0)])
+    @pytest.mark.parametrize("eta", [1.5, 2.0, 3.0, 4.5])
+    def test_exponential_integral_matches_quad(self, rate, scale, eta):
+        # with t = nu*lam/y the integral is lam * int_u^inf w(u/t) exp(-t) dt
+        model = FadingModel.exponential(rate, alpha_over_sigma2=scale)
+        nu = rate / scale
+        for u in np.geomspace(1e-6, 1e2, 13).tolist():
+            w = lambda t: (math.log(u / t) - eta * (u / t - 1.0)) * math.exp(-t)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", IntegrationWarning)
+                want = quad(w, u, math.inf, epsabs=0.0, epsrel=1e-13, limit=500)[0]
+                size = quad(lambda t: abs(w(t)), u, math.inf, epsabs=0.0, epsrel=1e-13, limit=500)[0]
+            got = hopopt.rechar_integral(model, u / nu, eta) / (u / nu)
+            assert abs(got - want) <= 1e-13 * size, u
 
     def test_tabulated_exponential_close_to_analytic(self):
         h = np.linspace(0.0, 25.0, 2001)

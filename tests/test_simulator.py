@@ -335,6 +335,46 @@ class TestChunkedRun:
         assert peak < 16 * 2**20
 
 
+class TestPeriodTypeDraw:
+    """The threshold draw of `run` against numpy's own ``choice``."""
+
+    @pytest.mark.parametrize("p", [
+        [0.1, 0.2, 0.7],
+        [1 / 3, 1 / 3, 1 / 3],
+        [0.0, 0.3, 0.7],
+        [0.5, 0.5, 0.0],
+        [0.0, 0.0, 1.0],
+        [0.9999, 1e-4, 0.0],
+    ])
+    @pytest.mark.parametrize("size", [1, 7, 65_536, 200_003])
+    def test_same_draws_and_generator_state_as_choice(self, p, size):
+        for seed in (3, 11):
+            a, b = make_rng(seed), make_rng(seed)
+            want = a.choice(3, size=size, p=p)
+            got = simulator._period_types(b, size, p)
+            assert got.dtype == np.int8
+            np.testing.assert_array_equal(got, want)
+            assert a.bit_generator.state == b.bit_generator.state
+
+    class Uniforms(np.random.Generator):
+        """A generator whose ``random`` returns the given values, for choice too."""
+
+        def __init__(self, u):
+            super().__init__(np.random.PCG64(0))
+            self.u = np.asarray(u, dtype=float)
+
+        def random(self, size=None, dtype=np.float64, out=None):
+            return self.u.copy()
+
+    @pytest.mark.parametrize("p", [[0.25, 0.25, 0.5], [0.0, 0.3, 0.7], [0.1, 0.2, 0.7]])
+    def test_draws_on_the_thresholds(self, p):
+        c = np.cumsum(p)
+        c /= c[-1]
+        u = [0.0, *c[:2], *np.nextafter(c[:2], 0.0), *np.nextafter(c[:2], 1.0)]
+        want = self.Uniforms(u).choice(3, size=len(u), p=p)
+        np.testing.assert_array_equal(simulator._period_types(self.Uniforms(u), len(u), p), want)
+
+
 class TestCompareFttFp:
     def test_symmetric_case_exact_equality(self):
         res = compare_ftt_fp(1.3, 1.3, 0.8, 0.8)

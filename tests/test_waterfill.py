@@ -2,8 +2,10 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
+import scipy.special
 
 from conftest import (
     bisect_scalar,
@@ -230,3 +232,26 @@ class TestWaterLevelBracket:
         lam = hopopt.solve_rechar(problem)
         # the y-domain route integrates with a fixed Gauss-Legendre rule per cell
         assert lam == pytest.approx(hopopt.stationary_points(problem).maximizer.lam, rel=1e-8)
+
+
+class TestExp1:
+    """The plain-math E1 against scipy's specfun build and 40-digit mpmath."""
+
+    def test_same_float_as_scipy_above_one(self):
+        xs = np.concatenate((np.geomspace(1.0, 700.0, 2001)[1:], 1.0 + 60.0 * make_rng(5).random(2000)))
+        assert [waterfill.exp1(x) for x in xs.tolist()] == scipy.special.exp1(xs).tolist()
+
+    def test_within_8_ulp_of_scipy_up_to_one(self):
+        # the series cancels down to E1 ~ 0.2 near x = 1, so a one-ulp change in
+        # its sum moves the result by a few ulp; both stay within 1.7e-15 of mpmath
+        xs = np.concatenate((np.geomspace(1e-12, 1.0, 2000), make_rng(6).random(3000)))
+        xs = xs[xs > 0.0]
+        want = scipy.special.exp1(xs)
+        got = np.array([waterfill.exp1(x) for x in xs.tolist()])
+        assert np.max(np.abs(got - want) / np.spacing(want)) <= 8.0
+
+    def test_within_2e_15_of_mpmath(self):
+        with mpmath.workdps(40):
+            for x in np.geomspace(1e-12, 700.0, 800).tolist():
+                want = mpmath.e1(mpmath.mpf(x))
+                assert abs((waterfill.exp1(x) - want) / want) <= 2e-15, x
