@@ -25,8 +25,18 @@ from .errors import (
 from .fading import FadingModel
 from .hopopt import BoundaryLimits, HopProblem, ScalingCheck, StationaryPoint, StationarySet
 from .macmodel import MacProfile
-from .simulator import ConstantPowerPolicy, SimConfig, SimReport, WaterfillPolicy
 from .waterfill import WaterfillSolution
+
+# the simulator needs numpy, which the scalar solvers do not: load it on first use
+_SIMULATOR_NAMES = {"ConstantPowerPolicy", "SimConfig", "SimReport", "WaterfillPolicy"}
+
+
+def __getattr__(name):
+    if name in _SIMULATOR_NAMES:
+        from . import simulator
+
+        return getattr(simulator, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "__version__",

@@ -17,10 +17,8 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
-from . import discrete, hopopt, macmodel, simulator, waterfill
+from . import discrete, hopopt, macmodel, waterfill
 from .config import RunConfig, load_config
 from .errors import ConfigError, HopcapError, NumericalError, ValidationError
 from .macmodel import LN2
@@ -134,6 +132,8 @@ def _cmd_optimize(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    import numpy as np
+
     cfg = load_config(args.config)
     started = time.monotonic()
     spec = cfg.sweep
@@ -203,6 +203,8 @@ def _cmd_stationary(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from . import simulator
+
     cfg = load_config(args.config)
     started = time.monotonic()
     if cfg.simulate is None:
@@ -234,6 +236,10 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_compare_ftt(args) -> int:
+    import numpy as np
+
+    from . import simulator
+
     started = time.monotonic()
     explicit = [args.h1, args.h2, args.p1, args.p2]
     rows = []
@@ -269,6 +275,8 @@ def _cmd_compare_ftt(args) -> int:
 
 
 def _cmd_single_cell_bound(args) -> int:
+    import numpy as np
+
     cfg = load_config(args.config)
     started = time.monotonic()
     if cfg.bound is None:
@@ -298,6 +306,8 @@ def _problem(cfg: RunConfig) -> hopopt.HopProblem:
 
 
 def _build_policy(cfg: RunConfig, spec):
+    from . import simulator
+
     if spec.policy == "constant":
         return simulator.ConstantPowerPolicy(spec.constant_power)
     pi = cfg.resolve_pt_prime() / spec.d**cfg.eta
@@ -362,7 +372,7 @@ def _write_manifest(args, started, outputs, seed=None, summary=None) -> None:
         "versions": {
             "hopcap": __version__,
             "python": sys.version.split()[0],
-            "numpy": np.__version__,
+            "numpy": getattr(sys.modules.get("numpy"), "__version__", None),
         },
         "wall_time_s": time.monotonic() - started,
         "outputs": {str(p): _sha256(p) for p in outputs},

@@ -16,11 +16,10 @@ bracketed solve per monotone branch enumerates exhaustively (hence the
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
-
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import DiscreteKindError, ValidationError
 from .fading import FadingModel, refine_root
@@ -30,57 +29,56 @@ from .fading import FadingModel, refine_root
 class DiscreteWaterfillTable:
     """Per-segment constants of the piecewise closed form.
 
-    All entries depend only on the distribution (not on power or path
-    loss): ``pi_breaks`` has length n-1 and is strictly increasing;
-    ``log_gamma`` carries the integration constants in log space and
+    All entries are float tuples that depend only on the distribution (not
+    on power or path loss): ``x`` holds the states in x-space, descending;
+    ``pi_breaks`` has length n-1 and is strictly increasing; ``log_gamma``
+    carries the integration constants in log space and
     ``b = log(alpha_k * gamma_k)`` feeds the stationary-point equation.
     """
 
-    x: np.ndarray
-    a: np.ndarray
-    p: np.ndarray
-    alpha: np.ndarray
-    pi_breaks: np.ndarray
-    log_gamma: np.ndarray
-    b: np.ndarray
+    x: tuple
+    a: tuple
+    p: tuple
+    alpha: tuple
+    pi_breaks: tuple
+    log_gamma: tuple
+    b: tuple
 
     @property
     def n_states(self) -> int:
-        return self.x.size
+        return len(self.x)
 
 
 def build_table(model: FadingModel) -> DiscreteWaterfillTable:
     """Precompute cumulative sums, breakpoints and integration constants."""
     if not model.is_discrete:
         raise DiscreteKindError("closed-form tables require a discrete model")
-    x, a = model.x_states()
-    p = np.cumsum(a)
-    alpha = np.cumsum(a / x)
-    n = x.size
-    ratio_alpha = alpha / p
-    inv_p = 1.0 / p
-    pi_breaks = np.empty(max(n - 1, 0))
-    for k in range(n - 1):
-        pi_breaks[k] = (ratio_alpha[k + 1] - ratio_alpha[k]) / (inv_p[k] - inv_p[k + 1])
-    if n > 1 and (np.any(pi_breaks <= 0) or np.any(np.diff(pi_breaks) <= 0)):
+    c = model.alpha_over_sigma2
+    x = tuple(h * c for h in model.kind.gains)
+    a = model.kind.probs
+    p = tuple(itertools.accumulate(a))
+    alpha = tuple(itertools.accumulate(ai / xi for ai, xi in zip(a, x)))
+    n = len(x)
+    pi_breaks = tuple(
+        (alpha[k + 1] / p[k + 1] - alpha[k] / p[k]) / (1.0 / p[k] - 1.0 / p[k + 1])
+        for k in range(n - 1)
+    )
+    if any(hi <= lo for lo, hi in zip((0.0,) + pi_breaks, pi_breaks)):
         raise ValidationError("breakpoints must be positive and strictly increasing")
-    log_gamma = np.empty(n)
-    log_gamma[0] = -math.log(alpha[0])
+    log_gamma = [-math.log(alpha[0])]
     for k in range(1, n):
         pi_prev = pi_breaks[k - 1]
-        log_gamma[k] = (p[k - 1] / p[k]) * (
+        log_gamma.append((p[k - 1] / p[k]) * (
             math.log(alpha[k - 1] + pi_prev) + log_gamma[k - 1]
-        ) - math.log(alpha[k] + pi_prev)
-    b = np.log(alpha) + log_gamma
-    b[0] = 0.0  # exactly, by definition; keeps y = 1 off the root set
-    for arr in (x, a, p, alpha, pi_breaks, log_gamma, b):
-        arr.flags.writeable = False
-    return DiscreteWaterfillTable(x, a, p, alpha, pi_breaks, log_gamma, b)
+        ) - math.log(alpha[k] + pi_prev))
+    # b_0 = 0 exactly, by definition; keeps y = 1 off the root set
+    b = (0.0,) + tuple(math.log(alpha[k]) + log_gamma[k] for k in range(1, n))
+    return DiscreteWaterfillTable(x, a, p, alpha, pi_breaks, tuple(log_gamma), b)
 
 
 def segment_index(table: DiscreteWaterfillTable, pi: float) -> int:
     """0-based segment k for Pi; boundaries belong to the lower segment."""
-    return int(np.searchsorted(table.pi_breaks, pi, side="left"))
+    return bisect.bisect_left(table.pi_breaks, pi)
 
 
 def lambda_closed_form(table: DiscreteWaterfillTable, pi: float) -> float:

@@ -20,8 +20,6 @@ import functools
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import BracketFailure, DiscreteKindError, ValidationError
 
 PROB_SUM_TOL = 1e-12
@@ -86,27 +84,25 @@ class FadingModel:
     def discrete(cls, states, alpha_over_sigma2: float = 1.0) -> "FadingModel":
         """Build from (gain, probability) pairs; sorted descending internally."""
         _check_scale(alpha_over_sigma2)
-        pairs = [(float(h), float(a)) for h, a in states]
+        pairs = sorted(((float(h), float(a)) for h, a in states), reverse=True)
         if not pairs:
             raise ValidationError("discrete model needs at least one state")
-        gains = np.array([h for h, _ in pairs])
-        probs = np.array([a for _, a in pairs])
-        if np.any(gains <= 0):
+        gains, probs = (tuple(column) for column in zip(*pairs))
+        if any(h <= 0 for h in gains):
             raise ValidationError("discrete gains must be strictly positive")
-        if np.any(probs <= 0):
+        if any(a <= 0 for a in probs):
             raise ValidationError("discrete probabilities must be strictly positive")
-        if abs(probs.sum() - 1.0) > PROB_SUM_TOL:
-            raise ValidationError(
-                f"discrete probabilities sum to {probs.sum()!r}, expected 1"
-            )
-        order = np.argsort(-gains)
-        gains, probs = gains[order], probs[order]
-        if np.any(np.diff(gains) == 0):
+        total = math.fsum(probs)
+        if abs(total - 1.0) > PROB_SUM_TOL:
+            raise ValidationError(f"discrete probabilities sum to {total!r}, expected 1")
+        if any(h1 == h2 for h1, h2 in zip(gains, gains[1:])):
             raise ValidationError("discrete gains must be pairwise distinct")
-        return cls(DiscreteFinite(tuple(gains), tuple(probs)), float(alpha_over_sigma2))
+        return cls(DiscreteFinite(gains, probs), float(alpha_over_sigma2))
 
     @classmethod
     def tabulated(cls, grid, density, alpha_over_sigma2: float = 1.0) -> "FadingModel":
+        import numpy as np
+
         _check_scale(alpha_over_sigma2)
         g = np.asarray(grid, dtype=float)
         a = np.asarray(density, dtype=float)
@@ -132,6 +128,8 @@ class FadingModel:
     @classmethod
     def tabulated_from_csv(cls, path, alpha_over_sigma2: float = 1.0) -> "FadingModel":
         """Load a two-column (h, a(h)) CSV; header row optional."""
+        import numpy as np
+
         with open(path, "r", encoding="utf-8") as fh:
             first = fh.readline()
         skip = 0
@@ -162,16 +160,6 @@ class FadingModel:
         """Exact tail table of a tabulated model in x-space, built once per model."""
         return TailTable(*self.x_grid())
 
-    def x_states(self):
-        """Discrete states in x-space: (values descending, probabilities)."""
-        if not self.is_discrete:
-            raise DiscreteKindError("x_states is only defined for discrete models")
-        c = self.alpha_over_sigma2
-        return (
-            np.array(self.kind.gains) * c,
-            np.array(self.kind.probs),
-        )
-
     def x_support(self):
         """(lower, upper) bounds of the support of X."""
         c = self.alpha_over_sigma2
@@ -192,6 +180,8 @@ class FadingModel:
 
     def pdf_x(self, x):
         """Density f(x) = a(x / c) / c of X = c*H, with c = alpha/sigma^2."""
+        import numpy as np
+
         c = self.alpha_over_sigma2
         if isinstance(self.kind, Exponential):
             nu = self.kind.rate / c
@@ -208,7 +198,7 @@ class FadingModel:
         if isinstance(self.kind, Exponential):
             return 1.0 / self.kind.rate
         if isinstance(self.kind, DiscreteFinite):
-            return float(np.dot(self.kind.gains, self.kind.probs))
+            return math.fsum(h * a for h, a in zip(self.kind.gains, self.kind.probs))
         return self.tails.mean / self.alpha_over_sigma2
 
     def tail_decay_check(self) -> bool:
@@ -219,6 +209,8 @@ class FadingModel:
         """
         if isinstance(self.kind, (Exponential, DiscreteFinite)):
             return True
+        import numpy as np
+
         g = self.kind.grid
         surv = np.array(self.tails.mass) / self.tails.mass[0]
         idx = int(np.searchsorted(1.0 - surv, 0.99))
@@ -234,6 +226,8 @@ class FadingModel:
 
     def sample_h(self, rng: np.random.Generator, size: int):
         """Draw i.i.d. fading gains; deterministic for a given generator state."""
+        import numpy as np
+
         if isinstance(self.kind, Exponential):
             return rng.exponential(1.0 / self.kind.rate, size=size)
         if isinstance(self.kind, DiscreteFinite):

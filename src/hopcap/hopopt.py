@@ -31,11 +31,10 @@ solved here independently of the pi <-> lam inversion (`solve_rechar`).
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, replace
-
-import numpy as np
 
 from . import discrete as _discrete
 from . import waterfill as _waterfill
@@ -58,7 +57,6 @@ _RESIDUAL_REL = 1e-8
 _U_MAX = 700.0
 # exp(-nu*x) underflows to 0 past nu*x = 745
 _EXP_UNDERFLOW = 745.0
-_RECHAR_NODES, _RECHAR_WEIGHTS = np.polynomial.legendre.leggauss(24)
 
 
 class EtaBelowTwoWarning(UserWarning):
@@ -257,6 +255,8 @@ def _tabulated_roots(model: FadingModel, eta: float) -> list:
     0 at the top of the support (the first node with no mass above it),
     which is not a root.
     """
+    import numpy as np
+
     tails = model.tails
     x, f, mass = np.array(tails.x), np.array(tails.f), np.array(tails.mass)
     a, h = x[:-1], np.diff(x)
@@ -316,6 +316,8 @@ def _sign_change_roots(func, xs, values) -> list:
 
 def stationarity_weight(y, eta: float):
     """Sign-switching factor log(y) - eta*(y - 1); vanishes at y = 1."""
+    import numpy as np
+
     yv = np.asarray(y, dtype=float)
     out = np.log(yv) - eta * (yv - 1.0)
     return float(out) if np.isscalar(y) else out
@@ -335,6 +337,8 @@ def rechar_integral(model: FadingModel, lam: float, eta: float) -> float:
     """
     if model.is_discrete:
         raise DiscreteKindError("the y-domain characterisation needs a density")
+    import numpy as np
+
     if isinstance(model.kind, Exponential):
         x_lo, x_top = 0.0, _EXP_UNDERFLOW * model.alpha_over_sigma2 / model.kind.rate
         kinks = np.empty(0)
@@ -351,10 +355,19 @@ def rechar_integral(model: FadingModel, lam: float, eta: float) -> float:
     edges = np.unique(np.concatenate(([y_lo, y_hi], inner[(inner > y_lo) & (inner < y_hi)])))
     a, b = edges[:-1], edges[1:]
     half = 0.5 * (b - a)
-    ys = 0.5 * (a + b)[:, None] + half[:, None] * _RECHAR_NODES[None, :]
-    cells = half[:, None] * _RECHAR_WEIGHTS[None, :]
+    nodes, weights = _gauss_legendre_24()
+    ys = 0.5 * (a + b)[:, None] + half[:, None] * nodes[None, :]
+    cells = half[:, None] * weights[None, :]
     integrand = stationarity_weight(ys, eta) * (lam**2 / ys**2) * model.pdf_x(lam / ys)
     return float(np.sum(cells * integrand))
+
+
+@functools.cache
+def _gauss_legendre_24():
+    """Nodes and weights of the 24-point Gauss-Legendre rule on [-1, 1]."""
+    import numpy as np
+
+    return np.polynomial.legendre.leggauss(24)
 
 
 def solve_rechar(problem: HopProblem) -> float:
@@ -368,6 +381,8 @@ def solve_rechar(problem: HopProblem) -> float:
     model = problem.model
     if model.is_discrete:
         raise DiscreteKindError("solve_rechar requires a continuous model")
+    import numpy as np
+
     eta = problem.eta
     if isinstance(model.kind, Exponential):
         scale = 1.0 / (model.kind.rate / model.alpha_over_sigma2)
@@ -428,6 +443,8 @@ def boundary_limits(problem: HopProblem) -> BoundaryLimits:
     side whose hypotheses fail is skipped (None); if both fail,
     HypothesisNotMet is raised.
     """
+    import numpy as np
+
     zero_applicable = math.isfinite(problem.model.mean_h())
     inf_applicable = (
         zero_applicable and problem.eta >= 2 and problem.model.tail_decay_check()

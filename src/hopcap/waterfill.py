@@ -31,8 +31,6 @@ import math
 import operator
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import discrete as _discrete
 from .errors import BracketFailure, NonPositivePi
 from .fading import Exponential, FadingModel, bracket_root, refine_root
@@ -56,6 +54,8 @@ class WaterfillSolution:
 
     def allocation(self, x):
         """Normalized power xi(x) = (1/lam - 1/x)^+ poured on state x."""
+        import numpy as np
+
         xv = np.asarray(x, dtype=float)
         out = np.maximum(1.0 / self.lam - 1.0 / xv, 0.0)
         return float(out) if np.isscalar(x) else out

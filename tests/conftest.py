@@ -109,7 +109,7 @@ def oracle_power_integral(model, lam: float, n_points: int = 400_001) -> float:
     lam sits orders of magnitude below the support's top.
     """
     if model.is_discrete:
-        x, a = model.x_states()
+        x, a = np.asarray(model.table.x), np.asarray(model.table.a)
         mask = x > lam
         return float(np.sum(a[mask] * (1.0 / lam - 1.0 / x[mask])))
     xg, _ = oracle_x_samples(model, 3)
@@ -123,7 +123,7 @@ def oracle_power_integral(model, lam: float, n_points: int = 400_001) -> float:
 def oracle_rate_integral(model, lam: float, n_points: int = 400_001) -> float:
     """Trapezoid evaluation of E[log(X/lam)^+] for continuous models."""
     if model.is_discrete:
-        x, a = model.x_states()
+        x, a = np.asarray(model.table.x), np.asarray(model.table.a)
         mask = x > lam
         return float(np.sum(a[mask] * np.log(x[mask] / lam)))
     xg, _ = oracle_x_samples(model, 3)
@@ -231,7 +231,7 @@ def oracle_discrete_waterfill(model, pi: float):
     (exactly rounded sums), so no digits cancel when pi is many orders
     below the gains.
     """
-    x, a = (v.tolist() for v in model.x_states())
+    x, a = model.table.x, model.table.a
     offsets = [1.0 / x[0] - 1.0 / xi for xi in x]
 
     def spent(s):

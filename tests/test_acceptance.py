@@ -269,7 +269,7 @@ def test_c7_simulator_matches_renewal_formulas():
     d = 0.3233389680071157
     sol = waterfill.solve(FIG1, pi_opt)
     policy = simulator.WaterfillPolicy(solution=sol, d=d, eta=3.0)
-    x, a = FIG1.x_states()
+    x, a = np.asarray(FIG1.table.x), np.asarray(FIG1.table.a)
     mean_power = float(np.sum(a * policy.power(x / FIG1.alpha_over_sigma2)))
 
     all_ok = True

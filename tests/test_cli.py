@@ -4,6 +4,10 @@ import csv
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -104,6 +108,46 @@ def exp_cfg(tmp_path):
 def read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
+
+
+_SRC = Path(__file__).parents[1] / "src"
+
+# runs each argv list through hopcap.cli.main in one fresh interpreter and
+# prints, after each, the numpy, scipy and simulator modules loaded so far
+_FRESH_RUNNER = """\
+import json, sys
+from hopcap.cli import main
+loaded = []
+for argv in json.loads(sys.argv[1]):
+    assert main(argv) == 0, argv
+    loaded.append(sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy")
+                         or m == "hopcap.simulator"))
+print(json.dumps(loaded))
+"""
+
+
+def loaded_after_each(argvs):
+    env = dict(os.environ, PYTHONPATH=str(_SRC))
+    out = subprocess.run(
+        [sys.executable, "-c", _FRESH_RUNNER, json.dumps(argvs)],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+def test_scalar_commands_load_no_numpy_scipy_or_simulator(exp_cfg, fig1_cfg, tmp_path):
+    argvs = []
+    for cfg in (exp_cfg, fig1_cfg):
+        argvs += [
+            ["waterfill", "--config", str(cfg), "--pi", "2.5"],
+            ["optimize", "--config", str(cfg)],
+            ["stationary-points", "--config", str(cfg), "--out", str(tmp_path / f"{cfg.stem}.csv")],
+        ]
+    simulate = ["simulate", "--config", str(fig1_cfg), "--horizon", "10000"]
+    *scalar, after_simulate = loaded_after_each(argvs + [simulate])
+    assert scalar == [[]] * len(argvs)
+    # the guard is not vacuous: a command that builds arrays does load them
+    assert "numpy" in after_simulate and "hopcap.simulator" in after_simulate
 
 
 class TestWaterfillCommand:
@@ -292,6 +336,21 @@ class TestSingleCellBoundCommand:
         products = [float(r["bound_times_r"]) for r in one_power]
         peak = int(np.argmax(products))
         assert 0 < peak < len(products) - 1
+
+
+class TestManifestNumpyVersion:
+    def test_null_when_the_run_loaded_no_numpy(self, fig1_cfg, tmp_path):
+        out_path = tmp_path / "opt.csv"
+        loaded_after_each([["optimize", "--config", str(fig1_cfg), "--out", str(out_path)]])
+        manifest = json.loads((tmp_path / "opt.csv.manifest.json").read_text())
+        assert manifest["versions"]["numpy"] is None
+
+    def test_version_of_the_numpy_the_run_loaded(self, fig1_cfg, tmp_path):
+        out_path = tmp_path / "sim.json"
+        argv = ["simulate", "--config", str(fig1_cfg), "--horizon", "10000", "--out", str(out_path)]
+        assert main(argv) == 0
+        manifest = json.loads((tmp_path / "sim.json.manifest.json").read_text())
+        assert manifest["versions"]["numpy"] == np.__version__
 
 
 class TestMissingSections:

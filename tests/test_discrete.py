@@ -20,7 +20,7 @@ def gamma_at(table, d, eta, pt):
 
 def hop_breaks(table, eta, pt):
     """Hop distances of the segment breakpoints, d_k = (pt/Pi_k)**(1/eta)."""
-    return (pt / table.pi_breaks) ** (1.0 / eta)
+    return (pt / np.asarray(table.pi_breaks)) ** (1.0 / eta)
 
 
 def gamma_slope(model, d, eta, pt):
@@ -38,7 +38,7 @@ class TestBuildTable:
         table = discrete.build_table(FadingModel.discrete([(1.0, 1.0)]))
         assert np.array_equal(table.p, [1.0])
         assert np.array_equal(table.alpha, [1.0])
-        assert table.pi_breaks.size == 0
+        assert np.asarray(table.pi_breaks).size == 0
         assert math.exp(table.log_gamma[0]) == pytest.approx(1.0)
 
     def test_fig1_hand_values(self):
@@ -188,9 +188,10 @@ class TestStationaryEnumeration:
             eta = float(rng.uniform(2.0, 4.0))
             pt = float(np.exp(rng.uniform(np.log(1e-2), np.log(1e2))))
             sset = stationary(model, eta, pt)
+            p, alpha, b = (np.asarray(v) for v in (table.p, table.alpha, table.b))
             k = np.searchsorted(table.pi_breaks, pis, side="left")
-            lam = table.p[k] / (table.alpha[k] + pis)
-            gam = table.p[k] * (np.log1p(pis / table.alpha[k]) + table.b[k])
+            lam = p[k] / (alpha[k] + pis)
+            gam = p[k] * (np.log1p(pis / alpha[k]) + b[k])
             res = gam - eta * pis * lam
             scan_count = int(np.sum(np.sign(res[1:]) != np.sign(res[:-1])))
             assert len(sset.points) >= scan_count

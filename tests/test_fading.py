@@ -3,9 +3,6 @@
 import ast
 import bisect
 import math
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +19,7 @@ from conftest import (
 )
 from hopcap import discrete, waterfill
 from hopcap.errors import BracketFailure, DiscreteKindError, ValidationError
-from hopcap.fading import FadingModel, refine_root
+from hopcap.fading import PROB_SUM_TOL, FadingModel, refine_root
 
 
 def tabulated_exp(mu=1.0, top=20.0, points=4001, scale=1.0):
@@ -159,14 +156,50 @@ class TestValidation:
     def test_discrete_sorted_descending(self):
         model = FadingModel.discrete([(0.5, 0.99), (100.0, 0.01)])
         assert model.kind.gains == (100.0, 0.5)
+        # twelve shuffled states: each probability travels with its gain
+        rng = make_rng(12)
+        gains = rng.permutation(np.geomspace(1e-2, 1e3, 12)).tolist()
+        probs = rng.dirichlet(np.ones(12)).tolist()
+        model = FadingModel.discrete(list(zip(gains, probs)))
+        pairs = sorted(zip(gains, probs), reverse=True)
+        assert model.kind.gains == tuple(h for h, _ in pairs)
+        assert model.kind.probs == tuple(a for _, a in pairs)
 
     def test_discrete_tie_rejected(self):
         with pytest.raises(ValidationError):
             FadingModel.discrete([(1.0, 0.5), (1.0, 0.5)])
+        with pytest.raises(ValidationError):  # a tie that only sorting makes adjacent
+            FadingModel.discrete([(2.0, 0.3), (1.0, 0.4), (2.0, 0.3)])
 
     def test_discrete_prob_sum_enforced(self):
         with pytest.raises(ValidationError):
             FadingModel.discrete([(1.0, 0.6), (2.0, 0.5)])
+
+    @pytest.mark.parametrize("gain", [0.0, -1.0])
+    def test_discrete_nonpositive_gain_rejected(self, gain):
+        with pytest.raises(ValidationError):
+            FadingModel.discrete([(2.0, 0.5), (gain, 0.5)])
+
+    @pytest.mark.parametrize("probs", [(1.0, 0.0), (1.5, -0.5)])
+    def test_discrete_nonpositive_prob_rejected(self, probs):
+        with pytest.raises(ValidationError):
+            FadingModel.discrete(list(zip((2.0, 1.0), probs)))
+
+    @pytest.mark.parametrize("excess, ok", [(0.9, True), (-0.9, True), (1.1, False), (-1.1, False)])
+    def test_discrete_prob_sum_tolerance_edge_12_states(self, excess, ok):
+        # the sum is rounded once from its exact value, in any order of the states
+        probs = [1.0 / 12.0] * 11
+        probs.append(1.0 - math.fsum(probs) + excess * PROB_SUM_TOL)
+        assert (abs(math.fsum(probs) - 1.0) <= PROB_SUM_TOL) == ok
+        gains = [10.0 ** (k / 4.0) for k in range(12)]
+        for shift in range(12):
+            states = list(zip(gains, probs))
+            states = states[shift:] + states[:shift]
+            if ok:
+                assert FadingModel.discrete(states).kind.gains == tuple(gains[::-1])
+            else:
+                with pytest.raises(ValidationError):
+                    FadingModel.discrete(states)
 
     def test_exponential_rate_positive(self):
         with pytest.raises(ValidationError):
@@ -352,15 +385,6 @@ def test_the_library_imports_no_scipy():
             if any(name.split(".")[0] == "scipy" for name in names):
                 importers.add(path.name)
     assert importers == set()
-
-
-def test_cli_process_loads_no_scipy_module():
-    code = "import hopcap.cli, sys; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
-    env = dict(os.environ, PYTHONPATH=str(_SRC))
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    assert out.stdout.strip() == "[]"
 
 
 def scipy_brentq(func, lo, hi):

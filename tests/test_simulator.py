@@ -52,7 +52,7 @@ def profile_b():
 def analytic_targets(profile, model, policy, d, eta):
     """Eq-style reference values computed from the policy's expectations."""
     if model.is_discrete:
-        x, a = model.x_states()
+        x, a = np.asarray(model.table.x), np.asarray(model.table.a)
         h = x / model.alpha_over_sigma2
         p = policy.power(h)
         mean_rate = float(np.sum(a * np.log1p(x * p / d**eta)))
@@ -417,3 +417,13 @@ class TestCompareFttFp:
             assert h1 * res.p1_swapped == pytest.approx(h2 * p2, rel=1e-12)
             checked += 1
         assert checked > 350
+
+
+def test_package_resolves_simulator_names_on_first_use():
+    import hopcap
+
+    for name in ("ConstantPowerPolicy", "SimConfig", "SimReport", "WaterfillPolicy"):
+        assert getattr(hopcap, name) is getattr(simulator, name)
+        assert name in hopcap.__all__
+    with pytest.raises(AttributeError):
+        hopcap.NoSuchName
