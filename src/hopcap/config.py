@@ -7,6 +7,7 @@ dotted field path so typos fail loudly instead of being ignored.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -322,6 +323,8 @@ def _number(mapping, key, default=None, positive=False, nonnegative=False, path=
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where}: expected a number, got {value!r}")
     value = float(value)
+    if not math.isfinite(value):
+        raise ConfigError(f"{where}: must be finite, got {value}")
     if positive and value <= 0:
         raise ConfigError(f"{where}: must be > 0, got {value}")
     if nonnegative and value < 0:

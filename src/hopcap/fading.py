@@ -160,15 +160,6 @@ class FadingModel:
         """Exact tail table of a tabulated model in x-space, built once per model."""
         return TailTable(*self.x_grid())
 
-    def x_support(self):
-        """(lower, upper) bounds of the support of X."""
-        c = self.alpha_over_sigma2
-        if isinstance(self.kind, Exponential):
-            return 0.0, math.inf
-        if isinstance(self.kind, DiscreteFinite):
-            return c * self.kind.gains[-1], c * self.kind.gains[0]
-        return c * float(self.kind.grid[0]), c * float(self.kind.grid[-1])
-
     def x_grid(self):
         """Tabulated density transformed to x-space: (grid, f values)."""
         if not isinstance(self.kind, TabulatedDensity):
@@ -342,6 +333,8 @@ class TailTable:
     near the top.  A node at x = 0 has only mass (1/x, log x are undefined).
     ``top`` indexes the top of the support, the first node with no mass
     above it; ``power`` decreases strictly from the first positive node to it.
+    ``above(lam)`` returns the same three tails, mass first, at any lam > 0:
+    the row of the node above lam plus one closed-form partial cell.
     """
 
     def __init__(self, x, f):
@@ -354,34 +347,22 @@ class TailTable:
             self.mass[j] = self.mass[j + 1] + 0.5 * (b - a) * (fa + fb)
             self.mean += (b - a) * (fa * (2.0 * a + b) + fb * (a + 2.0 * b)) / 6.0
             if a > 0.0:
-                self.power[j], self.rate[j] = self._from(j + 1, a, fa, fb)
+                _, self.power[j], self.rate[j] = self._from(j + 1, a, fa, fb)
         self.top = self.mass.index(0.0)
 
     def above(self, lam: float):
-        """(E[(1/lam - 1/X)^+], E[log(X/lam)^+]) for lam > 0."""
+        """(P(X > lam), E[(1/lam - 1/X)^+], E[log(X/lam)^+]) for lam > 0."""
         x, f = self.x, self.f
         j = bisect.bisect_left(x, lam)
         if j == len(x):
-            return 0.0, 0.0
+            return 0.0, 0.0, 0.0
         if j == 0:  # the density is zero below the support
             return self._from(0, lam, 0.0, 0.0)
         a, b = x[j - 1], x[j]
         return self._from(j, lam, (f[j - 1] * (b - lam) + f[j] * (lam - a)) / (b - a), f[j])
 
-    def mass_above(self, lam: float) -> float:
-        """P(X > lam) for lam > 0."""
-        x, f = self.x, self.f
-        j = bisect.bisect_left(x, lam)
-        if j == len(x):
-            return 0.0
-        if j == 0:
-            return self.mass[0]
-        a, b = x[j - 1], x[j]
-        f_lam = (f[j - 1] * (b - lam) + f[j] * (lam - a)) / (b - a)
-        return self.mass[j] + 0.5 * (b - lam) * (f_lam + f[j])
-
     def _from(self, j, lam, fa, fb):
-        """Tails at lam <= x_j, the density linear from (lam, fa) to (x_j, fb)."""
+        """(mass, power, rate) above lam <= x_j, the density linear from (lam, fa) to (x_j, fb)."""
         b, mass = self.x[j], self.mass[j]
         t = (b - lam) / lam
         log1p = math.log1p(t)
@@ -398,4 +379,4 @@ class TailTable:
             pa, ra = t - log1p - pb, (1.0 + t) * log1p - t - rb
         power = fa * pa + fb * pb + t / b * mass + self.power[j]
         rate = lam * (fa * ra + fb * rb) + log1p * mass + self.rate[j]
-        return power, rate
+        return mass + 0.5 * (b - lam) * (fa + fb), power, rate

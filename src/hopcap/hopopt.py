@@ -217,12 +217,14 @@ def _roots(model: FadingModel, eta: float):
     else:
         lams = _tabulated_roots(model, eta)
     for lam in lams:
-        yield _waterfill.expected_power(model, lam), lam, _waterfill.optimal_rate(model, lam), None
+        _, pi, gamma = _waterfill.tails_at(model, lam)
+        yield pi, lam, gamma, None
 
 
 def _lam_residual(model: FadingModel, lam: float, eta: float) -> float:
     """R(lam) = rate - eta*lam*power, the stationary residual on the lam axis."""
-    return _waterfill.optimal_rate(model, lam) - eta * lam * _waterfill.expected_power(model, lam)
+    _, power, rate = _waterfill.tails_at(model, lam)
+    return rate - eta * lam * power
 
 
 def _exponential_root(model: FadingModel, eta: float) -> float:
@@ -273,7 +275,7 @@ def _tabulated_roots(model: FadingModel, eta: float) -> list:
     inside = (s > 0.0) & (s < np.concatenate((h, h)))
     cuts = (np.concatenate((a, a))[inside] + s[inside]).tolist()
 
-    slope = lambda lam: _slope(tails, lam, eta)
+    slope = lambda lam: _slope(model, lam, eta)
     residual = lambda lam: _lam_residual(model, lam, eta)
     top = tails.x[tails.top]
     # R' at the nodes comes straight off the table columns
@@ -295,9 +297,10 @@ def _tabulated_roots(model: FadingModel, eta: float) -> list:
     return _sign_change_roots(residual, ends, [residual(v) for v in ends])
 
 
-def _slope(tails, lam: float, eta: float) -> float:
+def _slope(model: FadingModel, lam: float, eta: float) -> float:
     """R'(lam) = (eta-1)*S/lam - eta*power, S the mass above lam."""
-    return (eta - 1.0) * tails.mass_above(lam) / lam - eta * tails.above(lam)[0]
+    mass, power, _ = _waterfill.tails_at(model, lam)
+    return (eta - 1.0) * mass / lam - eta * power
 
 
 def _sign_change_roots(func, xs, values) -> list:
@@ -401,8 +404,8 @@ def solve_rechar(problem: HopProblem) -> float:
         lam_opt = roots[0]
     else:
         def psi_of_lam(lam):
-            pi = _waterfill.expected_power(model, lam)
-            return problem.d_of_pi(pi) * _waterfill.optimal_rate(model, lam)
+            _, pi, rate = _waterfill.tails_at(model, lam)
+            return problem.d_of_pi(pi) * rate
 
         lam_opt = max(roots, key=psi_of_lam)
     sset = stationary_points(problem)

@@ -12,16 +12,17 @@ in nats per unit bandwidth, and ``dGamma/dpi = lam`` (envelope identity).
 `gamma_and_lambda` is the one entry point for the pair (Gamma, lam);
 `solve` wraps it.  Discrete models need no root-finding: both values
 come from the piecewise closed form of `discrete`, whose table each
-model builds once (`FadingModel.table`).  Continuous models solve the
-constraint above on `expected_power` and then take `optimal_rate`,
-both exact: exponential-integral closed forms for exponential fading,
-the tail table of a tabulated density (`FadingModel.tails`) plus one
-closed-form partial cell; both raise DiscreteKindError on discrete models.
-The root is bracketed from each kind's structure and refined once by
-`fading.refine_root`: exponential fading halves or doubles from
-``min(1/nu, 1/pi)``; a tabulated density bisects its strictly decreasing
-power column for the root's cell, and below its support has the closed
-form ``lam = mass/(pi + E[1/X])``.
+model builds once (`FadingModel.table`).  Continuous models have one
+kernel, `tails_at(model, lam)`, which returns the mass, power and rate
+above ``lam`` together, all exact: one E1 and one exp for exponential
+fading, the tail table of a tabulated density (`FadingModel.tails`) plus
+one closed-form partial cell; it raises DiscreteKindError on discrete
+models.  The water level solves the constraint above on its power, and
+Gamma is its rate there.  The root is bracketed from each kind's
+structure and refined once by `fading.refine_root`: exponential fading
+halves or doubles from ``min(1/nu, 1/pi)``; a tabulated density bisects
+its strictly decreasing power column for the root's cell, and below its
+support has the closed form ``lam = mass/(pi + E[1/X])``.
 """
 
 from __future__ import annotations
@@ -87,21 +88,18 @@ def exp1(x: float) -> float:
     return math.exp(-x) * (1.0 / (x + t0))
 
 
-def expected_power(model: FadingModel, lam: float) -> float:
-    """E[(1/lam - 1/X)^+], the power spent at water level 1/lam."""
+def tails_at(model: FadingModel, lam: float):
+    """(P(X > lam), E[(1/lam - 1/X)^+], E[log(X/lam)^+]) of a continuous model, lam > 0.
+
+    The mass above the water level 1/lam, the power spent there and the
+    rate achieved in nats: the one kernel of each continuous kind.
+    """
     if isinstance(model.kind, Exponential):
         nu = model.kind.rate / model.alpha_over_sigma2
         u = nu * lam
-        return float(math.exp(-u) / lam - nu * exp1(u))
-    return model.tails.above(lam)[0]
-
-
-def optimal_rate(model: FadingModel, lam: float) -> float:
-    """E[log(X/lam)^+] in nats, the rate achieved at water level 1/lam."""
-    if isinstance(model.kind, Exponential):
-        nu = model.kind.rate / model.alpha_over_sigma2
-        return float(exp1(nu * lam))
-    return model.tails.above(lam)[1]
+        e1, mass = exp1(u), math.exp(-u)
+        return mass, mass / lam - nu * e1, e1
+    return model.tails.above(lam)
 
 
 def solve(model: FadingModel, pi: float) -> WaterfillSolution:
@@ -134,11 +132,11 @@ def gamma_and_lambda(model: FadingModel, pi: float):
         table = model.table
         return _discrete.gamma_of_pi(table, pi), _discrete.lambda_closed_form(table, pi)
     lam = _solve_lambda(model, pi)
-    return optimal_rate(model, lam), lam
+    return tails_at(model, lam)[2], lam
 
 
 def _solve_lambda(model: FadingModel, pi: float) -> float:
-    gap = lambda lam: expected_power(model, lam) - pi
+    gap = lambda lam: tails_at(model, lam)[1] - pi
     if isinstance(model.kind, Exponential):
         # the root obeys lam < 1/pi, and u = nu*lam = 1 is a natural scale
         return bracket_root(gap, min(model.alpha_over_sigma2 / model.kind.rate, 1.0 / pi))

@@ -13,7 +13,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import ndtri
 
-from hopcap.fading import FadingModel
+from hopcap.fading import Exponential, FadingModel
 from hopcap.macmodel import MacProfile
 
 
@@ -87,6 +87,15 @@ def random_model(rng, kinds=("exponential", "discrete", "tabulated")) -> FadingM
     return random_tabulated_model(rng)
 
 
+def x_top(model) -> float:
+    """The top of the support of X: inf for exponential fading, else the largest state or node."""
+    if model.is_discrete:
+        return model.table.x[0]
+    if isinstance(model.kind, Exponential):
+        return math.inf
+    return model.tails.x[-1]
+
+
 # -- independent oracles -------------------------------------------------------
 
 
@@ -94,10 +103,11 @@ def oracle_x_samples(model, n_points: int):
     """Dense x-grid and density values covering the model's support."""
     if model.is_discrete:
         raise ValueError("oracle grids are for continuous models")
-    lo, hi = model.x_support()
-    if not np.isfinite(hi):
+    if isinstance(model.kind, Exponential):
         nu = model.kind.rate / model.alpha_over_sigma2
-        hi = 80.0 / nu
+        lo, hi = 0.0, 80.0 / nu
+    else:
+        lo, hi = model.tails.x[0], model.tails.x[-1]
     x = np.linspace(max(lo, 1e-12), hi, n_points)
     return x, model.pdf_x(x)
 

@@ -16,6 +16,7 @@ from conftest import (
     oracle_power_integral,
     random_discrete_model,
     random_model,
+    x_top,
 )
 from hopcap.fading import FadingModel
 from hopcap import discrete, hopopt, macmodel, simulator, waterfill
@@ -169,8 +170,7 @@ def test_c4_waterfill_correctness_random_models():
         recovered = oracle_power_integral(model, sol.lam, n_points=max(bound_points, 3))
         worst_bind = max(worst_bind, abs(recovered - pi) / pi)
 
-        lo, hi = model.x_support()
-        hi = min(hi, sol.lam * 1e6)
+        hi = min(x_top(model), sol.lam * 1e6)
         if hi > sol.lam * 1.001:
             xs = np.exp(rng.uniform(np.log(sol.lam * 1.0001), np.log(hi), size=20))
             xi = sol.allocation(xs)

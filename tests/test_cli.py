@@ -178,11 +178,33 @@ class TestWaterfillCommand:
         assert float(row["lambda"]) == sol.lam
         assert float(row["gamma_nats"]) == sol.gamma
 
-    def test_malformed_config_exits_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("fading.rate", "-2"),
+            ("fading.rate", ".inf"),
+            ("fading.rate", ".nan"),
+            ("fading.states[0].gain", ".inf"),
+            ("fading.states[0].gain", ".nan"),
+            ("eta", ".inf"),
+            ("eta", ".nan"),
+            ("power.Pt_prime_W", ".inf"),
+        ],
+        ids=["rate-negative", "rate-inf", "rate-nan", "gain-inf", "gain-nan", "eta-inf",
+             "eta-nan", "pt-inf"],
+    )
+    def test_malformed_config_exits_2(self, field, value, tmp_path, capsys):
+        # a valid config, but for the one field under test
+        rate, gain, eta, pt = (value if name == field else "2.0" for name in
+                               ("fading.rate", "fading.states[0].gain", "eta", "power.Pt_prime_W"))
+        fading = (f"{{kind: discrete, states: [{{gain: {gain}, prob: 1.0}}]}}" if "gain" in field
+                  else f"{{kind: exponential, rate: {rate}}}")
         bad = tmp_path / "bad.yaml"
-        bad.write_text("schema_version: 1\nfading:\n  kind: exponential\n  rate: -2\neta: 2\n")
-        assert main(["waterfill", "--config", str(bad), "--pi", "1.0"]) == 2
-        assert "fading.rate" in capsys.readouterr().err
+        bad.write_text(f"schema_version: 1\nfading: {fading}\neta: {eta}\npower: {{Pt_prime_W: {pt}}}\n")
+        for argv in (["waterfill", "--pi", "1.0"], ["optimize"]):
+            assert main(argv[:1] + ["--config", str(bad)] + argv[1:]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {field}:") and "Traceback" not in err
 
     def test_unknown_key_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.yaml"
@@ -359,3 +381,96 @@ class TestMissingSections:
 
     def test_bound_without_section_exits_2(self, single_cfg):
         assert main(["single-cell-bound", "--config", str(single_cfg)]) == 2
+
+
+# a bimodal density: three stationary points, the far one the maximizer
+BIMODAL_CSV = "h,a\n0.25,0\n0.5,3.6\n0.75,0\n95,0\n100,0.02\n105,0\n"
+BIMODAL_YAML = """\
+schema_version: 1
+fading:
+  kind: tabulated
+  csv: bimodal.csv
+eta: 3.0
+power:
+  Pt_prime_W: 1.0
+"""
+
+# stdout and CSV bytes as last produced; a change that moves an output on
+# purpose updates its strings here and says so
+GOLDEN = {
+    ('exponential', 'optimize'): (
+        'unique=true\n'
+        'n_points=1\n'
+        'd_opt_m=0.71360135852344331\n'
+        'pi_opt=1.9637611488840054\n'
+        'lambda_opt=0.25894690868039549\n'
+        'gamma_opt=1.0170197577803504\n'
+        'psi_opt=0.72574668079724125\n',
+        'd_m,pi,lambda,gamma_nats,psi\n'
+        '0.71360135852344331,1.9637611488840054,0.25894690868039549,1.0170197577803504,0.72574668079724125\n',
+    ),
+    ('exponential', 'stationary-points'): (
+        'stationary_points=1 unique=true\n',
+        'd_m,gamma_nats,psi,segment\n'
+        '0.71360135852344331,1.0170197577803504,0.72574668079724125,\n',
+    ),
+    ('fig1-discrete', 'optimize'): (
+        'unique=false\n'
+        'n_points=3\n'
+        'd_opt_m=0.3233389680071157\n'
+        'pi_opt=29.581885819215032\n'
+        'lambda_opt=0.031683684471817901\n'
+        'gamma_opt=2.8117894091320608\n'
+        'psi_opt=0.9091610858020982\n'
+        'theta_opt_bps=3467140.7150247288\n'
+        'transport_opt_bit_m_per_s=1121061.7007315489\n',
+        'd_m,pi,lambda,gamma_nats,psi\n'
+        '0.3233389680071157,29.581885819215032,0.031683684471817901,2.8117894091320608,0.9091610858020982\n'
+        '2.8382837786337336,0.043735344785331191,0.49411134288993769,0.064830389830903598,0.18400704381955504\n'
+        '8.585619959815542,0.0015801016190708341,5.9520209292640374,0.028214393721220789,0.2422380618870075\n',
+    ),
+    ('fig1-discrete', 'stationary-points'): (
+        'stationary_points=3 unique=false\n',
+        'd_m,gamma_nats,psi,segment\n'
+        '0.3233389680071157,2.8117894091320608,0.9091610858020982,2\n'
+        '2.8382837786337336,0.064830389830903598,0.18400704381955504,2\n'
+        '8.585619959815542,0.028214393721220789,0.2422380618870075,1\n',
+    ),
+    ('tabulated', 'optimize'): (
+        'unique=false\n'
+        'n_points=3\n'
+        'd_opt_m=3.9848964768487787\n'
+        'pi_opt=0.01580333949094908\n'
+        'lambda_opt=5.9510502639463718\n'
+        'gamma_opt=0.28213940294653994\n'
+        'psi_opt=1.124296312781885\n',
+        'd_m,pi,lambda,gamma_nats,psi\n'
+        '0.40056315558084321,15.559190596934588,0.05732668143127663,2.6758702880369523,1.0718550465011014\n'
+        '1.2238821466717305,0.54548297605211205,0.42821040226851326,0.7007444538177019,0.85762862640671833\n'
+        '3.9848964768487787,0.01580333949094908,5.9510502639463718,0.28213940294653994,1.124296312781885\n',
+    ),
+    ('tabulated', 'stationary-points'): (
+        'stationary_points=3 unique=false\n',
+        'd_m,gamma_nats,psi,segment\n'
+        '0.40056315558084321,2.6758702880369523,1.0718550465011014,\n'
+        '1.2238821466717305,0.7007444538177019,0.85762862640671833,\n'
+        '3.9848964768487787,0.28213940294653994,1.124296312781885,\n',
+    ),
+}
+
+
+class TestGoldenBytes:
+    """Seeded outputs of the scalar commands stay byte-identical across refactors."""
+
+    @pytest.mark.parametrize("command", ["optimize", "stationary-points"])
+    @pytest.mark.parametrize("name", ["exponential", "fig1-discrete", "tabulated"])
+    def test_outputs_are_byte_identical(self, name, command, tmp_path, capsys):
+        (tmp_path / "bimodal.csv").write_text(BIMODAL_CSV)
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text({"exponential": EXP_FIG2_YAML, "fig1-discrete": FIG1_YAML,
+                        "tabulated": BIMODAL_YAML}[name])
+        out = tmp_path / "out.csv"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+        stdout, csv_text = GOLDEN[name, command]
+        assert capsys.readouterr().out == stdout
+        assert out.read_bytes() == csv_text.encode()

@@ -140,8 +140,7 @@ class TestNormalisationInvariants:
 
         # the grid includes h = 0, so g(z) carries an integrable 1/z**2 tail
         tab = tabulated_exp(mu=1.0, top=30.0)
-        _, x_hi = tab.x_support()
-        z = np.geomspace(1.0 / x_hi, 1e6, 2_000_001)
+        z = np.geomspace(1.0 / tab.tails.x[-1], 1e6, 2_000_001)
         assert np.trapezoid(pdf_z(tab, z), z) == pytest.approx(1.0, abs=1e-4)
 
     def test_random_tabulated_models_integrate_to_one(self):
@@ -247,16 +246,15 @@ class TestDensityIntegrator:
         lam = float(0.3 * xg[-1])
         dense = np.linspace(lam, xg[-1], 2_000_001)
         f = np.interp(dense, xg, fg)
+        mass = np.trapezoid(f, dense)
         power = np.trapezoid((1.0 / lam - 1.0 / dense) * f, dense)
         rate = np.trapezoid(np.log(dense / lam) * f, dense)
-        assert waterfill.expected_power(model, lam) == pytest.approx(power, rel=1e-9)
-        assert waterfill.optimal_rate(model, lam) == pytest.approx(rate, rel=1e-9)
+        assert waterfill.tails_at(model, lam) == pytest.approx((mass, power, rate), rel=1e-9)
 
     def test_lower_above_support_is_zero(self):
         model = tabulated_exp()
-        lam = model.x_support()[1] + 1.0
-        assert waterfill.expected_power(model, lam) == 0.0
-        assert waterfill.optimal_rate(model, lam) == 0.0
+        lam = model.tails.x[-1] + 1.0
+        assert waterfill.tails_at(model, lam) == (0.0, 0.0, 0.0)
 
     def test_table_built_once_per_model(self):
         model = tabulated_exp(points=41)
@@ -273,17 +271,16 @@ class TestDensityIntegrator:
 
 
 class TestTailExactness:
-    """expected_power / optimal_rate / mass_above against per-cell adaptive quadrature."""
+    """`tails_at`'s mass, power and rate against per-cell adaptive quadrature."""
 
     @staticmethod
     def check(model, lams):
         for lam in lams:
             power, rate = oracle_cell_integrals(model, float(lam))
-            assert power >= 1e-8
-            assert waterfill.expected_power(model, lam) == pytest.approx(power, rel=1e-12, abs=0)
-            assert waterfill.optimal_rate(model, lam) == pytest.approx(rate, rel=1e-12, abs=0)
             mass = oracle_cell_mass(model, float(lam))
-            assert model.tails.mass_above(lam) == pytest.approx(mass, rel=1e-12, abs=0)
+            assert power >= 1e-8
+            got = waterfill.tails_at(model, lam)
+            assert got == pytest.approx((mass, power, rate), rel=1e-12, abs=0)
 
     def test_deep_in_the_first_cell(self):
         # the grid starts at h = 0, where 1/x and log x are unbounded
@@ -309,8 +306,17 @@ class TestTailExactness:
 
     def test_random_tabulated_model(self):
         model = random_tabulated_model(make_rng(11))
-        lo, hi = model.x_support()
+        lo, hi = model.tails.x[0], model.tails.x[-1]
         self.check(model, np.geomspace(max(lo, hi * 1e-3) * 0.5, hi * 0.9, 25))
+
+    @pytest.mark.parametrize("u", [1e-3, 0.3, 1.0, 4.0, 20.0])
+    def test_exponential_fading(self, u):
+        # one E1 and one exp at u = nu*lam give all three tails in closed form
+        model = FadingModel.exponential(2.0, alpha_over_sigma2=5.0)
+        lam = u / 0.4
+        tail = lambda g: quad(lambda x: g(x) * model.pdf_x(x), lam, np.inf, epsabs=0, epsrel=1e-13)[0]
+        want = (tail(lambda x: 1.0), tail(lambda x: 1.0 / lam - 1.0 / x), tail(lambda x: math.log(x / lam)))
+        assert waterfill.tails_at(model, lam) == pytest.approx(want, rel=1e-11, abs=0)
 
 
 class TestTabulatedSampling:

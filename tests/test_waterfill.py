@@ -11,15 +11,17 @@ from conftest import (
     bisect_scalar,
     make_rng,
     oracle_cell_integrals,
+    oracle_cell_mass,
     oracle_power_integral,
     oracle_rate_integral,
     oracle_waterfill_lambda,
     random_model,
+    x_top,
 )
 from hopcap.cli import main
 from hopcap.config import load_config
 from hopcap.errors import BracketFailure, DiscreteKindError, NonPositivePi
-from hopcap.fading import FadingModel, TabulatedDensity
+from hopcap.fading import FadingModel, TabulatedDensity, TailTable
 from hopcap.simulator import WaterfillPolicy
 from hopcap import hopopt, waterfill
 
@@ -119,8 +121,7 @@ class TestInvariants:
             sol = waterfill.solve(model, pi)
             assert oracle_power_integral(model, sol.lam) == pytest.approx(pi, rel=1e-7)
             # KKT: active states sit exactly at the water level
-            lo, hi = model.x_support()
-            hi = min(hi, sol.lam * 1e6)
+            hi = min(x_top(model), sol.lam * 1e6)
             xs = np.exp(rng.uniform(np.log(sol.lam * 1.0001), np.log(hi), size=100))
             xi = sol.allocation(xs)
             assert np.allclose(xs / (1.0 + xs * xi), sol.lam, rtol=1e-12)
@@ -187,9 +188,7 @@ class TestDegenerateAndErrors:
     def test_density_integrals_reject_discrete(self):
         model = FadingModel.discrete(FIG1_STATES)
         with pytest.raises(DiscreteKindError):
-            waterfill.expected_power(model, 0.5)
-        with pytest.raises(DiscreteKindError):
-            waterfill.optimal_rate(model, 0.5)
+            waterfill.tails_at(model, 0.5)
 
     def test_independent_single_state_stationarity_oracle(self):
         # root of log(1+pi) = 3*pi/(1+pi) by plain bisection
@@ -205,14 +204,15 @@ class TestWaterLevelBracket:
     @pytest.mark.parametrize("name", list(BRACKET_MODELS))
     def test_kernel_call_budget(self, name, monkeypatch):
         model = BRACKET_MODELS[name]
-        power = waterfill.expected_power
+        kernel = waterfill.tails_at
+        power = lambda m, lam: kernel(m, lam)[1]
         calls = []
 
         def counted(m, lam):
             calls.append(lam)
-            return power(m, lam)
+            return kernel(m, lam)
 
-        monkeypatch.setattr(waterfill, "expected_power", counted)
+        monkeypatch.setattr(waterfill, "tails_at", counted)
         for k in np.arange(-12.0, 12.25, 0.5):
             pi = 10.0**k
             calls.clear()
@@ -232,6 +232,39 @@ class TestWaterLevelBracket:
         lam = hopopt.solve_rechar(problem)
         # the y-domain route integrates with a fixed Gauss-Legendre rule per cell
         assert lam == pytest.approx(hopopt.stationary_points(problem).maximizer.lam, rel=1e-8)
+
+
+class TestOneKernelCall:
+    """A stationary residual or slope costs one kernel evaluation: one E1, one table lookup."""
+
+    def test_exponential_stationary_points(self, monkeypatch):
+        e1 = waterfill.exp1
+        calls = []
+        monkeypatch.setattr(waterfill, "exp1", lambda u: calls.append(u) or e1(u))
+        model = FadingModel.exponential(1.0, alpha_over_sigma2=10.0)
+        hopopt.stationary_points(hopopt.HopProblem(model=model, eta=3.0, pt_prime=1.0))
+        # 14 residuals to bracket and refine the root, one more to read off its point
+        assert len(calls) == 15
+
+    @pytest.mark.parametrize("lam", [0.05, 0.7, 3.0, 9.5])
+    def test_tabulated_slope_and_residual(self, lam, monkeypatch):
+        model, eta = BRACKET_MODELS["tab41-from-0"], 3.0
+        lookups = []
+
+        def counted(name, method):
+            return lambda *args: lookups.append(name) or method(*args)
+
+        for name, method in list(vars(TailTable).items()):
+            if callable(method) and not name.startswith("_"):
+                monkeypatch.setattr(TailTable, name, counted(name, method))
+        slope = hopopt._slope(model, lam, eta)
+        assert lookups == ["above"]
+        residual = hopopt._lam_residual(model, lam, eta)
+        assert lookups == ["above", "above"]
+        power, rate = oracle_cell_integrals(model, lam)
+        mass = oracle_cell_mass(model, lam)
+        assert slope == pytest.approx((eta - 1.0) * mass / lam - eta * power, rel=1e-10)
+        assert residual == pytest.approx(rate - eta * lam * power, rel=1e-10)
 
 
 class TestExp1:
