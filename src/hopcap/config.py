@@ -229,17 +229,12 @@ def _parse_mac(section) -> MacProfile:
 def _parse_sweep(section) -> SweepSpec:
     _check_keys(section, _SWEEP_KEYS, "sweep")
     points = _integer(section, "points", minimum=1, path="sweep")
-    factors = section.get("power_factors", [1.0])
-    if not isinstance(factors, list) or not factors:
-        raise ConfigError("sweep.power_factors: need a non-empty list of numbers")
-    for f in factors:
-        if not isinstance(f, (int, float)) or f <= 0:
-            raise ConfigError(f"sweep.power_factors: entries must be > 0, got {f!r}")
+    factors = _positive_list(section.get("power_factors", [1.0]), "sweep.power_factors")
     d_min = _number(section, "d_min_m", positive=True, path="sweep")
     d_max = _number(section, "d_max_m", positive=True, path="sweep")
     if d_max <= d_min:
         raise ConfigError("sweep: d_max_m must exceed d_min_m")
-    return SweepSpec(d_min=d_min, d_max=d_max, points=points, power_factors=tuple(float(f) for f in factors))
+    return SweepSpec(d_min=d_min, d_max=d_max, points=points, power_factors=factors)
 
 
 def _parse_simulate(section) -> SimulateSpec:
@@ -268,13 +263,7 @@ def _parse_simulate(section) -> SimulateSpec:
 def _parse_bound(section) -> BoundSpec:
     _check_keys(section, _BOUND_KEYS, "bound")
     powers = section.get("power_W", [0.1])
-    if isinstance(powers, (int, float)):
-        powers = [powers]
-    if not isinstance(powers, list) or not powers:
-        raise ConfigError("bound.power_W: need a number or non-empty list")
-    for p in powers:
-        if not isinstance(p, (int, float)) or p <= 0:
-            raise ConfigError(f"bound.power_W: entries must be > 0, got {p!r}")
+    powers = _positive_list(powers if isinstance(powers, list) else [powers], "bound.power_W")
     k_min = _integer(section, "K_min", default=2, minimum=2, path="bound")
     k_max = _integer(section, "K_max", default=100_000, minimum=2, path="bound")
     if k_max < k_min:
@@ -282,7 +271,7 @@ def _parse_bound(section) -> BoundSpec:
     return BoundSpec(
         area=_number(section, "area_m2", positive=True, path="bound"),
         noise=_number(section, "noise_W", positive=True, path="bound"),
-        powers=tuple(float(p) for p in powers),
+        powers=powers,
         k_min=k_min,
         k_max=k_max,
         points=_integer(section, "points", default=200, minimum=2, path="bound"),
@@ -313,7 +302,18 @@ def _number(mapping, key, default=None, positive=False, nonnegative=False, path=
         if default is not None:
             return float(default)
         raise ConfigError(f"{where}: required value is missing")
-    value = mapping[key]
+    return _finite(mapping[key], where, positive, nonnegative)
+
+
+def _positive_list(values, where: str) -> tuple:
+    """The entries of the non-empty list ``values``, each a finite number > 0."""
+    if not isinstance(values, list) or not values:
+        raise ConfigError(f"{where}: need a non-empty list of numbers")
+    return tuple(_finite(v, f"{where}[{i}]", positive=True) for i, v in enumerate(values))
+
+
+def _finite(value, where: str, positive=False, nonnegative=False) -> float:
+    """``value`` as a finite float; a ConfigError names ``where`` otherwise."""
     if isinstance(value, str):
         # YAML 1.1 reads "1.0e6" (no signed exponent) as a string
         try:

@@ -4,11 +4,14 @@ Everything downstream works with the composite channel state
 ``X = (alpha/sigma^2) * H`` (per-watt SNR at unit distance).  This
 module owns the supported distribution kinds, the H -> X transform,
 moments, tail diagnostics, sampling and CSV ingestion for tabulated
-densities.  A tabulated density is linear between its nodes, so its
-moments and tails are exact: `TailTable` (``FadingModel.tails``) holds
-the mass, water-fill power and rate above each x-node, and a query at
-any ``lam`` adds one closed-form partial cell.  Every bracketed root in
-the package is refined here, by `refine_root`.
+densities.  A tabulated density is two float tuples, nodes and values,
+and is linear between its nodes, so its moments and tails are exact:
+`TailTable` (``FadingModel.tails``) holds the mass, water-fill power and
+rate above each x-node, and a query at any ``lam`` adds one closed-form
+partial cell.  Every kind's scalar path is plain ``math``; numpy is
+imported only by the methods that take or return arrays (``pdf_x``,
+``tail_decay_check``, ``sample_h``).  Every bracketed root in the
+package is refined here, by `refine_root`.
 
 Models are immutable after construction; every operation is pure.
 """
@@ -50,12 +53,12 @@ class DiscreteFinite:
     probs: tuple
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class TabulatedDensity:
-    """Sampled pdf on an increasing grid; linear between nodes, zero outside."""
+    """Sampled pdf on an increasing grid of floats; linear between nodes, zero outside."""
 
-    grid: np.ndarray
-    density: np.ndarray
+    grid: tuple
+    density: tuple
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,72 +78,68 @@ class FadingModel:
 
     @classmethod
     def exponential(cls, rate: float, alpha_over_sigma2: float = 1.0) -> "FadingModel":
-        if rate <= 0:
-            raise ValidationError(f"exponential rate must be > 0, got {rate}")
-        _check_scale(alpha_over_sigma2)
-        return cls(Exponential(float(rate)), float(alpha_over_sigma2))
+        rate = _positive(rate, "exponential rate")
+        return cls(Exponential(rate), _positive(alpha_over_sigma2, "alpha_over_sigma2"))
 
     @classmethod
     def discrete(cls, states, alpha_over_sigma2: float = 1.0) -> "FadingModel":
         """Build from (gain, probability) pairs; sorted descending internally."""
-        _check_scale(alpha_over_sigma2)
+        scale = _positive(alpha_over_sigma2, "alpha_over_sigma2")
         pairs = sorted(((float(h), float(a)) for h, a in states), reverse=True)
         if not pairs:
             raise ValidationError("discrete model needs at least one state")
         gains, probs = (tuple(column) for column in zip(*pairs))
-        if any(h <= 0 for h in gains):
-            raise ValidationError("discrete gains must be strictly positive")
-        if any(a <= 0 for a in probs):
-            raise ValidationError("discrete probabilities must be strictly positive")
+        if not all(0.0 < v < math.inf for v in gains + probs):
+            raise ValidationError("discrete gains and probabilities must be finite and > 0")
         total = math.fsum(probs)
         if abs(total - 1.0) > PROB_SUM_TOL:
             raise ValidationError(f"discrete probabilities sum to {total!r}, expected 1")
         if any(h1 == h2 for h1, h2 in zip(gains, gains[1:])):
             raise ValidationError("discrete gains must be pairwise distinct")
-        return cls(DiscreteFinite(gains, probs), float(alpha_over_sigma2))
+        return cls(DiscreteFinite(gains, probs), scale)
 
     @classmethod
     def tabulated(cls, grid, density, alpha_over_sigma2: float = 1.0) -> "FadingModel":
-        import numpy as np
-
-        _check_scale(alpha_over_sigma2)
-        g = np.asarray(grid, dtype=float)
-        a = np.asarray(density, dtype=float)
-        if g.ndim != 1 or g.size < 2 or a.shape != g.shape:
-            raise ValidationError("tabulated density needs matching 1-d arrays, >= 2 points")
-        if np.any(np.diff(g) <= 0):
+        """Build from node abscissae h and density values a(h), as float tuples."""
+        scale = _positive(alpha_over_sigma2, "alpha_over_sigma2")
+        g, a = tuple(map(float, grid)), tuple(map(float, density))
+        if len(g) < 2 or len(a) != len(g):
+            raise ValidationError("tabulated density needs matching sequences, >= 2 points")
+        if not all(0.0 <= v < math.inf for v in g + a):
+            raise ValidationError("tabulated grid and density must be finite and >= 0")
+        if any(h1 <= h0 for h0, h1 in zip(g, g[1:])):
             raise ValidationError("tabulated grid must be strictly increasing")
-        if g[0] < 0:
-            raise ValidationError("tabulated grid must be non-negative")
-        if np.any(a < 0):
-            raise ValidationError("tabulated density must be non-negative")
-        total = np.trapezoid(a, g)
+        total = math.fsum((h1 - h0) * (a0 + a1) / 2.0
+                          for h0, h1, a0, a1 in zip(g, g[1:], a, a[1:]))
         if abs(total - 1.0) > DENSITY_NORM_TOL:
             raise ValidationError(
                 f"tabulated density integrates to {total!r} (trapezoid), expected 1"
             )
-        g = g.copy()
-        a = a.copy()
-        g.flags.writeable = False
-        a.flags.writeable = False
-        return cls(TabulatedDensity(g, a), float(alpha_over_sigma2))
+        return cls(TabulatedDensity(g, a), scale)
 
     @classmethod
     def tabulated_from_csv(cls, path, alpha_over_sigma2: float = 1.0) -> "FadingModel":
-        """Load a two-column (h, a(h)) CSV; header row optional."""
-        import numpy as np
+        """Load a (h, a(h)) CSV: comma-separated, one node per line.
 
-        with open(path, "r", encoding="utf-8") as fh:
-            first = fh.readline()
-        skip = 0
+        A header row before the first node is optional; blank lines, ``#``
+        comments and columns after the second are skipped.
+        """
         try:
-            [float(tok) for tok in first.strip().split(",")[:2]]
-        except ValueError:
-            skip = 1
-        data = np.loadtxt(path, delimiter=",", skiprows=skip, ndmin=2)
-        if data.shape[1] < 2:
-            raise ValidationError(f"{path}: expected two columns (h, a(h))")
-        return cls.tabulated(data[:, 0], data[:, 1], alpha_over_sigma2)
+            with open(path, encoding="utf-8") as fh:
+                lines = fh.read().splitlines()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ValidationError(f"cannot read tabulated density {path}: {exc}") from None
+        rows = [(number, text.split(",")) for number, line in enumerate(lines, 1)
+                if (text := line.split("#", 1)[0]).strip()]
+        nodes = []
+        for i, (number, cells) in enumerate(rows):
+            try:
+                nodes.append((float(cells[0]), float(cells[1])))
+            except (ValueError, IndexError):
+                if i > 0:  # only the first row may be a header
+                    raise ValidationError(
+                        f"{path}, line {number}: expected two numbers h,a(h)") from None
+        return cls.tabulated([h for h, _ in nodes], [a for _, a in nodes], alpha_over_sigma2)
 
     # -- kind helpers ----------------------------------------------------
 
@@ -158,14 +157,11 @@ class FadingModel:
     @functools.cached_property
     def tails(self) -> "TailTable":
         """Exact tail table of a tabulated model in x-space, built once per model."""
-        return TailTable(*self.x_grid())
-
-    def x_grid(self):
-        """Tabulated density transformed to x-space: (grid, f values)."""
         if not isinstance(self.kind, TabulatedDensity):
-            raise DiscreteKindError("x_grid is only defined for tabulated models")
+            raise DiscreteKindError("the tail table is only defined for tabulated models")
         c = self.alpha_over_sigma2
-        return c * self.kind.grid, self.kind.density / c
+        return TailTable(tuple(c * h for h in self.kind.grid),
+                         tuple(a / c for a in self.kind.density))
 
     # -- densities --------------------------------------------------------
 
@@ -202,7 +198,7 @@ class FadingModel:
             return True
         import numpy as np
 
-        g = self.kind.grid
+        g = np.array(self.kind.grid)
         surv = np.array(self.tails.mass) / self.tails.mass[0]
         idx = int(np.searchsorted(1.0 - surv, 0.99))
         q99 = g[min(idx, g.size - 1)]
@@ -224,7 +220,7 @@ class FadingModel:
         if isinstance(self.kind, DiscreteFinite):
             idx = rng.choice(len(self.kind.gains), size=size, p=self.kind.probs)
             return np.array(self.kind.gains)[idx]
-        g, a = self.kind.grid, self.kind.density
+        g, a = np.array(self.kind.grid), np.array(self.kind.density)
         cdf = np.concatenate(([0.0], np.cumsum(0.5 * (a[1:] + a[:-1]) * np.diff(g))))
         total = cdf[-1]
         cdf /= total
@@ -316,18 +312,20 @@ def bracket_root(func, start: float, limit: float = math.inf) -> float:
     return refine_root(func, lo, hi)
 
 
-def _check_scale(alpha_over_sigma2: float) -> None:
-    if alpha_over_sigma2 <= 0:
-        raise ValidationError(
-            f"alpha_over_sigma2 must be > 0, got {alpha_over_sigma2}"
-        )
+def _positive(value, what: str) -> float:
+    """``value`` as a float, which must be finite and > 0."""
+    value = float(value)
+    if not 0.0 < value < math.inf:
+        raise ValidationError(f"{what} must be finite and > 0, got {value}")
+    return value
 
 
 class TailTable:
     """Exact tails of a piecewise-linear density f on x-nodes x_0 < ... < x_{n-1}.
 
-    At node j, ``mass[j] = P(X > x_j)``, ``power[j] = E[(1/x_j - 1/X)^+]``
-    and ``rate[j] = E[log(X/x_j)^+]``; ``mean`` is E[X].  A row is the row
+    ``x`` and ``f`` are float tuples, the columns lists of floats.  At node
+    j, ``mass[j] = P(X > x_j)``, ``power[j] = E[(1/x_j - 1/X)^+]`` and
+    ``rate[j] = E[log(X/x_j)^+]``; ``mean`` is E[X].  A row is the row
     above, plus the mass above times the weight at the node above, plus the
     closed-form cell between them: all non-negative, so no digits cancel
     near the top.  A node at x = 0 has only mass (1/x, log x are undefined).
@@ -338,7 +336,7 @@ class TailTable:
     """
 
     def __init__(self, x, f):
-        self.x, self.f = x.tolist(), f.tolist()
+        self.x, self.f = x, f
         n = len(self.x)
         self.mass, self.power, self.rate = [0.0] * n, [0.0] * n, [0.0] * n
         self.mean = 0.0

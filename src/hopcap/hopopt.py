@@ -122,12 +122,12 @@ class HopProblem:
     d0: float = 0.0
 
     def __post_init__(self):
-        if self.eta <= 0:
-            raise ValidationError(f"path loss exponent must be > 0, got {self.eta}")
-        if self.pt_prime <= 0:
-            raise ValidationError(f"pt_prime must be > 0, got {self.pt_prime}")
-        if self.d0 < 0:
-            raise ValidationError(f"d0 must be >= 0, got {self.d0}")
+        if not 0 < self.eta < math.inf:
+            raise ValidationError(f"path loss exponent must be finite and > 0, got {self.eta}")
+        if not 0 < self.pt_prime < math.inf:
+            raise ValidationError(f"pt_prime must be finite and > 0, got {self.pt_prime}")
+        if not 0 <= self.d0 < math.inf:
+            raise ValidationError(f"d0 must be finite and >= 0, got {self.d0}")
         if self.eta < 2:
             warnings.warn(
                 f"eta={self.eta} < 2: large-d limit guarantees do not apply",
@@ -257,23 +257,21 @@ def _tabulated_roots(model: FadingModel, eta: float) -> list:
     0 at the top of the support (the first node with no mass above it),
     which is not a root.
     """
-    import numpy as np
-
     tails = model.tails
-    x, f, mass = np.array(tails.x), np.array(tails.f), np.array(tails.mass)
-    a, h = x[:-1], np.diff(x)
-    k = np.diff(f) / h
-    q0 = mass[:-1] - (eta - 1.0) * a * f[:-1]
-    q1 = -(eta * f[:-1] + (eta - 1.0) * a * k)
-    q2 = -(eta - 0.5) * k
-    # roots of q0 + q1*s + q2*s**2 without cancellation; a flat or empty cell
-    # and a negative discriminant give inf or nan, which the range test drops
-    with np.errstate(divide="ignore", invalid="ignore"):
-        sq = np.sqrt(q1 * q1 - 4.0 * q2 * q0)
-        qq = -0.5 * (q1 + np.copysign(sq, q1))
-        s = np.concatenate((qq / q2, q0 / qq))
-    inside = (s > 0.0) & (s < np.concatenate((h, h)))
-    cuts = (np.concatenate((a, a))[inside] + s[inside]).tolist()
+    cuts = []
+    for a, b, fa, fb, mass in zip(tails.x, tails.x[1:], tails.f, tails.f[1:], tails.mass):
+        k = (fb - fa) / (b - a)
+        q0 = mass - (eta - 1.0) * a * fa
+        q1 = -(eta * fa + (eta - 1.0) * a * k)
+        q2 = -(eta - 0.5) * k
+        disc = q1 * q1 - 4.0 * q2 * q0
+        if disc < 0.0:
+            continue
+        # both roots of q0 + q1*s + q2*s**2 without cancellation; a flat cell
+        # (q2 = 0) has only the second, an empty one (q1 = q2 = 0) neither
+        qq = -0.5 * (q1 + math.copysign(math.sqrt(disc), q1))
+        cuts += [a + num / den for num, den in ((qq, q2), (q0, qq))
+                 if den != 0.0 and 0.0 < num / den < b - a]
 
     slope = lambda lam: _slope(model, lam, eta)
     residual = lambda lam: _lam_residual(model, lam, eta)

@@ -16,7 +16,7 @@ shrinking reach outweighs it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import BudgetExhausted, ValidationError
 
@@ -45,9 +45,10 @@ class MacProfile:
     e_overhead: float = 0.0
 
     def __post_init__(self):
+        for name in (f.name for f in fields(self)):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValidationError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
         probs = (self.p_idle, self.p_collision, self.p_success)
-        if any(p < 0 for p in probs):
-            raise ValidationError("contention probabilities must be >= 0")
         if abs(sum(probs) - 1.0) > PROB_SUM_TOL:
             raise ValidationError(f"contention probabilities sum to {sum(probs)!r}, expected 1")
         if self.p_success <= 0:
@@ -56,9 +57,6 @@ class MacProfile:
             raise ValidationError("t_txop must be > 0")
         if self.bandwidth <= 0:
             raise ValidationError("bandwidth must be > 0")
-        for name in ("t_idle", "t_collision", "t_overhead", "e_idle", "e_collision", "e_overhead"):
-            if getattr(self, name) < 0:
-                raise ValidationError(f"{name} must be >= 0")
 
     @property
     def cycle_time(self) -> float:

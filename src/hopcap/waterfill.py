@@ -33,7 +33,7 @@ import operator
 from dataclasses import dataclass
 
 from . import discrete as _discrete
-from .errors import BracketFailure, NonPositivePi
+from .errors import BracketFailure, NonPositivePi, ValidationError
 from .fading import Exponential, FadingModel, bracket_root, refine_root
 
 _EULER_GAMMA = 0.5772156649015328
@@ -110,6 +110,8 @@ def solve(model: FadingModel, pi: float) -> WaterfillSolution:
     decreasing in ``lam``; its unique root is bracketed from the kind's
     exact structure and refined by Brent's method to relative width ~1e-15.
     """
+    if not math.isfinite(pi):
+        raise ValidationError(f"pi must be finite, got {pi}")
     if pi <= 0:
         raise NonPositivePi(f"pi must be > 0, got {pi}")
     gamma, lam = gamma_and_lambda(model, pi)

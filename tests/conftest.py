@@ -154,8 +154,8 @@ def oracle_cell_integrals(model, lam: float):
     Only the model's grid, density and scale are read.
     """
     c = model.alpha_over_sigma2
-    xs = (c * model.kind.grid).tolist()
-    fs = (model.kind.density / c).tolist()
+    xs = [c * h for h in model.kind.grid]
+    fs = [a / c for a in model.kind.density]
     power, rate = [], []
     for a, b, fa, fb in zip(xs, xs[1:], fs, fs[1:]):
         if b <= lam:
@@ -171,8 +171,8 @@ def oracle_cell_integrals(model, lam: float):
 def oracle_cell_mass(model, lam: float) -> float:
     """P(X > lam) of a tabulated model: `quad` on each x-cell above ``lam``, summed with `math.fsum`."""
     c = model.alpha_over_sigma2
-    xs = (c * model.kind.grid).tolist()
-    fs = (model.kind.density / c).tolist()
+    xs = [c * h for h in model.kind.grid]
+    fs = [a / c for a in model.kind.density]
     parts = []
     for a, b, fa, fb in zip(xs, xs[1:], fs, fs[1:]):
         if b <= lam:

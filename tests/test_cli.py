@@ -83,6 +83,18 @@ sweep:
   power_factors: [1.0, 4.0, 9.0]
 """
 
+# a bimodal density: three stationary points, the far one the maximizer
+BIMODAL_CSV = "h,a\n0.25,0\n0.5,3.6\n0.75,0\n95,0\n100,0.02\n105,0\n"
+BIMODAL_YAML = """\
+schema_version: 1
+fading:
+  kind: tabulated
+  csv: bimodal.csv
+eta: 3.0
+power:
+  Pt_prime_W: 1.0
+"""
+
 
 @pytest.fixture
 def single_cfg(tmp_path):
@@ -102,6 +114,14 @@ def fig1_cfg(tmp_path):
 def exp_cfg(tmp_path):
     path = tmp_path / "exp.yaml"
     path.write_text(EXP_FIG2_YAML)
+    return path
+
+
+@pytest.fixture
+def tab_cfg(tmp_path):
+    (tmp_path / "bimodal.csv").write_text(BIMODAL_CSV)
+    path = tmp_path / "bimodal.yaml"
+    path.write_text(BIMODAL_YAML)
     return path
 
 
@@ -135,9 +155,9 @@ def loaded_after_each(argvs):
     return json.loads(out.stdout.splitlines()[-1])
 
 
-def test_scalar_commands_load_no_numpy_scipy_or_simulator(exp_cfg, fig1_cfg, tmp_path):
+def test_scalar_commands_load_no_numpy_scipy_or_simulator(exp_cfg, fig1_cfg, tab_cfg, tmp_path):
     argvs = []
-    for cfg in (exp_cfg, fig1_cfg):
+    for cfg in (exp_cfg, fig1_cfg, tab_cfg):
         argvs += [
             ["waterfill", "--config", str(cfg), "--pi", "2.5"],
             ["optimize", "--config", str(cfg)],
@@ -189,22 +209,60 @@ class TestWaterfillCommand:
             ("eta", ".inf"),
             ("eta", ".nan"),
             ("power.Pt_prime_W", ".inf"),
+            ("sweep.power_factors[0]", ".nan"),
+            ("sweep.power_factors[0]", ".inf"),
+            ("bound.power_W[0]", ".nan"),
+            ("bound.power_W[0]", ".inf"),
         ],
         ids=["rate-negative", "rate-inf", "rate-nan", "gain-inf", "gain-nan", "eta-inf",
-             "eta-nan", "pt-inf"],
+             "eta-nan", "pt-inf", "factor-nan", "factor-inf", "bound-power-nan",
+             "bound-power-inf"],
     )
     def test_malformed_config_exits_2(self, field, value, tmp_path, capsys):
         # a valid config, but for the one field under test
-        rate, gain, eta, pt = (value if name == field else "2.0" for name in
-                               ("fading.rate", "fading.states[0].gain", "eta", "power.Pt_prime_W"))
+        rate, gain, eta, pt, factor, power = (
+            value if name == field else "2.0" for name in
+            ("fading.rate", "fading.states[0].gain", "eta", "power.Pt_prime_W",
+             "sweep.power_factors[0]", "bound.power_W[0]"))
         fading = (f"{{kind: discrete, states: [{{gain: {gain}, prob: 1.0}}]}}" if "gain" in field
                   else f"{{kind: exponential, rate: {rate}}}")
         bad = tmp_path / "bad.yaml"
-        bad.write_text(f"schema_version: 1\nfading: {fading}\neta: {eta}\npower: {{Pt_prime_W: {pt}}}\n")
+        bad.write_text(
+            f"schema_version: 1\nfading: {fading}\neta: {eta}\npower: {{Pt_prime_W: {pt}}}\n"
+            f"sweep: {{d_min_m: 1.0, d_max_m: 2.0, points: 3, power_factors: [{factor}]}}\n"
+            f"bound: {{area_m2: 1.0, noise_W: 1.0, power_W: [{power}]}}\n"
+        )
         for argv in (["waterfill", "--pi", "1.0"], ["optimize"]):
             assert main(argv[:1] + ["--config", str(bad)] + argv[1:]) == 2
             err = capsys.readouterr().err
             assert err.startswith(f"error: {field}:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("pi", ["nan", "inf"])
+    def test_non_finite_pi_exits_2(self, pi, fig1_cfg, capsys):
+        assert main(["waterfill", "--config", str(fig1_cfg), "--pi", pi]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: pi must be") and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "csv_text",
+        [
+            "h,a\n0,0.5\n1,abc\n2,0.5\n",
+            "h,a\n0,0.5\n1\n2,0.5\n",
+            "h;a\n0;0.5\n2;0.5\n",
+            None,
+            "h,a\n0,0.5\n1,nan\n2,0.5\n",
+        ],
+        ids=["non-numeric", "ragged", "semicolon", "missing-file", "nan-density"],
+    )
+    def test_malformed_tabulated_csv_exits_2(self, csv_text, tmp_path, capsys):
+        if csv_text is not None:
+            (tmp_path / "bimodal.csv").write_text(csv_text)
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text(BIMODAL_YAML)
+        for argv in (["waterfill", "--pi", "1.0"], ["optimize"]):
+            assert main(argv[:1] + ["--config", str(cfg)] + argv[1:]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "Traceback" not in err
 
     def test_unknown_key_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.yaml"
@@ -361,9 +419,11 @@ class TestSingleCellBoundCommand:
 
 
 class TestManifestNumpyVersion:
-    def test_null_when_the_run_loaded_no_numpy(self, fig1_cfg, tmp_path):
+    @pytest.mark.parametrize("cfg", ["fig1_cfg", "tab_cfg"], ids=["fig1-discrete", "tabulated"])
+    def test_null_when_the_run_loaded_no_numpy(self, cfg, request, tmp_path):
         out_path = tmp_path / "opt.csv"
-        loaded_after_each([["optimize", "--config", str(fig1_cfg), "--out", str(out_path)]])
+        cfg = request.getfixturevalue(cfg)
+        loaded_after_each([["optimize", "--config", str(cfg), "--out", str(out_path)]])
         manifest = json.loads((tmp_path / "opt.csv.manifest.json").read_text())
         assert manifest["versions"]["numpy"] is None
 
@@ -382,18 +442,6 @@ class TestMissingSections:
     def test_bound_without_section_exits_2(self, single_cfg):
         assert main(["single-cell-bound", "--config", str(single_cfg)]) == 2
 
-
-# a bimodal density: three stationary points, the far one the maximizer
-BIMODAL_CSV = "h,a\n0.25,0\n0.5,3.6\n0.75,0\n95,0\n100,0.02\n105,0\n"
-BIMODAL_YAML = """\
-schema_version: 1
-fading:
-  kind: tabulated
-  csv: bimodal.csv
-eta: 3.0
-power:
-  Pt_prime_W: 1.0
-"""
 
 # stdout and CSV bytes as last produced; a change that moves an output on
 # purpose updates its strings here and says so

@@ -11,6 +11,7 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from conftest import (
+    example_profile,
     make_rng,
     oracle_cell_integrals,
     oracle_cell_mass,
@@ -20,6 +21,8 @@ from conftest import (
 from hopcap import discrete, waterfill
 from hopcap.errors import BracketFailure, DiscreteKindError, ValidationError
 from hopcap.fading import PROB_SUM_TOL, FadingModel, refine_root
+from hopcap.hopopt import HopProblem
+from hopcap.macmodel import MacProfile
 
 
 def tabulated_exp(mu=1.0, top=20.0, points=4001, scale=1.0):
@@ -81,7 +84,7 @@ class TestMeanH:
     def test_tabulated_mean_is_exact_for_the_linear_density(self):
         # the trapezoid rule on h*a(h) is not exact for a linear density (0.9595 vs 1.00034)
         model = tabulated_exp(points=41)
-        h, a = model.kind.grid.tolist(), model.kind.density.tolist()
+        h, a = model.kind.grid, model.kind.density
         cells = [
             quad(lambda v: v * (a0 * (h1 - v) + a1 * (v - h0)) / (h1 - h0), h0, h1,
                  epsabs=0, epsrel=1e-13)[0]
@@ -120,7 +123,7 @@ class TestNormalisationInvariants:
         assert val == pytest.approx(1.0, abs=1e-6)
 
         tab = tabulated_exp(mu=0.8)
-        g = tab.kind.grid
+        g = np.array(tab.kind.grid)
         assert np.trapezoid(tab.pdf_x(g), g) == pytest.approx(1.0, abs=1e-6)
 
     def test_mean_consistency_through_x(self):
@@ -147,8 +150,7 @@ class TestNormalisationInvariants:
         rng = make_rng(101)
         for _ in range(10):
             model = random_tabulated_model(rng)
-            xg, fg = model.x_grid()
-            assert np.trapezoid(fg, xg) == pytest.approx(1.0, abs=1e-6)
+            assert np.trapezoid(model.tails.f, model.tails.x) == pytest.approx(1.0, abs=1e-6)
 
 
 class TestValidation:
@@ -217,6 +219,36 @@ class TestValidation:
             FadingModel.tabulated(h, a)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda v: FadingModel.exponential(v),
+        lambda v: FadingModel.exponential(1.0, alpha_over_sigma2=v),
+        lambda v: FadingModel.discrete([(v, 0.5), (1.0, 0.5)]),
+        lambda v: FadingModel.discrete([(2.0, v), (1.0, 0.5)]),
+        lambda v: FadingModel.tabulated([0.0, 1.0, v], [1.0, 1.0, 0.0]),
+        lambda v: FadingModel.tabulated([0.0, 1.0, 2.0], [0.5, v, 0.5]),
+        lambda v: HopProblem(FadingModel.exponential(1.0), eta=v, pt_prime=1.0),
+        lambda v: HopProblem(FadingModel.exponential(1.0), eta=3.0, pt_prime=v),
+        lambda v: HopProblem(FadingModel.exponential(1.0), eta=3.0, pt_prime=1.0, d0=v),
+        lambda v: replace_profile(t_idle=v),
+        lambda v: replace_profile(bandwidth=v),
+        lambda v: waterfill.solve(FadingModel.exponential(1.0), v),
+    ],
+    ids=["exp-rate", "scale", "gain", "prob", "grid", "density", "eta", "pt-prime", "d0",
+         "mac-time", "mac-bandwidth", "pi"],
+)
+def test_non_finite_api_inputs_are_validation_errors(build, value):
+    with pytest.raises(ValidationError):
+        build(value)
+
+
+def replace_profile(**changes):
+    """The example MAC profile with some fields changed, validated anew."""
+    return MacProfile(**{**vars(example_profile()), **changes})
+
+
 class TestCsvLoading:
     def test_round_trip_with_header(self, tmp_path):
         model = tabulated_exp(points=501)
@@ -226,8 +258,7 @@ class TestCsvLoading:
         ]
         path.write_text("\n".join(lines) + "\n")
         loaded = FadingModel.tabulated_from_csv(path)
-        assert np.array_equal(loaded.kind.grid, model.kind.grid)
-        assert np.array_equal(loaded.kind.density, model.kind.density)
+        assert loaded.kind == model.kind
 
     def test_round_trip_without_header(self, tmp_path):
         model = tabulated_exp(points=301)
@@ -235,15 +266,28 @@ class TestCsvLoading:
         lines = [f"{h:.17g},{a:.17g}" for h, a in zip(model.kind.grid, model.kind.density)]
         path.write_text("\n".join(lines) + "\n")
         loaded = FadingModel.tabulated_from_csv(path)
-        assert np.array_equal(loaded.kind.grid, model.kind.grid)
+        assert loaded.kind == model.kind
+
+    def test_same_floats_as_numpy_loadtxt(self, tmp_path):
+        # np.loadtxt is the oracle; it too skips blank and # lines
+        model = random_tabulated_model(make_rng(5))
+        rows = [f"{h!r},{a!r}" for h, a in zip(model.kind.grid, model.kind.density)]
+        rows[200:200] = ["", "# a comment line"]
+        path = tmp_path / "density.csv"
+        path.write_text("\n".join(["h,a"] + rows) + "\n")
+        want = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        loaded = FadingModel.tabulated_from_csv(path, model.alpha_over_sigma2)
+        assert loaded.kind.grid == tuple(want[:, 0].tolist())
+        assert loaded.kind.density == tuple(want[:, 1].tolist())
+        assert loaded.kind == model.kind
 
 
 class TestDensityIntegrator:
     def test_matches_dense_trapezoid(self):
         rng = make_rng(7)
         model = random_tabulated_model(rng)
-        xg, fg = model.x_grid()
-        lam = float(0.3 * xg[-1])
+        xg, fg = model.tails.x, model.tails.f
+        lam = 0.3 * xg[-1]
         dense = np.linspace(lam, xg[-1], 2_000_001)
         f = np.interp(dense, xg, fg)
         mass = np.trapezoid(f, dense)
@@ -285,7 +329,7 @@ class TestTailExactness:
     def test_deep_in_the_first_cell(self):
         # the grid starts at h = 0, where 1/x and log x are unbounded
         model = tabulated_exp(points=41)
-        x1 = float(model.x_grid()[0][1])
+        x1 = model.tails.x[1]
         self.check(model, np.geomspace(x1 * 1e-6, x1 / 2, 13))
 
     @staticmethod
@@ -296,7 +340,7 @@ class TestTailExactness:
 
     def test_near_the_top_of_the_support(self):
         model = self.triangle()
-        nodes = model.x_grid()[0][-12:-1]
+        nodes = np.array(model.tails.x[-12:-1])
         lams = np.concatenate([4.4 - np.geomspace(0.4, 0.017, 25), nodes, nodes * (1 - 1e-9)])
         self.check(model, lams)
 
@@ -335,7 +379,7 @@ class TestTabulatedSampling:
     @staticmethod
     def cdf(model, h):
         """P(H <= h) of the linear density: whole cells plus one trapezoid."""
-        g, a = model.kind.grid.tolist(), model.kind.density.tolist()
+        g, a = model.kind.grid, model.kind.density
         cells = [0.5 * (g1 - g0) * (a0 + a1) for g0, g1, a0, a1 in zip(g, g[1:], a, a[1:])]
         j = min(max(bisect.bisect_right(g, h) - 1, 0), len(cells) - 1)
         ah = a[j] + (a[j + 1] - a[j]) * (h - g[j]) / (g[j + 1] - g[j])

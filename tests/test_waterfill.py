@@ -20,7 +20,7 @@ from conftest import (
 )
 from hopcap.cli import main
 from hopcap.config import load_config
-from hopcap.errors import BracketFailure, DiscreteKindError, NonPositivePi
+from hopcap.errors import BracketFailure, DiscreteKindError, NonPositivePi, ValidationError
 from hopcap.fading import FadingModel, TabulatedDensity, TailTable
 from hopcap.simulator import WaterfillPolicy
 from hopcap import hopopt, waterfill
@@ -181,9 +181,13 @@ class TestDegenerateAndErrors:
         cfg.write_text(
             f"schema_version: 1\nfading: {fading_yaml}\neta: 3.0\npower: {{Pt_prime_W: 1.0}}\n"
         )
+        # a sweep can overflow pi; the public entry point rejects it as input
+        model = load_config(cfg).model
         with pytest.raises(BracketFailure):
-            waterfill.solve(load_config(cfg).model, math.inf)
-        assert main(["waterfill", "--config", str(cfg), "--pi", "inf"]) == 3
+            waterfill.gamma_and_lambda(model, math.inf)
+        with pytest.raises(ValidationError):
+            waterfill.solve(model, math.inf)
+        assert main(["waterfill", "--config", str(cfg), "--pi", "inf"]) == 2
 
     def test_density_integrals_reject_discrete(self):
         model = FadingModel.discrete(FIG1_STATES)
