@@ -19,7 +19,7 @@ from pathlib import Path
 
 from . import __version__
 from . import discrete, hopopt, macmodel, waterfill
-from .config import RunConfig, load_config
+from .config import RunConfig, _finite, load_config
 from .errors import ConfigError, HopcapError, NumericalError, ValidationError
 from .macmodel import LN2
 
@@ -132,8 +132,6 @@ def _cmd_optimize(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    import numpy as np
-
     cfg = load_config(args.config)
     started = time.monotonic()
     spec = cfg.sweep
@@ -143,13 +141,14 @@ def _cmd_sweep(args) -> int:
             lo, hi, n = float(lo), float(hi), int(n)
         except ValueError as exc:
             raise ConfigError(f"--grid expects d_min:d_max:points, got {args.grid!r}") from exc
+        lo, hi = _finite(lo, "--grid d_min"), _finite(hi, "--grid d_max")
         if n < 1 or hi <= lo or lo <= 0:
             raise ConfigError("--grid expects 0 < d_min < d_max and points >= 1")
         factors = spec.power_factors if spec else (1.0,)
-        ds = np.geomspace(lo, hi, n)
+        ds = _geomspace(lo, hi, n)
     elif spec is not None:
         factors = spec.power_factors
-        ds = np.geomspace(spec.d_min, spec.d_max, spec.points)
+        ds = _geomspace(spec.d_min, spec.d_max, spec.points)
     else:
         raise ConfigError("sweep: section missing and no --grid given")
 
@@ -160,18 +159,16 @@ def _cmd_sweep(args) -> int:
     for factor in factors:
         pt_prime = factor * base.pt_prime
         for d in ds:
-            pi = pt_prime / d**base.eta
+            try:
+                loss = d**base.eta
+            except OverflowError:  # d -> inf, where pi = 0
+                loss = math.inf
+            # a loss that underflows to 0 gives pi = inf, which has no water level
+            pi = pt_prime / loss if loss else math.inf
             gamma, _ = waterfill.gamma_and_lambda(model, pi)
             segment = discrete.segment_index(model.table, pi) + 1 if model.is_discrete else ""
             rows.append(
-                (
-                    factor,
-                    float(d),
-                    pi,
-                    _rate_out(gamma, args),
-                    _rate_out(d * gamma, args),
-                    segment,
-                )
+                (factor, d, pi, _rate_out(gamma, args), _rate_out(d * gamma, args), segment)
             )
     header = ["power_factor", "d_m", "pi", f"gamma_{unit}", "psi", "segment"]
     _write_csv(args.out, header, rows)
@@ -335,6 +332,18 @@ def _optimize_summary(cfg, sset, args) -> dict:
         summary["theta_opt_bps"] = macmodel.throughput(cfg.profile, best.gamma)
         summary["transport_opt_bit_m_per_s"] = summary["theta_opt_bps"] * best.d
     return summary
+
+
+def _geomspace(lo: float, hi: float, n: int) -> list:
+    """``n`` floats from ``lo`` to ``hi``, evenly spaced in log10, both ends exact.
+
+    The exponents are ``i*step + log10(lo)``, as ``np.geomspace`` (through
+    ``np.linspace``) computes them; its vectorised power may round a point
+    one ulp away from ``10.0 ** y``.
+    """
+    a = math.log10(lo)
+    step = (math.log10(hi) - a) / (n - 1) if n > 1 else 0.0
+    return [lo] + [10.0 ** (i * step + a) for i in range(1, n - 1)] + [hi] * (n > 1)
 
 
 def _rate_out(nats: float, args) -> float:

@@ -79,7 +79,10 @@ class FadingModel:
     @classmethod
     def exponential(cls, rate: float, alpha_over_sigma2: float = 1.0) -> "FadingModel":
         rate = _positive(rate, "exponential rate")
-        return cls(Exponential(rate), _positive(alpha_over_sigma2, "alpha_over_sigma2"))
+        scale = _positive(alpha_over_sigma2, "alpha_over_sigma2")
+        # nu = rate/scale, the rate of X = scale*H, has to be a float too
+        _positive(rate / scale, "exponential rate / alpha_over_sigma2")
+        return cls(Exponential(rate), scale)
 
     @classmethod
     def discrete(cls, states, alpha_over_sigma2: float = 1.0) -> "FadingModel":
@@ -114,6 +117,12 @@ class FadingModel:
         if abs(total - 1.0) > DENSITY_NORM_TOL:
             raise ValidationError(
                 f"tabulated density integrates to {total!r} (trapezoid), expected 1"
+            )
+        # the density of X = scale*H has nodes scale*h and values a/scale
+        if not (scale * g[-1] < math.inf and max(a) / scale < math.inf):
+            raise ValidationError(
+                f"alpha_over_sigma2 = {scale!r} takes the density of X = alpha_over_sigma2*H "
+                "out of the float range"
             )
         return cls(TabulatedDensity(g, a), scale)
 
@@ -272,11 +281,13 @@ def refine_root(func, lo: float, hi: float) -> float:
         stry = None
         if abs(spre) > delta and abs(fcur) < abs(fpre):
             if xpre == xblk:  # secant
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                num, den = -fcur * (xcur - xpre), fcur - fpre
             else:  # inverse quadratic
                 dpre = (fpre - fcur) / (xpre - xcur)
                 dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+                num, den = -fcur * (fblk * dblk - fpre * dpre), dblk * dpre * (fblk - fpre)
+            # C divides an underflowed denominator to inf or NaN, a step it then rejects
+            stry = num / den if den != 0.0 else None
         if stry is not None and 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
             spre, scur = scur, stry
         else:

@@ -285,6 +285,8 @@ def _tabulated_roots(model: FadingModel, eta: float) -> list:
     lam0 = breaks[0][0] if breaks else top
     while True:
         lam0 *= 0.1
+        if lam0 == 0.0:
+            raise BracketFailure("no start below the tabulated nodes before lam underflows to 0")
         g0 = slope(lam0)
         if g0 < 0.0 and residual(lam0) > 0.0:
             break

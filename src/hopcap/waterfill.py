@@ -18,11 +18,13 @@ above ``lam`` together, all exact: one E1 and one exp for exponential
 fading, the tail table of a tabulated density (`FadingModel.tails`) plus
 one closed-form partial cell; it raises DiscreteKindError on discrete
 models.  The water level solves the constraint above on its power, and
-Gamma is its rate there.  The root is bracketed from each kind's
-structure and refined once by `fading.refine_root`: exponential fading
-halves or doubles from ``min(1/nu, 1/pi)``; a tabulated density bisects
-its strictly decreasing power column for the root's cell, and below its
-support has the closed form ``lam = mass/(pi + E[1/X])``.
+Gamma is its rate there.  Exponential fading takes Newton steps on
+``log P`` against ``log lam`` from ``min(1/nu, 1/pi)``: the mass gives
+the exact slope ``dP/dlam = -mass/lam**2``, and a step that leaves the
+bracket the values seen so far keep falls back to a geometric bisection.
+A tabulated density bisects its strictly decreasing power column for
+the root's cell and refines once inside it by `fading.refine_root`;
+below its support it has the closed form ``lam = mass/(pi + E[1/X])``.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from .errors import BracketFailure, NonPositivePi, ValidationError
 from .fading import Exponential, FadingModel, bracket_root, refine_root
 
 _EULER_GAMMA = 0.5772156649015328
+_NEWTON_STEPS = 100
 
 
 @dataclass(frozen=True)
@@ -106,9 +109,8 @@ def solve(model: FadingModel, pi: float) -> WaterfillSolution:
     """Solve the water-filling problem at normalized power ``pi`` > 0.
 
     Discrete models read lam and Gamma off the closed-form table.  For
-    continuous models the constraint gap is continuous and strictly
-    decreasing in ``lam``; its unique root is bracketed from the kind's
-    exact structure and refined by Brent's method to relative width ~1e-15.
+    continuous models the power is continuous and strictly decreasing in
+    ``lam``, and the water level is its unique root to about 1e-15 relative.
     """
     if not math.isfinite(pi):
         raise ValidationError(f"pi must be finite, got {pi}")
@@ -133,15 +135,47 @@ def gamma_and_lambda(model: FadingModel, pi: float):
     if model.is_discrete:
         table = model.table
         return _discrete.gamma_of_pi(table, pi), _discrete.lambda_closed_form(table, pi)
+    if isinstance(model.kind, Exponential):
+        return _newton_level(model, pi)
     lam = _solve_lambda(model, pi)
     return tails_at(model, lam)[2], lam
 
 
+def _newton_level(model: FadingModel, pi: float):
+    """(Gamma, lam) of exponential fading: Newton's method on log P against log lam.
+
+    With ``dP/dlam = -mass/lam**2`` the step is
+    ``lam *= exp((log P - log pi) * lam*P/mass)``.  Every value seen narrows
+    a bracket [lo, hi] of the root; a step that leaves it, or a zero mass or
+    power, is replaced by a geometric bisection, or by x4 or /4 while one
+    side is still open.  A step of at most one ulp ends the solve, and Gamma
+    is the rate the last kernel call returned.
+    """
+    lo, hi = 0.0, math.inf
+    # the root obeys lam < 1/pi, and u = nu*lam = 1 is a natural scale
+    lam = min(model.alpha_over_sigma2 / model.kind.rate, 1.0 / pi)
+    for _ in range(_NEWTON_STEPS):
+        mass, power, rate = tails_at(model, lam)
+        if power > pi:
+            lo = lam
+        else:
+            hi = lam
+        new = math.nan
+        if mass > 0.0 and power > 0.0:
+            new = lam * math.exp((math.log(power) - math.log(pi)) * lam * power / mass)
+            if abs(new - lam) <= math.ulp(lam):
+                return rate, lam
+        if not lo < new < hi:
+            new = (4.0 * lo if hi == math.inf else 0.25 * hi if lo == 0.0
+                   else math.sqrt(lo) * math.sqrt(hi))
+            if new in (lo, hi):  # the bracket is two neighbouring floats
+                return rate, lam
+        lam = new
+    raise BracketFailure(f"Newton's method found no water level for pi={pi!r}")
+
+
 def _solve_lambda(model: FadingModel, pi: float) -> float:
     gap = lambda lam: tails_at(model, lam)[1] - pi
-    if isinstance(model.kind, Exponential):
-        # the root obeys lam < 1/pi, and u = nu*lam = 1 is a natural scale
-        return bracket_root(gap, min(model.alpha_over_sigma2 / model.kind.rate, 1.0 / pi))
     tails = model.tails
     x, power, mass = tails.x, tails.power, tails.mass
     if x[0] > 0.0 and pi >= power[0]:

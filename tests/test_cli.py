@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hopcap.cli import main
+from hopcap.cli import _geomspace, main
 
 SINGLE_STATE_YAML = """\
 schema_version: 1
@@ -161,7 +161,10 @@ def test_scalar_commands_load_no_numpy_scipy_or_simulator(exp_cfg, fig1_cfg, tab
         argvs += [
             ["waterfill", "--config", str(cfg), "--pi", "2.5"],
             ["optimize", "--config", str(cfg)],
-            ["stationary-points", "--config", str(cfg), "--out", str(tmp_path / f"{cfg.stem}.csv")],
+            ["stationary-points", "--config", str(cfg),
+             "--out", str(tmp_path / f"{cfg.stem}.points.csv")],
+            ["sweep", "--config", str(cfg), "--grid", "0.05:20:200",
+             "--out", str(tmp_path / f"{cfg.stem}.sweep.csv")],
         ]
     simulate = ["simulate", "--config", str(fig1_cfg), "--horizon", "10000"]
     *scalar, after_simulate = loaded_after_each(argvs + [simulate])
@@ -264,6 +267,34 @@ class TestWaterfillCommand:
             err = capsys.readouterr().err
             assert err.startswith("error: ") and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "fading, scale, argv, code",
+        [
+            ("tabulated", "1e-310", ["optimize"], 2),
+            ("tabulated", "1e-310", ["waterfill", "--pi", "1"], 2),
+            ("tabulated", "1e-320", ["optimize"], 2),
+            ("tabulated", "1e-320", ["waterfill", "--pi", "1"], 2),
+            ("tabulated", "1e308", ["optimize"], 2),
+            # the nodes stay in range, but the scan's start underflows to 0
+            ("tabulated", "1e-307", ["optimize"], 3),
+            ("exponential", "1e-310", ["waterfill", "--pi", "1"], 2),
+        ],
+    )
+    def test_extreme_alpha_over_sigma2_ends_without_traceback(
+        self, fading, scale, argv, code, tmp_path, capsys
+    ):
+        (tmp_path / "bimodal.csv").write_text(BIMODAL_CSV)
+        kind = "csv: bimodal.csv" if fading == "tabulated" else "rate: 1.0"
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text(
+            f"schema_version: 1\nfading: {{kind: {fading}, {kind}, alpha_over_sigma2: {scale}}}\n"
+            "eta: 3.0\npower: {Pt_prime_W: 1.0}\n"
+        )
+        assert main(argv[:1] + ["--config", str(cfg)] + argv[1:]) == code
+        err = capsys.readouterr().err
+        assert err.startswith("error: " if code == 2 else "numerical failure: ")
+        assert "Traceback" not in err
+
     def test_unknown_key_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.yaml"
         bad.write_text(
@@ -323,6 +354,35 @@ class TestSweepCommand:
     def test_empty_grid_exits_2(self, fig1_cfg, tmp_path, capsys):
         assert main(["sweep", "--config", str(fig1_cfg), "--grid", "1:10:0"]) == 2
 
+    @pytest.mark.parametrize("grid", ["nan:1:5", "0.5:nan:5", "1:inf:5"])
+    def test_non_finite_grid_bound_exits_2(self, grid, fig1_cfg, capsys):
+        assert main(["sweep", "--config", str(fig1_cfg), "--grid", grid]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --grid") and "Traceback" not in err
+
+    @pytest.mark.parametrize("cfg", ["exp_cfg", "fig1_cfg", "tab_cfg"])
+    def test_path_loss_overflow_gives_zero_pi_rows(self, cfg, request, tmp_path, capsys):
+        # d**eta overflows at d = 1e308 (and at 1e154 when eta = 3): the d -> inf limit
+        out_path = tmp_path / "sweep.csv"
+        argv = ["sweep", "--config", str(request.getfixturevalue(cfg)), "--grid", "1:1e308:3"]
+        assert main(argv + ["--out", str(out_path)]) == 0
+        rows = read_csv(out_path)
+        assert {float(r["d_m"]) for r in rows} == {1.0, 1e154, 1e308}
+        for r in rows:
+            if float(r["d_m"]) == 1.0:
+                assert float(r["pi"]) > 0.0 and float(r["psi"]) > 0.0
+            if float(r["d_m"]) == 1e308:
+                assert float(r["pi"]) == float(r["psi"]) == 0.0
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cfg", ["exp_cfg", "fig1_cfg", "tab_cfg"])
+    def test_path_loss_underflow_is_a_numerical_failure(self, cfg, request, capsys):
+        # d**eta underflows to 0 at d = 1e-320: pi = pt'/0 has no finite water level
+        argv = ["sweep", "--config", str(request.getfixturevalue(cfg)), "--grid", "1e-320:1:3"]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: no finite water level") and "Traceback" not in err
+
     def test_round_trip_equals_in_memory(self, fig1_cfg, tmp_path):
         from hopcap import discrete
         from hopcap.fading import FadingModel
@@ -335,6 +395,37 @@ class TestSweepCommand:
             d = float(row["d_m"])
             gamma = discrete.gamma_of_pi(table, 1.0 / d**3)
             assert abs(float(row["gamma_nats"]) - gamma) < 1e-12 * max(gamma, 1e-12)
+
+
+def _seeded_grids(count=20, seed=14):
+    rng = np.random.default_rng(seed)
+    lo = 10.0 ** rng.uniform(-3.0, 2.0, count)
+    hi = lo * 10.0 ** rng.uniform(0.01, 6.0, count)
+    return list(zip(lo.tolist(), hi.tolist(), rng.integers(3, 2000, count).tolist()))
+
+
+class TestGeomspace:
+    """The sweep's d grid in plain floats, with np.geomspace as the oracle."""
+
+    @pytest.mark.parametrize("lo, hi, n", [(0.05, 50.0, 600), (1.0, 2.0, 1), (1.0, 2.0, 2),
+                                           (1.0, 1e308, 3)] + _seeded_grids())
+    def test_exact_ends_increasing_and_within_one_ulp_of_numpy(self, lo, hi, n):
+        ds = _geomspace(lo, hi, n)
+        assert len(ds) == n and all(type(d) is float for d in ds)
+        assert ds[0] == lo and (n == 1 or ds[-1] == hi)
+        assert all(a < b for a, b in zip(ds, ds[1:]))
+        # np.geomspace's own steps on libm's log10 of the ends; numpy's log10
+        # rounds about 2% of inputs to the other neighbouring float
+        a, b = math.log10(lo), math.log10(hi)
+        ref = np.power(10.0, np.linspace(a, b, n))
+        ref[0] = lo
+        ref[-1] = hi if n > 1 else lo
+        for d, r in zip(ds, ref.tolist()):
+            assert abs(d - r) <= math.ulp(r), (d, r)
+        if float(np.log10(lo)) == a and float(np.log10(hi)) == b:
+            assert ref.tolist() == np.geomspace(lo, hi, n).tolist()
+        else:
+            assert (lo, hi) != (0.05, 50.0)
 
 
 class TestStationaryPointsCommand:
@@ -419,11 +510,15 @@ class TestSingleCellBoundCommand:
 
 
 class TestManifestNumpyVersion:
-    @pytest.mark.parametrize("cfg", ["fig1_cfg", "tab_cfg"], ids=["fig1-discrete", "tabulated"])
-    def test_null_when_the_run_loaded_no_numpy(self, cfg, request, tmp_path):
+    @pytest.mark.parametrize(
+        "cfg, command",
+        [("fig1_cfg", "optimize"), ("tab_cfg", "optimize"), ("exp_cfg", "sweep")],
+        ids=["fig1-discrete", "tabulated", "sweep-exponential"],
+    )
+    def test_null_when_the_run_loaded_no_numpy(self, cfg, command, request, tmp_path):
         out_path = tmp_path / "opt.csv"
         cfg = request.getfixturevalue(cfg)
-        loaded_after_each([["optimize", "--config", str(cfg), "--out", str(out_path)]])
+        loaded_after_each([[command, "--config", str(cfg), "--out", str(out_path)]])
         manifest = json.loads((tmp_path / "opt.csv.manifest.json").read_text())
         assert manifest["versions"]["numpy"] is None
 

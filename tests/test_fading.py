@@ -483,6 +483,13 @@ class TestRefineRoot:
             checked += 1
         assert checked >= 2900  # a root at the very end of its bracket may round away
 
+    @pytest.mark.parametrize("scale", [1e-300, 1e-320])
+    def test_matches_brentq_where_a_step_denominator_underflows(self, scale):
+        # the inverse-quadratic denominator is a product of two slopes and a
+        # difference of values; it underflows to 0, and brentq rejects that step
+        func = lambda x: scale * (x**3 - 0.3)
+        assert refine_root(func, 0.0, 1.0) == scipy_brentq(func, 0.0, 1.0)
+
     def test_matches_brentq_on_the_tabulated_water_level(self, monkeypatch):
         model = random_tabulated_model(make_rng(22))
         pis = np.geomspace(1e-6, 1e3, 40).tolist()

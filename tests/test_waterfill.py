@@ -21,7 +21,7 @@ from conftest import (
 from hopcap.cli import main
 from hopcap.config import load_config
 from hopcap.errors import BracketFailure, DiscreteKindError, NonPositivePi, ValidationError
-from hopcap.fading import FadingModel, TabulatedDensity, TailTable
+from hopcap.fading import FadingModel, TabulatedDensity, TailTable, bracket_root
 from hopcap.simulator import WaterfillPolicy
 from hopcap import hopopt, waterfill
 
@@ -225,6 +225,32 @@ class TestWaterLevelBracket:
             assert power(model, lam * (1 - 1e-14)) - pi > 0.0 > power(model, lam * (1 + 1e-14)) - pi
             if isinstance(model.kind, TabulatedDensity) and 1e-6 <= pi <= 1e6:
                 assert oracle_cell_integrals(model, lam)[0] == pytest.approx(pi, rel=1e-12)
+
+    @pytest.mark.parametrize("name", ["exp", "exp-scaled"])
+    def test_exponential_newton_level(self, name, monkeypatch):
+        model = BRACKET_MODELS[name]
+        kernel = waterfill.tails_at
+        calls, counts = [], []
+        monkeypatch.setattr(waterfill, "tails_at", lambda m, lam: calls.append(lam) or kernel(m, lam))
+        for k in np.arange(-12.0, 12.25, 0.5):
+            pi = 10.0**k
+            calls.clear()
+            gamma, lam = waterfill.gamma_and_lambda(model, pi)
+            counts.append(len(calls))
+            # Gamma is the rate of the last kernel call, made at the returned level
+            assert calls[-1] == lam and gamma == kernel(model, lam)[2]
+            start = min(model.alpha_over_sigma2 / model.kind.rate, 1.0 / pi)
+            brent = bracket_root(lambda x: kernel(model, x)[1] - pi, start)
+            assert lam == pytest.approx(brent, rel=1e-14, abs=0.0), pi
+        assert sum(counts) / len(counts) <= 8.0 and max(counts) <= 16, counts
+
+    @pytest.mark.parametrize("pi", [1e-200, 1e-300])
+    def test_exponential_level_at_tiny_pi(self, pi):
+        # the level sits near u = 448 and 678, where the gap's values are ~1e-200 and below
+        model = BRACKET_MODELS["exp"]
+        lam = waterfill.solve(model, pi).lam
+        power = lambda x: waterfill.tails_at(model, x)[1]
+        assert power(lam * (1 - 1e-14)) > pi > power(lam * (1 + 1e-14))
 
     @pytest.mark.parametrize("pi", [3.0, 10.0, 1e6])
     def test_below_the_support(self, pi):
