@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import hashlib
-import json
 import math
 import sys
 import time
@@ -365,6 +363,8 @@ def _write_csv(path, header, rows) -> None:
 
 
 def _sha256(path) -> str:
+    import hashlib
+
     digest = hashlib.sha256()
     with open(path, "rb") as fh:  # in blocks: a --trace file can be large
         for block in iter(lambda: fh.read(1 << 20), b""):
@@ -373,6 +373,8 @@ def _sha256(path) -> str:
 
 
 def _write_manifest(args, started, outputs, seed=None, summary=None) -> None:
+    import json
+
     manifest = {
         "command": args.invocation,
         "config_path": getattr(args, "config", None),

@@ -8,8 +8,8 @@ dotted field path so typos fail loudly instead of being ignored.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import yaml
 
@@ -58,16 +58,14 @@ _SIM_KEYS = {
 _BOUND_KEYS = {"area_m2", "noise_W", "power_W", "K_min", "K_max", "points"}
 
 
-@dataclass(frozen=True)
-class SweepSpec:
+class SweepSpec(NamedTuple):
     d_min: float
     d_max: float
     points: int
     power_factors: tuple = (1.0,)
 
 
-@dataclass(frozen=True)
-class SimulateSpec:
+class SimulateSpec(NamedTuple):
     d: float
     horizon: int
     seed: int
@@ -76,8 +74,7 @@ class SimulateSpec:
     relinquish_overhead: float | None = None
 
 
-@dataclass(frozen=True)
-class BoundSpec:
+class BoundSpec(NamedTuple):
     area: float
     noise: float
     powers: tuple
@@ -86,8 +83,7 @@ class BoundSpec:
     points: int = 200
 
 
-@dataclass(frozen=True, eq=False)
-class RunConfig:
+class RunConfig(NamedTuple):
     """Validated run inputs; sections absent from the file stay None."""
 
     model: FadingModel

@@ -19,14 +19,13 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DiscreteKindError, ValidationError
 from .fading import FadingModel, refine_root
 
 
-@dataclass(frozen=True, eq=False)
-class DiscreteWaterfillTable:
+class DiscreteWaterfillTable(NamedTuple):
     """Per-segment constants of the piecewise closed form.
 
     All entries are float tuples that depend only on the distribution (not

@@ -21,7 +21,7 @@ from __future__ import annotations
 import bisect
 import functools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import BracketFailure, DiscreteKindError, ValidationError
 
@@ -38,41 +38,39 @@ _SERIES_BELOW = 0.25
 _SERIES = tuple((-1) ** k / (k + 1) for k in range(25, 1, -1))
 
 
-@dataclass(frozen=True)
-class Exponential:
+class Exponential(NamedTuple):
     """Exponential gain distribution with pdf ``rate * exp(-rate*h)``."""
 
     rate: float
 
 
-@dataclass(frozen=True)
-class DiscreteFinite:
+class DiscreteFinite(NamedTuple):
     """Finite set of fading states, gains strictly descending."""
 
     gains: tuple
     probs: tuple
 
 
-@dataclass(frozen=True)
-class TabulatedDensity:
+class TabulatedDensity(NamedTuple):
     """Sampled pdf on an increasing grid of floats; linear between nodes, zero outside."""
 
     grid: tuple
     density: tuple
 
 
-@dataclass(frozen=True, eq=False)
-class FadingModel:
+class _FadingModelFields(NamedTuple):
+    kind: Exponential | DiscreteFinite | TabulatedDensity
+    alpha_over_sigma2: float = 1.0
+
+
+class FadingModel(_FadingModelFields):
     """A fading distribution plus the composite gain-to-noise factor.
 
     Use the classmethod constructors (`exponential`, `discrete`,
     `tabulated`, `tabulated_from_csv`); they validate invariants and
     normalise representation (e.g. discrete states sorted by descending
-    gain).
+    gain).  No ``__slots__``: ``table`` and ``tails`` are cached in ``__dict__``.
     """
-
-    kind: Exponential | DiscreteFinite | TabulatedDensity
-    alpha_over_sigma2: float = 1.0
 
     # -- constructors ---------------------------------------------------
 

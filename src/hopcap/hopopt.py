@@ -34,7 +34,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from . import discrete as _discrete
 from . import waterfill as _waterfill
@@ -67,8 +67,7 @@ class NearFieldWarning(UserWarning):
     """Hop distance at or below the far-field reference distance."""
 
 
-@dataclass(frozen=True)
-class StationaryPoint:
+class StationaryPoint(NamedTuple):
     """One interior zero of the hop-distance derivative.
 
     ``psi`` is the transport-capacity core d * Gamma(pi) at the point;
@@ -84,8 +83,7 @@ class StationaryPoint:
     segment: int | None = None
 
 
-@dataclass(frozen=True)
-class StationarySet:
+class StationarySet(NamedTuple):
     """All interior stationary points, sorted by ascending hop distance.
 
     Every kind enumerates its roots exactly, so ``unique`` means exactly
@@ -107,8 +105,14 @@ class StationarySet:
         return self.points[self.maximizer_index]
 
 
-@dataclass(frozen=True)
-class HopProblem:
+class _HopProblemFields(NamedTuple):
+    model: FadingModel
+    eta: float
+    pt_prime: float
+    d0: float = 0.0
+
+
+class HopProblem(_HopProblemFields):
     """Inputs of the hop-length optimization.
 
     ``pt_prime`` is the transmit power averaged over transmission
@@ -116,12 +120,10 @@ class HopProblem:
     which the path-loss model over-estimates received power.
     """
 
-    model: FadingModel
-    eta: float
-    pt_prime: float
-    d0: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __init__(self, *_args, **_kwargs):
+        # the tuple is built by __new__; __init__ sees its fields and checks them
         if not 0 < self.eta < math.inf:
             raise ValidationError(f"path loss exponent must be finite and > 0, got {self.eta}")
         if not 0 < self.pt_prime < math.inf:
@@ -142,8 +144,7 @@ class HopProblem:
         return (self.pt_prime / pi) ** (1.0 / self.eta)
 
 
-@dataclass(frozen=True)
-class ScalingCheck:
+class ScalingCheck(NamedTuple):
     """Observed ratios when the power budget is scaled by a factor."""
 
     d_ratio: float
@@ -151,8 +152,7 @@ class ScalingCheck:
     gamma_opt_delta: float
 
 
-@dataclass(frozen=True)
-class BoundaryLimits:
+class BoundaryLimits(NamedTuple):
     """Decay verdicts at d -> 0 and d -> inf; None marks a skipped side."""
 
     zero_ok: bool | None
@@ -427,7 +427,8 @@ def scaling_check(problem: HopProblem, factor: float):
     if factor <= 0:
         raise ValidationError(f"scale factor must be > 0, got {factor}")
     base = stationary_points(problem)
-    scaled = stationary_points(replace(problem, pt_prime=factor * problem.pt_prime))
+    scaled = stationary_points(
+        HopProblem(problem.model, problem.eta, factor * problem.pt_prime, problem.d0))
     if base.maximizer is None or scaled.maximizer is None:
         raise NoStationaryPoint("scaling check needs interior maximizers on both sides")
     return ScalingCheck(

@@ -16,7 +16,7 @@ shrinking reach outweighs it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 from .errors import BudgetExhausted, ValidationError
 
@@ -24,14 +24,7 @@ PROB_SUM_TOL = 1e-12
 LN2 = math.log(2.0)
 
 
-@dataclass(frozen=True)
-class MacProfile:
-    """Contention probabilities plus time and energy overheads.
-
-    Times in seconds, energies in joules, bandwidth in hertz.  ``t_txop``
-    is the fixed transmission time T reserved per successful contention.
-    """
-
+class _MacProfileFields(NamedTuple):
     p_idle: float
     p_collision: float
     p_success: float
@@ -44,10 +37,20 @@ class MacProfile:
     e_collision: float = 0.0
     e_overhead: float = 0.0
 
-    def __post_init__(self):
-        for name in (f.name for f in fields(self)):
-            if not 0 <= getattr(self, name) < math.inf:
-                raise ValidationError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
+
+class MacProfile(_MacProfileFields):
+    """Contention probabilities plus time and energy overheads.
+
+    Times in seconds, energies in joules, bandwidth in hertz.  ``t_txop``
+    is the fixed transmission time T reserved per successful contention.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *_args, **_kwargs):
+        for name, value in zip(self._fields, self):
+            if not 0 <= value < math.inf:
+                raise ValidationError(f"{name} must be finite and >= 0, got {value}")
         probs = (self.p_idle, self.p_collision, self.p_success)
         if abs(sum(probs) - 1.0) > PROB_SUM_TOL:
             raise ValidationError(f"contention probabilities sum to {sum(probs)!r}, expected 1")

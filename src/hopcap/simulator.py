@@ -26,7 +26,7 @@ import contextlib
 import json
 import math
 import warnings
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,8 +44,7 @@ class SmallHorizonWarning(UserWarning):
     """Horizon below the size where the normal CI is trustworthy."""
 
 
-@dataclass(frozen=True)
-class ConstantPowerPolicy:
+class ConstantPowerPolicy(NamedTuple):
     """Transmit with the same power in every fading state."""
 
     power_w: float
@@ -54,8 +53,7 @@ class ConstantPowerPolicy:
         return np.full_like(np.asarray(h, dtype=float), self.power_w)
 
 
-@dataclass(frozen=True)
-class WaterfillPolicy:
+class WaterfillPolicy(NamedTuple):
     """Transmit P(h) = d**eta * xi(c*h) from a solved water-fill."""
 
     solution: WaterfillSolution
@@ -67,8 +65,7 @@ class WaterfillPolicy:
         return self.d**self.eta * self.solution.allocation(c * np.asarray(h, dtype=float))
 
 
-@dataclass(frozen=True, eq=False)
-class SimConfig:
+class _SimConfigFields(NamedTuple):
     profile: MacProfile
     model: FadingModel
     policy: ConstantPowerPolicy | WaterfillPolicy
@@ -78,7 +75,11 @@ class SimConfig:
     seed: int
     relinquish_overhead: float | None = None
 
-    def __post_init__(self):
+
+class SimConfig(_SimConfigFields):
+    __slots__ = ()
+
+    def __init__(self, *_args, **_kwargs):
         if self.horizon < 1:
             raise ValidationError(f"horizon must be >= 1, got {self.horizon}")
         if self.d <= 0 or self.eta <= 0:
@@ -96,8 +97,7 @@ class SimConfig:
             )
 
 
-@dataclass(frozen=True)
-class SimReport:
+class SimReport(NamedTuple):
     theta_hat: float
     theta_ci95: float
     power_hat: float
@@ -294,8 +294,7 @@ def _trace_block(kinds, fixed, success_rows):
 # -- fixed transmission time vs fixed packet size -------------------------
 
 
-@dataclass(frozen=True)
-class FttFpComparison:
+class FttFpComparison(NamedTuple):
     """Bit totals of the two schemes over one pair of channel samples."""
 
     bits_fp: float
@@ -304,8 +303,7 @@ class FttFpComparison:
     duration: float
 
 
-@dataclass(frozen=True)
-class SwapComparison:
+class SwapComparison(NamedTuple):
     """Energy effect of exchanging rates between two channel states."""
 
     energy_original: float

@@ -32,7 +32,7 @@ from __future__ import annotations
 import bisect
 import math
 import operator
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import discrete as _discrete
 from .errors import BracketFailure, NonPositivePi, ValidationError
@@ -42,8 +42,7 @@ _EULER_GAMMA = 0.5772156649015328
 _NEWTON_STEPS = 100
 
 
-@dataclass(frozen=True)
-class WaterfillSolution:
+class WaterfillSolution(NamedTuple):
     """Solved allocation for one normalized power level.
 
     ``lam`` is the Lagrange multiplier (reciprocal water level), so
@@ -100,7 +99,9 @@ def tails_at(model: FadingModel, lam: float):
     if isinstance(model.kind, Exponential):
         nu = model.kind.rate / model.alpha_over_sigma2
         u = nu * lam
-        e1, mass = exp1(u), math.exp(-u)
+        # where u underflows to 0, E1(u) = -gamma - log(u) holds to every digit
+        e1 = exp1(u) if u else -_EULER_GAMMA - math.log(nu) - math.log(lam)
+        mass = math.exp(-u)
         return mass, mass / lam - nu * e1, e1
     return model.tails.above(lam)
 
@@ -155,6 +156,8 @@ def _newton_level(model: FadingModel, pi: float):
     # the root obeys lam < 1/pi, and u = nu*lam = 1 is a natural scale
     lam = min(model.alpha_over_sigma2 / model.kind.rate, 1.0 / pi)
     for _ in range(_NEWTON_STEPS):
+        if lam == math.inf:
+            break
         mass, power, rate = tails_at(model, lam)
         if power > pi:
             lo = lam

@@ -133,16 +133,18 @@ def read_csv(path):
 _SRC = Path(__file__).parents[1] / "src"
 
 # runs each argv list through hopcap.cli.main in one fresh interpreter and
-# prints, after each, the numpy, scipy and simulator modules loaded so far
+# prints, after each, the numpy, scipy and simulator modules loaded so far,
+# and which of dataclasses, inspect and hashlib are loaded
 _FRESH_RUNNER = """\
 import json, sys
 from hopcap.cli import main
-loaded = []
+loaded, stdlib = [], []
 for argv in json.loads(sys.argv[1]):
     assert main(argv) == 0, argv
     loaded.append(sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy")
                          or m == "hopcap.simulator"))
-print(json.dumps(loaded))
+    stdlib.append([m for m in ("dataclasses", "inspect", "hashlib") if m in sys.modules])
+print(json.dumps([loaded, stdlib]))
 """
 
 
@@ -156,21 +158,28 @@ def loaded_after_each(argvs):
 
 
 def test_scalar_commands_load_no_numpy_scipy_or_simulator(exp_cfg, fig1_cfg, tab_cfg, tmp_path):
-    argvs = []
-    for cfg in (exp_cfg, fig1_cfg, tab_cfg):
+    cfgs = (exp_cfg, fig1_cfg, tab_cfg)
+    # the commands that write no --out file, and so no manifest, run first
+    argvs = [argv for cfg in cfgs for argv in (
+        ["waterfill", "--config", str(cfg), "--pi", "2.5"],
+        ["optimize", "--config", str(cfg)],
+    )]
+    bare = len(argvs)
+    for cfg in cfgs:
         argvs += [
-            ["waterfill", "--config", str(cfg), "--pi", "2.5"],
-            ["optimize", "--config", str(cfg)],
             ["stationary-points", "--config", str(cfg),
              "--out", str(tmp_path / f"{cfg.stem}.points.csv")],
             ["sweep", "--config", str(cfg), "--grid", "0.05:20:200",
              "--out", str(tmp_path / f"{cfg.stem}.sweep.csv")],
         ]
     simulate = ["simulate", "--config", str(fig1_cfg), "--horizon", "10000"]
-    *scalar, after_simulate = loaded_after_each(argvs + [simulate])
+    loaded, stdlib = loaded_after_each(argvs + [simulate])
+    *scalar, after_simulate = loaded
     assert scalar == [[]] * len(argvs)
     # the guard is not vacuous: a command that builds arrays does load them
     assert "numpy" in after_simulate and "hopcap.simulator" in after_simulate
+    # no scalar command loads dataclasses or inspect; hashlib comes with the first manifest
+    assert stdlib[:len(argvs)] == [[]] * bare + [["hashlib"]] * (len(argvs) - bare)
 
 
 class TestWaterfillCommand:

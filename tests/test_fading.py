@@ -246,7 +246,7 @@ def test_non_finite_api_inputs_are_validation_errors(build, value):
 
 def replace_profile(**changes):
     """The example MAC profile with some fields changed, validated anew."""
-    return MacProfile(**{**vars(example_profile()), **changes})
+    return MacProfile(**{**example_profile()._asdict(), **changes})
 
 
 class TestCsvLoading:

@@ -15,7 +15,7 @@ from conftest import (
     random_tabulated_model,
 )
 from hopcap.cli import main
-from hopcap.errors import BracketFailure, DiscreteKindError
+from hopcap.errors import BracketFailure, DiscreteKindError, ValidationError
 from hopcap.fading import FadingModel
 from hopcap import hopopt
 
@@ -200,6 +200,12 @@ class TestScaling:
         assert check.d_ratio == 1.0
         assert check.psi_ratio == 1.0
         assert check.gamma_opt_delta == 0.0
+
+    @pytest.mark.parametrize("factor", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_non_finite_factor_is_a_validation_error(self, factor):
+        # the scaled problem is constructed anew, so its power budget is checked
+        with pytest.raises(ValidationError):
+            hopopt.scaling_check(exp_problem(), factor)
 
     def test_fig1_factor8(self):
         check = hopopt.scaling_check(fig1_problem(), 8.0)

@@ -6,6 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.special
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import (
     bisect_scalar,
@@ -295,6 +296,49 @@ class TestOneKernelCall:
         mass = oracle_cell_mass(model, lam)
         assert slope == pytest.approx((eta - 1.0) * mass / lam - eta * power, rel=1e-10)
         assert residual == pytest.approx(rate - eta * lam * power, rel=1e-10)
+
+
+class TestExtremeExponential:
+    """Exponential models whose u = nu*lam underflows to 0 keep a finite level, or fail loudly."""
+
+    # nu = rate/alpha_over_sigma2 = 2.6e-310 and lam = 1/pi = 2.5e-270: u = nu*lam is 0
+    UNDERFLOW = FadingModel.exponential(1.85e-285, 7.04e24)
+    UNDERFLOW_PI = 4e269
+
+    def test_underflowing_u_keeps_the_level_and_gamma(self):
+        gamma, lam = waterfill.gamma_and_lambda(self.UNDERFLOW, self.UNDERFLOW_PI)
+        # all but nu*E1(u) ~ 3.5e-307 of the power is 1/lam
+        assert lam == 1.0 / self.UNDERFLOW_PI
+        with mpmath.workdps(40):
+            nu = mpmath.mpf(self.UNDERFLOW.kind.rate / self.UNDERFLOW.alpha_over_sigma2)
+            assert gamma == pytest.approx(float(mpmath.e1(nu * mpmath.mpf(lam))), rel=1e-15, abs=0)
+
+    def test_underflowing_u_through_the_cli(self, tmp_path, capsys):
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text(
+            "schema_version: 1\nfading: {kind: exponential, rate: 1.85e-285, "
+            "alpha_over_sigma2: 7.04e24}\neta: 3.0\npower: {Pt_prime_W: 1.0}\n"
+        )
+        assert main(["waterfill", "--config", str(cfg), "--pi", "4e269"]) == 0
+        fields = dict(token.split("=") for token in capsys.readouterr().out.split())
+        assert float(fields["gamma_nats"]) == waterfill.gamma_and_lambda(self.UNDERFLOW, 4e269)[0]
+
+    @settings(derandomize=True, database=None, max_examples=1500, deadline=None)
+    @given(
+        rate=st.floats(1e-300, 1e300),
+        alpha_over_sigma2=st.floats(1e-300, 1e300),
+        pi=st.floats(1e-323, 1e308),
+    )
+    def test_finite_level_or_bracket_failure(self, rate, alpha_over_sigma2, pi):
+        try:
+            model = FadingModel.exponential(rate, alpha_over_sigma2)
+        except ValidationError:  # rate/alpha_over_sigma2 leaves the float range
+            assume(False)
+        try:
+            gamma, lam = waterfill.gamma_and_lambda(model, pi)
+        except BracketFailure:
+            return
+        assert 0.0 <= gamma < math.inf and 0.0 < lam < math.inf
 
 
 class TestExp1:
