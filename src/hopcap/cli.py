@@ -354,12 +354,16 @@ def _g(value: float) -> str:
 
 
 def _write_csv(path, header, rows) -> None:
-    """Write header and rows as CSV to the file ``path``, or to stdout when it is None."""
+    """Write header and rows as CSV to the file ``path``, or to stdout when it is None.
+
+    Each column keeps the type of its first row: floats are written as
+    ``%.17g`` (the same text as `_g`), everything else by ``str``.
+    """
+    line = ",".join("%.17g" if isinstance(v, float) else "%s" for v in rows[0]) + "\n" if rows else ""
+    text = ",".join(header) + "\n" + "".join([line % row for row in rows])
     with (open(path, "w", newline="", encoding="utf-8") if path
           else contextlib.nullcontext(sys.stdout)) as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_g(v) if isinstance(v, float) else str(v) for v in row) + "\n")
+        fh.write(text)
 
 
 def _sha256(path) -> str:

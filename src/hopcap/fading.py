@@ -10,8 +10,8 @@ and is linear between its nodes, so its moments and tails are exact:
 rate above each x-node, and a query at any ``lam`` adds one closed-form
 partial cell.  Every kind's scalar path is plain ``math``; numpy is
 imported only by the methods that take or return arrays (``pdf_x``,
-``tail_decay_check``, ``sample_h``).  Every bracketed root in the
-package is refined here, by `refine_root`.
+``tail_decay_check``, ``sample_h``).  Every bracketed root of the
+stationary enumerations is refined here, by `refine_root`.
 
 Models are immutable after construction; every operation is pure.
 """
@@ -340,8 +340,9 @@ class TailTable:
     near the top.  A node at x = 0 has only mass (1/x, log x are undefined).
     ``top`` indexes the top of the support, the first node with no mass
     above it; ``power`` decreases strictly from the first positive node to it.
-    ``above(lam)`` returns the same three tails, mass first, at any lam > 0:
-    the row of the node above lam plus one closed-form partial cell.
+    ``above(lam)`` returns the same three tails, mass first, at any lam > 0,
+    and the density at lam: the row of the node above lam plus one
+    closed-form partial cell, whose interpolated density it already needs.
     """
 
     def __init__(self, x, f):
@@ -354,22 +355,22 @@ class TailTable:
             self.mass[j] = self.mass[j + 1] + 0.5 * (b - a) * (fa + fb)
             self.mean += (b - a) * (fa * (2.0 * a + b) + fb * (a + 2.0 * b)) / 6.0
             if a > 0.0:
-                _, self.power[j], self.rate[j] = self._from(j + 1, a, fa, fb)
+                _, self.power[j], self.rate[j], _ = self._from(j + 1, a, fa, fb)
         self.top = self.mass.index(0.0)
 
     def above(self, lam: float):
-        """(P(X > lam), E[(1/lam - 1/X)^+], E[log(X/lam)^+]) for lam > 0."""
+        """(P(X > lam), E[(1/lam - 1/X)^+], E[log(X/lam)^+], f(lam)) for lam > 0."""
         x, f = self.x, self.f
         j = bisect.bisect_left(x, lam)
         if j == len(x):
-            return 0.0, 0.0, 0.0
+            return 0.0, 0.0, 0.0, 0.0
         if j == 0:  # the density is zero below the support
             return self._from(0, lam, 0.0, 0.0)
         a, b = x[j - 1], x[j]
         return self._from(j, lam, (f[j - 1] * (b - lam) + f[j] * (lam - a)) / (b - a), f[j])
 
     def _from(self, j, lam, fa, fb):
-        """(mass, power, rate) above lam <= x_j, the density linear from (lam, fa) to (x_j, fb)."""
+        """(mass, power, rate, fa) above lam <= x_j, the density linear from (lam, fa) to (x_j, fb)."""
         b, mass = self.x[j], self.mass[j]
         t = (b - lam) / lam
         log1p = math.log1p(t)
@@ -386,4 +387,4 @@ class TailTable:
             pa, ra = t - log1p - pb, (1.0 + t) * log1p - t - rb
         power = fa * pa + fb * pb + t / b * mass + self.power[j]
         rate = lam * (fa * ra + fb * rb) + log1p * mass + self.rate[j]
-        return mass + 0.5 * (b - lam) * (fa + fb), power, rate
+        return mass + 0.5 * (b - lam) * (fa + fb), power, rate, fa

@@ -217,13 +217,13 @@ def _roots(model: FadingModel, eta: float):
     else:
         lams = _tabulated_roots(model, eta)
     for lam in lams:
-        _, pi, gamma = _waterfill.tails_at(model, lam)
+        _, pi, gamma, _ = _waterfill.tails_at(model, lam)
         yield pi, lam, gamma, None
 
 
 def _lam_residual(model: FadingModel, lam: float, eta: float) -> float:
     """R(lam) = rate - eta*lam*power, the stationary residual on the lam axis."""
-    _, power, rate = _waterfill.tails_at(model, lam)
+    _, power, rate, _ = _waterfill.tails_at(model, lam)
     return rate - eta * lam * power
 
 
@@ -299,7 +299,7 @@ def _tabulated_roots(model: FadingModel, eta: float) -> list:
 
 def _slope(model: FadingModel, lam: float, eta: float) -> float:
     """R'(lam) = (eta-1)*S/lam - eta*power, S the mass above lam."""
-    mass, power, _ = _waterfill.tails_at(model, lam)
+    mass, power, _, _ = _waterfill.tails_at(model, lam)
     return (eta - 1.0) * mass / lam - eta * power
 
 
@@ -404,7 +404,7 @@ def solve_rechar(problem: HopProblem) -> float:
         lam_opt = roots[0]
     else:
         def psi_of_lam(lam):
-            _, pi, rate = _waterfill.tails_at(model, lam)
+            _, pi, rate, _ = _waterfill.tails_at(model, lam)
             return problem.d_of_pi(pi) * rate
 
         lam_opt = max(roots, key=psi_of_lam)

@@ -14,17 +14,29 @@ in nats per unit bandwidth, and ``dGamma/dpi = lam`` (envelope identity).
 come from the piecewise closed form of `discrete`, whose table each
 model builds once (`FadingModel.table`).  Continuous models have one
 kernel, `tails_at(model, lam)`, which returns the mass, power and rate
-above ``lam`` together, all exact: one E1 and one exp for exponential
-fading, the tail table of a tabulated density (`FadingModel.tails`) plus
-one closed-form partial cell; it raises DiscreteKindError on discrete
-models.  The water level solves the constraint above on its power, and
-Gamma is its rate there.  Exponential fading takes Newton steps on
-``log P`` against ``log lam`` from ``min(1/nu, 1/pi)``: the mass gives
-the exact slope ``dP/dlam = -mass/lam**2``, and a step that leaves the
-bracket the values seen so far keep falls back to a geometric bisection.
-A tabulated density bisects its strictly decreasing power column for
-the root's cell and refines once inside it by `fading.refine_root`;
-below its support it has the closed form ``lam = mass/(pi + E[1/X])``.
+above ``lam`` together, all exact, and the density f at ``lam``: one E1
+and one exp for exponential fading, the tail table of a tabulated
+density (`FadingModel.tails`) plus one closed-form partial cell; it
+raises DiscreteKindError on discrete models.
+
+Both continuous kinds solve the power constraint by one routine,
+`_level`: safeguarded Halley steps on ``log P`` against ``log lam``,
+whose first two derivatives come from the same kernel call,
+
+    y1 = -mass/(lam*P),    y2 = f/P - y1 - y1**2,
+
+with a step that leaves the bracket of the values seen so far replaced
+by a geometric bisection.  It ends with the envelope identity: once the
+next step ``lam'`` moves Gamma by less than about 1e-16 of it, Gamma is
+``rate + (lam + lam')/2 * (pi - P)`` from the last call, so Gamma keeps
+its digits where it is ill-conditioned in ``lam`` (near the top of a
+tabulated support).  No start calls E1.  Exponential fading starts from
+the asymptotes of ``pi/nu = exp(-u)/u - E1(u)`` in ``u = nu*lam``.  A
+tabulated density bisects its strictly decreasing power column for the
+root's cell and interpolates the two node powers in log-log space (a
+first cell from x = 0, or the top cell, take the leading term of P
+there); below its support it has the closed form
+``lam = mass/(pi + E[1/X])``.
 """
 
 from __future__ import annotations
@@ -36,10 +48,18 @@ from typing import NamedTuple
 
 from . import discrete as _discrete
 from .errors import BracketFailure, NonPositivePi, ValidationError
-from .fading import Exponential, FadingModel, bracket_root, refine_root
+from .fading import Exponential, FadingModel
 
 _EULER_GAMMA = 0.5772156649015328
-_NEWTON_STEPS = 100
+_LEVEL_STEPS = 100
+_FLOAT_MAX = 1.7976931348623157e308
+# above q = pi/nu = _Q_SMALL_U the level's u = nu*lam lies below 0.4, and the
+# small-u iteration stays in (0, 1), its denominator above q + 1 - gamma - 1/12 > 1
+_Q_SMALL_U = 1.0
+# E1's series terms (k, (k+1)**2), and the continued fraction's k: it takes
+# 20 + 80/x <= 99 terms above x = 1
+_SERIES_TERMS = tuple((float(k), (k + 1.0) ** 2) for k in range(1, 26))
+_CF_TERMS = tuple(float(k) for k in range(99, 0, -1))
 
 
 class WaterfillSolution(NamedTuple):
@@ -78,23 +98,25 @@ def exp1(x: float) -> float:
     """
     if x <= 1.0:
         total = term = 1.0
-        for k in range(1, 26):
-            term = -term * k * x / (k + 1.0) ** 2
+        for k, k1_squared in _SERIES_TERMS:
+            term = -term * k * x / k1_squared
             total += term
-            if abs(term) <= abs(total) * 1e-15:
+            tol = total * 1e-15  # total > 0 for x <= 1
+            if -tol <= term <= tol:
                 break
         return -_EULER_GAMMA - math.log(x) + x * total
     t0 = 0.0
-    for k in range(20 + int(80.0 / x), 0, -1):
+    for k in _CF_TERMS[-(20 + int(80.0 / x)):]:
         t0 = k / (1.0 + k / (x + t0))
     return math.exp(-x) * (1.0 / (x + t0))
 
 
 def tails_at(model: FadingModel, lam: float):
-    """(P(X > lam), E[(1/lam - 1/X)^+], E[log(X/lam)^+]) of a continuous model, lam > 0.
+    """(P(X > lam), E[(1/lam - 1/X)^+], E[log(X/lam)^+], f(lam)) of a continuous model, lam > 0.
 
-    The mass above the water level 1/lam, the power spent there and the
-    rate achieved in nats: the one kernel of each continuous kind.
+    The mass above the water level 1/lam, the power spent there, the
+    rate achieved in nats and the density at lam: the one kernel of each
+    continuous kind.
     """
     if isinstance(model.kind, Exponential):
         nu = model.kind.rate / model.alpha_over_sigma2
@@ -102,7 +124,7 @@ def tails_at(model: FadingModel, lam: float):
         # where u underflows to 0, E1(u) = -gamma - log(u) holds to every digit
         e1 = exp1(u) if u else -_EULER_GAMMA - math.log(nu) - math.log(lam)
         mass = math.exp(-u)
-        return mass, mass / lam - nu * e1, e1
+        return mass, mass / lam - nu * e1, e1, nu * mass
     return model.tails.above(lam)
 
 
@@ -137,56 +159,120 @@ def gamma_and_lambda(model: FadingModel, pi: float):
         table = model.table
         return _discrete.gamma_of_pi(table, pi), _discrete.lambda_closed_form(table, pi)
     if isinstance(model.kind, Exponential):
-        return _newton_level(model, pi)
-    lam = _solve_lambda(model, pi)
-    return tails_at(model, lam)[2], lam
+        return _level(model, pi, _exponential_start(model, pi), 0.0, math.inf)
+    return _tabulated_level(model, pi)
 
 
-def _newton_level(model: FadingModel, pi: float):
-    """(Gamma, lam) of exponential fading: Newton's method on log P against log lam.
-
-    With ``dP/dlam = -mass/lam**2`` the step is
-    ``lam *= exp((log P - log pi) * lam*P/mass)``.  Every value seen narrows
-    a bracket [lo, hi] of the root; a step that leaves it, or a zero mass or
-    power, is replaced by a geometric bisection, or by x4 or /4 while one
-    side is still open.  A step of at most one ulp ends the solve, and Gamma
-    is the rate the last kernel call returned.
-    """
-    lo, hi = 0.0, math.inf
-    # the root obeys lam < 1/pi, and u = nu*lam = 1 is a natural scale
-    lam = min(model.alpha_over_sigma2 / model.kind.rate, 1.0 / pi)
-    for _ in range(_NEWTON_STEPS):
-        if lam == math.inf:
-            break
-        mass, power, rate = tails_at(model, lam)
-        if power > pi:
-            lo = lam
-        else:
-            hi = lam
-        new = math.nan
-        if mass > 0.0 and power > 0.0:
-            new = lam * math.exp((math.log(power) - math.log(pi)) * lam * power / mass)
-            if abs(new - lam) <= math.ulp(lam):
-                return rate, lam
-        if not lo < new < hi:
-            new = (4.0 * lo if hi == math.inf else 0.25 * hi if lo == 0.0
-                   else math.sqrt(lo) * math.sqrt(hi))
-            if new in (lo, hi):  # the bracket is two neighbouring floats
-                return rate, lam
-        lam = new
-    raise BracketFailure(f"Newton's method found no water level for pi={pi!r}")
-
-
-def _solve_lambda(model: FadingModel, pi: float) -> float:
-    gap = lambda lam: tails_at(model, lam)[1] - pi
+def _tabulated_level(model: FadingModel, pi: float):
+    """(Gamma, lam) of a tabulated density: closed form below the support, else `_level` in a cell."""
     tails = model.tails
     x, power, mass = tails.x, tails.power, tails.mass
     if x[0] > 0.0 and pi >= power[0]:
         # below the support the power is mass[0]/lam - E[1/X], E[1/X] read off row 0
-        return mass[0] / (pi - power[0] + mass[0] / x[0])
+        lam = mass[0] / (pi - power[0] + mass[0] / x[0])
+        return tails_at(model, lam)[2], lam
     # from the first positive node up to the top, where it is 0 < pi, the power
     # column decreases strictly: the root's cell ends at the first node at or under pi
     j = bisect.bisect_left(power, -pi, 1 if x[0] == 0.0 else 0, tails.top, key=operator.neg)
-    if x[j - 1] == 0.0:
-        return bracket_root(gap, min(x[j], 1.0 / pi))
-    return refine_root(gap, x[j - 1], x[j])
+    a, b, pa, pb = x[j - 1], x[j], power[j - 1], power[j]
+    if pb > 0.0 < a:
+        # log P is close to linear in log lam across one cell
+        lam = a * (b / a) ** ((math.log(pi) - math.log(pa)) / (math.log(pb) - math.log(pa)))
+    elif pb > 0.0:
+        # P = mass[0]/lam - E[1/X; X > lam] < mass[0]/lam bounds the level from above
+        lam = mass[0] / pi
+    else:
+        # the top cell: with w = b - lam, P ~ f_b*w**2/(2*b**2), or s*w**3/(6*b**2)
+        # where the density falls to 0 at the top with slope -s
+        fb = tails.f[j]
+        w = (b * math.sqrt(2.0 * pi / fb) if fb > 0.0
+             else (6.0 * b * b * pi * (b - a) / tails.f[j - 1]) ** (1.0 / 3.0))
+        lam = b - w if w < b - a else 0.5 * (a + b) if a > 0.0 else mass[0] / pi
+    return _level(model, pi, min(max(lam, a), b), a, b)
+
+
+def _exponential_start(model: FadingModel, pi: float) -> float:
+    """A start for the exponential level from the asymptotes of q = pi/nu in u = nu*lam.
+
+    With ``q = exp(-u)/u - E1(u)``: for small u, q ~ 1/u - 1 + gamma + log u
+    - u/2 + u**2/12, iterated as ``u = 1/(q + 1 - gamma - log u + u/2 - u**2/12)``;
+    for large u, ``q ~ exp(-u)/u**2 * (1 + 2/u)/(1 + 4/u + 2/u**2)`` (E1's
+    continued fraction to its fourth approximant, positive for every u),
+    solved by Newton's method on its log.  Where that gives no finite
+    positive lam, min(1/nu, 1/pi), capped at the largest float: the root
+    obeys lam < 1/pi, and u = 1 is a natural scale.
+    """
+    nu = model.kind.rate / model.alpha_over_sigma2
+    q = pi / nu
+    u = 0.0
+    if _Q_SMALL_U < q < math.inf:
+        a = q + 1.0 - _EULER_GAMMA
+        u = 1.0 / a
+        for _ in range(4):
+            u = 1.0 / (a - math.log(u) + u * (0.5 - u / 12.0))
+    elif 0.0 < q <= _Q_SMALL_U:
+        big = -math.log(q)
+        u = 1.0 + big  # above the root, from where every Newton step stays positive
+        for _ in range(4):
+            d = u * (u + 4.0) + 2.0
+            h = u + math.log(u * d / (u + 2.0)) - big
+            u -= h / (1.0 + 1.0 / u + (2.0 * u + 4.0) / d - 1.0 / (u + 2.0))
+    lam = u / nu
+    if 0.0 < lam < math.inf:
+        return lam
+    return min(1.0 / nu, 1.0 / pi, _FLOAT_MAX)
+
+
+def _level(model: FadingModel, pi: float, lam: float, lo: float, hi: float):
+    """(Gamma, lam) at pi > 0: safeguarded Halley steps on log P against log lam.
+
+    ``lam`` starts in [lo, hi], a bracket of the root (hi may be inf).
+    With g = log(P/pi), y1 and y2 its first two derivatives in log lam,
+    and the Newton step n = -g/y1, the Halley step is
+    ``n/(1 + n*y2/(2*y1))`` (n itself where that denominator is not
+    positive).  Every value seen narrows the bracket; a step that leaves
+    it, or a zero mass or power, is replaced by a geometric bisection,
+    or by x4 or /4 while one side is still open.  Once the next level
+    lam' changes Gamma by at most 1e-16 of the rate, the envelope finish
+    returns ``(rate + (lam + lam')/2 * (pi - P), lam')``.  A bracket of two
+    neighbouring floats ends at its upper end, where ``pi - P >= 0``, with
+    ``rate + lam*(pi - P)``.  A NaN power raises BracketFailure.
+    """
+    log_pi = math.log(pi)
+    for _ in range(_LEVEL_STEPS):
+        mass, power, rate, density = tails_at(model, lam)
+        if power > pi:
+            lo = lam
+        elif power <= pi:
+            hi = lam
+        else:
+            raise BracketFailure(f"the water-fill power is NaN at lam={lam!r}")
+        new = math.nan
+        lam_power = lam * power
+        if mass > 0.0 and lam_power > 0.0:
+            ratio = power / pi
+            g = math.log(ratio) if 0.0 < ratio < math.inf else math.log(power) - log_pi
+            y1 = -mass / lam_power
+            step = -g / y1
+            den = 1.0 + 0.5 * step * (density / power - y1 - y1 * y1) / y1
+            if den > 0.0:
+                step /= den
+            if -700.0 < step < 700.0:  # past 709, math.exp overflows
+                new = lam * math.exp(step)
+                if lo <= new <= hi and abs((new - lam) * (pi - power)) <= 1e-16 * rate:
+                    # Gamma > 0, but where the rate underflows the sum may round below it
+                    return max(rate + (0.5 * lam + 0.5 * new) * (pi - power), 0.0), new
+        if not lo < new < hi:
+            if hi == math.inf:
+                if lo == _FLOAT_MAX:
+                    break
+                new = min(4.0 * lo, _FLOAT_MAX)
+            else:
+                new = 0.25 * hi if lo == 0.0 else math.sqrt(lo) * math.sqrt(hi)
+                if new in (lo, hi):  # the bracket is two neighbouring floats
+                    if lam == lo:  # at hi, P <= pi: both terms of the finish are >= 0
+                        lam = hi
+                        _, power, rate, _ = tails_at(model, lam)
+                    return rate + lam * (pi - power), lam
+        lam = new
+    raise BracketFailure(f"no finite water level found for pi={pi!r}")

@@ -18,7 +18,7 @@ from conftest import (
     random_discrete_model,
     random_tabulated_model,
 )
-from hopcap import discrete, waterfill
+from hopcap import discrete, hopopt, waterfill
 from hopcap.errors import BracketFailure, DiscreteKindError, ValidationError
 from hopcap.fading import PROB_SUM_TOL, FadingModel, refine_root
 from hopcap.hopopt import HopProblem
@@ -293,12 +293,12 @@ class TestDensityIntegrator:
         mass = np.trapezoid(f, dense)
         power = np.trapezoid((1.0 / lam - 1.0 / dense) * f, dense)
         rate = np.trapezoid(np.log(dense / lam) * f, dense)
-        assert waterfill.tails_at(model, lam) == pytest.approx((mass, power, rate), rel=1e-9)
+        assert waterfill.tails_at(model, lam) == pytest.approx((mass, power, rate, f[0]), rel=1e-9)
 
     def test_lower_above_support_is_zero(self):
         model = tabulated_exp()
         lam = model.tails.x[-1] + 1.0
-        assert waterfill.tails_at(model, lam) == (0.0, 0.0, 0.0)
+        assert waterfill.tails_at(model, lam) == (0.0, 0.0, 0.0, 0.0)
 
     def test_table_built_once_per_model(self):
         model = tabulated_exp(points=41)
@@ -315,7 +315,7 @@ class TestDensityIntegrator:
 
 
 class TestTailExactness:
-    """`tails_at`'s mass, power and rate against per-cell adaptive quadrature."""
+    """`tails_at`'s mass, power and rate against per-cell adaptive quadrature, its density against `pdf_x`."""
 
     @staticmethod
     def check(model, lams):
@@ -324,7 +324,8 @@ class TestTailExactness:
             mass = oracle_cell_mass(model, float(lam))
             assert power >= 1e-8
             got = waterfill.tails_at(model, lam)
-            assert got == pytest.approx((mass, power, rate), rel=1e-12, abs=0)
+            want = (mass, power, rate, float(model.pdf_x(float(lam))))
+            assert got == pytest.approx(want, rel=1e-12, abs=0)
 
     def test_deep_in_the_first_cell(self):
         # the grid starts at h = 0, where 1/x and log x are unbounded
@@ -359,7 +360,8 @@ class TestTailExactness:
         model = FadingModel.exponential(2.0, alpha_over_sigma2=5.0)
         lam = u / 0.4
         tail = lambda g: quad(lambda x: g(x) * model.pdf_x(x), lam, np.inf, epsabs=0, epsrel=1e-13)[0]
-        want = (tail(lambda x: 1.0), tail(lambda x: 1.0 / lam - 1.0 / x), tail(lambda x: math.log(x / lam)))
+        want = (tail(lambda x: 1.0), tail(lambda x: 1.0 / lam - 1.0 / x), tail(lambda x: math.log(x / lam)),
+                float(model.pdf_x(lam)))
         assert waterfill.tails_at(model, lam) == pytest.approx(want, rel=1e-11, abs=0)
 
 
@@ -490,11 +492,15 @@ class TestRefineRoot:
         func = lambda x: scale * (x**3 - 0.3)
         assert refine_root(func, 0.0, 1.0) == scipy_brentq(func, 0.0, 1.0)
 
-    def test_matches_brentq_on_the_tabulated_water_level(self, monkeypatch):
-        model = random_tabulated_model(make_rng(22))
-        pis = np.geomspace(1e-6, 1e3, 40).tolist()
+    def test_matches_brentq_on_the_tabulated_roots(self, monkeypatch):
+        # the brackets of every critical point and root of the stationary residual
+        rng = make_rng(22)
+        models = [random_tabulated_model(rng, points=201) for _ in range(20)]
+        etas = rng.uniform(1.5, 5.0, len(models)).tolist()
         calls = recorded_brackets(
-            monkeypatch, waterfill, lambda: [waterfill.solve(model, pi) for pi in pis]
+            monkeypatch,
+            hopopt,
+            lambda: [hopopt._tabulated_roots(m, eta) for m, eta in zip(models, etas)],
         )
         assert len(calls) >= 30
         for func, lo, hi in calls:

@@ -203,8 +203,34 @@ class TestDegenerateAndErrors:
         assert sol.gamma == pytest.approx(3 * root * sol.lam, rel=1e-8)
 
 
+def mpmath_exponential_power(model, lam):
+    """P(lam) = nu*(exp(-u)/u - E1(u)) of exponential fading to 40 digits, u = nu*lam."""
+    with mpmath.workdps(40):
+        nu = mpmath.mpf(model.kind.rate) / mpmath.mpf(model.alpha_over_sigma2)
+        u = nu * mpmath.mpf(lam)
+        return nu * (mpmath.exp(-u) / u - mpmath.e1(u))
+
+
+def mpmath_exponential_gamma(model, pi, lam):
+    """Gamma(pi) of exponential fading to 40 digits, from the level's u = nu*lam as a start.
+
+    With q = pi/nu, the level solves p(u) = exp(-u)/u - E1(u) = q, and Gamma = E1(u);
+    Newton's method on log p, whose slope is -exp(-u)/(u**2*p), from a start
+    within 1e-13 doubles the digits each step.
+    """
+    with mpmath.workdps(40):
+        nu = mpmath.mpf(model.kind.rate) / mpmath.mpf(model.alpha_over_sigma2)
+        log_q = mpmath.log(mpmath.mpf(pi) / nu)
+        u = nu * mpmath.mpf(lam)
+        for _ in range(4):
+            p = mpmath.exp(-u) / u - mpmath.e1(u)
+            u += (mpmath.log(p) - log_q) * u * u * p / mpmath.exp(-u)
+        assert abs(mpmath.log(mpmath.exp(-u) / u - mpmath.e1(u)) - log_q) < mpmath.mpf(10) ** -35
+        return mpmath.e1(u)
+
+
 class TestWaterLevelBracket:
-    """The water level is bracketed from each kind's exact structure, then refined once."""
+    """The water level takes safeguarded Halley steps inside a bracket from each kind's structure."""
 
     @pytest.mark.parametrize("name", list(BRACKET_MODELS))
     def test_kernel_call_budget(self, name, monkeypatch):
@@ -222,7 +248,7 @@ class TestWaterLevelBracket:
             pi = 10.0**k
             calls.clear()
             lam = waterfill.solve(model, pi).lam
-            assert len(calls) <= 40, (pi, len(calls))
+            assert len(calls) <= 6, (pi, len(calls))
             assert power(model, lam * (1 - 1e-14)) - pi > 0.0 > power(model, lam * (1 + 1e-14)) - pi
             if isinstance(model.kind, TabulatedDensity) and 1e-6 <= pi <= 1e6:
                 assert oracle_cell_integrals(model, lam)[0] == pytest.approx(pi, rel=1e-12)
@@ -238,12 +264,44 @@ class TestWaterLevelBracket:
             calls.clear()
             gamma, lam = waterfill.gamma_and_lambda(model, pi)
             counts.append(len(calls))
-            # Gamma is the rate of the last kernel call, made at the returned level
-            assert calls[-1] == lam and gamma == kernel(model, lam)[2]
             start = min(model.alpha_over_sigma2 / model.kind.rate, 1.0 / pi)
             brent = bracket_root(lambda x: kernel(model, x)[1] - pi, start)
             assert lam == pytest.approx(brent, rel=1e-14, abs=0.0), pi
-        assert sum(counts) / len(counts) <= 8.0 and max(counts) <= 16, counts
+            # Gamma = rate + lam*(pi - P) at the last kernel call carries that call's
+            # error in P, which cancels u-fold in mass/lam - nu*E1(u) (2.3e-15 at
+            # pi = 1e-9); the level adds at most 1e-15 to it
+            last = calls[-1]
+            power_error = abs(kernel(model, last)[1] - mpmath_exponential_power(model, last))
+            want = mpmath_exponential_gamma(model, pi, lam)
+            assert abs(gamma - want) <= 1e-15 * want + last * power_error, (pi, float((gamma - want) / want))
+        assert sum(counts) / len(counts) <= 3.0 and max(counts) <= 6, counts
+
+    def test_level_past_an_overflowing_start(self):
+        # nu = 1e-309: min(1/nu, 1/pi) overflows, yet the level is finite, near 1.58e308
+        model = FadingModel.exponential(1e-300, 1e9)
+        pi = 4e-309
+        gamma, lam = waterfill.gamma_and_lambda(model, pi)
+        power = lambda x: waterfill.tails_at(model, x)[1]
+        assert 1.5e308 < lam < 1.6e308 and 0.0 < gamma < math.inf
+        assert power(lam * (1 - 1e-14)) > pi > power(lam * (1 + 1e-14))
+
+    def test_gamma_near_the_top_of_a_tabulated_support(self):
+        # Gamma(lam) is flat near the top, so one ulp of lam moves rate(lam) by up to
+        # 1e-10; the envelope finish Gamma = rate + lam*(pi - P) keeps Gamma's digits
+        b = mpmath.mpf(1.5)
+        power = lambda lam: (b - lam) / lam + mpmath.log(lam / b)
+        with mpmath.workdps(50):
+            for pi in np.geomspace(1e-12, 1e-5, 15).tolist():
+                gamma, lam = waterfill.gamma_and_lambda(UNIFORM, pi)
+                root = mpmath.findroot(lambda x: power(x) - pi, mpmath.mpf(lam))
+                want = b * mpmath.log(b / root) - b + root
+                assert abs(gamma - want) <= 1e-14 * want, (pi, float((gamma - want) / want))
+
+    def test_nan_power_is_a_bracket_failure(self):
+        # x_1/lam = 8e309 overflows in the partial cell, whose power is then NaN
+        model = FadingModel.tabulated(ZERO_TOP.kind.grid, ZERO_TOP.kind.density, 1e10)
+        with pytest.raises(BracketFailure):
+            waterfill.gamma_and_lambda(model, 1e300)
 
     @pytest.mark.parametrize("pi", [1e-200, 1e-300])
     def test_exponential_level_at_tiny_pi(self, pi):
@@ -322,6 +380,12 @@ class TestExtremeExponential:
         assert main(["waterfill", "--config", str(cfg), "--pi", "4e269"]) == 0
         fields = dict(token.split("=") for token in capsys.readouterr().out.split())
         assert float(fields["gamma_nats"]) == waterfill.gamma_and_lambda(self.UNDERFLOW, 4e269)[0]
+
+    def test_gamma_stays_non_negative_where_the_rate_underflows(self):
+        # u = nu*lam = 736: E1(u) = 3.5e-323, and the envelope term rounds below it
+        model = FadingModel.exponential(9.15249936833826e107, 3.1364099083175307e72)
+        gamma, lam = waterfill.gamma_and_lambda(model, 1.9628098692665127e-289)
+        assert 0.0 <= gamma < 1e-320 and 2.5e-33 < lam < 2.53e-33
 
     @settings(derandomize=True, database=None, max_examples=1500, deadline=None)
     @given(
