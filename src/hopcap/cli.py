@@ -36,7 +36,7 @@ def main(argv=None) -> int:
     except (ConfigError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except NumericalError as exc:
+    except (NumericalError, ArithmeticError) as exc:  # d**eta, say, past the float range
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except HopcapError as exc:
@@ -164,7 +164,8 @@ def _cmd_sweep(args) -> int:
             # a loss that underflows to 0 gives pi = inf, which has no water level
             pi = pt_prime / loss if loss else math.inf
             gamma, _ = waterfill.gamma_and_lambda(model, pi)
-            segment = discrete.segment_index(model.table, pi) + 1 if model.is_discrete else ""
+            segment = (discrete.segment_index(model.table, model.alpha_over_sigma2 * pi) + 1
+                       if model.is_discrete else "")
             rows.append(
                 (factor, d, pi, _rate_out(gamma, args), _rate_out(d * gamma, args), segment)
             )

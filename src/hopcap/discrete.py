@@ -1,12 +1,12 @@
-"""Closed-form water-filling for finite discrete fading.
+"""Closed-form water-filling for finite discrete fading, at unit scale: Pi = c*pi.
 
-With states indexed by descending x and cumulative constants
+With the gains x = h in descending order and cumulative constants
 
     p_k = a_1 + ... + a_k        alpha_k = sum_{i<=k} a_i / x_i
 
 the multiplier is piecewise ``lam(Pi) = p_k / (alpha_k + Pi)`` between
 breakpoints ``Pi_k``, and the optimal rate as a function of hop distance
-is ``Gamma(d) = p_k * log(gamma_k * (alpha_k + Pt'/d**eta))`` with the
+is ``Gamma(d) = p_k * log(gamma_k * (alpha_k + c*Pt'/d**eta))`` with the
 integration constants ``gamma_k`` chained so the pieces join
 continuously.  Stationary points of d * Gamma(d) reduce, per segment, to
 ``y * exp(-eta*y) = exp(b_k - eta)`` on a half-open y-interval, which a
@@ -29,14 +29,12 @@ class DiscreteWaterfillTable(NamedTuple):
     """Per-segment constants of the piecewise closed form.
 
     All entries are float tuples that depend only on the distribution (not
-    on power or path loss): ``x`` holds the states in x-space, descending;
-    ``pi_breaks`` has length n-1 and is strictly increasing; ``log_gamma``
-    carries the integration constants in log space and
-    ``b = log(alpha_k * gamma_k)`` feeds the stationary-point equation.
+    on power, path loss or scale): ``pi_breaks`` has length n-1 and is
+    strictly increasing; ``log_gamma`` carries the integration constants in
+    log space and ``b = log(alpha_k * gamma_k)`` feeds the stationary-point
+    equation.
     """
 
-    x: tuple
-    a: tuple
     p: tuple
     alpha: tuple
     pi_breaks: tuple
@@ -45,16 +43,14 @@ class DiscreteWaterfillTable(NamedTuple):
 
     @property
     def n_states(self) -> int:
-        return len(self.x)
+        return len(self.p)
 
 
 def build_table(model: FadingModel) -> DiscreteWaterfillTable:
     """Precompute cumulative sums, breakpoints and integration constants."""
     if not model.is_discrete:
         raise DiscreteKindError("closed-form tables require a discrete model")
-    c = model.alpha_over_sigma2
-    x = tuple(h * c for h in model.kind.gains)
-    a = model.kind.probs
+    x, a = model.kind.gains, model.kind.probs
     p = tuple(itertools.accumulate(a))
     alpha = tuple(itertools.accumulate(ai / xi for ai, xi in zip(a, x)))
     n = len(x)
@@ -72,7 +68,7 @@ def build_table(model: FadingModel) -> DiscreteWaterfillTable:
         ) - math.log(alpha[k] + pi_prev))
     # b_0 = 0 exactly, by definition; keeps y = 1 off the root set
     b = (0.0,) + tuple(math.log(alpha[k]) + log_gamma[k] for k in range(1, n))
-    return DiscreteWaterfillTable(x, a, p, alpha, pi_breaks, tuple(log_gamma), b)
+    return DiscreteWaterfillTable(p, alpha, pi_breaks, tuple(log_gamma), b)
 
 
 def segment_index(table: DiscreteWaterfillTable, pi: float) -> int:
@@ -92,35 +88,28 @@ def gamma_of_pi(table: DiscreteWaterfillTable, pi: float) -> float:
     Evaluated as p_k * (log1p(Pi/alpha_k) + b_k) rather than the printed
     log(gamma_k*(alpha_k + Pi)) so small Pi does not cancel digits.
     """
-    if pi == 0.0:
-        return 0.0
     k = segment_index(table, pi)
     return float(table.p[k] * (math.log1p(pi / table.alpha[k]) + table.b[k]))
 
 
 def stationary_roots(table: DiscreteWaterfillTable, eta: float) -> list:
-    """(pi, 1-based segment) of every interior stationary point of d * Gamma(d).
+    """(Pi, 1-based segment) of every interior stationary point of d * Gamma(d).
 
     Per segment the equation ``y*exp(-eta*y) = exp(b_k - eta)`` has at
     most one root on each monotone branch of the left side, so the total
     never exceeds 2n - 1.  Roots landing exactly on the excluded upper
     y-boundary (notably y = 1, the d = infinity limit) are dropped.
     """
-    n = table.n_states
+    # segment k spans Pi from ends[k] to ends[k + 1], where y = alpha_k/(alpha_k + Pi) falls
+    ends = (0.0,) + table.pi_breaks + (math.inf,)
     roots = []
-    for k in range(n):
-        y_hi = 1.0 if k == 0 else float(
-            table.alpha[k] / (table.alpha[k] + table.pi_breaks[k - 1])
-        )
-        y_lo = 0.0 if k == n - 1 else float(
-            table.alpha[k] / (table.alpha[k] + table.pi_breaks[k])
-        )
-        level = math.exp(table.b[k] - eta)
-        for y in _branch_roots(level, eta, y_lo, y_hi):
-            pi = float(table.alpha[k] * (1.0 - y) / y)
+    for k, (alpha, b) in enumerate(zip(table.alpha, table.b)):
+        y_hi, y_lo = (alpha / (alpha + end) for end in ends[k : k + 2])
+        for y in _branch_roots(math.exp(b - eta), eta, y_lo, y_hi):
+            pi = alpha * (1.0 - y) / y
             if pi > 0.0:
                 roots.append((pi, k + 1))
-    assert len(roots) <= 2 * n - 1
+    assert len(roots) <= 2 * table.n_states - 1
     return roots
 
 

@@ -1,17 +1,18 @@
-"""Fading-gain distributions and the density of the composite channel state.
+"""Fading-gain distributions at unit scale, and the density of X = c*H.
 
-Everything downstream works with the composite channel state
-``X = (alpha/sigma^2) * H`` (per-watt SNR at unit distance).  This
-module owns the supported distribution kinds, the H -> X transform,
-moments, tail diagnostics, sampling and CSV ingestion for tabulated
-densities.  A tabulated density is two float tuples, nodes and values,
-and is linear between its nodes, so its moments and tails are exact:
-`TailTable` (``FadingModel.tails``) holds the mass, water-fill power and
-rate above each x-node, and a query at any ``lam`` adds one closed-form
-partial cell.  Every kind's scalar path is plain ``math``; numpy is
-imported only by the methods that take or return arrays (``pdf_x``,
-``tail_decay_check``, ``sample_h``).  Every bracketed root of the
-stationary enumerations is refined here, by `refine_root`.
+The channel state ``X = c*H``, with ``c = alpha/sigma^2`` the per-watt SNR
+at unit distance, only rescales the power axis, so every kernel works on
+H and ``c`` enters at the edges (`waterfill.gamma_and_lambda`,
+`hopopt.stationary_points`).  This module owns the distribution kinds,
+moments, tail diagnostics, sampling, ``pdf_x`` and CSV ingestion for
+tabulated densities.  A tabulated density is two float tuples, nodes and
+values, and is linear between its nodes, so its moments and tails are
+exact: `TailTable` (``FadingModel.tails``) holds the mass, water-fill
+power and rate above each node, and a query at any ``lam`` adds one
+closed-form partial cell.  Every kind's scalar path is plain ``math``;
+numpy is imported only by the methods that take or return arrays
+(``pdf_x``, ``tail_decay_check``, ``sample_h``).  Every bracketed root of
+the stationary enumerations is refined here, by `refine_root`.
 
 Models are immutable after construction; every operation is pure.
 """
@@ -77,10 +78,7 @@ class FadingModel(_FadingModelFields):
     @classmethod
     def exponential(cls, rate: float, alpha_over_sigma2: float = 1.0) -> "FadingModel":
         rate = _positive(rate, "exponential rate")
-        scale = _positive(alpha_over_sigma2, "alpha_over_sigma2")
-        # nu = rate/scale, the rate of X = scale*H, has to be a float too
-        _positive(rate / scale, "exponential rate / alpha_over_sigma2")
-        return cls(Exponential(rate), scale)
+        return cls(Exponential(rate), _positive(alpha_over_sigma2, "alpha_over_sigma2"))
 
     @classmethod
     def discrete(cls, states, alpha_over_sigma2: float = 1.0) -> "FadingModel":
@@ -115,12 +113,6 @@ class FadingModel(_FadingModelFields):
         if abs(total - 1.0) > DENSITY_NORM_TOL:
             raise ValidationError(
                 f"tabulated density integrates to {total!r} (trapezoid), expected 1"
-            )
-        # the density of X = scale*H has nodes scale*h and values a/scale
-        if not (scale * g[-1] < math.inf and max(a) / scale < math.inf):
-            raise ValidationError(
-                f"alpha_over_sigma2 = {scale!r} takes the density of X = alpha_over_sigma2*H "
-                "out of the float range"
             )
         return cls(TabulatedDensity(g, a), scale)
 
@@ -163,12 +155,10 @@ class FadingModel(_FadingModelFields):
 
     @functools.cached_property
     def tails(self) -> "TailTable":
-        """Exact tail table of a tabulated model in x-space, built once per model."""
+        """Exact tail table of a tabulated model's H, built once per model."""
         if not isinstance(self.kind, TabulatedDensity):
             raise DiscreteKindError("the tail table is only defined for tabulated models")
-        c = self.alpha_over_sigma2
-        return TailTable(tuple(c * h for h in self.kind.grid),
-                         tuple(a / c for a in self.kind.density))
+        return TailTable(self.kind.grid, self.kind.density)
 
     # -- densities --------------------------------------------------------
 
@@ -193,7 +183,7 @@ class FadingModel(_FadingModelFields):
             return 1.0 / self.kind.rate
         if isinstance(self.kind, DiscreteFinite):
             return math.fsum(h * a for h, a in zip(self.kind.gains, self.kind.probs))
-        return self.tails.mean / self.alpha_over_sigma2
+        return self.tails.mean
 
     def tail_decay_check(self) -> bool:
         """True when h^2 * P(H > h) stays bounded past the 99th percentile.
@@ -307,13 +297,15 @@ def _finite_value(func, x: float) -> float:
 def bracket_root(func, start: float, limit: float = math.inf) -> float:
     """The root of ``func``, positive below it and not above, bracketed from ``start``.
 
-    The bracket [start/2, start] halves down until ``func`` is positive at
-    its low end, then doubles up, never past ``limit``, until ``func`` is
-    not positive at its high end.
+    The bracket [start/2, start] halves down, never to 0, until ``func``
+    is positive at its low end, then doubles up, never past ``limit``,
+    until ``func`` is not positive at its high end.
     """
     lo, hi = 0.5 * start, start
     while func(lo) <= 0.0:
         lo, hi = 0.5 * lo, lo
+        if lo == 0.0:
+            raise BracketFailure(f"no sign change above 0 below {hi:g}")
     while func(hi) > 0.0:
         if hi >= limit:
             raise BracketFailure(f"no sign change below {limit:g}")
@@ -330,9 +322,10 @@ def _positive(value, what: str) -> float:
 
 
 class TailTable:
-    """Exact tails of a piecewise-linear density f on x-nodes x_0 < ... < x_{n-1}.
+    """Exact tails of a piecewise-linear density f on nodes x_0 < ... < x_{n-1}.
 
-    ``x`` and ``f`` are float tuples, the columns lists of floats.  At node
+    ``x`` and ``f`` are float tuples (a model's nodes and values of H), the
+    columns lists of floats.  At node
     j, ``mass[j] = P(X > x_j)``, ``power[j] = E[(1/x_j - 1/X)^+]`` and
     ``rate[j] = E[log(X/x_j)^+]``; ``mean`` is E[X].  A row is the row
     above, plus the mass above times the weight at the node above, plus the
@@ -364,8 +357,12 @@ class TailTable:
         j = bisect.bisect_left(x, lam)
         if j == len(x):
             return 0.0, 0.0, 0.0, 0.0
-        if j == 0:  # the density is zero below the support
-            return self._from(0, lam, 0.0, 0.0)
+        if j == 0:  # zero density below the support: row 0 plus the gap up to x_0
+            b, mass, t = x[0], self.mass[0], (x[0] - lam) / lam
+            # where t = b/lam - 1 overflows, 1/lam - 1/b and log(b/lam) by their terms
+            gap, log_gap = ((t / b, math.log1p(t)) if t < math.inf
+                            else (1.0 / lam - 1.0 / b, math.log(b) - math.log(lam)))
+            return mass, gap * mass + self.power[0], log_gap * mass + self.rate[0], 0.0
         a, b = x[j - 1], x[j]
         return self._from(j, lam, (f[j - 1] * (b - lam) + f[j] * (lam - a)) / (b - a), f[j])
 

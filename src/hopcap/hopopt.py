@@ -8,10 +8,10 @@ distance enter the throughput only through the normalized power
 
 so interior optima are the positive roots of ``Gamma - eta*pi*lam = 0``.
 `stationary_points` is the one place that turns roots into a
-`StationarySet`; each fading kind only enumerates its roots, exactly:
+`StationarySet`; each kind enumerates its roots exactly, at unit scale:
 
 - discrete: per segment and monotone branch in closed form (`discrete`);
-- exponential: with ``u = nu*lam`` the residual is
+- exponential, of rate nu: with ``u = nu*lam`` the residual is
   ``E1(u)*(1 + eta*u) - eta*exp(-u)``, which tends to +inf as u -> 0, to
   0 from below as u -> inf, and whose second derivative
   ``exp(-u)*(1 - (eta-1)*u)/u**2`` changes sign once: exactly one root;
@@ -180,45 +180,49 @@ def stationary_residual(problem: HopProblem, pi: float) -> float:
 
 
 def stationary_points(problem: HopProblem) -> StationarySet:
-    """All interior roots of the stationary equation, with the maximizer.
-
-    Each point is built once from its kind's exact root and kept when
-    its residual is below 1e-8 of its Gamma.
-    """
-    eta = problem.eta
-    if eta <= 1.0:
+    """All interior roots of the stationary equation, with the maximizer."""
+    if problem.eta <= 1.0:
         return StationarySet(points=(), maximizer_index=None, unique=False, boundary="d->inf")
-    points = []
-    for pi, lam, gamma, segment in _roots(problem.model, eta):
-        if abs(gamma - eta * pi * lam) > _RESIDUAL_REL * max(gamma, 1e-12):
-            continue
-        d = problem.d_of_pi(pi)
-        points.append(
-            StationaryPoint(d=d, pi=pi, lam=lam, gamma=gamma, psi=d * gamma, segment=segment)
-        )
+    points = sorted(_roots(problem), key=lambda pt: pt.d)
     if not points:
         raise NoStationaryPoint("psi vanishes at both ends, yet no interior root was found")
-    points.sort(key=lambda pt: pt.d)
     maximizer_index = max(range(len(points)), key=lambda i: points[i].psi)
     return StationarySet(
         points=tuple(points), maximizer_index=maximizer_index, unique=len(points) == 1
     )
 
 
-def _roots(model: FadingModel, eta: float):
-    """(pi, lam, Gamma, segment) at every root of Gamma - eta*pi*lam, eta > 1."""
+def _roots(problem: HopProblem) -> list:
+    """The point at every root of Gamma - eta*pi*lam, eta > 1: the edge where c enters.
+
+    A kind's root (pi_H, lam_H) at unit scale is kept when its residual is
+    below 1e-8 of its Gamma, as ``pi = pi_H/c``, ``lam = c*lam_H`` and
+    ``d = (pt'/pi)**(1/eta)``; where one of them, or psi, leaves the float
+    range (0 included), BracketFailure names c.
+    """
+    model, eta = problem.model, problem.eta
     if model.is_discrete:
-        for pi, segment in _discrete.stationary_roots(model.table, eta):
-            gamma, lam = _waterfill.gamma_and_lambda(model, pi)
-            yield pi, lam, gamma, segment
-        return
-    if isinstance(model.kind, Exponential):
-        lams = [_exponential_root(model, eta)]
+        table = model.table
+        roots = [(pi, _discrete.lambda_closed_form(table, pi), _discrete.gamma_of_pi(table, pi),
+                  segment) for pi, segment in _discrete.stationary_roots(table, eta)]
     else:
-        lams = _tabulated_roots(model, eta)
-    for lam in lams:
-        _, pi, gamma, _ = _waterfill.tails_at(model, lam)
-        yield pi, lam, gamma, None
+        lams = ([_exponential_root(model, eta)] if isinstance(model.kind, Exponential)
+                else _tabulated_roots(model, eta))
+        roots = [(pi, lam, gamma, None)
+                 for lam in lams for _, pi, gamma, _ in [_waterfill.tails_at(model, lam)]]
+    c = model.alpha_over_sigma2
+    points = []
+    for pi_h, lam_h, gamma, segment in roots:
+        if abs(gamma - eta * pi_h * lam_h) > _RESIDUAL_REL * max(gamma, 1e-12):
+            continue
+        pi, lam = pi_h / c, c * lam_h
+        d = problem.d_of_pi(pi) if pi else 0.0
+        if not (pi < math.inf and 0.0 < lam < math.inf and 0.0 < d and d * gamma < math.inf):
+            raise BracketFailure(
+                f"alpha_over_sigma2 = {c!r} with pt_prime = {problem.pt_prime!r} takes the "
+                f"stationary point at pi_H = {pi_h!r} out of the float range")
+        points.append(StationaryPoint(d, pi, lam, gamma, d * gamma, segment))
+    return points
 
 
 def _lam_residual(model: FadingModel, lam: float, eta: float) -> float:
@@ -229,15 +233,13 @@ def _lam_residual(model: FadingModel, lam: float, eta: float) -> float:
 
 def _exponential_root(model: FadingModel, eta: float) -> float:
     """The one root in lam of exponential fading, bracketed from u = nu*lam = 1."""
-    scale = model.alpha_over_sigma2 / model.kind.rate
+    start = 1.0 / model.kind.rate
     residual = lambda lam: _lam_residual(model, lam, eta)
     try:
-        return bracket_root(residual, scale, limit=scale * _U_MAX)
+        return bracket_root(residual, start, limit=start * _U_MAX)
     except BracketFailure:
-        raise BracketFailure(
-            f"the stationary root lies beyond u = {_U_MAX:g}, where E1 underflows "
-            f"(eta = {eta} is too close to 1)"
-        ) from None
+        raise BracketFailure(f"the stationary root at eta = {eta} lies outside u = nu*lam "
+                             f"in (0, {_U_MAX:g}], where E1 leaves the float range") from None
 
 
 def _tabulated_roots(model: FadingModel, eta: float) -> list:
@@ -331,26 +333,27 @@ def rechar_integral(model: FadingModel, lam: float, eta: float) -> float:
 
     integral_0^1 (log y - eta(y-1)) * (lam^2/y^2) * f(lam/y) dy
 
-    The range runs from y = lam/x at the top of the support (for
-    exponential fading, x = 745/nu, where exp(-nu*x) underflows) to
-    min(1, lam/x_0).  Its cells end at the kinks y = lam/x_i of a tabulated
-    density and at every halving of y, so none spans a ratio above 2, and
-    each takes one fixed Gauss-Legendre rule on ``pdf_x``.  No closed form
-    is involved: this route to the stationary equation stays independent.
+    With lam_H = lam/c, y = lam/x = lam_H/h runs from the top of the support
+    (for exponential fading, h = 745/nu, where exp(-nu*h) underflows) to
+    min(1, lam_H/h_0).  Its cells end at the kinks y = lam_H/h_i of a
+    tabulated density and at every halving of y, so none spans a ratio
+    above 2, and each takes one fixed Gauss-Legendre rule on ``pdf_x``.  No
+    closed form is involved: this route to the stationary equation stays independent.
     """
     if model.is_discrete:
         raise DiscreteKindError("the y-domain characterisation needs a density")
     import numpy as np
 
+    lam_h = lam / model.alpha_over_sigma2
     if isinstance(model.kind, Exponential):
-        x_lo, x_top = 0.0, _EXP_UNDERFLOW * model.alpha_over_sigma2 / model.kind.rate
+        h_lo, h_top = 0.0, _EXP_UNDERFLOW / model.kind.rate
         kinks = np.empty(0)
     else:
         tails = model.tails
-        x_lo, x_top = tails.x[0], tails.x[tails.top]
-        kinks = lam / np.array(tails.x[1 : tails.top])
-    y_lo = lam / x_top
-    y_hi = min(1.0, lam / x_lo) if x_lo > 0.0 else 1.0
+        h_lo, h_top = tails.x[0], tails.x[tails.top]
+        kinks = lam_h / np.array(tails.x[1 : tails.top])
+    y_lo = lam_h / h_top
+    y_hi = min(1.0, lam_h / h_lo) if h_lo > 0.0 else 1.0
     if y_hi <= y_lo:
         return 0.0
     halvings = y_hi * 0.5 ** np.arange(1, math.ceil(math.log2(y_hi / y_lo)))
@@ -386,28 +389,25 @@ def solve_rechar(problem: HopProblem) -> float:
         raise DiscreteKindError("solve_rechar requires a continuous model")
     import numpy as np
 
-    eta = problem.eta
+    eta, c = problem.eta, model.alpha_over_sigma2
     if isinstance(model.kind, Exponential):
-        scale = 1.0 / (model.kind.rate / model.alpha_over_sigma2)
-        lams = scale * np.geomspace(1e-6, 1e2, RECHAR_POINTS)
+        lams = c / model.kind.rate * np.geomspace(1e-6, 1e2, RECHAR_POINTS)
     else:
         # the scan ends at the top of the support, above which the integral is 0
-        x = model.tails.x
-        top = x[model.tails.top]
-        lams = np.geomspace(max(x[0], top * 1e-9) * 1e-3, top * (1 - 1e-9), RECHAR_POINTS)
+        h = model.tails.x
+        top = h[model.tails.top]
+        lams = c * np.geomspace(max(h[0], top * 1e-9) * 1e-3, top * (1 - 1e-9), RECHAR_POINTS)
     integral = lambda lam: rechar_integral(model, lam, eta)
     lams = lams.tolist()
     roots = _sign_change_roots(integral, lams, [integral(lam) for lam in lams])
     if not roots:
         raise BracketFailure("the stationarity integral never changes sign on the scan grid")
-    if len(roots) == 1:
-        lam_opt = roots[0]
-    else:
-        def psi_of_lam(lam):
-            _, pi, rate, _ = _waterfill.tails_at(model, lam)
-            return problem.d_of_pi(pi) * rate
 
-        lam_opt = max(roots, key=psi_of_lam)
+    def psi_of_lam(lam):  # of several roots, the one with the largest psi wins
+        _, pi_h, rate, _ = _waterfill.tails_at(model, lam / c)
+        return problem.d_of_pi(pi_h / c) * rate
+
+    lam_opt = max(roots, key=psi_of_lam)
     sset = stationary_points(problem)
     nearest = min(sset.points, key=lambda pt: abs(math.log(pt.lam / lam_opt)))
     if abs(nearest.lam - lam_opt) > 1e-6 * lam_opt:

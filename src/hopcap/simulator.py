@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import OrderingViolation, ValidationError
+from .errors import NumericalError, OrderingViolation, ValidationError
 from .fading import FadingModel
 from .macmodel import LN2, MacProfile
 from .waterfill import WaterfillSolution
@@ -330,10 +330,10 @@ def compare_ftt_fp(
     Requires h1*p1 >= h2*p2 (better state carries the higher rate);
     apply `swap_comparison` first otherwise.
     """
-    if not (h1 >= h2 > 0):
-        raise ValidationError(f"need h1 >= h2 > 0, got h1={h1}, h2={h2}")
-    if min(p1, p2) <= 0:
-        raise ValidationError("powers must be > 0")
+    if not math.inf > h1 >= h2 > 0:
+        raise ValidationError(f"need finite h1 >= h2 > 0, got h1={h1}, h2={h2}")
+    if not (0 < p1 < math.inf and 0 < p2 < math.inf):
+        raise ValidationError("powers must be finite and > 0")
     if h1 * p1 < h2 * p2:
         raise OrderingViolation(
             f"h1*p1={h1 * p1} < h2*p2={h2 * p2}: swap the rates first"
@@ -348,7 +348,8 @@ def compare_ftt_fp(
     slot = duration / 2.0
     q1, q2 = _two_state_waterfill(h1, h2, energy / slot)
     bits_ftt = slot * bandwidth * (math.log2(1.0 + h1 * q1) + math.log2(1.0 + h2 * q2))
-    assert bits_ftt >= bits_fp * (1.0 - 1e-9)
+    if not bits_ftt >= bits_fp * (1.0 - 1e-9):  # a NaN where 1/h2 overflows, say
+        raise NumericalError(f"fixed-time bits {bits_ftt} fall short of {bits_fp}")
     return FttFpComparison(bits_fp=bits_fp, bits_ftt=bits_ftt, energy=energy, duration=duration)
 
 

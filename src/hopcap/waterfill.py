@@ -9,15 +9,16 @@ reciprocal ``lam`` makes the power constraint tight:
 The optimal value is ``Gamma(pi) = integral_lam^inf log(x/lam) f(x) dx``
 in nats per unit bandwidth, and ``dGamma/dpi = lam`` (envelope identity).
 
-`gamma_and_lambda` is the one entry point for the pair (Gamma, lam);
-`solve` wraps it.  Discrete models need no root-finding: both values
-come from the piecewise closed form of `discrete`, whose table each
-model builds once (`FadingModel.table`).  Continuous models have one
-kernel, `tails_at(model, lam)`, which returns the mass, power and rate
-above ``lam`` together, all exact, and the density f at ``lam``: one E1
-and one exp for exponential fading, the tail table of a tabulated
-density (`FadingModel.tails`) plus one closed-form partial cell; it
-raises DiscreteKindError on discrete models.
+`gamma_and_lambda` is the one entry point for the pair (Gamma, lam), and
+`solve` wraps it.  Every kind solves at unit scale, on H, at ``c*pi``
+(c = alpha/sigma^2); its level times c is lam.  Discrete models need no
+root-finding: both values come from the piecewise closed form of
+`discrete`, whose table each model builds once (`FadingModel.table`).
+Continuous models have one kernel, `tails_at(model, lam)`, which returns
+the mass, power and rate of H above ``lam`` together, all exact, and the
+density at ``lam``: one E1 and one exp for exponential fading, the tail
+table of a tabulated density (`FadingModel.tails`) plus one closed-form
+partial cell; it raises DiscreteKindError on discrete models.
 
 Both continuous kinds solve the power constraint by one routine,
 `_level`: safeguarded Halley steps on ``log P`` against ``log lam``,
@@ -30,13 +31,12 @@ by a geometric bisection.  It ends with the envelope identity: once the
 next step ``lam'`` moves Gamma by less than about 1e-16 of it, Gamma is
 ``rate + (lam + lam')/2 * (pi - P)`` from the last call, so Gamma keeps
 its digits where it is ill-conditioned in ``lam`` (near the top of a
-tabulated support).  No start calls E1.  Exponential fading starts from
-the asymptotes of ``pi/nu = exp(-u)/u - E1(u)`` in ``u = nu*lam``.  A
-tabulated density bisects its strictly decreasing power column for the
-root's cell and interpolates the two node powers in log-log space (a
-first cell from x = 0, or the top cell, take the leading term of P
-there); below its support it has the closed form
-``lam = mass/(pi + E[1/X])``.
+tabulated support).  No start calls E1.  Exponential fading of rate nu
+starts from the asymptotes of ``pi/nu = exp(-u)/u - E1(u)`` in
+``u = nu*lam``.  A tabulated density bisects its strictly decreasing power
+column for the root's cell and interpolates the two node powers in log-log
+space (a first cell from x = 0, or the top cell, take the leading term of
+P there); below its support it has the closed form ``lam = mass/(pi + E[1/H])``.
 """
 
 from __future__ import annotations
@@ -112,14 +112,14 @@ def exp1(x: float) -> float:
 
 
 def tails_at(model: FadingModel, lam: float):
-    """(P(X > lam), E[(1/lam - 1/X)^+], E[log(X/lam)^+], f(lam)) of a continuous model, lam > 0.
+    """(P(H > lam), E[(1/lam - 1/H)^+], E[log(H/lam)^+], f(lam)) of a continuous model, lam > 0.
 
     The mass above the water level 1/lam, the power spent there, the
-    rate achieved in nats and the density at lam: the one kernel of each
-    continuous kind.
+    rate achieved in nats and the density at lam, all at unit scale:
+    the one kernel of each continuous kind.
     """
     if isinstance(model.kind, Exponential):
-        nu = model.kind.rate / model.alpha_over_sigma2
+        nu = model.kind.rate
         u = nu * lam
         # where u underflows to 0, E1(u) = -gamma - log(u) holds to every digit
         e1 = exp1(u) if u else -_EULER_GAMMA - math.log(nu) - math.log(lam)
@@ -147,7 +147,9 @@ def gamma_and_lambda(model: FadingModel, pi: float):
     """(Gamma, lam) at normalized power ``pi``, the limit pi = 0 allowed.
 
     Internal sweep paths reach d -> inf where pi = 0; the public
-    ``solve`` still rejects pi <= 0.
+    ``solve`` still rejects pi <= 0.  The kinds solve at ``pi_H = c*pi`` and
+    lam = c*lam_H; where either leaves the float range (0 included),
+    BracketFailure names c = alpha/sigma^2.
     """
     if pi == 0.0:
         return 0.0, math.inf
@@ -155,12 +157,21 @@ def gamma_and_lambda(model: FadingModel, pi: float):
         raise NonPositivePi(f"pi must be >= 0, got {pi}")
     if not math.isfinite(pi):
         raise BracketFailure(f"no finite water level supports pi={pi}")
-    if model.is_discrete:
-        table = model.table
-        return _discrete.gamma_of_pi(table, pi), _discrete.lambda_closed_form(table, pi)
-    if isinstance(model.kind, Exponential):
-        return _level(model, pi, _exponential_start(model, pi), 0.0, math.inf)
-    return _tabulated_level(model, pi)
+    c = model.alpha_over_sigma2
+    pi_h, lam = c * pi, math.nan
+    if 0.0 < pi_h < math.inf:
+        if model.is_discrete:
+            gamma, lam_h = (_discrete.gamma_of_pi(model.table, pi_h),
+                            _discrete.lambda_closed_form(model.table, pi_h))
+        elif isinstance(model.kind, Exponential):
+            gamma, lam_h = _level(model, pi_h, _exponential_start(model, pi_h), 0.0, math.inf)
+        else:
+            gamma, lam_h = _tabulated_level(model, pi_h)
+        lam = c * lam_h
+    if not 0.0 < lam < math.inf:
+        raise BracketFailure(
+            f"alpha_over_sigma2 = {c!r} takes the water level at pi = {pi!r} out of the float range")
+    return gamma, lam
 
 
 def _tabulated_level(model: FadingModel, pi: float):
@@ -168,7 +179,7 @@ def _tabulated_level(model: FadingModel, pi: float):
     tails = model.tails
     x, power, mass = tails.x, tails.power, tails.mass
     if x[0] > 0.0 and pi >= power[0]:
-        # below the support the power is mass[0]/lam - E[1/X], E[1/X] read off row 0
+        # below the support the power is mass[0]/lam - E[1/H], E[1/H] read off row 0
         lam = mass[0] / (pi - power[0] + mass[0] / x[0])
         return tails_at(model, lam)[2], lam
     # from the first positive node up to the top, where it is 0 < pi, the power
@@ -179,7 +190,7 @@ def _tabulated_level(model: FadingModel, pi: float):
         # log P is close to linear in log lam across one cell
         lam = a * (b / a) ** ((math.log(pi) - math.log(pa)) / (math.log(pb) - math.log(pa)))
     elif pb > 0.0:
-        # P = mass[0]/lam - E[1/X; X > lam] < mass[0]/lam bounds the level from above
+        # P = mass[0]/lam - E[1/H; H > lam] < mass[0]/lam bounds the level from above
         lam = mass[0] / pi
     else:
         # the top cell: with w = b - lam, P ~ f_b*w**2/(2*b**2), or s*w**3/(6*b**2)
@@ -202,7 +213,7 @@ def _exponential_start(model: FadingModel, pi: float) -> float:
     positive lam, min(1/nu, 1/pi), capped at the largest float: the root
     obeys lam < 1/pi, and u = 1 is a natural scale.
     """
-    nu = model.kind.rate / model.alpha_over_sigma2
+    nu = model.kind.rate
     q = pi / nu
     u = 0.0
     if _Q_SMALL_U < q < math.inf:

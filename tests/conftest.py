@@ -87,13 +87,29 @@ def random_model(rng, kinds=("exponential", "discrete", "tabulated")) -> FadingM
     return random_tabulated_model(rng)
 
 
+def discrete_x_states(model):
+    """(states of X = c*H, probabilities) of a discrete model as arrays, states descending."""
+    return model.alpha_over_sigma2 * np.asarray(model.kind.gains), np.asarray(model.kind.probs)
+
+
 def x_top(model) -> float:
     """The top of the support of X: inf for exponential fading, else the largest state or node."""
-    if model.is_discrete:
-        return model.table.x[0]
     if isinstance(model.kind, Exponential):
         return math.inf
-    return model.tails.x[-1]
+    return model.alpha_over_sigma2 * (model.kind.gains[0] if model.is_discrete else model.kind.grid[-1])
+
+
+def x_tails(model, lam: float):
+    """`waterfill.tails_at` in the units of X = c*H: the kernel runs at unit scale, at lam/c.
+
+    The mass and rate are scale-free; the power and the density at lam
+    are the unit-scale ones divided by c.
+    """
+    from hopcap.waterfill import tails_at
+
+    c = model.alpha_over_sigma2
+    mass, power, rate, density = tails_at(model, lam / c)
+    return mass, power / c, rate, density / c
 
 
 # -- independent oracles -------------------------------------------------------
@@ -107,7 +123,7 @@ def oracle_x_samples(model, n_points: int):
         nu = model.kind.rate / model.alpha_over_sigma2
         lo, hi = 0.0, 80.0 / nu
     else:
-        lo, hi = model.tails.x[0], model.tails.x[-1]
+        lo, hi = (model.alpha_over_sigma2 * h for h in (model.kind.grid[0], model.kind.grid[-1]))
     x = np.linspace(max(lo, 1e-12), hi, n_points)
     return x, model.pdf_x(x)
 
@@ -119,7 +135,7 @@ def oracle_power_integral(model, lam: float, n_points: int = 400_001) -> float:
     lam sits orders of magnitude below the support's top.
     """
     if model.is_discrete:
-        x, a = np.asarray(model.table.x), np.asarray(model.table.a)
+        x, a = discrete_x_states(model)
         mask = x > lam
         return float(np.sum(a[mask] * (1.0 / lam - 1.0 / x[mask])))
     xg, _ = oracle_x_samples(model, 3)
@@ -133,7 +149,7 @@ def oracle_power_integral(model, lam: float, n_points: int = 400_001) -> float:
 def oracle_rate_integral(model, lam: float, n_points: int = 400_001) -> float:
     """Trapezoid evaluation of E[log(X/lam)^+] for continuous models."""
     if model.is_discrete:
-        x, a = np.asarray(model.table.x), np.asarray(model.table.a)
+        x, a = discrete_x_states(model)
         mask = x > lam
         return float(np.sum(a[mask] * np.log(x[mask] / lam)))
     xg, _ = oracle_x_samples(model, 3)
@@ -241,7 +257,7 @@ def oracle_discrete_waterfill(model, pi: float):
     (exactly rounded sums), so no digits cancel when pi is many orders
     below the gains.
     """
-    x, a = model.table.x, model.table.a
+    x, a = (v.tolist() for v in discrete_x_states(model))
     offsets = [1.0 / x[0] - 1.0 / xi for xi in x]
 
     def spent(s):

@@ -207,7 +207,7 @@ def test_c5_closed_form_agreement_and_count_bound():
             d = float(np.exp(rng.uniform(np.log(1e-2), np.log(1e2))))
             eta = float(rng.uniform(2.0, 4.0))
             pt = float(np.exp(rng.uniform(np.log(1e-2), np.log(1e2))))
-            cf = discrete.gamma_of_pi(table, pt / d**eta)
+            cf = discrete.gamma_of_pi(table, model.alpha_over_sigma2 * pt / d**eta)
             wf, _ = oracle_discrete_waterfill(model, pt / d**eta)
             worst = max(worst, abs(cf - wf) / max(wf, 1e-300))
     counts_ok = True
@@ -269,8 +269,8 @@ def test_c7_simulator_matches_renewal_formulas():
     d = 0.3233389680071157
     sol = waterfill.solve(FIG1, pi_opt)
     policy = simulator.WaterfillPolicy(solution=sol, d=d, eta=3.0)
-    x, a = np.asarray(FIG1.table.x), np.asarray(FIG1.table.a)
-    mean_power = float(np.sum(a * policy.power(x / FIG1.alpha_over_sigma2)))
+    h, a = np.asarray(FIG1.kind.gains), np.asarray(FIG1.kind.probs)
+    mean_power = float(np.sum(a * policy.power(h)))
 
     all_ok = True
     details = []

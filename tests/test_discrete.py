@@ -73,8 +73,9 @@ class TestBuildTable:
         for _ in range(5):
             model = random_discrete_model(rng, max_states=5)
             table = discrete.build_table(model)
+            c = model.alpha_over_sigma2  # the table is at unit scale, at pi_H = c*pi
             for pi in np.exp(rng.uniform(np.log(1e-4), np.log(1e4), size=100)):
-                lam_cf = discrete.lambda_closed_form(table, float(pi))
+                lam_cf = c * discrete.lambda_closed_form(table, c * float(pi))
                 _, lam_ref = oracle_discrete_waterfill(model, float(pi))
                 assert lam_cf == pytest.approx(lam_ref, rel=1e-9)
 
@@ -179,7 +180,7 @@ class TestStationaryEnumeration:
     def test_enumeration_complete_against_dense_sign_scan(self):
         # the per-branch bisection must find every root a 20k-point
         # residual sign scan sees, and its maximizer must dominate the
-        # dense psi grid
+        # dense psi grid; the table's grid is in pi_H = c*pi
         rng = make_rng(31337)
         pis = np.geomspace(1e-10, 1e10, 20001)
         for _ in range(100):
@@ -196,5 +197,5 @@ class TestStationaryEnumeration:
             scan_count = int(np.sum(np.sign(res[1:]) != np.sign(res[:-1])))
             assert len(sset.points) >= scan_count
             if sset.maximizer is not None:
-                psi_grid = (pt / pis) ** (1.0 / eta) * gam
+                psi_grid = (pt / (pis / model.alpha_over_sigma2)) ** (1.0 / eta) * gam
                 assert sset.maximizer.psi >= np.max(psi_grid) * (1 - 1e-9)

@@ -17,6 +17,7 @@ from conftest import (
     oracle_cell_mass,
     random_discrete_model,
     random_tabulated_model,
+    x_tails,
 )
 from hopcap import discrete, hopopt, waterfill
 from hopcap.errors import BracketFailure, DiscreteKindError, ValidationError
@@ -323,7 +324,7 @@ class TestTailExactness:
             power, rate = oracle_cell_integrals(model, float(lam))
             mass = oracle_cell_mass(model, float(lam))
             assert power >= 1e-8
-            got = waterfill.tails_at(model, lam)
+            got = x_tails(model, lam)
             want = (mass, power, rate, float(model.pdf_x(float(lam))))
             assert got == pytest.approx(want, rel=1e-12, abs=0)
 
@@ -341,7 +342,7 @@ class TestTailExactness:
 
     def test_near_the_top_of_the_support(self):
         model = self.triangle()
-        nodes = np.array(model.tails.x[-12:-1])
+        nodes = model.alpha_over_sigma2 * np.array(model.kind.grid[-12:-1])
         lams = np.concatenate([4.4 - np.geomspace(0.4, 0.017, 25), nodes, nodes * (1 - 1e-9)])
         self.check(model, lams)
 
@@ -351,7 +352,7 @@ class TestTailExactness:
 
     def test_random_tabulated_model(self):
         model = random_tabulated_model(make_rng(11))
-        lo, hi = model.tails.x[0], model.tails.x[-1]
+        lo, hi = (model.alpha_over_sigma2 * h for h in (model.kind.grid[0], model.kind.grid[-1]))
         self.check(model, np.geomspace(max(lo, hi * 1e-3) * 0.5, hi * 0.9, 25))
 
     @pytest.mark.parametrize("u", [1e-3, 0.3, 1.0, 4.0, 20.0])
@@ -362,7 +363,7 @@ class TestTailExactness:
         tail = lambda g: quad(lambda x: g(x) * model.pdf_x(x), lam, np.inf, epsabs=0, epsrel=1e-13)[0]
         want = (tail(lambda x: 1.0), tail(lambda x: 1.0 / lam - 1.0 / x), tail(lambda x: math.log(x / lam)),
                 float(model.pdf_x(lam)))
-        assert waterfill.tails_at(model, lam) == pytest.approx(want, rel=1e-11, abs=0)
+        assert x_tails(model, lam) == pytest.approx(want, rel=1e-11, abs=0)
 
 
 class TestTabulatedSampling:
@@ -437,6 +438,40 @@ def test_the_library_imports_no_scipy():
             if any(name.split(".")[0] == "scipy" for name in names):
                 importers.add(path.name)
     assert importers == set()
+
+
+def attribute_readers(path: Path, attr: str) -> set:
+    """Dotted names of the functions and methods in ``path`` that read ``.attr``; "" is module level."""
+    readers = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, scope + [child.name])
+                continue
+            if isinstance(child, ast.Attribute) and child.attr == attr or (
+                    isinstance(child, ast.Constant) and child.value == attr):
+                readers.add(".".join(scope))
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), [])
+    return readers
+
+
+def test_alpha_over_sigma2_is_read_only_at_the_edges():
+    # the kernels and root finders work at unit scale; c = alpha_over_sigma2
+    # enters only where pi, lam and d are mapped in and out, and in the
+    # y-domain check, which keeps the units of X
+    edges = {
+        "discrete.py": set(),
+        "waterfill.py": {"gamma_and_lambda", "WaterfillSolution.cutoff_h"},
+        "hopopt.py": {"_roots", "rechar_integral", "solve_rechar"},
+    }
+    kernels = {"tails_at", "TailTable", "build_table", "_level", "_exponential_start",
+               "_tabulated_level", "_exponential_root", "_tabulated_roots"}
+    for name, allowed in edges.items():
+        assert not allowed & kernels
+        assert attribute_readers(_SRC / "hopcap" / name, "alpha_over_sigma2") == allowed, name
 
 
 def scipy_brentq(func, lo, hi):

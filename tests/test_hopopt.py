@@ -1,10 +1,12 @@
 """Hop-distance optimization: stationary points, scaling laws, limits."""
 
 import math
+import sys
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import IntegrationWarning, quad
 
 from conftest import (
@@ -345,3 +347,95 @@ class TestEtaAtMostOne:
             assert main(["optimize", "--config", str(cfg)]) == 0
         out = capsys.readouterr().out
         assert "boundary=d->inf" in out and "n_points=0" in out
+
+
+# test_cli's BIMODAL_CSV: three stationary points at eta = 3
+BIMODAL = ([0.25, 0.5, 0.75, 95.0, 100.0, 105.0], [0.0, 3.6, 0.0, 0.0, 0.02, 0.0])
+SCALE_MODELS = {
+    "exponential": (lambda c: FadingModel.exponential(1.0, c), [1.0]),
+    "discrete": (lambda c: FadingModel.discrete(zip(*FIG1.kind), c), list(FIG1.kind.gains)),
+    "tabulated": (lambda c: FadingModel.tabulated(*BIMODAL, c), BIMODAL[0]),
+}
+_NORMAL_MIN = sys.float_info.min
+
+
+def unit_roots(model, eta=3.0):
+    """(pi*c, lam/c, gamma) of every stationary point, c = alpha_over_sigma2."""
+    c = model.alpha_over_sigma2
+    sset = hopopt.stationary_points(hopopt.HopProblem(model=model, eta=eta, pt_prime=1.0))
+    return [v for pt in sset.points for v in (pt.pi * c, pt.lam / c, pt.gamma)]
+
+
+def normal_exponents(name):
+    """Every k for which c = 2**k keeps the nodes and the roots' pi and lam normal floats."""
+    build, nodes = SCALE_MODELS[name]
+    base = unit_roots(build(1.0))
+    ups = nodes + base[1::3]  # scaled by c: nodes and lam
+    downs = base[0::3]  # scaled by 1/c: pi
+    return [k for k in range(-1074, 1024)
+            if all(_NORMAL_MIN <= 2.0**k * v < math.inf for v in ups)
+            and all(_NORMAL_MIN <= v / 2.0**k < math.inf for v in downs)]
+
+
+class TestScaleFree:
+    """The roots are found at unit scale; alpha_over_sigma2 = c enters only at the edge."""
+
+    @pytest.mark.parametrize("name", sorted(SCALE_MODELS))
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_power_of_two_scales_are_exact(self, name, data):
+        build, _ = SCALE_MODELS[name]
+        ks = normal_exponents(name)
+        assert ks == list(range(ks[0], ks[-1] + 1)) and ks[0] < -1000 and ks[-1] > 1000
+        k = data.draw(st.integers(ks[0], ks[-1]), label="k")
+        assert unit_roots(build(2.0**k)) == unit_roots(build(1.0))
+
+    @pytest.mark.parametrize("name", sorted(SCALE_MODELS))
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(log10_c=st.floats(-300.0, 300.0))
+    def test_any_scale_keeps_the_roots_or_names_the_scale(self, name, log10_c):
+        build, _ = SCALE_MODELS[name]
+        c, base = 10.0**log10_c, unit_roots(build(1.0))
+        try:
+            got = unit_roots(build(c))
+        except BracketFailure as exc:
+            assert str(exc).startswith(f"alpha_over_sigma2 = {c!r} ")
+            # some root's pi = pi_H/c or lam = c*lam_H leaves the float range
+            assert any(not 0.0 < v < math.inf
+                       for v in [p / c for p in base[0::3]] + [c * lam for lam in base[1::3]])
+            return
+        assert got == pytest.approx(base, rel=1e-14, abs=0)
+
+    @pytest.mark.parametrize("c", [1e200, 1e300, 1e-100, 1e-200, 1e-300, 2.0**-900, 2.0**900])
+    def test_bimodal_scales_that_found_no_point(self, c):
+        # x-space kernels found no root here: NoStationaryPoint
+        build, _ = SCALE_MODELS["tabulated"]
+        assert unit_roots(build(c)) == pytest.approx(unit_roots(build(1.0)), rel=1e-14, abs=0)
+
+    def test_exponential_at_scale_1e_300_finds_its_root(self):
+        assert unit_roots(FadingModel.exponential(1.0, 1e-300)) == pytest.approx(
+            unit_roots(EXP_MODEL), rel=1e-14, abs=0)
+
+    @pytest.mark.parametrize("rate, c", [(1e-300, 1e9), (1.85e-285, 7.04e24)])
+    def test_extreme_exponential_roots_or_the_scale(self, rate, c):
+        # x-space kernels raised a BracketFailure that blamed eta
+        try:
+            got = unit_roots(FadingModel.exponential(rate, c))
+        except BracketFailure as exc:
+            assert str(exc).startswith(f"alpha_over_sigma2 = {c!r} ") and "eta" not in str(exc)
+            assert (rate, c) == (1.85e-285, 7.04e24)  # lam = c*lam_H = 1.85e308
+            return
+        assert got == pytest.approx(unit_roots(FadingModel.exponential(rate)), rel=1e-14, abs=0)
+
+    def test_two_state_gamma_is_exact_at_a_power_of_two_scale(self):
+        # x-space tables moved Gamma at the first root in its 15th digit
+        build, _ = SCALE_MODELS["discrete"]
+        assert unit_roots(build(2.0**-900))[2] == unit_roots(build(1.0))[2] == 2.8117894091320608
+
+    def test_the_scale_failure_is_a_numerical_exit(self, tmp_path, capsys):
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text("schema_version: 1\nfading: {kind: exponential, rate: 1.85e-285, "
+                       "alpha_over_sigma2: 7.04e24}\neta: 3.0\npower: {Pt_prime_W: 1.0}\n")
+        assert main(["optimize", "--config", str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: alpha_over_sigma2 = 7.04e+24 ")

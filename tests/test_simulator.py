@@ -52,8 +52,8 @@ def profile_b():
 def analytic_targets(profile, model, policy, d, eta):
     """Eq-style reference values computed from the policy's expectations."""
     if model.is_discrete:
-        x, a = np.asarray(model.table.x), np.asarray(model.table.a)
-        h = x / model.alpha_over_sigma2
+        h, a = np.asarray(model.kind.gains), np.asarray(model.kind.probs)
+        x = model.alpha_over_sigma2 * h
         p = policy.power(h)
         mean_rate = float(np.sum(a * np.log1p(x * p / d**eta)))
         mean_power = float(np.sum(a * p))

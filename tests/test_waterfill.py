@@ -204,9 +204,9 @@ class TestDegenerateAndErrors:
 
 
 def mpmath_exponential_power(model, lam):
-    """P(lam) = nu*(exp(-u)/u - E1(u)) of exponential fading to 40 digits, u = nu*lam."""
+    """P(lam) = nu*(exp(-u)/u - E1(u)) of exponential fading at unit scale to 40 digits, u = nu*lam."""
     with mpmath.workdps(40):
-        nu = mpmath.mpf(model.kind.rate) / mpmath.mpf(model.alpha_over_sigma2)
+        nu = mpmath.mpf(model.kind.rate)
         u = nu * mpmath.mpf(lam)
         return nu * (mpmath.exp(-u) / u - mpmath.e1(u))
 
@@ -244,12 +244,14 @@ class TestWaterLevelBracket:
             return kernel(m, lam)
 
         monkeypatch.setattr(waterfill, "tails_at", counted)
+        c = model.alpha_over_sigma2  # the kernel runs at unit scale, at lam/c and pi*c
         for k in np.arange(-12.0, 12.25, 0.5):
             pi = 10.0**k
             calls.clear()
             lam = waterfill.solve(model, pi).lam
             assert len(calls) <= 6, (pi, len(calls))
-            assert power(model, lam * (1 - 1e-14)) - pi > 0.0 > power(model, lam * (1 + 1e-14)) - pi
+            lam_h, pi_h = lam / c, pi * c
+            assert power(model, lam_h * (1 - 1e-14)) - pi_h > 0.0 > power(model, lam_h * (1 + 1e-14)) - pi_h
             if isinstance(model.kind, TabulatedDensity) and 1e-6 <= pi <= 1e6:
                 assert oracle_cell_integrals(model, lam)[0] == pytest.approx(pi, rel=1e-12)
 
@@ -264,12 +266,14 @@ class TestWaterLevelBracket:
             calls.clear()
             gamma, lam = waterfill.gamma_and_lambda(model, pi)
             counts.append(len(calls))
-            start = min(model.alpha_over_sigma2 / model.kind.rate, 1.0 / pi)
-            brent = bracket_root(lambda x: kernel(model, x)[1] - pi, start)
-            assert lam == pytest.approx(brent, rel=1e-14, abs=0.0), pi
+            # the kernel runs at unit scale, where the level solves P(lam/c) = pi*c
+            c = model.alpha_over_sigma2
+            start = min(1.0 / model.kind.rate, 1.0 / (pi * c))
+            brent = bracket_root(lambda x: kernel(model, x)[1] - pi * c, start)
+            assert lam / c == pytest.approx(brent, rel=1e-14, abs=0.0), pi
             # Gamma = rate + lam*(pi - P) at the last kernel call carries that call's
             # error in P, which cancels u-fold in mass/lam - nu*E1(u) (2.3e-15 at
-            # pi = 1e-9); the level adds at most 1e-15 to it
+            # pi = 1e-9); the level adds at most 1e-15 to it.  lam*P is scale-free.
             last = calls[-1]
             power_error = abs(kernel(model, last)[1] - mpmath_exponential_power(model, last))
             want = mpmath_exponential_gamma(model, pi, lam)
@@ -277,13 +281,14 @@ class TestWaterLevelBracket:
         assert sum(counts) / len(counts) <= 3.0 and max(counts) <= 6, counts
 
     def test_level_past_an_overflowing_start(self):
-        # nu = 1e-309: min(1/nu, 1/pi) overflows, yet the level is finite, near 1.58e308
-        model = FadingModel.exponential(1e-300, 1e9)
-        pi = 4e-309
-        gamma, lam = waterfill.gamma_and_lambda(model, pi)
-        power = lambda x: waterfill.tails_at(model, x)[1]
-        assert 1.5e308 < lam < 1.6e308 and 0.0 < gamma < math.inf
-        assert power(lam * (1 - 1e-14)) > pi > power(lam * (1 + 1e-14))
+        # at rate 1e-309, 1/nu overflows, yet the level is finite, near 1.58e308;
+        # the second model finds lam/c at unit scale, and the edge multiplies by c
+        for model in (FadingModel.exponential(1e-309), FadingModel.exponential(1e-300, 1e9)):
+            c, pi = model.alpha_over_sigma2, 4e-309
+            gamma, lam = waterfill.gamma_and_lambda(model, pi)
+            power = lambda x: waterfill.tails_at(model, x)[1]
+            assert 1.5e308 < lam < 1.6e308 and 0.0 < gamma < math.inf
+            assert power(lam / c * (1 - 1e-14)) > pi * c > power(lam / c * (1 + 1e-14))
 
     def test_gamma_near_the_top_of_a_tabulated_support(self):
         # Gamma(lam) is flat near the top, so one ulp of lam moves rate(lam) by up to
@@ -298,10 +303,52 @@ class TestWaterLevelBracket:
                 assert abs(gamma - want) <= 1e-14 * want, (pi, float((gamma - want) / want))
 
     def test_nan_power_is_a_bracket_failure(self):
-        # x_1/lam = 8e309 overflows in the partial cell, whose power is then NaN
-        model = FadingModel.tabulated(ZERO_TOP.kind.grid, ZERO_TOP.kind.density, 1e10)
-        with pytest.raises(BracketFailure):
+        # x_1/lam = 8e309 overflows in the partial cell, whose power is then NaN;
+        # ZERO_TOP's density of X = 1e10*H, at unit scale
+        model = FadingModel.tabulated([1e10 * h for h in ZERO_TOP.kind.grid],
+                                      [a / 1e10 for a in ZERO_TOP.kind.density])
+        with pytest.raises(BracketFailure, match="NaN"):
             waterfill.gamma_and_lambda(model, 1e300)
+
+    @pytest.mark.parametrize("pi", [1e307, 1e308, 1.7e308])
+    def test_gamma_below_the_support_at_the_top_of_the_float_range(self, pi):
+        # lam < 1e-307: the gap cell's t = (x_0 - lam)/lam is near 1e308, and its
+        # terms in t**2 once overflowed to a NaN Gamma
+        gamma, lam = waterfill.gamma_and_lambda(UNIFORM, pi)
+        tails = UNIFORM.tails
+        want = tails.rate[0] + tails.mass[0] * math.log(0.5 / lam)
+        assert abs(gamma - want) <= 1e-15 * want, (gamma, want)
+
+    def test_tails_below_the_support_where_x0_over_lam_overflows(self):
+        # the uniform density on [0.5e10, 1.5e10] at lam = 1e-300: t = x_0/lam - 1
+        # is inf, but the power 1/lam - E[1/H] and the rate E[log H] - log(lam) are not
+        a, b = 0.5e10, 1.5e10
+        model = FadingModel.tabulated([a, b], [1e-10, 1e-10])
+        with mpmath.workdps(40):
+            lam, a, b = mpmath.mpf(1e-300), mpmath.mpf(a), mpmath.mpf(b)
+            power = 1 / lam - mpmath.log(b / a) / (b - a)
+            rate = (b * mpmath.log(b) - a * mpmath.log(a)) / (b - a) - 1 - mpmath.log(lam)
+        got = waterfill.tails_at(model, 1e-300)
+        assert got == pytest.approx((1.0, float(power), float(rate), 0.0), rel=1e-15, abs=0)
+
+    def test_uniform_scaled_by_1e10_at_pi_1e300_names_the_scale(self, tmp_path, capsys):
+        # pi_H = 1e10*1e300 leaves the float range; x-space kernels printed gamma_nats=nan
+        model = FadingModel.tabulated(UNIFORM.kind.grid, UNIFORM.kind.density, 1e10)
+        with pytest.raises(BracketFailure, match="alpha_over_sigma2 = 10000000000.0"):
+            waterfill.gamma_and_lambda(model, 1e300)
+        (tmp_path / "uniform.csv").write_text("h,a\n0.5,1\n1.5,1\n")
+        cfg = tmp_path / "run.yaml"
+        for scale, code in (("1e10", 3), ("1.0", 0)):
+            cfg.write_text(f"schema_version: 1\nfading: {{kind: tabulated, csv: uniform.csv, "
+                           f"alpha_over_sigma2: {scale}}}\neta: 3.0\n")
+            pi = "1e300" if code == 3 else "1.7e308"
+            assert main(["waterfill", "--config", str(cfg), "--pi", pi]) == code
+            out, err = capsys.readouterr()
+            if code == 3:
+                assert err.startswith("numerical failure: alpha_over_sigma2 = ")
+            else:
+                gamma = float(dict(token.split("=") for token in out.split())["gamma_nats"])
+                assert 0.0 < gamma < math.inf and err == ""
 
     @pytest.mark.parametrize("pi", [1e-200, 1e-300])
     def test_exponential_level_at_tiny_pi(self, pi):
@@ -330,10 +377,13 @@ class TestOneKernelCall:
         e1 = waterfill.exp1
         calls = []
         monkeypatch.setattr(waterfill, "exp1", lambda u: calls.append(u) or e1(u))
-        model = FadingModel.exponential(1.0, alpha_over_sigma2=10.0)
-        hopopt.stationary_points(hopopt.HopProblem(model=model, eta=3.0, pt_prime=1.0))
-        # 14 residuals to bracket and refine the root, one more to read off its point
-        assert len(calls) == 15
+        for scale in (10.0, 1.0):
+            calls.clear()
+            model = FadingModel.exponential(1.0, alpha_over_sigma2=scale)
+            hopopt.stationary_points(hopopt.HopProblem(model=model, eta=3.0, pt_prime=1.0))
+            # 16 residuals to bracket and refine the root, one more to read off its point;
+            # the root is found at unit scale, so the scale does not change them
+            assert len(calls) == 17
 
     @pytest.mark.parametrize("lam", [0.05, 0.7, 3.0, 9.5])
     def test_tabulated_slope_and_residual(self, lam, monkeypatch):
