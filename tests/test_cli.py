@@ -644,7 +644,7 @@ SPECIAL = (math.nan, math.inf, -math.inf, -0.0, 0.0)
 # alpha_over_sigma2 drawn from here have ratios from 1e-631 to 1e631
 MAGNITUDES = st.one_of(st.integers(-323, 308).map(lambda e: float(f"1e{e}")),
                        st.sampled_from([5e-324, 1e308, 1.0, 3.0]))
-BIMODAL_NODES = [(0.25, 0.0), (0.5, 3.6), (0.75, 0.0), (95.0, 0.0), (100.0, 0.02), (105.0, 0.0)]
+BIMODAL_NODES = [tuple(map(float, row.split(","))) for row in BIMODAL_CSV.split()[1:]]
 MAC = {"p_idle": 0.6, "p_collision": 0.1, "p_success": 0.3, "T_idle_s": 2e-5,
        "T_collision_s": 3e-4, "T_overhead_s": 2e-4, "T_txop_s": 2e-3, "W_hz": 1e6}
 

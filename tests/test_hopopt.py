@@ -412,20 +412,12 @@ class TestScaleFree:
         build, _ = SCALE_MODELS["tabulated"]
         assert unit_roots(build(c)) == pytest.approx(unit_roots(build(1.0)), rel=1e-14, abs=0)
 
-    def test_exponential_at_scale_1e_300_finds_its_root(self):
-        assert unit_roots(FadingModel.exponential(1.0, 1e-300)) == pytest.approx(
-            unit_roots(EXP_MODEL), rel=1e-14, abs=0)
-
-    @pytest.mark.parametrize("rate, c", [(1e-300, 1e9), (1.85e-285, 7.04e24)])
-    def test_extreme_exponential_roots_or_the_scale(self, rate, c):
-        # x-space kernels raised a BracketFailure that blamed eta
-        try:
-            got = unit_roots(FadingModel.exponential(rate, c))
-        except BracketFailure as exc:
-            assert str(exc).startswith(f"alpha_over_sigma2 = {c!r} ") and "eta" not in str(exc)
-            assert (rate, c) == (1.85e-285, 7.04e24)  # lam = c*lam_H = 1.85e308
-            return
-        assert got == pytest.approx(unit_roots(FadingModel.exponential(rate)), rel=1e-14, abs=0)
+    @pytest.mark.parametrize("rate, c", [(1.0, 1e-300), (1e-300, 1e9)])
+    def test_extreme_exponential_scales_find_the_root(self, rate, c):
+        # x-space kernels raised NoStationaryPoint at (1, 1e-300), and at
+        # (1e-300, 1e9) a BracketFailure that blamed eta
+        assert unit_roots(FadingModel.exponential(rate, c)) == pytest.approx(
+            unit_roots(FadingModel.exponential(rate)), rel=1e-14, abs=0)
 
     def test_two_state_gamma_is_exact_at_a_power_of_two_scale(self):
         # x-space tables moved Gamma at the first root in its 15th digit
@@ -433,6 +425,9 @@ class TestScaleFree:
         assert unit_roots(build(2.0**-900))[2] == unit_roots(build(1.0))[2] == 2.8117894091320608
 
     def test_the_scale_failure_is_a_numerical_exit(self, tmp_path, capsys):
+        # lam = c*lam_H = 1.85e308 overflows; x-space kernels blamed eta
+        with pytest.raises(BracketFailure, match=r"^alpha_over_sigma2 = 7\.04e\+24 "):
+            unit_roots(FadingModel.exponential(1.85e-285, 7.04e24))
         cfg = tmp_path / "run.yaml"
         cfg.write_text("schema_version: 1\nfading: {kind: exponential, rate: 1.85e-285, "
                        "alpha_over_sigma2: 7.04e24}\neta: 3.0\npower: {Pt_prime_W: 1.0}\n")
