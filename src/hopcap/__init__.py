@@ -15,7 +15,6 @@ from .errors import (
     ConfigError,
     DiscreteKindError,
     HopcapError,
-    HypothesisNotMet,
     NonPositivePi,
     NoStationaryPoint,
     NumericalError,
@@ -23,7 +22,7 @@ from .errors import (
     ValidationError,
 )
 from .fading import FadingModel
-from .hopopt import BoundaryLimits, HopProblem, ScalingCheck, StationaryPoint, StationarySet
+from .hopopt import HopProblem, StationaryPoint, StationarySet
 from .macmodel import MacProfile
 from .waterfill import WaterfillSolution
 
@@ -40,7 +39,6 @@ def __getattr__(name):
 
 __all__ = [
     "__version__",
-    "BoundaryLimits",
     "BracketFailure",
     "BudgetExhausted",
     "ConfigError",
@@ -49,13 +47,11 @@ __all__ = [
     "FadingModel",
     "HopcapError",
     "HopProblem",
-    "HypothesisNotMet",
     "MacProfile",
     "NonPositivePi",
     "NoStationaryPoint",
     "NumericalError",
     "OrderingViolation",
-    "ScalingCheck",
     "SimConfig",
     "SimReport",
     "StationaryPoint",

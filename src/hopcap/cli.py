@@ -210,6 +210,8 @@ def _cmd_simulate(args) -> int:
     spec = cfg.simulate
     seed = args.seed if args.seed is not None else spec.seed
     horizon = args.horizon if args.horizon is not None else spec.horizon
+    _require_finite_power("d**eta", spec.d, cfg.eta,
+                          f"simulate.d_m = {spec.d!r} with eta = {cfg.eta!r}")
     policy = _build_policy(cfg, spec)
     sim_config = simulator.SimConfig(
         profile=cfg.profile,
@@ -279,6 +281,8 @@ def _cmd_single_cell_bound(args) -> int:
         raise ConfigError("bound: section missing")
     spec = cfg.bound
     ks = np.unique(np.geomspace(spec.k_min, spec.k_max, spec.points).astype(int))
+    _require_finite_power("(2*area)**(eta/2)", 2.0 * spec.area, cfg.eta / 2.0,
+                          f"bound.area_m2 = {spec.area!r} with eta = {cfg.eta!r}")
     rows = []
     for power in spec.powers:
         for k, c_k, bound, reach, bound_reach in macmodel.spatial_reuse_sweep(
@@ -296,9 +300,20 @@ def _cmd_single_cell_bound(args) -> int:
 
 
 def _problem(cfg: RunConfig) -> hopopt.HopProblem:
-    return hopopt.HopProblem(
-        model=cfg.model, eta=cfg.eta, pt_prime=cfg.resolve_pt_prime(), d0=cfg.d0
-    )
+    return hopopt.HopProblem(model=cfg.model, eta=cfg.eta, pt_prime=cfg.resolve_pt_prime())
+
+
+def _require_finite_power(what: str, base: float, exponent: float, where: str) -> None:
+    """Raise a NumericalError that starts with ``where`` unless ``base**exponent`` is finite and > 0.
+
+    ``what`` names the power; the commands divide by it, so 0 fails as inf does.
+    """
+    try:
+        ok = 0.0 < base**exponent < math.inf
+    except OverflowError:
+        ok = False
+    if not ok:
+        raise NumericalError(f"{where}: {what} leaves the float range")
 
 
 def _build_policy(cfg: RunConfig, spec):

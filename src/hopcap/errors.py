@@ -38,18 +38,9 @@ class OrderingViolation(ValidationError):
     """Powers violate the better-channel-gets-more-rate ordering."""
 
 
-class HypothesisNotMet(ValidationError):
-    """Model does not satisfy the hypotheses required by a limit check."""
-
-
 class BracketFailure(NumericalError):
     """No sign change found when bracketing a water-level or stationarity equation."""
 
 
 class NoStationaryPoint(NumericalError):
-    """No interior maximizer exists where one is needed.
-
-    Raised when a root enumeration at eta > 1 comes back empty, and by
-    `scaling_check` or `boundary_limits` when there is no interior
-    maximizer (eta <= 1, where the optimum is d -> inf).
-    """
+    """A root enumeration at eta > 1, where psi vanishes at both ends, found no root."""

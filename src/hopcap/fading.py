@@ -4,15 +4,14 @@ The channel state ``X = c*H``, with ``c = alpha/sigma^2`` the per-watt SNR
 at unit distance, only rescales the power axis, so every kernel works on
 H and ``c`` enters at the edges (`waterfill.gamma_and_lambda`,
 `hopopt.stationary_points`).  This module owns the distribution kinds,
-moments, tail diagnostics, sampling, ``pdf_x`` and CSV ingestion for
-tabulated densities.  A tabulated density is two float tuples, nodes and
-values, and is linear between its nodes, so its moments and tails are
-exact: `TailTable` (``FadingModel.tails``) holds the mass, water-fill
-power and rate above each node, and a query at any ``lam`` adds one
-closed-form partial cell.  Every kind's scalar path is plain ``math``;
-numpy is imported only by the methods that take or return arrays
-(``pdf_x``, ``tail_decay_check``, ``sample_h``).  Every bracketed root of
-the stationary enumerations is refined here, by `refine_root`.
+sampling and CSV ingestion for tabulated densities.  A tabulated density
+is two float tuples, nodes and values, and is linear between its nodes,
+so its tails are exact: `TailTable` (``FadingModel.tails``) holds the
+mass, water-fill power and rate above each node, and a query at any
+``lam`` adds one closed-form partial cell.  Every kind's scalar path is
+plain ``math``; numpy is imported only by ``sample_h``, which returns an
+array.  Every bracketed root of the stationary enumerations is refined
+here, by `refine_root`.
 
 Models are immutable after construction; every operation is pure.
 """
@@ -28,7 +27,6 @@ from .errors import BracketFailure, DiscreteKindError, ValidationError
 
 PROB_SUM_TOL = 1e-12
 DENSITY_NORM_TOL = 1e-6
-_TAIL_POINTS = 50
 
 # For f linear on [a, b] and t = (b - a)/a, int_a^b (1/a - 1/x) f dx =
 # f(a)*pa + f(b)*pb and int_a^b log(x/a) f dx = a*(f(a)*ra + f(b)*rb).  Below
@@ -160,52 +158,6 @@ class FadingModel(_FadingModelFields):
             raise DiscreteKindError("the tail table is only defined for tabulated models")
         return TailTable(self.kind.grid, self.kind.density)
 
-    # -- densities --------------------------------------------------------
-
-    def pdf_x(self, x):
-        """Density f(x) = a(x / c) / c of X = c*H, with c = alpha/sigma^2."""
-        import numpy as np
-
-        c = self.alpha_over_sigma2
-        if isinstance(self.kind, Exponential):
-            nu = self.kind.rate / c
-            return nu * np.exp(-nu * np.asarray(x, dtype=float))
-        if isinstance(self.kind, DiscreteFinite):
-            raise DiscreteKindError("discrete models have a pmf, not a density")
-        xv = np.asarray(x, dtype=float)
-        return np.interp(xv / c, self.kind.grid, self.kind.density, left=0.0, right=0.0) / c
-
-    # -- moments and tails --------------------------------------------------
-
-    def mean_h(self) -> float:
-        """E[H]; exact for every kind (a tabulated density is linear per cell)."""
-        if isinstance(self.kind, Exponential):
-            return 1.0 / self.kind.rate
-        if isinstance(self.kind, DiscreteFinite):
-            return math.fsum(h * a for h, a in zip(self.kind.gains, self.kind.probs))
-        return self.tails.mean
-
-    def tail_decay_check(self) -> bool:
-        """True when h^2 * P(H > h) stays bounded past the 99th percentile.
-
-        Exponential and finite discrete models pass unconditionally; a
-        tabulated model is tested on a log grid of ``_TAIL_POINTS`` abscissae.
-        """
-        if isinstance(self.kind, (Exponential, DiscreteFinite)):
-            return True
-        import numpy as np
-
-        g = np.array(self.kind.grid)
-        surv = np.array(self.tails.mass) / self.tails.mass[0]
-        idx = int(np.searchsorted(1.0 - surv, 0.99))
-        q99 = g[min(idx, g.size - 1)]
-        if q99 <= 0 or q99 >= g[-1]:
-            return True
-        hs = np.geomspace(q99, g[-1], _TAIL_POINTS)
-        t = hs**2 * np.interp(hs, g, surv)
-        slack = 1e-9 * max(float(t.max()), 1e-300)
-        return bool(np.all(np.diff(t) <= slack))
-
     # -- sampling -------------------------------------------------------------
 
     def sample_h(self, rng: np.random.Generator, size: int):
@@ -327,7 +279,7 @@ class TailTable:
     ``x`` and ``f`` are float tuples (a model's nodes and values of H), the
     columns lists of floats.  At node
     j, ``mass[j] = P(X > x_j)``, ``power[j] = E[(1/x_j - 1/X)^+]`` and
-    ``rate[j] = E[log(X/x_j)^+]``; ``mean`` is E[X].  A row is the row
+    ``rate[j] = E[log(X/x_j)^+]``.  A row is the row
     above, plus the mass above times the weight at the node above, plus the
     closed-form cell between them: all non-negative, so no digits cancel
     near the top.  A node at x = 0 has only mass (1/x, log x are undefined).
@@ -342,11 +294,9 @@ class TailTable:
         self.x, self.f = x, f
         n = len(self.x)
         self.mass, self.power, self.rate = [0.0] * n, [0.0] * n, [0.0] * n
-        self.mean = 0.0
         for j in range(n - 2, -1, -1):
             a, b, fa, fb = self.x[j], self.x[j + 1], self.f[j], self.f[j + 1]
             self.mass[j] = self.mass[j + 1] + 0.5 * (b - a) * (fa + fb)
-            self.mean += (b - a) * (fa * (2.0 * a + b) + fb * (a + 2.0 * b)) / 6.0
             if a > 0.0:
                 _, self.power[j], self.rate[j], _ = self._from(j + 1, a, fa, fb)
         self.top = self.mass.index(0.0)

@@ -303,16 +303,6 @@ class FttFpComparison(NamedTuple):
     duration: float
 
 
-class SwapComparison(NamedTuple):
-    """Energy effect of exchanging rates between two channel states."""
-
-    energy_original: float
-    energy_swapped: float
-    p1_swapped: float
-    p2_swapped: float
-    duration: float
-
-
 def compare_ftt_fp(
     h1: float,
     h2: float,
@@ -327,8 +317,9 @@ def compare_ftt_fp(
     total time T_P and energy E_P.  The fixed-time scheme splits T_P
     into two equal slots over the same states and water-fills the energy
     budget E_P; the returned bit counts satisfy bits_ftt >= bits_fp.
-    Requires h1*p1 >= h2*p2 (better state carries the higher rate);
-    apply `swap_comparison` first otherwise.
+    Requires h1*p1 >= h2*p2 (better state carries the higher rate).  This
+    loses no generality: exchanging the two rates otherwise keeps the
+    total time and strictly lowers the energy.
     """
     if not math.inf > h1 >= h2 > 0:
         raise ValidationError(f"need finite h1 >= h2 > 0, got h1={h1}, h2={h2}")
@@ -351,39 +342,6 @@ def compare_ftt_fp(
     if not bits_ftt >= bits_fp * (1.0 - 1e-9):  # a NaN where 1/h2 overflows, say
         raise NumericalError(f"fixed-time bits {bits_ftt} fall short of {bits_fp}")
     return FttFpComparison(bits_fp=bits_fp, bits_ftt=bits_ftt, energy=energy, duration=duration)
-
-
-def swap_comparison(
-    h1: float,
-    h2: float,
-    p1: float,
-    p2: float,
-    packet_bits: float = 1000.0,
-    bandwidth: float = 1e6,
-) -> SwapComparison:
-    """Exchange the two rates (h1*p1 <-> h2*p2) and compare energies.
-
-    When h1 > h2 and h1*p1 < h2*p2, moving the higher rate onto the
-    better state keeps the total time fixed and strictly lowers the
-    energy, which is why the ordering precondition of `compare_ftt_fp`
-    loses no generality.
-    """
-    if not (h1 >= h2 > 0) or min(p1, p2) <= 0:
-        raise ValidationError("need h1 >= h2 > 0 and positive powers")
-    p1_swapped = h2 * p2 / h1
-    p2_swapped = h1 * p1 / h2
-    t1 = packet_bits / (bandwidth * math.log2(1.0 + h1 * p1))
-    t2 = packet_bits / (bandwidth * math.log2(1.0 + h2 * p2))
-    energy_original = p1 * t1 + p2 * t2
-    # swapped rates: state 1 now runs at the old state-2 rate and vice versa
-    energy_swapped = p1_swapped * t2 + p2_swapped * t1
-    return SwapComparison(
-        energy_original=energy_original,
-        energy_swapped=energy_swapped,
-        p1_swapped=p1_swapped,
-        p2_swapped=p2_swapped,
-        duration=t1 + t2,
-    )
 
 
 def _two_state_waterfill(h1: float, h2: float, budget: float):

@@ -2,18 +2,33 @@
 
 The oracles deliberately avoid the production code paths: dense
 trapezoid or per-cell adaptive quadrature plus plain bisection, nothing
-from `waterfill` or `discrete`.  The simulator references rebuild whole
-runs with arrays the length of the horizon and a per-row `csv.writer`.
+from `waterfill` or `discrete`.  They read a model only through
+``model.kind`` and its scale ``alpha_over_sigma2`` (`pdf_x`, `mean_h`),
+never through its cached ``tails`` or ``table``.  The simulator
+references rebuild whole runs with arrays the length of the horizon and
+a per-row `csv.writer`.
+
+The paper's claims are checked here, not in the library: `rechar_roots`,
+the y-domain characterisation of the optimum (every root, compared with
+`hopopt.stationary_points`' roots), `scaling_check` (``d_opt ~
+Pt**(1/eta)``), `boundary_limits` (``psi -> 0`` at both ends; `psi`, like
+`stationary_residual`, evaluates `waterfill.gamma_and_lambda` by
+definition) and `swap_energies`, the swap lemma behind the ordering
+precondition of `simulator.compare_ftt_fp`.
 """
 
 import csv
 import math
+from typing import NamedTuple
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.optimize import brentq
 from scipy.special import ndtri
 
-from hopcap.fading import Exponential, FadingModel
+from hopcap import hopopt, waterfill
+from hopcap.errors import DiscreteKindError
+from hopcap.fading import Exponential, FadingModel, TabulatedDensity
 from hopcap.macmodel import MacProfile
 
 
@@ -105,11 +120,32 @@ def x_tails(model, lam: float):
     The mass and rate are scale-free; the power and the density at lam
     are the unit-scale ones divided by c.
     """
-    from hopcap.waterfill import tails_at
-
     c = model.alpha_over_sigma2
-    mass, power, rate, density = tails_at(model, lam / c)
+    mass, power, rate, density = waterfill.tails_at(model, lam / c)
     return mass, power / c, rate, density / c
+
+
+def pdf_x(model, x):
+    """Density f(x) = a(x/c)/c of X = c*H for continuous models, elementwise."""
+    if model.is_discrete:
+        raise DiscreteKindError("discrete models have a pmf, not a density")
+    c, xv = model.alpha_over_sigma2, np.asarray(x, dtype=float)
+    if isinstance(model.kind, Exponential):
+        nu = model.kind.rate / c
+        return nu * np.exp(-nu * xv)
+    return np.interp(xv / c, model.kind.grid, model.kind.density, left=0.0, right=0.0) / c
+
+
+def mean_h(model) -> float:
+    """E[H], exact for every kind: a tabulated density is linear per cell."""
+    kind = model.kind
+    if isinstance(kind, Exponential):
+        return 1.0 / kind.rate
+    if model.is_discrete:
+        return math.fsum(h * a for h, a in zip(kind.gains, kind.probs))
+    h, a = kind.grid, kind.density
+    return math.fsum((h1 - h0) * (a0 * (2.0 * h0 + h1) + a1 * (h0 + 2.0 * h1)) / 6.0
+                     for h0, h1, a0, a1 in zip(h, h[1:], a, a[1:]))
 
 
 # -- independent oracles -------------------------------------------------------
@@ -125,7 +161,7 @@ def oracle_x_samples(model, n_points: int):
     else:
         lo, hi = (model.alpha_over_sigma2 * h for h in (model.kind.grid[0], model.kind.grid[-1]))
     x = np.linspace(max(lo, 1e-12), hi, n_points)
-    return x, model.pdf_x(x)
+    return x, pdf_x(model, x)
 
 
 def oracle_power_integral(model, lam: float, n_points: int = 400_001) -> float:
@@ -143,7 +179,7 @@ def oracle_power_integral(model, lam: float, n_points: int = 400_001) -> float:
     if lam >= hi:
         return 0.0
     x = np.geomspace(lam, hi, n_points)
-    return float(np.trapezoid((1.0 / lam - 1.0 / x) * model.pdf_x(x), x))
+    return float(np.trapezoid((1.0 / lam - 1.0 / x) * pdf_x(model, x), x))
 
 
 def oracle_rate_integral(model, lam: float, n_points: int = 400_001) -> float:
@@ -157,7 +193,7 @@ def oracle_rate_integral(model, lam: float, n_points: int = 400_001) -> float:
     if lam >= hi:
         return 0.0
     x = np.geomspace(lam, hi, n_points)
-    return float(np.trapezoid(np.log(x / lam) * model.pdf_x(x), x))
+    return float(np.trapezoid(np.log(x / lam) * pdf_x(model, x), x))
 
 
 def oracle_cell_integrals(model, lam: float):
@@ -301,6 +337,191 @@ def oracle_discrete_psi_argmax(model, eta: float, pt_prime: float):
     fine = np.geomspace(coarse[max(k - 1, 0)], coarse[min(k + 1, coarse.size - 1)], 401)
     _, d_best, psi_best = argmax_on(fine)
     return d_best, psi_best
+
+
+# -- the paper's claims ----------------------------------------------------------
+
+
+def psi(problem, d: float) -> float:
+    """The objective d * Gamma(pt'/d**eta), nats x meters per use."""
+    gamma, _ = waterfill.gamma_and_lambda(problem.model, problem.pt_prime / d**problem.eta)
+    return d * gamma
+
+
+def stationary_residual(problem, pi: float) -> float:
+    """Gamma(pi) - eta*pi*lam(pi), the d-derivative of psi at pi(d)."""
+    gamma, lam = waterfill.gamma_and_lambda(problem.model, pi)
+    return gamma - problem.eta * pi * lam
+
+
+def _density_top(model) -> int:
+    """Index of the top of a tabulated support: the first node with no mass above it."""
+    density = model.kind.density
+    last = max(j for j, v in enumerate(density) if v > 0.0)
+    return min(last + 1, len(density) - 1)
+
+
+def stationarity_weight(y, eta: float):
+    """The sign-switching factor log(y) - eta*(y - 1) of the y-domain integrand; 0 at y = 1."""
+    return np.log(y) - eta * (y - 1.0)
+
+
+_GAUSS_LEGENDRE_24 = np.polynomial.legendre.leggauss(24)
+# exp(-nu*x) underflows to 0 past nu*x = 745
+_EXP_UNDERFLOW = 745.0
+
+
+def rechar_integral(model, lam: float, eta: float) -> float:
+    """integral_0^1 (log y - eta*(y-1)) * (lam^2/y^2) * f(lam/y) dy, in the units of X = c*H.
+
+    With y = lam/x it is -lam*(rate - eta*lam*power).  A density is
+    integrated from the top of its support (x = 745/nu for exponential
+    fading) to y = min(1, lam/x_0), one 24-point Gauss-Legendre rule per
+    cell, the cells ending at the kinks y = lam/x_i and at every halving of
+    y; a pmf gives the sum lam * sum over x_i > lam of a_i*w(lam/x_i).
+    """
+    c = model.alpha_over_sigma2
+    if model.is_discrete:
+        terms = [a * stationarity_weight(y, eta)
+                 for h, a in zip(model.kind.gains, model.kind.probs) if (y := lam / (c * h)) < 1.0]
+        return lam * math.fsum(terms)
+    lam_h = lam / c
+    if isinstance(model.kind, Exponential):
+        h_lo, h_top = 0.0, _EXP_UNDERFLOW / model.kind.rate
+        kinks = np.empty(0)
+    else:
+        grid, top = model.kind.grid, _density_top(model)
+        h_lo, h_top = grid[0], grid[top]
+        kinks = lam_h / np.array(grid[1:top])
+    y_lo = lam_h / h_top
+    y_hi = min(1.0, lam_h / h_lo) if h_lo > 0.0 else 1.0
+    if y_hi <= y_lo:
+        return 0.0
+    halvings = y_hi * 0.5 ** np.arange(1, math.ceil(math.log2(y_hi / y_lo)))
+    inner = np.concatenate((kinks, halvings))
+    edges = np.unique(np.concatenate(([y_lo, y_hi], inner[(inner > y_lo) & (inner < y_hi)])))
+    a, b = edges[:-1], edges[1:]
+    half = 0.5 * (b - a)
+    nodes, weights = _GAUSS_LEGENDRE_24
+    ys = 0.5 * (a + b)[:, None] + half[:, None] * nodes[None, :]
+    cells = half[:, None] * weights[None, :]
+    integrand = stationarity_weight(ys, eta) * (lam**2 / ys**2) * pdf_x(model, lam / ys)
+    return float(np.sum(cells * integrand))
+
+
+def rechar_roots(model, eta: float, points: int = 400) -> list:
+    """Every root in lam of `rechar_integral`, ascending: one per sign change on a log scan.
+
+    The scan takes ``points`` values of u = nu*lam in [1e-6, 1e2] for
+    exponential fading; otherwise from 1e-3 of the lowest positive node
+    (at least 1e-9 of the top) to just below the top of the support, above
+    which the integral is 0.  Each sign change is refined by `brentq`
+    with the package's tolerances; a zero on the scan is a root itself.
+    """
+    c = model.alpha_over_sigma2
+    if isinstance(model.kind, Exponential):
+        lams = c / model.kind.rate * np.geomspace(1e-6, 1e2, points)
+    else:
+        nodes = (model.kind.gains[::-1] if model.is_discrete
+                 else model.kind.grid[: _density_top(model) + 1])
+        lo, top = nodes[0], nodes[-1]
+        lams = c * np.geomspace(max(lo, top * 1e-9) * 1e-3, top * (1 - 1e-9), points)
+    integral = lambda lam: rechar_integral(model, lam, eta)
+    lams = lams.tolist()
+    values = [integral(lam) for lam in lams]
+    roots = []
+    for u, v, fu, fv in zip(lams, lams[1:], values, values[1:]):
+        if fv == 0.0:
+            roots.append(v)
+        elif fu * fv < 0.0:
+            roots.append(brentq(integral, u, v, xtol=1e-30, rtol=1e-15))
+    return roots
+
+
+class ScalingCheck(NamedTuple):
+    """Observed ratios when the power budget is scaled by a factor."""
+
+    d_ratio: float
+    psi_ratio: float
+    gamma_opt_delta: float
+
+
+def scaling_check(problem, factor: float) -> ScalingCheck:
+    """Re-solve with the power budget scaled by ``factor``.
+
+    Returns the observed (d_opt ratio, psi_opt ratio, |Gamma_opt change|);
+    the paper's law expects factor**(1/eta), factor**(1/eta) and 0.
+    """
+    base = hopopt.stationary_points(problem).maximizer
+    scaled = hopopt.stationary_points(
+        hopopt.HopProblem(problem.model, problem.eta, factor * problem.pt_prime)).maximizer
+    return ScalingCheck(
+        d_ratio=scaled.d / base.d,
+        psi_ratio=scaled.psi / base.psi,
+        gamma_opt_delta=abs(scaled.gamma - base.gamma),
+    )
+
+
+def tail_decay_check(model) -> bool:
+    """True when h**2 * P(H > h) does not rise past the 99th percentile.
+
+    Exponential and finite discrete models pass; a tabulated model is
+    tested on a 50-point log grid from its 99th percentile to its last node.
+    """
+    if not isinstance(model.kind, TabulatedDensity):
+        return True
+    g, a = np.array(model.kind.grid), np.array(model.kind.density)
+    cells = 0.5 * (a[1:] + a[:-1]) * np.diff(g)
+    mass = np.append(np.cumsum(cells[::-1])[::-1], 0.0)  # P(H > g_j)
+    surv = mass / mass[0]
+    q99 = g[min(int(np.searchsorted(1.0 - surv, 0.99)), g.size - 1)]
+    if q99 <= 0 or q99 >= g[-1]:
+        return True
+    hs = np.geomspace(q99, g[-1], 50)
+    t = hs**2 * np.interp(hs, g, surv)
+    slack = 1e-9 * max(float(t.max()), 1e-300)
+    return bool(np.all(np.diff(t) <= slack))
+
+
+class BoundaryLimits(NamedTuple):
+    """Decay verdicts at d -> 0 and d -> inf; None marks a skipped side."""
+
+    zero_ok: bool | None
+    infinity_ok: bool | None
+
+
+def boundary_limits(problem, decades: int = 6) -> BoundaryLimits:
+    """Check psi -> 0 along d_opt * 10**(+-k), k = 1..decades.
+
+    Each side requires monotone decay ending below 1e-3 of the peak.  The
+    d -> 0 side needs a finite mean gain, which every kind here has; the
+    d -> inf side also needs eta >= 2 and `tail_decay_check`, and is
+    skipped (None) without them.
+    """
+    best = hopopt.stationary_points(problem).maximizer
+
+    def decays(ds) -> bool:
+        vals = np.array([psi(problem, d) for d in ds.tolist()])
+        return bool(np.all(np.diff(vals) <= 0.0) and vals[-1] < 1e-3 * best.psi)
+
+    ks = np.arange(1, decades + 1, dtype=float)
+    inf_applicable = problem.eta >= 2 and tail_decay_check(problem.model)
+    return BoundaryLimits(
+        zero_ok=decays(best.d * 10.0**-ks),
+        infinity_ok=decays(best.d * 10.0**ks) if inf_applicable else None,
+    )
+
+
+def swap_energies(h1: float, h2: float, p1: float, p2: float):
+    """(energy, swapped energy, swapped p1) of one bit per state, before and after the swap.
+
+    The states exchange rates, h1*p1 <-> h2*p2, so the total time is kept;
+    with h1 > h2 and h1*p1 < h2*p2 the swap strictly lowers the energy.
+    """
+    t1, t2 = 1.0 / math.log2(1.0 + h1 * p1), 1.0 / math.log2(1.0 + h2 * p2)
+    p1_swapped, p2_swapped = h2 * p2 / h1, h1 * p1 / h2
+    # state 1 now runs at the old state-2 rate, so for t2, and vice versa
+    return p1 * t1 + p2 * t2, p1_swapped * t2 + p2_swapped * t1, p1_swapped
 
 
 # -- simulator references -------------------------------------------------------

@@ -313,6 +313,34 @@ class TestWaterfillCommand:
             assert err.startswith("numerical failure: alpha_over_sigma2 = ")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "command, old, new, field",
+        [
+            ("simulate", "d_m: 0.3233", "d_m: 1.0e+103", "simulate.d_m = 1e+103"),
+            ("simulate", "d_m: 0.3233", "d_m: 1.0e+103\n  constant_power_W: 1.0",
+             "simulate.d_m = 1e+103"),
+            ("single-cell-bound", "area_m2: 450.0", "area_m2: 1.0e+250", "bound.area_m2 = 1e+250"),
+            ("simulate", "d_m: 0.3233", "d_m: 1.0e-200\n  constant_power_W: 1.0",
+             "simulate.d_m = 1e-200"),
+            ("single-cell-bound", "area_m2: 450.0", "area_m2: 1.0e-300", "bound.area_m2 = 1e-300"),
+        ],
+        ids=["simulate-waterfill", "simulate-constant", "bound", "simulate-constant-underflow",
+             "bound-underflow"],
+    )
+    def test_path_loss_out_of_range_names_the_field(self, command, old, new, field, tmp_path, capsys):
+        # d**eta = 1e309 and (2*area)**(eta/2) = 2.8e375 leave the float range;
+        # 1e-600 and 2.8e-450 underflow to 0, which then divides (the constant
+        # policy used to print infinite bits with exit 0)
+        text = FIG1_YAML.replace(old, new)
+        if "constant_power_W" in new:
+            text = text.replace("policy: waterfill", "policy: constant")
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text(text)
+        assert main([command, "--config", str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"numerical failure: {field} with eta = 3.0: ")
+        assert "Traceback" not in err
+
     def test_unknown_key_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.yaml"
         bad.write_text(

@@ -13,10 +13,13 @@ from scipy.optimize import brentq
 from conftest import (
     example_profile,
     make_rng,
+    mean_h,
     oracle_cell_integrals,
     oracle_cell_mass,
+    pdf_x,
     random_discrete_model,
     random_tabulated_model,
+    tail_decay_check,
     x_tails,
 )
 from hopcap import discrete, hopopt, waterfill
@@ -36,51 +39,51 @@ def tabulated_exp(mu=1.0, top=20.0, points=4001, scale=1.0):
 class TestPdfH:
     # at alpha/sigma^2 = 1 the channel state is the gain, so f = a
     def test_exponential_at_zero_boundary(self):
-        assert FadingModel.exponential(1.0).pdf_x(0.0) == pytest.approx(1.0)
+        assert pdf_x(FadingModel.exponential(1.0), 0.0) == pytest.approx(1.0)
 
     def test_exponential_closed_form(self):
-        assert FadingModel.exponential(2.0).pdf_x(1.0) == pytest.approx(2.0 * math.exp(-2.0))
+        assert pdf_x(FadingModel.exponential(2.0), 1.0) == pytest.approx(2.0 * math.exp(-2.0))
 
     def test_discrete_rejects_density_query(self):
         model = FadingModel.discrete([(1.0, 0.5), (2.0, 0.5)])
         with pytest.raises(DiscreteKindError):
-            model.pdf_x(1.0)
+            pdf_x(model, 1.0)
 
     def test_tabulated_tracks_the_sampled_density(self):
         model = tabulated_exp()
         # the grid normalisation nudges values by ~1e-5; stay within 1e-4
-        assert model.pdf_x(1.0) == pytest.approx(math.exp(-1.0), abs=1e-4)
+        assert pdf_x(model, 1.0) == pytest.approx(math.exp(-1.0), abs=1e-4)
 
 
 class TestPdfX:
     def test_identity_scale(self):
         model = FadingModel.exponential(1.0, alpha_over_sigma2=1.0)
-        assert model.pdf_x(1.0) == pytest.approx(math.exp(-1.0))
+        assert pdf_x(model, 1.0) == pytest.approx(math.exp(-1.0))
 
     def test_scale_rule(self):
         # f(x) = a(x/c)/c with c = 2: at x = 2 the density halves
         model = FadingModel.exponential(1.0, alpha_over_sigma2=2.0)
-        assert model.pdf_x(2.0) == pytest.approx(0.5 * math.exp(-1.0))
+        assert pdf_x(model, 2.0) == pytest.approx(0.5 * math.exp(-1.0))
 
     def test_tabulated_matches_analytic_transform(self):
         c = 2.5
         model = tabulated_exp(scale=c)
         h = np.linspace(0.1, 8.0, 50)
         expected = np.interp(h, model.kind.grid, model.kind.density) / c
-        got = model.pdf_x(c * h)
+        got = pdf_x(model, c * h)
         assert np.allclose(got, expected, atol=1e-6)
 
 
 class TestMeanH:
     def test_exponential(self):
-        assert FadingModel.exponential(2.0).mean_h() == pytest.approx(0.5)
+        assert mean_h(FadingModel.exponential(2.0)) == pytest.approx(0.5)
 
     def test_discrete_weighted_sum(self):
         model = FadingModel.discrete([(100.0, 0.01), (0.5, 0.99)])
-        assert model.mean_h() == pytest.approx(1.495)
+        assert mean_h(model) == pytest.approx(1.495)
 
     def test_tabulated_quadrature(self):
-        assert tabulated_exp().mean_h() == pytest.approx(1.0, abs=1e-4)
+        assert mean_h(tabulated_exp()) == pytest.approx(1.0, abs=1e-4)
 
     def test_tabulated_mean_is_exact_for_the_linear_density(self):
         # the trapezoid rule on h*a(h) is not exact for a linear density (0.9595 vs 1.00034)
@@ -91,52 +94,52 @@ class TestMeanH:
                  epsabs=0, epsrel=1e-13)[0]
             for h0, h1, a0, a1 in zip(h, h[1:], a, a[1:])
         ]
-        assert model.mean_h() == pytest.approx(math.fsum(cells), rel=1e-12, abs=0)
+        assert mean_h(model) == pytest.approx(math.fsum(cells), rel=1e-12, abs=0)
 
 
 class TestTailDecay:
     def test_exponential_true(self):
-        assert FadingModel.exponential(1.0).tail_decay_check()
+        assert tail_decay_check(FadingModel.exponential(1.0))
 
     def test_discrete_true(self):
-        assert FadingModel.discrete([(3.0, 0.4), (1.0, 0.6)]).tail_decay_check()
+        assert tail_decay_check(FadingModel.discrete([(3.0, 0.4), (1.0, 0.6)]))
 
     def test_pareto_like_tail_fails(self):
         h = np.geomspace(1.0, 1e4, 4001)
         a = h**-1.5
         a /= np.trapezoid(a, h)
-        assert not FadingModel.tabulated(h, a).tail_decay_check()
+        assert not tail_decay_check(FadingModel.tabulated(h, a))
 
     def test_fast_polynomial_tail_passes(self):
         h = np.geomspace(1.0, 1e4, 4001)
         a = h**-4.0
         a /= np.trapezoid(a, h)
-        assert FadingModel.tabulated(h, a).tail_decay_check()
+        assert tail_decay_check(FadingModel.tabulated(h, a))
 
     def test_truncated_exponential_passes(self):
-        assert tabulated_exp().tail_decay_check()
+        assert tail_decay_check(tabulated_exp())
 
 
 class TestNormalisationInvariants:
     def test_pdf_h_integrates_to_one(self):
         model = FadingModel.exponential(1.7)
-        val, _ = quad(model.pdf_x, 0, np.inf)
+        val, _ = quad(lambda x: pdf_x(model, x), 0, np.inf)
         assert val == pytest.approx(1.0, abs=1e-6)
 
         tab = tabulated_exp(mu=0.8)
         g = np.array(tab.kind.grid)
-        assert np.trapezoid(tab.pdf_x(g), g) == pytest.approx(1.0, abs=1e-6)
+        assert np.trapezoid(pdf_x(tab, g), g) == pytest.approx(1.0, abs=1e-6)
 
     def test_mean_consistency_through_x(self):
         c = 1.9
         model = FadingModel.exponential(1.2, alpha_over_sigma2=c)
-        val, _ = quad(lambda x: x * model.pdf_x(x), 0, np.inf)
-        assert val == pytest.approx(c * model.mean_h(), abs=1e-6)
+        val, _ = quad(lambda x: x * pdf_x(model, x), 0, np.inf)
+        assert val == pytest.approx(c * mean_h(model), abs=1e-6)
 
     def test_z_density_integrates_to_one(self):
         # the density of Z = 1/X is g(z) = f(1/z)/z**2
         def pdf_z(model, z):
-            return model.pdf_x(1.0 / z) / z**2
+            return pdf_x(model, 1.0 / z) / z**2
 
         model = FadingModel.exponential(1.0)
         val, _ = quad(lambda z: pdf_z(model, z), 0, np.inf, limit=200)
@@ -232,12 +235,11 @@ class TestValidation:
         lambda v: FadingModel.tabulated([0.0, 1.0, 2.0], [0.5, v, 0.5]),
         lambda v: HopProblem(FadingModel.exponential(1.0), eta=v, pt_prime=1.0),
         lambda v: HopProblem(FadingModel.exponential(1.0), eta=3.0, pt_prime=v),
-        lambda v: HopProblem(FadingModel.exponential(1.0), eta=3.0, pt_prime=1.0, d0=v),
         lambda v: replace_profile(t_idle=v),
         lambda v: replace_profile(bandwidth=v),
         lambda v: waterfill.solve(FadingModel.exponential(1.0), v),
     ],
-    ids=["exp-rate", "scale", "gain", "prob", "grid", "density", "eta", "pt-prime", "d0",
+    ids=["exp-rate", "scale", "gain", "prob", "grid", "density", "eta", "pt-prime",
          "mac-time", "mac-bandwidth", "pi"],
 )
 def test_non_finite_api_inputs_are_validation_errors(build, value):
@@ -325,7 +327,7 @@ class TestTailExactness:
             mass = oracle_cell_mass(model, float(lam))
             assert power >= 1e-8
             got = x_tails(model, lam)
-            want = (mass, power, rate, float(model.pdf_x(float(lam))))
+            want = (mass, power, rate, float(pdf_x(model, float(lam))))
             assert got == pytest.approx(want, rel=1e-12, abs=0)
 
     def test_deep_in_the_first_cell(self):
@@ -360,9 +362,9 @@ class TestTailExactness:
         # one E1 and one exp at u = nu*lam give all three tails in closed form
         model = FadingModel.exponential(2.0, alpha_over_sigma2=5.0)
         lam = u / 0.4
-        tail = lambda g: quad(lambda x: g(x) * model.pdf_x(x), lam, np.inf, epsabs=0, epsrel=1e-13)[0]
+        tail = lambda g: quad(lambda x: g(x) * pdf_x(model, x), lam, np.inf, epsabs=0, epsrel=1e-13)[0]
         want = (tail(lambda x: 1.0), tail(lambda x: 1.0 / lam - 1.0 / x), tail(lambda x: math.log(x / lam)),
-                float(model.pdf_x(lam)))
+                float(pdf_x(model, lam)))
         assert x_tails(model, lam) == pytest.approx(want, rel=1e-11, abs=0)
 
 
@@ -418,54 +420,71 @@ class TestTabulatedSampling:
         model = tabulated_exp(points=41)
         h = model.sample_h(make_rng(12), 1_000_000)
         se = h.std(ddof=1) / math.sqrt(h.size)
-        assert abs(h.mean() - model.mean_h()) <= 4 * se
+        assert abs(h.mean() - mean_h(model)) <= 4 * se
 
 
 _SRC = Path(__file__).parents[1] / "src"
 
 
-def test_the_library_imports_no_scipy():
-    # scipy is a test dependency only, so the oracles stay independent
-    importers = set()
-    for path in sorted((_SRC / "hopcap").glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                names = [node.module or ""]
-            else:
-                continue
-            if any(name.split(".")[0] == "scipy" for name in names):
-                importers.add(path.name)
-    assert importers == set()
-
-
-def attribute_readers(path: Path, attr: str) -> set:
-    """Dotted names of the functions and methods in ``path`` that read ``.attr``; "" is module level."""
-    readers = set()
+def scopes_with(path: Path, match) -> set:
+    """Dotted names of the scopes in ``path`` with a node that ``match`` accepts; "" is module level."""
+    scopes = set()
 
     def visit(node, scope):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
                 visit(child, scope + [child.name])
                 continue
-            if isinstance(child, ast.Attribute) and child.attr == attr or (
-                    isinstance(child, ast.Constant) and child.value == attr):
-                readers.add(".".join(scope))
+            if match(child):
+                scopes.add(".".join(scope))
             visit(child, scope)
 
     visit(ast.parse(path.read_text(encoding="utf-8")), [])
-    return readers
+    return scopes
+
+
+def attribute_readers(path: Path, attr: str) -> set:
+    """The scopes in ``path`` that read ``.attr`` or name it as a string."""
+    return scopes_with(path, lambda node: isinstance(node, ast.Attribute) and node.attr == attr
+                       or isinstance(node, ast.Constant) and node.value == attr)
+
+
+def importers(path: Path, module: str) -> set:
+    """The scopes in ``path`` that import ``module`` or one of its submodules."""
+    def imports(node):
+        if isinstance(node, ast.Import):
+            return any(alias.name.split(".")[0] == module for alias in node.names)
+        return isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == module
+
+    return scopes_with(path, imports)
+
+
+def test_the_library_imports_no_scipy():
+    # scipy is a test dependency only, so the oracles stay independent
+    paths = sorted((_SRC / "hopcap").glob("*.py"))
+    assert {path.name for path in paths if importers(path, "scipy")} == set()
+
+
+def test_numpy_is_imported_only_where_arrays_are():
+    # the scalar solvers run in plain math; a numpy-importing helper must not
+    # drift back into them
+    allowed = {
+        "hopopt.py": set(),
+        "discrete.py": set(),
+        "fading.py": {"FadingModel.sample_h"},
+        "waterfill.py": {"WaterfillSolution.allocation"},
+    }
+    for name, scopes in allowed.items():
+        assert importers(_SRC / "hopcap" / name, "numpy") == scopes, name
 
 
 def test_alpha_over_sigma2_is_read_only_at_the_edges():
     # the kernels and root finders work at unit scale; c = alpha_over_sigma2
-    # enters only where pi, lam and d are mapped in and out, and in the
-    # y-domain check, which keeps the units of X
+    # enters only where pi, lam and d are mapped in and out
     edges = {
         "discrete.py": set(),
         "waterfill.py": {"gamma_and_lambda", "WaterfillSolution.cutoff_h"},
-        "hopopt.py": {"_roots", "rechar_integral", "solve_rechar"},
+        "hopopt.py": {"_roots"},
     }
     kernels = {"tails_at", "TailTable", "build_table", "_level", "_exponential_start",
                "_tabulated_level", "_exponential_root", "_tabulated_roots"}
