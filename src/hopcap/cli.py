@@ -201,35 +201,41 @@ def _cmd_stationary(args) -> int:
 def _cmd_simulate(args) -> int:
     from . import simulator
 
-    cfg = load_config(args.config)
-    started = time.monotonic()
-    if cfg.simulate is None:
-        raise ConfigError("simulate: section missing")
-    if cfg.profile is None:
-        raise ConfigError("simulate requires a mac section")
-    spec = cfg.simulate
-    seed = args.seed if args.seed is not None else spec.seed
-    horizon = args.horizon if args.horizon is not None else spec.horizon
-    _require_finite_power("d**eta", spec.d, cfg.eta,
-                          f"simulate.d_m = {spec.d!r} with eta = {cfg.eta!r}")
-    policy = _build_policy(cfg, spec)
-    sim_config = simulator.SimConfig(
-        profile=cfg.profile,
-        model=cfg.model,
-        policy=policy,
-        d=spec.d,
-        eta=cfg.eta,
-        horizon=horizon,
-        seed=seed,
-        relinquish_overhead=spec.relinquish_overhead,
-    )
-    report = simulator.run(sim_config, trace_path=args.trace)
+    stages = [("config_and_policy", time.monotonic())]
+    fired = []
+    with _recording_warnings(fired):
+        cfg = load_config(args.config)
+        started = time.monotonic()
+        if cfg.simulate is None:
+            raise ConfigError("simulate: section missing")
+        if cfg.profile is None:
+            raise ConfigError("simulate requires a mac section")
+        spec = cfg.simulate
+        seed = args.seed if args.seed is not None else spec.seed
+        horizon = args.horizon if args.horizon is not None else spec.horizon
+        _require_finite_power("d**eta", spec.d, cfg.eta,
+                              f"simulate.d_m = {spec.d!r} with eta = {cfg.eta!r}")
+        policy = _build_policy(cfg, spec)
+        sim_config = simulator.SimConfig(
+            profile=cfg.profile,
+            model=cfg.model,
+            policy=policy,
+            d=spec.d,
+            eta=cfg.eta,
+            horizon=horizon,
+            seed=seed,
+            relinquish_overhead=spec.relinquish_overhead,
+        )
+        stages.append(("run", time.monotonic()))
+        report = simulator.run(sim_config, trace_path=args.trace)
+    stages.append(("write_and_hash", time.monotonic()))
     payload = report.to_json()
     print(payload)
     if args.out:
         Path(args.out).write_text(payload + "\n", encoding="utf-8")
         outputs = [args.out] + ([args.trace] if args.trace else [])
-        _write_manifest(args, started, outputs=outputs, seed=seed)
+        _write_manifest(args, started, outputs=outputs, seed=seed, stages=stages,
+                        warnings=fired)
     return EXIT_OK
 
 
@@ -304,16 +310,39 @@ def _problem(cfg: RunConfig) -> hopopt.HopProblem:
 
 
 def _require_finite_power(what: str, base: float, exponent: float, where: str) -> None:
-    """Raise a NumericalError that starts with ``where`` unless ``base**exponent`` is finite and > 0.
+    """Raise a NumericalError that starts with ``where`` unless ``base**exponent`` is a normal float.
 
-    ``what`` names the power; the commands divide by it, so 0 fails as inf does.
+    ``what`` names the power.  The commands divide by it, so 0 fails as inf
+    does, and so does a subnormal power, whose quotients overflow.
     """
     try:
-        ok = 0.0 < base**exponent < math.inf
+        ok = sys.float_info.min <= base**exponent < math.inf
     except OverflowError:
         ok = False
     if not ok:
-        raise NumericalError(f"{where}: {what} leaves the float range")
+        raise NumericalError(f"{where}: {what} leaves the range of normal floats")
+
+
+@contextlib.contextmanager
+def _recording_warnings(names: list):
+    """Append to ``names`` the class name of each warning shown, which is shown as before.
+
+    Entering ``catch_warnings`` resets the once-per-location registries, so
+    each run shows, and records, a warning that an earlier run in the same
+    process showed as well.
+    """
+    import warnings
+
+    with warnings.catch_warnings():
+        show = warnings.showwarning
+
+        def record(message, category, *args, **kwargs):
+            if category.__name__ not in names:
+                names.append(category.__name__)
+            show(message, category, *args, **kwargs)
+
+        warnings.showwarning = record
+        yield
 
 
 def _build_policy(cfg: RunConfig, spec):
@@ -392,7 +421,13 @@ def _sha256(path) -> str:
     return digest.hexdigest()
 
 
-def _write_manifest(args, started, outputs, seed=None, summary=None) -> None:
+def _write_manifest(args, started, outputs, seed=None, summary=None, stages=None,
+                    warnings=None) -> None:
+    """Write ``<outputs[0]>.manifest.json``.
+
+    ``stages`` lists (name, start) in order; the last stage ends once the
+    outputs are hashed.  ``warnings`` names the warnings the run showed.
+    """
     import json
 
     manifest = {
@@ -410,6 +445,11 @@ def _write_manifest(args, started, outputs, seed=None, summary=None) -> None:
     }
     if summary is not None:
         manifest["summary"] = summary
+    if stages is not None:
+        ends = [start for _, start in stages[1:]] + [time.monotonic()]
+        manifest["stages_s"] = {name: end - start for (name, start), end in zip(stages, ends)}
+    if warnings is not None:
+        manifest["warnings"] = warnings
     path = Path(str(outputs[0]) + ".manifest.json")
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 

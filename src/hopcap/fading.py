@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import bisect
 import functools
+import itertools
 import math
 from typing import NamedTuple
 
@@ -167,8 +168,11 @@ class FadingModel(_FadingModelFields):
         if isinstance(self.kind, Exponential):
             return rng.exponential(1.0 / self.kind.rate, size=size)
         if isinstance(self.kind, DiscreteFinite):
-            idx = rng.choice(len(self.kind.gains), size=size, p=self.kind.probs)
-            return np.array(self.kind.gains)[idx]
+            u = rng.random(size)
+            idx = np.zeros(size, dtype=np.intp)
+            for threshold in choice_thresholds(self.kind.probs):
+                idx += u >= threshold
+            return np.take(self.kind.gains, idx)
         g, a = np.array(self.kind.grid), np.array(self.kind.density)
         cdf = np.concatenate(([0.0], np.cumsum(0.5 * (a[1:] + a[:-1]) * np.diff(g))))
         total = cdf[-1]
@@ -186,6 +190,19 @@ class FadingModel(_FadingModelFields):
         root = a[j] + np.sqrt(np.maximum(a[j] * a[j] + 2.0 * k * w, 0.0))
         s = np.divide(2.0 * w, root, out=np.zeros_like(w), where=root > 0.0)
         return g[j] + np.minimum(s, width)
+
+
+def choice_thresholds(probs) -> list:
+    """The thresholds by which ``rng.choice(len(probs), p=probs)`` picks states.
+
+    ``choice`` draws ``u = rng.random(size)`` and picks for each ``u`` the
+    count of these thresholds at or below it.  They are the cumulative sums
+    of ``probs``, added in ``np.cumsum``'s order, divided by the last, which
+    is left out.  Counting them gives ``choice``'s states and generator
+    state without its checks of ``p``.
+    """
+    sums = list(itertools.accumulate(probs))
+    return [s / sums[-1] for s in sums[:-1]]
 
 
 def refine_root(func, lo: float, hi: float) -> float:

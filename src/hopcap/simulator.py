@@ -31,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NumericalError, OrderingViolation, ValidationError
-from .fading import FadingModel
+from .fading import FadingModel, choice_thresholds
 from .macmodel import LN2, MacProfile
 from .waterfill import WaterfillSolution
 
@@ -134,19 +134,18 @@ class SimReport(NamedTuple):
         )
 
 
-def _period_types(rng: np.random.Generator, size: int, p) -> np.ndarray:
-    """``rng.choice(3, size, p=p)`` as int8, by two threshold compares.
+def _period_types(rng: np.random.Generator, out: np.ndarray, p):
+    """Fill the int8 array ``out`` as ``rng.choice(3, out.size, p=p)``; return the three counts.
 
-    ``choice`` draws ``rng.random(size)`` and counts the entries of the
-    normalised cumulative sum of ``p`` at or below each draw; this does the
-    same, so the draws and the generator state after them are the same.
+    The draws and the generator state after them are ``choice``'s (see
+    `fading.choice_thresholds`).  Each type's count comes from the two masks.
     """
-    c = np.cumsum(p)
-    c /= c[-1]
-    u = rng.random(size)
-    kinds = (u >= c[0]).astype(np.int8)
-    kinds += u >= c[1]
-    return kinds
+    low, high = choice_thresholds(p)
+    u = rng.random(out.size)
+    busy, success = u >= low, u >= high
+    np.add(busy, success, out=out, dtype=np.int8)
+    n_busy, n_success = int(np.count_nonzero(busy)), int(np.count_nonzero(success))
+    return out.size - n_busy, n_busy - n_success, n_success
 
 
 def run(config: SimConfig, trace_path=None) -> SimReport:
@@ -163,17 +162,14 @@ def run(config: SimConfig, trace_path=None) -> SimReport:
         slice(s, min(s + _CHUNK, config.horizon)) for s in range(0, config.horizon, _CHUNK)
     ]
     kinds = np.empty(config.horizon, dtype=np.int8)
-    for c in chunks:
-        kinds[c] = _period_types(
-            rng, c.stop - c.start, [prof.p_idle, prof.p_collision, prof.p_success]
-        )
+    p = [prof.p_idle, prof.p_collision, prof.p_success]
+    counts = [_period_types(rng, kinds[c], p) for c in chunks]
 
     # rows: duration, energy, bits; columns: idle, collision, success.  A
     # success's values vary per period, so its column is a placeholder
     fixed = np.array(
         [[prof.t_idle, prof.t_collision, 0.0], [prof.e_idle, prof.e_collision, 0.0], [0.0] * 3]
     )
-    counts = np.zeros(3, dtype=np.int64)
     moments = _CoMoments()
     success_sums = []
     trace = contextlib.nullcontext()
@@ -182,21 +178,20 @@ def run(config: SimConfig, trace_path=None) -> SimReport:
     with trace as fh:
         if fh is not None:
             fh.write("period_type,duration_s,energy_J,bits\n")
-        for c in chunks:
-            kc = kinds[c]
-            n_kind = np.bincount(kc, minlength=3)
-            counts += n_kind
-            moments.merge(int(n_kind[0]), fixed[:, 0], 0.0)
-            moments.merge(int(n_kind[1]), fixed[:, 1], 0.0)
+            lines = [f"{name},{t:.17g},{e:.17g},{b:.17g}\n"
+                     for name, t, e, b in zip(("idle", "collision"), *fixed.tolist())]
+        for c, (n_idle, n_collision, n_success) in zip(chunks, counts):
+            moments.merge(n_idle, fixed[:, 0], 0.0)
+            moments.merge(n_collision, fixed[:, 1], 0.0)
             rows = None
-            if n_kind[2]:
-                rows = _success_rows(config, config.model.sample_h(rng, int(n_kind[2])))
+            if n_success:
+                rows = _success_rows(config, config.model.sample_h(rng, n_success))
                 success_sums.append(rows.sum(axis=1))
                 moments.merge_rows(rows)
             if fh is not None:
-                fh.write(_trace_block(kc, fixed, rows))
+                fh.write(_trace_block(kinds[c], lines, rows))
 
-    n_idle, n_collision, n_success = counts.tolist()
+    n_idle, n_collision, n_success = (sum(column) for column in zip(*counts))
     total_time, total_energy, total_bits = (
         math.fsum([n_idle * fixed[j, 0], n_collision * fixed[j, 1]] + [s[j] for s in success_sums])
         for j in range(3)
@@ -271,24 +266,29 @@ class _CoMoments:
         return math.sqrt(max(ss, 0.0) / (self.n - 1) / self.n) / (total_time / self.n)
 
 
-_TRACE_NAMES = np.array(["idle,", "collision,", "success,"], dtype=object)
+def _trace_block(kinds, lines, success_rows):
+    """CSV rows of one chunk, every cell as ``%.17g``.
 
-
-def _trace_block(kinds, fixed, success_rows):
-    """CSV rows of one chunk; each distinct cell is formatted once (``%.17g``)."""
-    rows = fixed[:, kinds]
+    ``lines`` holds the idle and collision rows, formatted once per run.  A
+    success column's cells are formatted once per distinct value, and a
+    success row once per distinct combination of its three cells.
+    """
+    table, codes = lines, kinds
     if success_rows is not None:
-        rows[:, kinds == 2] = success_rows
-    cells = [_TRACE_NAMES[kinds]]
-    for column, end in zip(rows, (",", ",", "\n")):
-        # unique bit patterns, so that -0.0 and 0.0 keep their own text
-        values, where = np.unique(column.view(np.int64), return_inverse=True)
-        text = np.array([f"{v:.17g}{end}" for v in values.view(np.float64).tolist()], dtype=object)
-        cells.append(text[where])
-    out = [""] * (4 * kinds.size)
-    for j, column in enumerate(cells):
-        out[j::4] = column.tolist()
-    return "".join(out)
+        texts, where = [], []
+        for column, end in zip(success_rows, (",", ",", "\n")):
+            # unique bit patterns, so that -0.0 and 0.0 keep their own text
+            values, inverse = np.unique(column.view(np.int64), return_inverse=True)
+            texts.append([f"{v:.17g}{end}" for v in values.view(np.float64).tolist()])
+            where.append(inverse)
+        shape = tuple(map(len, texts))
+        combos, inverse = np.unique(np.ravel_multi_index(where, shape), return_inverse=True)
+        t, e, b = texts
+        table = lines + [f"success,{t[i]}{e[j]}{b[k]}" for i, j, k in
+                         zip(*(a.tolist() for a in np.unravel_index(combos, shape)))]
+        codes = kinds.astype(np.intp)
+        codes[kinds == 2] = 2 + inverse
+    return "".join(np.array(table, dtype=object)[codes].tolist())
 
 
 # -- fixed transmission time vs fixed packet size -------------------------

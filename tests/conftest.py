@@ -36,6 +36,17 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
+class FixedUniforms(np.random.Generator):
+    """A generator whose ``random`` returns the given values, for ``choice`` too."""
+
+    def __init__(self, u):
+        super().__init__(np.random.PCG64(0))
+        self.u = np.asarray(u, dtype=float)
+
+    def random(self, size=None, dtype=np.float64, out=None):
+        return self.u.copy()
+
+
 def random_discrete_model(rng, max_states: int = 6) -> FadingModel:
     """Random finite fading model with well-separated gains."""
     n = int(rng.integers(1, max_states + 1))

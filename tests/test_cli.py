@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -323,14 +324,22 @@ class TestWaterfillCommand:
             ("simulate", "d_m: 0.3233", "d_m: 1.0e-200\n  constant_power_W: 1.0",
              "simulate.d_m = 1e-200"),
             ("single-cell-bound", "area_m2: 450.0", "area_m2: 1.0e-300", "bound.area_m2 = 1e-300"),
+            ("simulate", "d_m: 0.3233", "d_m: 1.0e-105", "simulate.d_m = 1e-105"),
+            ("simulate", "d_m: 0.3233", "d_m: 1.0e-105\n  constant_power_W: 1.0",
+             "simulate.d_m = 1e-105"),
+            ("single-cell-bound", "area_m2: 450.0", "area_m2: 5.0e-211", "bound.area_m2 = 5e-211"),
         ],
         ids=["simulate-waterfill", "simulate-constant", "bound", "simulate-constant-underflow",
-             "bound-underflow"],
+             "bound-underflow", "simulate-waterfill-subnormal", "simulate-constant-subnormal",
+             "bound-subnormal"],
     )
     def test_path_loss_out_of_range_names_the_field(self, command, old, new, field, tmp_path, capsys):
         # d**eta = 1e309 and (2*area)**(eta/2) = 2.8e375 leave the float range;
         # 1e-600 and 2.8e-450 underflow to 0, which then divides (the constant
-        # policy used to print infinite bits with exit 0)
+        # policy used to print infinite bits with exit 0).  d**eta = 1e-315 is
+        # subnormal: pt'/d**eta overflowed to an infinite pi (exit 2), and the
+        # constant policy printed infinite bits with exit 0; (2*area)**(eta/2)
+        # = 1e-315 is subnormal too
         text = FIG1_YAML.replace(old, new)
         if "constant_power_W" in new:
             text = text.replace("policy: waterfill", "policy: constant")
@@ -515,6 +524,49 @@ class TestSimulateCommand:
         assert main(manifest["command"]) == 0
         assert out_path.read_bytes() == first
 
+    def test_manifest_records_stage_times(self, fig1_cfg, tmp_path):
+        out_path = tmp_path / "sim.json"
+        assert main(["simulate", "--config", str(fig1_cfg), "--out", str(out_path)]) == 0
+        manifest = json.loads((tmp_path / "sim.json.manifest.json").read_text())
+        stages = manifest["stages_s"]
+        assert sorted(stages) == ["config_and_policy", "run", "write_and_hash"]
+        assert all(t >= 0.0 for t in stages.values()) and stages["run"] > 0.0
+        # wall_time_s starts after the config load and ends before the hashing
+        assert sum(stages.values()) >= manifest["wall_time_s"]
+        assert manifest["warnings"] == []
+
+    def test_manifest_names_the_warnings_and_stderr_keeps_them(self, fig1_cfg, tmp_path):
+        import warnings
+
+        out_path = tmp_path / "sim.json"
+        argv = ["simulate", "--config", str(fig1_cfg), "--horizon", "100", "--out", str(out_path)]
+        show = warnings.showwarning
+        with pytest.warns(UserWarning, match="horizon 100 < 10000"):
+            assert main(argv) == 0
+        assert warnings.showwarning is show
+        manifest = json.loads((tmp_path / "sim.json.manifest.json").read_text())
+        assert manifest["warnings"] == ["SmallHorizonWarning"]
+        # as a process, the warning is printed to stderr as it always was
+        run = subprocess.run([sys.executable, "-m", "hopcap.cli", *argv],
+                             env=dict(os.environ, PYTHONPATH=str(_SRC)),
+                             capture_output=True, text=True, check=True)
+        assert re.fullmatch(
+            r".*cli\.py:\d+: SmallHorizonWarning: horizon 100 < 10000: confidence intervals "
+            r"may be unreliable\n  sim_config = simulator\.SimConfig\(\n", run.stderr)
+        assert json.loads((tmp_path / "sim.json.manifest.json").read_text())["warnings"] == [
+            "SmallHorizonWarning"]
+
+    def test_each_run_in_a_process_records_its_warnings(self, fig1_cfg, tmp_path):
+        # the second run's warning comes from the line the first run's came
+        # from, which Python's once-per-location registry would hide
+        for name in ("a.json", "b.json"):
+            out_path = tmp_path / name
+            argv = ["simulate", "--config", str(fig1_cfg), "--horizon", "100",
+                    "--out", str(out_path)]
+            assert main(argv) == 0
+            manifest = json.loads((tmp_path / f"{name}.manifest.json").read_text())
+            assert manifest["warnings"] == ["SmallHorizonWarning"]
+
     def test_seed_override_changes_output(self, fig1_cfg, tmp_path):
         out_a = tmp_path / "a.json"
         out_b = tmp_path / "b.json"
@@ -648,8 +700,62 @@ GOLDEN = {
 }
 
 
+# `simulate` on one config of each kind, over 200_003 periods (four chunks of
+# `run`): a truncated exp(-h) density on 41 nodes, normalised by trapezoid
+TAB41_H = [0.5 * i for i in range(41)]
+TAB41_Z = math.fsum(0.25 * (math.exp(-a) + math.exp(-b)) for a, b in zip(TAB41_H, TAB41_H[1:]))
+TAB41_CSV = "h,a\n" + "".join(f"{h!r},{math.exp(-h) / TAB41_Z:.12g}\n" for h in TAB41_H)
+TWELVE_STATES = [
+    {"gain": g, "prob": (i + 1) / 78}
+    for i, g in enumerate([800.0, 300.0, 120.0, 50.0, 20.0, 8.0, 3.0, 1.2, 0.5, 0.2, 0.08, 0.03])
+]
+
+
+def simulate_yaml(fading, eta, pt_prime, **simulate):
+    return yaml.safe_dump({
+        "schema_version": 1, "fading": fading, "eta": eta, "power": {"Pt_prime_W": pt_prime},
+        "mac": yaml.safe_load(FIG1_YAML)["mac"],
+        "simulate": dict(simulate, horizon=200_003, seed=97531),
+    })
+
+
+SIMULATE_CASES = {
+    "two-state-waterfill": simulate_yaml(
+        yaml.safe_load(FIG1_YAML)["fading"], 3.0, 1.0, d_m=0.3233, policy="waterfill"),
+    "discrete12-waterfill": simulate_yaml(
+        {"kind": "discrete", "states": TWELVE_STATES}, 3.0, 1.0, d_m=0.5, policy="waterfill"),
+    # a small pi leaves many fades unserved, so relinquished periods occur
+    "exponential-relinquish": simulate_yaml(
+        {"kind": "exponential", "rate": 1.0}, 2.0, 0.05, d_m=1.0, policy="waterfill",
+        relinquish_overhead_s=1.0e-4),
+    "tab41-constant": simulate_yaml(
+        {"kind": "tabulated", "csv": "tab41.csv"}, 2.0, 1.0, d_m=1.0, policy="constant",
+        constant_power_W=1.0),
+}
+
+# stdout and the SHA-256 of the --trace file, as GOLDEN above
+GOLDEN_SIMULATE = {
+    'discrete12-waterfill': (
+        '{"elapsed_time_s": 141.11774000000003, "horizon": 200003, "periods": {"collision": 20025, "idle": 119652, "success": 60326}, "power_ci95_w": 0.004571128880071295, "power_hat_w": 0.8825387769981893, "seed": 97531, "theta_ci95_bps": 24903.727646230334, "theta_hat_bps": 3190220.76152765, "total_bits": 450196743.967861, "total_energy_j": 124.54187767234848}\n',
+        '96f23ab538ca99a9e9cdce5ca4407add952765bde6e6b3ff58c036383bdd42d2',
+    ),
+    'exponential-relinquish': (
+        '{"elapsed_time_s": 52.22434, "horizon": 200003, "periods": {"collision": 20025, "idle": 119652, "success": 60326}, "power_ci95_w": 0.001224923305944131, "power_hat_w": 0.18544496117995055, "seed": 97531, "theta_ci95_bps": 4985.838211721339, "theta_hat_bps": 334263.5516218608, "total_bits": 17456693.36950761, "total_energy_j": 9.684740703948538}\n',
+        'f4e85fd210cbd5030128e3db9c01d0716f4728bc08f6953eca50b5c8840634f4',
+    ),
+    'tab41-constant': (
+        '{"elapsed_time_s": 141.11774000000003, "horizon": 200003, "periods": {"collision": 20025, "idle": 119652, "success": 60326}, "power_ci95_w": 0.0006012946512517116, "power_hat_w": 0.8814533310978477, "seed": 97531, "theta_ci95_bps": 4142.037938290579, "theta_hat_bps": 735575.7250478808, "total_bits": 103802783.91761835, "total_energy_j": 124.38870200000001}\n',
+        'f2af5e0636b760ab05873e182192e893d3c7436ab50bb16201dd49d803c4a8ce',
+    ),
+    'two-state-waterfill': (
+        '{"elapsed_time_s": 141.11774000000003, "horizon": 200003, "periods": {"collision": 20025, "idle": 119652, "success": 60326}, "power_ci95_w": 0.0006029706515017614, "power_hat_w": 0.8814387874581481, "seed": 97531, "theta_ci95_bps": 5766.554226250378, "theta_hat_bps": 3467013.635579813, "total_bits": 489257128.8022069, "total_energy_j": 124.38664963443422}\n',
+        'ea5b1910de5e83cc125cec18eb7dc6ff8e47bcbde4bd78181016a2e80f7a6166',
+    ),
+}
+
+
 class TestGoldenBytes:
-    """Seeded outputs of the scalar commands stay byte-identical across refactors."""
+    """Seeded outputs stay byte-identical across refactors."""
 
     @pytest.mark.parametrize("command", ["optimize", "stationary-points"])
     @pytest.mark.parametrize("name", ["exponential", "fig1-discrete", "tabulated"])
@@ -663,6 +769,19 @@ class TestGoldenBytes:
         stdout, csv_text = GOLDEN[name, command]
         assert capsys.readouterr().out == stdout
         assert out.read_bytes() == csv_text.encode()
+
+    @pytest.mark.parametrize("name", sorted(SIMULATE_CASES))
+    def test_simulate_outputs_are_byte_identical(self, name, tmp_path, capsys):
+        (tmp_path / "tab41.csv").write_text(TAB41_CSV)
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text(SIMULATE_CASES[name])
+        out, trace = tmp_path / "sim.json", tmp_path / "trace.csv"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out),
+                     "--trace", str(trace)]) == 0
+        stdout, digest = GOLDEN_SIMULATE[name]
+        assert capsys.readouterr().out == stdout
+        assert out.read_text() == stdout
+        assert hashlib.sha256(trace.read_bytes()).hexdigest() == digest
 
 
 # -- hostile inputs --------------------------------------------------------------

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    FixedUniforms,
     example_profile,
     make_rng,
     oracle_ratio_estimate,
@@ -338,6 +339,13 @@ class TestChunkedRun:
 class TestPeriodTypeDraw:
     """The threshold draw of `run` against numpy's own ``choice``."""
 
+    @staticmethod
+    def period_types(rng, size, p):
+        """(kinds, counts) of `_period_types`, which fills an int8 array it is given."""
+        kinds = np.full(size, 99, dtype=np.int8)
+        counts = simulator._period_types(rng, kinds, p)
+        return kinds, counts
+
     @pytest.mark.parametrize("p", [
         [0.1, 0.2, 0.7],
         [1 / 3, 1 / 3, 1 / 3],
@@ -351,28 +359,22 @@ class TestPeriodTypeDraw:
         for seed in (3, 11):
             a, b = make_rng(seed), make_rng(seed)
             want = a.choice(3, size=size, p=p)
-            got = simulator._period_types(b, size, p)
+            got, counts = self.period_types(b, size, p)
             assert got.dtype == np.int8
             np.testing.assert_array_equal(got, want)
             assert a.bit_generator.state == b.bit_generator.state
-
-    class Uniforms(np.random.Generator):
-        """A generator whose ``random`` returns the given values, for choice too."""
-
-        def __init__(self, u):
-            super().__init__(np.random.PCG64(0))
-            self.u = np.asarray(u, dtype=float)
-
-        def random(self, size=None, dtype=np.float64, out=None):
-            return self.u.copy()
+            assert list(counts) == np.bincount(got, minlength=3).tolist()
+            assert all(type(n) is int for n in counts)
 
     @pytest.mark.parametrize("p", [[0.25, 0.25, 0.5], [0.0, 0.3, 0.7], [0.1, 0.2, 0.7]])
     def test_draws_on_the_thresholds(self, p):
         c = np.cumsum(p)
         c /= c[-1]
         u = [0.0, *c[:2], *np.nextafter(c[:2], 0.0), *np.nextafter(c[:2], 1.0)]
-        want = self.Uniforms(u).choice(3, size=len(u), p=p)
-        np.testing.assert_array_equal(simulator._period_types(self.Uniforms(u), len(u), p), want)
+        want = FixedUniforms(u).choice(3, size=len(u), p=p)
+        got, counts = self.period_types(FixedUniforms(u), len(u), p)
+        np.testing.assert_array_equal(got, want)
+        assert list(counts) == np.bincount(want, minlength=3).tolist()
 
 
 class TestCompareFttFp:
