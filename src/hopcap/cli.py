@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import __version__
 from . import discrete, hopopt, macmodel, waterfill
-from .config import RunConfig, _finite, load_config
+from .config import RunConfig, _finite, _integer, load_config
 from .errors import ConfigError, HopcapError, NumericalError, ValidationError
 from .macmodel import LN2
 
@@ -30,9 +30,10 @@ def main(argv=None) -> int:
     argv = list(argv) if argv is not None else sys.argv[1:]
     parser = _build_parser()
     args = parser.parse_args(argv)
-    args.invocation = argv
+    args.invocation, args.warnings = argv, []
     try:
-        return args.handler(args)
+        with _recording_warnings(args.warnings):
+            return args.handler(args)
     except (ConfigError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
@@ -52,33 +53,37 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, handler, help_text, config_required=True):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", required=config_required, help="YAML run configuration")
-        p.add_argument("--out", help="CSV/JSON output path (manifest written beside it)")
-        units = p.add_mutually_exclusive_group()
-        units.add_argument("--bits", action="store_true", help="report rates in bits")
-        units.add_argument("--nats", action="store_true", help="report rates in nats (default)")
+    def flag(*args, **kwargs):
+        parent = argparse.ArgumentParser(add_help=False)
+        parent.add_argument(*args, **kwargs)
+        return parent
+
+    config = flag("--config", required=True, help="YAML run configuration")
+    bits = flag("--bits", action="store_true", help="report rates in bits, not nats")
+    out = flag("--out", help="CSV/JSON output path (manifest written beside it)")
+
+    def add(name, handler, help_text, *flags):
+        p = sub.add_parser(name, help=help_text, parents=[*flags, out])
         p.set_defaults(handler=handler)
         return p
 
-    p = add("waterfill", _cmd_waterfill, "solve the allocation at one power level")
+    p = add("waterfill", _cmd_waterfill, "solve the allocation at one power level", config, bits)
     p.add_argument("--pi", type=float, required=True, help="normalized power level")
 
-    add("optimize", _cmd_optimize, "find the optimal hop distance")
+    add("optimize", _cmd_optimize, "find the optimal hop distance", config, bits)
 
-    p = add("sweep", _cmd_sweep, "tabulate d, Gamma and psi over a hop grid")
+    p = add("sweep", _cmd_sweep, "tabulate d, Gamma and psi over a hop grid", config, bits)
     p.add_argument("--grid", help="override sweep grid as d_min:d_max:points")
 
-    add("stationary-points", _cmd_stationary, "enumerate stationary points")
+    add("stationary-points", _cmd_stationary, "enumerate stationary points", config, bits)
 
-    p = add("simulate", _cmd_simulate, "Monte Carlo saturation-MAC run")
-    p.add_argument("--seed", type=int, help="override simulate.seed")
-    p.add_argument("--horizon", type=int, help="override simulate.horizon")
+    p = add("simulate", _cmd_simulate, "Monte Carlo saturation-MAC run", config)
+    p.add_argument("--seed", type=int, default=argparse.SUPPRESS, help="override simulate.seed")
+    p.add_argument("--horizon", type=int, default=argparse.SUPPRESS,
+                   help="override simulate.horizon")
     p.add_argument("--trace", help="write a per-period trace CSV")
 
-    p = add("compare-ftt", _cmd_compare_ftt, "fixed-time vs fixed-packet totals",
-            config_required=False)
+    p = add("compare-ftt", _cmd_compare_ftt, "fixed-time vs fixed-packet totals")
     p.add_argument("--count", type=int, default=100, help="random tuples to draw")
     p.add_argument("--seed", type=int, default=12345)
     p.add_argument("--h1", type=float)
@@ -86,7 +91,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p1", type=float)
     p.add_argument("--p2", type=float)
 
-    add("single-cell-bound", _cmd_single_cell_bound, "spatial-reuse rate cap sweep")
+    add("single-cell-bound", _cmd_single_cell_bound, "spatial-reuse rate cap sweep", config)
     return parser
 
 
@@ -202,40 +207,38 @@ def _cmd_simulate(args) -> int:
     from . import simulator
 
     stages = [("config_and_policy", time.monotonic())]
-    fired = []
-    with _recording_warnings(fired):
-        cfg = load_config(args.config)
-        started = time.monotonic()
-        if cfg.simulate is None:
-            raise ConfigError("simulate: section missing")
-        if cfg.profile is None:
-            raise ConfigError("simulate requires a mac section")
-        spec = cfg.simulate
-        seed = args.seed if args.seed is not None else spec.seed
-        horizon = args.horizon if args.horizon is not None else spec.horizon
-        _require_finite_power("d**eta", spec.d, cfg.eta,
-                              f"simulate.d_m = {spec.d!r} with eta = {cfg.eta!r}")
-        policy = _build_policy(cfg, spec)
-        sim_config = simulator.SimConfig(
-            profile=cfg.profile,
-            model=cfg.model,
-            policy=policy,
-            d=spec.d,
-            eta=cfg.eta,
-            horizon=horizon,
-            seed=seed,
-            relinquish_overhead=spec.relinquish_overhead,
-        )
-        stages.append(("run", time.monotonic()))
-        report = simulator.run(sim_config, trace_path=args.trace)
+    cfg = load_config(args.config)
+    started = time.monotonic()
+    if cfg.simulate is None:
+        raise ConfigError("simulate: section missing")
+    if cfg.profile is None:
+        raise ConfigError("simulate requires a mac section")
+    spec = cfg.simulate
+    # an override, present only when given, obeys the rule of the key it overrides
+    seed = _integer(vars(args), "seed", default=spec.seed, minimum=0, path="simulate")
+    horizon = _integer(vars(args), "horizon", default=spec.horizon, minimum=1, path="simulate")
+    _require_finite_power("d**eta", spec.d, cfg.eta,
+                          f"simulate.d_m = {spec.d!r} with eta = {cfg.eta!r}")
+    policy = _build_policy(cfg, spec)
+    sim_config = simulator.SimConfig(
+        profile=cfg.profile,
+        model=cfg.model,
+        policy=policy,
+        d=spec.d,
+        eta=cfg.eta,
+        horizon=horizon,
+        seed=seed,
+        relinquish_overhead=spec.relinquish_overhead,
+    )
+    stages.append(("run", time.monotonic()))
+    report = simulator.run(sim_config, trace_path=args.trace)
     stages.append(("write_and_hash", time.monotonic()))
     payload = report.to_json()
     print(payload)
     if args.out:
         Path(args.out).write_text(payload + "\n", encoding="utf-8")
         outputs = [args.out] + ([args.trace] if args.trace else [])
-        _write_manifest(args, started, outputs=outputs, seed=seed, stages=stages,
-                        warnings=fired)
+        _write_manifest(args, started, outputs=outputs, seed=seed, stages=stages)
     return EXIT_OK
 
 
@@ -245,6 +248,7 @@ def _cmd_compare_ftt(args) -> int:
     from . import simulator
 
     started = time.monotonic()
+    seed = _integer(vars(args), "seed", minimum=0, path="compare-ftt")
     explicit = [args.h1, args.h2, args.p1, args.p2]
     rows = []
     if any(v is not None for v in explicit):
@@ -252,7 +256,7 @@ def _cmd_compare_ftt(args) -> int:
             raise ConfigError("compare-ftt: give all of --h1 --h2 --p1 --p2 or none")
         tuples = [(args.h1, args.h2, args.p1, args.p2)]
     else:
-        rng = np.random.Generator(np.random.PCG64(args.seed))
+        rng = np.random.Generator(np.random.PCG64(seed))
         tuples = []
         for _ in range(args.count):
             h1, h2 = sorted(np.exp(rng.uniform(math.log(1e-2), math.log(1e2), 2)))[::-1]
@@ -260,22 +264,19 @@ def _cmd_compare_ftt(args) -> int:
             # keep the tuple valid: the better state carries the higher rate
             p2 = float(h1 * p1 / h2 * rng.uniform(0.0, 1.0)) or p1
             tuples.append((float(h1), float(h2), p1, p2))
-    violations = 0
-    for h1, h2, p1, p2 in tuples:
+    for h1, h2, p1, p2 in tuples:  # a shortfall raises NumericalError
         res = simulator.compare_ftt_fp(h1, h2, p1, p2)
-        if res.bits_ftt < res.bits_fp * (1 - 1e-9):
-            violations += 1
         rows.append((h1, h2, p1, p2, res.bits_fp, res.bits_ftt, res.energy, res.duration))
-    print(f"tuples={len(rows)} violations={violations}")
+    print(f"tuples={len(rows)} violations=0")
     if args.out:
         _write_csv(
             args.out,
             ["h1", "h2", "P1_W", "P2_W", "bits_fp", "bits_ftt", "energy_J", "duration_s"],
             rows,
         )
-        _write_manifest(args, started, outputs=[args.out], seed=args.seed,
-                        summary={"violations": violations})
-    return EXIT_OK if violations == 0 else EXIT_NUMERICAL
+        _write_manifest(args, started, outputs=[args.out], seed=seed,
+                        summary={"violations": 0})
+    return EXIT_OK
 
 
 def _cmd_single_cell_bound(args) -> int:
@@ -351,9 +352,7 @@ def _build_policy(cfg: RunConfig, spec):
     if spec.policy == "constant":
         return simulator.ConstantPowerPolicy(spec.constant_power)
     pi = cfg.resolve_pt_prime() / spec.d**cfg.eta
-    return simulator.WaterfillPolicy(
-        solution=waterfill.solve(cfg.model, pi), d=spec.d, eta=cfg.eta
-    )
+    return simulator.WaterfillPolicy(waterfill.solve(cfg.model, pi))
 
 
 def _optimize_summary(cfg, sset, args) -> dict:
@@ -421,12 +420,11 @@ def _sha256(path) -> str:
     return digest.hexdigest()
 
 
-def _write_manifest(args, started, outputs, seed=None, summary=None, stages=None,
-                    warnings=None) -> None:
+def _write_manifest(args, started, outputs, seed=None, summary=None, stages=None) -> None:
     """Write ``<outputs[0]>.manifest.json``.
 
     ``stages`` lists (name, start) in order; the last stage ends once the
-    outputs are hashed.  ``warnings`` names the warnings the run showed.
+    outputs are hashed.  ``args.warnings`` names the warnings the run showed.
     """
     import json
 
@@ -442,14 +440,13 @@ def _write_manifest(args, started, outputs, seed=None, summary=None, stages=None
         },
         "wall_time_s": time.monotonic() - started,
         "outputs": {str(p): _sha256(p) for p in outputs},
+        "warnings": args.warnings,
     }
     if summary is not None:
         manifest["summary"] = summary
     if stages is not None:
         ends = [start for _, start in stages[1:]] + [time.monotonic()]
         manifest["stages_s"] = {name: end - start for (name, start), end in zip(stages, ends)}
-    if warnings is not None:
-        manifest["warnings"] = warnings
     path = Path(str(outputs[0]) + ".manifest.json")
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 

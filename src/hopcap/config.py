@@ -32,18 +32,19 @@ _TOP_KEYS = {
 }
 _FADING_KEYS = {"kind", "rate", "alpha_over_sigma2", "states", "csv"}
 _STATE_KEYS = {"gain", "prob"}
-_MAC_KEYS = {
-    "p_idle",
-    "p_collision",
-    "p_success",
-    "T_idle_s",
-    "T_collision_s",
-    "T_overhead_s",
-    "T_txop_s",
-    "W_hz",
-    "E_idle_J",
-    "E_collision_J",
-    "E_overhead_J",
+# each mac key with its rule, in MacProfile's field order
+_MAC_RULES = {
+    "p_idle": {"nonnegative": True},
+    "p_collision": {"nonnegative": True},
+    "p_success": {"positive": True},
+    "T_idle_s": {"nonnegative": True},
+    "T_collision_s": {"nonnegative": True},
+    "T_overhead_s": {"nonnegative": True},
+    "T_txop_s": {"positive": True},
+    "W_hz": {"positive": True},
+    "E_idle_J": {"default": 0.0, "nonnegative": True},
+    "E_collision_J": {"default": 0.0, "nonnegative": True},
+    "E_overhead_J": {"default": 0.0, "nonnegative": True},
 }
 _POWER_KEYS = {"Pt_prime_W", "P_bar_W"}
 _SWEEP_KEYS = {"d_min_m", "d_max_m", "points", "power_factors"}
@@ -205,21 +206,9 @@ def _parse_fading(section: dict, base_dir: Path | None) -> FadingModel:
 
 
 def _parse_mac(section) -> MacProfile:
-    _check_keys(section, _MAC_KEYS, "mac")
-    num = lambda key, **kw: _number(section, key, path="mac", **kw)
-    return MacProfile(
-        p_idle=num("p_idle", nonnegative=True),
-        p_collision=num("p_collision", nonnegative=True),
-        p_success=num("p_success", positive=True),
-        t_idle=num("T_idle_s", nonnegative=True),
-        t_collision=num("T_collision_s", nonnegative=True),
-        t_overhead=num("T_overhead_s", nonnegative=True),
-        t_txop=num("T_txop_s", positive=True),
-        bandwidth=num("W_hz", positive=True),
-        e_idle=num("E_idle_J", default=0.0, nonnegative=True),
-        e_collision=num("E_collision_J", default=0.0, nonnegative=True),
-        e_overhead=num("E_overhead_J", default=0.0, nonnegative=True),
-    )
+    _check_keys(section, _MAC_RULES.keys(), "mac")
+    return MacProfile(*[_number(section, key, path="mac", **rule)
+                        for key, rule in _MAC_RULES.items()])
 
 
 def _parse_sweep(section) -> SweepSpec:

@@ -45,24 +45,22 @@ class SmallHorizonWarning(UserWarning):
 
 
 class ConstantPowerPolicy(NamedTuple):
-    """Transmit with the same power in every fading state."""
+    """Transmit with the same power in every fading state, whatever the path loss."""
 
     power_w: float
 
-    def power(self, h):
+    def power(self, h, loss):
         return np.full_like(np.asarray(h, dtype=float), self.power_w)
 
 
 class WaterfillPolicy(NamedTuple):
-    """Transmit P(h) = d**eta * xi(c*h) from a solved water-fill."""
+    """Transmit P(h) = loss * xi(c*h) from a solved water-fill, with loss = d**eta."""
 
     solution: WaterfillSolution
-    d: float
-    eta: float
 
-    def power(self, h):
+    def power(self, h, loss):
         c = self.solution.model.alpha_over_sigma2
-        return self.d**self.eta * self.solution.allocation(c * np.asarray(h, dtype=float))
+        return loss * self.solution.allocation(c * np.asarray(h, dtype=float))
 
 
 class _SimConfigFields(NamedTuple):
@@ -155,6 +153,7 @@ def run(config: SimConfig, trace_path=None) -> SimReport:
     chunk's successes get their fades; sequential draws give the numbers
     one call over the horizon would, so nothing depends on ``_CHUNK``.
     Idle and collision periods enter the totals and co-moments by count.
+    An estimate that leaves the float range raises NumericalError.
     """
     prof = config.profile
     rng = np.random.Generator(np.random.PCG64(config.seed))
@@ -198,11 +197,13 @@ def run(config: SimConfig, trace_path=None) -> SimReport:
     )
     theta_hat = total_bits / total_time
     power_hat = total_energy / total_time
+    estimates = (theta_hat, _CI_FACTOR * moments.ratio_se(2, theta_hat, total_time),
+                 power_hat, _CI_FACTOR * moments.ratio_se(1, power_hat, total_time))
+    if not all(map(math.isfinite, estimates)):
+        raise NumericalError(f"the estimates leave the float range: bits {total_bits}, "
+                             f"energy {total_energy}, time {total_time}")
     return SimReport(
-        theta_hat=theta_hat,
-        theta_ci95=_CI_FACTOR * moments.ratio_se(2, theta_hat, total_time),
-        power_hat=power_hat,
-        power_ci95=_CI_FACTOR * moments.ratio_se(1, power_hat, total_time),
+        *estimates,
         n_idle=n_idle,
         n_collision=n_collision,
         n_success=n_success,
@@ -217,14 +218,15 @@ def run(config: SimConfig, trace_path=None) -> SimReport:
 def _success_rows(config, h):
     """(duration, energy, bits) of successful periods with fades ``h``, by row."""
     prof = config.profile
-    p = config.policy.power(h)
+    loss = config.d**config.eta
+    p = config.policy.power(h, loss)
     x = config.model.alpha_over_sigma2 * h
     rows = np.empty((3, h.size))
     rows[0] = prof.t_overhead + prof.t_txop
     if config.relinquish_overhead is not None:
         rows[0, p == 0.0] = prof.t_overhead + config.relinquish_overhead
     rows[1] = prof.e_overhead + prof.t_txop * p
-    rows[2] = prof.t_txop * prof.bandwidth * np.log1p(x * p / config.d**config.eta) / LN2
+    rows[2] = prof.t_txop * prof.bandwidth * np.log1p(x * p / loss) / LN2
     return rows
 
 

@@ -555,8 +555,9 @@ def reference_periods(config):
     n = int(success.sum())
     if n:
         h = config.model.sample_h(rng, n)
-        p = config.policy.power(h)
-        rate = np.log1p(config.model.alpha_over_sigma2 * h * p / config.d**config.eta)
+        loss = config.d**config.eta
+        p = config.policy.power(h, loss)
+        rate = np.log1p(config.model.alpha_over_sigma2 * h * p / loss)
         occupancy = np.full(n, prof.t_overhead + prof.t_txop)
         if config.relinquish_overhead is not None:
             occupancy[p == 0.0] = prof.t_overhead + config.relinquish_overhead

@@ -271,9 +271,9 @@ def test_c7_simulator_matches_renewal_formulas():
     pi_opt = 29.581885819215032
     d = 0.3233389680071157
     sol = waterfill.solve(FIG1, pi_opt)
-    policy = simulator.WaterfillPolicy(solution=sol, d=d, eta=3.0)
+    policy = simulator.WaterfillPolicy(sol)
     h, a = np.asarray(FIG1.kind.gains), np.asarray(FIG1.kind.probs)
-    mean_power = float(np.sum(a * policy.power(h)))
+    mean_power = float(np.sum(a * policy.power(h, d**3.0)))
 
     all_ok = True
     details = []

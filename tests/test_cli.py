@@ -375,6 +375,19 @@ class TestOptimizeCommand:
         rows = read_csv(out_path)
         assert len(rows) == 1
 
+    @pytest.mark.parametrize("command, eta, fired", [
+        ("optimize", "1.5", ["EtaBelowTwoWarning"]),
+        ("stationary-points", "3.0", []),
+    ])
+    def test_manifest_names_the_warnings(self, command, eta, fired, tmp_path):
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text(EXP_FIG2_YAML.replace("eta: 2.0", f"eta: {eta}"))
+        out_path = tmp_path / "opt.csv"
+        with contextlib.redirect_stderr(io.StringIO()):
+            assert main([command, "--config", str(cfg), "--out", str(out_path)]) == 0
+        manifest = json.loads((tmp_path / "opt.csv.manifest.json").read_text())
+        assert manifest["warnings"] == fired
+
 
 class TestSweepCommand:
     def test_fig1_grid_shows_three_interior_extrema(self, fig1_cfg, tmp_path):
@@ -567,6 +580,29 @@ class TestSimulateCommand:
             manifest = json.loads((tmp_path / f"{name}.manifest.json").read_text())
             assert manifest["warnings"] == ["SmallHorizonWarning"]
 
+    def test_non_finite_estimates_are_a_numerical_failure(self, tmp_path, capsys):
+        # d**eta = 1e-300 is a normal float, but 1e10 W over it overflows every
+        # success's rate: the report used to print infinite bits with exit 0
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text(FIG1_YAML.replace("d_m: 0.3233", "d_m: 1.0e-100\n  constant_power_W: 1.0e+10")
+                       .replace("policy: waterfill", "policy: constant"))
+        assert main(["simulate", "--config", str(cfg), "--horizon", "10000"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("numerical failure: the estimates leave the float range")
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["simulate", "--seed", "-1"], "simulate.seed: must be >= 0, got -1"),
+        (["simulate", "--horizon", "0"], "simulate.horizon: must be >= 1, got 0"),
+        (["compare-ftt", "--seed", "-1"], "compare-ftt.seed: must be >= 0, got -1"),
+    ], ids=["simulate-seed", "simulate-horizon", "compare-ftt-seed"])
+    def test_override_obeys_the_rule_of_its_key(self, argv, message, fig1_cfg, capsys):
+        # a negative seed used to end in numpy's ValueError traceback, exit 1
+        config = ["--config", str(fig1_cfg)] if argv[0] == "simulate" else []
+        assert main(argv[:1] + config + argv[1:]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_seed_override_changes_output(self, fig1_cfg, tmp_path):
         out_a = tmp_path / "a.json"
         out_b = tmp_path / "b.json"
@@ -626,6 +662,25 @@ class TestManifestNumpyVersion:
         assert main(argv) == 0
         manifest = json.loads((tmp_path / "sim.json.manifest.json").read_text())
         assert manifest["versions"]["numpy"] == np.__version__
+
+
+class TestFlagsOnlyWhereRead:
+    """A flag that a command does not read fails in argparse with exit 2."""
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--config", "run.yaml", "--bits"],
+        ["compare-ftt", "--bits"],
+        ["single-cell-bound", "--config", "run.yaml", "--bits"],
+        ["compare-ftt", "--config=run.yaml"],
+        ["waterfill", "--config", "run.yaml", "--pi", "1", "--nats"],
+    ] + [[command, "--config", "run.yaml", "--nats"] for command in (
+        "optimize", "sweep", "stationary-points", "simulate", "single-cell-bound")
+    ] + [["compare-ftt", "--nats"]])
+    def test_unread_flag_exits_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {argv[-1]}" in capsys.readouterr().err
 
 
 class TestMissingSections:
@@ -700,6 +755,37 @@ GOLDEN = {
 }
 
 
+# `--bits` output as last produced, on the two-state config: optimize's stdout
+# and CSV, and sweep's CSV (to stdout) over `--grid 0.05:50:6`
+GOLDEN_BITS = {
+    "optimize": (
+        'unique=false\n'
+        'n_points=3\n'
+        'd_opt_m=0.3233389680071157\n'
+        'pi_opt=29.581885819215032\n'
+        'lambda_opt=0.031683684471817901\n'
+        'gamma_opt=4.0565546365789329\n'
+        'psi_opt=1.3116421898559125\n'
+        'theta_opt_bps=3467140.7150247288\n'
+        'transport_opt_bit_m_per_s=1121061.7007315489\n',
+        'd_m,pi,lambda,gamma_bits,psi\n'
+        '0.3233389680071157,29.581885819215032,0.031683684471817901,4.0565546365789329,1.3116421898559125\n'
+        '2.8382837786337336,0.043735344785331191,0.49411134288993769,0.093530481907942914,0.26546604960711023\n'
+        '8.585619959815542,0.0015801016190708341,5.9520209292640374,0.040704765903293937,0.34947565059893954\n',
+    ),
+    "sweep": (
+        'power_factor,d_m,pi,gamma_bits,psi,segment\n'
+        '1,0.050000000000000003,7999.9999999999982,12.042579887431927,0.60212899437159639,2\n'
+        '1,0.1990535852767486,126.79145539688912,6.0851087005607631,1.2112627036453567,2\n'
+        '1,0.79244659623055658,2.0095091452076654,1.0726859770443486,0.85004635133304307,2\n'
+        '1,3.1547867224009645,0.031848573644279836,0.085031991545879704,0.26825779790825238,2\n'
+        '1,12.559432157547896,0.00050476587558415521,0.025963767365919887,0.32609017478662689,1\n'
+        '1,50,7.9999999999999996e-06,0.0011103131238874384,0.055515656194371918,1\n',
+        None,
+    ),
+}
+
+
 # `simulate` on one config of each kind, over 200_003 periods (four chunks of
 # `run`): a truncated exp(-h) density on 41 nodes, normalised by trapezoid
 TAB41_H = [0.5 * i for i in range(41)]
@@ -770,6 +856,16 @@ class TestGoldenBytes:
         assert capsys.readouterr().out == stdout
         assert out.read_bytes() == csv_text.encode()
 
+    @pytest.mark.parametrize("command", sorted(GOLDEN_BITS))
+    def test_bits_outputs_are_byte_identical(self, command, fig1_cfg, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        extra = ["--out", str(out)] if command == "optimize" else ["--grid", "0.05:50:6"]
+        assert main([command, "--config", str(fig1_cfg), "--bits"] + extra) == 0
+        stdout, csv_text = GOLDEN_BITS[command]
+        assert capsys.readouterr().out == stdout
+        if csv_text is not None:
+            assert out.read_bytes() == csv_text.encode()
+
     @pytest.mark.parametrize("name", sorted(SIMULATE_CASES))
     def test_simulate_outputs_are_byte_identical(self, name, tmp_path, capsys):
         (tmp_path / "tab41.csv").write_text(TAB41_CSV)
@@ -838,11 +934,18 @@ def hostile_runs(draw):
     command = draw(st.sampled_from(["waterfill", "optimize", "stationary-points", "sweep",
                                     "simulate", "single-cell-bound", "compare-ftt"]))
     any_float = lambda: draw(MAGNITUDES | st.sampled_from(SPECIAL) | st.floats())
-    argv = [command]
+    # small horizons only: every period allocates
+    seeds, horizons = st.sampled_from([-1, 0, 3, 2**64]), st.sampled_from([-1, 0, 1, 200])
+    argv = [command] + (["--config", "run.yaml"] if command != "compare-ftt" else [])
     if command == "waterfill":
         argv.append(f"--pi={any_float()!r}")
+    elif command == "simulate":
+        argv += [f"--{key}={draw(values)}" for key, values in
+                 (("seed", seeds), ("horizon", horizons)) if draw(st.booleans())]
     elif command == "compare-ftt":
-        argv += [f"--{key}={any_float()!r}" for key in ("h1", "h2", "p1", "p2")]
+        argv += [f"--seed={draw(seeds)}"] if draw(st.booleans()) else []
+        if draw(st.booleans()):
+            argv += [f"--{key}={any_float()!r}" for key in ("h1", "h2", "p1", "p2")]
     return config, csv_text, argv
 
 
@@ -857,6 +960,6 @@ def test_hostile_inputs_end_in_an_exit_code(run):
             (Path(tmp) / "density.csv").write_text(csv_text)
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv[:1] + ["--config", str(cfg)] + argv[1:])
+            code = main([str(cfg) if arg == "run.yaml" else arg for arg in argv])
     assert code in (0, 2, 3), (code, err.getvalue())
     assert "Traceback" not in err.getvalue()

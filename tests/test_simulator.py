@@ -55,7 +55,7 @@ def analytic_targets(profile, model, policy, d, eta):
     if model.is_discrete:
         h, a = np.asarray(model.kind.gains), np.asarray(model.kind.probs)
         x = model.alpha_over_sigma2 * h
-        p = policy.power(h)
+        p = policy.power(h, d**eta)
         mean_rate = float(np.sum(a * np.log1p(x * p / d**eta)))
         mean_power = float(np.sum(a * p))
     else:
@@ -108,7 +108,7 @@ class TestAnalyticAgreement:
         pi_opt = 29.581885819215032  # stationary maximizer of the two-state case
         d = 0.3233389680071157
         sol = waterfill.solve(FIG1, pi_opt)
-        policy = WaterfillPolicy(solution=sol, d=d, eta=3.0)
+        policy = WaterfillPolicy(sol)
         config = SimConfig(
             profile=profile_a(), model=FIG1, policy=policy,
             d=d, eta=3.0, horizon=1_000_000, seed=20260809,
@@ -121,7 +121,7 @@ class TestAnalyticAgreement:
     def test_exponential_power_within_3_sigma(self):
         model = FadingModel.exponential(1.0)
         sol = waterfill.solve(model, 1.0)
-        policy = WaterfillPolicy(solution=sol, d=1.0, eta=2.0)
+        policy = WaterfillPolicy(sol)
         config = SimConfig(
             profile=profile_b(), model=model, policy=policy,
             d=1.0, eta=2.0, horizon=1_000_000, seed=31415,
@@ -186,7 +186,7 @@ class TestTraceAndKnobs:
         # waterfill at tiny pi leaves many fades unserved; relinquishing
         # early must shorten the run without touching the bit total
         sol = waterfill.solve(FIG1, 0.001)
-        policy = WaterfillPolicy(solution=sol, d=1.0, eta=3.0)
+        policy = WaterfillPolicy(sol)
         base = dict(
             profile=profile_a(), model=FIG1, policy=policy,
             d=1.0, eta=3.0, horizon=50_000, seed=11,
@@ -202,7 +202,7 @@ def trace_cases():
     exp = FadingModel.exponential(1.0)
     h = np.linspace(0.0, 20.0, 41)
     tab41 = FadingModel.tabulated(h, np.exp(-h) / np.trapezoid(np.exp(-h), h), 2.0)
-    two_state = WaterfillPolicy(waterfill.solve(FIG1, 29.581885819215032), 0.3233, 3.0)
+    two_state = WaterfillPolicy(waterfill.solve(FIG1, 29.581885819215032))
     return {
         "two_state_waterfill": dict(
             profile=profile_a(), model=FIG1, policy=two_state, d=0.3233, eta=3.0, seed=3,
@@ -210,7 +210,7 @@ def trace_cases():
         # a small pi leaves many fades unserved: rows with p == 0 and a
         # shortened occupancy
         "exponential_relinquish": dict(
-            profile=profile_b(), model=exp, policy=WaterfillPolicy(waterfill.solve(exp, 0.05), 1.0, 2.0),
+            profile=profile_b(), model=exp, policy=WaterfillPolicy(waterfill.solve(exp, 0.05)),
             d=1.0, eta=2.0, seed=4, relinquish_overhead=1e-4,
         ),
         "tab41_constant": dict(

@@ -99,19 +99,19 @@ class TestPhysicalAllocation:
     def test_zero_at_cutoff(self):
         model = FadingModel.discrete([(1.0, 1.0)])
         sol = waterfill.solve(model, 1.0)
-        assert WaterfillPolicy(sol, d=1.0, eta=3.0).power(sol.cutoff_h) == 0.0
+        assert WaterfillPolicy(sol).power(sol.cutoff_h, 1.0**3.0) == 0.0
 
     def test_unit_distance(self):
         sol = waterfill.WaterfillSolution(
             pi=1.0, lam=0.5, gamma=math.log(2.0), model=FadingModel.discrete([(1.0, 1.0)])
         )
-        assert WaterfillPolicy(sol, d=1.0, eta=3.0).power(1.0) == pytest.approx(1.0)
+        assert WaterfillPolicy(sol).power(1.0, 1.0**3.0) == pytest.approx(1.0)
 
     def test_scales_with_path_loss(self):
         sol = waterfill.WaterfillSolution(
             pi=1.0, lam=0.5, gamma=math.log(2.0), model=FadingModel.discrete([(1.0, 1.0)])
         )
-        assert WaterfillPolicy(sol, d=2.0, eta=3.0).power(1.0) == pytest.approx(8.0)
+        assert WaterfillPolicy(sol).power(1.0, 2.0**3.0) == pytest.approx(8.0)
 
 
 class TestInvariants:
