@@ -249,6 +249,7 @@ def _cmd_compare_ftt(args) -> int:
 
     started = time.monotonic()
     seed = _integer(vars(args), "seed", minimum=0, path="compare-ftt")
+    count = _integer(vars(args), "count", minimum=1, path="compare-ftt")
     explicit = [args.h1, args.h2, args.p1, args.p2]
     rows = []
     if any(v is not None for v in explicit):
@@ -258,7 +259,7 @@ def _cmd_compare_ftt(args) -> int:
     else:
         rng = np.random.Generator(np.random.PCG64(seed))
         tuples = []
-        for _ in range(args.count):
+        for _ in range(count):
             h1, h2 = sorted(np.exp(rng.uniform(math.log(1e-2), math.log(1e2), 2)))[::-1]
             p1 = float(np.exp(rng.uniform(math.log(1e-2), math.log(1e2))))
             # keep the tuple valid: the better state carries the higher rate

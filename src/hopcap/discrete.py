@@ -9,9 +9,11 @@ breakpoints ``Pi_k``, and the optimal rate as a function of hop distance
 is ``Gamma(d) = p_k * log(gamma_k * (alpha_k + c*Pt'/d**eta))`` with the
 integration constants ``gamma_k`` chained so the pieces join
 continuously.  Stationary points of d * Gamma(d) reduce, per segment, to
-``y * exp(-eta*y) = exp(b_k - eta)`` on a half-open y-interval, which a
-bracketed solve per monotone branch enumerates exhaustively (hence the
-2n - 1 count bound); `hopopt.stationary_points` builds the points.
+``y * exp(-eta*y) = exp(b_k - eta)`` on a half-open y-interval, solved in
+logs as ``log(y) - eta*(y - 1) = b_k`` (no exp to underflow, and no
+digits cancel near y = 1) by `fading.log_root` on each monotone branch,
+which enumerates them exhaustively (hence the 2n - 1 count bound);
+`hopopt.stationary_points` builds the points.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import math
 from typing import NamedTuple
 
 from .errors import DiscreteKindError, ValidationError
-from .fading import FadingModel, refine_root
+from .fading import FadingModel, log_root
 
 
 class DiscreteWaterfillTable(NamedTuple):
@@ -105,7 +107,7 @@ def stationary_roots(table: DiscreteWaterfillTable, eta: float) -> list:
     roots = []
     for k, (alpha, b) in enumerate(zip(table.alpha, table.b)):
         y_hi, y_lo = (alpha / (alpha + end) for end in ends[k : k + 2])
-        for y in _branch_roots(math.exp(b - eta), eta, y_lo, y_hi):
+        for y in _branch_roots(b, eta, y_lo, y_hi):
             pi = alpha * (1.0 - y) / y
             if pi > 0.0:
                 roots.append((pi, k + 1))
@@ -113,21 +115,22 @@ def stationary_roots(table: DiscreteWaterfillTable, eta: float) -> list:
     return roots
 
 
-def _branch_roots(level: float, eta: float, y_lo: float, y_hi: float):
-    """Roots of y*exp(-eta*y) = level on [y_lo, y_hi) inside (0, 1]."""
-    w = lambda y: y * math.exp(-eta * y) - level
+def _branch_roots(b: float, eta: float, y_lo: float, y_hi: float):
+    """Roots of log(y) - eta*(y - 1) = b on [y_lo, y_hi) inside (0, 1]."""
+    # the residual and its two derivatives in log y
+    w = lambda y: (math.log(y) - eta * (y - 1.0) - b, 1.0 - eta * y, -eta * y)
     peak = 1.0 / eta
     roots = []
     # the rising branch up to the peak, then the falling one (empty if peak >= 1)
     for lo, hi in ((max(y_lo, 1e-300), min(y_hi, peak)), (max(y_lo, peak), min(y_hi, 1.0))):
         if hi <= lo:
             continue
-        f_lo, f_hi = w(lo), w(hi)
+        f_lo, f_hi = w(lo)[0], w(hi)[0]
         if f_lo == 0.0:
             roots.append(lo)
             continue
         if f_lo * f_hi < 0.0:
-            y = refine_root(w, lo, hi)
+            y = log_root(w, math.sqrt(lo) * math.sqrt(hi), lo, hi, rising=f_hi > 0.0)
             if y_lo <= y < y_hi:
                 roots.append(y)
     return roots

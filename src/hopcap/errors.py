@@ -39,7 +39,7 @@ class OrderingViolation(ValidationError):
 
 
 class BracketFailure(NumericalError):
-    """No sign change found when bracketing a water-level or stationarity equation."""
+    """A water level or stationary root has no sign change in its bracket, a NaN, or no float value."""
 
 
 class NoStationaryPoint(NumericalError):

@@ -10,8 +10,9 @@ so its tails are exact: `TailTable` (``FadingModel.tails``) holds the
 mass, water-fill power and rate above each node, and a query at any
 ``lam`` adds one closed-form partial cell.  Every kind's scalar path is
 plain ``math``; numpy is imported only by ``sample_h``, which returns an
-array.  Every bracketed root of the stationary enumerations is refined
-here, by `refine_root`.
+array.  Every root of the stationary enumerations is found here, by
+`log_root`: safeguarded Halley steps in log x, which stop on a relative
+step, so a root keeps its digits at any scale of the nodes.
 
 Models are immutable after construction; every operation is pure.
 """
@@ -36,6 +37,10 @@ DENSITY_NORM_TOL = 1e-6
 # either way all four agree with 40-digit references to 5e-15 relative.
 _SERIES_BELOW = 0.25
 _SERIES = tuple((-1) ** k / (k + 1) for k in range(25, 1, -1))
+# `log_root` stops on a step below _ROOT_STEP_TOL in log x; x4 or /4 alone
+# crosses the float range in 1049 steps
+_ROOT_STEP_TOL = 1e-14
+_ROOT_STEPS = 1100
 
 
 class Exponential(NamedTuple):
@@ -205,81 +210,58 @@ def choice_thresholds(probs) -> list:
     return [s / sums[-1] for s in sums[:-1]]
 
 
-def refine_root(func, lo: float, hi: float) -> float:
-    """The root of ``func`` on [lo, hi], where its sign changes, by Brent's method.
+def log_root(func, x: float, lo: float, hi: float, rising: bool) -> float:
+    """The root of g in (lo, hi) by safeguarded Halley steps in log x, from x.
 
-    The bracket shrinks to about 1e-15 of the root: the one tolerance of
-    every bracketed solve in the package.  Step for step this is the
-    iteration of scipy's ``brentq`` (``xtol=1e-30, rtol=1e-15``, at most
-    100 steps), so it returns the same float.  No sign change, a NaN value
-    or no convergence raises BracketFailure.
+    ``func(x)`` returns g and its first two derivatives in log x, all from
+    one evaluation; a zero second derivative makes the step Newton's.  g
+    changes sign once in the bracket, from negative to positive if
+    ``rising``; lo may be 0 and hi inf.  Every value seen narrows the
+    bracket.  A step that leaves it, or that is not below half the step
+    before, becomes a geometric bisection, or x4 or /4 while a side is
+    still open.  The routine stops on a step below 1e-14 in log x,
+    returning the x stepped to, or on two neighbouring floats, never on an
+    absolute tolerance, so the scale of x does not matter.  A NaN value,
+    a bracket that closes on an end with no sign change, or no convergence
+    raises BracketFailure.
     """
-    xtol, rtol = 1e-30, 1e-15
-    xpre, xcur = float(lo), float(hi)
-    fpre, fcur = _finite_value(func, xpre), _finite_value(func, xcur)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if (fpre < 0.0) == (fcur < 0.0):
-        raise BracketFailure(f"no sign change on [{lo!r}, {hi!r}]")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(100):
-        if (fpre < 0.0) != (fcur < 0.0):  # the root lies between xpre and xcur
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        stry = None
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # secant
-                num, den = -fcur * (xcur - xpre), fcur - fpre
-            else:  # inverse quadratic
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                num, den = -fcur * (fblk * dblk - fpre * dpre), dblk * dpre * (fblk - fpre)
-            # C divides an underflowed denominator to inf or NaN, a step it then rejects
-            stry = num / den if den != 0.0 else None
-        if stry is not None and 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-            spre, scur = scur, stry
+    g_lo = g_hi = None  # g at the ends, once evaluated
+    last = math.inf
+    for _ in range(_ROOT_STEPS):
+        g, g1, g2 = func(x)
+        if g == 0.0:
+            return x
+        if math.isnan(g):
+            raise BracketFailure(f"the function is NaN at {x!r}")
+        if (g > 0.0) == rising:
+            hi, g_hi = x, g
         else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = _finite_value(func, xcur)
-    raise BracketFailure(f"Brent's method did not converge on [{lo!r}, {hi!r}]")
-
-
-def _finite_value(func, x: float) -> float:
-    """func(x) as a float, refusing NaN, on which no bracket can be kept."""
-    value = float(func(x))
-    if math.isnan(value):
-        raise BracketFailure(f"the function is NaN at {x!r}")
-    return value
-
-
-def bracket_root(func, start: float, limit: float = math.inf) -> float:
-    """The root of ``func``, positive below it and not above, bracketed from ``start``.
-
-    The bracket [start/2, start] halves down, never to 0, until ``func``
-    is positive at its low end, then doubles up, never past ``limit``,
-    until ``func`` is not positive at its high end.
-    """
-    lo, hi = 0.5 * start, start
-    while func(lo) <= 0.0:
-        lo, hi = 0.5 * lo, lo
-        if lo == 0.0:
-            raise BracketFailure(f"no sign change above 0 below {hi:g}")
-    while func(hi) > 0.0:
-        if hi >= limit:
-            raise BracketFailure(f"no sign change below {limit:g}")
-        lo, hi = hi, min(2.0 * hi, limit)
-    return refine_root(func, lo, hi)
+            lo, g_lo = x, g
+        if not 0.0 < abs(g1) < math.inf:  # no slope to step by: bisect
+            g1 = math.nan
+        step = -g / g1
+        den = 1.0 + 0.5 * step * g2 / g1
+        if den > 0.0:
+            step /= den
+        if abs(step) <= _ROOT_STEP_TOL:
+            return min(max(x + x * math.expm1(step), lo), hi)
+        new = x * math.exp(step) if abs(step) < min(700.0, 0.5 * last) else math.nan
+        if not lo < new < hi:
+            new = (4.0 * lo if hi == math.inf else 0.25 * hi if lo == 0.0
+                   else math.sqrt(lo) * math.sqrt(hi))
+            if not lo < new < hi:  # two neighbouring floats, or the end of the float range
+                break
+        last, x = abs(math.log(new / x)), new
+    else:
+        raise BracketFailure(f"no root found on [{lo!r}, {hi!r}] in {_ROOT_STEPS} steps")
+    # an end never evaluated is the caller's: evaluate it, unless it is 0 or inf
+    if g_lo is None:
+        g_lo = func(lo)[0] if lo > 0.0 else math.nan
+    elif g_hi is None:
+        g_hi = func(hi)[0] if hi < math.inf else math.nan
+    if not (g_lo <= 0.0 <= g_hi if rising else g_lo >= 0.0 >= g_hi):
+        raise BracketFailure(f"no sign change on [{lo!r}, {hi!r}]")
+    return lo if abs(g_lo) <= abs(g_hi) else hi
 
 
 def _positive(value, what: str) -> float:

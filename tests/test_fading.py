@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
@@ -25,7 +26,7 @@ from conftest import (
 )
 from hopcap import discrete, hopopt, waterfill
 from hopcap.errors import BracketFailure, DiscreteKindError, ValidationError
-from hopcap.fading import PROB_SUM_TOL, FadingModel, refine_root
+from hopcap.fading import PROB_SUM_TOL, FadingModel, log_root
 from hopcap.hopopt import HopProblem
 from hopcap.macmodel import MacProfile
 
@@ -515,7 +516,7 @@ def test_numpy_is_imported_only_where_arrays_are():
         "hopopt.py": set(),
         "discrete.py": set(),
         "fading.py": {"FadingModel.sample_h"},
-        "waterfill.py": {"WaterfillSolution.allocation"},
+        "waterfill.py": set(),
     }
     for name, scopes in allowed.items():
         assert importers(_SRC / "hopcap" / name, "numpy") == scopes, name
@@ -537,60 +538,76 @@ def test_alpha_over_sigma2_is_read_only_at_the_edges():
 
 
 def scipy_brentq(func, lo, hi):
-    return brentq(func, lo, hi, xtol=1e-30, rtol=1e-15)
+    """The root of the g that ``func`` returns first, by scipy's brentq."""
+    return brentq(lambda x: func(x)[0], lo, hi, xtol=1e-300, rtol=8.9e-16)
+
+
+# monotone families g(x) with the root x = r, as (g, dg/dlog x, d2g/dlog x**2) of
+# s = x/r and a shape parameter a in [0.5, 4]; the sign of a sets the direction
+LOG_ROOT_FAMILIES = {
+    "log": lambda s, a: (a * math.log(s), a, 0.0),
+    "power": lambda s, a: (s**a - 1.0, a * s**a, a * a * s**a),
+    "atan": lambda s, a: (math.atan(a * math.log(s)),
+                          a / (1.0 + (a * math.log(s)) ** 2),
+                          -2.0 * a**3 * math.log(s) / (1.0 + (a * math.log(s)) ** 2) ** 2),
+    "tanh": lambda s, a: (math.tanh(a * (s - 1.0)),
+                          a * s * (1.0 - math.tanh(a * (s - 1.0)) ** 2),
+                          a * s * (1.0 - math.tanh(a * (s - 1.0)) ** 2)
+                          * (1.0 - 2.0 * a * s * math.tanh(a * (s - 1.0)))),
+}
 
 
 def recorded_brackets(monkeypatch, module, run):
-    """Every (func, lo, hi) that ``run`` hands to ``module.refine_root``."""
+    """(func, lo, hi, root) of every call that ``run`` makes to ``module.log_root``."""
     calls = []
 
-    def record(func, lo, hi):
-        calls.append((func, lo, hi))
-        return refine_root(func, lo, hi)
+    def record(func, x, lo, hi, rising):
+        root = log_root(func, x, lo, hi, rising)
+        calls.append((func, lo, hi, root))
+        return root
 
-    monkeypatch.setattr(module, "refine_root", record)
+    monkeypatch.setattr(module, "log_root", record)
     run()
     monkeypatch.undo()
     return calls
 
 
-class TestRefineRoot:
-    """`refine_root` steps as scipy's brentq does, so it returns the same float."""
+class TestLogRoot:
+    """`log_root` finds the root of a monotone g at any scale of x or of g."""
 
-    FAMILIES = (
-        lambda a, x: math.expm1(a * x),
-        lambda a, x: x**3 + a * x,
-        lambda a, x: math.atan(a * (x - 1.0)),
-        lambda a, x: math.log(x),
-        lambda a, x: (x - 1.0) ** 5 + 1e-6 * a * (x - 1.0),
-        lambda a, x: math.tanh(a * x) - 0.5 * x,
+    @settings(derandomize=True, database=None, max_examples=600, deadline=None)
+    @given(
+        family=st.sampled_from(sorted(LOG_ROOT_FAMILIES)),
+        a=st.floats(0.5, 4.0),
+        rising=st.booleans(),
+        log10_root=st.floats(-300.0, 300.0),
+        log10_g=st.floats(-300.0, 300.0),
+        below=st.floats(0.01, 3.0),
+        above=st.floats(0.01, 3.0),
+        start=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        open_below=st.booleans(),
     )
+    def test_root_of_a_monotone_family_at_any_scale(
+        self, family, a, rising, log10_root, log10_g, below, above, start, open_below
+    ):
+        r, scale = 10.0**log10_root, 10.0**log10_g
+        lo, hi = r * 10.0**-below, r * 10.0**above
+        x0 = lo * (hi / lo) ** start
+        g = LOG_ROOT_FAMILIES[family]
+        a = a if rising else -a
+        calls = []
 
-    def test_matches_brentq_on_seeded_smooth_brackets(self):
-        rng = make_rng(21)
-        checked = 0
-        for i in range(3000):
-            g = self.FAMILIES[i % len(self.FAMILIES)]
-            a = float(rng.uniform(0.1, 5.0))
-            lo, hi = sorted(rng.uniform(1e-3, 4.0, 2).tolist())
-            root = lo + float(rng.uniform(0.0, 1.0)) * (hi - lo)
-            s = 10.0 ** float(rng.uniform(-12.0, 12.0))
-            func = lambda x, g=g, a=a, s=s, level=g(a, root): g(a, x / s) - level
-            if (func(lo * s) < 0.0) == (func(hi * s) < 0.0):
-                continue
-            assert refine_root(func, lo * s, hi * s) == scipy_brentq(func, lo * s, hi * s)
-            checked += 1
-        assert checked >= 2900  # a root at the very end of its bracket may round away
+        def func(x):
+            calls.append(x)
+            return tuple(scale * v for v in g(x / r, a))
 
-    @pytest.mark.parametrize("scale", [1e-300, 1e-320])
-    def test_matches_brentq_where_a_step_denominator_underflows(self, scale):
-        # the inverse-quadratic denominator is a product of two slopes and a
-        # difference of values; it underflows to 0, and brentq rejects that step
-        func = lambda x: scale * (x**3 - 0.3)
-        assert refine_root(func, 0.0, 1.0) == scipy_brentq(func, 0.0, 1.0)
+        root = log_root(func, x0, 0.0 if open_below else lo, hi, rising)
+        # one ulp of x/r moves g by about one ulp of g's slope: the root is as good
+        assert abs(root - r) <= 4.0 * math.ulp(r), (root, r)
+        assert len(calls) <= 20
 
-    def test_matches_brentq_on_the_tabulated_roots(self, monkeypatch):
-        # the brackets of every critical point and root of the stationary residual
+    def test_agrees_with_brentq_on_the_tabulated_brackets(self, monkeypatch):
+        # every critical point and root of the stationary residual
         rng = make_rng(22)
         models = [random_tabulated_model(rng, points=201) for _ in range(20)]
         etas = rng.uniform(1.5, 5.0, len(models)).tolist()
@@ -600,10 +617,10 @@ class TestRefineRoot:
             lambda: [hopopt._tabulated_roots(m, eta) for m, eta in zip(models, etas)],
         )
         assert len(calls) >= 30
-        for func, lo, hi in calls:
-            assert refine_root(func, lo, hi) == scipy_brentq(func, lo, hi)
+        for func, lo, hi, root in calls:
+            assert root == pytest.approx(scipy_brentq(func, lo, hi), rel=1e-14, abs=0)
 
-    def test_matches_brentq_on_the_discrete_branches(self, monkeypatch):
+    def test_agrees_with_brentq_on_the_discrete_branches(self, monkeypatch):
         rng = make_rng(23)
         models = [random_discrete_model(rng, max_states=8) for _ in range(40)]
         etas = rng.uniform(1.2, 5.0, len(models)).tolist()
@@ -613,22 +630,27 @@ class TestRefineRoot:
             lambda: [discrete.stationary_roots(m.table, eta) for m, eta in zip(models, etas)],
         )
         assert len(calls) >= 40
-        for func, lo, hi in calls:
-            assert refine_root(func, lo, hi) == scipy_brentq(func, lo, hi)
+        for func, lo, hi, root in calls:
+            assert root == pytest.approx(scipy_brentq(func, lo, hi), rel=1e-14, abs=0)
 
-    def test_no_sign_change_is_a_bracket_failure(self):
-        with pytest.raises(BracketFailure):
-            refine_root(lambda x: x * x + 1.0, 0.0, 1.0)
+    @pytest.mark.parametrize("func, lo, hi, x", [
+        (lambda x: (math.nan, 1.0, 0.0) if x > 0.9 else (math.log(x / 0.5), 1.0, 0.0),
+         0.1, 1.0, 0.95),
+        (lambda x: (math.nan, 1.0, 0.0) if 0.2 < x < 0.8 else (math.log(x / 0.5), 1.0, 0.0),
+         0.01, 1.0, 0.1),
+    ], ids=["start", "inside"])
+    def test_nan_is_a_bracket_failure(self, func, lo, hi, x):
+        with pytest.raises(BracketFailure, match="NaN"):
+            log_root(func, x, lo, hi, rising=True)
 
-    @pytest.mark.parametrize("func", [
-        lambda x: math.nan if x > 0.9 else x - 0.5,  # NaN at the upper end
-        lambda x: math.nan if 0.2 < x < 0.8 else x - 0.5,  # NaN inside
-    ])
-    def test_nan_is_a_bracket_failure(self, func):
-        with pytest.raises(BracketFailure):
-            refine_root(func, 0.0, 1.0)
-
-    def test_no_convergence_is_a_bracket_failure(self):
-        # a step at 0: the relative tolerance never closes around the jump
-        with pytest.raises(BracketFailure):
-            refine_root(lambda x: math.copysign(1.0, x), -1.0, 0.7)
+    @pytest.mark.parametrize("log_r, lo, hi, rising", [
+        (10.0, 1.0, 2.0, True),  # the root exp(10) lies above the bracket
+        (10.0, 1.0, 2.0, False),
+        (-1000.0, 0.0, 1.0, True),  # below every float: /4 reaches 0
+        (1000.0, 1.0, math.inf, False),  # above every float: x4 passes the largest
+    ], ids=["above", "above-falling", "below-every-float", "above-every-float"])
+    def test_no_root_in_the_bracket_is_a_bracket_failure(self, log_r, lo, hi, rising):
+        sign = 1.0 if rising else -1.0
+        func = lambda x: (sign * (math.log(x) - log_r), sign, 0.0)
+        with pytest.raises(BracketFailure, match="no sign change"):
+            log_root(func, 0.75 * hi if hi < math.inf else 1.5, lo, hi, rising)

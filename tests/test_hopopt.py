@@ -427,6 +427,18 @@ class TestScaleFree:
         build, _ = SCALE_MODELS["tabulated"]
         assert unit_roots(build(c)) == pytest.approx(unit_roots(build(1.0)), rel=1e-14, abs=0)
 
+    @pytest.mark.parametrize("eta", [2.0, 3.0])
+    @pytest.mark.parametrize("s", [1e-189, 1e-100, 1e262])
+    def test_bimodal_with_scaled_nodes_keeps_its_roots(self, s, eta):
+        # the density of s*H has the roots lam = s*lam_1 and pi = pi_1/s; an absolute
+        # tolerance in the root refine found no point at these s
+        nodes, values = BIMODAL
+        scaled = FadingModel.tabulated([h * s for h in nodes], [a / s for a in values])
+        got = unit_roots(scaled, eta)
+        got[0::3], got[1::3] = [pi * s for pi in got[0::3]], [lam / s for lam in got[1::3]]
+        assert got == pytest.approx(unit_roots(FadingModel.tabulated(*BIMODAL), eta),
+                                    rel=1e-14, abs=0)
+
     @pytest.mark.parametrize("rate, c", [(1.0, 1e-300), (1e-300, 1e9)])
     def test_extreme_exponential_scales_find_the_root(self, rate, c):
         # x-space kernels raised NoStationaryPoint at (1, 1e-300), and at
@@ -435,9 +447,10 @@ class TestScaleFree:
             unit_roots(FadingModel.exponential(rate)), rel=1e-14, abs=0)
 
     def test_two_state_gamma_is_exact_at_a_power_of_two_scale(self):
-        # x-space tables moved Gamma at the first root in its 15th digit
+        # x-space tables moved Gamma at the first root in its 15th digit; the pinned
+        # float is the one nearest its 40-digit value 2.81178940913206007
         build, _ = SCALE_MODELS["discrete"]
-        assert unit_roots(build(2.0**-900))[2] == unit_roots(build(1.0))[2] == 2.8117894091320608
+        assert unit_roots(build(2.0**-900))[2] == unit_roots(build(1.0))[2] == 2.81178940913206
 
     def test_the_scale_failure_is_a_numerical_exit(self, tmp_path, capsys):
         # lam = c*lam_H = 1.85e308 overflows; x-space kernels blamed eta

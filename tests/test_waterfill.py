@@ -10,12 +10,14 @@ from hypothesis import assume, given, settings, strategies as st
 
 from conftest import (
     bisect_scalar,
+    bracketed_brentq,
     make_rng,
     oracle_cell_integrals,
     oracle_cell_mass,
     oracle_power_integral,
     oracle_rate_integral,
     oracle_waterfill_lambda,
+    pdf_x,
     random_model,
     rechar_roots,
     x_top,
@@ -23,7 +25,7 @@ from conftest import (
 from hopcap.cli import main
 from hopcap.config import load_config
 from hopcap.errors import BracketFailure, DiscreteKindError, NonPositivePi, ValidationError
-from hopcap.fading import FadingModel, TabulatedDensity, TailTable, bracket_root
+from hopcap.fading import FadingModel, TabulatedDensity, TailTable
 from hopcap.simulator import WaterfillPolicy
 from hopcap import hopopt, waterfill
 
@@ -122,12 +124,14 @@ class TestInvariants:
             pi = float(np.exp(rng.uniform(np.log(1e-2), np.log(1e2))))
             sol = waterfill.solve(model, pi)
             assert oracle_power_integral(model, sol.lam) == pytest.approx(pi, rel=1e-7)
-            # KKT: active states sit exactly at the water level
+            # KKT: the policy's active states sit exactly at the water level, and it
+            # pours nothing below (at h = lam/c itself, c*h may round above lam)
+            policy, c = WaterfillPolicy(sol), model.alpha_over_sigma2
             hi = min(x_top(model), sol.lam * 1e6)
             xs = np.exp(rng.uniform(np.log(sol.lam * 1.0001), np.log(hi), size=100))
-            xi = sol.allocation(xs)
+            xi = policy.power(xs / c, 1.0)
             assert np.allclose(xs / (1.0 + xs * xi), sol.lam, rtol=1e-12)
-            assert np.all(sol.allocation(np.linspace(1e-6, sol.lam, 13)) == 0.0)
+            assert np.all(policy.power(np.linspace(1e-6, sol.lam, 13)[:-1] / c, 1.0) == 0.0)
 
     def test_monotone_in_pi(self):
         model = FadingModel.exponential(0.7, alpha_over_sigma2=2.0)
@@ -270,7 +274,7 @@ class TestWaterLevelBracket:
             # the kernel runs at unit scale, where the level solves P(lam/c) = pi*c
             c = model.alpha_over_sigma2
             start = min(1.0 / model.kind.rate, 1.0 / (pi * c))
-            brent = bracket_root(lambda x: kernel(model, x)[1] - pi * c, start)
+            brent = bracketed_brentq(lambda x: kernel(model, x)[1] - pi * c, start)
             assert lam / c == pytest.approx(brent, rel=1e-14, abs=0.0), pi
             # Gamma = rate + lam*(pi - P) at the last kernel call carries that call's
             # error in P, which cancels u-fold in mass/lam - nu*E1(u) (2.3e-15 at
@@ -373,7 +377,7 @@ class TestWaterLevelBracket:
 
 
 class TestOneKernelCall:
-    """A stationary residual or slope costs one kernel evaluation: one E1, one table lookup."""
+    """A stationary residual or slope triple costs one kernel evaluation: one E1, one table lookup."""
 
     def test_exponential_stationary_points(self, monkeypatch):
         e1 = waterfill.exp1
@@ -383,9 +387,9 @@ class TestOneKernelCall:
             calls.clear()
             model = FadingModel.exponential(1.0, alpha_over_sigma2=scale)
             hopopt.stationary_points(hopopt.HopProblem(model=model, eta=3.0, pt_prime=1.0))
-            # 16 residuals to bracket and refine the root, one more to read off its point;
+            # 6 residual triples from u = 1 to the root, one more to read off its point;
             # the root is found at unit scale, so the scale does not change them
-            assert len(calls) == 17
+            assert len(calls) == 7
 
     @pytest.mark.parametrize("lam", [0.05, 0.7, 3.0, 9.5])
     def test_tabulated_slope_and_residual(self, lam, monkeypatch):
@@ -400,12 +404,16 @@ class TestOneKernelCall:
                 monkeypatch.setattr(TailTable, name, counted(name, method))
         slope = hopopt._slope(model, lam, eta)
         assert lookups == ["above"]
-        residual = hopopt._lam_residual(model, lam, eta)
+        residual = hopopt._residual(model, lam, eta)
         assert lookups == ["above", "above"]
+        # R = rate - eta*lam*power and its derivatives in log lam: lam*R', and
+        # lam*R' + lam**2*R'' with lam**2*R'' = mass - (eta-1)*lam*f
         power, rate = oracle_cell_integrals(model, lam)
         mass = oracle_cell_mass(model, lam)
-        assert slope == pytest.approx((eta - 1.0) * mass / lam - eta * power, rel=1e-10)
-        assert residual == pytest.approx(rate - eta * lam * power, rel=1e-10)
+        lam_r1 = (eta - 1.0) * mass - eta * lam * power
+        lam_r2 = lam_r1 + mass - (eta - 1.0) * lam * float(pdf_x(model, lam))
+        assert residual == pytest.approx((rate - eta * lam * power, lam_r1, lam_r2), rel=1e-10)
+        assert slope == pytest.approx((lam_r1, lam_r2, 0.0), rel=1e-10)
 
 
 class TestExtremeExponential:
