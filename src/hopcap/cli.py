@@ -281,14 +281,12 @@ def _cmd_compare_ftt(args) -> int:
 
 
 def _cmd_single_cell_bound(args) -> int:
-    import numpy as np
-
     cfg = load_config(args.config)
     started = time.monotonic()
     if cfg.bound is None:
         raise ConfigError("bound: section missing")
     spec = cfg.bound
-    ks = np.unique(np.geomspace(spec.k_min, spec.k_max, spec.points).astype(int))
+    ks = sorted({int(k) for k in _geomspace(spec.k_min, spec.k_max, spec.points)})
     _require_finite_power("(2*area)**(eta/2)", 2.0 * spec.area, cfg.eta / 2.0,
                           f"bound.area_m2 = {spec.area!r} with eta = {cfg.eta!r}")
     rows = []

@@ -4,11 +4,12 @@ With the gains x = h in descending order and cumulative constants
 
     p_k = a_1 + ... + a_k        alpha_k = sum_{i<=k} a_i / x_i
 
-the multiplier is piecewise ``lam(Pi) = p_k / (alpha_k + Pi)`` between
-breakpoints ``Pi_k``, and the optimal rate as a function of hop distance
-is ``Gamma(d) = p_k * log(gamma_k * (alpha_k + c*Pt'/d**eta))`` with the
-integration constants ``gamma_k`` chained so the pieces join
-continuously.  Stationary points of d * Gamma(d) reduce, per segment, to
+the multiplier is ``lam(Pi) = p_k / (alpha_k + Pi)`` between breakpoints
+``Pi_k = p_k/x_{k+1} - alpha_k``, where lam meets the next gain, and the
+optimal rate ``Gamma = E[log(X/lam)^+]`` is ``p_k * (b_k + log1p(Pi/alpha_k))``
+with ``b_k = (1/p_k) * sum_{i<=k} a_i*log(x_i*alpha_k/p_k)`` >= 0, the
+paper's ``log(alpha_k*gamma_k)`` for its integration constants ``gamma_k``
+(``b_1 = 0``).  Stationary points of d * Gamma(d) reduce, per segment, to
 ``y * exp(-eta*y) = exp(b_k - eta)`` on a half-open y-interval, solved in
 logs as ``log(y) - eta*(y - 1) = b_k`` (no exp to underflow, and no
 digits cancel near y = 1) by `fading.log_root` on each monotone branch,
@@ -32,15 +33,14 @@ class DiscreteWaterfillTable(NamedTuple):
 
     All entries are float tuples that depend only on the distribution (not
     on power, path loss or scale): ``pi_breaks`` has length n-1 and is
-    strictly increasing; ``log_gamma`` carries the integration constants in
-    log space and ``b = log(alpha_k * gamma_k)`` feeds the stationary-point
-    equation.
+    strictly increasing, and ``b`` holds the segment constants
+    ``b_k = log(alpha_k*gamma_k)``, with ``b[0] = 0``, that feed both
+    ``Gamma`` and the stationary-point equation.
     """
 
     p: tuple
     alpha: tuple
     pi_breaks: tuple
-    log_gamma: tuple
     b: tuple
 
     @property
@@ -49,28 +49,29 @@ class DiscreteWaterfillTable(NamedTuple):
 
 
 def build_table(model: FadingModel) -> DiscreteWaterfillTable:
-    """Precompute cumulative sums, breakpoints and integration constants."""
+    """Cumulative sums, breakpoints and segment constants, each from its definition.
+
+    ``Pi_k`` is summed from its positive steps ``p_k*(1/x_{k+1} - 1/x_k)``, one
+    gain divided at a time, and ``p_k*b_k`` grows from the segment below by
+    two ``log1p`` terms of the breakpoint between them.
+    """
     if not model.is_discrete:
         raise DiscreteKindError("closed-form tables require a discrete model")
     x, a = model.kind.gains, model.kind.probs
     p = tuple(itertools.accumulate(a))
     alpha = tuple(itertools.accumulate(ai / xi for ai, xi in zip(a, x)))
-    n = len(x)
-    pi_breaks = tuple(
-        (alpha[k + 1] / p[k + 1] - alpha[k] / p[k]) / (1.0 / p[k] - 1.0 / p[k + 1])
-        for k in range(n - 1)
-    )
+    pi_breaks = tuple(itertools.accumulate(
+        pk * ((xk - xn) / xk) / xn for pk, xk, xn in zip(p, x, x[1:])
+    ))
     if any(hi <= lo for lo, hi in zip((0.0,) + pi_breaks, pi_breaks)):
         raise ValidationError("breakpoints must be positive and strictly increasing")
-    log_gamma = [-math.log(alpha[0])]
-    for k in range(1, n):
-        pi_prev = pi_breaks[k - 1]
-        log_gamma.append((p[k - 1] / p[k]) * (
-            math.log(alpha[k - 1] + pi_prev) + log_gamma[k - 1]
-        ) - math.log(alpha[k] + pi_prev))
     # b_0 = 0 exactly, by definition; keeps y = 1 off the root set
-    b = (0.0,) + tuple(math.log(alpha[k]) + log_gamma[k] for k in range(1, n))
-    return DiscreteWaterfillTable(p, alpha, pi_breaks, tuple(log_gamma), b)
+    b = [0.0]
+    for k in range(1, len(x)):
+        pi_prev = pi_breaks[k - 1]
+        b.append((p[k - 1] * (b[-1] + math.log1p(a[k] * (pi_prev / alpha[k - 1]) / p[k]))
+                  + a[k] * math.log1p(-x[k] * pi_prev / p[k])) / p[k])
+    return DiscreteWaterfillTable(p, alpha, pi_breaks, tuple(b))
 
 
 def segment_index(table: DiscreteWaterfillTable, pi: float) -> int:
@@ -85,10 +86,11 @@ def lambda_closed_form(table: DiscreteWaterfillTable, pi: float) -> float:
 
 
 def gamma_of_pi(table: DiscreteWaterfillTable, pi: float) -> float:
-    """Optimal rate (nats) at normalized power Pi, via the closed form.
+    """Optimal rate (nats) at normalized power Pi, E[log(X/lam)^+], in closed form.
 
-    Evaluated as p_k * (log1p(Pi/alpha_k) + b_k) rather than the printed
-    log(gamma_k*(alpha_k + Pi)) so small Pi does not cancel digits.
+    Evaluated as p_k * (log1p(Pi/alpha_k) + b_k), a sum of two terms that
+    are never negative, rather than the paper's p_k * log(gamma_k*(alpha_k
+    + Pi)), so small Pi does not cancel digits.
     """
     k = segment_index(table, pi)
     return float(table.p[k] * (math.log1p(pi / table.alpha[k]) + table.b[k]))

@@ -136,10 +136,10 @@ def stationary_points(problem: HopProblem) -> StationarySet:
 def _roots(problem: HopProblem) -> list:
     """The point at every root of Gamma - eta*pi*lam, eta > 1: the edge where c enters.
 
-    A kind's root (pi_H, lam_H) at unit scale is kept when its residual is
-    below 1e-8 of its Gamma, as ``pi = pi_H/c``, ``lam = c*lam_H`` and
-    ``d = (pt'/pi)**(1/eta)``; where one of them, or psi, leaves the float
-    range (0 included), BracketFailure names c.
+    A kind's root (pi_H, lam_H) at unit scale becomes a point at ``pi = pi_H/c``,
+    ``lam = c*lam_H`` and ``d = (pt'/pi)**(1/eta)``.  BracketFailure names pi_H
+    when the root's residual exceeds 1e-8 of its Gamma, and c where pi, lam,
+    d or psi leaves the float range (0 included).
     """
     model, eta = problem.model, problem.eta
     if model.is_discrete:
@@ -154,8 +154,10 @@ def _roots(problem: HopProblem) -> list:
     c = model.alpha_over_sigma2
     points = []
     for pi_h, lam_h, gamma, segment in roots:
-        if abs(gamma - eta * pi_h * lam_h) > _RESIDUAL_REL * max(gamma, 1e-12):
-            continue
+        residual = gamma - eta * (pi_h * lam_h)
+        if abs(residual) > _RESIDUAL_REL * max(gamma, 1e-12):
+            raise BracketFailure(f"the stationary root at pi_H = {pi_h!r} has the residual "
+                                 f"{residual!r}, above {_RESIDUAL_REL:g} of Gamma = {gamma!r}")
         pi, lam = pi_h / c, c * lam_h
         d = problem.d_of_pi(pi) if pi else 0.0
         if not (pi < math.inf and 0.0 < lam < math.inf and 0.0 < d and d * gamma < math.inf):
@@ -235,20 +237,12 @@ def _tabulated_roots(model: FadingModel, eta: float) -> list:
               for v, m, p in zip(tails.x, tails.mass, tails.power) if 0.0 < v < top]
     breaks += [(v, slope(v)[0]) for v in cuts if v < top]
     breaks.sort()
-    # a start below every break, where R' < 0 and R > 0
-    lam0 = breaks[0][0] if breaks else top
-    while True:
-        lam0 *= 0.1
-        if lam0 == 0.0:
-            raise BracketFailure("no start below the tabulated nodes before lam underflows to 0")
-        r0, g0, _ = residual(lam0)
-        if g0 < 0.0 and r0 > 0.0:
-            break
+    # both passes start at lam = 0, with the limits lam*R' -> -mass and R -> +inf
     critical = _sign_change_roots(
-        slope, [lam0] + [v for v, _ in breaks], [g0] + [g for _, g in breaks]
+        slope, [0.0] + [v for v, _ in breaks], [-tails.mass[0]] + [g for _, g in breaks]
     )
-    return _sign_change_roots(residual, [lam0] + critical,
-                              [r0] + [residual(v)[0] for v in critical])
+    return _sign_change_roots(residual, [0.0] + critical,
+                              [math.inf] + [residual(v)[0] for v in critical])
 
 
 def _sign_change_roots(func, xs, values) -> list:
@@ -256,11 +250,13 @@ def _sign_change_roots(func, xs, values) -> list:
 
     ``values`` are g at ``xs``, where ``func`` returns g and its two
     derivatives in log x.  A zero value past the first point is a root itself.
+    The first point may be x = 0, where g is a limit; its step starts at v/sqrt(10).
     """
     roots = []
     for u, v, fu, fv in zip(xs, xs[1:], values, values[1:]):
         if fv == 0.0:
             roots.append(v)
         elif fu * fv < 0.0:
-            roots.append(log_root(func, math.sqrt(u) * math.sqrt(v), u, v, rising=fv > 0.0))
+            start = math.sqrt(u) * math.sqrt(v) if u else v / math.sqrt(10.0)
+            roots.append(log_root(func, start, u, v, rising=fv > 0.0))
     return roots

@@ -8,11 +8,11 @@ aggregate bit rate and the network power are ratio estimators, so the
 
 The generator is numpy's PCG64, seeded from the config: identical seeds
 reproduce reports byte for byte (draw order: period types first, then
-fades for the successful periods, in sequence order).  `run` works in
-fixed chunks without changing that order, so its memory is one byte per
-period for the period types plus a few arrays of one chunk's length,
-whatever the horizon; the estimators merge centred co-moments chunk by
-chunk, and the trace is written one formatted block per chunk.
+fades for the successful periods, in sequence order).  `run` keeps that
+order in one pass over fixed chunks, drawing fades from a second copy of
+the stream, so its memory is a few arrays of one chunk's length whatever
+the horizon; the estimators merge centred co-moments chunk by chunk, and
+the trace is written one formatted block per chunk.
 
 The fixed-transmission-time vs fixed-packet-size comparison works on
 two channel samples: the fixed-packet totals define a time and energy
@@ -152,20 +152,18 @@ def _period_types(rng: np.random.Generator, out: np.ndarray, p):
 def run(config: SimConfig, trace_path=None) -> SimReport:
     """Simulate ``horizon`` contention periods and estimate rate and power.
 
-    Period types are drawn chunk by chunk into one int8 array, then each
-    chunk's successes get their fades; sequential draws give the numbers
-    one call over the horizon would, so nothing depends on ``_CHUNK``.
-    Idle and collision periods enter the totals and co-moments by count.
-    An estimate that leaves the float range raises NumericalError.
+    One pass over the chunks in one chunk-sized int8 buffer: a chunk's
+    period types, then its successes' fades, drawn from the stream past
+    the ``horizon`` period-type draws (one 64-bit output each), as one
+    call over the horizon would; nothing depends on ``_CHUNK``.  Idle and
+    collision periods enter the totals and co-moments by count.  An
+    estimate that leaves the float range raises NumericalError.
     """
     prof = config.profile
     rng = np.random.Generator(np.random.PCG64(config.seed))
-    chunks = [
-        slice(s, min(s + _CHUNK, config.horizon)) for s in range(0, config.horizon, _CHUNK)
-    ]
-    kinds = np.empty(config.horizon, dtype=np.int8)
+    fades = np.random.Generator(np.random.PCG64(config.seed).advance(config.horizon))
+    buffer = np.empty(min(_CHUNK, config.horizon), dtype=np.int8)
     p = [prof.p_idle, prof.p_collision, prof.p_success]
-    counts = [_period_types(rng, kinds[c], p) for c in chunks]
 
     # rows: duration, energy, bits; columns: idle, collision, success.  A
     # success's values vary per period, so its column is a placeholder
@@ -174,6 +172,7 @@ def run(config: SimConfig, trace_path=None) -> SimReport:
     )
     moments = _CoMoments()
     success_sums = []
+    counts = [0, 0, 0]  # idle, collision and success periods so far
     trace = contextlib.nullcontext()
     if trace_path is not None:
         trace = open(trace_path, "w", newline="", encoding="utf-8")
@@ -182,18 +181,21 @@ def run(config: SimConfig, trace_path=None) -> SimReport:
             fh.write("period_type,duration_s,energy_J,bits\n")
             lines = [f"{name},{t:.17g},{e:.17g},{b:.17g}\n"
                      for name, t, e, b in zip(("idle", "collision"), *fixed.tolist())]
-        for c, (n_idle, n_collision, n_success) in zip(chunks, counts):
+        for start in range(0, config.horizon, _CHUNK):
+            kinds = buffer[:min(_CHUNK, config.horizon - start)]
+            n_idle, n_collision, n_success = chunk = _period_types(rng, kinds, p)
+            counts = [total + n for total, n in zip(counts, chunk)]
             moments.merge(n_idle, fixed[:, 0], 0.0)
             moments.merge(n_collision, fixed[:, 1], 0.0)
             rows = None
             if n_success:
-                rows = _success_rows(config, config.model.sample_h(rng, n_success))
+                rows = _success_rows(config, config.model.sample_h(fades, n_success))
                 success_sums.append(rows.sum(axis=1))
                 moments.merge_rows(rows)
             if fh is not None:
-                fh.write(_trace_block(kinds[c], lines, rows))
+                fh.write(_trace_block(kinds, lines, rows))
 
-    n_idle, n_collision, n_success = (sum(column) for column in zip(*counts))
+    n_idle, n_collision, n_success = counts
     total_time, total_energy, total_bits = (
         math.fsum([n_idle * fixed[j, 0], n_collision * fixed[j, 1]] + [s[j] for s in success_sums])
         for j in range(3)

@@ -178,6 +178,8 @@ def test_scalar_commands_load_no_numpy_scipy_or_simulator(exp_cfg, fig1_cfg, tab
             ["sweep", "--config", str(cfg), "--grid", "0.05:20:200",
              "--out", str(tmp_path / f"{cfg.stem}.sweep.csv")],
         ]
+    argvs.append(["single-cell-bound", "--config", str(fig1_cfg),
+                  "--out", str(tmp_path / "fig1.bound.csv")])
     simulate = ["simulate", "--config", str(fig1_cfg), "--horizon", "10000"]
     loaded, stdlib = loaded_after_each(argvs + [simulate])
     *scalar, after_simulate = loaded
@@ -726,14 +728,14 @@ GOLDEN = {
         'transport_opt_bit_m_per_s=1121061.7007315489\n',
         'd_m,pi,lambda,gamma_nats,psi\n'
         '0.32333896800711576,29.581885819215007,0.031683684471817922,2.8117894091320599,0.90916108580209798\n'
-        '2.8382837786337287,0.043735344785331413,0.49411134288993758,0.064830389830903709,0.18400704381955504\n'
+        '2.8382837786337234,0.043735344785331649,0.49411134288993758,0.06483038983090389,0.18400704381955521\n'
         '8.5856199598155438,0.0015801016190708336,5.9520209292640391,0.028214393721220782,0.2422380618870075\n',
     ),
     ('fig1-discrete', 'stationary-points'): (
         'stationary_points=3 unique=false\n',
         'd_m,gamma_nats,psi,segment\n'
         '0.32333896800711576,2.8117894091320599,0.90916108580209798,2\n'
-        '2.8382837786337287,0.064830389830903709,0.18400704381955504,2\n'
+        '2.8382837786337234,0.06483038983090389,0.18400704381955521,2\n'
         '8.5856199598155438,0.028214393721220782,0.2422380618870075,1\n',
     ),
     ('tabulated', 'optimize'): (
@@ -745,14 +747,14 @@ GOLDEN = {
         'gamma_opt=0.28213940294653994\n'
         'psi_opt=1.124296312781885\n',
         'd_m,pi,lambda,gamma_nats,psi\n'
-        '0.40056315558084332,15.559190596934574,0.057326681431276665,2.6758702880369514,1.0718550465011014\n'
+        '0.40056315558084338,15.55919059693457,0.057326681431276678,2.6758702880369514,1.0718550465011016\n'
         '1.2238821466717307,0.54548297605211171,0.42821040226851331,0.70074445381770178,0.85762862640671833\n'
         '3.9848964768487787,0.01580333949094908,5.9510502639463718,0.28213940294653994,1.124296312781885\n',
     ),
     ('tabulated', 'stationary-points'): (
         'stationary_points=3 unique=false\n',
         'd_m,gamma_nats,psi,segment\n'
-        '0.40056315558084332,2.6758702880369514,1.0718550465011014,\n'
+        '0.40056315558084338,2.6758702880369514,1.0718550465011016,\n'
         '1.2238821466717307,0.70074445381770178,0.85762862640671833,\n'
         '3.9848964768487787,0.28213940294653994,1.124296312781885,\n',
     ),
@@ -774,15 +776,15 @@ GOLDEN_BITS = {
         'transport_opt_bit_m_per_s=1121061.7007315489\n',
         'd_m,pi,lambda,gamma_bits,psi\n'
         '0.32333896800711576,29.581885819215007,0.031683684471817922,4.0565546365789311,1.3116421898559121\n'
-        '2.8382837786337287,0.043735344785331413,0.49411134288993758,0.093530481907943067,0.26546604960711023\n'
+        '2.8382837786337234,0.043735344785331649,0.49411134288993758,0.09353048190794333,0.26546604960711051\n'
         '8.5856199598155438,0.0015801016190708336,5.9520209292640391,0.04070476590329393,0.34947565059893954\n',
     ),
     "sweep": (
         'power_factor,d_m,pi,gamma_bits,psi,segment\n'
         '1,0.050000000000000003,7999.9999999999982,12.042579887431927,0.60212899437159639,2\n'
         '1,0.1990535852767486,126.79145539688912,6.0851087005607631,1.2112627036453567,2\n'
-        '1,0.79244659623055658,2.0095091452076654,1.0726859770443486,0.85004635133304307,2\n'
-        '1,3.1547867224009645,0.031848573644279836,0.085031991545879704,0.26825779790825238,2\n'
+        '1,0.79244659623055658,2.0095091452076654,1.0726859770443489,0.85004635133304318,2\n'
+        '1,3.1547867224009645,0.031848573644279836,0.085031991545879815,0.26825779790825266,2\n'
         '1,12.559432157547896,0.00050476587558415521,0.025963767365919887,0.32609017478662689,1\n'
         '1,50,7.9999999999999996e-06,0.0011103131238874384,0.055515656194371918,1\n',
         None,

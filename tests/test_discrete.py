@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -33,13 +34,41 @@ def stationary(model, eta, pt):
     return hopopt.stationary_points(hopopt.HopProblem(model=model, eta=eta, pt_prime=pt))
 
 
+def mpmath_table(model):
+    """(pi_breaks, b, Gamma) of a discrete model at unit scale, each from its definition at 40 digits.
+
+    With gains x descending, ``p_k`` and ``alpha_k`` the sums of a_i and
+    a_i/x_i over i <= k: ``Pi_k = p_k/x_{k+1} - alpha_k``, ``b_k = (1/p_k)
+    * sum_{i<=k} a_i*log(x_i*alpha_k/p_k)`` (``b_0 = 0``), and ``Gamma(Pi) =
+    E[log(X/lam)^+]`` with ``lam = p_k/(alpha_k + Pi)`` on the segment of Pi.
+    """
+    with mpmath.workdps(40):
+        x = [mpmath.mpf(v) for v in model.kind.gains]
+        a = [mpmath.mpf(v) for v in model.kind.probs]
+        p = [mpmath.fsum(a[: k + 1]) for k in range(len(x))]
+        alpha = [mpmath.fsum(ai / xi for ai, xi in zip(a[: k + 1], x)) for k in range(len(x))]
+        breaks = [p[k] / x[k + 1] - alpha[k] for k in range(len(x) - 1)]
+        b = [mpmath.mpf(0)] + [
+            mpmath.fsum(a[i] * mpmath.log(x[i] * alpha[k] / p[k]) for i in range(k + 1)) / p[k]
+            for k in range(1, len(x))
+        ]
+
+    def gamma(pi):
+        with mpmath.workdps(40):
+            k = sum(1 for v in breaks if v < pi)
+            lam = p[k] / (alpha[k] + mpmath.mpf(pi))
+            return mpmath.fsum(a[i] * mpmath.log(x[i] / lam) for i in range(k + 1))
+
+    return breaks, b, gamma
+
+
 class TestBuildTable:
     def test_single_state_degenerate(self):
         table = discrete.build_table(FadingModel.discrete([(1.0, 1.0)]))
         assert np.array_equal(table.p, [1.0])
         assert np.array_equal(table.alpha, [1.0])
         assert np.asarray(table.pi_breaks).size == 0
-        assert math.exp(table.log_gamma[0]) == pytest.approx(1.0)
+        assert table.b == (0.0,)
 
     def test_fig1_hand_values(self):
         table = discrete.build_table(FIG1)
@@ -49,8 +78,40 @@ class TestBuildTable:
         # breakpoint (1.9801/1 - 0.01) / (100 - 1) = 1.9701 / 99
         assert table.pi_breaks[0] == pytest.approx(1.9701 / 99, rel=1e-12)
         assert table.pi_breaks[0] == pytest.approx(0.0199, rel=1e-10)
-        assert math.exp(table.log_gamma[0]) == pytest.approx(1e4, rel=1e-12)
         assert table.b[0] == 0.0
+        # b_1 = sum_i a_i*log(x_i*alpha_1/p_1), with p_1 = 1
+        assert table.b[1] == pytest.approx(
+            0.01 * math.log(198.01) + 0.99 * math.log(0.99005), rel=1e-15)
+
+    def test_matches_the_definitions_at_40_digits(self):
+        # b enters Gamma as p_k*(b_k + log1p(Pi/alpha_k)) with Pi >= Pi_{k-1} on
+        # segment k, so its error is measured against b_k + log1p(Pi_{k-1}/alpha_k)
+        rng = make_rng(5)
+        for _ in range(200):
+            model = random_discrete_model(rng, 12)
+            table = discrete.build_table(model)
+            breaks, b, gamma = mpmath_table(model)
+            for got, want in zip(table.pi_breaks, breaks):
+                assert abs(got - want) <= 2e-15 * want
+            assert table.b[0] == 0.0
+            for k in range(1, table.n_states):
+                scale = b[k] + mpmath.log1p(breaks[k - 1] / table.alpha[k])
+                assert abs(table.b[k] - b[k]) <= 2e-15 * scale
+            for pi in np.exp(rng.uniform(math.log(1e-8), math.log(1e5), 8)).tolist():
+                want = gamma(pi)
+                assert abs(discrete.gamma_of_pi(table, pi) - want) <= 2e-15 * want
+
+    @pytest.mark.parametrize("scale", [2.0**-900, 2.0**900], ids=["2**-900", "2**900"])
+    def test_gain_scaling_is_exact(self, scale):
+        # Pi scales as 1/x and b not at all; a power of two keeps every step exact
+        rng = make_rng(6)
+        for _ in range(200):
+            model = random_discrete_model(rng, 12)
+            table = discrete.build_table(model)
+            scaled = discrete.build_table(FadingModel.discrete(
+                [(g * scale, a) for g, a in zip(model.kind.gains, model.kind.probs)]))
+            assert scaled.b == table.b
+            assert scaled.pi_breaks == tuple(v / scale for v in table.pi_breaks)
 
     def test_rejects_continuous(self):
         with pytest.raises(DiscreteKindError):

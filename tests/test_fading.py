@@ -618,6 +618,12 @@ class TestLogRoot:
         )
         assert len(calls) >= 30
         for func, lo, hi, root in calls:
+            if lo == 0.0:
+                # the enumeration starts at lam = 0, where g is only a limit: brentq
+                # starts at the first lam down from hi by 10 where g has the limit's sign
+                lo = hi / 10.0
+                while func(lo)[0] * func(hi)[0] > 0.0:
+                    lo /= 10.0
             assert root == pytest.approx(scipy_brentq(func, lo, hi), rel=1e-14, abs=0)
 
     def test_agrees_with_brentq_on_the_discrete_branches(self, monkeypatch):

@@ -333,6 +333,17 @@ class TestTabulatedEnumeration:
                 power, rate = oracle_cell_integrals(model, lam)
                 assert abs(rate - eta * lam * power) < 1e-9 * rate
 
+    def test_a_root_off_its_value_is_a_bracket_failure(self, monkeypatch):
+        # a root that fails the residual check is named, not dropped from the set
+        model = FadingModel.tabulated(*BIMODAL)
+        lams = hopopt._tabulated_roots(model, 3.0)
+        assert len(lams) == 3
+        monkeypatch.setattr(hopopt, "_tabulated_roots",
+                            lambda *_: [lams[0], 1.01 * lams[1], lams[2]])
+        problem = hopopt.HopProblem(model=model, eta=3.0, pt_prime=1.0)
+        with pytest.raises(BracketFailure, match=r"^the stationary root at pi_H = \S+ has the "):
+            hopopt.stationary_points(problem)
+
 
 class TestEtaAtMostOne:
     @pytest.mark.parametrize("eta", [0.5, 1.0])
@@ -428,10 +439,11 @@ class TestScaleFree:
         assert unit_roots(build(c)) == pytest.approx(unit_roots(build(1.0)), rel=1e-14, abs=0)
 
     @pytest.mark.parametrize("eta", [2.0, 3.0])
-    @pytest.mark.parametrize("s", [1e-189, 1e-100, 1e262])
+    @pytest.mark.parametrize("s", [1e-307, 1e-189, 1e-100, 1e262])
     def test_bimodal_with_scaled_nodes_keeps_its_roots(self, s, eta):
         # the density of s*H has the roots lam = s*lam_1 and pi = pi_1/s; an absolute
-        # tolerance in the root refine found no point at these s
+        # tolerance in the root refine found no point at 1e-189, 1e-100 and 1e262,
+        # and a start searched below the nodes underflowed at 1e-307
         nodes, values = BIMODAL
         scaled = FadingModel.tabulated([h * s for h in nodes], [a / s for a in values])
         got = unit_roots(scaled, eta)
