@@ -1,9 +1,15 @@
 """Command-line front end: subcommands, CSV emission and run manifests.
 
+Each ``_cmd_*`` handler takes the parsed flags and the loaded config and
+returns ``(text, echo, manifest)``: its CSV or JSON text, whether that
+text goes to stdout when no ``--out`` is given, and the extra keys of the
+manifest.  A handler prints only its own summary.  `main` is the one
+writer of results: it loads the config, then either writes ``text`` to
+``--out`` and ``<out>.manifest.json`` beside it (config hash, seed,
+versions, wall time, output hashes, warnings), so results can be
+reproduced byte for byte, or echoes ``text`` when ``echo`` is true.
+
 Exit codes: 0 success, 2 validation/config error, 3 numerical failure.
-Every run that writes files also writes ``<out>.manifest.json`` beside
-them (config hash, seed, versions, wall time, output hashes) so results
-can be reproduced byte for byte.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from pathlib import Path
 from . import __version__
 from . import discrete, hopopt, macmodel, waterfill
 from .config import RunConfig, _finite, _integer, load_config
-from .errors import ConfigError, HopcapError, NumericalError, ValidationError
+from .errors import ConfigError, NumericalError, ValidationError
 from .macmodel import LN2
 
 EXIT_OK = 0
@@ -28,21 +34,27 @@ EXIT_NUMERICAL = 3
 
 def main(argv=None) -> int:
     argv = list(argv) if argv is not None else sys.argv[1:]
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     args.invocation, args.warnings = argv, []
     try:
         with _recording_warnings(args.warnings):
-            return args.handler(args)
-    except (ConfigError, ValidationError) as exc:
+            args.loading = time.monotonic()  # where simulate's first stage starts
+            cfg = load_config(args.config) if "config" in vars(args) else None
+            args.started = time.monotonic()  # where wall_time_s starts
+            text, echo, manifest = args.handler(args, cfg)
+            if args.out:
+                with open(args.out, "w", encoding="utf-8", newline="") as fh:
+                    fh.write(text)
+                _write_manifest(args, **manifest)
+            elif echo:
+                sys.stdout.write(text)
+    except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (NumericalError, ArithmeticError) as exc:  # d**eta, say, past the float range
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except HopcapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    return EXIT_OK
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -98,28 +110,19 @@ def _build_parser() -> argparse.ArgumentParser:
 # -- commands ---------------------------------------------------------------
 
 
-def _cmd_waterfill(args) -> int:
-    cfg = load_config(args.config)
-    started = time.monotonic()
+def _cmd_waterfill(args, cfg) -> tuple:
     sol = waterfill.solve(cfg.model, args.pi)
     gamma_out, unit = _rate_out(sol.gamma, args), "bits" if args.bits else "nats"
     print(
         f"pi={_g(sol.pi)} lambda={_g(sol.lam)} gamma_{unit}={_g(gamma_out)} "
         f"cutoff_x={_g(sol.lam)} cutoff_h={_g(sol.cutoff_h)}"
     )
-    if args.out:
-        header = ["pi", "lambda", f"gamma_{unit}", "cutoff_x", "cutoff_h"]
-        rows = [(sol.pi, sol.lam, gamma_out, sol.lam, sol.cutoff_h)]
-        _write_csv(args.out, header, rows)
-        _write_manifest(args, started, outputs=[args.out])
-    return EXIT_OK
+    header = ["pi", "lambda", f"gamma_{unit}", "cutoff_x", "cutoff_h"]
+    return _csv(header, [(sol.pi, sol.lam, gamma_out, sol.lam, sol.cutoff_h)]), False, {}
 
 
-def _cmd_optimize(args) -> int:
-    cfg = load_config(args.config)
-    started = time.monotonic()
-    problem = _problem(cfg)
-    sset = hopopt.stationary_points(problem)
+def _cmd_optimize(args, cfg) -> tuple:
+    sset = hopopt.stationary_points(_problem(cfg))
     unit = "bits" if args.bits else "nats"
     rows = [
         (pt.d, pt.pi, pt.lam, _rate_out(pt.gamma, args), _rate_out(pt.psi, args))
@@ -128,15 +131,10 @@ def _cmd_optimize(args) -> int:
     summary = _optimize_summary(cfg, sset, args)
     for key, value in summary.items():
         print(f"{key}={value if not isinstance(value, float) else _g(value)}")
-    if args.out:
-        _write_csv(args.out, ["d_m", "pi", "lambda", f"gamma_{unit}", "psi"], rows)
-        _write_manifest(args, started, outputs=[args.out], summary=summary)
-    return EXIT_OK
+    return _csv(["d_m", "pi", "lambda", f"gamma_{unit}", "psi"], rows), False, {"summary": summary}
 
 
-def _cmd_sweep(args) -> int:
-    cfg = load_config(args.config)
-    started = time.monotonic()
+def _cmd_sweep(args, cfg) -> tuple:
     spec = cfg.sweep
     if args.grid:
         try:
@@ -175,17 +173,11 @@ def _cmd_sweep(args) -> int:
                 (factor, d, pi, _rate_out(gamma, args), _rate_out(d * gamma, args), segment)
             )
     header = ["power_factor", "d_m", "pi", f"gamma_{unit}", "psi", "segment"]
-    _write_csv(args.out, header, rows)
-    if args.out:
-        _write_manifest(args, started, outputs=[args.out])
-    return EXIT_OK
+    return _csv(header, rows), True, {}
 
 
-def _cmd_stationary(args) -> int:
-    cfg = load_config(args.config)
-    started = time.monotonic()
-    problem = _problem(cfg)
-    sset = hopopt.stationary_points(problem)
+def _cmd_stationary(args, cfg) -> tuple:
+    sset = hopopt.stationary_points(_problem(cfg))
     unit = "bits" if args.bits else "nats"
     rows = [
         (pt.d, _rate_out(pt.gamma, args), _rate_out(pt.psi, args),
@@ -194,21 +186,12 @@ def _cmd_stationary(args) -> int:
     ]
     header = ["d_m", f"gamma_{unit}", "psi", "segment"]
     print(f"stationary_points={len(sset.points)} unique={str(sset.unique).lower()}")
-    _write_csv(args.out, header, rows)
-    if args.out:
-        _write_manifest(
-            args, started, outputs=[args.out],
-            summary={"count": len(sset.points), "unique": sset.unique},
-        )
-    return EXIT_OK
+    return _csv(header, rows), True, {"summary": {"count": len(sset.points), "unique": sset.unique}}
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args, cfg) -> tuple:
     from . import simulator
 
-    stages = [("config_and_policy", time.monotonic())]
-    cfg = load_config(args.config)
-    started = time.monotonic()
     if cfg.simulate is None:
         raise ConfigError("simulate: section missing")
     if cfg.profile is None:
@@ -230,24 +213,20 @@ def _cmd_simulate(args) -> int:
         seed=seed,
         relinquish_overhead=spec.relinquish_overhead,
     )
-    stages.append(("run", time.monotonic()))
+    stages = [("config_and_policy", args.loading), ("run", time.monotonic())]
     report = simulator.run(sim_config, trace_path=args.trace)
     stages.append(("write_and_hash", time.monotonic()))
     payload = report.to_json()
     print(payload)
-    if args.out:
-        Path(args.out).write_text(payload + "\n", encoding="utf-8")
-        outputs = [args.out] + ([args.trace] if args.trace else [])
-        _write_manifest(args, started, outputs=outputs, seed=seed, stages=stages)
-    return EXIT_OK
+    outputs = [args.out] + ([args.trace] if args.trace else [])
+    return payload + "\n", False, {"outputs": outputs, "seed": seed, "stages": stages}
 
 
-def _cmd_compare_ftt(args) -> int:
+def _cmd_compare_ftt(args, cfg) -> tuple:
     import numpy as np
 
     from . import simulator
 
-    started = time.monotonic()
     seed = _integer(vars(args), "seed", minimum=0, path="compare-ftt")
     count = _integer(vars(args), "count", minimum=1, path="compare-ftt")
     explicit = [args.h1, args.h2, args.p1, args.p2]
@@ -269,20 +248,11 @@ def _cmd_compare_ftt(args) -> int:
         res = simulator.compare_ftt_fp(h1, h2, p1, p2)
         rows.append((h1, h2, p1, p2, res.bits_fp, res.bits_ftt, res.energy, res.duration))
     print(f"tuples={len(rows)} violations=0")
-    if args.out:
-        _write_csv(
-            args.out,
-            ["h1", "h2", "P1_W", "P2_W", "bits_fp", "bits_ftt", "energy_J", "duration_s"],
-            rows,
-        )
-        _write_manifest(args, started, outputs=[args.out], seed=seed,
-                        summary={"violations": 0})
-    return EXIT_OK
+    header = ["h1", "h2", "P1_W", "P2_W", "bits_fp", "bits_ftt", "energy_J", "duration_s"]
+    return _csv(header, rows), False, {"seed": seed, "summary": {"violations": 0}}
 
 
-def _cmd_single_cell_bound(args) -> int:
-    cfg = load_config(args.config)
-    started = time.monotonic()
+def _cmd_single_cell_bound(args, cfg) -> tuple:
     if cfg.bound is None:
         raise ConfigError("bound: section missing")
     spec = cfg.bound
@@ -296,10 +266,7 @@ def _cmd_single_cell_bound(args) -> int:
         ):
             rows.append((power, k, c_k, bound, reach, c_k * reach, bound_reach))
     header = ["power_W", "K", "C_K_nats", "bound_nats", "reach_m", "C_times_r", "bound_times_r"]
-    _write_csv(args.out, header, rows)
-    if args.out:
-        _write_manifest(args, started, outputs=[args.out])
-    return EXIT_OK
+    return _csv(header, rows), True, {}
 
 
 # -- helpers ------------------------------------------------------------------
@@ -396,17 +363,14 @@ def _g(value: float) -> str:
     return format(float(value), ".17g")
 
 
-def _write_csv(path, header, rows) -> None:
-    """Write header and rows as CSV to the file ``path``, or to stdout when it is None.
+def _csv(header, rows) -> str:
+    """Header and rows as CSV text.
 
     Each column keeps the type of its first row: floats are written as
     ``%.17g`` (the same text as `_g`), everything else by ``str``.
     """
     line = ",".join("%.17g" if isinstance(v, float) else "%s" for v in rows[0]) + "\n" if rows else ""
-    text = ",".join(header) + "\n" + "".join([line % row for row in rows])
-    with (open(path, "w", newline="", encoding="utf-8") if path
-          else contextlib.nullcontext(sys.stdout)) as fh:
-        fh.write(text)
+    return ",".join(header) + "\n" + "".join([line % row for row in rows])
 
 
 def _sha256(path) -> str:
@@ -419,8 +383,8 @@ def _sha256(path) -> str:
     return digest.hexdigest()
 
 
-def _write_manifest(args, started, outputs, seed=None, summary=None, stages=None) -> None:
-    """Write ``<outputs[0]>.manifest.json``.
+def _write_manifest(args, outputs=None, seed=None, summary=None, stages=None) -> None:
+    """Write ``<out>.manifest.json`` for the files ``outputs``, ``[args.out]`` by default.
 
     ``stages`` lists (name, start) in order; the last stage ends once the
     outputs are hashed.  ``args.warnings`` names the warnings the run showed.
@@ -437,8 +401,8 @@ def _write_manifest(args, started, outputs, seed=None, summary=None, stages=None
             "python": sys.version.split()[0],
             "numpy": getattr(sys.modules.get("numpy"), "__version__", None),
         },
-        "wall_time_s": time.monotonic() - started,
-        "outputs": {str(p): _sha256(p) for p in outputs},
+        "wall_time_s": time.monotonic() - args.started,
+        "outputs": {str(p): _sha256(p) for p in outputs or [args.out]},
         "warnings": args.warnings,
     }
     if summary is not None:
@@ -446,7 +410,7 @@ def _write_manifest(args, started, outputs, seed=None, summary=None, stages=None
     if stages is not None:
         ends = [start for _, start in stages[1:]] + [time.monotonic()]
         manifest["stages_s"] = {name: end - start for (name, start), end in zip(stages, ends)}
-    path = Path(str(outputs[0]) + ".manifest.json")
+    path = Path(str(args.out) + ".manifest.json")
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 

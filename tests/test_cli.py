@@ -697,6 +697,88 @@ class TestMissingSections:
         assert main(["single-cell-bound", "--config", str(single_cfg)]) == 2
 
 
+class TestOutputPath:
+    """Where each command's result goes: stdout without ``--out``; the file and its manifest with it."""
+
+    # the flags after --config; relative paths land in the run's own directory
+    FLAGS = {
+        "waterfill": ["--pi", "2.5"],
+        "optimize": [],
+        "sweep": ["--grid", "0.05:50:6"],
+        "stationary-points": [],
+        "simulate": ["--horizon", "10000", "--trace", "trace.csv"],
+        "compare-ftt": ["--count", "5", "--seed", "7"],
+        "single-cell-bound": [],
+    }
+    HEADERS = {
+        "waterfill": "pi,lambda,gamma_nats,cutoff_x,cutoff_h",
+        "optimize": "d_m,pi,lambda,gamma_nats,psi",
+        "sweep": "power_factor,d_m,pi,gamma_nats,psi,segment",
+        "stationary-points": "d_m,gamma_nats,psi,segment",
+        "compare-ftt": "h1,h2,P1_W,P2_W,bits_fp,bits_ftt,energy_J,duration_s",
+        "single-cell-bound": "power_W,K,C_K_nats,bound_nats,reach_m,C_times_r,bound_times_r",
+    }
+    ECHOED = {"sweep", "stationary-points", "single-cell-bound"}
+    SUMMARY = {"optimize", "stationary-points", "compare-ftt"}
+    SEEDED = {"simulate": 97531, "compare-ftt": 7}
+    MANIFEST_KEYS = {"command", "config_path", "config_sha256", "seed", "versions",
+                     "wall_time_s", "outputs", "warnings"}
+
+    def run(self, command, cfg, directory, out, monkeypatch, capsys):
+        """Run ``command`` in the fresh ``directory``: its stdout and the files it leaves there."""
+        directory.mkdir()
+        monkeypatch.chdir(directory)
+        config = [] if command == "compare-ftt" else ["--config", str(cfg)]
+        argv = [command, *config, *self.FLAGS[command], *(["--out", "out.dat"] if out else [])]
+        assert main(argv) == 0
+        return capsys.readouterr().out, {p.name: p.read_bytes() for p in directory.iterdir()}
+
+    @pytest.mark.parametrize("out", [False, True], ids=["stdout", "out"])
+    @pytest.mark.parametrize("command", list(FLAGS))
+    def test_output_goes_to_one_place(self, command, out, fig1_cfg, tmp_path, monkeypatch, capsys):
+        bare, bare_files = self.run(command, fig1_cfg, tmp_path / "bare", False,
+                                    monkeypatch, capsys)
+        traces = {"trace.csv"} if command == "simulate" else set()
+        assert set(bare_files) == traces
+        lines = bare.splitlines()
+        if command in self.ECHOED:
+            counted = command == "stationary-points"
+            if counted:
+                assert re.fullmatch(r"stationary_points=3 unique=false", lines[0])
+            assert lines[counted] == self.HEADERS[command]
+            assert len(lines) > counted + 1
+        elif command == "simulate":
+            assert len(lines) == 1 and json.loads(bare)["seed"] == 97531
+        elif command == "waterfill":
+            assert len(lines) == 1 and lines[0].startswith("pi=2.5 lambda=")
+        elif command == "compare-ftt":
+            assert bare == "tuples=5 violations=0\n"
+        else:
+            assert lines[0] == "unique=false" and all(re.fullmatch(r"\w+=\S+", ln) for ln in lines)
+        if not out:
+            return
+
+        stdout, files = self.run(command, fig1_cfg, tmp_path / "out", True, monkeypatch, capsys)
+        assert set(files) == {"out.dat", "out.dat.manifest.json"} | traces
+        text = files["out.dat"].decode()
+        if command in self.ECHOED:
+            assert stdout + text == bare
+        else:
+            assert stdout == bare
+            if command == "simulate":
+                assert text == bare
+            else:
+                assert text.startswith(self.HEADERS[command] + "\n") and "\r" not in text
+        manifest = json.loads(files["out.dat.manifest.json"])
+        keys = self.MANIFEST_KEYS | ({"summary"} if command in self.SUMMARY else set()) \
+            | ({"stages_s"} if command == "simulate" else set())
+        assert set(manifest) == keys
+        assert manifest["seed"] == self.SEEDED.get(command)
+        assert manifest["config_path"] == (None if command == "compare-ftt" else str(fig1_cfg))
+        assert manifest["outputs"] == {
+            name: hashlib.sha256(files[name]).hexdigest() for name in ["out.dat", *traces]}
+
+
 # stdout and CSV bytes as last produced; a change that moves an output on
 # purpose updates its strings here and says so
 GOLDEN = {
