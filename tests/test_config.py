@@ -135,3 +135,131 @@ def test_yaml_1_1_exponent_without_sign_reads_as_a_number():
     assert raw["mac"]["W_hz"] == "1.0e6"
     assert parse_config(raw).profile.bandwidth == 1e6
     assert _finite("1.0e6", "mac.W_hz") == 1e6
+
+
+# -- every key's own rule -----------------------------------------------------
+
+REQUIRED = object()
+POSITIVE = [(0, "must be > 0, got 0.0"), (-2.5, "must be > 0, got -2.5"),
+            (float("inf"), "must be finite, got inf"), ("x", "expected a number, got 'x'")]
+NONNEGATIVE = [(-1, "must be >= 0, got -1.0"), (float("nan"), "must be finite, got nan"),
+               ([1.0], "expected a number, got [1.0]")]
+
+
+def at_least(minimum):
+    return [(minimum - 1, f"must be >= {minimum}, got {minimum - 1}"),
+            (1.5, "expected an integer, got 1.5"), (True, "expected an integer, got True")]
+
+
+POSITIVE_LIST = [([], "need a non-empty list of numbers"), ({"a": 1}, "need a non-empty list of numbers"),
+                 ([1.0, 0], "[1]: must be > 0, got 0.0"), (["x"], "[0]: expected a number, got 'x'")]
+# FULL with every optional key given, none at its default
+EVERY_KEY = edited(lambda raw: (raw["simulate"].update(policy="constant", constant_power_W=0.5,
+                                                       relinquish_overhead_s=1e-4),
+                                raw["sweep"].update(power_factors=[1.0, 4.0]),
+                                raw["bound"].update(K_min=3, K_max=50_000),
+                                raw["fading"].update(alpha_over_sigma2=2.0),
+                                raw.update(d0_m=0.1)))
+# path: (default, or REQUIRED; the record field it fills; the values that break its rule)
+KEYS = {
+    "fading.kind": (REQUIRED, None, [
+        ("rayleigh", "expected exponential | discrete | tabulated, got 'rayleigh'")]),
+    "fading.alpha_over_sigma2": (1.0, lambda c: c.model.alpha_over_sigma2, POSITIVE),
+    "fading.states[1].gain": (REQUIRED, None, POSITIVE),
+    "fading.states[1].prob": (REQUIRED, None, POSITIVE),
+    "eta": (REQUIRED, None, POSITIVE),
+    "d0_m": (0.0, lambda c: c.d0, NONNEGATIVE),
+    # the power section needs one of its two keys
+    "power.Pt_prime_W": (REQUIRED, None, POSITIVE),
+    "power.P_bar_W": (REQUIRED, None, POSITIVE),
+    **{f"mac.{key}": (REQUIRED, None, NONNEGATIVE)
+       for key in ("p_idle", "p_collision", "T_idle_s", "T_collision_s", "T_overhead_s")},
+    **{f"mac.{key}": (REQUIRED, None, POSITIVE) for key in ("p_success", "T_txop_s", "W_hz")},
+    **{f"mac.E_{name}_J": (0.0, lambda c, name=name: getattr(c.profile, f"e_{name}"), NONNEGATIVE)
+       for name in ("idle", "collision", "overhead")},
+    "sweep.d_min_m": (REQUIRED, None, POSITIVE),
+    "sweep.d_max_m": (REQUIRED, None, POSITIVE),
+    "sweep.points": (REQUIRED, None, at_least(1)),
+    "sweep.power_factors": ((1.0,), lambda c: c.sweep.power_factors,
+                            POSITIVE_LIST + [(2.0, "need a non-empty list of numbers")]),
+    "simulate.d_m": (REQUIRED, None, POSITIVE),
+    "simulate.horizon": (REQUIRED, None, at_least(1)),
+    "simulate.seed": (REQUIRED, None, at_least(0)),
+    "simulate.policy": ("waterfill", lambda c: c.simulate.policy, [
+        ("greedy", "expected waterfill | constant, got 'greedy'"),
+        (None, "expected waterfill | constant, got None")]),
+    "simulate.constant_power_W": (None, lambda c: c.simulate.constant_power, POSITIVE),
+    "simulate.relinquish_overhead_s": (None, lambda c: c.simulate.relinquish_overhead,
+                                       NONNEGATIVE),
+    "bound.area_m2": (REQUIRED, None, POSITIVE),
+    "bound.noise_W": (REQUIRED, None, POSITIVE),
+    # a scalar power reads as a list of one
+    "bound.power_W": ((0.1,), lambda c: c.bound.powers, POSITIVE_LIST[:1] + POSITIVE_LIST[2:] + [
+        (0, "[0]: must be > 0, got 0.0"), ({"a": 1}, "[0]: expected a number, got {'a': 1}")]),
+    "bound.K_min": (2, lambda c: c.bound.k_min, at_least(2)),
+    "bound.K_max": (100_000, lambda c: c.bound.k_max, at_least(2)),
+    "bound.points": (200, lambda c: c.bound.points, at_least(2)),
+}
+
+
+def locate(raw, path):
+    """The mapping that holds the key at the dotted ``path``, and that key."""
+    *outer, key = path.replace("[1]", ".1").split(".")
+    for step in outer:
+        raw = raw[int(step) if step.isdigit() else step]
+    return raw, key
+
+
+def with_key(path, change):
+    """EVERY_KEY after ``change(mapping, key)`` at ``path``; P_bar_W stands in for Pt_prime_W."""
+    raw = copy.deepcopy(EVERY_KEY)
+    if path == "power.P_bar_W":
+        raw["power"] = {"P_bar_W": 0.5}
+    if path == "simulate.constant_power_W":
+        raw["simulate"]["policy"] = "waterfill"  # the constant policy needs its power
+    change(*locate(raw, path))
+    return raw
+
+
+def test_every_key_of_the_readme_example_has_a_rule():
+    readme = {"fading.kind", "fading.alpha_over_sigma2", "eta", "d0_m", "power.Pt_prime_W"}
+    for section in ("mac", "sweep", "simulate", "bound"):
+        readme |= {f"{section}.{key}" for key in FULL[section]}
+    readme |= {f"fading.states[1].{key}" for key in FULL["fading"]["states"][1]}
+    assert readme <= set(KEYS)
+
+
+@pytest.mark.parametrize("path", [path for path, (default, _, _) in KEYS.items()
+                                  if default is REQUIRED])
+def test_deleted_required_key_is_named(path, tmp_path, capsys):
+    cfg = write(tmp_path, with_key(path, lambda mapping, key: mapping.pop(key)))
+    message = {
+        # the kind switch sees no kind, and power needs one of its two keys
+        "fading.kind": "fading.kind: expected exponential | discrete | tabulated, got None",
+        "power.Pt_prime_W": "power: provide Pt_prime_W or P_bar_W",
+        "power.P_bar_W": "power: provide Pt_prime_W or P_bar_W",
+    }.get(path, f"{path}: required value is missing")
+    assert error_of(["waterfill", "--config", str(cfg), "--pi", "1"], capsys) \
+        == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("path", [path for path, (default, _, _) in KEYS.items()
+                                  if default is not REQUIRED])
+def test_deleted_optional_key_takes_its_default(path):
+    default, field, _ = KEYS[path]
+    assert field(parse_config(with_key(path, lambda mapping, key: None))) != default
+    assert field(parse_config(with_key(path, lambda mapping, key: mapping.pop(key)))) == default
+
+
+def test_scalar_power_reads_as_a_list_of_one():
+    raw = with_key("bound.power_W", lambda mapping, key: mapping.__setitem__(key, 0.5))
+    assert parse_config(raw).bound.powers == (0.5,)
+
+
+@pytest.mark.parametrize("path, value, message", [
+    (path, value, message) for path, (_, _, bad) in KEYS.items() for value, message in bad])
+def test_value_breaking_the_rule_is_named(path, value, message, tmp_path, capsys):
+    cfg = write(tmp_path, with_key(path, lambda mapping, key: mapping.__setitem__(key, value)))
+    sep = "" if message.startswith("[") else ": "
+    assert error_of(["waterfill", "--config", str(cfg), "--pi", "1"], capsys) \
+        == f"error: {path}{sep}{message}\n"
