@@ -23,7 +23,7 @@ from pathlib import Path
 
 from . import __version__
 from . import discrete, hopopt, macmodel, waterfill
-from .config import RunConfig, _finite, _integer, load_config
+from .config import SECTIONS, RunConfig, _finite, _integer, load_config
 from .errors import ConfigError, NumericalError, ValidationError
 from .macmodel import LN2
 
@@ -48,7 +48,7 @@ def main(argv=None) -> int:
                 _write_manifest(args, **manifest)
             elif echo:
                 sys.stdout.write(text)
-    except ValidationError as exc:
+    except (ValidationError, OSError) as exc:  # OSError: an output path that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (NumericalError, ArithmeticError) as exc:  # d**eta, say, past the float range
@@ -145,7 +145,7 @@ def _cmd_sweep(args, cfg) -> tuple:
         lo, hi = _finite(lo, "--grid d_min"), _finite(hi, "--grid d_max")
         if n < 1 or hi <= lo or lo <= 0:
             raise ConfigError("--grid expects 0 < d_min < d_max and points >= 1")
-        factors = spec.power_factors if spec else (1.0,)
+        factors = spec.power_factors if spec else SECTIONS["sweep"]["power_factors"].default
         ds = _geomspace(lo, hi, n)
     elif spec is not None:
         factors = spec.power_factors
@@ -196,10 +196,10 @@ def _cmd_simulate(args, cfg) -> tuple:
         raise ConfigError("simulate: section missing")
     if cfg.profile is None:
         raise ConfigError("simulate requires a mac section")
-    spec = cfg.simulate
     # an override, present only when given, obeys the rule of the key it overrides
-    seed = _integer(vars(args), "seed", default=spec.seed, minimum=0, path="simulate")
-    horizon = _integer(vars(args), "horizon", default=spec.horizon, minimum=1, path="simulate")
+    rules = SECTIONS["simulate"]
+    spec = cfg.simulate._replace(**{key: rules[key](vars(args)[key], f"simulate.{key}")
+                                    for key in ("seed", "horizon") if key in vars(args)})
     _require_finite_power("d**eta", spec.d, cfg.eta,
                           f"simulate.d_m = {spec.d!r} with eta = {cfg.eta!r}")
     policy = _build_policy(cfg, spec)
@@ -209,8 +209,8 @@ def _cmd_simulate(args, cfg) -> tuple:
         policy=policy,
         d=spec.d,
         eta=cfg.eta,
-        horizon=horizon,
-        seed=seed,
+        horizon=spec.horizon,
+        seed=spec.seed,
         relinquish_overhead=spec.relinquish_overhead,
     )
     stages = [("config_and_policy", args.loading), ("run", time.monotonic())]
@@ -219,7 +219,7 @@ def _cmd_simulate(args, cfg) -> tuple:
     payload = report.to_json()
     print(payload)
     outputs = [args.out] + ([args.trace] if args.trace else [])
-    return payload + "\n", False, {"outputs": outputs, "seed": seed, "stages": stages}
+    return payload + "\n", False, {"outputs": outputs, "seed": spec.seed, "stages": stages}
 
 
 def _cmd_compare_ftt(args, cfg) -> tuple:
@@ -227,8 +227,8 @@ def _cmd_compare_ftt(args, cfg) -> tuple:
 
     from . import simulator
 
-    seed = _integer(vars(args), "seed", minimum=0, path="compare-ftt")
-    count = _integer(vars(args), "count", minimum=1, path="compare-ftt")
+    seed = SECTIONS["simulate"]["seed"](args.seed, "compare-ftt.seed")
+    count = _integer(args.count, "compare-ftt.count", minimum=1)
     explicit = [args.h1, args.h2, args.p1, args.p2]
     rows = []
     if any(v is not None for v in explicit):

@@ -3,13 +3,20 @@
 Physical quantities carry their unit in the key name (``_W``, ``_s``,
 ``_hz``, ``_m``, ``_m2``, ``_J``).  Unknown keys are rejected with a
 dotted field path so typos fail loudly instead of being ignored.
+
+`SECTIONS` holds every key of the flat sections (``mac``, ``power``,
+``sweep``, ``simulate``, ``bound`` and each ``fading.states[i]``): its
+reader, the reader's bounds and the key's default, in the field order of
+the record the section fills.  `_section` checks a section's keys
+against it and reads every value; the rules that tie two keys together
+are checked after that, in `parse_config`.
 """
 
 from __future__ import annotations
 
 import math
 from pathlib import Path
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import yaml
 
@@ -18,70 +25,138 @@ from .fading import FadingModel
 from .macmodel import MacProfile, pt_prime as _pt_prime
 
 SCHEMA_VERSION = 1
+_REQUIRED = object()  # the default of a key that has none
 
-_TOP_KEYS = {
-    "schema_version",
-    "fading",
-    "mac",
-    "power",
-    "eta",
-    "d0_m",
-    "sweep",
-    "simulate",
-    "bound",
-}
+_TOP_KEYS = {"schema_version", "fading", "mac", "power", "eta", "d0_m", "sweep", "simulate",
+             "bound"}
 _FADING_KEYS = {"kind", "rate", "alpha_over_sigma2", "states", "csv"}
-_STATE_KEYS = {"gain", "prob"}
-# each mac key with its rule, in MacProfile's field order
-_MAC_RULES = {
-    "p_idle": {"nonnegative": True},
-    "p_collision": {"nonnegative": True},
-    "p_success": {"positive": True},
-    "T_idle_s": {"nonnegative": True},
-    "T_collision_s": {"nonnegative": True},
-    "T_overhead_s": {"nonnegative": True},
-    "T_txop_s": {"positive": True},
-    "W_hz": {"positive": True},
-    "E_idle_J": {"default": 0.0, "nonnegative": True},
-    "E_collision_J": {"default": 0.0, "nonnegative": True},
-    "E_overhead_J": {"default": 0.0, "nonnegative": True},
+
+
+def _finite(value, where: str, positive=False, nonnegative=False) -> float:
+    """``value`` as a finite float; a ConfigError names ``where`` otherwise."""
+    if isinstance(value, str):
+        # YAML 1.1 reads "1.0e6" (no signed exponent) as a string
+        try:
+            value = float(value)
+        except ValueError:
+            raise ConfigError(f"{where}: expected a number, got {value!r}") from None
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{where}: expected a number, got {value!r}")
+    value = float(value)
+    if not math.isfinite(value):
+        raise ConfigError(f"{where}: must be finite, got {value}")
+    if positive and value <= 0:
+        raise ConfigError(f"{where}: must be > 0, got {value}")
+    if nonnegative and value < 0:
+        raise ConfigError(f"{where}: must be >= 0, got {value}")
+    return value
+
+
+def _integer(value, where: str, minimum=None) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{where}: expected an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"{where}: must be >= {minimum}, got {value}")
+    return value
+
+
+def _positives(values, where: str, scalar=False) -> tuple:
+    """A non-empty list of finite numbers > 0 as a tuple; ``scalar`` lets one number stand alone."""
+    if scalar and not isinstance(values, list):
+        values = [values]
+    if not isinstance(values, list) or not values:
+        raise ConfigError(f"{where}: need a non-empty list of numbers")
+    return tuple(_finite(v, f"{where}[{i}]", positive=True) for i, v in enumerate(values))
+
+
+def _choice(value, where: str, choices) -> str:
+    if value not in choices:
+        raise ConfigError(f"{where}: expected {' | '.join(choices)}, got {value!r}")
+    return value
+
+
+class Rule(NamedTuple):
+    """How a key is read: ``read(value, where, **bounds)``, or ``default`` when it is absent."""
+
+    read: Callable
+    default: object
+    bounds: dict
+
+    def __call__(self, value, where: str):
+        return self.read(value, where, **self.bounds)
+
+
+def _rule(read, default=_REQUIRED, **bounds) -> Rule:
+    return Rule(read, default, bounds)
+
+
+_POSITIVE, _NONNEGATIVE = _rule(_finite, positive=True), _rule(_finite, nonnegative=True)
+SECTIONS = {
+    "fading.states": {"gain": _POSITIVE, "prob": _POSITIVE},
+    "mac": {  # MacProfile
+        "p_idle": _NONNEGATIVE,
+        "p_collision": _NONNEGATIVE,
+        "p_success": _POSITIVE,
+        "T_idle_s": _NONNEGATIVE,
+        "T_collision_s": _NONNEGATIVE,
+        "T_overhead_s": _NONNEGATIVE,
+        "T_txop_s": _POSITIVE,
+        "W_hz": _POSITIVE,
+        "E_idle_J": _rule(_finite, 0.0, nonnegative=True),
+        "E_collision_J": _rule(_finite, 0.0, nonnegative=True),
+        "E_overhead_J": _rule(_finite, 0.0, nonnegative=True),
+    },
+    # RunConfig's pt_prime_direct and p_bar: exactly one is given
+    "power": {"Pt_prime_W": _rule(_finite, None, positive=True),
+              "P_bar_W": _rule(_finite, None, positive=True)},
+    "sweep": {  # SweepSpec
+        "points": _rule(_integer, minimum=1),
+        "power_factors": _rule(_positives, (1.0,)),
+        "d_min_m": _POSITIVE,
+        "d_max_m": _POSITIVE,
+    },
+    "simulate": {  # SimulateSpec
+        "policy": _rule(_choice, "waterfill", choices=("waterfill", "constant")),
+        "constant_power_W": _rule(_finite, None, positive=True),
+        "relinquish_overhead_s": _rule(_finite, None, nonnegative=True),
+        "d_m": _POSITIVE,
+        "horizon": _rule(_integer, minimum=1),
+        "seed": _rule(_integer, minimum=0),
+    },
+    "bound": {  # BoundSpec
+        "power_W": _rule(_positives, (0.1,), scalar=True),
+        "K_min": _rule(_integer, 2, minimum=2),
+        "K_max": _rule(_integer, 100_000, minimum=2),
+        "area_m2": _POSITIVE,
+        "noise_W": _POSITIVE,
+        "points": _rule(_integer, 200, minimum=2),
+    },
 }
-_POWER_KEYS = {"Pt_prime_W", "P_bar_W"}
-_SWEEP_KEYS = {"d_min_m", "d_max_m", "points", "power_factors"}
-_SIM_KEYS = {
-    "d_m",
-    "horizon",
-    "seed",
-    "policy",
-    "constant_power_W",
-    "relinquish_overhead_s",
-}
-_BOUND_KEYS = {"area_m2", "noise_W", "power_W", "K_min", "K_max", "points"}
 
 
 class SweepSpec(NamedTuple):
+    points: int
+    power_factors: tuple
     d_min: float
     d_max: float
-    points: int
-    power_factors: tuple = (1.0,)
 
 
 class SimulateSpec(NamedTuple):
+    policy: str
+    constant_power: float | None
+    relinquish_overhead: float | None
     d: float
     horizon: int
     seed: int
-    policy: str = "waterfill"
-    constant_power: float | None = None
-    relinquish_overhead: float | None = None
 
 
 class BoundSpec(NamedTuple):
+    powers: tuple
+    k_min: int
+    k_max: int
     area: float
     noise: float
-    powers: tuple
-    k_min: int = 2
-    k_max: int = 100_000
-    points: int = 200
+    points: int
 
 
 class RunConfig(NamedTuple):
@@ -127,140 +202,71 @@ def parse_config(raw: dict, base_dir: Path | None = None) -> RunConfig:
     _check_keys(raw, _TOP_KEYS, "")
     version = raw.get("schema_version")
     if version != SCHEMA_VERSION:
-        raise ConfigError(
-            f"schema_version: expected {SCHEMA_VERSION}, got {version!r}"
-        )
-    model = _parse_fading(_require(raw, "fading", dict), base_dir)
-    eta = _number(raw, "eta", positive=True)
-    d0 = _number(raw, "d0_m", default=0.0, nonnegative=True)
+        raise ConfigError(f"schema_version: expected {SCHEMA_VERSION}, got {version!r}")
+    if "fading" not in raw:
+        raise ConfigError("fading: required section is missing")
+    model = _parse_fading(raw["fading"], base_dir)
+    eta = _read(raw, "eta", _POSITIVE)
+    d0 = _read(raw, "d0_m", _rule(_finite, 0.0, nonnegative=True))
 
-    profile = None
-    if "mac" in raw:
-        profile = _parse_mac(raw["mac"])
+    def section(name, record):
+        return record(*_section(raw[name], name)) if name in raw else None
 
-    pt_direct = p_bar = None
-    if "power" in raw:
-        power = raw["power"]
-        _check_keys(power, _POWER_KEYS, "power")
-        if "Pt_prime_W" in power and "P_bar_W" in power:
-            raise ConfigError("power: Pt_prime_W and P_bar_W are mutually exclusive")
-        if "Pt_prime_W" in power:
-            pt_direct = _number(power, "Pt_prime_W", positive=True, path="power")
-        elif "P_bar_W" in power:
-            p_bar = _number(power, "P_bar_W", positive=True, path="power")
-        else:
-            raise ConfigError("power: provide Pt_prime_W or P_bar_W")
+    profile = section("mac", MacProfile)
+    pt_direct, p_bar = _section(raw["power"], "power") if "power" in raw else (None, None)
+    if pt_direct is not None and p_bar is not None:
+        raise ConfigError("power: Pt_prime_W and P_bar_W are mutually exclusive")
+    if "power" in raw and pt_direct is None and p_bar is None:
+        raise ConfigError("power: provide Pt_prime_W or P_bar_W")
+    sweep = section("sweep", SweepSpec)
+    if sweep and sweep.d_max <= sweep.d_min:
+        raise ConfigError("sweep: d_max_m must exceed d_min_m")
+    simulate = section("simulate", SimulateSpec)
+    if simulate and simulate.policy == "constant" and simulate.constant_power is None:
+        raise ConfigError("simulate.constant_power_W is required for the constant policy")
+    bound = section("bound", BoundSpec)
+    if bound and bound.k_max < bound.k_min:
+        raise ConfigError("bound: K_max must be >= K_min")
 
-    sweep = _parse_sweep(raw["sweep"]) if "sweep" in raw else None
-    simulate = _parse_simulate(raw["simulate"]) if "simulate" in raw else None
-    bound = _parse_bound(raw["bound"]) if "bound" in raw else None
-
-    return RunConfig(
-        model=model,
-        eta=eta,
-        d0=d0,
-        profile=profile,
-        pt_prime_direct=pt_direct,
-        p_bar=p_bar,
-        sweep=sweep,
-        simulate=simulate,
-        bound=bound,
-    )
+    return RunConfig(model, eta, d0, profile, pt_direct, p_bar, sweep, simulate, bound)
 
 
 def _parse_fading(section: dict, base_dir: Path | None) -> FadingModel:
     _check_keys(section, _FADING_KEYS, "fading")
-    kind = section.get("kind")
-    scale = _number(section, "alpha_over_sigma2", default=1.0, positive=True, path="fading")
+    scale = _read(section, "alpha_over_sigma2", _rule(_finite, 1.0, positive=True), "fading")
+    kind = _choice(section.get("kind"), "fading.kind", ("exponential", "discrete", "tabulated"))
     if kind == "exponential":
-        return FadingModel.exponential(
-            _number(section, "rate", positive=True, path="fading"), scale
-        )
+        return FadingModel.exponential(_read(section, "rate", _POSITIVE, "fading"), scale)
     if kind == "discrete":
         states = section.get("states")
         if not isinstance(states, list) or not states:
             raise ConfigError("fading.states: need a non-empty list of {gain, prob}")
-        pairs = []
-        for i, entry in enumerate(states):
-            if not isinstance(entry, dict):
-                raise ConfigError(f"fading.states[{i}]: expected a mapping")
-            _check_keys(entry, _STATE_KEYS, f"fading.states[{i}]")
-            pairs.append(
-                (
-                    _number(entry, "gain", positive=True, path=f"fading.states[{i}]"),
-                    _number(entry, "prob", positive=True, path=f"fading.states[{i}]"),
-                )
-            )
-        return FadingModel.discrete(pairs, scale)
-    if kind == "tabulated":
-        csv_path = section.get("csv")
-        if not isinstance(csv_path, str):
-            raise ConfigError("fading.csv: path to a two-column CSV is required")
-        path = Path(csv_path)
-        if base_dir is not None and not path.is_absolute():
-            path = base_dir / path
-        return FadingModel.tabulated_from_csv(path, scale)
-    raise ConfigError(
-        f"fading.kind: expected exponential | discrete | tabulated, got {kind!r}"
-    )
+        return FadingModel.discrete(
+            [_section(state, "fading.states", f"fading.states[{i}]")
+             for i, state in enumerate(states)], scale)
+    csv_path = section.get("csv")
+    if not isinstance(csv_path, str):
+        raise ConfigError("fading.csv: path to a two-column CSV is required")
+    path = Path(csv_path)
+    if base_dir is not None and not path.is_absolute():
+        path = base_dir / path
+    return FadingModel.tabulated_from_csv(path, scale)
 
 
-def _parse_mac(section) -> MacProfile:
-    _check_keys(section, _MAC_RULES.keys(), "mac")
-    return MacProfile(*[_number(section, key, path="mac", **rule)
-                        for key, rule in _MAC_RULES.items()])
+def _section(mapping, name: str, path: str | None = None) -> list:
+    """The values of ``mapping`` by the rules of ``SECTIONS[name]``, named from ``path``."""
+    rules, path = SECTIONS[name], path or name
+    _check_keys(mapping, rules.keys(), path)
+    return [_read(mapping, key, rule, path) for key, rule in rules.items()]
 
 
-def _parse_sweep(section) -> SweepSpec:
-    _check_keys(section, _SWEEP_KEYS, "sweep")
-    points = _integer(section, "points", minimum=1, path="sweep")
-    factors = _positive_list(section.get("power_factors", [1.0]), "sweep.power_factors")
-    d_min = _number(section, "d_min_m", positive=True, path="sweep")
-    d_max = _number(section, "d_max_m", positive=True, path="sweep")
-    if d_max <= d_min:
-        raise ConfigError("sweep: d_max_m must exceed d_min_m")
-    return SweepSpec(d_min=d_min, d_max=d_max, points=points, power_factors=factors)
-
-
-def _parse_simulate(section) -> SimulateSpec:
-    _check_keys(section, _SIM_KEYS, "simulate")
-    policy = section.get("policy", "waterfill")
-    if policy not in ("waterfill", "constant"):
-        raise ConfigError(f"simulate.policy: expected waterfill | constant, got {policy!r}")
-    constant = None
-    if "constant_power_W" in section:
-        constant = _number(section, "constant_power_W", positive=True, path="simulate")
-    if policy == "constant" and constant is None:
-        raise ConfigError("simulate.constant_power_W is required for the constant policy")
-    relinquish = None
-    if "relinquish_overhead_s" in section:
-        relinquish = _number(section, "relinquish_overhead_s", nonnegative=True, path="simulate")
-    return SimulateSpec(
-        d=_number(section, "d_m", positive=True, path="simulate"),
-        horizon=_integer(section, "horizon", minimum=1, path="simulate"),
-        seed=_integer(section, "seed", minimum=0, path="simulate"),
-        policy=policy,
-        constant_power=constant,
-        relinquish_overhead=relinquish,
-    )
-
-
-def _parse_bound(section) -> BoundSpec:
-    _check_keys(section, _BOUND_KEYS, "bound")
-    powers = section.get("power_W", [0.1])
-    powers = _positive_list(powers if isinstance(powers, list) else [powers], "bound.power_W")
-    k_min = _integer(section, "K_min", default=2, minimum=2, path="bound")
-    k_max = _integer(section, "K_max", default=100_000, minimum=2, path="bound")
-    if k_max < k_min:
-        raise ConfigError("bound: K_max must be >= K_min")
-    return BoundSpec(
-        area=_number(section, "area_m2", positive=True, path="bound"),
-        noise=_number(section, "noise_W", positive=True, path="bound"),
-        powers=powers,
-        k_min=k_min,
-        k_max=k_max,
-        points=_integer(section, "points", default=200, minimum=2, path="bound"),
-    )
+def _read(mapping, key: str, rule: Rule, path: str = ""):
+    where = f"{path}.{key}" if path else key
+    if key in mapping:
+        return rule(mapping[key], where)
+    if rule.default is _REQUIRED:
+        raise ConfigError(f"{where}: required value is missing")
+    return rule.default
 
 
 def _check_keys(mapping, allowed, path: str) -> None:
@@ -270,62 +276,3 @@ def _check_keys(mapping, allowed, path: str) -> None:
     if unknown:
         where = f"{path}." if path else ""
         raise ConfigError(f"{where}{sorted(unknown)[0]}: unknown key")
-
-
-def _require(mapping, key, typ):
-    if key not in mapping:
-        raise ConfigError(f"{key}: required section is missing")
-    value = mapping[key]
-    if not isinstance(value, typ):
-        raise ConfigError(f"{key}: expected a mapping")
-    return value
-
-
-def _number(mapping, key, default=None, positive=False, nonnegative=False, path=""):
-    where = f"{path}.{key}" if path else key
-    if key not in mapping:
-        if default is not None:
-            return float(default)
-        raise ConfigError(f"{where}: required value is missing")
-    return _finite(mapping[key], where, positive, nonnegative)
-
-
-def _positive_list(values, where: str) -> tuple:
-    """The entries of the non-empty list ``values``, each a finite number > 0."""
-    if not isinstance(values, list) or not values:
-        raise ConfigError(f"{where}: need a non-empty list of numbers")
-    return tuple(_finite(v, f"{where}[{i}]", positive=True) for i, v in enumerate(values))
-
-
-def _finite(value, where: str, positive=False, nonnegative=False) -> float:
-    """``value`` as a finite float; a ConfigError names ``where`` otherwise."""
-    if isinstance(value, str):
-        # YAML 1.1 reads "1.0e6" (no signed exponent) as a string
-        try:
-            value = float(value)
-        except ValueError:
-            raise ConfigError(f"{where}: expected a number, got {value!r}") from None
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where}: expected a number, got {value!r}")
-    value = float(value)
-    if not math.isfinite(value):
-        raise ConfigError(f"{where}: must be finite, got {value}")
-    if positive and value <= 0:
-        raise ConfigError(f"{where}: must be > 0, got {value}")
-    if nonnegative and value < 0:
-        raise ConfigError(f"{where}: must be >= 0, got {value}")
-    return value
-
-
-def _integer(mapping, key, default=None, minimum=None, path=""):
-    where = f"{path}.{key}" if path else key
-    if key not in mapping:
-        if default is not None:
-            return int(default)
-        raise ConfigError(f"{where}: required value is missing")
-    value = mapping[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{where}: expected an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"{where}: must be >= {minimum}, got {value}")
-    return value

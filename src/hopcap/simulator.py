@@ -33,7 +33,7 @@ import numpy as np
 from .errors import NumericalError, OrderingViolation, ValidationError
 from .fading import FadingModel, choice_thresholds
 from .macmodel import LN2, MacProfile
-from .waterfill import WaterfillSolution
+from .waterfill import WaterfillSolution, gamma_and_lambda
 
 _CI_FACTOR = 1.959963984540054  # two-sided 95% normal quantile
 MIN_HORIZON_FOR_CI = 10_000
@@ -343,18 +343,10 @@ def compare_ftt_fp(
     energy = p1 * t1 + p2 * t2
     bits_fp = 2.0 * packet_bits
 
-    slot = duration / 2.0
-    q1, q2 = _two_state_waterfill(h1, h2, energy / slot)
-    bits_ftt = slot * bandwidth * (math.log2(1.0 + h1 * q1) + math.log2(1.0 + h2 * q2))
-    if not bits_ftt >= bits_fp * (1.0 - 1e-9):  # a NaN where 1/h2 overflows, say
+    # one equally likely state per slot, water-filled at the mean power energy/duration
+    states = [(h1, 0.5), (h2, 0.5)] if h1 != h2 else [(h1, 1.0)]
+    gamma, _ = gamma_and_lambda(FadingModel.discrete(states), energy / duration)
+    bits_ftt = duration * bandwidth * gamma / LN2
+    if not bits_ftt >= bits_fp * (1.0 - 1e-9):
         raise NumericalError(f"fixed-time bits {bits_ftt} fall short of {bits_fp}")
     return FttFpComparison(bits_fp=bits_fp, bits_ftt=bits_ftt, energy=energy, duration=duration)
-
-
-def _two_state_waterfill(h1: float, h2: float, budget: float):
-    """Split ``budget`` over two states maximizing the summed log rates."""
-    inv_level = 0.5 * (budget + 1.0 / h1 + 1.0 / h2)
-    q2 = inv_level - 1.0 / h2
-    if q2 <= 0.0:
-        return budget, 0.0
-    return inv_level - 1.0 / h1, q2

@@ -634,6 +634,25 @@ class TestCompareFttCommand:
         row = read_csv(out_path)[0]
         assert float(row["bits_ftt"]) > float(row["bits_fp"])
 
+    def test_fixed_time_bits_match_a_40_digit_water_fill(self, tmp_path, capsys):
+        # the closed form inv_level - 1/h1 cancels: it was up to 7.1e-14 off on these tuples
+        import mpmath
+
+        out_path = tmp_path / "cmp.csv"
+        assert main(["compare-ftt", "--count", "1000", "--seed", "7", "--out", str(out_path)]) == 0
+        worst = 0.0
+        with mpmath.workdps(40):
+            for row in read_csv(out_path):
+                h1, h2, energy, duration = (mpmath.mpf(row[key]) for key in
+                                            ("h1", "h2", "energy_J", "duration_s"))
+                budget = 2 * energy / duration  # over two slots of duration/2
+                level = (budget + 1 / h1 + 1 / h2) / 2
+                q1, q2 = (level - 1 / h1, level - 1 / h2) if level > 1 / h2 else (budget, 0)
+                exact = duration / 2 * 10**6 * mpmath.log(
+                    (1 + h1 * q1) * (1 + h2 * q2), 2)
+                worst = max(worst, float(abs(mpmath.mpf(row["bits_ftt"]) / exact - 1)))
+        assert worst < 1e-15
+
 
 class TestSingleCellBoundCommand:
     def test_bound_holds_and_peak_is_interior(self, fig1_cfg, tmp_path):
@@ -777,6 +796,20 @@ class TestOutputPath:
         assert manifest["config_path"] == (None if command == "compare-ftt" else str(fig1_cfg))
         assert manifest["outputs"] == {
             name: hashlib.sha256(files[name]).hexdigest() for name in ["out.dat", *traces]}
+
+    @pytest.mark.parametrize("command, flags, path", [
+        ("optimize", ["--out"], "nodir/x.csv"),
+        ("simulate", ["--horizon", "10000", "--out"], "nodir/r.json"),
+        ("simulate", ["--horizon", "10000", "--trace"], "nodir/t.csv"),
+    ], ids=["optimize-out", "simulate-out", "simulate-trace"])
+    def test_unwritable_path_exits_2(self, command, flags, path, fig1_cfg, tmp_path,
+                                     monkeypatch, capsys):
+        # these ended in a FileNotFoundError traceback with exit 1
+        monkeypatch.chdir(tmp_path)
+        assert main([command, "--config", str(fig1_cfg), *flags, path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and path in err and "Traceback" not in err
+        assert not (tmp_path / "nodir").exists()
 
 
 # stdout and CSV bytes as last produced; a change that moves an output on
@@ -1002,19 +1035,25 @@ def hostile_runs(draw):
         fading["csv"] = "density.csv"
         csv_text = "h,a\n" + "".join(f"{h * s!r},{a / s!r}\n" for h, a in BIMODAL_NODES)
     d_min, d_max = sorted([num(), num()])
-    power = {"Pt_prime_W": num()}
+    power = {draw(st.sampled_from(["Pt_prime_W", "P_bar_W"])): num()}
+    mac = dict(MAC, E_idle_J=num(), E_collision_J=num(), E_overhead_J=num())
     sweep = {"d_min_m": d_min, "d_max_m": d_max, "points": draw(st.integers(1, 4)),
              "power_factors": [num()]}
     simulate = {"d_m": num(), "horizon": draw(st.integers(1, 200)), "seed": 3,
                 "policy": draw(st.sampled_from(["waterfill", "constant"])),
-                "constant_power_W": num()}
-    bound = {"area_m2": num(), "noise_W": num(), "power_W": [num()], "K_max": 50, "points": 3}
+                "constant_power_W": num(), "relinquish_overhead_s": num()}
+    # a scalar power_W reads as a list of one
+    bound = {"area_m2": num(), "noise_W": num(), "power_W": draw(st.sampled_from([[num()], num()])),
+             "K_min": draw(st.integers(2, 50)), "K_max": 50, "points": 3}
     config = {"schema_version": 1, "fading": fading,
               "eta": draw(st.sampled_from([3.0, 2.0, 1.001, 0.5]) | MAGNITUDES),
-              "power": power, "mac": MAC, "sweep": sweep, "simulate": simulate, "bound": bound}
-    numbers += [(config, "eta"), (power, "Pt_prime_W"), (sweep, "d_min_m"), (sweep, "d_max_m"),
-                (simulate, "d_m"), (simulate, "constant_power_W"), (bound, "area_m2"),
-                (bound, "noise_W")]
+              "d0_m": num(), "power": power, "mac": mac, "sweep": sweep, "simulate": simulate,
+              "bound": bound}
+    numbers += [(config, "eta"), (config, "d0_m"), (power, next(iter(power))),
+                (sweep, "d_min_m"), (sweep, "d_max_m"), (simulate, "d_m"),
+                (simulate, "constant_power_W"), (simulate, "relinquish_overhead_s"),
+                (bound, "area_m2"), (bound, "noise_W")]
+    numbers += [(mac, key) for key in ("E_idle_J", "E_collision_J", "E_overhead_J")]
     target = draw(st.sampled_from([None] + numbers))
     if target is not None:
         mapping, key = target

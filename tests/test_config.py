@@ -1,13 +1,15 @@
 """The config schema's rules, as a run sees them: exit 2 with the exact message, or the same run."""
 
 import copy
+import re
+from pathlib import Path
 
 import pytest
 import yaml
 
 from hopcap import macmodel
 from hopcap.cli import main
-from hopcap.config import _finite, parse_config
+from hopcap.config import SECTIONS, _finite, parse_config
 
 # every section present, so that each section's key check runs on load
 FULL = {
@@ -151,8 +153,8 @@ def at_least(minimum):
             (1.5, "expected an integer, got 1.5"), (True, "expected an integer, got True")]
 
 
-POSITIVE_LIST = [([], "need a non-empty list of numbers"), ({"a": 1}, "need a non-empty list of numbers"),
-                 ([1.0, 0], "[1]: must be > 0, got 0.0"), (["x"], "[0]: expected a number, got 'x'")]
+POSITIVE_LIST = [([], "need a non-empty list of numbers"), ([1.0, 0], "[1]: must be > 0, got 0.0"),
+                 (["x"], "[0]: expected a number, got 'x'")]
 # FULL with every optional key given, none at its default
 EVERY_KEY = edited(lambda raw: (raw["simulate"].update(policy="constant", constant_power_W=0.5,
                                                        relinquish_overhead_s=1e-4),
@@ -181,7 +183,8 @@ KEYS = {
     "sweep.d_max_m": (REQUIRED, None, POSITIVE),
     "sweep.points": (REQUIRED, None, at_least(1)),
     "sweep.power_factors": ((1.0,), lambda c: c.sweep.power_factors,
-                            POSITIVE_LIST + [(2.0, "need a non-empty list of numbers")]),
+                            POSITIVE_LIST + [({"a": 1}, "need a non-empty list of numbers"),
+                                             (2.0, "need a non-empty list of numbers")]),
     "simulate.d_m": (REQUIRED, None, POSITIVE),
     "simulate.horizon": (REQUIRED, None, at_least(1)),
     "simulate.seed": (REQUIRED, None, at_least(0)),
@@ -193,9 +196,10 @@ KEYS = {
                                        NONNEGATIVE),
     "bound.area_m2": (REQUIRED, None, POSITIVE),
     "bound.noise_W": (REQUIRED, None, POSITIVE),
-    # a scalar power reads as a list of one
-    "bound.power_W": ((0.1,), lambda c: c.bound.powers, POSITIVE_LIST[:1] + POSITIVE_LIST[2:] + [
-        (0, "[0]: must be > 0, got 0.0"), ({"a": 1}, "[0]: expected a number, got {'a': 1}")]),
+    # a value that is not a list reads as a list of one
+    "bound.power_W": ((0.1,), lambda c: c.bound.powers,
+                      POSITIVE_LIST + [({"a": 1}, "[0]: expected a number, got {'a': 1}"),
+                                       (0, "[0]: must be > 0, got 0.0")]),
     "bound.K_min": (2, lambda c: c.bound.k_min, at_least(2)),
     "bound.K_max": (100_000, lambda c: c.bound.k_max, at_least(2)),
     "bound.points": (200, lambda c: c.bound.points, at_least(2)),
@@ -263,3 +267,23 @@ def test_value_breaking_the_rule_is_named(path, value, message, tmp_path, capsys
     sep = "" if message.startswith("[") else ": "
     assert error_of(["waterfill", "--config", str(cfg), "--pi", "1"], capsys) \
         == f"error: {path}{sep}{message}\n"
+
+
+# -- the README's config section ---------------------------------------------
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+CONFIG_DOCS = README.split("### Config file", 1)[1].split("\n### ", 1)[0]
+
+
+def test_readme_example_parses():
+    example = re.search(r"```yaml\n(.*?)```", CONFIG_DOCS, re.S).group(1)
+    cfg = parse_config(yaml.safe_load(example))
+    assert cfg.sweep.power_factors == (1.0, 4.0, 9.0) and cfg.bound.points == 300
+
+
+def test_readme_key_table_names_every_key():
+    documented = {name for cell in re.findall(r"^\| (`.*?) \|", CONFIG_DOCS, re.M)
+                  for name in re.findall(r"`(.+?)`", cell)}
+    table = {f"{section}.{key}".replace("states.", "states[i].")
+             for section, keys in SECTIONS.items() for key in keys}
+    assert table <= documented
