@@ -164,13 +164,13 @@ class RunConfig(NamedTuple):
 
     model: FadingModel
     eta: float
-    d0: float = 0.0
-    profile: MacProfile | None = None
-    pt_prime_direct: float | None = None
-    p_bar: float | None = None
-    sweep: SweepSpec | None = None
-    simulate: SimulateSpec | None = None
-    bound: BoundSpec | None = None
+    d0: float
+    profile: MacProfile | None
+    pt_prime_direct: float | None
+    p_bar: float | None
+    sweep: SweepSpec | None
+    simulate: SimulateSpec | None
+    bound: BoundSpec | None
 
     def resolve_pt_prime(self) -> float:
         """Per-transmission power budget, direct or derived from P_bar."""
