@@ -43,12 +43,15 @@ def main(argv=None) -> int:
             args.started = time.monotonic()  # where wall_time_s starts
             text, echo, manifest = args.handler(args, cfg)
             if args.out:
-                with open(args.out, "w", encoding="utf-8", newline="") as fh:
-                    fh.write(text)
-                _write_manifest(args, **manifest)
+                try:
+                    with open(args.out, "w", encoding="utf-8", newline="") as fh:
+                        fh.write(text)
+                    _write_manifest(args, **manifest)
+                except OSError as exc:
+                    raise ConfigError(f"cannot write output: {exc}") from exc
             elif echo:
                 sys.stdout.write(text)
-    except (ValidationError, OSError) as exc:  # OSError: an output path that cannot be written
+    except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (NumericalError, ArithmeticError) as exc:  # d**eta, say, past the float range
@@ -198,7 +201,7 @@ def _cmd_simulate(args, cfg) -> tuple:
         raise ConfigError("simulate requires a mac section")
     # an override, present only when given, obeys the rule of the key it overrides
     rules = SECTIONS["simulate"]
-    spec = cfg.simulate._replace(**{key: rules[key](vars(args)[key], f"simulate.{key}")
+    spec = cfg.simulate._replace(**{key: rules[key].read(vars(args)[key], f"simulate.{key}")
                                     for key in ("seed", "horizon") if key in vars(args)})
     _require_finite_power("d**eta", spec.d, cfg.eta,
                           f"simulate.d_m = {spec.d!r} with eta = {cfg.eta!r}")
@@ -227,7 +230,7 @@ def _cmd_compare_ftt(args, cfg) -> tuple:
 
     from . import simulator
 
-    seed = SECTIONS["simulate"]["seed"](args.seed, "compare-ftt.seed")
+    seed = SECTIONS["simulate"]["seed"].read(args.seed, "compare-ftt.seed")
     count = _integer(args.count, "compare-ftt.count", minimum=1)
     explicit = [args.h1, args.h2, args.p1, args.p2]
     rows = []

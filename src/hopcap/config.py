@@ -6,8 +6,8 @@ dotted field path so typos fail loudly instead of being ignored.
 
 `SECTIONS` holds every key of the flat sections (``mac``, ``power``,
 ``sweep``, ``simulate``, ``bound`` and each ``fading.states[i]``): its
-reader, the reader's bounds and the key's default, in the field order of
-the record the section fills.  `_section` checks a section's keys
+reader, with the key's bounds bound in, and its default, in the field
+order of the record the section fills.  `_section` checks a section's keys
 against it and reads every value; the rules that tie two keys together
 are checked after that, in `parse_config`.
 """
@@ -15,6 +15,7 @@ are checked after that, in `parse_config`.
 from __future__ import annotations
 
 import math
+from functools import partial
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -27,8 +28,17 @@ from .macmodel import MacProfile, pt_prime as _pt_prime
 SCHEMA_VERSION = 1
 _REQUIRED = object()  # the default of a key that has none
 
-_TOP_KEYS = {"schema_version", "fading", "mac", "power", "eta", "d0_m", "sweep", "simulate",
-             "bound"}
+_TOP_KEYS = {
+    "schema_version",
+    "fading",
+    "mac",
+    "power",
+    "eta",
+    "d0_m",
+    "sweep",
+    "simulate",
+    "bound",
+}
 _FADING_KEYS = {"kind", "rate", "alpha_over_sigma2", "states", "csv"}
 
 
@@ -76,21 +86,14 @@ def _choice(value, where: str, choices) -> str:
 
 
 class Rule(NamedTuple):
-    """How a key is read: ``read(value, where, **bounds)``, or ``default`` when it is absent."""
+    """How a key is read: ``read(value, where)``, or ``default`` when it is absent."""
 
     read: Callable
-    default: object
-    bounds: dict
-
-    def __call__(self, value, where: str):
-        return self.read(value, where, **self.bounds)
+    default: object = _REQUIRED
 
 
-def _rule(read, default=_REQUIRED, **bounds) -> Rule:
-    return Rule(read, default, bounds)
-
-
-_POSITIVE, _NONNEGATIVE = _rule(_finite, positive=True), _rule(_finite, nonnegative=True)
+_positive, _nonnegative = partial(_finite, positive=True), partial(_finite, nonnegative=True)
+_POSITIVE, _NONNEGATIVE = Rule(_positive), Rule(_nonnegative)
 SECTIONS = {
     "fading.states": {"gain": _POSITIVE, "prob": _POSITIVE},
     "mac": {  # MacProfile
@@ -102,34 +105,33 @@ SECTIONS = {
         "T_overhead_s": _NONNEGATIVE,
         "T_txop_s": _POSITIVE,
         "W_hz": _POSITIVE,
-        "E_idle_J": _rule(_finite, 0.0, nonnegative=True),
-        "E_collision_J": _rule(_finite, 0.0, nonnegative=True),
-        "E_overhead_J": _rule(_finite, 0.0, nonnegative=True),
+        "E_idle_J": Rule(_nonnegative, 0.0),
+        "E_collision_J": Rule(_nonnegative, 0.0),
+        "E_overhead_J": Rule(_nonnegative, 0.0),
     },
     # RunConfig's pt_prime_direct and p_bar: exactly one is given
-    "power": {"Pt_prime_W": _rule(_finite, None, positive=True),
-              "P_bar_W": _rule(_finite, None, positive=True)},
+    "power": {"Pt_prime_W": Rule(_positive, None), "P_bar_W": Rule(_positive, None)},
     "sweep": {  # SweepSpec
-        "points": _rule(_integer, minimum=1),
-        "power_factors": _rule(_positives, (1.0,)),
+        "points": Rule(partial(_integer, minimum=1)),
+        "power_factors": Rule(_positives, (1.0,)),
         "d_min_m": _POSITIVE,
         "d_max_m": _POSITIVE,
     },
     "simulate": {  # SimulateSpec
-        "policy": _rule(_choice, "waterfill", choices=("waterfill", "constant")),
-        "constant_power_W": _rule(_finite, None, positive=True),
-        "relinquish_overhead_s": _rule(_finite, None, nonnegative=True),
+        "policy": Rule(partial(_choice, choices=("waterfill", "constant")), "waterfill"),
+        "constant_power_W": Rule(_positive, None),
+        "relinquish_overhead_s": Rule(_nonnegative, None),
         "d_m": _POSITIVE,
-        "horizon": _rule(_integer, minimum=1),
-        "seed": _rule(_integer, minimum=0),
+        "horizon": Rule(partial(_integer, minimum=1)),
+        "seed": Rule(partial(_integer, minimum=0)),
     },
     "bound": {  # BoundSpec
-        "power_W": _rule(_positives, (0.1,), scalar=True),
-        "K_min": _rule(_integer, 2, minimum=2),
-        "K_max": _rule(_integer, 100_000, minimum=2),
+        "power_W": Rule(partial(_positives, scalar=True), (0.1,)),
+        "K_min": Rule(partial(_integer, minimum=2), 2),
+        "K_max": Rule(partial(_integer, minimum=2), 100_000),
         "area_m2": _POSITIVE,
         "noise_W": _POSITIVE,
-        "points": _rule(_integer, 200, minimum=2),
+        "points": Rule(partial(_integer, minimum=2), 200),
     },
 }
 
@@ -202,12 +204,14 @@ def parse_config(raw: dict, base_dir: Path | None = None) -> RunConfig:
     _check_keys(raw, _TOP_KEYS, "")
     version = raw.get("schema_version")
     if version != SCHEMA_VERSION:
-        raise ConfigError(f"schema_version: expected {SCHEMA_VERSION}, got {version!r}")
+        raise ConfigError(
+            f"schema_version: expected {SCHEMA_VERSION}, got {version!r}"
+        )
     if "fading" not in raw:
         raise ConfigError("fading: required section is missing")
     model = _parse_fading(raw["fading"], base_dir)
     eta = _read(raw, "eta", _POSITIVE)
-    d0 = _read(raw, "d0_m", _rule(_finite, 0.0, nonnegative=True))
+    d0 = _read(raw, "d0_m", Rule(_nonnegative, 0.0))
 
     def section(name, record):
         return record(*_section(raw[name], name)) if name in raw else None
@@ -228,15 +232,27 @@ def parse_config(raw: dict, base_dir: Path | None = None) -> RunConfig:
     if bound and bound.k_max < bound.k_min:
         raise ConfigError("bound: K_max must be >= K_min")
 
-    return RunConfig(model, eta, d0, profile, pt_direct, p_bar, sweep, simulate, bound)
+    return RunConfig(
+        model=model,
+        eta=eta,
+        d0=d0,
+        profile=profile,
+        pt_prime_direct=pt_direct,
+        p_bar=p_bar,
+        sweep=sweep,
+        simulate=simulate,
+        bound=bound,
+    )
 
 
 def _parse_fading(section: dict, base_dir: Path | None) -> FadingModel:
     _check_keys(section, _FADING_KEYS, "fading")
-    scale = _read(section, "alpha_over_sigma2", _rule(_finite, 1.0, positive=True), "fading")
+    scale = _read(section, "alpha_over_sigma2", Rule(_positive, 1.0), "fading")
     kind = _choice(section.get("kind"), "fading.kind", ("exponential", "discrete", "tabulated"))
     if kind == "exponential":
-        return FadingModel.exponential(_read(section, "rate", _POSITIVE, "fading"), scale)
+        return FadingModel.exponential(
+            _read(section, "rate", _POSITIVE, "fading"), scale
+        )
     if kind == "discrete":
         states = section.get("states")
         if not isinstance(states, list) or not states:
@@ -263,7 +279,7 @@ def _section(mapping, name: str, path: str | None = None) -> list:
 def _read(mapping, key: str, rule: Rule, path: str = ""):
     where = f"{path}.{key}" if path else key
     if key in mapping:
-        return rule(mapping[key], where)
+        return rule.read(mapping[key], where)
     if rule.default is _REQUIRED:
         raise ConfigError(f"{where}: required value is missing")
     return rule.default

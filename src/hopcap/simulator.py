@@ -175,7 +175,10 @@ def run(config: SimConfig, trace_path=None) -> SimReport:
     counts = [0, 0, 0]  # idle, collision and success periods so far
     trace = contextlib.nullcontext()
     if trace_path is not None:
-        trace = open(trace_path, "w", newline="", encoding="utf-8")
+        try:
+            trace = open(trace_path, "w", newline="", encoding="utf-8")
+        except OSError as exc:
+            raise ValidationError(f"cannot write trace: {exc}") from exc
     with trace as fh:
         if fh is not None:
             fh.write("period_type,duration_s,energy_J,bits\n")

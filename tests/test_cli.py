@@ -804,7 +804,6 @@ class TestOutputPath:
     ], ids=["optimize-out", "simulate-out", "simulate-trace"])
     def test_unwritable_path_exits_2(self, command, flags, path, fig1_cfg, tmp_path,
                                      monkeypatch, capsys):
-        # these ended in a FileNotFoundError traceback with exit 1
         monkeypatch.chdir(tmp_path)
         assert main([command, "--config", str(fig1_cfg), *flags, path]) == 2
         err = capsys.readouterr().err
@@ -1041,7 +1040,11 @@ def hostile_runs(draw):
              "power_factors": [num()]}
     simulate = {"d_m": num(), "horizon": draw(st.integers(1, 200)), "seed": 3,
                 "policy": draw(st.sampled_from(["waterfill", "constant"])),
-                "constant_power_W": num(), "relinquish_overhead_s": num()}
+                "constant_power_W": num()}
+    # left out, or inside [0, mac.T_txop_s], so the simulator's own rule passes
+    relinquish = draw(st.sampled_from([None, 0.0, 1e-4, 2e-3]))
+    if relinquish is not None:
+        simulate["relinquish_overhead_s"] = relinquish
     # a scalar power_W reads as a list of one
     bound = {"area_m2": num(), "noise_W": num(), "power_W": draw(st.sampled_from([[num()], num()])),
              "K_min": draw(st.integers(2, 50)), "K_max": 50, "points": 3}
