@@ -25,7 +25,7 @@ import math
 from typing import NamedTuple
 
 from .errors import DiscreteKindError, ValidationError
-from .fading import FadingModel, log_root
+from .fading import FadingModel, sign_change_roots
 
 
 class DiscreteWaterfillTable(NamedTuple):
@@ -106,33 +106,19 @@ def stationary_roots(table: DiscreteWaterfillTable, eta: float) -> list:
     """
     # segment k spans Pi from ends[k] to ends[k + 1], where y = alpha_k/(alpha_k + Pi) falls
     ends = (0.0,) + table.pi_breaks + (math.inf,)
+    peak = 1.0 / eta
     roots = []
     for k, (alpha, b) in enumerate(zip(table.alpha, table.b)):
         y_hi, y_lo = (alpha / (alpha + end) for end in ends[k : k + 2])
-        for y in _branch_roots(b, eta, y_lo, y_hi):
+        lo = max(y_lo, 1e-300)
+        if y_hi <= lo:
+            continue
+        ys = (lo, peak, y_hi) if lo < peak < y_hi else (lo, y_hi)
+        # the residual and its two derivatives in log y
+        w = lambda y, b=b: (math.log(y) - eta * (y - 1.0) - b, 1.0 - eta * y, -eta * y)
+        for y in sign_change_roots(w, ys, [math.log(y) - eta * (y - 1.0) - b for y in ys]):
             pi = alpha * (1.0 - y) / y
-            if pi > 0.0:
+            if y_lo <= y < y_hi and pi > 0.0:
                 roots.append((pi, k + 1))
     assert len(roots) <= 2 * table.n_states - 1
-    return roots
-
-
-def _branch_roots(b: float, eta: float, y_lo: float, y_hi: float):
-    """Roots of log(y) - eta*(y - 1) = b on [y_lo, y_hi) inside (0, 1]."""
-    # the residual and its two derivatives in log y
-    w = lambda y: (math.log(y) - eta * (y - 1.0) - b, 1.0 - eta * y, -eta * y)
-    peak = 1.0 / eta
-    roots = []
-    # the rising branch up to the peak, then the falling one (empty if peak >= 1)
-    for lo, hi in ((max(y_lo, 1e-300), min(y_hi, peak)), (max(y_lo, peak), min(y_hi, 1.0))):
-        if hi <= lo:
-            continue
-        f_lo, f_hi = w(lo)[0], w(hi)[0]
-        if f_lo == 0.0:
-            roots.append(lo)
-            continue
-        if f_lo * f_hi < 0.0:
-            y = log_root(w, math.sqrt(lo) * math.sqrt(hi), lo, hi, rising=f_hi > 0.0)
-            if y_lo <= y < y_hi:
-                roots.append(y)
     return roots

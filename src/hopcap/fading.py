@@ -264,6 +264,24 @@ def log_root(func, x: float, lo: float, hi: float, rising: bool) -> float:
     return lo if abs(g_lo) <= abs(g_hi) else hi
 
 
+
+def sign_change_roots(func, xs, values) -> list:
+    """One root of ``func`` per sign change of ``values`` along increasing ``xs``.
+
+    ``values`` are g at ``xs``, where ``func`` returns g and its two
+    derivatives in log x; each change is solved by `log_root`.  A zero
+    value is a root itself.  The first point may be x = 0, where g is a
+    limit; its step starts at v/sqrt(10).
+    """
+    roots = [xs[0]] if values[0] == 0.0 else []
+    for u, v, fu, fv in zip(xs, xs[1:], values, values[1:]):
+        if fv == 0.0:
+            roots.append(v)
+        elif fu * fv < 0.0:
+            start = math.sqrt(u) * math.sqrt(v) if u else v / math.sqrt(10.0)
+            roots.append(log_root(func, start, u, v, rising=fv > 0.0))
+    return roots
+
 def _positive(value, what: str) -> float:
     """``value`` as a float, which must be finite and > 0."""
     value = float(value)

@@ -39,7 +39,7 @@ from typing import NamedTuple
 from . import discrete as _discrete
 from . import waterfill as _waterfill
 from .errors import BracketFailure, NoStationaryPoint, ValidationError
-from .fading import Exponential, FadingModel, log_root
+from .fading import Exponential, FadingModel, log_root, sign_change_roots
 
 _RESIDUAL_REL = 1e-8
 # exp(-u) and E1(u) leave the normal range just above u = 700
@@ -238,25 +238,9 @@ def _tabulated_roots(model: FadingModel, eta: float) -> list:
     breaks += [(v, slope(v)[0]) for v in cuts if v < top]
     breaks.sort()
     # both passes start at lam = 0, with the limits lam*R' -> -mass and R -> +inf
-    critical = _sign_change_roots(
+    critical = sign_change_roots(
         slope, [0.0] + [v for v, _ in breaks], [-tails.mass[0]] + [g for _, g in breaks]
     )
-    return _sign_change_roots(residual, [0.0] + critical,
-                              [math.inf] + [residual(v)[0] for v in critical])
+    return sign_change_roots(residual, [0.0] + critical,
+                             [math.inf] + [residual(v)[0] for v in critical])
 
-
-def _sign_change_roots(func, xs, values) -> list:
-    """One root of ``func`` per sign change of ``values`` along increasing ``xs``.
-
-    ``values`` are g at ``xs``, where ``func`` returns g and its two
-    derivatives in log x.  A zero value past the first point is a root itself.
-    The first point may be x = 0, where g is a limit; its step starts at v/sqrt(10).
-    """
-    roots = []
-    for u, v, fu, fv in zip(xs, xs[1:], values, values[1:]):
-        if fv == 0.0:
-            roots.append(v)
-        elif fu * fv < 0.0:
-            start = math.sqrt(u) * math.sqrt(v) if u else v / math.sqrt(10.0)
-            roots.append(log_root(func, start, u, v, rising=fv > 0.0))
-    return roots

@@ -24,7 +24,7 @@ from conftest import (
     tail_decay_check,
     x_tails,
 )
-from hopcap import discrete, hopopt, waterfill
+from hopcap import discrete, fading, hopopt, waterfill
 from hopcap.errors import BracketFailure, DiscreteKindError, ValidationError
 from hopcap.fading import PROB_SUM_TOL, FadingModel, log_root
 from hopcap.hopopt import HopProblem
@@ -537,6 +537,17 @@ def test_alpha_over_sigma2_is_read_only_at_the_edges():
         assert attribute_readers(_SRC / "hopcap" / name, "alpha_over_sigma2") == allowed, name
 
 
+def test_log_root_is_called_only_by_the_scan_and_the_exponential_root():
+    # every enumeration of many brackets goes through the one sign-change scan,
+    # so a second scan cannot fork off beside it
+    calls = lambda node: isinstance(node, ast.Call) and (
+        isinstance(node.func, ast.Name) and node.func.id == "log_root"
+        or isinstance(node.func, ast.Attribute) and node.func.attr == "log_root")
+    callers = {(path.name, scope) for path in sorted((_SRC / "hopcap").glob("*.py"))
+               for scope in scopes_with(path, calls)}
+    assert callers == {("fading.py", "sign_change_roots"), ("hopopt.py", "_exponential_root")}
+
+
 def scipy_brentq(func, lo, hi):
     """The root of the g that ``func`` returns first, by scipy's brentq."""
     return brentq(lambda x: func(x)[0], lo, hi, xtol=1e-300, rtol=8.9e-16)
@@ -557,8 +568,8 @@ LOG_ROOT_FAMILIES = {
 }
 
 
-def recorded_brackets(monkeypatch, module, run):
-    """(func, lo, hi, root) of every call that ``run`` makes to ``module.log_root``."""
+def recorded_brackets(monkeypatch, run):
+    """(func, lo, hi, root) of every call that ``run`` makes to `fading.log_root`."""
     calls = []
 
     def record(func, x, lo, hi, rising):
@@ -566,7 +577,7 @@ def recorded_brackets(monkeypatch, module, run):
         calls.append((func, lo, hi, root))
         return root
 
-    monkeypatch.setattr(module, "log_root", record)
+    monkeypatch.setattr(fading, "log_root", record)
     run()
     monkeypatch.undo()
     return calls
@@ -613,7 +624,6 @@ class TestLogRoot:
         etas = rng.uniform(1.5, 5.0, len(models)).tolist()
         calls = recorded_brackets(
             monkeypatch,
-            hopopt,
             lambda: [hopopt._tabulated_roots(m, eta) for m, eta in zip(models, etas)],
         )
         assert len(calls) >= 30
@@ -632,7 +642,6 @@ class TestLogRoot:
         etas = rng.uniform(1.2, 5.0, len(models)).tolist()
         calls = recorded_brackets(
             monkeypatch,
-            discrete,
             lambda: [discrete.stationary_roots(m.table, eta) for m, eta in zip(models, etas)],
         )
         assert len(calls) >= 40
