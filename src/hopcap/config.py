@@ -291,4 +291,4 @@ def _check_keys(mapping, allowed, path: str) -> None:
     unknown = set(mapping) - allowed
     if unknown:
         where = f"{path}." if path else ""
-        raise ConfigError(f"{where}{sorted(unknown)[0]}: unknown key")
+        raise ConfigError(f"{where}{min(unknown, key=str)}: unknown key")

@@ -12,8 +12,9 @@ paper's ``log(alpha_k*gamma_k)`` for its integration constants ``gamma_k``
 (``b_1 = 0``).  Stationary points of d * Gamma(d) reduce, per segment, to
 ``y * exp(-eta*y) = exp(b_k - eta)`` on a half-open y-interval, solved in
 logs as ``log(y) - eta*(y - 1) = b_k`` (no exp to underflow, and no
-digits cancel near y = 1) by `fading.log_root` on each monotone branch,
-which enumerates them exhaustively (hence the 2n - 1 count bound);
+digits cancel near y = 1) by `fading.sign_change_roots` over the segment's
+ends and the peak y = 1/eta between them, one root on each monotone branch
+at most, which enumerates them exhaustively (hence the 2n - 1 count bound);
 `hopopt.stationary_points` builds the points.
 """
 
@@ -24,7 +25,7 @@ import itertools
 import math
 from typing import NamedTuple
 
-from .errors import DiscreteKindError, ValidationError
+from .errors import BracketFailure, DiscreteKindError, ValidationError
 from .fading import FadingModel, sign_change_roots
 
 
@@ -53,7 +54,8 @@ def build_table(model: FadingModel) -> DiscreteWaterfillTable:
 
     ``Pi_k`` is summed from its positive steps ``p_k*(1/x_{k+1} - 1/x_k)``, one
     gain divided at a time, and ``p_k*b_k`` grows from the segment below by
-    two ``log1p`` terms of the breakpoint between them.
+    two ``log1p`` terms of the breakpoint between them.  A breakpoint that
+    overflows raises BracketFailure.
     """
     if not model.is_discrete:
         raise DiscreteKindError("closed-form tables require a discrete model")
@@ -63,14 +65,26 @@ def build_table(model: FadingModel) -> DiscreteWaterfillTable:
     pi_breaks = tuple(itertools.accumulate(
         pk * ((xk - xn) / xk) / xn for pk, xk, xn in zip(p, x, x[1:])
     ))
+    for k, end in enumerate(pi_breaks):
+        if end == math.inf:
+            raise BracketFailure(f"the water-fill breakpoint between the gains {x[k]!r} and "
+                                 f"{x[k + 1]!r} overflows the float range")
     if any(hi <= lo for lo, hi in zip((0.0,) + pi_breaks, pi_breaks)):
         raise ValidationError("breakpoints must be positive and strictly increasing")
     # b_0 = 0 exactly, by definition; keeps y = 1 off the root set
     b = [0.0]
     for k in range(1, len(x)):
         pi_prev = pi_breaks[k - 1]
-        b.append((p[k - 1] * (b[-1] + math.log1p(a[k] * (pi_prev / alpha[k - 1]) / p[k]))
-                  + a[k] * math.log1p(-x[k] * pi_prev / p[k])) / p[k])
+        t = pi_prev / alpha[k - 1]
+        if t < math.inf:
+            rise = math.log1p(a[k] * t / p[k])
+        else:  # log1p(e**z) of z = log(a_k*t/p_k), from the log of each term
+            z = math.log(a[k] / p[k]) + math.log(pi_prev) - math.log(alpha[k - 1])
+            rise = max(z, 0.0) + math.log1p(math.exp(-abs(z)))
+        v = x[k] * pi_prev / p[k]
+        # 1 - v = (a_k + x_k*alpha_{k-1})/p_k, which v rounds to 0 when both terms are tiny
+        fall = math.log1p(-v) if v < 1.0 else math.log((a[k] + x[k] * alpha[k - 1]) / p[k])
+        b.append((p[k - 1] * (b[-1] + rise) + a[k] * fall) / p[k])
     return DiscreteWaterfillTable(p, alpha, pi_breaks, tuple(b))
 
 
@@ -93,7 +107,10 @@ def gamma_of_pi(table: DiscreteWaterfillTable, pi: float) -> float:
     + Pi)), so small Pi does not cancel digits.
     """
     k = segment_index(table, pi)
-    return float(table.p[k] * (math.log1p(pi / table.alpha[k]) + table.b[k]))
+    t = pi / table.alpha[k]
+    # where t overflows, log1p(t) is log(Pi) - log(alpha_k) to within 1/t
+    rise = math.log1p(t) if t < math.inf else math.log(pi) - math.log(table.alpha[k])
+    return float(table.p[k] * (rise + table.b[k]))
 
 
 def stationary_roots(table: DiscreteWaterfillTable, eta: float) -> list:

@@ -12,7 +12,8 @@ mass, water-fill power and rate above each node, and a query at any
 plain ``math``; numpy is imported only by ``sample_h``, which returns an
 array.  Every root of the stationary enumerations is found here, by
 `log_root`: safeguarded Halley steps in log x, which stop on a relative
-step, so a root keeps its digits at any scale of the nodes.
+step, so a root keeps its digits at any scale of the nodes.  The discrete
+and tabulated enumerations reach it through one scan, `sign_change_roots`.
 
 Models are immutable after construction; every operation is pure.
 """
@@ -264,7 +265,6 @@ def log_root(func, x: float, lo: float, hi: float, rising: bool) -> float:
     return lo if abs(g_lo) <= abs(g_hi) else hi
 
 
-
 def sign_change_roots(func, xs, values) -> list:
     """One root of ``func`` per sign change of ``values`` along increasing ``xs``.
 
@@ -281,6 +281,7 @@ def sign_change_roots(func, xs, values) -> list:
             start = math.sqrt(u) * math.sqrt(v) if u else v / math.sqrt(10.0)
             roots.append(log_root(func, start, u, v, rising=fv > 0.0))
     return roots
+
 
 def _positive(value, what: str) -> float:
     """``value`` as a float, which must be finite and > 0."""

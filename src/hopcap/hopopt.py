@@ -21,8 +21,9 @@ so interior optima are the positive roots of ``Gamma - eta*pi*lam = 0``.
 
 Both continuous kinds solve ``R = rate - eta*lam*power`` on the lam axis
 with `fading.log_root`, whose steps in log lam take ``lam*R'`` and
-``lam**2*R''`` from the same kernel call (`_residual`); the critical
-points are Newton roots of ``lam*R'`` (`_slope`).
+``lam**2*R''`` from the same kernel call (`_residual`); the tabulated
+enumeration reaches it through `fading.sign_change_roots`, as the discrete
+one does, and its critical points are Newton roots of ``lam*R'`` (`_slope`).
 
 Since ``Gamma(pi)/pi`` rises with d, ``psi = pt'*d**(1-eta)*Gamma(pi)/pi``
 increases strictly when eta <= 1 (no interior point, the optimum is

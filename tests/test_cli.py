@@ -352,6 +352,19 @@ class TestWaterfillCommand:
         assert err.startswith(f"numerical failure: {field} with eta = 3.0: ")
         assert "Traceback" not in err
 
+    def test_overflowing_discrete_breakpoint_is_a_numerical_failure(self, tmp_path, capsys):
+        # Pi_1 = 0.25/5e-324 overflows; the table used to take log1p(-inf), a traceback
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text(
+            "schema_version: 1\nfading: {kind: discrete, alpha_over_sigma2: 3.0, states: "
+            "[{gain: 1000.0, prob: 0.25}, {gain: 5.0e-324, prob: 0.75}]}\neta: 3.0\n"
+        )
+        assert main(["waterfill", "--config", str(cfg), "--pi", "3.0"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("numerical failure: the water-fill breakpoint between the gains "
+                                "1000.0 and 5e-324 overflows the float range\n")
+
     def test_unknown_key_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.yaml"
         bad.write_text(
@@ -634,15 +647,14 @@ class TestCompareFttCommand:
         row = read_csv(out_path)[0]
         assert float(row["bits_ftt"]) > float(row["bits_fp"])
 
-    def test_fixed_time_bits_match_a_40_digit_water_fill(self, tmp_path, capsys):
-        # the closed form inv_level - 1/h1 cancels: it was up to 7.1e-14 off on these tuples
+    @staticmethod
+    def worst_bits_ftt_error(path):
+        """The largest relative error of ``bits_ftt`` in a CSV, against a 40-digit water-fill."""
         import mpmath
 
-        out_path = tmp_path / "cmp.csv"
-        assert main(["compare-ftt", "--count", "1000", "--seed", "7", "--out", str(out_path)]) == 0
         worst = 0.0
         with mpmath.workdps(40):
-            for row in read_csv(out_path):
+            for row in read_csv(path):
                 h1, h2, energy, duration = (mpmath.mpf(row[key]) for key in
                                             ("h1", "h2", "energy_J", "duration_s"))
                 budget = 2 * energy / duration  # over two slots of duration/2
@@ -651,7 +663,20 @@ class TestCompareFttCommand:
                 exact = duration / 2 * 10**6 * mpmath.log(
                     (1 + h1 * q1) * (1 + h2 * q2), 2)
                 worst = max(worst, float(abs(mpmath.mpf(row["bits_ftt"]) / exact - 1)))
-        assert worst < 1e-15
+        return worst
+
+    def test_fixed_time_bits_match_a_40_digit_water_fill(self, tmp_path, capsys):
+        # the closed form inv_level - 1/h1 cancels: it was up to 7.1e-14 off on these tuples
+        out_path = tmp_path / "cmp.csv"
+        assert main(["compare-ftt", "--count", "1000", "--seed", "7", "--out", str(out_path)]) == 0
+        assert self.worst_bits_ftt_error(out_path) < 1e-15
+
+    def test_extreme_gains_keep_finite_bits(self, tmp_path, capsys):
+        # Pi/alpha_1 = 1e600 overflows in Gamma and in b_2: bits_ftt used to be inf
+        out_path = tmp_path / "cmp.csv"
+        assert main(["compare-ftt", "--h1", "1e300", "--h2", "1e-300", "--p1", "1e-300",
+                     "--p2", "1e300", "--out", str(out_path)]) == 0
+        assert self.worst_bits_ftt_error(out_path) < 1e-15
 
 
 class TestSingleCellBoundCommand:
@@ -1015,8 +1040,15 @@ MAC = {"p_idle": 0.6, "p_collision": 0.1, "p_success": 0.3, "T_idle_s": 2e-5,
 @st.composite
 def hostile_runs(draw):
     """(config mapping, CSV text or None, argv): every number of the schema at an
-    extreme magnitude, and one of them, or none, NaN, +-inf, -0.0, 0.0 or any float."""
+    extreme magnitude, and one of them, or none, NaN, +-inf, -0.0, 0.0 or any float.
+
+    Half the ``simulate`` runs are moderate instead: a valid ``simulate``
+    section and flags and no special value, so that the run can reach the
+    simulator; every other number still takes an extreme magnitude."""
     num = lambda: draw(MAGNITUDES)
+    command = draw(st.sampled_from(["waterfill", "optimize", "stationary-points", "sweep",
+                                    "simulate", "single-cell-bound", "compare-ftt"]))
+    moderate = command == "simulate" and draw(st.booleans())
     kind = draw(st.sampled_from(["exponential", "discrete", "tabulated"]))
     fading = {"kind": kind, "alpha_over_sigma2": num()}
     numbers = [(fading, "alpha_over_sigma2")]
@@ -1038,9 +1070,14 @@ def hostile_runs(draw):
     mac = dict(MAC, E_idle_J=num(), E_collision_J=num(), E_overhead_J=num())
     sweep = {"d_min_m": d_min, "d_max_m": d_max, "points": draw(st.integers(1, 4)),
              "power_factors": [num()]}
-    simulate = {"d_m": num(), "horizon": draw(st.integers(1, 200)), "seed": 3,
-                "policy": draw(st.sampled_from(["waterfill", "constant"])),
-                "constant_power_W": num()}
+    policy = draw(st.sampled_from(["waterfill", "constant"]))
+    if moderate:
+        simulate = {"d_m": draw(st.sampled_from([0.1, 0.3233, 1.0, 3.0])),
+                    "horizon": draw(st.integers(1, 20_000)), "seed": draw(st.integers(0, 2**32)),
+                    "policy": policy, "constant_power_W": draw(st.sampled_from([1e-3, 1.0, 10.0]))}
+    else:
+        simulate = {"d_m": num(), "horizon": draw(st.integers(1, 200)), "seed": 3,
+                    "policy": policy, "constant_power_W": num()}
     # left out, or inside [0, mac.T_txop_s], so the simulator's own rule passes
     relinquish = draw(st.sampled_from([None, 0.0, 1e-4, 2e-3]))
     if relinquish is not None:
@@ -1057,15 +1094,15 @@ def hostile_runs(draw):
                 (simulate, "constant_power_W"), (simulate, "relinquish_overhead_s"),
                 (bound, "area_m2"), (bound, "noise_W")]
     numbers += [(mac, key) for key in ("E_idle_J", "E_collision_J", "E_overhead_J")]
-    target = draw(st.sampled_from([None] + numbers))
+    target = None if moderate else draw(st.sampled_from([None] + numbers))
     if target is not None:
         mapping, key = target
         mapping[key] = draw(st.sampled_from(SPECIAL) | st.floats())
-    command = draw(st.sampled_from(["waterfill", "optimize", "stationary-points", "sweep",
-                                    "simulate", "single-cell-bound", "compare-ftt"]))
     any_float = lambda: draw(MAGNITUDES | st.sampled_from(SPECIAL) | st.floats())
     # small horizons only: every period allocates
     seeds, horizons = st.sampled_from([-1, 0, 3, 2**64]), st.sampled_from([-1, 0, 1, 200])
+    if moderate:
+        seeds, horizons = st.sampled_from([0, 3]), st.sampled_from([1, 200])
     argv = [command] + (["--config", "run.yaml"] if command != "compare-ftt" else [])
     if command == "waterfill":
         argv.append(f"--pi={any_float()!r}")

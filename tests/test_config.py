@@ -69,6 +69,13 @@ def test_unknown_key_is_rejected(section, path, tmp_path, capsys):
         == f"error: {path}: unknown key\n"
 
 
+def test_a_non_string_key_is_an_unknown_key(tmp_path, capsys):
+    # YAML reads `1:` as an int key, which must not be compared with a string key
+    raw = edited(lambda raw: raw["mac"].update({1: 2, "a": 3}))
+    cfg = write(tmp_path, yaml.safe_dump(raw, sort_keys=False))
+    assert error_of(["optimize", "--config", str(cfg)], capsys) == "error: mac.1: unknown key\n"
+
+
 def _set(section, key, value):
     return lambda raw: raw[section].__setitem__(key, value)
 

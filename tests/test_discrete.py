@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import make_rng, oracle_discrete_waterfill, random_discrete_model
-from hopcap.errors import DiscreteKindError, ValidationError
+from hopcap.errors import BracketFailure, DiscreteKindError, ValidationError
 from hopcap.fading import DiscreteFinite, FadingModel
 from hopcap import discrete, hopopt, waterfill
 
@@ -123,6 +123,32 @@ class TestBuildTable:
         with pytest.raises(ValidationError) as info:
             discrete.build_table(model)
         assert not isinstance(info.value, DiscreteKindError)
+
+    def test_overflowing_breakpoint_is_a_bracket_failure(self):
+        with pytest.raises(BracketFailure, match="between the gains 1000.0 and 5e-324 overflows"):
+            discrete.build_table(FadingModel.discrete([(1000.0, 0.25), (5e-324, 0.75)]))
+
+    @pytest.mark.parametrize("states, pis", [
+        ([(1e300, 1.0)], [1e-290, 1e10, 1e300]),
+        ([(1e300, 0.5), (1e-300, 0.5)], [1e10, 5e299, 1e305]),
+        ([(1e300, 0.25), (1e-10, 0.5), (1e-300, 0.25)], [1e-5, 1e10, 1e200, 1e305]),
+        # the rise of b_1 is log1p(e**z) at z = -25, and 1 - x_2*Pi_1/p_2 rounds to 0
+        ([(1e154, 1.0), (1e-155, 1e-320)], [1e10, 1e300]),
+        ([(1e20, 1.0), (1.0, 1e-17)], [1e-30, 1.0, 1e10]),
+    ], ids=["one-state", "two-states", "three-states", "tiny-prob-subnormal", "tiny-prob"])
+    def test_finite_where_a_ratio_overflows(self, states, pis):
+        # Pi/alpha_k past the float range, in Gamma or in the b_k recursion, used to
+        # give Gamma = inf or b_k = inf, and a rounded 1 - x_k*Pi_{k-1}/p_k = 0 a traceback
+        model = FadingModel.discrete(states)
+        table = model.table
+        breaks, b, gamma = mpmath_table(model)
+        for k in range(1, table.n_states):
+            scale = b[k] + mpmath.log1p(breaks[k - 1] / table.alpha[k])
+            assert abs(table.b[k] - b[k]) <= 2e-15 * scale
+        for pi in pis:
+            want = gamma(pi)
+            assert abs(discrete.gamma_of_pi(table, pi) - want) <= 2e-15 * want
+            assert abs(waterfill.gamma_and_lambda(model, pi)[0] - want) <= 2e-15 * want
 
     def test_table_built_once_per_model(self):
         assert FIG1.table is FIG1.table
