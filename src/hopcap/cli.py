@@ -320,7 +320,11 @@ def _build_policy(cfg: RunConfig, spec):
 
     if spec.policy == "constant":
         return simulator.ConstantPowerPolicy(spec.constant_power)
-    pi = cfg.resolve_pt_prime() / spec.d**cfg.eta
+    pt_prime, loss = cfg.resolve_pt_prime(), spec.d**cfg.eta
+    pi = pt_prime / loss
+    if not 0.0 < pi < math.inf:  # a quotient of normal floats can still leave the range
+        raise NumericalError(f"simulate.d_m = {spec.d!r} with eta = {cfg.eta!r}: pi = "
+                             f"Pt'/d**eta = {pt_prime!r}/{loss!r} leaves the float range")
     return simulator.WaterfillPolicy(waterfill.solve(cfg.model, pi))
 
 

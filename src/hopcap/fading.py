@@ -8,12 +8,15 @@ sampling and CSV ingestion for tabulated densities.  A tabulated density
 is two float tuples, nodes and values, and is linear between its nodes,
 so its tails are exact: `TailTable` (``FadingModel.tails``) holds the
 mass, water-fill power and rate above each node, and a query at any
-``lam`` adds one closed-form partial cell.  Every kind's scalar path is
-plain ``math``; numpy is imported only by ``sample_h``, which returns an
-array.  Every root of the stationary enumerations is found here, by
-`log_root`: safeguarded Halley steps in log x, which stop on a relative
-step, so a root keeps its digits at any scale of the nodes.  The discrete
-and tabulated enumerations reach it through one scan, `sign_change_roots`.
+``lam`` adds one closed-form partial cell.  Its draws invert the CDF
+exactly through `InverseTable` (``FadingModel.inverse``): per-cell
+columns and a guide table, built in plain Python as ``array`` columns.
+Every kind's scalar path is plain ``math``; numpy is imported only by
+``sample_h``, which returns an array.  Every root of the stationary
+enumerations is found here, by `log_root`: safeguarded Halley steps in
+log x, which stop on a relative step, so a root keeps its digits at any
+scale of the nodes.  The discrete and tabulated enumerations reach it
+through one scan, `sign_change_roots`.
 
 Models are immutable after construction; every operation is pure.
 """
@@ -42,6 +45,7 @@ _SERIES = tuple((-1) ** k / (k + 1) for k in range(25, 1, -1))
 # crosses the float range in 1049 steps
 _ROOT_STEP_TOL = 1e-14
 _ROOT_STEPS = 1100
+_GUIDE_BINS = 4096  # equal bins of u in the guide table of `InverseTable`
 
 
 class Exponential(NamedTuple):
@@ -75,7 +79,7 @@ class FadingModel(_FadingModelFields):
     Use the classmethod constructors (`exponential`, `discrete`,
     `tabulated`, `tabulated_from_csv`); they validate invariants and
     normalise representation (e.g. discrete states sorted by descending
-    gain).  No ``__slots__``: ``table`` and ``tails`` are cached in ``__dict__``.
+    gain).  No ``__slots__``: ``table``, ``tails`` and ``inverse`` are cached in ``__dict__``.
     """
 
     # -- constructors ---------------------------------------------------
@@ -165,37 +169,76 @@ class FadingModel(_FadingModelFields):
             raise DiscreteKindError("the tail table is only defined for tabulated models")
         return TailTable(self.kind.grid, self.kind.density)
 
+    @functools.cached_property
+    def inverse(self) -> "InverseTable":
+        """Inverse-CDF table of a tabulated model's H, built once per model."""
+        if not isinstance(self.kind, TabulatedDensity):
+            raise DiscreteKindError("the inverse table is only defined for tabulated models")
+        return InverseTable(self.kind.grid, self.kind.density)
+
     # -- sampling -------------------------------------------------------------
 
-    def sample_h(self, rng: np.random.Generator, size: int):
-        """Draw i.i.d. fading gains; deterministic for a given generator state."""
+    def sample_h(self, rng: np.random.Generator, size: int, out=None, work=None):
+        """Draw i.i.d. fading gains; deterministic for a given generator state.
+
+        ``out``, if given, is a float array of length ``size`` that receives
+        the draws.  A tabulated model's draws invert its CDF exactly
+        (`InverseTable`, ``FadingModel.inverse``): one guide-table lookup
+        and one step up find a draw's cell, and ``searchsorted`` runs only on
+        the draws in a bin that spans several cells.  ``work``, if given,
+        holds its scratch arrays of length ``size``: two of floats, then two
+        of ``np.intp``.
+        """
         import numpy as np
 
+        out = np.empty(size) if out is None else out
         if isinstance(self.kind, Exponential):
-            return rng.exponential(1.0 / self.kind.rate, size=size)
+            # as rng.exponential(1/rate, size), which scales the same draws
+            rng.standard_exponential(size, out=out)
+            out *= 1.0 / self.kind.rate
+            return out
+        u = rng.random(size, out=out)
         if isinstance(self.kind, DiscreteFinite):
-            u = rng.random(size)
             idx = np.zeros(size, dtype=np.intp)
             for threshold in choice_thresholds(self.kind.probs):
                 idx += u >= threshold
-            return np.take(self.kind.gains, idx)
-        g, a = np.array(self.kind.grid), np.array(self.kind.density)
-        cdf = np.concatenate(([0.0], np.cumsum(0.5 * (a[1:] + a[:-1]) * np.diff(g))))
-        total = cdf[-1]
-        cdf /= total
-        u = rng.random(size)
+            return np.take(self.kind.gains, idx, out=out)
+        inv = self.inverse
+        upper, lower, g, a, width, slope2, a2 = (np.frombuffer(c) for c in inv.columns)
+        tmp, root, bins, j = work or (np.empty(size), np.empty(size),
+                                      np.empty(size, dtype=np.intp), np.empty(size, dtype=np.intp))
+
+        def column(values, into=tmp):
+            """``values`` at the cells ``j``, in ``into``: every index is in range,
+            and mode="clip" gathers into ``out=`` unbuffered."""
+            return np.take(values, j, out=into, mode="clip")
+
+        np.copyto(bins, np.multiply(u, _GUIDE_BINS, out=tmp), casting="unsafe")
+        np.take(np.frombuffer(inv.guide, dtype=np.int64), bins, out=j, mode="clip")
+        j += column(upper) <= u
+        spans = np.flatnonzero(np.take(np.frombuffer(inv.spans, dtype=np.bool_), bins))
+        if spans.size:
+            j[spans] = np.searchsorted(np.frombuffer(inv.cdf), u[spans], side="right") - 1
         # invert the piecewise-quadratic cdf exactly: u < 1 falls in a cell j
         # of positive mass, where the offset s above g_j solves
         # a_j*s + k*s**2/2 = w (k the cell's slope, w the mass to cover).
         # The root 2w/(a_j + sqrt(a_j**2 + 2kw)) keeps its digits for either
         # sign of k and is w/a_j on a flat cell.
-        j = np.searchsorted(cdf, u, side="right") - 1
-        w = (u - cdf[j]) * total
-        width = g[j + 1] - g[j]
-        k = (a[j + 1] - a[j]) / width
-        root = a[j] + np.sqrt(np.maximum(a[j] * a[j] + 2.0 * k * w, 0.0))
-        s = np.divide(2.0 * w, root, out=np.zeros_like(w), where=root > 0.0)
-        return g[j] + np.minimum(s, width)
+        w = np.subtract(u, column(lower), out=out)
+        w *= inv.total
+        column(slope2, root)
+        root *= w
+        root += column(a2)
+        np.maximum(root, 0.0, out=root)
+        np.sqrt(root, out=root)
+        root += column(a)
+        positive = root > 0.0
+        w *= 2.0
+        s = np.divide(w, root, out=w, where=positive)
+        s[~positive] = 0.0
+        np.minimum(s, column(width), out=s)
+        s += column(g)
+        return s
 
 
 def choice_thresholds(probs) -> list:
@@ -353,3 +396,39 @@ class TailTable:
         power = fa * pa + fb * pb + t / b * mass + self.power[j]
         rate = lam * (fa * ra + fb * rb) + log1p * mass + self.rate[j]
         return mass + 0.5 * (b - lam) * (fa + fb), power, rate, fa
+
+
+class InverseTable:
+    """The CDF of a piecewise-linear density by cell, and a guide table into it.
+
+    ``x`` and ``f`` are float tuples (a model's nodes and values of H).
+    ``cdf`` holds the running sums of the cells' trapezoid masses from 0,
+    divided by their total, as ``np.cumsum`` forms them.  A draw u < 1
+    falls in the cell j of the last node with ``cdf[j] <= u``, which has
+    positive mass.  ``columns`` holds per cell the CDF at its top and at
+    its foot, its foot x_j and density f_j, its width, twice its slope and
+    f_j**2.  ``guide[b]`` is the cell of u = b/4096: a draw in bin b lies in
+    that cell or above it, at most one cell above unless ``spans[b]`` is
+    set.  Every column is an ``array``, so `FadingModel.sample_h` views it
+    with ``np.frombuffer`` and no copy.
+    """
+
+    def __init__(self, x, f):
+        from array import array  # only a sampling run needs it
+
+        cells = list(zip(x, x[1:], f, f[1:]))
+        sums = [0.0, *itertools.accumulate(0.5 * (f1 + f0) * (x1 - x0) for x0, x1, f0, f1 in cells)]
+        self.total = sums[-1]
+        cdf = [s / self.total for s in sums]
+        width = [x1 - x0 for x0, x1, _, _ in cells]
+        self.cdf = array("d", cdf)
+        self.columns = tuple(array("d", column) for column in (
+            cdf[1:], cdf[:-1], x[:-1], f[:-1], width,
+            [2.0 * ((f1 - f0) / w) for (_, _, f0, f1), w in zip(cells, width)],
+            [f0 * f0 for f0 in f[:-1]],
+        ))
+        edges = [b / _GUIDE_BINS for b in range(_GUIDE_BINS + 1)]
+        self.guide = array("q", [bisect.bisect_right(cdf, e) - 1 for e in edges[:-1]])
+        # the cell of the largest draw below each bin's top edge
+        tops = [bisect.bisect_left(cdf, e) - 1 for e in edges[1:]]
+        self.spans = array("B", [top - low > 1 for low, top in zip(self.guide, tops)])

@@ -10,9 +10,14 @@ The generator is numpy's PCG64, seeded from the config: identical seeds
 reproduce reports byte for byte (draw order: period types first, then
 fades for the successful periods, in sequence order).  `run` keeps that
 order in one pass over fixed chunks, drawing fades from a second copy of
-the stream, so its memory is a few arrays of one chunk's length whatever
-the horizon; the estimators merge centred co-moments chunk by chunk, and
-the trace is written one formatted block per chunk.
+the stream, in work arrays of one chunk's length that are allocated once
+per run and filled in place, whatever the horizon.  A discrete model's
+successes are counted by fading state, since such a run has only n + 2
+distinct periods: its totals are exact sums of count times row, rounded
+once, and its trace is those n + 2 lines, formatted once, taken by code.
+A continuous model's successes enter by rows: the estimators merge
+centred co-moments chunk by chunk, and the trace is written one
+formatted block per chunk.
 
 The fixed-transmission-time vs fixed-packet-size comparison works on
 two channel samples: the fixed-packet totals define a time and energy
@@ -49,21 +54,28 @@ class ConstantPowerPolicy(NamedTuple):
 
     power_w: float
 
-    def power(self, h, loss):
-        return np.full_like(np.asarray(h, dtype=float), self.power_w)
+    def power(self, h, loss, out=None):
+        if out is None:
+            return np.full_like(np.asarray(h, dtype=float), self.power_w)
+        out.fill(self.power_w)
+        return out
 
 
 class WaterfillPolicy(NamedTuple):
     """Transmit P(h) = loss * xi(c*h) from a solved water-fill, with loss = d**eta.
 
     ``xi(x) = (1/lam - 1/x)^+`` is the normalized power poured on state x.
+    ``out``, if given, is an array of h's shape that receives the power.
     """
 
     solution: WaterfillSolution
 
-    def power(self, h, loss):
-        x = self.solution.model.alpha_over_sigma2 * np.asarray(h, dtype=float)
-        return loss * np.maximum(1.0 / self.solution.lam - 1.0 / x, 0.0)
+    def power(self, h, loss, out=None):
+        p = np.multiply(self.solution.model.alpha_over_sigma2, h, out=out)
+        p = np.divide(1.0, p, out=out)
+        p = np.subtract(1.0 / self.solution.lam, p, out=out)
+        p = np.maximum(p, 0.0, out=out)
+        return np.multiply(loss, p, out=out)
 
 
 class _SimConfigFields(NamedTuple):
@@ -135,74 +147,162 @@ class SimReport(NamedTuple):
         )
 
 
-def _period_types(rng: np.random.Generator, out: np.ndarray, p):
-    """Fill the int8 array ``out`` as ``rng.choice(3, out.size, p=p)``; return the three counts.
+class _Chunk:
+    """The chunk-sized work arrays of `run`, allocated once per run and filled in place.
 
-    The draws and the generator state after them are ``choice``'s (see
-    `fading.choice_thresholds`).  Each type's count comes from the two masks.
+    ``u`` holds a chunk's period-type uniforms, ``busy`` and ``success``
+    their masks and ``kinds`` the types; ``fades`` holds the successes'
+    fades, or a discrete model's fade uniforms.  ``power``, the two 3-row
+    arrays and ``work`` (scratch of `FadingModel.sample_h`) serve the rows
+    of a continuous model; ``states``, ``codes`` and ``text`` serve the
+    trace.
     """
-    low, high = choice_thresholds(p)
-    u = rng.random(out.size)
-    busy, success = u >= low, u >= high
-    np.add(busy, success, out=out, dtype=np.int8)
-    n_busy, n_success = int(np.count_nonzero(busy)), int(np.count_nonzero(success))
-    return out.size - n_busy, n_busy - n_success, n_success
+
+    def __init__(self, size, traced):
+        self.u, self.fades, self.power = np.empty(size), np.empty(size), np.empty(size)
+        self.rows, self.dev = np.empty(3 * size), np.empty(3 * size)
+        self.busy, self.success = np.empty(size, dtype=bool), np.empty(size, dtype=bool)
+        self.kinds = np.empty(size, dtype=np.int8)
+        self.work = (np.empty(size), np.empty(size), np.empty(size, dtype=np.intp),
+                     np.empty(size, dtype=np.intp))
+        if traced:
+            self.states, self.codes = np.empty(size, dtype=np.intp), np.empty(size, dtype=np.intp)
+            self.text = np.empty(size, dtype=object)
+
+    def period_types(self, rng, size, thresholds):
+        """Fill ``kinds[:size]`` as ``rng.choice(3, size, p=p)`` would; return the three counts.
+
+        ``thresholds`` are p's (`fading.choice_thresholds`); the draws and
+        the generator state after them are ``choice``'s.  Each type's count
+        comes from the two masks.
+        """
+        u, busy, success, kinds = (a[:size] for a in (self.u, self.busy, self.success, self.kinds))
+        low, high = thresholds
+        rng.random(size, out=u)
+        np.greater_equal(u, low, out=busy)
+        np.greater_equal(u, high, out=success)
+        np.add(busy.view(np.int8), success.view(np.int8), out=kinds)
+        n_busy, n_success = int(np.count_nonzero(busy)), int(np.count_nonzero(success))
+        return size - n_busy, n_busy - n_success, n_success
+
+    def state_counts(self, rng, size, thresholds, traced):
+        """How many of ``size`` fades fall in each state of a discrete model.
+
+        The uniforms are the ones `FadingModel.sample_h` draws, and a fade's
+        state is the count of ``thresholds`` at or below its uniform.  If
+        ``traced``, ``states`` holds each fade's 2 + state, its trace code.
+        """
+        u, mask, states = self.fades[:size], self.busy[:size], None
+        rng.random(size, out=u)
+        if traced:
+            states = self.states[:size]
+            states.fill(2)
+        at_or_above = [size]
+        for threshold in thresholds:
+            np.greater_equal(u, threshold, out=mask)
+            at_or_above.append(int(np.count_nonzero(mask)))
+            if traced:
+                states += mask
+        return [n - m for n, m in zip(at_or_above, at_or_above[1:] + [0])]
+
+    def rows_of(self, config, fades, size):
+        """`_success_rows` of ``size`` fades drawn from ``fades``, in the work arrays."""
+        h = config.model.sample_h(fades, size, out=self.fades[:size],
+                                  work=tuple(a[:size] for a in self.work))
+        return _success_rows(config, h, self.power[:size], self.rows[:3 * size].reshape(3, size))
+
+    def trace_text(self, table, size, success_codes):
+        """The chunk's CSV rows: for each period the line of ``table`` at its code.
+
+        A period's code is its type, a success's the next of ``success_codes``.
+        """
+        codes = self.codes[:size]
+        np.copyto(codes, self.kinds[:size])
+        codes[self.success[:size]] = success_codes
+        text = np.take(np.array(table, dtype=object), codes, out=self.text[:size])
+        return b"".join(text.tolist())
 
 
 def run(config: SimConfig, trace_path=None) -> SimReport:
     """Simulate ``horizon`` contention periods and estimate rate and power.
 
-    One pass over the chunks in one chunk-sized int8 buffer: a chunk's
-    period types, then its successes' fades, drawn from the stream past
-    the ``horizon`` period-type draws (one 64-bit output each), as one
+    One pass over the chunks in work arrays allocated once (`_Chunk`): a
+    chunk's period types, then its successes' fades, drawn from the stream
+    past the ``horizon`` period-type draws (one 64-bit output each), as one
     call over the horizon would; nothing depends on ``_CHUNK``.  Idle and
-    collision periods enter the totals and co-moments by count.  An
-    estimate that leaves the float range raises NumericalError.
+    collision periods enter the totals and co-moments by count.  So do a
+    discrete model's successes, by fading state: such a run has only
+    ``n + 2`` distinct periods, so its totals are exact sums of count times
+    row and its trace is ``n + 2`` lines formatted once.  A continuous
+    model's successes enter by rows.  An estimate that leaves the float
+    range raises NumericalError.
     """
     prof = config.profile
     rng = np.random.Generator(np.random.PCG64(config.seed))
     fades = np.random.Generator(np.random.PCG64(config.seed).advance(config.horizon))
-    buffer = np.empty(min(_CHUNK, config.horizon), dtype=np.int8)
-    p = [prof.p_idle, prof.p_collision, prof.p_success]
+    traced = trace_path is not None
+    chunk = _Chunk(min(_CHUNK, config.horizon), traced)
+    thresholds = choice_thresholds([prof.p_idle, prof.p_collision, prof.p_success])
 
-    # rows: duration, energy, bits; columns: idle, collision, success.  A
-    # success's values vary per period, so its column is a placeholder
-    fixed = np.array(
-        [[prof.t_idle, prof.t_collision, 0.0], [prof.e_idle, prof.e_collision, 0.0], [0.0] * 3]
-    )
+    # the (duration, energy, bits) rows of idle and collision periods, then,
+    # for a discrete model, of a success in each fading state
+    fixed = np.array([[prof.t_idle, prof.e_idle, 0.0], [prof.t_collision, prof.e_collision, 0.0]])
+    names = ["idle", "collision"]
+    discrete = config.model.is_discrete
+    if discrete:
+        gains, probs = config.model.kind
+        fixed = np.vstack([fixed, _success_rows(config, np.array(gains)).T])
+        names += ["success"] * len(gains)
+        fade_thresholds = choice_thresholds(probs)
+    counts = [0] * len(fixed)  # periods so far by row; successes by kind too
+    n_success = 0
     moments = _CoMoments()
     success_sums = []
-    counts = [0, 0, 0]  # idle, collision and success periods so far
     trace = contextlib.nullcontext()
-    if trace_path is not None:
+    if traced:
         try:
-            trace = open(trace_path, "w", newline="", encoding="utf-8")
+            trace = open(trace_path, "wb")
         except OSError as exc:
             raise ValidationError(f"cannot write trace: {exc}") from exc
     with trace as fh:
-        if fh is not None:
-            fh.write("period_type,duration_s,energy_J,bits\n")
-            lines = [f"{name},{t:.17g},{e:.17g},{b:.17g}\n"
-                     for name, t, e, b in zip(("idle", "collision"), *fixed.tolist())]
+        lines = None  # the trace lines formatted once per run
+        if traced:
+            fh.write(b"period_type,duration_s,energy_J,bits\n")
+            lines = [f"{name},{t:.17g},{e:.17g},{b:.17g}\n".encode()
+                     for name, (t, e, b) in zip(names, fixed.tolist())]
         for start in range(0, config.horizon, _CHUNK):
-            kinds = buffer[:min(_CHUNK, config.horizon - start)]
-            n_idle, n_collision, n_success = chunk = _period_types(rng, kinds, p)
-            counts = [total + n for total, n in zip(counts, chunk)]
-            moments.merge(n_idle, fixed[:, 0], 0.0)
-            moments.merge(n_collision, fixed[:, 1], 0.0)
-            rows = None
-            if n_success:
-                rows = _success_rows(config, config.model.sample_h(fades, n_success))
-                success_sums.append(rows.sum(axis=1))
-                moments.merge_rows(rows)
-            if fh is not None:
-                fh.write(_trace_block(kinds, lines, rows))
+            size = min(_CHUNK, config.horizon - start)
+            n_idle, n_collision, n = chunk.period_types(rng, size, thresholds)
+            n_success += n
+            table, codes = lines, []  # the chunk's trace lines, and each success's line
+            if discrete:
+                by_state = chunk.state_counts(fades, n, fade_thresholds, traced)
+                counts = [total + m for total, m in zip(counts, [n_idle, n_collision, *by_state])]
+                if traced:
+                    codes = chunk.states[:n]
+            else:
+                counts = [counts[0] + n_idle, counts[1] + n_collision]
+                moments.merge(n_idle, fixed[0], 0.0)
+                moments.merge(n_collision, fixed[1], 0.0)
+                if n:
+                    rows = chunk.rows_of(config, fades, n)
+                    success_sums.append(rows.sum(axis=1))
+                    moments.merge_rows(rows, chunk.dev[:3 * n].reshape(3, n))
+                    if traced:
+                        table, codes = _success_table(lines, rows)
+            if traced:
+                fh.write(chunk.trace_text(table, size, codes))
 
-    n_idle, n_collision, n_success = counts
-    total_time, total_energy, total_bits = (
-        math.fsum([n_idle * fixed[j, 0], n_collision * fixed[j, 1]] + [s[j] for s in success_sums])
-        for j in range(3)
-    )
+    if discrete:  # every success of a state is one identical period
+        for n, row in zip(counts, fixed):
+            moments.merge(n, row, 0.0)
+        total_time, total_energy, total_bits = (_sum_of_counts(counts, column)
+                                                for column in fixed.T.tolist())
+    else:
+        total_time, total_energy, total_bits = (
+            math.fsum([n * row[j] for n, row in zip(counts, fixed.tolist())] + [s[j] for s in success_sums])
+            for j in range(3)
+        )
     theta_hat = total_bits / total_time
     power_hat = total_energy / total_time
     estimates = (theta_hat, _CI_FACTOR * moments.ratio_se(2, theta_hat, total_time),
@@ -212,8 +312,8 @@ def run(config: SimConfig, trace_path=None) -> SimReport:
                              f"energy {total_energy}, time {total_time}")
     return SimReport(
         *estimates,
-        n_idle=n_idle,
-        n_collision=n_collision,
+        n_idle=counts[0],
+        n_collision=counts[1],
         n_success=n_success,
         horizon=config.horizon,
         seed=config.seed,
@@ -223,18 +323,42 @@ def run(config: SimConfig, trace_path=None) -> SimReport:
     )
 
 
-def _success_rows(config, h):
-    """(duration, energy, bits) of successful periods with fades ``h``, by row."""
+def _sum_of_counts(counts, values):
+    """The sum of count times value over the pairs with a count, rounded once.
+
+    The values' exact ratios are summed as integers; where one is not
+    finite, ``math.fsum`` of the products gives the inf or NaN.
+    """
+    pairs = [(n, v) for n, v in zip(counts, values) if n]
+    if not all(math.isfinite(v) for _, v in pairs):
+        return math.fsum(n * v for n, v in pairs)
+    ratios = [(n, *v.as_integer_ratio()) for n, v in pairs]
+    scale = max((den for _, _, den in ratios), default=1)
+    return sum(n * num * (scale // den) for n, num, den in ratios) / scale
+
+
+def _success_rows(config, h, power=None, out=None):
+    """(duration, energy, bits) of successful periods with fades ``h``, by row.
+
+    ``power``, if given, is an array of h's length and ``out`` one of shape
+    (3, h.size): the power and the rows are computed in them.
+    """
     prof = config.profile
     loss = config.d**config.eta
-    p = config.policy.power(h, loss)
-    x = config.model.alpha_over_sigma2 * h
-    rows = np.empty((3, h.size))
-    rows[0] = prof.t_overhead + prof.t_txop
+    p = config.policy.power(h, loss, out=power)
+    rows = np.empty((3, h.size)) if out is None else out
+    duration, energy, bits = rows
+    duration.fill(prof.t_overhead + prof.t_txop)
     if config.relinquish_overhead is not None:
-        rows[0, p == 0.0] = prof.t_overhead + config.relinquish_overhead
-    rows[1] = prof.e_overhead + prof.t_txop * p
-    rows[2] = prof.t_txop * prof.bandwidth * np.log1p(x * p / loss) / LN2
+        duration[p == 0.0] = prof.t_overhead + config.relinquish_overhead
+    np.multiply(prof.t_txop, p, out=energy)
+    energy += prof.e_overhead
+    np.multiply(config.model.alpha_over_sigma2, h, out=bits)
+    bits *= p
+    bits /= loss
+    np.log1p(bits, out=bits)
+    bits *= prof.t_txop * prof.bandwidth
+    bits /= LN2
     return rows
 
 
@@ -259,12 +383,14 @@ class _CoMoments:
         self.m2 = self.m2 + m2 + np.outer(delta, delta) * (self.n * n / total)
         self.n = total
 
-    def merge_rows(self, rows):
+    def merge_rows(self, rows, dev=None):
+        """Add the periods of ``rows``, one per column; ``dev`` is an optional work array of its shape."""
         # centred on the group mean, taken relative to its first period so
         # that a group of identical periods has exactly that mean
         first = rows[:, :1]
-        mean = first + (rows - first).mean(axis=1, keepdims=True)
-        dev = rows - mean
+        dev = np.subtract(rows, first, out=dev)
+        mean = first + dev.mean(axis=1, keepdims=True)
+        np.subtract(rows, mean, out=dev)
         self.merge(rows.shape[1], mean[:, 0], dev @ dev.T)
 
     def ratio_se(self, j, ratio, total_time):
@@ -276,29 +402,26 @@ class _CoMoments:
         return math.sqrt(max(ss, 0.0) / (self.n - 1) / self.n) / (total_time / self.n)
 
 
-def _trace_block(kinds, lines, success_rows):
-    """CSV rows of one chunk, every cell as ``%.17g``.
+def _success_table(lines, success_rows):
+    """(table, codes): the trace lines of a chunk of a continuous model, every cell as ``%.17g``.
 
     ``lines`` holds the idle and collision rows, formatted once per run.  A
     success column's cells are formatted once per distinct value, and a
-    success row once per distinct combination of its three cells.
+    success row once per distinct combination of its three cells; ``codes``
+    gives each success's line in the table.
     """
-    table, codes = lines, kinds
-    if success_rows is not None:
-        texts, where = [], []
-        for column, end in zip(success_rows, (",", ",", "\n")):
-            # unique bit patterns, so that -0.0 and 0.0 keep their own text
-            values, inverse = np.unique(column.view(np.int64), return_inverse=True)
-            texts.append([f"{v:.17g}{end}" for v in values.view(np.float64).tolist()])
-            where.append(inverse)
-        shape = tuple(map(len, texts))
-        combos, inverse = np.unique(np.ravel_multi_index(where, shape), return_inverse=True)
-        t, e, b = texts
-        table = lines + [f"success,{t[i]}{e[j]}{b[k]}" for i, j, k in
-                         zip(*(a.tolist() for a in np.unravel_index(combos, shape)))]
-        codes = kinds.astype(np.intp)
-        codes[kinds == 2] = 2 + inverse
-    return "".join(np.array(table, dtype=object)[codes].tolist())
+    texts, where = [], []
+    for column, end in zip(success_rows, ",,\n"):
+        # unique bit patterns, so that -0.0 and 0.0 keep their own text
+        values, inverse = np.unique(column.view(np.int64), return_inverse=True)
+        texts.append([f"{v:.17g}{end}".encode() for v in values.view(np.float64).tolist()])
+        where.append(inverse)
+    shape = tuple(map(len, texts))
+    combos, inverse = np.unique(np.ravel_multi_index(where, shape), return_inverse=True)
+    t, e, b = texts
+    table = lines + [b"success," + t[i] + e[j] + b[k] for i, j, k in
+                     zip(*(a.tolist() for a in np.unravel_index(combos, shape)))]
+    return table, 2 + inverse
 
 
 # -- fixed transmission time vs fixed packet size -------------------------

@@ -44,7 +44,10 @@ class FixedUniforms(np.random.Generator):
         self.u = np.asarray(u, dtype=float)
 
     def random(self, size=None, dtype=np.float64, out=None):
-        return self.u.copy()
+        if out is None:
+            return self.u.copy()
+        out[...] = self.u
+        return out
 
 
 def random_discrete_model(rng, max_states: int = 6) -> FadingModel:
@@ -579,6 +582,27 @@ def reference_periods(config):
         energies[success] = prof.e_overhead + prof.t_txop * p
         bits[success] = prof.t_txop * prof.bandwidth * rate / math.log(2.0)
     return kinds, durations, energies, bits
+
+
+def reference_tabulated_draws(model, rng, size):
+    """Draws of a tabulated model by a plain ``searchsorted`` inversion of its CDF.
+
+    One uniform per draw, located by binary search over the whole CDF; the
+    per-cell arithmetic is that of the exact inversion `sample_h` documents,
+    written out on gathered arrays.
+    """
+    g, a = np.array(model.kind.grid), np.array(model.kind.density)
+    cdf = np.concatenate(([0.0], np.cumsum(0.5 * (a[1:] + a[:-1]) * np.diff(g))))
+    total = cdf[-1]
+    cdf /= total
+    u = rng.random(size)
+    j = np.searchsorted(cdf, u, side="right") - 1
+    w = (u - cdf[j]) * total
+    width = g[j + 1] - g[j]
+    k = (a[j + 1] - a[j]) / width
+    root = a[j] + np.sqrt(np.maximum(a[j] * a[j] + 2.0 * k * w, 0.0))
+    s = np.divide(2.0 * w, root, out=np.zeros_like(w), where=root > 0.0)
+    return g[j] + np.minimum(s, width)
 
 
 def reference_trace(path, kinds, durations, energies, bits):

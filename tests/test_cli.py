@@ -352,6 +352,23 @@ class TestWaterfillCommand:
         assert err.startswith(f"numerical failure: {field} with eta = 3.0: ")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("power, d_m, quotient", [
+        ("1.0e+308", "0.1", "1e+308/0.0010000000000000002"),
+        ("1.0e-310", "1.0e+5", "1e-310/1000000000000000.0"),
+    ], ids=["overflow", "underflow"])
+    def test_water_fill_pi_out_of_range_names_the_field(self, power, d_m, quotient, tmp_path,
+                                                          capsys):
+        # d**eta is a normal float, but pt'/d**eta overflows to inf (exit 2,
+        # "pi must be finite") or underflows to 0 (exit 2, "pi must be > 0")
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text(FIG1_YAML.replace("Pt_prime_W: 1.0", f"Pt_prime_W: {power}")
+                       .replace("d_m: 0.3233", f"d_m: {d_m}"))
+        assert main(["simulate", "--config", str(cfg)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"numerical failure: simulate.d_m = {float(d_m)!r} with eta = 3.0: "
+                                f"pi = Pt'/d**eta = {quotient} leaves the float range\n")
+
     def test_overflowing_discrete_breakpoint_is_a_numerical_failure(self, tmp_path, capsys):
         # Pi_1 = 0.25/5e-324 overflows; the table used to take log1p(-inf), a traceback
         cfg = tmp_path / "run.yaml"
@@ -964,10 +981,11 @@ SIMULATE_CASES = {
         constant_power_W=1.0),
 }
 
-# stdout and the SHA-256 of the --trace file, as GOLDEN above
+# stdout and the SHA-256 of the --trace file, as GOLDEN above.  The discrete
+# runs' totals are exact sums of counts times rows, rounded once
 GOLDEN_SIMULATE = {
     'discrete12-waterfill': (
-        '{"elapsed_time_s": 141.11774000000003, "horizon": 200003, "periods": {"collision": 20025, "idle": 119652, "success": 60326}, "power_ci95_w": 0.004571128880071295, "power_hat_w": 0.8825387769981893, "seed": 97531, "theta_ci95_bps": 24903.727646230334, "theta_hat_bps": 3190220.76152765, "total_bits": 450196743.967861, "total_energy_j": 124.54187767234848}\n',
+        '{"elapsed_time_s": 141.11774, "horizon": 200003, "periods": {"collision": 20025, "idle": 119652, "success": 60326}, "power_ci95_w": 0.004571128880071293, "power_hat_w": 0.8825387769981894, "seed": 97531, "theta_ci95_bps": 24903.727646230338, "theta_hat_bps": 3190220.7615276505, "total_bits": 450196743.967861, "total_energy_j": 124.54187767234846}\n',
         '96f23ab538ca99a9e9cdce5ca4407add952765bde6e6b3ff58c036383bdd42d2',
     ),
     'exponential-relinquish': (
@@ -979,7 +997,7 @@ GOLDEN_SIMULATE = {
         'f2af5e0636b760ab05873e182192e893d3c7436ab50bb16201dd49d803c4a8ce',
     ),
     'two-state-waterfill': (
-        '{"elapsed_time_s": 141.11774000000003, "horizon": 200003, "periods": {"collision": 20025, "idle": 119652, "success": 60326}, "power_ci95_w": 0.0006029706515017614, "power_hat_w": 0.8814387874581481, "seed": 97531, "theta_ci95_bps": 5766.554226250378, "theta_hat_bps": 3467013.635579813, "total_bits": 489257128.8022069, "total_energy_j": 124.38664963443422}\n',
+        '{"elapsed_time_s": 141.11774, "horizon": 200003, "periods": {"collision": 20025, "idle": 119652, "success": 60326}, "power_ci95_w": 0.000602970651501757, "power_hat_w": 0.8814387874581483, "seed": 97531, "theta_ci95_bps": 5766.554226250387, "theta_hat_bps": 3467013.6355798137, "total_bits": 489257128.8022069, "total_energy_j": 124.38664963443424}\n',
         'ea5b1910de5e83cc125cec18eb7dc6ff8e47bcbde4bd78181016a2e80f7a6166',
     ),
 }

@@ -21,6 +21,7 @@ from conftest import (
     pdf_x,
     random_discrete_model,
     random_tabulated_model,
+    reference_tabulated_draws,
     tail_decay_check,
     x_tails,
 )
@@ -379,9 +380,12 @@ class TestTabulatedSampling:
         def __init__(self, u):
             self.u = np.asarray(u, dtype=float)
 
-        def random(self, size):
+        def random(self, size, out=None):
             assert size == self.u.size
-            return self.u
+            if out is None:
+                return self.u
+            out[...] = self.u
+            return out
 
     @staticmethod
     def cdf(model, h):
@@ -411,6 +415,43 @@ class TestTabulatedSampling:
         got = np.array([self.cdf(model, v) for v in h.tolist()])
         assert np.max(np.abs(got - u)) <= 1e-13
         assert np.all((h >= model.kind.grid[0]) & (h <= model.kind.grid[-1]))
+
+    @classmethod
+    def guided_model(cls, name):
+        """A model whose guide table has bins spanning many cells, or none (gap)."""
+        if name == "gamma801":
+            # the shape h**(m-1)*exp(-m*h) on [0, 12]: its tail cells are far
+            # thinner than a guide bin, so the top bins span many cells
+            h = np.linspace(0.0, 12.0, 801)
+            a = h**1.25 * np.exp(-2.25 * h)
+            return FadingModel.tabulated(h, a / np.trapezoid(a, h))
+        return tabulated_exp(points=41) if name == "exp41" else cls.gap_model()
+
+    @pytest.mark.parametrize("name", ["exp41", "gap", "gamma801"])
+    @pytest.mark.parametrize("size", [1, 7, 19_700])
+    def test_draws_match_the_searchsorted_inversion(self, name, size):
+        model = self.guided_model(name)
+        assert any(model.inverse.spans) == (name != "gap")
+        for seed in (3, 11):
+            a, b, c = make_rng(seed), make_rng(seed), make_rng(seed)
+            want = reference_tabulated_draws(model, a, size).tobytes()
+            assert model.sample_h(b, size).tobytes() == want
+            # work arrays full of junk, as a chunk's leftovers would be
+            out = np.full(size, np.nan)
+            work = (np.full(size, np.nan), np.full(size, -np.inf),
+                    np.full(size, -7, dtype=np.intp), np.full(size, 10**9, dtype=np.intp))
+            assert model.sample_h(c, size, out=out, work=work) is out
+            assert out.tobytes() == want
+            assert a.bit_generator.state == b.bit_generator.state == c.bit_generator.state
+
+    @pytest.mark.parametrize("name", ["exp41", "gap", "gamma801"])
+    def test_draws_at_the_cell_and_bin_edges_match_the_searchsorted_inversion(self, name):
+        model = self.guided_model(name)
+        edges = np.concatenate([np.frombuffer(model.inverse.cdf)[:-1], np.arange(4096) / 4096])
+        u = np.concatenate([edges, np.nextafter(edges, 1.0), np.nextafter(edges[edges > 0], 0.0),
+                            [1.0 - 2.0**-53]])
+        want = reference_tabulated_draws(model, self.Uniforms(u), u.size)
+        assert model.sample_h(self.Uniforms(u), u.size).tobytes() == want.tobytes()
 
     def test_zero_mass_cells_are_never_chosen(self):
         u = np.linspace(0.0, 1.0, 100_001)[:-1]

@@ -3,6 +3,7 @@ fixed-time vs fixed-packet comparison."""
 
 import math
 import tracemalloc
+from fractions import Fraction
 import warnings
 
 import numpy as np
@@ -18,7 +19,7 @@ from conftest import (
     swap_energies,
 )
 from hopcap.errors import OrderingViolation, ValidationError
-from hopcap.fading import FadingModel
+from hopcap.fading import FadingModel, choice_thresholds
 from hopcap import macmodel, simulator, waterfill
 from hopcap.macmodel import MacProfile
 from hopcap.simulator import (
@@ -295,17 +296,33 @@ class TestChunkedRun:
             t_idle=5e-5, t_collision=5e-4, t_overhead=1e-4, t_txop=1e-3, bandwidth=2e6,
             e_idle=5e-7, e_collision=6e-5, e_overhead=2e-5,
         )
+        made = []  # each generator `run` makes, with its state when made
+
+        class Recorded(np.random.Generator):
+            def __init__(self, bit_generator):
+                super().__init__(bit_generator)
+                made.append((self, self.bit_generator.state))
+
         calls = []
         sample_h = FadingModel.sample_h
-        monkeypatch.setattr(FadingModel, "sample_h", lambda *a: calls.append(a) or sample_h(*a))
-        report = simulator.run(quiet_config(
-            profile=profile, model=FIG1, policy=ConstantPowerPolicy(0.5),
-            d=1.0, eta=3.0, horizon=5000, seed=9,
-        ))
-        assert calls == []
-        assert report.n_success == 0 and report.n_idle > 0 and report.n_collision > 0
-        assert report.theta_hat == 0.0 and report.theta_ci95 == 0.0 and report.total_bits == 0.0
-        assert report.power_ci95 > 0.0
+        monkeypatch.setattr(np.random, "Generator", Recorded)
+        monkeypatch.setattr(FadingModel, "sample_h",
+                            lambda *a, **k: calls.append(a) or sample_h(*a, **k))
+        # a discrete model's successes are counted by state, without
+        # `sample_h`; an exponential model's are drawn by it
+        for model in (FIG1, FadingModel.exponential(1.0)):
+            made.clear()
+            report = simulator.run(quiet_config(
+                profile=profile, model=model, policy=ConstantPowerPolicy(0.5),
+                d=1.0, eta=3.0, horizon=5000, seed=9,
+            ))
+            (periods, start), (fades, fades_start) = made
+            assert periods.bit_generator.state != start
+            assert fades.bit_generator.state == fades_start
+            assert calls == []
+            assert report.n_success == 0 and report.n_idle > 0 and report.n_collision > 0
+            assert report.theta_hat == 0.0 and report.theta_ci95 == 0.0 and report.total_bits == 0.0
+            assert report.power_ci95 > 0.0
 
     def test_identical_periods_have_exactly_zero_interval(self, monkeypatch):
         profile = MacProfile(
@@ -337,15 +354,75 @@ class TestChunkedRun:
         assert abs(peaks[1] - peaks[0]) <= 0.25 * 2**20, peaks
 
 
+TWELVE_STATE = FadingModel.discrete(
+    [(g, (i + 1) / 78) for i, g in
+     enumerate([800.0, 300.0, 120.0, 50.0, 20.0, 8.0, 3.0, 1.2, 0.5, 0.2, 0.08, 0.03])])
+
+
+class TestDiscreteByCounts:
+    """A discrete run adds its successes by fading state, as counts times rows."""
+
+    @pytest.mark.parametrize("model", [FIG1, TWELVE_STATE], ids=["two_state", "twelve_state"])
+    @pytest.mark.parametrize("chunk", [1, 7, None], ids=["chunk1", "chunk7", "default"])
+    @pytest.mark.parametrize("seed", [3, 8, 21])
+    def test_totals_are_the_exact_sums(self, model, chunk, seed, monkeypatch):
+        # the default chunk size spans four chunks, the last one partial
+        if chunk is not None:
+            monkeypatch.setattr(simulator, "_CHUNK", chunk)
+        # at pi = 0.001 the water-fill leaves the weaker states unserved: their bits are 0
+        policy = WaterfillPolicy(waterfill.solve(model, 0.001))
+        config = quiet_config(profile=profile_a(), model=model, policy=policy, d=0.5, eta=3.0,
+                              horizon=3000 if chunk else 200_003, seed=seed)
+        kinds, durations, energies, bits = reference_periods(config)
+        assert 0.0 in bits[kinds == 2] and np.any(bits > 0.0)
+        report = simulator.run(config)
+        assert [report.n_idle, report.n_collision, report.n_success] == np.bincount(kinds).tolist()
+        # fsum rounds the exact sum over every period once, as counts times rows must
+        exact = [Fraction(0)] * 3
+        for column, values in enumerate((durations, energies, bits)):
+            for value, count in zip(*np.unique(values, return_counts=True)):
+                exact[column] += int(count) * Fraction(float(value))
+            assert float(exact[column]) == math.fsum(values)
+        assert [report.elapsed_time, report.total_energy, report.total_bits] == list(map(float, exact))
+        theta, theta_ci = oracle_ratio_estimate(bits, durations)
+        power, power_ci = oracle_ratio_estimate(energies, durations)
+        assert report.theta_hat == pytest.approx(theta, rel=1e-14, abs=0)
+        assert report.power_hat == pytest.approx(power, rel=1e-14, abs=0)
+        assert report.theta_ci95 == pytest.approx(theta_ci, rel=1e-10, abs=0)
+        assert report.power_ci95 == pytest.approx(power_ci, rel=1e-10, abs=0)
+
+
+class TestNoStaleBuffers:
+    def test_runs_in_one_process_give_each_run_s_own_bytes(self, tmp_path):
+        # a tabulated run of two chunks, the second partial, then shorter runs
+        # of every kind, each traced once and untraced once; the tabulated
+        # model, and so its cached tables, is shared
+        cases = trace_cases()
+        runs = [("tab41_constant", 70_000), ("two_state_waterfill", 5000),
+                ("exponential_relinquish", 66_000), ("tab41_constant", 3000)]
+        reports = {}
+        for repeat in range(2):
+            for i, (name, horizon) in enumerate(runs):
+                config = quiet_config(horizon=horizon, **cases[name])
+                path = tmp_path / f"run{i}.csv" if (i + repeat) % 2 else None
+                report = simulator.run(config, trace_path=path).to_json()
+                assert reports.setdefault(i, report) == report, (name, repeat)
+                if path is not None:
+                    reference_trace(tmp_path / "ref.csv", *reference_periods(config))
+                    assert path.read_bytes() == (tmp_path / "ref.csv").read_bytes(), (name, repeat)
+
+
 class TestPeriodTypeDraw:
     """The threshold draw of `run` against numpy's own ``choice``."""
 
     @staticmethod
     def period_types(rng, size, p):
-        """(kinds, counts) of `_period_types`, which fills an int8 array it is given."""
-        kinds = np.full(size, 99, dtype=np.int8)
-        counts = simulator._period_types(rng, kinds, p)
-        return kinds, counts
+        """(kinds, counts) of `_Chunk.period_types`, which fills the int8 array it holds."""
+        chunk = simulator._Chunk(size + 5, traced=False)
+        chunk.kinds.fill(99)
+        counts = chunk.period_types(rng, size, choice_thresholds(p))
+        assert np.all(chunk.kinds[size:] == 99)
+        return chunk.kinds[:size], counts
 
     @pytest.mark.parametrize("p", [
         [0.1, 0.2, 0.7],
