@@ -4,11 +4,11 @@ The channel state ``X = c*H``, with ``c = alpha/sigma^2`` the per-watt SNR
 at unit distance, only rescales the power axis, so every kernel works on
 H and ``c`` enters at the edges (`waterfill.gamma_and_lambda`,
 `hopopt.stationary_points`).  This module owns the distribution kinds,
-sampling and CSV ingestion for tabulated densities.  A tabulated density
-is two float tuples, nodes and values, and is linear between its nodes,
-so its tails are exact: `TailTable` (``FadingModel.tails``) holds the
-mass, water-fill power and rate above each node, and a query at any
-``lam`` adds one closed-form partial cell.  Its draws invert the CDF
+the continuous kinds' sampling and CSV ingestion for tabulated densities.
+A tabulated density is two float tuples, nodes and values, and is linear
+between its nodes, so its tails are exact: `TailTable`
+(``FadingModel.tails``) holds the mass, water-fill power and rate above
+each node, and a query at any ``lam`` adds one closed-form partial cell.  Its draws invert the CDF
 exactly through `InverseTable` (``FadingModel.inverse``): per-cell
 columns and a guide table, built in plain Python as ``array`` columns.
 Every kind's scalar path is plain ``math``; numpy is imported only by
@@ -182,12 +182,13 @@ class FadingModel(_FadingModelFields):
         """Draw i.i.d. fading gains; deterministic for a given generator state.
 
         ``out``, if given, is a float array of length ``size`` that receives
-        the draws.  A tabulated model's draws invert its CDF exactly
-        (`InverseTable`, ``FadingModel.inverse``): one guide-table lookup
-        and one step up find a draw's cell, and ``searchsorted`` runs only on
-        the draws in a bin that spans several cells.  ``work``, if given,
-        holds its scratch arrays of length ``size``: two of floats, then two
-        of ``np.intp``.
+        the draws.  A discrete model raises DiscreteKindError (`simulator`
+        counts its fades by state).  A tabulated model's draws invert its
+        CDF exactly (`InverseTable`, ``FadingModel.inverse``): one
+        guide-table lookup and one step up find a draw's cell, and
+        ``searchsorted`` runs only on the draws in a bin that spans several
+        cells.  ``work``, if given, holds its scratch arrays of length
+        ``size``: two of floats, then two of ``np.intp``.
         """
         import numpy as np
 
@@ -197,13 +198,8 @@ class FadingModel(_FadingModelFields):
             rng.standard_exponential(size, out=out)
             out *= 1.0 / self.kind.rate
             return out
-        u = rng.random(size, out=out)
-        if isinstance(self.kind, DiscreteFinite):
-            idx = np.zeros(size, dtype=np.intp)
-            for threshold in choice_thresholds(self.kind.probs):
-                idx += u >= threshold
-            return np.take(self.kind.gains, idx, out=out)
         inv = self.inverse
+        u = rng.random(size, out=out)
         upper, lower, g, a, width, slope2, a2 = (np.frombuffer(c) for c in inv.columns)
         tmp, root, bins, j = work or (np.empty(size), np.empty(size),
                                       np.empty(size, dtype=np.intp), np.empty(size, dtype=np.intp))
@@ -239,19 +235,6 @@ class FadingModel(_FadingModelFields):
         np.minimum(s, column(width), out=s)
         s += column(g)
         return s
-
-
-def choice_thresholds(probs) -> list:
-    """The thresholds by which ``rng.choice(len(probs), p=probs)`` picks states.
-
-    ``choice`` draws ``u = rng.random(size)`` and picks for each ``u`` the
-    count of these thresholds at or below it.  They are the cumulative sums
-    of ``probs``, added in ``np.cumsum``'s order, divided by the last, which
-    is left out.  Counting them gives ``choice``'s states and generator
-    state without its checks of ``p``.
-    """
-    sums = list(itertools.accumulate(probs))
-    return [s / sums[-1] for s in sums[:-1]]
 
 
 def log_root(func, x: float, lo: float, hi: float, rising: bool) -> float:

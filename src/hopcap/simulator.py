@@ -36,7 +36,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NumericalError, OrderingViolation, ValidationError
-from .fading import FadingModel, choice_thresholds
+from .fading import FadingModel
 from .macmodel import LN2, MacProfile
 from .waterfill import WaterfillSolution, gamma_and_lambda
 
@@ -95,8 +95,9 @@ class SimConfig(_SimConfigFields):
     def __init__(self, *_args, **_kwargs):
         if self.horizon < 1:
             raise ValidationError(f"horizon must be >= 1, got {self.horizon}")
-        if self.d <= 0 or self.eta <= 0:
-            raise ValidationError("hop distance and eta must be > 0")
+        if not (0 < self.d < math.inf and 0 < self.eta < math.inf):
+            raise ValidationError(f"hop distance and eta must be finite and > 0, got d={self.d}, "
+                                  f"eta={self.eta}")
         if self.relinquish_overhead is not None and not (
             0 <= self.relinquish_overhead <= self.profile.t_txop
         ):
@@ -150,59 +151,42 @@ class SimReport(NamedTuple):
 class _Chunk:
     """The chunk-sized work arrays of `run`, allocated once per run and filled in place.
 
-    ``u`` holds a chunk's period-type uniforms, ``busy`` and ``success``
-    their masks and ``kinds`` the types; ``fades`` holds the successes'
-    fades, or a discrete model's fade uniforms.  ``power``, the two 3-row
-    arrays and ``work`` (scratch of `FadingModel.sample_h`) serve the rows
-    of a continuous model; ``states``, ``codes`` and ``text`` serve the
-    trace.
+    ``u`` holds a chunk's period-type uniforms and ``fades`` the successes'
+    fades, or a discrete model's fade uniforms; ``mask`` is the bool scratch
+    of `categories` and `trace_text`.  ``power``, the two 3-row arrays and ``work`` (scratch of
+    `FadingModel.sample_h`) serve the rows of a continuous model; ``codes``
+    (the period types), ``states`` (a discrete model's fading states) and
+    ``text`` serve the trace.
     """
 
     def __init__(self, size, traced):
         self.u, self.fades, self.power = np.empty(size), np.empty(size), np.empty(size)
         self.rows, self.dev = np.empty(3 * size), np.empty(3 * size)
-        self.busy, self.success = np.empty(size, dtype=bool), np.empty(size, dtype=bool)
-        self.kinds = np.empty(size, dtype=np.int8)
+        self.mask = np.empty(size, dtype=bool)
         self.work = (np.empty(size), np.empty(size), np.empty(size, dtype=np.intp),
                      np.empty(size, dtype=np.intp))
         if traced:
             self.states, self.codes = np.empty(size, dtype=np.intp), np.empty(size, dtype=np.intp)
             self.text = np.empty(size, dtype=object)
 
-    def period_types(self, rng, size, thresholds):
-        """Fill ``kinds[:size]`` as ``rng.choice(3, size, p=p)`` would; return the three counts.
+    def categories(self, rng, u, thresholds, codes=None):
+        """Draw ``u`` as ``rng.choice(len(p), u.size, p=p)`` would; return each category's count.
 
-        ``thresholds`` are p's (`fading.choice_thresholds`); the draws and
-        the generator state after them are ``choice``'s.  Each type's count
-        comes from the two masks.
+        ``thresholds`` are p's (`choice_thresholds`): a draw's category is
+        the count of them at or below its uniform, so the draws and the
+        generator state after them are ``choice``'s.  ``codes``, if given, is
+        an integer array of u's length that receives each draw's category.
         """
-        u, busy, success, kinds = (a[:size] for a in (self.u, self.busy, self.success, self.kinds))
-        low, high = thresholds
-        rng.random(size, out=u)
-        np.greater_equal(u, low, out=busy)
-        np.greater_equal(u, high, out=success)
-        np.add(busy.view(np.int8), success.view(np.int8), out=kinds)
-        n_busy, n_success = int(np.count_nonzero(busy)), int(np.count_nonzero(success))
-        return size - n_busy, n_busy - n_success, n_success
-
-    def state_counts(self, rng, size, thresholds, traced):
-        """How many of ``size`` fades fall in each state of a discrete model.
-
-        The uniforms are the ones `FadingModel.sample_h` draws, and a fade's
-        state is the count of ``thresholds`` at or below its uniform.  If
-        ``traced``, ``states`` holds each fade's 2 + state, its trace code.
-        """
-        u, mask, states = self.fades[:size], self.busy[:size], None
-        rng.random(size, out=u)
-        if traced:
-            states = self.states[:size]
-            states.fill(2)
-        at_or_above = [size]
+        mask = self.mask[:u.size]
+        rng.random(out=u)
+        if codes is not None:
+            codes.fill(0)
+        at_or_above = [u.size]
         for threshold in thresholds:
             np.greater_equal(u, threshold, out=mask)
             at_or_above.append(int(np.count_nonzero(mask)))
-            if traced:
-                states += mask
+            if codes is not None:
+                codes += mask
         return [n - m for n, m in zip(at_or_above, at_or_above[1:] + [0])]
 
     def rows_of(self, config, fades, size):
@@ -216,9 +200,9 @@ class _Chunk:
 
         A period's code is its type, a success's the next of ``success_codes``.
         """
-        codes = self.codes[:size]
-        np.copyto(codes, self.kinds[:size])
-        codes[self.success[:size]] = success_codes
+        codes, success = self.codes[:size], self.mask[:size]
+        np.equal(codes, 2, out=success)
+        codes[success] = success_codes
         text = np.take(np.array(table, dtype=object), codes, out=self.text[:size])
         return b"".join(text.tolist())
 
@@ -258,28 +242,26 @@ def run(config: SimConfig, trace_path=None) -> SimReport:
     n_success = 0
     moments = _CoMoments()
     success_sums = []
-    trace = contextlib.nullcontext()
-    if traced:
-        try:
-            trace = open(trace_path, "wb")
-        except OSError as exc:
-            raise ValidationError(f"cannot write trace: {exc}") from exc
-    with trace as fh:
-        lines = None  # the trace lines formatted once per run
+    fh = lines = None  # the trace file, and its lines formatted once per run
+    try:
         if traced:
-            fh.write(b"period_type,duration_s,energy_J,bits\n")
+            with _trace_errors():
+                fh = open(trace_path, "wb")
+                fh.write(b"period_type,duration_s,energy_J,bits\n")
             lines = [f"{name},{t:.17g},{e:.17g},{b:.17g}\n".encode()
                      for name, (t, e, b) in zip(names, fixed.tolist())]
         for start in range(0, config.horizon, _CHUNK):
             size = min(_CHUNK, config.horizon - start)
-            n_idle, n_collision, n = chunk.period_types(rng, size, thresholds)
+            n_idle, n_collision, n = chunk.categories(rng, chunk.u[:size], thresholds,
+                                                      chunk.codes[:size] if traced else None)
             n_success += n
             table, codes = lines, []  # the chunk's trace lines, and each success's line
             if discrete:
-                by_state = chunk.state_counts(fades, n, fade_thresholds, traced)
+                codes = chunk.states[:n] if traced else None
+                by_state = chunk.categories(fades, chunk.fades[:n], fade_thresholds, codes)
                 counts = [total + m for total, m in zip(counts, [n_idle, n_collision, *by_state])]
                 if traced:
-                    codes = chunk.states[:n]
+                    codes += 2  # a state's line follows the idle and collision lines
             else:
                 counts = [counts[0] + n_idle, counts[1] + n_collision]
                 moments.merge(n_idle, fixed[0], 0.0)
@@ -291,7 +273,12 @@ def run(config: SimConfig, trace_path=None) -> SimReport:
                     if traced:
                         table, codes = _success_table(lines, rows)
             if traced:
-                fh.write(chunk.trace_text(table, size, codes))
+                with _trace_errors():
+                    fh.write(chunk.trace_text(table, size, codes))
+    finally:
+        if fh is not None:
+            with _trace_errors():
+                fh.close()
 
     if discrete:  # every success of a state is one identical period
         for n, row in zip(counts, fixed):
@@ -323,6 +310,15 @@ def run(config: SimConfig, trace_path=None) -> SimReport:
     )
 
 
+@contextlib.contextmanager
+def _trace_errors():
+    """Re-raise an OSError of the trace file as ValidationError."""
+    try:
+        yield
+    except OSError as exc:
+        raise ValidationError(f"cannot write trace: {exc}") from exc
+
+
 def _sum_of_counts(counts, values):
     """The sum of count times value over the pairs with a count, rounded once.
 
@@ -335,6 +331,18 @@ def _sum_of_counts(counts, values):
     ratios = [(n, *v.as_integer_ratio()) for n, v in pairs]
     scale = max((den for _, _, den in ratios), default=1)
     return sum(n * num * (scale // den) for n, num, den in ratios) / scale
+
+
+def choice_thresholds(probs) -> list:
+    """The thresholds by which ``rng.choice(len(probs), p=probs)`` picks categories.
+
+    ``choice`` draws ``u = rng.random(size)`` and picks for each ``u`` the
+    count of these thresholds at or below it: its cumulative sums of
+    ``probs`` divided by the last, which is left out.  Counting them gives
+    ``choice``'s categories and generator state without its checks of ``p``.
+    """
+    sums = np.cumsum(probs)
+    return (sums[:-1] / sums[-1]).tolist()
 
 
 def _success_rows(config, h, power=None, out=None):
@@ -383,8 +391,8 @@ class _CoMoments:
         self.m2 = self.m2 + m2 + np.outer(delta, delta) * (self.n * n / total)
         self.n = total
 
-    def merge_rows(self, rows, dev=None):
-        """Add the periods of ``rows``, one per column; ``dev`` is an optional work array of its shape."""
+    def merge_rows(self, rows, dev):
+        """Add the periods of ``rows``, one per column; ``dev`` is a work array of its shape."""
         # centred on the group mean, taken relative to its first period so
         # that a group of identical periods has exactly that mean
         first = rows[:, :1]

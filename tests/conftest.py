@@ -559,8 +559,9 @@ def reference_periods(config):
     """(kinds, durations, energies, bits) of every period of a simulator run.
 
     Draws in the documented order with one call each: all period types,
-    then the fades of all successes.  Arrays span the whole horizon; only
-    the model's sampler and the policy's power come from hopcap.
+    then the fades of all successes, a discrete model's by ``rng.choice``
+    too.  Arrays span the whole horizon; only a continuous model's sampler
+    and the policy's power come from hopcap.
     """
     prof = config.profile
     rng = make_rng(config.seed)
@@ -571,7 +572,11 @@ def reference_periods(config):
     bits = np.zeros(config.horizon)
     n = int(success.sum())
     if n:
-        h = config.model.sample_h(rng, n)
+        if config.model.is_discrete:
+            gains, probs = config.model.kind
+            h = np.array(gains)[rng.choice(len(gains), size=n, p=probs)]
+        else:
+            h = config.model.sample_h(rng, n)
         loss = config.d**config.eta
         p = config.policy.power(h, loss)
         rate = np.log1p(config.model.alpha_over_sigma2 * h * p / loss)

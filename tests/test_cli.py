@@ -852,6 +852,17 @@ class TestOutputPath:
         assert err.startswith("error: ") and path in err and "Traceback" not in err
         assert not (tmp_path / "nodir").exists()
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full to fail the writes")
+    @pytest.mark.parametrize("horizon", ["10000", "50"], ids=["at-write", "at-close"])
+    def test_trace_write_that_fails_exits_2(self, horizon, fig1_cfg, capsys):
+        # the open succeeds and the writes fail, a small trace's only when the
+        # file closes; this used to end in an OSError traceback, exit 1
+        argv = ["simulate", "--config", str(fig1_cfg), "--horizon", horizon, "--trace", "/dev/full"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert captured.err.endswith("error: cannot write trace: [Errno 28] No space left on device\n")
+
 
 # stdout and CSV bytes as last produced; a change that moves an output on
 # purpose updates its strings here and says so

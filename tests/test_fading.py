@@ -12,7 +12,6 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from conftest import (
-    FixedUniforms,
     example_profile,
     make_rng,
     mean_h,
@@ -466,48 +465,6 @@ class TestTabulatedSampling:
         assert abs(h.mean() - mean_h(model)) <= 4 * se
 
 
-
-class TestDiscreteSampling:
-    """`sample_h` on discrete fading draws what ``rng.choice`` would.
-
-    The gains are distinct, so equal draws mean equal state indices.
-    """
-
-    @pytest.mark.parametrize("states", [
-        [(2.0, 1.0)],
-        [(100.0, 0.01), (0.5, 0.99)],
-        [(2.0**-k, (k + 1) / 78) for k in range(12)],
-        # the cumulative sum reaches 1.0 at the second state: the third is never drawn
-        [(3.0, 0.6), (2.0, 0.4), (1.0, 1e-17)],
-        # a hundred thresholds, each the running sum of up to 99 terms
-        [(float(k + 1), 0.01) for k in range(100)],
-    ], ids=["one", "two", "twelve", "rounds-to-one", "hundred"])
-    @pytest.mark.parametrize("size", [1, 7, 65_536, 200_003])
-    def test_same_draws_and_generator_state_as_choice(self, states, size):
-        model = FadingModel.discrete(states)
-        gains, probs = model.kind
-        for seed in (3, 11):
-            a, b = make_rng(seed), make_rng(seed)
-            want = np.array(gains)[a.choice(len(gains), size=size, p=probs)]
-            got = model.sample_h(b, size)
-            np.testing.assert_array_equal(got, want)
-            assert got.dtype == np.float64
-            assert a.bit_generator.state == b.bit_generator.state
-        if len(gains) == 3:
-            assert np.cumsum(probs)[1] == 1.0 and gains[2] not in got
-
-    @pytest.mark.parametrize("n", [2, 12, 100])
-    def test_draws_on_the_thresholds(self, n):
-        model = FadingModel.discrete([(float(n - k), (k + 1) / (n * (n + 1) / 2)) for k in range(n)])
-        gains, probs = model.kind
-        c = np.cumsum(probs)
-        c /= c[-1]
-        u = np.concatenate([[0.0, 1.0 - 2.0**-53], c[:-1], np.nextafter(c[:-1], 0.0),
-                            np.nextafter(c[:-1], 1.0)])
-        want = np.array(gains)[FixedUniforms(u).choice(n, size=u.size, p=probs)]
-        np.testing.assert_array_equal(model.sample_h(FixedUniforms(u), u.size), want)
-
-
 _SRC = Path(__file__).parents[1] / "src"
 
 
@@ -587,6 +544,35 @@ def test_log_root_is_called_only_by_the_scan_and_the_exponential_root():
     callers = {(path.name, scope) for path in sorted((_SRC / "hopcap").glob("*.py"))
                for scope in scopes_with(path, calls)}
     assert callers == {("fading.py", "sign_change_roots"), ("hopopt.py", "_exponential_root")}
+
+
+def test_the_categorical_draw_and_the_sampler_each_have_one_caller():
+    # period types and a discrete model's fading states are drawn by one
+    # threshold count in the simulator; `sample_h` draws continuous fades only
+    def refers_to(name):
+        return lambda node: (isinstance(node, ast.Name) and node.id == name
+                             or isinstance(node, ast.Attribute) and node.attr == name
+                             or isinstance(node, ast.alias) and name in (node.name, node.asname)
+                             or isinstance(node, ast.Constant) and node.value == name)
+
+    def calls(name):
+        return lambda node: isinstance(node, ast.Call) and refers_to(name)(node.func)
+
+    paths = sorted((_SRC / "hopcap").glob("*.py"))
+    for name in ("choice_thresholds", "categories"):
+        assert {(path.name, scope) for path in paths
+                for scope in scopes_with(path, refers_to(name))} == {("simulator.py", "run")}, name
+    assert {(path.name, scope) for path in paths for scope in scopes_with(path, calls("sample_h"))} == {
+        ("simulator.py", "_Chunk.rows_of")}
+
+
+def test_sample_h_rejects_a_discrete_model():
+    # a discrete run counts its fades by state, so there is no discrete sampler
+    rng = make_rng(3)
+    state = rng.bit_generator.state
+    with pytest.raises(DiscreteKindError):
+        FadingModel.discrete([(100.0, 0.01), (0.5, 0.99)]).sample_h(rng, 10)
+    assert rng.bit_generator.state == state
 
 
 def scipy_brentq(func, lo, hi):

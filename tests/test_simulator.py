@@ -19,7 +19,7 @@ from conftest import (
     swap_energies,
 )
 from hopcap.errors import OrderingViolation, ValidationError
-from hopcap.fading import FadingModel, choice_thresholds
+from hopcap.fading import FadingModel
 from hopcap import macmodel, simulator, waterfill
 from hopcap.macmodel import MacProfile
 from hopcap.simulator import (
@@ -196,6 +196,16 @@ class TestTraceAndKnobs:
         early = simulator.run(SimConfig(relinquish_overhead=1e-4, **base))
         assert early.elapsed_time < plain.elapsed_time
         assert early.total_bits == plain.total_bits
+
+
+@pytest.mark.parametrize("d, eta", [
+    (1.0, math.nan), (1.0, math.inf), (math.nan, 3.0), (math.inf, 3.0), (0.0, 3.0), (1.0, -2.0),
+], ids=["eta-nan", "eta-inf", "d-nan", "d-inf", "d-zero", "eta-negative"])
+def test_sim_config_rejects_a_hop_that_is_not_finite_and_positive(d, eta):
+    # 1.0**nan == 1.0, so eta = nan used to run and report a rate; d = inf a zero rate
+    with pytest.raises(ValidationError, match="hop distance and eta must be finite and > 0"):
+        quiet_config(profile=profile_a(), model=FIG1, policy=ConstantPowerPolicy(0.5),
+                     d=d, eta=eta, horizon=10_000, seed=0)
 
 
 def trace_cases():
@@ -412,17 +422,32 @@ class TestNoStaleBuffers:
                     assert path.read_bytes() == (tmp_path / "ref.csv").read_bytes(), (name, repeat)
 
 
+# the fading-state probabilities of discrete models, as the model sorts them
+FADE_P = {name: FadingModel.discrete(states).kind.probs for name, states in {
+    "one": [(2.0, 1.0)],
+    "two": [(100.0, 0.01), (0.5, 0.99)],
+    "twelve": [(2.0**-k, (k + 1) / 78) for k in range(12)],
+    # the cumulative sum reaches 1.0 at the second state: the third is never drawn
+    "rounds-to-one": [(3.0, 0.6), (2.0, 0.4), (1.0, 1e-17)],
+    # a hundred thresholds, each the running sum of up to 99 terms
+    "hundred": [(float(k + 1), 0.01) for k in range(100)],
+}.items()}
+
+
 class TestPeriodTypeDraw:
-    """The threshold draw of `run` against numpy's own ``choice``."""
+    """`_Chunk.categories`, the one draw of `run`, against numpy's own ``choice``.
+
+    It draws the period types (idle, collision, success) and a discrete
+    model's fading states, which make a success one of ``n`` period types.
+    """
 
     @staticmethod
-    def period_types(rng, size, p):
-        """(kinds, counts) of `_Chunk.period_types`, which fills the int8 array it holds."""
-        chunk = simulator._Chunk(size + 5, traced=False)
-        chunk.kinds.fill(99)
-        counts = chunk.period_types(rng, size, choice_thresholds(p))
-        assert np.all(chunk.kinds[size:] == 99)
-        return chunk.kinds[:size], counts
+    def draw(rng, size, p, traced=True):
+        """(codes, counts) of `_Chunk.categories`, which fills the arrays the chunk holds."""
+        chunk = simulator._Chunk(size + 5, traced)
+        codes = chunk.codes[:size] if traced else None
+        counts = chunk.categories(rng, chunk.u[:size], simulator.choice_thresholds(p), codes)
+        return codes, counts
 
     @pytest.mark.parametrize("p", [
         [0.1, 0.2, 0.7],
@@ -431,28 +456,50 @@ class TestPeriodTypeDraw:
         [0.5, 0.5, 0.0],
         [0.0, 0.0, 1.0],
         [0.9999, 1e-4, 0.0],
-    ])
+        *FADE_P.values(),
+    ], ids=[f"p{i}" for i in range(6)] + list(FADE_P))
     @pytest.mark.parametrize("size", [1, 7, 65_536, 200_003])
     def test_same_draws_and_generator_state_as_choice(self, p, size):
         for seed in (3, 11):
-            a, b = make_rng(seed), make_rng(seed)
-            want = a.choice(3, size=size, p=p)
-            got, counts = self.period_types(b, size, p)
-            assert got.dtype == np.int8
+            a, b, c = make_rng(seed), make_rng(seed), make_rng(seed)
+            want = a.choice(len(p), size=size, p=p)
+            got, counts = self.draw(b, size, p)
             np.testing.assert_array_equal(got, want)
             assert a.bit_generator.state == b.bit_generator.state
-            assert list(counts) == np.bincount(got, minlength=3).tolist()
+            assert counts == np.bincount(want, minlength=len(p)).tolist()
             assert all(type(n) is int for n in counts)
+            assert self.draw(c, size, p, traced=False)[1] == counts
+            assert c.bit_generator.state == a.bit_generator.state
+        if p == FADE_P["rounds-to-one"]:
+            assert np.cumsum(p)[1] == 1.0 and counts[2] == 0
 
-    @pytest.mark.parametrize("p", [[0.25, 0.25, 0.5], [0.0, 0.3, 0.7], [0.1, 0.2, 0.7]])
+    @pytest.mark.parametrize("p", [
+        [0.25, 0.25, 0.5],
+        [0.0, 0.3, 0.7],
+        [0.1, 0.2, 0.7],
+        *(FadingModel.discrete([(float(n - k), (k + 1) / (n * (n + 1) / 2)) for k in range(n)]).kind.probs
+          for n in (2, 12, 100)),
+    ], ids=["p0", "p1", "p2", "2", "12", "100"])
     def test_draws_on_the_thresholds(self, p):
         c = np.cumsum(p)
         c /= c[-1]
-        u = [0.0, *c[:2], *np.nextafter(c[:2], 0.0), *np.nextafter(c[:2], 1.0)]
-        want = FixedUniforms(u).choice(3, size=len(u), p=p)
-        got, counts = self.period_types(FixedUniforms(u), len(u), p)
+        u = np.concatenate([[0.0, 1.0 - 2.0**-53], c[:-1], np.nextafter(c[:-1], 0.0),
+                            np.nextafter(c[:-1], 1.0)])
+        want = FixedUniforms(u).choice(len(p), size=u.size, p=p)
+        got, counts = self.draw(FixedUniforms(u), u.size, p)
         np.testing.assert_array_equal(got, want)
-        assert list(counts) == np.bincount(want, minlength=3).tolist()
+        assert counts == np.bincount(want, minlength=len(p)).tolist()
+
+    @pytest.mark.parametrize("p", [[0.1, 0.2, 0.7], FADE_P["twelve"]], ids=["periods", "states"])
+    def test_leaves_the_arrays_past_size_untouched(self, p):
+        size = 1000
+        chunk = simulator._Chunk(size + 5, traced=True)
+        for array, junk in ((chunk.u, -1.0), (chunk.codes, 99), (chunk.mask, True)):
+            array.fill(junk)
+        chunk.categories(make_rng(4), chunk.u[:size], simulator.choice_thresholds(p),
+                         chunk.codes[:size])
+        assert np.all(chunk.u[size:] == -1.0) and np.all(chunk.codes[size:] == 99)
+        assert np.all(chunk.mask[size:])
 
 
 class TestCompareFttFp:
