@@ -39,7 +39,8 @@ _TOP_KEYS = {
     "simulate",
     "bound",
 }
-_FADING_KEYS = {"kind", "rate", "alpha_over_sigma2", "states", "csv"}
+# the fading key that only this kind reads
+_KIND_KEYS = {"exponential": "rate", "discrete": "states", "tabulated": "csv"}
 
 
 def _finite(value, where: str, positive=False, nonnegative=False) -> float:
@@ -203,7 +204,7 @@ def load_config(path) -> RunConfig:
 def parse_config(raw: dict, base_dir: Path | None = None) -> RunConfig:
     _check_keys(raw, _TOP_KEYS, "")
     version = raw.get("schema_version")
-    if version != SCHEMA_VERSION:
+    if type(version) is not int or version != SCHEMA_VERSION:  # the integer 1: not true, not 1.0
         raise ConfigError(
             f"schema_version: expected {SCHEMA_VERSION}, got {version!r}"
         )
@@ -246,9 +247,12 @@ def parse_config(raw: dict, base_dir: Path | None = None) -> RunConfig:
 
 
 def _parse_fading(section: dict, base_dir: Path | None) -> FadingModel:
-    _check_keys(section, _FADING_KEYS, "fading")
+    # checked twice: a key that no kind reads is reported first, before kind
+    # and scale errors; a key of another kind once the kind is known
+    _check_keys(section, {"kind", "alpha_over_sigma2", *_KIND_KEYS.values()}, "fading")
     scale = _read(section, "alpha_over_sigma2", Rule(_positive, 1.0), "fading")
-    kind = _choice(section.get("kind"), "fading.kind", ("exponential", "discrete", "tabulated"))
+    kind = _choice(section.get("kind"), "fading.kind", tuple(_KIND_KEYS))
+    _check_keys(section, {"kind", "alpha_over_sigma2", _KIND_KEYS[kind]}, "fading")
     if kind == "exponential":
         return FadingModel.exponential(
             _read(section, "rate", _POSITIVE, "fading"), scale

@@ -8,11 +8,12 @@ the continuous kinds' sampling and CSV ingestion for tabulated densities.
 A tabulated density is two float tuples, nodes and values, and is linear
 between its nodes, so its tails are exact: `TailTable`
 (``FadingModel.tails``) holds the mass, water-fill power and rate above
-each node, and a query at any ``lam`` adds one closed-form partial cell.  Its draws invert the CDF
-exactly through `InverseTable` (``FadingModel.inverse``): per-cell
-columns and a guide table, built in plain Python as ``array`` columns.
-Every kind's scalar path is plain ``math``; numpy is imported only by
-``sample_h``, which returns an array.  Every root of the stationary
+each node, and a query at any ``lam`` adds one closed-form partial cell.
+Its draws invert the CDF exactly through `InverseTable`
+(``FadingModel.inverse``): per-cell columns and a guide table, built
+with numpy.  Every kind's scalar path is plain ``math``; numpy is
+imported only for sampling, by ``sample_h``, which returns an array, and
+by the inverse table it reads.  Every root of the stationary
 enumerations is found here, by `log_root`: safeguarded Halley steps in
 log x, which stop on a relative step, so a root keeps its digits at any
 scale of the nodes.  The discrete and tabulated enumerations reach it
@@ -25,7 +26,6 @@ from __future__ import annotations
 
 import bisect
 import functools
-import itertools
 import math
 from typing import NamedTuple
 
@@ -200,7 +200,7 @@ class FadingModel(_FadingModelFields):
             return out
         inv = self.inverse
         u = rng.random(size, out=out)
-        upper, lower, g, a, width, slope2, a2 = (np.frombuffer(c) for c in inv.columns)
+        upper, lower, g, a, width, slope2, a2 = inv.columns
         tmp, root, bins, j = work or (np.empty(size), np.empty(size),
                                       np.empty(size, dtype=np.intp), np.empty(size, dtype=np.intp))
 
@@ -210,11 +210,11 @@ class FadingModel(_FadingModelFields):
             return np.take(values, j, out=into, mode="clip")
 
         np.copyto(bins, np.multiply(u, _GUIDE_BINS, out=tmp), casting="unsafe")
-        np.take(np.frombuffer(inv.guide, dtype=np.int64), bins, out=j, mode="clip")
+        np.take(inv.guide, bins, out=j, mode="clip")
         j += column(upper) <= u
-        spans = np.flatnonzero(np.take(np.frombuffer(inv.spans, dtype=np.bool_), bins))
+        spans = np.flatnonzero(np.take(inv.spans, bins))
         if spans.size:
-            j[spans] = np.searchsorted(np.frombuffer(inv.cdf), u[spans], side="right") - 1
+            j[spans] = np.searchsorted(inv.cdf, u[spans], side="right") - 1
         # invert the piecewise-quadratic cdf exactly: u < 1 falls in a cell j
         # of positive mass, where the offset s above g_j solves
         # a_j*s + k*s**2/2 = w (k the cell's slope, w the mass to cover).
@@ -392,26 +392,20 @@ class InverseTable:
     its foot, its foot x_j and density f_j, its width, twice its slope and
     f_j**2.  ``guide[b]`` is the cell of u = b/4096: a draw in bin b lies in
     that cell or above it, at most one cell above unless ``spans[b]`` is
-    set.  Every column is an ``array``, so `FadingModel.sample_h` views it
-    with ``np.frombuffer`` and no copy.
+    set.  Every column is a numpy array, read by `FadingModel.sample_h` as it is.
     """
 
     def __init__(self, x, f):
-        from array import array  # only a sampling run needs it
+        import numpy as np  # only a sampling run needs it
 
-        cells = list(zip(x, x[1:], f, f[1:]))
-        sums = [0.0, *itertools.accumulate(0.5 * (f1 + f0) * (x1 - x0) for x0, x1, f0, f1 in cells)]
+        x, f = np.array(x), np.array(f)
+        width = np.diff(x)
+        sums = np.concatenate(([0.0], np.cumsum(0.5 * (f[1:] + f[:-1]) * width)))
         self.total = sums[-1]
-        cdf = [s / self.total for s in sums]
-        width = [x1 - x0 for x0, x1, _, _ in cells]
-        self.cdf = array("d", cdf)
-        self.columns = tuple(array("d", column) for column in (
-            cdf[1:], cdf[:-1], x[:-1], f[:-1], width,
-            [2.0 * ((f1 - f0) / w) for (_, _, f0, f1), w in zip(cells, width)],
-            [f0 * f0 for f0 in f[:-1]],
-        ))
-        edges = [b / _GUIDE_BINS for b in range(_GUIDE_BINS + 1)]
-        self.guide = array("q", [bisect.bisect_right(cdf, e) - 1 for e in edges[:-1]])
+        self.cdf = cdf = sums / self.total
+        self.columns = (cdf[1:], cdf[:-1], x[:-1], f[:-1], width,
+                        2.0 * (np.diff(f) / width), f[:-1] * f[:-1])
+        edges = np.arange(_GUIDE_BINS + 1) / _GUIDE_BINS
+        self.guide = np.searchsorted(cdf, edges[:-1], side="right") - 1
         # the cell of the largest draw below each bin's top edge
-        tops = [bisect.bisect_left(cdf, e) - 1 for e in edges[1:]]
-        self.spans = array("B", [top - low > 1 for low, top in zip(self.guide, tops)])
+        self.spans = np.searchsorted(cdf, edges[1:]) - 1 - self.guide > 1

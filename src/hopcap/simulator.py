@@ -43,6 +43,7 @@ from .waterfill import WaterfillSolution, gamma_and_lambda
 _CI_FACTOR = 1.959963984540054  # two-sided 95% normal quantile
 MIN_HORIZON_FOR_CI = 10_000
 _CHUNK = 1 << 16  # periods per chunk of `run`
+_CELL = b",%.17g"  # a trace cell: every digit, and the sign of -0.0
 
 
 class SmallHorizonWarning(UserWarning):
@@ -231,12 +232,12 @@ def run(config: SimConfig, trace_path=None) -> SimReport:
     # the (duration, energy, bits) rows of idle and collision periods, then,
     # for a discrete model, of a success in each fading state
     fixed = np.array([[prof.t_idle, prof.e_idle, 0.0], [prof.t_collision, prof.e_collision, 0.0]])
-    names = ["idle", "collision"]
+    names = [b"idle", b"collision"]
     discrete = config.model.is_discrete
     if discrete:
         gains, probs = config.model.kind
         fixed = np.vstack([fixed, _success_rows(config, np.array(gains)).T])
-        names += ["success"] * len(gains)
+        names += [b"success"] * len(gains)
         fade_thresholds = choice_thresholds(probs)
     counts = [0] * len(fixed)  # periods so far by row; successes by kind too
     n_success = 0
@@ -248,8 +249,7 @@ def run(config: SimConfig, trace_path=None) -> SimReport:
             with _trace_errors():
                 fh = open(trace_path, "wb")
                 fh.write(b"period_type,duration_s,energy_J,bits\n")
-            lines = [f"{name},{t:.17g},{e:.17g},{b:.17g}\n".encode()
-                     for name, (t, e, b) in zip(names, fixed.tolist())]
+            lines = _trace_lines(names, fixed.T)
         for start in range(0, config.horizon, _CHUNK):
             size = min(_CHUNK, config.horizon - start)
             n_idle, n_collision, n = chunk.categories(rng, chunk.u[:size], thresholds,
@@ -271,7 +271,8 @@ def run(config: SimConfig, trace_path=None) -> SimReport:
                     success_sums.append(rows.sum(axis=1))
                     moments.merge_rows(rows, chunk.dev[:3 * n].reshape(3, n))
                     if traced:
-                        table, codes = _success_table(lines, rows)
+                        table = lines + _trace_lines([b"success"] * n, rows)
+                        codes = np.arange(2, n + 2)
             if traced:
                 with _trace_errors():
                     fh.write(chunk.trace_text(table, size, codes))
@@ -410,26 +411,18 @@ class _CoMoments:
         return math.sqrt(max(ss, 0.0) / (self.n - 1) / self.n) / (total_time / self.n)
 
 
-def _success_table(lines, success_rows):
-    """(table, codes): the trace lines of a chunk of a continuous model, every cell as ``%.17g``.
+def _trace_lines(names, rows):
+    """The trace lines ``name,duration,energy,bits`` of ``names`` and the columns of ``rows``.
 
-    ``lines`` holds the idle and collision rows, formatted once per run.  A
-    success column's cells are formatted once per distinct value, and a
-    success row once per distinct combination of its three cells; ``codes``
-    gives each success's line in the table.
+    Each distinct value of a row of ``rows`` is formatted once: a success's
+    energy, say, is one value over a run at constant power.
     """
-    texts, where = [], []
-    for column, end in zip(success_rows, ",,\n"):
+    lines = np.array(names, dtype=object)
+    for column, cell in zip(rows, (_CELL, _CELL, _CELL + b"\n")):
         # unique bit patterns, so that -0.0 and 0.0 keep their own text
         values, inverse = np.unique(column.view(np.int64), return_inverse=True)
-        texts.append([f"{v:.17g}{end}".encode() for v in values.view(np.float64).tolist()])
-        where.append(inverse)
-    shape = tuple(map(len, texts))
-    combos, inverse = np.unique(np.ravel_multi_index(where, shape), return_inverse=True)
-    t, e, b = texts
-    table = lines + [b"success," + t[i] + e[j] + b[k] for i, j, k in
-                     zip(*(a.tolist() for a in np.unravel_index(combos, shape)))]
-    return table, 2 + inverse
+        lines += np.array([cell % v for v in values.view(np.float64).tolist()], dtype=object)[inverse]
+    return lines.tolist()
 
 
 # -- fixed transmission time vs fixed packet size -------------------------

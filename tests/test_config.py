@@ -69,6 +69,22 @@ def test_unknown_key_is_rejected(section, path, tmp_path, capsys):
         == f"error: {path}: unknown key\n"
 
 
+# each fading kind's own key, with a value that it reads
+OWN_KEYS = {"exponential": {"rate": 1.0}, "discrete": {"states": FULL["fading"]["states"]},
+            "tabulated": {"csv": "uniform.csv"}}
+
+
+@pytest.mark.parametrize("kind, other", [(kind, other) for kind in OWN_KEYS
+                                         for other in OWN_KEYS if other != kind])
+def test_another_kinds_key_is_an_unknown_key(kind, other, tmp_path, capsys):
+    (tmp_path / "uniform.csv").write_text("h,a\n0,0.5\n2,0.5\n")
+    fading = {"kind": kind, **OWN_KEYS[kind], **OWN_KEYS[other]}
+    cfg = write(tmp_path, edited(lambda raw: raw.__setitem__("fading", fading)))
+    (key,) = OWN_KEYS[other]
+    assert error_of(["waterfill", "--config", str(cfg), "--pi", "1"], capsys) \
+        == f"error: fading.{key}: unknown key\n"
+
+
 def test_a_non_string_key_is_an_unknown_key(tmp_path, capsys):
     # YAML reads `1:` as an int key, which must not be compared with a string key
     raw = edited(lambda raw: raw["mac"].update({1: 2, "a": 3}))
@@ -87,6 +103,10 @@ def _set(section, key, value):
      "power.P_bar_W requires a mac section"),
     ("waterfill", lambda raw: raw.__setitem__("schema_version", 2),
      "schema_version: expected 1, got 2"),
+    ("waterfill", lambda raw: raw.__setitem__("schema_version", True),
+     "schema_version: expected 1, got True"),
+    ("waterfill", lambda raw: raw.__setitem__("schema_version", 1.0),
+     "schema_version: expected 1, got 1.0"),
     ("waterfill", _set("sweep", "d_max_m", 0.05), "sweep: d_max_m must exceed d_min_m"),
     ("waterfill", lambda raw: raw["bound"].update(K_min=1001, K_max=1000),
      "bound: K_max must be >= K_min"),
@@ -94,7 +114,8 @@ def _set(section, key, value):
      "simulate.constant_power_W is required for the constant policy"),
     ("waterfill", _set("simulate", "policy", "greedy"),
      "simulate.policy: expected waterfill | constant, got 'greedy'"),
-], ids=["pt-and-p-bar", "p-bar-without-mac", "schema-version", "d-max-not-above-d-min",
+], ids=["pt-and-p-bar", "p-bar-without-mac", "schema-version", "schema-version-true",
+        "schema-version-float", "d-max-not-above-d-min",
         "k-max-below-k-min", "constant-without-power", "unknown-policy"])
 def test_inconsistent_config_names_the_rule(command, change, message, tmp_path, capsys):
     cfg = write(tmp_path, edited(change))

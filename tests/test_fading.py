@@ -446,7 +446,7 @@ class TestTabulatedSampling:
     @pytest.mark.parametrize("name", ["exp41", "gap", "gamma801"])
     def test_draws_at_the_cell_and_bin_edges_match_the_searchsorted_inversion(self, name):
         model = self.guided_model(name)
-        edges = np.concatenate([np.frombuffer(model.inverse.cdf)[:-1], np.arange(4096) / 4096])
+        edges = np.concatenate([model.inverse.cdf[:-1], np.arange(4096) / 4096])
         u = np.concatenate([edges, np.nextafter(edges, 1.0), np.nextafter(edges[edges > 0], 0.0),
                             [1.0 - 2.0**-53]])
         want = reference_tabulated_draws(model, self.Uniforms(u), u.size)
@@ -513,7 +513,7 @@ def test_numpy_is_imported_only_where_arrays_are():
     allowed = {
         "hopopt.py": set(),
         "discrete.py": set(),
-        "fading.py": {"FadingModel.sample_h"},
+        "fading.py": {"FadingModel.sample_h", "InverseTable.__init__"},
         "waterfill.py": set(),
     }
     for name, scopes in allowed.items():
@@ -564,6 +564,22 @@ def test_the_categorical_draw_and_the_sampler_each_have_one_caller():
                 for scope in scopes_with(path, refers_to(name))} == {("simulator.py", "run")}, name
     assert {(path.name, scope) for path in paths for scope in scopes_with(path, calls("sample_h"))} == {
         ("simulator.py", "_Chunk.rows_of")}
+
+
+def test_one_routine_formats_every_trace_cell():
+    # every trace cell is `_CELL` filled in by `_trace_lines`, so a second
+    # formatter of the trace cells, by % or by a format spec, cannot fork
+    # off beside it
+    path = _SRC / "hopcap" / "simulator.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    formats = [node for node in ast.walk(tree)
+               if isinstance(node, ast.Constant) and ".17g" in str(node.value)]
+    assigned = [node.value for node in ast.walk(tree) if isinstance(node, ast.Assign)
+                and [getattr(target, "id", None) for target in node.targets] == ["_CELL"]]
+    assert len(formats) == 1 and formats == assigned
+    assert formats[0].value == b",%.17g"
+    assert scopes_with(path, lambda node: isinstance(node, ast.Name) and node.id == "_CELL") == {
+        "", "_trace_lines"}
 
 
 def test_sample_h_rejects_a_discrete_model():

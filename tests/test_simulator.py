@@ -249,10 +249,12 @@ class TestChunkedRun:
             kinds, durations, _, _ = periods
             assert np.any((kinds == 2) & (durations < config.profile.t_overhead + config.profile.t_txop))
 
-    def test_negative_zero_keeps_its_text(self, tmp_path):
+    @pytest.mark.parametrize("model", [FIG1, FadingModel.exponential(1.0)],
+                             ids=["discrete", "exponential"])
+    def test_negative_zero_keeps_its_text(self, model, tmp_path):
         # a power of -0.0 ships -0.0 bits on successes, 0.0 elsewhere
         config = quiet_config(
-            profile=profile_a(), model=FIG1, policy=ConstantPowerPolicy(-0.0),
+            profile=profile_a(), model=model, policy=ConstantPowerPolicy(-0.0),
             d=1.0, eta=3.0, horizon=2000, seed=6,
         )
         reference_trace(tmp_path / "ref.csv", *reference_periods(config))
