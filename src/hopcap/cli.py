@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import math
+import os
 import sys
 import time
 from pathlib import Path
@@ -30,9 +31,15 @@ from .macmodel import LN2
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
+# read once, when numpy loads OpenBLAS; the manifests of the numpy commands record it
+BLAS_THREADS = "OPENBLAS_NUM_THREADS"
 
 
 def main(argv=None) -> int:
+    if "numpy" not in sys.modules:
+        # hopcap makes no BLAS call, so a BLAS thread pool is only start-up
+        # cost; a value the caller set is kept, and the library sets nothing
+        os.environ.setdefault(BLAS_THREADS, "1")
     argv = list(argv) if argv is not None else sys.argv[1:]
     args = _build_parser().parse_args(argv)
     args.invocation, args.warnings = argv, []
@@ -46,7 +53,7 @@ def main(argv=None) -> int:
                 try:
                     with open(args.out, "w", encoding="utf-8", newline="") as fh:
                         fh.write(text)
-                    _write_manifest(args, **manifest)
+                    _write_manifest(args, text, **manifest)
                 except OSError as exc:
                     raise ConfigError(f"cannot write output: {exc}") from exc
             elif echo:
@@ -217,12 +224,15 @@ def _cmd_simulate(args, cfg) -> tuple:
         relinquish_overhead=spec.relinquish_overhead,
     )
     stages = [("config_and_policy", args.loading), ("run", time.monotonic())]
-    report = simulator.run(sim_config, trace_path=args.trace)
+    # a trace that goes into a manifest is hashed as it is written, not read back
+    digest = _sha256() if args.trace and args.out else None
+    report = simulator.run(sim_config, trace_path=args.trace, trace_digest=digest)
     stages.append(("write_and_hash", time.monotonic()))
     payload = report.to_json()
     print(payload)
-    outputs = [args.out] + ([args.trace] if args.trace else [])
-    return payload + "\n", False, {"outputs": outputs, "seed": spec.seed, "stages": stages}
+    outputs = {args.trace: digest.hexdigest()} if digest is not None else {}
+    return payload + "\n", False, {"outputs": outputs, "seed": spec.seed, "stages": stages,
+                                   "openblas_num_threads": os.environ.get(BLAS_THREADS)}
 
 
 def _cmd_compare_ftt(args, cfg) -> tuple:
@@ -252,7 +262,8 @@ def _cmd_compare_ftt(args, cfg) -> tuple:
         rows.append((h1, h2, p1, p2, res.bits_fp, res.bits_ftt, res.energy, res.duration))
     print(f"tuples={len(rows)} violations=0")
     header = ["h1", "h2", "P1_W", "P2_W", "bits_fp", "bits_ftt", "energy_J", "duration_s"]
-    return _csv(header, rows), False, {"seed": seed, "summary": {"violations": 0}}
+    return _csv(header, rows), False, {"seed": seed, "summary": {"violations": 0},
+                                       "openblas_num_threads": os.environ.get(BLAS_THREADS)}
 
 
 def _cmd_single_cell_bound(args, cfg) -> tuple:
@@ -380,28 +391,28 @@ def _csv(header, rows) -> str:
     return ",".join(header) + "\n" + "".join([line % row for row in rows])
 
 
-def _sha256(path) -> str:
+def _sha256(data=b""):
+    """A SHA-256 hash object over ``data``; hashlib loads only when a run hashes."""
     import hashlib
 
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:  # in blocks: a --trace file can be large
-        for block in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(block)
-    return digest.hexdigest()
+    return hashlib.sha256(data)
 
 
-def _write_manifest(args, outputs=None, seed=None, summary=None, stages=None) -> None:
-    """Write ``<out>.manifest.json`` for the files ``outputs``, ``[args.out]`` by default.
+def _write_manifest(args, text, outputs=None, seed=None, stages=None, **extra) -> None:
+    """Write ``<out>.manifest.json`` for ``args.out``, which holds ``text``.
 
-    ``stages`` lists (name, start) in order; the last stage ends once the
-    outputs are hashed.  ``args.warnings`` names the warnings the run showed.
+    ``outputs`` maps the run's other files to their SHA-256; ``extra`` holds
+    the command's own keys.  ``stages`` lists (name, start) in order; the
+    last stage ends once the outputs are hashed.  ``args.warnings`` names
+    the warnings the run showed.
     """
     import json
 
+    config = getattr(args, "config", None)
     manifest = {
         "command": args.invocation,
-        "config_path": getattr(args, "config", None),
-        "config_sha256": _sha256(args.config) if getattr(args, "config", None) else None,
+        "config_path": config,
+        "config_sha256": _sha256(Path(config).read_bytes()).hexdigest() if config else None,
         "seed": seed,
         "versions": {
             "hopcap": __version__,
@@ -409,11 +420,11 @@ def _write_manifest(args, outputs=None, seed=None, summary=None, stages=None) ->
             "numpy": getattr(sys.modules.get("numpy"), "__version__", None),
         },
         "wall_time_s": time.monotonic() - args.started,
-        "outputs": {str(p): _sha256(p) for p in outputs or [args.out]},
+        # --out is written last, so it is what a path shared with --trace holds
+        "outputs": {**(outputs or {}), str(args.out): _sha256(text.encode()).hexdigest()},
         "warnings": args.warnings,
+        **extra,
     }
-    if summary is not None:
-        manifest["summary"] = summary
     if stages is not None:
         ends = [start for _, start in stages[1:]] + [time.monotonic()]
         manifest["stages_s"] = {name: end - start for (name, start), end in zip(stages, ends)}

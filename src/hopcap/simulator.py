@@ -180,14 +180,16 @@ class _Chunk:
         """
         mask = self.mask[:u.size]
         rng.random(out=u)
-        if codes is not None:
+        if codes is not None and not thresholds:  # one category
             codes.fill(0)
         at_or_above = [u.size]
-        for threshold in thresholds:
+        for i, threshold in enumerate(thresholds):
             np.greater_equal(u, threshold, out=mask)
             at_or_above.append(int(np.count_nonzero(mask)))
-            if codes is not None:
+            if codes is not None and i:
                 codes += mask
+            elif codes is not None:  # the first mask is copied in, not added to zeros
+                np.copyto(codes, mask)
         return [n - m for n, m in zip(at_or_above, at_or_above[1:] + [0])]
 
     def rows_of(self, config, fades, size):
@@ -208,7 +210,7 @@ class _Chunk:
         return b"".join(text.tolist())
 
 
-def run(config: SimConfig, trace_path=None) -> SimReport:
+def run(config: SimConfig, trace_path=None, trace_digest=None) -> SimReport:
     """Simulate ``horizon`` contention periods and estimate rate and power.
 
     One pass over the chunks in work arrays allocated once (`_Chunk`): a
@@ -221,6 +223,9 @@ def run(config: SimConfig, trace_path=None) -> SimReport:
     row and its trace is ``n + 2`` lines formatted once.  A continuous
     model's successes enter by rows.  An estimate that leaves the float
     range raises NumericalError.
+
+    ``trace_path``, if given, receives the trace; ``trace_digest``, a
+    `hashlib` hash object, is then fed each byte written there.
     """
     prof = config.profile
     rng = np.random.Generator(np.random.PCG64(config.seed))
@@ -244,11 +249,18 @@ def run(config: SimConfig, trace_path=None) -> SimReport:
     moments = _CoMoments()
     success_sums = []
     fh = lines = None  # the trace file, and its lines formatted once per run
+
+    def write(data):
+        with _trace_errors():
+            fh.write(data)
+        if trace_digest is not None:
+            trace_digest.update(data)
+
     try:
         if traced:
             with _trace_errors():
                 fh = open(trace_path, "wb")
-                fh.write(b"period_type,duration_s,energy_J,bits\n")
+            write(b"period_type,duration_s,energy_J,bits\n")
             lines = _trace_lines(names, fixed.T)
         for start in range(0, config.horizon, _CHUNK):
             size = min(_CHUNK, config.horizon - start)
@@ -274,8 +286,7 @@ def run(config: SimConfig, trace_path=None) -> SimReport:
                         table = lines + _trace_lines([b"success"] * n, rows)
                         codes = np.arange(2, n + 2)
             if traced:
-                with _trace_errors():
-                    fh.write(chunk.trace_text(table, size, codes))
+                write(chunk.trace_text(table, size, codes))
     finally:
         if fh is not None:
             with _trace_errors():
@@ -400,7 +411,9 @@ class _CoMoments:
         dev = np.subtract(rows, first, out=dev)
         mean = first + dev.mean(axis=1, keepdims=True)
         np.subtract(rows, mean, out=dev)
-        self.merge(rows.shape[1], mean[:, 0], dev @ dev.T)
+        # numpy's own loop, not BLAS: the sums keep their order whatever
+        # BLAS's thread count, and a 3-row product is faster this way
+        self.merge(rows.shape[1], mean[:, 0], np.einsum("ij,kj->ik", dev, dev))
 
     def ratio_se(self, j, ratio, total_time):
         """Delta-method standard error of total[j] / total duration."""

@@ -731,6 +731,61 @@ class TestManifestNumpyVersion:
         assert manifest["versions"]["numpy"] == np.__version__
 
 
+class TestBlasThreads:
+    """`main` caps OpenBLAS at one thread before numpy loads; a caller's value
+    wins, and the library sets nothing."""
+
+    def fresh(self, args, blas=None):
+        """Run ``python args`` with ``OPENBLAS_NUM_THREADS`` set to ``blas``, or unset."""
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        env["PYTHONPATH"] = str(_SRC)
+        if blas is not None:
+            env["OPENBLAS_NUM_THREADS"] = blas
+        return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                              check=True).stdout
+
+    def test_simulate_records_the_setting_and_its_output_does_not_depend_on_it(self, tmp_path):
+        # chunks of about 20,000 successes: rows long enough for a threaded BLAS
+        # dot product to split them
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text(SIMULATE_CASES["exponential-relinquish"])
+        reports = []
+        for blas, recorded in [(None, "1"), ("2", "2")]:
+            out = tmp_path / f"sim{blas}.json"
+            self.fresh(["-m", "hopcap.cli", "simulate", "--config", str(cfg), "--out", str(out)],
+                       blas)
+            manifest = json.loads(Path(f"{out}.manifest.json").read_text())
+            assert manifest["openblas_num_threads"] == recorded
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1] == GOLDEN_SIMULATE["exponential-relinquish"][0].encode()
+
+    def test_compare_ftt_records_the_default(self, tmp_path):
+        out = tmp_path / "ftt.csv"
+        self.fresh(["-m", "hopcap.cli", "compare-ftt", "--count", "3", "--out", str(out)])
+        manifest = json.loads(Path(f"{out}.manifest.json").read_text())
+        assert manifest["openblas_num_threads"] == "1"
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="no per-thread /proc")
+    def test_a_simulate_process_runs_one_thread(self, fig1_cfg):
+        code = ("import os, sys; from hopcap.cli import main; main(sys.argv[1:]); "
+                "print(len(os.listdir('/proc/self/task')))")
+        out = self.fresh(["-c", code, "simulate", "--config", str(fig1_cfg), "--horizon", "10000"])
+        assert out.splitlines()[-1] == "1"
+
+    def test_importing_the_library_sets_nothing(self):
+        code = "import os, hopcap.simulator; print(os.environ.get('OPENBLAS_NUM_THREADS'))"
+        assert self.fresh(["-c", code]) == "None\n"
+
+    def test_main_after_numpy_loaded_leaves_the_environment(self, monkeypatch, tmp_path):
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        before = dict(os.environ)
+        assert "numpy" in sys.modules
+        out = tmp_path / "ftt.csv"
+        assert main(["compare-ftt", "--count", "3", "--out", str(out)]) == 0
+        assert dict(os.environ) == before
+        assert json.loads(Path(f"{out}.manifest.json").read_text())["openblas_num_threads"] is None
+
+
 class TestFlagsOnlyWhereRead:
     """A flag that a command does not read fails in argparse with exit 2."""
 
@@ -784,6 +839,9 @@ class TestOutputPath:
     SEEDED = {"simulate": 97531, "compare-ftt": 7}
     MANIFEST_KEYS = {"command", "config_path", "config_sha256", "seed", "versions",
                      "wall_time_s", "outputs", "warnings"}
+    # the commands that load numpy record the BLAS thread setting in force
+    NUMPY_KEYS = {"simulate": {"stages_s", "openblas_num_threads"},
+                  "compare-ftt": {"openblas_num_threads"}}
 
     def run(self, command, cfg, directory, out, monkeypatch, capsys):
         """Run ``command`` in the fresh ``directory``: its stdout and the files it leaves there."""
@@ -832,8 +890,10 @@ class TestOutputPath:
                 assert text.startswith(self.HEADERS[command] + "\n") and "\r" not in text
         manifest = json.loads(files["out.dat.manifest.json"])
         keys = self.MANIFEST_KEYS | ({"summary"} if command in self.SUMMARY else set()) \
-            | ({"stages_s"} if command == "simulate" else set())
+            | self.NUMPY_KEYS.get(command, set())
         assert set(manifest) == keys
+        if command in self.NUMPY_KEYS:  # numpy was loaded already, so main set nothing
+            assert manifest["openblas_num_threads"] == os.environ.get("OPENBLAS_NUM_THREADS")
         assert manifest["seed"] == self.SEEDED.get(command)
         assert manifest["config_path"] == (None if command == "compare-ftt" else str(fig1_cfg))
         assert manifest["outputs"] == {
@@ -862,6 +922,16 @@ class TestOutputPath:
         captured = capsys.readouterr()
         assert captured.out == "" and "Traceback" not in captured.err
         assert captured.err.endswith("error: cannot write trace: [Errno 28] No space left on device\n")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full to fail the writes")
+    def test_trace_hashed_for_a_manifest_that_fails_exits_2(self, fig1_cfg, tmp_path, capsys):
+        out = tmp_path / "sim.json"
+        argv = ["simulate", "--config", str(fig1_cfg), "--horizon", "10000",
+                "--trace", "/dev/full", "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.endswith("error: cannot write trace: [Errno 28] "
+                                                "No space left on device\n")
+        assert not out.exists() and not Path(f"{out}.manifest.json").exists()
 
 
 # stdout and CSV bytes as last produced; a change that moves an output on
@@ -1000,11 +1070,11 @@ GOLDEN_SIMULATE = {
         '96f23ab538ca99a9e9cdce5ca4407add952765bde6e6b3ff58c036383bdd42d2',
     ),
     'exponential-relinquish': (
-        '{"elapsed_time_s": 52.22434, "horizon": 200003, "periods": {"collision": 20025, "idle": 119652, "success": 60326}, "power_ci95_w": 0.001224923305944131, "power_hat_w": 0.18544496117995055, "seed": 97531, "theta_ci95_bps": 4985.838211721339, "theta_hat_bps": 334263.5516218608, "total_bits": 17456693.36950761, "total_energy_j": 9.684740703948538}\n',
+        '{"elapsed_time_s": 52.22434, "horizon": 200003, "periods": {"collision": 20025, "idle": 119652, "success": 60326}, "power_ci95_w": 0.0012249233059442412, "power_hat_w": 0.18544496117995055, "seed": 97531, "theta_ci95_bps": 4985.838211721084, "theta_hat_bps": 334263.5516218608, "total_bits": 17456693.36950761, "total_energy_j": 9.684740703948538}\n',
         'f4e85fd210cbd5030128e3db9c01d0716f4728bc08f6953eca50b5c8840634f4',
     ),
     'tab41-constant': (
-        '{"elapsed_time_s": 141.11774000000003, "horizon": 200003, "periods": {"collision": 20025, "idle": 119652, "success": 60326}, "power_ci95_w": 0.0006012946512517116, "power_hat_w": 0.8814533310978477, "seed": 97531, "theta_ci95_bps": 4142.037938290579, "theta_hat_bps": 735575.7250478808, "total_bits": 103802783.91761835, "total_energy_j": 124.38870200000001}\n',
+        '{"elapsed_time_s": 141.11774000000003, "horizon": 200003, "periods": {"collision": 20025, "idle": 119652, "success": 60326}, "power_ci95_w": 0.0006012946512517116, "power_hat_w": 0.8814533310978477, "seed": 97531, "theta_ci95_bps": 4142.037938290575, "theta_hat_bps": 735575.7250478808, "total_bits": 103802783.91761835, "total_energy_j": 124.38870200000001}\n',
         'f2af5e0636b760ab05873e182192e893d3c7436ab50bb16201dd49d803c4a8ce',
     ),
     'two-state-waterfill': (

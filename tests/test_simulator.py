@@ -1,6 +1,7 @@
 """Monte Carlo runs against the renewal formulas, plus the two-sample
 fixed-time vs fixed-packet comparison."""
 
+import hashlib
 import math
 import tracemalloc
 from fractions import Fraction
@@ -270,8 +271,10 @@ class TestChunkedRun:
         runs = []
         for chunk in (1, 7, 4096, horizon):
             monkeypatch.setattr(simulator, "_CHUNK", chunk)
-            path = tmp_path / f"trace{chunk}.csv"
-            runs.append((simulator.run(config, trace_path=path), path.read_bytes()))
+            path, digest = tmp_path / f"trace{chunk}.csv", hashlib.sha256()
+            runs.append((simulator.run(config, trace_path=path, trace_digest=digest),
+                         path.read_bytes()))
+            assert digest.hexdigest() == hashlib.sha256(runs[-1][1]).hexdigest()
         (first, first_bytes), rest = runs[0], runs[1:]
         for report, trace in rest:
             assert trace == first_bytes
