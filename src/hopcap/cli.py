@@ -24,7 +24,7 @@ from pathlib import Path
 
 from . import __version__
 from . import discrete, hopopt, macmodel, waterfill
-from .config import SECTIONS, RunConfig, _finite, _integer, load_config
+from .config import SECTIONS, RunConfig, _integer, load_config, read_section
 from .errors import ConfigError, NumericalError, ValidationError
 from .macmodel import LN2
 
@@ -146,28 +146,24 @@ def _cmd_optimize(args, cfg) -> tuple:
 
 def _cmd_sweep(args, cfg) -> tuple:
     spec = cfg.sweep
-    if args.grid:
+    if args.grid:  # read by the rules of the sweep keys it overrides
         try:
             lo, hi, n = args.grid.split(":")
-            lo, hi, n = float(lo), float(hi), int(n)
+            grid = {"d_min_m": float(lo), "d_max_m": float(hi), "points": int(n)}
         except ValueError as exc:
             raise ConfigError(f"--grid expects d_min:d_max:points, got {args.grid!r}") from exc
-        lo, hi = _finite(lo, "--grid d_min"), _finite(hi, "--grid d_max")
-        if n < 1 or hi <= lo or lo <= 0:
-            raise ConfigError("--grid expects 0 < d_min < d_max and points >= 1")
-        factors = spec.power_factors if spec else SECTIONS["sweep"]["power_factors"].default
-        ds = _geomspace(lo, hi, n)
-    elif spec is not None:
-        factors = spec.power_factors
-        ds = _geomspace(spec.d_min, spec.d_max, spec.points)
-    else:
+        if spec is not None:
+            grid["power_factors"] = list(spec.power_factors)
+        spec = read_section(grid, "sweep", "--grid")
+    elif spec is None:
         raise ConfigError("sweep: section missing and no --grid given")
+    ds = _geomspace(spec.d_min_m, spec.d_max_m, spec.points)
 
     base = _problem(cfg)
     model = base.model
     unit = "bits" if args.bits else "nats"
     rows = []
-    for factor in factors:
+    for factor in spec.power_factors:
         pt_prime = factor * base.pt_prime
         for d in ds:
             try:
@@ -210,18 +206,18 @@ def _cmd_simulate(args, cfg) -> tuple:
     rules = SECTIONS["simulate"]
     spec = cfg.simulate._replace(**{key: rules[key].read(vars(args)[key], f"simulate.{key}")
                                     for key in ("seed", "horizon") if key in vars(args)})
-    _require_finite_power("d**eta", spec.d, cfg.eta,
-                          f"simulate.d_m = {spec.d!r} with eta = {cfg.eta!r}")
+    _require_finite_power("d**eta", spec.d_m, cfg.eta,
+                          f"simulate.d_m = {spec.d_m!r} with eta = {cfg.eta!r}")
     policy = _build_policy(cfg, spec)
     sim_config = simulator.SimConfig(
         profile=cfg.profile,
         model=cfg.model,
         policy=policy,
-        d=spec.d,
+        d=spec.d_m,
         eta=cfg.eta,
         horizon=spec.horizon,
         seed=spec.seed,
-        relinquish_overhead=spec.relinquish_overhead,
+        relinquish_overhead=spec.relinquish_overhead_s,
     )
     stages = [("config_and_policy", args.loading), ("run", time.monotonic())]
     # a trace that goes into a manifest is hashed as it is written, not read back
@@ -270,13 +266,13 @@ def _cmd_single_cell_bound(args, cfg) -> tuple:
     if cfg.bound is None:
         raise ConfigError("bound: section missing")
     spec = cfg.bound
-    ks = sorted({int(k) for k in _geomspace(spec.k_min, spec.k_max, spec.points)})
-    _require_finite_power("(2*area)**(eta/2)", 2.0 * spec.area, cfg.eta / 2.0,
-                          f"bound.area_m2 = {spec.area!r} with eta = {cfg.eta!r}")
+    ks = sorted({int(k) for k in _geomspace(spec.K_min, spec.K_max, spec.points)})
+    _require_finite_power("(2*area)**(eta/2)", 2.0 * spec.area_m2, cfg.eta / 2.0,
+                          f"bound.area_m2 = {spec.area_m2!r} with eta = {cfg.eta!r}")
     rows = []
-    for power in spec.powers:
+    for power in spec.power_W:
         for k, c_k, bound, reach, bound_reach in macmodel.spatial_reuse_sweep(
-            ks, spec.area, cfg.eta, power, spec.noise
+            ks, spec.area_m2, cfg.eta, power, spec.noise_W
         ):
             rows.append((power, k, c_k, bound, reach, c_k * reach, bound_reach))
     header = ["power_W", "K", "C_K_nats", "bound_nats", "reach_m", "C_times_r", "bound_times_r"]
@@ -330,11 +326,11 @@ def _build_policy(cfg: RunConfig, spec):
     from . import simulator
 
     if spec.policy == "constant":
-        return simulator.ConstantPowerPolicy(spec.constant_power)
-    pt_prime, loss = cfg.resolve_pt_prime(), spec.d**cfg.eta
+        return simulator.ConstantPowerPolicy(spec.constant_power_W)
+    pt_prime, loss = cfg.resolve_pt_prime(), spec.d_m**cfg.eta
     pi = pt_prime / loss
     if not 0.0 < pi < math.inf:  # a quotient of normal floats can still leave the range
-        raise NumericalError(f"simulate.d_m = {spec.d!r} with eta = {cfg.eta!r}: pi = "
+        raise NumericalError(f"simulate.d_m = {spec.d_m!r} with eta = {cfg.eta!r}: pi = "
                              f"Pt'/d**eta = {pt_prime!r}/{loss!r} leaves the float range")
     return simulator.WaterfillPolicy(waterfill.solve(cfg.model, pi))
 

@@ -4,17 +4,20 @@ Physical quantities carry their unit in the key name (``_W``, ``_s``,
 ``_hz``, ``_m``, ``_m2``, ``_J``).  Unknown keys are rejected with a
 dotted field path so typos fail loudly instead of being ignored.
 
-`SECTIONS` holds every key of the flat sections (``mac``, ``power``,
-``sweep``, ``simulate``, ``bound`` and each ``fading.states[i]``): its
-reader, with the key's bounds bound in, and its default, in the field
-order of the record the section fills.  `_section` checks a section's keys
-against it and reads every value; the rules that tie two keys together
-are checked after that, in `parse_config`.
+`SECTIONS` is the one declaration of the flat sections (``mac``, ``power``,
+``sweep``, ``simulate``, ``bound`` and each ``fading.states[i]``).  Each
+`Section` lists every key's reader, with the key's bounds bound in, and its
+default; its record is a named tuple built from those keys, in table order
+(``mac`` alone fills `MacProfile`, which checks itself), and its rule across
+keys, such as ``d_max_m > d_min_m``, sits beside them.  `read_section`
+checks a section's keys, reads every value and applies that rule; the
+config file and the CLI's overrides are read through it alike.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from functools import partial
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -28,17 +31,6 @@ from .macmodel import MacProfile, pt_prime as _pt_prime
 SCHEMA_VERSION = 1
 _REQUIRED = object()  # the default of a key that has none
 
-_TOP_KEYS = {
-    "schema_version",
-    "fading",
-    "mac",
-    "power",
-    "eta",
-    "d0_m",
-    "sweep",
-    "simulate",
-    "bound",
-}
 # the fading key that only this kind reads
 _KIND_KEYS = {"exponential": "rate", "discrete": "states", "tabulated": "csv"}
 
@@ -93,11 +85,25 @@ class Rule(NamedTuple):
     default: object = _REQUIRED
 
 
+class Section(dict):
+    """A flat section: each key's `Rule`, in the field order of ``record``.
+
+    ``record`` holds a read section; unless given, it is a named tuple whose
+    fields are the keys.  ``tie``, the section's rule across its keys, takes
+    the record and returns the rest of the message after the section's path
+    when the record breaks it, and a false value otherwise.
+    """
+
+    def __init__(self, rules: dict, record=None, tie=lambda record: None):
+        super().__init__(rules)
+        self.record, self.tie = record or namedtuple("Record", rules), tie
+
+
 _positive, _nonnegative = partial(_finite, positive=True), partial(_finite, nonnegative=True)
 _POSITIVE, _NONNEGATIVE = Rule(_positive), Rule(_nonnegative)
 SECTIONS = {
-    "fading.states": {"gain": _POSITIVE, "prob": _POSITIVE},
-    "mac": {  # MacProfile
+    "fading.states": Section({"gain": _POSITIVE, "prob": _POSITIVE}),
+    "mac": Section({
         "p_idle": _NONNEGATIVE,
         "p_collision": _NONNEGATIVE,
         "p_success": _POSITIVE,
@@ -109,81 +115,60 @@ SECTIONS = {
         "E_idle_J": Rule(_nonnegative, 0.0),
         "E_collision_J": Rule(_nonnegative, 0.0),
         "E_overhead_J": Rule(_nonnegative, 0.0),
-    },
-    # RunConfig's pt_prime_direct and p_bar: exactly one is given
-    "power": {"Pt_prime_W": Rule(_positive, None), "P_bar_W": Rule(_positive, None)},
-    "sweep": {  # SweepSpec
+    }, record=MacProfile),
+    "power": Section(
+        {"Pt_prime_W": Rule(_positive, None), "P_bar_W": Rule(_positive, None)},
+        tie=lambda p: (": Pt_prime_W and P_bar_W are mutually exclusive" if None not in p
+                       else ": provide Pt_prime_W or P_bar_W" if p == (None, None) else None)),
+    "sweep": Section({
         "points": Rule(partial(_integer, minimum=1)),
         "power_factors": Rule(_positives, (1.0,)),
         "d_min_m": _POSITIVE,
         "d_max_m": _POSITIVE,
-    },
-    "simulate": {  # SimulateSpec
+    }, tie=lambda s: s.d_max_m <= s.d_min_m and ": d_max_m must exceed d_min_m"),
+    "simulate": Section({
         "policy": Rule(partial(_choice, choices=("waterfill", "constant")), "waterfill"),
         "constant_power_W": Rule(_positive, None),
         "relinquish_overhead_s": Rule(_nonnegative, None),
         "d_m": _POSITIVE,
         "horizon": Rule(partial(_integer, minimum=1)),
         "seed": Rule(partial(_integer, minimum=0)),
-    },
-    "bound": {  # BoundSpec
+    }, tie=lambda s: (s.policy == "constant" and s.constant_power_W is None
+                      and ".constant_power_W is required for the constant policy")),
+    "bound": Section({
         "power_W": Rule(partial(_positives, scalar=True), (0.1,)),
         "K_min": Rule(partial(_integer, minimum=2), 2),
         "K_max": Rule(partial(_integer, minimum=2), 100_000),
         "area_m2": _POSITIVE,
         "noise_W": _POSITIVE,
         "points": Rule(partial(_integer, minimum=2), 200),
-    },
+    }, tie=lambda b: b.K_max < b.K_min and ": K_max must be >= K_min"),
 }
-
-
-class SweepSpec(NamedTuple):
-    points: int
-    power_factors: tuple
-    d_min: float
-    d_max: float
-
-
-class SimulateSpec(NamedTuple):
-    policy: str
-    constant_power: float | None
-    relinquish_overhead: float | None
-    d: float
-    horizon: int
-    seed: int
-
-
-class BoundSpec(NamedTuple):
-    powers: tuple
-    k_min: int
-    k_max: int
-    area: float
-    noise: float
-    points: int
+# the sections (fading by its states) and the top-level scalars
+_TOP_KEYS = {name.partition(".")[0] for name in SECTIONS} | {"schema_version", "eta", "d0_m"}
 
 
 class RunConfig(NamedTuple):
-    """Validated run inputs; sections absent from the file stay None."""
+    """Validated run inputs; each section holds its `SECTIONS` record, or None when absent."""
 
     model: FadingModel
     eta: float
     d0: float
     profile: MacProfile | None
-    pt_prime_direct: float | None
-    p_bar: float | None
-    sweep: SweepSpec | None
-    simulate: SimulateSpec | None
-    bound: BoundSpec | None
+    power: tuple | None
+    sweep: tuple | None
+    simulate: tuple | None
+    bound: tuple | None
 
     def resolve_pt_prime(self) -> float:
         """Per-transmission power budget, direct or derived from P_bar."""
-        if self.pt_prime_direct is not None:
-            return self.pt_prime_direct
-        if self.p_bar is not None:
-            if self.profile is None:
-                raise ConfigError("power.P_bar_W requires a mac section")
-            return _pt_prime(self.profile, self.p_bar)
-        raise ConfigError("power: provide Pt_prime_W or P_bar_W")
+        if self.power is None:
+            raise ConfigError("power: provide Pt_prime_W or P_bar_W")
+        if self.power.Pt_prime_W is not None:
+            return self.power.Pt_prime_W
+        if self.profile is None:
+            raise ConfigError("power.P_bar_W requires a mac section")
+        return _pt_prime(self.profile, self.power.P_bar_W)
 
 
 def load_config(path) -> RunConfig:
@@ -214,36 +199,9 @@ def parse_config(raw: dict, base_dir: Path | None = None) -> RunConfig:
     eta = _read(raw, "eta", _POSITIVE)
     d0 = _read(raw, "d0_m", Rule(_nonnegative, 0.0))
 
-    def section(name, record):
-        return record(*_section(raw[name], name)) if name in raw else None
-
-    profile = section("mac", MacProfile)
-    pt_direct, p_bar = _section(raw["power"], "power") if "power" in raw else (None, None)
-    if pt_direct is not None and p_bar is not None:
-        raise ConfigError("power: Pt_prime_W and P_bar_W are mutually exclusive")
-    if "power" in raw and pt_direct is None and p_bar is None:
-        raise ConfigError("power: provide Pt_prime_W or P_bar_W")
-    sweep = section("sweep", SweepSpec)
-    if sweep and sweep.d_max <= sweep.d_min:
-        raise ConfigError("sweep: d_max_m must exceed d_min_m")
-    simulate = section("simulate", SimulateSpec)
-    if simulate and simulate.policy == "constant" and simulate.constant_power is None:
-        raise ConfigError("simulate.constant_power_W is required for the constant policy")
-    bound = section("bound", BoundSpec)
-    if bound and bound.k_max < bound.k_min:
-        raise ConfigError("bound: K_max must be >= K_min")
-
-    return RunConfig(
-        model=model,
-        eta=eta,
-        d0=d0,
-        profile=profile,
-        pt_prime_direct=pt_direct,
-        p_bar=p_bar,
-        sweep=sweep,
-        simulate=simulate,
-        bound=bound,
-    )
+    records = {name: read_section(raw[name], name) if name in raw else None
+               for name in SECTIONS if "." not in name}  # the top-level sections
+    return RunConfig(model, eta, d0, profile=records.pop("mac"), **records)
 
 
 def _parse_fading(section: dict, base_dir: Path | None) -> FadingModel:
@@ -262,7 +220,7 @@ def _parse_fading(section: dict, base_dir: Path | None) -> FadingModel:
         if not isinstance(states, list) or not states:
             raise ConfigError("fading.states: need a non-empty list of {gain, prob}")
         return FadingModel.discrete(
-            [_section(state, "fading.states", f"fading.states[{i}]")
+            [read_section(state, "fading.states", f"fading.states[{i}]")
              for i, state in enumerate(states)], scale)
     csv_path = section.get("csv")
     if not isinstance(csv_path, str):
@@ -273,11 +231,18 @@ def _parse_fading(section: dict, base_dir: Path | None) -> FadingModel:
     return FadingModel.tabulated_from_csv(path, scale)
 
 
-def _section(mapping, name: str, path: str | None = None) -> list:
-    """The values of ``mapping`` by the rules of ``SECTIONS[name]``, named from ``path``."""
-    rules, path = SECTIONS[name], path or name
-    _check_keys(mapping, rules.keys(), path)
-    return [_read(mapping, key, rule, path) for key, rule in rules.items()]
+def read_section(mapping, name: str, path: str | None = None):
+    """``mapping`` as the record of ``SECTIONS[name]``, each key read by its rule, then tied.
+
+    ``path``, the section's name by default, starts every message.
+    """
+    section, path = SECTIONS[name], path or name
+    _check_keys(mapping, section.keys(), path)
+    record = section.record(*[_read(mapping, key, rule, path) for key, rule in section.items()])
+    broken = section.tie(record)
+    if broken:
+        raise ConfigError(path + broken)
+    return record
 
 
 def _read(mapping, key: str, rule: Rule, path: str = ""):

@@ -31,6 +31,7 @@ from typing import NamedTuple
 
 from .errors import BracketFailure, DiscreteKindError, ValidationError
 
+# how far from 1 the math.fsum of a discrete model's or a MacProfile's probabilities may lie
 PROB_SUM_TOL = 1e-12
 DENSITY_NORM_TOL = 1e-6
 

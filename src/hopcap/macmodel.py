@@ -19,8 +19,8 @@ import math
 from typing import NamedTuple
 
 from .errors import BudgetExhausted, ValidationError
+from .fading import PROB_SUM_TOL
 
-PROB_SUM_TOL = 1e-12
 LN2 = math.log(2.0)
 
 
@@ -51,9 +51,9 @@ class MacProfile(_MacProfileFields):
         for name, value in zip(self._fields, self):
             if not 0 <= value < math.inf:
                 raise ValidationError(f"{name} must be finite and >= 0, got {value}")
-        probs = (self.p_idle, self.p_collision, self.p_success)
-        if abs(sum(probs) - 1.0) > PROB_SUM_TOL:
-            raise ValidationError(f"contention probabilities sum to {sum(probs)!r}, expected 1")
+        total = math.fsum((self.p_idle, self.p_collision, self.p_success))
+        if abs(total - 1.0) > PROB_SUM_TOL:
+            raise ValidationError(f"contention probabilities sum to {total!r}, expected 1")
         if self.p_success <= 0:
             raise ValidationError("p_success must be > 0")
         if self.t_txop <= 0:

@@ -11,6 +11,7 @@ import re
 import subprocess
 import sys
 import tempfile
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,7 @@ import yaml
 from hypothesis import given, settings, strategies as st
 
 from hopcap.cli import _geomspace, main
+from hopcap.config import SECTIONS, Rule, _integer
 
 SINGLE_STATE_YAML = """\
 schema_version: 1
@@ -407,6 +409,19 @@ class TestOptimizeCommand:
         rows = read_csv(out_path)
         assert len(rows) == 1
 
+    @pytest.mark.parametrize("d0, above", [("0.1", "true"), ("10.0", "false")])
+    def test_d_opt_above_d0_is_printed_and_in_the_manifest(self, d0, above, tmp_path, capsys):
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text(EXP_FIG2_YAML + f"d0_m: {d0}\n")
+        assert main(["optimize", "--config", str(cfg)]) == 0
+        printed = dict(line.split("=") for line in capsys.readouterr().out.splitlines())
+        assert printed["d_opt_above_d0"] == above
+        assert (float(printed["d_opt_m"]) > float(d0)) == (above == "true")
+        out_path = tmp_path / "opt.csv"
+        assert main(["optimize", "--config", str(cfg), "--out", str(out_path)]) == 0
+        manifest = json.loads((tmp_path / "opt.csv.manifest.json").read_text())
+        assert manifest["summary"]["d_opt_above_d0"] == above
+
     @pytest.mark.parametrize("command, eta, fired", [
         ("optimize", "1.5", ["EtaBelowTwoWarning"]),
         ("stationary-points", "3.0", []),
@@ -453,6 +468,29 @@ class TestSweepCommand:
 
     def test_empty_grid_exits_2(self, fig1_cfg, tmp_path, capsys):
         assert main(["sweep", "--config", str(fig1_cfg), "--grid", "1:10:0"]) == 2
+
+    @pytest.mark.parametrize("grid, key", [("2:1:5", "d_max_m"), ("1:10:0", "points"),
+                                           ("0:1:5", "d_min_m"), ("1:-2:5", "d_max_m")])
+    def test_grid_obeys_the_sweep_rules(self, grid, key, fig1_cfg, capsys):
+        # --grid is read as the sweep keys it overrides, by their rules
+        assert main(["sweep", "--config", str(fig1_cfg), "--grid", grid]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: --grid") and key in line
+
+    def test_grid_obeys_a_rule_added_to_its_key(self, fig1_cfg, monkeypatch, capsys):
+        monkeypatch.setitem(SECTIONS["sweep"], "points", Rule(partial(_integer, minimum=10)))
+        assert main(["sweep", "--config", str(fig1_cfg), "--grid", "1:10:5"]) == 2
+        assert capsys.readouterr().err == "error: --grid.points: must be >= 10, got 5\n"
+
+    def test_grid_keeps_the_sections_power_factors(self, exp_cfg, tmp_path):
+        out_path = tmp_path / "sweep.csv"
+        assert main(["sweep", "--config", str(exp_cfg), "--grid", "0.1:10:5",
+                     "--out", str(out_path)]) == 0
+        rows = read_csv(out_path)
+        assert [float(r["power_factor"]) for r in rows] == [1.0] * 5 + [4.0] * 5 + [9.0] * 5
+        assert [float(r["d_m"]) for r in rows[:5]] == _geomspace(0.1, 10.0, 5)
 
     @pytest.mark.parametrize("grid", ["nan:1:5", "0.5:nan:5", "1:inf:5"])
     def test_non_finite_grid_bound_exits_2(self, grid, fig1_cfg, capsys):
@@ -811,6 +849,23 @@ class TestMissingSections:
 
     def test_bound_without_section_exits_2(self, single_cfg):
         assert main(["single-cell-bound", "--config", str(single_cfg)]) == 2
+
+    @pytest.mark.parametrize("argv, message", [
+        (["sweep", "--config", "single"], "sweep: section missing and no --grid given"),
+        (["sweep", "--config", "single", "--grid", "1:2"],
+         "--grid expects d_min:d_max:points, got '1:2'"),
+        (["simulate", "--config", "no-mac"], "simulate requires a mac section"),
+        (["compare-ftt", "--h1", "2"], "compare-ftt: give all of --h1 --h2 --p1 --p2 or none"),
+    ], ids=["sweep-without-section-or-grid", "grid-of-two-fields", "simulate-without-mac",
+            "compare-ftt-h1-alone"])
+    def test_missing_input_is_named(self, argv, message, single_cfg, tmp_path, capsys):
+        no_mac = yaml.safe_load(FIG1_YAML)
+        del no_mac["mac"]
+        (tmp_path / "no-mac.yaml").write_text(yaml.safe_dump(no_mac))
+        paths = {"single": str(single_cfg), "no-mac": str(tmp_path / "no-mac.yaml")}
+        assert main([paths.get(arg, arg) for arg in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {message}\n"
 
 
 class TestOutputPath:

@@ -1,5 +1,6 @@
 """The config schema's rules, as a run sees them: exit 2 with the exact message, or the same run."""
 
+import ast
 import copy
 import re
 from pathlib import Path
@@ -10,6 +11,7 @@ import yaml
 from hopcap import macmodel
 from hopcap.cli import main
 from hopcap.config import SECTIONS, _finite, parse_config
+from hopcap.macmodel import MacProfile
 
 # every section present, so that each section's key check runs on load
 FULL = {
@@ -123,6 +125,39 @@ def test_inconsistent_config_names_the_rule(command, change, message, tmp_path, 
     assert error_of([command, "--config", str(cfg), *extra], capsys) == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("command, change, message", [
+    ("waterfill", lambda raw: raw.pop("fading"), "fading: required section is missing"),
+    ("waterfill", lambda raw: raw["fading"].update(states=[]),
+     "fading.states: need a non-empty list of {gain, prob}"),
+    ("waterfill", lambda raw: raw.__setitem__("fading", {"kind": "tabulated"}),
+     "fading.csv: path to a two-column CSV is required"),
+    ("waterfill", lambda raw: raw.__setitem__("mac", 3), "mac: expected a mapping"),
+    # a config may leave power out; a command that needs the power budget may not
+    ("optimize", lambda raw: raw.pop("power"), "power: provide Pt_prime_W or P_bar_W"),
+], ids=["no-fading", "no-states", "tabulated-without-csv", "mac-not-a-mapping",
+        "optimize-without-power"])
+def test_missing_or_malformed_section_is_named(command, change, message, tmp_path, capsys):
+    cfg = write(tmp_path, edited(change))
+    extra = ["--pi", "1"] if command == "waterfill" else []
+    assert error_of([command, "--config", str(cfg), *extra], capsys) == f"error: {message}\n"
+
+
+def test_each_section_record_is_built_from_its_keys():
+    # the table is the one declaration of a flat section: config.py defines no
+    # record class beside it, and each record's fields are its keys in table order
+    path = Path(__file__).resolve().parents[1] / "src" / "hopcap" / "config.py"
+    classes = {node.name for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, ast.ClassDef)}
+    assert classes == {"Rule", "Section", "RunConfig"}
+    cfg = parse_config(FULL)
+    records = {name: getattr(cfg, name) for name in ("power", "sweep", "simulate", "bound")}
+    records["fading.states"] = SECTIONS["fading.states"].record(0.5, 0.99)
+    for name, record in records.items():
+        assert record._fields == tuple(SECTIONS[name]), name
+    assert SECTIONS["mac"].record is MacProfile and type(cfg.profile) is MacProfile
+    assert set(SECTIONS) - set(records) == {"mac"}
+
+
 def test_top_level_must_be_a_mapping(tmp_path, capsys):
     cfg = write(tmp_path, "- 1\n- 2\n")
     assert error_of(["optimize", "--config", str(cfg)], capsys) \
@@ -219,17 +254,17 @@ KEYS = {
     "simulate.policy": ("waterfill", lambda c: c.simulate.policy, [
         ("greedy", "expected waterfill | constant, got 'greedy'"),
         (None, "expected waterfill | constant, got None")]),
-    "simulate.constant_power_W": (None, lambda c: c.simulate.constant_power, POSITIVE),
-    "simulate.relinquish_overhead_s": (None, lambda c: c.simulate.relinquish_overhead,
+    "simulate.constant_power_W": (None, lambda c: c.simulate.constant_power_W, POSITIVE),
+    "simulate.relinquish_overhead_s": (None, lambda c: c.simulate.relinquish_overhead_s,
                                        NONNEGATIVE),
     "bound.area_m2": (REQUIRED, None, POSITIVE),
     "bound.noise_W": (REQUIRED, None, POSITIVE),
     # a value that is not a list reads as a list of one
-    "bound.power_W": ((0.1,), lambda c: c.bound.powers,
+    "bound.power_W": ((0.1,), lambda c: c.bound.power_W,
                       POSITIVE_LIST + [({"a": 1}, "[0]: expected a number, got {'a': 1}"),
                                        (0, "[0]: must be > 0, got 0.0")]),
-    "bound.K_min": (2, lambda c: c.bound.k_min, at_least(2)),
-    "bound.K_max": (100_000, lambda c: c.bound.k_max, at_least(2)),
+    "bound.K_min": (2, lambda c: c.bound.K_min, at_least(2)),
+    "bound.K_max": (100_000, lambda c: c.bound.K_max, at_least(2)),
     "bound.points": (200, lambda c: c.bound.points, at_least(2)),
 }
 
@@ -285,7 +320,7 @@ def test_deleted_optional_key_takes_its_default(path):
 
 def test_scalar_power_reads_as_a_list_of_one():
     raw = with_key("bound.power_W", lambda mapping, key: mapping.__setitem__(key, 0.5))
-    assert parse_config(raw).bound.powers == (0.5,)
+    assert parse_config(raw).bound.power_W == (0.5,)
 
 
 @pytest.mark.parametrize("path, value, message", [

@@ -2,6 +2,7 @@
 
 import ast
 import bisect
+import itertools
 import math
 from pathlib import Path
 
@@ -24,7 +25,7 @@ from conftest import (
     tail_decay_check,
     x_tails,
 )
-from hopcap import discrete, fading, hopopt, waterfill
+from hopcap import discrete, fading, hopopt, macmodel, waterfill
 from hopcap.errors import BracketFailure, DiscreteKindError, ValidationError
 from hopcap.fading import PROB_SUM_TOL, FadingModel, log_root
 from hopcap.hopopt import HopProblem
@@ -207,6 +208,30 @@ class TestValidation:
             else:
                 with pytest.raises(ValidationError):
                     FadingModel.discrete(states)
+
+    MAC_TIMES = dict(t_idle=2e-5, t_collision=3e-4, t_overhead=2e-4, t_txop=2e-3, bandwidth=1e6)
+
+    @pytest.mark.parametrize("excess, ok", [(0.9, True), (-0.9, True), (1.1, False), (-1.1, False)])
+    def test_mac_prob_sum_tolerance_edge(self, excess, ok):
+        # the MAC's three probabilities are held to the same tolerance, summed the same way
+        assert macmodel.PROB_SUM_TOL is PROB_SUM_TOL
+        probs = (0.6, 0.1, 1.0 - 0.7 + excess * PROB_SUM_TOL)
+        assert (abs(math.fsum(probs) - 1.0) <= PROB_SUM_TOL) == ok
+        for order in itertools.permutations(probs):
+            if ok:
+                assert MacProfile(*order, **self.MAC_TIMES)[:3] == order
+            else:
+                with pytest.raises(ValidationError, match="contention probabilities sum to"):
+                    MacProfile(*order, **self.MAC_TIMES)
+
+    def test_mac_prob_sum_does_not_depend_on_the_order(self):
+        # exactly 1 - 0.99998e-12; a left-to-right sum of two of the six orders
+        # lands on the accepted side, of the other four on the rejected side
+        probs = (0.291, 0.063, 0.645999999999)
+        assert {abs(sum(order) - 1.0) <= PROB_SUM_TOL
+                for order in itertools.permutations(probs)} == {True, False}
+        for order in itertools.permutations(probs):
+            assert MacProfile(*order, **self.MAC_TIMES)[:3] == order
 
     def test_exponential_rate_positive(self):
         with pytest.raises(ValidationError):
