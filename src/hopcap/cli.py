@@ -209,6 +209,9 @@ def _cmd_simulate(args, cfg) -> tuple:
     _require_finite_power("d**eta", spec.d_m, cfg.eta,
                           f"simulate.d_m = {spec.d_m!r} with eta = {cfg.eta!r}")
     policy = _build_policy(cfg, spec)
+    if (spec.relinquish_overhead_s or 0.0) > cfg.profile.t_txop:  # SimConfig's rule, by key
+        raise ConfigError(f"simulate.relinquish_overhead_s = {spec.relinquish_overhead_s!r} "
+                          f"exceeds mac.T_txop_s = {cfg.profile.t_txop!r}")
     sim_config = simulator.SimConfig(
         profile=cfg.profile,
         model=cfg.model,
@@ -221,8 +224,16 @@ def _cmd_simulate(args, cfg) -> tuple:
     )
     stages = [("config_and_policy", args.loading), ("run", time.monotonic())]
     # a trace that goes into a manifest is hashed as it is written, not read back
-    digest = _sha256() if args.trace and args.out else None
-    report = simulator.run(sim_config, trace_path=args.trace, trace_digest=digest)
+    digest = _sha256() if args.trace is not None and args.out else None
+    if args.trace is None:
+        report = simulator.run(sim_config)
+    else:
+        try:
+            with open(args.trace, "wb") as fh:
+                report = simulator.run(sim_config, fh.write if digest is None else
+                                       lambda data: (fh.write(data), digest.update(data)))
+        except OSError as exc:
+            raise ConfigError(f"cannot write trace: {exc}") from exc
     stages.append(("write_and_hash", time.monotonic()))
     payload = report.to_json()
     print(payload)

@@ -16,8 +16,8 @@ successes are counted by fading state, since such a run has only n + 2
 distinct periods: its totals are exact sums of count times row, rounded
 once, and its trace is those n + 2 lines, formatted once, taken by code.
 A continuous model's successes enter by rows: the estimators merge
-centred co-moments chunk by chunk, and the trace is written one
-formatted block per chunk.
+centred co-moments chunk by chunk.  The trace leaves as one formatted
+block per chunk, handed to a callable: this module opens no file.
 
 The fixed-transmission-time vs fixed-packet-size comparison works on
 two channel samples: the fixed-packet totals define a time and energy
@@ -27,7 +27,6 @@ two states; its bit count never falls short.
 
 from __future__ import annotations
 
-import contextlib
 import json
 import math
 import warnings
@@ -44,6 +43,7 @@ _CI_FACTOR = 1.959963984540054  # two-sided 95% normal quantile
 MIN_HORIZON_FOR_CI = 10_000
 _CHUNK = 1 << 16  # periods per chunk of `run`
 _CELL = b",%.17g"  # a trace cell: every digit, and the sign of -0.0
+PACKET_BITS, BANDWIDTH_HZ = 1000.0, 1e6  # the packet and the band of `compare_ftt_fp`
 
 
 class SmallHorizonWarning(UserWarning):
@@ -210,7 +210,7 @@ class _Chunk:
         return b"".join(text.tolist())
 
 
-def run(config: SimConfig, trace_path=None, trace_digest=None) -> SimReport:
+def run(config: SimConfig, trace=None) -> SimReport:
     """Simulate ``horizon`` contention periods and estimate rate and power.
 
     One pass over the chunks in work arrays allocated once (`_Chunk`): a
@@ -224,13 +224,13 @@ def run(config: SimConfig, trace_path=None, trace_digest=None) -> SimReport:
     model's successes enter by rows.  An estimate that leaves the float
     range raises NumericalError.
 
-    ``trace_path``, if given, receives the trace; ``trace_digest``, a
-    `hashlib` hash object, is then fed each byte written there.
+    ``trace``, if given, is called with each block of the trace's bytes, in
+    order, the CSV header first; what it raises ends the run.
     """
     prof = config.profile
     rng = np.random.Generator(np.random.PCG64(config.seed))
     fades = np.random.Generator(np.random.PCG64(config.seed).advance(config.horizon))
-    traced = trace_path is not None
+    traced = trace is not None
     chunk = _Chunk(min(_CHUNK, config.horizon), traced)
     thresholds = choice_thresholds([prof.p_idle, prof.p_collision, prof.p_success])
 
@@ -248,49 +248,35 @@ def run(config: SimConfig, trace_path=None, trace_digest=None) -> SimReport:
     n_success = 0
     moments = _CoMoments()
     success_sums = []
-    fh = lines = None  # the trace file, and its lines formatted once per run
-
-    def write(data):
-        with _trace_errors():
-            fh.write(data)
-        if trace_digest is not None:
-            trace_digest.update(data)
-
-    try:
-        if traced:
-            with _trace_errors():
-                fh = open(trace_path, "wb")
-            write(b"period_type,duration_s,energy_J,bits\n")
-            lines = _trace_lines(names, fixed.T)
-        for start in range(0, config.horizon, _CHUNK):
-            size = min(_CHUNK, config.horizon - start)
-            n_idle, n_collision, n = chunk.categories(rng, chunk.u[:size], thresholds,
-                                                      chunk.codes[:size] if traced else None)
-            n_success += n
-            table, codes = lines, []  # the chunk's trace lines, and each success's line
-            if discrete:
-                codes = chunk.states[:n] if traced else None
-                by_state = chunk.categories(fades, chunk.fades[:n], fade_thresholds, codes)
-                counts = [total + m for total, m in zip(counts, [n_idle, n_collision, *by_state])]
-                if traced:
-                    codes += 2  # a state's line follows the idle and collision lines
-            else:
-                counts = [counts[0] + n_idle, counts[1] + n_collision]
-                moments.merge(n_idle, fixed[0], 0.0)
-                moments.merge(n_collision, fixed[1], 0.0)
-                if n:
-                    rows = chunk.rows_of(config, fades, n)
-                    success_sums.append(rows.sum(axis=1))
-                    moments.merge_rows(rows, chunk.dev[:3 * n].reshape(3, n))
-                    if traced:
-                        table = lines + _trace_lines([b"success"] * n, rows)
-                        codes = np.arange(2, n + 2)
+    lines = None  # the trace lines, formatted once per run
+    if traced:
+        trace(b"period_type,duration_s,energy_J,bits\n")
+        lines = _trace_lines(names, fixed.T)
+    for start in range(0, config.horizon, _CHUNK):
+        size = min(_CHUNK, config.horizon - start)
+        n_idle, n_collision, n = chunk.categories(rng, chunk.u[:size], thresholds,
+                                                  chunk.codes[:size] if traced else None)
+        n_success += n
+        table, codes = lines, []  # the chunk's trace lines, and each success's line
+        if discrete:
+            codes = chunk.states[:n] if traced else None
+            by_state = chunk.categories(fades, chunk.fades[:n], fade_thresholds, codes)
+            counts = [total + m for total, m in zip(counts, [n_idle, n_collision, *by_state])]
             if traced:
-                write(chunk.trace_text(table, size, codes))
-    finally:
-        if fh is not None:
-            with _trace_errors():
-                fh.close()
+                codes += 2  # a state's line follows the idle and collision lines
+        else:
+            counts = [counts[0] + n_idle, counts[1] + n_collision]
+            moments.merge(n_idle, fixed[0], 0.0)
+            moments.merge(n_collision, fixed[1], 0.0)
+            if n:
+                rows = chunk.rows_of(config, fades, n)
+                success_sums.append(rows.sum(axis=1))
+                moments.merge_rows(rows, chunk.dev[:3 * n].reshape(3, n))
+                if traced:
+                    table = lines + _trace_lines([b"success"] * n, rows)
+                    codes = np.arange(2, n + 2)
+        if traced:
+            trace(chunk.trace_text(table, size, codes))
 
     if discrete:  # every success of a state is one identical period
         for n, row in zip(counts, fixed):
@@ -320,15 +306,6 @@ def run(config: SimConfig, trace_path=None, trace_digest=None) -> SimReport:
         total_bits=total_bits,
         total_energy=total_energy,
     )
-
-
-@contextlib.contextmanager
-def _trace_errors():
-    """Re-raise an OSError of the trace file as ValidationError."""
-    try:
-        yield
-    except OSError as exc:
-        raise ValidationError(f"cannot write trace: {exc}") from exc
 
 
 def _sum_of_counts(counts, values):
@@ -450,17 +427,10 @@ class FttFpComparison(NamedTuple):
     duration: float
 
 
-def compare_ftt_fp(
-    h1: float,
-    h2: float,
-    p1: float,
-    p2: float,
-    packet_bits: float = 1000.0,
-    bandwidth: float = 1e6,
-) -> FttFpComparison:
+def compare_ftt_fp(h1: float, h2: float, p1: float, p2: float) -> FttFpComparison:
     """Compare fixed-packet and fixed-time transmission on two samples.
 
-    The fixed-packet scheme ships ``packet_bits`` in each state, taking
+    The fixed-packet scheme ships ``PACKET_BITS`` in each state, taking
     total time T_P and energy E_P.  The fixed-time scheme splits T_P
     into two equal slots over the same states and water-fills the energy
     budget E_P; the returned bit counts satisfy bits_ftt >= bits_fp.
@@ -476,17 +446,17 @@ def compare_ftt_fp(
         raise OrderingViolation(
             f"h1*p1={h1 * p1} < h2*p2={h2 * p2}: swap the rates first"
         )
-    r1 = bandwidth * math.log2(1.0 + h1 * p1)
-    r2 = bandwidth * math.log2(1.0 + h2 * p2)
-    t1, t2 = packet_bits / r1, packet_bits / r2
+    r1 = BANDWIDTH_HZ * math.log2(1.0 + h1 * p1)
+    r2 = BANDWIDTH_HZ * math.log2(1.0 + h2 * p2)
+    t1, t2 = PACKET_BITS / r1, PACKET_BITS / r2
     duration = t1 + t2
     energy = p1 * t1 + p2 * t2
-    bits_fp = 2.0 * packet_bits
+    bits_fp = 2.0 * PACKET_BITS
 
     # one equally likely state per slot, water-filled at the mean power energy/duration
     states = [(h1, 0.5), (h2, 0.5)] if h1 != h2 else [(h1, 1.0)]
     gamma, _ = gamma_and_lambda(FadingModel.discrete(states), energy / duration)
-    bits_ftt = duration * bandwidth * gamma / LN2
+    bits_ftt = duration * BANDWIDTH_HZ * gamma / LN2
     if not bits_ftt >= bits_fp * (1.0 - 1e-9):
         raise NumericalError(f"fixed-time bits {bits_ftt} fall short of {bits_fp}")
     return FttFpComparison(bits_fp=bits_fp, bits_ftt=bits_ftt, energy=energy, duration=duration)

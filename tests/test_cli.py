@@ -1284,3 +1284,76 @@ def test_hostile_inputs_end_in_an_exit_code(run):
             code = main([str(cfg) if arg == "run.yaml" else arg for arg in argv])
     assert code in (0, 2, 3), (code, err.getvalue())
     assert "Traceback" not in err.getvalue()
+
+
+# -- the names perfbench traces ---------------------------------------------------------
+
+_RUN_PY = Path(__file__).parents[1] / "perfbench" / "run.py"
+# the per-layer names of perfbench/run.py whose functions are gone, so that
+# their metrics read 0 on every run; the set may shrink, and no name may join it
+DEAD_TRACED_NAMES = {
+    "fading.integrate_against_density", "waterfill.expected_power", "waterfill.optimal_rate",
+    "discrete.stationary_points_discrete", "hopopt.check_monotonicity_condition",
+    "hopopt.gamma_and_lambda", "hopopt.psi",
+}
+
+
+def perfbench_traced_names():
+    """``(names, methods)`` of perfbench/run.py, read from its source.
+
+    ``names`` are the `_TIMED` entries and the first argument of each
+    ``get("<name>", ...)``; ``methods`` are the ``(class, attribute, span
+    name)`` triples passed to ``install(methods=...)``, the class resolved
+    through run.py's own ``from ... import``.
+    """
+    import ast
+    import importlib
+
+    tree = ast.parse(_RUN_PY.read_text(encoding="utf-8"))
+    origin = {alias.asname or alias.name: node.module for node in ast.walk(tree)
+              if isinstance(node, ast.ImportFrom) for alias in node.names}
+    (timed,) = [node.value for node in ast.walk(tree) if isinstance(node, ast.Assign)
+                and [getattr(target, "id", None) for target in node.targets] == ["_TIMED"]]
+    names = {elt.value for elt in timed.elts} | {
+        node.args[0].value for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "get"
+        and node.args and isinstance(node.args[0], ast.Constant)}
+    methods = [
+        (getattr(importlib.import_module(origin[cls.id]), cls.id), attr.value, label.value)
+        for node in ast.walk(tree) if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", None) == "install"
+        for keyword in node.keywords if keyword.arg == "methods"
+        for cls, attr, label in (elt.elts for elt in keyword.value.elts)]
+    return names, methods
+
+
+def test_perfbench_traces_methods_that_exist():
+    # the tracer reads `cls.__dict__[attr]`: a missing method fails `--trace 1` with a KeyError
+    _, methods = perfbench_traced_names()
+    assert {(cls.__name__, attr) for cls, attr, _ in methods} >= {
+        ("FadingModel", "sample_h"), ("FadingModel", "tabulated_from_csv")}
+    for cls, attr, _ in methods:
+        assert attr in cls.__dict__, (cls.__name__, attr)
+
+
+def test_perfbench_names_resolve_but_the_known_dead_ones():
+    # a span name `<module>.<function>` is that public function of hopcap.<module>,
+    # as the tracer labels it, or a traced method's name; a rename in src that
+    # zeroes another per-layer metric fails here
+    import importlib
+    import inspect
+
+    names, methods = perfbench_traced_names()
+    labels = {label for _, _, label in methods}
+
+    def resolves(name):
+        module, _, attr = name.partition(".")
+        try:
+            mod = importlib.import_module(f"hopcap.{module}")
+        except ImportError:
+            return False
+        obj = vars(mod).get(attr)
+        return inspect.isfunction(obj) and obj.__module__ == mod.__name__ and not attr.startswith("_")
+
+    assert {"simulator.run", "waterfill.solve", "cli.main"} <= names
+    assert {name for name in names if name not in labels and not resolves(name)} <= DEAD_TRACED_NAMES

@@ -116,9 +116,12 @@ def _set(section, key, value):
      "simulate.constant_power_W is required for the constant policy"),
     ("waterfill", _set("simulate", "policy", "greedy"),
      "simulate.policy: expected waterfill | constant, got 'greedy'"),
+    ("simulate", _set("simulate", "relinquish_overhead_s", 0.0025),
+     "simulate.relinquish_overhead_s = 0.0025 exceeds mac.T_txop_s = 0.002"),
 ], ids=["pt-and-p-bar", "p-bar-without-mac", "schema-version", "schema-version-true",
         "schema-version-float", "d-max-not-above-d-min",
-        "k-max-below-k-min", "constant-without-power", "unknown-policy"])
+        "k-max-below-k-min", "constant-without-power", "unknown-policy",
+        "relinquish-above-txop"])
 def test_inconsistent_config_names_the_rule(command, change, message, tmp_path, capsys):
     cfg = write(tmp_path, edited(change))
     extra = ["--pi", "1"] if command == "waterfill" else []

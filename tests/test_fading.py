@@ -25,8 +25,8 @@ from conftest import (
     tail_decay_check,
     x_tails,
 )
-from hopcap import discrete, fading, hopopt, macmodel, waterfill
-from hopcap.errors import BracketFailure, DiscreteKindError, ValidationError
+from hopcap import discrete, fading, hopopt, macmodel, simulator, waterfill
+from hopcap.errors import BracketFailure, DiscreteKindError, NonPositivePi, ValidationError
 from hopcap.fading import PROB_SUM_TOL, FadingModel, log_root
 from hopcap.hopopt import HopProblem
 from hopcap.macmodel import MacProfile
@@ -272,6 +272,37 @@ class TestValidation:
 def test_non_finite_api_inputs_are_validation_errors(build, value):
     with pytest.raises(ValidationError):
         build(value)
+
+
+def sim_config(**changes):
+    """A constant-power `SimConfig` on the example profile, with some fields changed."""
+    fields = dict(profile=example_profile(), model=FadingModel.exponential(1.0),
+                  policy=simulator.ConstantPowerPolicy(1.0), d=1.0, eta=3.0, horizon=10_000, seed=0)
+    return simulator.SimConfig(**{**fields, **changes})
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: FadingModel.discrete([]), ValidationError, "at least one state"),
+    (lambda: FadingModel.tabulated([0.0, 1.0, 2.0], [0.5, 0.5]), ValidationError, "matching"),
+    (lambda: FadingModel.tabulated([0.0], [1.0]), ValidationError, ">= 2 points"),
+    (lambda: FadingModel.tabulated([0.0, 1.0, 1.0, 2.0], [0.5] * 4), ValidationError,
+     "strictly increasing"),
+    (lambda: replace_profile(t_txop=0.0), ValidationError, "t_txop must be > 0"),
+    (lambda: replace_profile(bandwidth=0.0), ValidationError, "bandwidth must be > 0"),
+    (lambda: macmodel.throughput(example_profile(), -1.0), ValidationError, "mean rate"),
+    (lambda: macmodel.network_power(example_profile(), -1.0), ValidationError,
+     "mean transmit power"),
+    (lambda: macmodel.spatial_reuse_bound(2, 1.0, 1.0, 0.0, 2.0), ValidationError, "must all be > 0"),
+    (lambda: waterfill.gamma_and_lambda(FadingModel.exponential(1.0), -1.0), NonPositivePi,
+     "pi must be >= 0"),
+    (lambda: sim_config(horizon=0), ValidationError, "horizon must be >= 1"),
+    (lambda: sim_config(relinquish_overhead=2.5e-3), ValidationError, "relinquish overhead"),
+], ids=["discrete-no-state", "tabulated-lengths", "tabulated-one-node", "tabulated-repeated-node",
+        "mac-txop-zero", "mac-bandwidth-zero", "throughput-negative", "network-power-negative",
+        "reuse-area-zero", "gamma-negative-pi", "sim-horizon-zero", "sim-relinquish-above-txop"])
+def test_out_of_range_api_inputs_are_validation_errors(build, error, message):
+    with pytest.raises(error, match=message):
+        build()
 
 
 def replace_profile(**changes):
@@ -605,6 +636,17 @@ def test_one_routine_formats_every_trace_cell():
     assert formats[0].value == b",%.17g"
     assert scopes_with(path, lambda node: isinstance(node, ast.Name) and node.id == "_CELL") == {
         "", "_trace_lines"}
+
+
+def test_the_simulator_opens_no_file():
+    # `run` hands its trace to a callable: the CLI opens, hashes and closes
+    # the file, and turns its OSError into exit 2, as it does for --out
+    path = _SRC / "hopcap" / "simulator.py"
+    assert scopes_with(path, lambda node: isinstance(node, ast.Call) and "open" in (
+        getattr(node.func, "id", None), getattr(node.func, "attr", None))) == set()
+    assert scopes_with(path, lambda node: isinstance(node, ast.Name)
+                       and node.id in {"OSError", "IOError", "EnvironmentError"}) == set()
+    assert importers(path, "contextlib") == importers(path, "hashlib") == set()
 
 
 def test_sample_h_rejects_a_discrete_model():

@@ -1,7 +1,6 @@
 """Monte Carlo runs against the renewal formulas, plus the two-sample
 fixed-time vs fixed-packet comparison."""
 
-import hashlib
 import math
 import tracemalloc
 from fractions import Fraction
@@ -173,16 +172,35 @@ class TestConfidenceIntervals:
 
 
 class TestTraceAndKnobs:
-    def test_trace_csv_shape(self, tmp_path):
-        path = tmp_path / "trace.csv"
+    def test_trace_csv_shape(self):
+        blocks = []
         config = quiet_config(
             profile=profile_a(), model=FIG1, policy=ConstantPowerPolicy(0.5),
             d=1.0, eta=3.0, horizon=500, seed=3,
         )
-        simulator.run(config, trace_path=path)
-        lines = path.read_text().splitlines()
+        simulator.run(config, trace=blocks.append)
+        lines = b"".join(blocks).decode().splitlines()
         assert lines[0] == "period_type,duration_s,energy_J,bits"
         assert len(lines) == 501
+
+    @pytest.mark.parametrize("model", [FIG1, FadingModel.exponential(1.0)],
+                             ids=["discrete", "exponential"])
+    def test_trace_goes_out_header_first_then_a_block_per_chunk(self, model, monkeypatch):
+        monkeypatch.setattr(simulator, "_CHUNK", 200)
+        config = quiet_config(
+            profile=profile_a(), model=model, policy=ConstantPowerPolicy(0.5),
+            d=1.0, eta=3.0, horizon=500, seed=3,
+        )
+        blocks = []
+        simulator.run(config, trace=blocks.append)
+        assert blocks[0] == b"period_type,duration_s,energy_J,bits\n"
+        assert [block.count(b"\n") for block in blocks[1:]] == [200, 200, 100]
+
+        def refuse(data):
+            raise OSError("no room")
+
+        with pytest.raises(OSError, match="no room"):  # what the callable raises ends the run
+            simulator.run(config, trace=refuse)
 
     def test_relinquish_knob_reduces_elapsed_time(self):
         # waterfill at tiny pi leaves many fades unserved; relinquishing
@@ -244,8 +262,9 @@ class TestChunkedRun:
         config = quiet_config(horizon=5000, **trace_cases()[case])
         periods = reference_periods(config)
         reference_trace(tmp_path / "ref.csv", *periods)
-        simulator.run(config, trace_path=tmp_path / "run.csv")
-        assert (tmp_path / "run.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        blocks = []
+        simulator.run(config, trace=blocks.append)
+        assert b"".join(blocks) == (tmp_path / "ref.csv").read_bytes()
         if case == "exponential_relinquish":
             kinds, durations, _, _ = periods
             assert np.any((kinds == 2) & (durations < config.profile.t_overhead + config.profile.t_txop))
@@ -259,22 +278,21 @@ class TestChunkedRun:
             d=1.0, eta=3.0, horizon=2000, seed=6,
         )
         reference_trace(tmp_path / "ref.csv", *reference_periods(config))
-        simulator.run(config, trace_path=tmp_path / "run.csv")
-        text = (tmp_path / "run.csv").read_text()
+        blocks = []
+        simulator.run(config, trace=blocks.append)
+        text = b"".join(blocks).decode()
         assert ",-0\n" in text and ",0\n" in text
         assert text == (tmp_path / "ref.csv").read_text()
 
     @pytest.mark.parametrize("case", sorted(trace_cases()))
-    def test_chunk_size_changes_nothing(self, case, tmp_path, monkeypatch):
+    def test_chunk_size_changes_nothing(self, case, monkeypatch):
         horizon = 3000
         config = quiet_config(horizon=horizon, **trace_cases()[case])
         runs = []
         for chunk in (1, 7, 4096, horizon):
             monkeypatch.setattr(simulator, "_CHUNK", chunk)
-            path, digest = tmp_path / f"trace{chunk}.csv", hashlib.sha256()
-            runs.append((simulator.run(config, trace_path=path, trace_digest=digest),
-                         path.read_bytes()))
-            assert digest.hexdigest() == hashlib.sha256(runs[-1][1]).hexdigest()
+            blocks = []
+            runs.append((simulator.run(config, trace=blocks.append), b"".join(blocks)))
         (first, first_bytes), rest = runs[0], runs[1:]
         for report, trace in rest:
             assert trace == first_bytes
@@ -419,12 +437,12 @@ class TestNoStaleBuffers:
         for repeat in range(2):
             for i, (name, horizon) in enumerate(runs):
                 config = quiet_config(horizon=horizon, **cases[name])
-                path = tmp_path / f"run{i}.csv" if (i + repeat) % 2 else None
-                report = simulator.run(config, trace_path=path).to_json()
+                blocks = [] if (i + repeat) % 2 else None
+                report = simulator.run(config, trace=None if blocks is None else blocks.append).to_json()
                 assert reports.setdefault(i, report) == report, (name, repeat)
-                if path is not None:
+                if blocks is not None:
                     reference_trace(tmp_path / "ref.csv", *reference_periods(config))
-                    assert path.read_bytes() == (tmp_path / "ref.csv").read_bytes(), (name, repeat)
+                    assert b"".join(blocks) == (tmp_path / "ref.csv").read_bytes(), (name, repeat)
 
 
 # the fading-state probabilities of discrete models, as the model sorts them
@@ -513,7 +531,7 @@ class TestCompareFttFp:
         assert res.bits_ftt == pytest.approx(res.bits_fp, rel=1e-12)
 
     def test_reference_case_strictly_better(self):
-        res = compare_ftt_fp(2.0, 0.5, 1.0, 1.0, packet_bits=1000.0, bandwidth=1e6)
+        res = compare_ftt_fp(2.0, 0.5, 1.0, 1.0)
         assert res.bits_fp == 2000.0
         assert res.bits_ftt > res.bits_fp
 
