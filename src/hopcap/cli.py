@@ -9,13 +9,16 @@ writer of results: it loads the config, then either writes ``text`` to
 versions, wall time, output hashes, warnings), so results can be
 reproduced byte for byte, or echoes ``text`` when ``echo`` is true.
 
-Exit codes: 0 success, 2 validation/config error, 3 numerical failure.
+Exit codes: 0 success, 2 validation/config error (an unwritable stdout,
+``--out`` or ``--trace`` included), 3 numerical failure.  `run` is the
+process entry of ``hopcap`` and ``python -m hopcap.cli``.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import math
 import os
 import sys
@@ -58,6 +61,10 @@ def main(argv=None) -> int:
                     raise ConfigError(f"cannot write output: {exc}") from exc
             elif echo:
                 sys.stdout.write(text)
+            sys.stdout.flush()
+    except OSError as exc:  # main's own files raise ConfigError, so this is stdout's
+        print(f"error: cannot write stdout: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
@@ -65,6 +72,25 @@ def main(argv=None) -> int:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     return EXIT_OK
+
+
+def run() -> None:
+    """Run `main` as a whole process, then exit with its code.
+
+    ``gc.freeze()`` moves every object left alive into the permanent
+    generation, so the interpreter's collections at exit scan none of what
+    the imports made.  ``atexit``, the final flush of stdout and stderr and
+    every output byte stay as they are.  A `main()` called from Python
+    freezes nothing.
+    """
+    code = main()
+    try:
+        sys.stdout.flush()  # holds bytes only when stdout cannot be written
+    except OSError:
+        # drop what stays buffered, or the interpreter's own flush fails at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    gc.freeze()
+    sys.exit(code)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -313,8 +339,10 @@ def _require_finite_power(what: str, base: float, exponent: float, where: str) -
 
 @contextlib.contextmanager
 def _recording_warnings(names: list):
-    """Append to ``names`` the class name of each warning shown, which is shown as before.
+    """Append to ``names`` the class name of each warning shown.
 
+    A warning printed to stderr is one line, ``warning: <Category>:
+    <message>``, with no file, line number or source line of hopcap's.
     Entering ``catch_warnings`` resets the once-per-location registries, so
     each run shows, and records, a warning that an earlier run in the same
     process showed as well.
@@ -322,7 +350,7 @@ def _recording_warnings(names: list):
     import warnings
 
     with warnings.catch_warnings():
-        show = warnings.showwarning
+        show, form = warnings.showwarning, warnings.formatwarning
 
         def record(message, category, *args, **kwargs):
             if category.__name__ not in names:
@@ -330,7 +358,13 @@ def _recording_warnings(names: list):
             show(message, category, *args, **kwargs)
 
         warnings.showwarning = record
-        yield
+        # catch_warnings restores showwarning but not formatwarning
+        warnings.formatwarning = lambda message, category, *_: (
+            f"warning: {category.__name__}: {message}\n")
+        try:
+            yield
+        finally:
+            warnings.formatwarning = form
 
 
 def _build_policy(cfg: RunConfig, spec):
@@ -440,4 +474,4 @@ def _write_manifest(args, text, outputs=None, seed=None, stages=None, **extra) -
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

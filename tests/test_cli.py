@@ -1,7 +1,9 @@
 """CLI surface: exit codes, CSV round trips, manifests, reproducibility."""
 
 import contextlib
+import ast
 import csv
+import gc
 import hashlib
 import io
 import json
@@ -623,19 +625,18 @@ class TestSimulateCommand:
 
         out_path = tmp_path / "sim.json"
         argv = ["simulate", "--config", str(fig1_cfg), "--horizon", "100", "--out", str(out_path)]
-        show = warnings.showwarning
+        show, form = warnings.showwarning, warnings.formatwarning
         with pytest.warns(UserWarning, match="horizon 100 < 10000"):
             assert main(argv) == 0
-        assert warnings.showwarning is show
+        assert warnings.showwarning is show and warnings.formatwarning is form
         manifest = json.loads((tmp_path / "sim.json.manifest.json").read_text())
         assert manifest["warnings"] == ["SmallHorizonWarning"]
-        # as a process, the warning is printed to stderr as it always was
+        # as a process, the warning is one line on stderr, whatever the layout of cli.py
         run = subprocess.run([sys.executable, "-m", "hopcap.cli", *argv],
                              env=dict(os.environ, PYTHONPATH=str(_SRC)),
                              capture_output=True, text=True, check=True)
-        assert re.fullmatch(
-            r".*cli\.py:\d+: SmallHorizonWarning: horizon 100 < 10000: confidence intervals "
-            r"may be unreliable\n  sim_config = simulator\.SimConfig\(\n", run.stderr)
+        assert run.stderr == ("warning: SmallHorizonWarning: horizon 100 < 10000: confidence "
+                              "intervals may be unreliable\n")
         assert json.loads((tmp_path / "sim.json.manifest.json").read_text())["warnings"] == [
             "SmallHorizonWarning"]
 
@@ -822,6 +823,96 @@ class TestBlasThreads:
         assert main(["compare-ftt", "--count", "3", "--out", str(out)]) == 0
         assert dict(os.environ) == before
         assert json.loads(Path(f"{out}.manifest.json").read_text())["openblas_num_threads"] is None
+
+
+class TestProcessEntry:
+    """`run`, the entry of ``hopcap`` and ``python -m hopcap.cli``, exits as `main` returns;
+    only the entry freezes the collector."""
+
+    MAIN = "import sys; from hopcap.cli import main; sys.exit(main(sys.argv[1:]))"
+
+    @staticmethod
+    def process(args, cwd, stdout=subprocess.PIPE, unbuffered=None):
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(_SRC)
+        if unbuffered is not None:
+            env["PYTHONUNBUFFERED"] = unbuffered
+        return subprocess.run([sys.executable, *args], cwd=cwd, env=env, stdout=stdout,
+                              stderr=subprocess.PIPE, text=True)
+
+    def test_the_script_and_the_main_block_call_one_entry(self):
+        # read as text: tomllib is 3.11's
+        pyproject = (_SRC.parent / "pyproject.toml").read_text(encoding="utf-8")
+        (entry,) = re.findall(r'^hopcap = "hopcap\.cli:(\w+)"$', pyproject, re.MULTILINE)
+        tree = ast.parse((_SRC / "hopcap" / "cli.py").read_text(encoding="utf-8"))
+        (block,) = [node for node in tree.body if isinstance(node, ast.If)
+                    and ast.unparse(node.test) == "__name__ == '__main__'"]
+        assert [ast.unparse(stmt) for stmt in block.body] == [f"{entry}()"]
+        assert entry != "main"
+
+    def test_only_the_entry_freezes(self):
+        freezes = [(path.name, func.name) for path in sorted((_SRC / "hopcap").glob("*.py"))
+                   for func in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                   if isinstance(func, ast.FunctionDef) for node in ast.walk(func)
+                   if isinstance(node, ast.Attribute) and node.attr == "freeze"]
+        assert freezes == [("cli.py", "run")]
+        for path in (_SRC / "hopcap").glob("*.py"):
+            assert "from gc import" not in path.read_text(encoding="utf-8")
+
+    def test_main_leaves_the_collector_as_it_was(self, fig1_cfg, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        argvs = [[*argv, "--config", str(fig1_cfg)] for argv in (
+            ["waterfill", "--pi", "2.5"], ["optimize", "--out", "o.csv"], ["sweep"],
+            ["stationary-points"], ["simulate", "--horizon", "10000", "--trace", "t.csv"],
+            ["single-cell-bound", "--out", "b.csv"],
+        )] + [["compare-ftt", "--count", "3"]]
+        before = gc.isenabled(), gc.get_freeze_count()
+        for argv in argvs:
+            assert main(argv) == 0, argv
+            assert (gc.isenabled(), gc.get_freeze_count()) == before, argv
+
+    @pytest.mark.parametrize("argv, written", [
+        (["optimize", "--out", "r.csv"], ["r.csv", "r.csv.manifest.json"]),
+        (["simulate", "--horizon", "100", "--trace", "t.csv", "--out", "r.json"],
+         ["r.json", "r.json.manifest.json", "t.csv"]),
+    ], ids=["scalar", "traced-simulate"])
+    def test_a_process_matches_main_called_from_python(self, argv, written, fig1_cfg, tmp_path):
+        runs = []
+        for name, entry in [("main", ["-c", self.MAIN]), ("entry", ["-m", "hopcap.cli"])]:
+            cwd = tmp_path / name
+            cwd.mkdir()
+            proc = self.process([*entry, *argv, "--config", str(fig1_cfg)], cwd)
+            files = {path.name: path.read_bytes() for path in cwd.iterdir()}
+            manifest = json.loads(files.pop(f"{argv[-1]}.manifest.json"))
+            del manifest["wall_time_s"]
+            manifest.pop("stages_s", None)
+            runs.append((proc.returncode, proc.stdout, proc.stderr, files, manifest))
+        assert runs[0] == runs[1]
+        assert runs[1][0] == 0 and sorted([*runs[1][3], f"{argv[-1]}.manifest.json"]) == written
+
+    def test_no_subcommand_exits_2_with_the_usage(self, tmp_path):
+        proc = self.process(["-m", "hopcap.cli"], tmp_path)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.startswith("usage: hopcap ")
+        assert proc.stderr.endswith("hopcap: error: the following arguments are required: command\n")
+
+    def test_help_exits_0(self, tmp_path):
+        proc = self.process(["-m", "hopcap.cli", "--help"], tmp_path)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.startswith("usage: hopcap ")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full to fail the writes")
+    @pytest.mark.parametrize("unbuffered", ["1", None], ids=["unbuffered", "buffered"])
+    @pytest.mark.parametrize("argv", [["waterfill", "--pi", "2.5"], ["sweep"]],
+                             ids=["summary", "csv"])
+    def test_a_stdout_that_cannot_be_written_exits_2(self, argv, unbuffered, fig1_cfg, tmp_path):
+        # this used to end in an OSError traceback, exit 1, or in the interpreter's
+        # "Exception ignored" line, exit 120, as the stdout buffer was flushed
+        with open("/dev/full", "wb") as full:
+            proc = self.process(["-m", "hopcap.cli", *argv, "--config", str(fig1_cfg)], tmp_path,
+                                stdout=full, unbuffered=unbuffered)
+        assert proc.returncode == 2
+        assert proc.stderr == "error: cannot write stdout: [Errno 28] No space left on device\n"
 
 
 class TestFlagsOnlyWhereRead:
@@ -1306,7 +1397,6 @@ def perfbench_traced_names():
     name)`` triples passed to ``install(methods=...)``, the class resolved
     through run.py's own ``from ... import``.
     """
-    import ast
     import importlib
 
     tree = ast.parse(_RUN_PY.read_text(encoding="utf-8"))
