@@ -27,7 +27,7 @@ from pathlib import Path
 
 from . import __version__
 from . import discrete, hopopt, macmodel, waterfill
-from .config import SECTIONS, RunConfig, _integer, load_config, read_section
+from .config import MAX_TUPLES, SECTIONS, RunConfig, _integer, load_config, read_section
 from .errors import ConfigError, NumericalError, ValidationError
 from .macmodel import LN2
 
@@ -274,7 +274,7 @@ def _cmd_compare_ftt(args, cfg) -> tuple:
     from . import simulator
 
     seed = SECTIONS["simulate"]["seed"].read(args.seed, "compare-ftt.seed")
-    count = _integer(args.count, "compare-ftt.count", minimum=1)
+    count = _integer(args.count, "compare-ftt.count", minimum=1, maximum=MAX_TUPLES)
     explicit = [args.h1, args.h2, args.p1, args.p2]
     rows = []
     if any(v is not None for v in explicit):

@@ -55,12 +55,26 @@ def _finite(value, where: str, positive=False, nonnegative=False) -> float:
     return value
 
 
-def _integer(value, where: str, minimum=None) -> int:
+def _integer(value, where: str, minimum=None, maximum=None) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{where}: expected an integer, got {value!r}")
     if minimum is not None and value < minimum:
         raise ConfigError(f"{where}: must be >= {minimum}, got {value}")
+    if maximum is not None and value > maximum:
+        raise ConfigError(f"{where}: must be <= {maximum}, got {value}")
     return value
+
+
+# Caps on the integers that size a run: its list of points or of tuples, or
+# its chunk loop.  Without them a huge value ends in a MemoryError or in
+# hours of work instead of exit 2.  Each cap sits far above the documented
+# workloads (600 sweep points, 1e7 periods, 1000 tuples).  Measured on a
+# 2-vCPU machine: a sweep point takes 10 to 30 us and 85 bytes of CSV per
+# power factor, 1e8 periods 1.1 to 1.5 s, a compare-ftt tuple about 50 us;
+# so a capped run takes seconds, up to about 15 s at 10**9 periods.
+MAX_POINTS = 100_000
+MAX_HORIZON = 10**9
+MAX_TUPLES = 100_000
 
 
 def _positives(values, where: str, scalar=False) -> tuple:
@@ -121,7 +135,7 @@ SECTIONS = {
         tie=lambda p: (": Pt_prime_W and P_bar_W are mutually exclusive" if None not in p
                        else ": provide Pt_prime_W or P_bar_W" if p == (None, None) else None)),
     "sweep": Section({
-        "points": Rule(partial(_integer, minimum=1)),
+        "points": Rule(partial(_integer, minimum=1, maximum=MAX_POINTS)),
         "power_factors": Rule(_positives, (1.0,)),
         "d_min_m": _POSITIVE,
         "d_max_m": _POSITIVE,
@@ -131,7 +145,7 @@ SECTIONS = {
         "constant_power_W": Rule(_positive, None),
         "relinquish_overhead_s": Rule(_nonnegative, None),
         "d_m": _POSITIVE,
-        "horizon": Rule(partial(_integer, minimum=1)),
+        "horizon": Rule(partial(_integer, minimum=1, maximum=MAX_HORIZON)),
         "seed": Rule(partial(_integer, minimum=0)),
     }, tie=lambda s: (s.policy == "constant" and s.constant_power_W is None
                       and ".constant_power_W is required for the constant policy")),
@@ -141,7 +155,7 @@ SECTIONS = {
         "K_max": Rule(partial(_integer, minimum=2), 100_000),
         "area_m2": _POSITIVE,
         "noise_W": _POSITIVE,
-        "points": Rule(partial(_integer, minimum=2), 200),
+        "points": Rule(partial(_integer, minimum=2, maximum=MAX_POINTS), 200),
     }, tie=lambda b: b.K_max < b.K_min and ": K_max must be >= K_min"),
 }
 # the sections (fading by its states) and the top-level scalars

@@ -11,13 +11,14 @@ reproduce reports byte for byte (draw order: period types first, then
 fades for the successful periods, in sequence order).  `run` keeps that
 order in one pass over fixed chunks, drawing fades from a second copy of
 the stream, in work arrays of one chunk's length that are allocated once
-per run and filled in place, whatever the horizon.  A discrete model's
-successes are counted by fading state, since such a run has only n + 2
-distinct periods: its totals are exact sums of count times row, rounded
-once, and its trace is those n + 2 lines, formatted once, taken by code.
-A continuous model's successes enter by rows: the estimators merge
-centred co-moments chunk by chunk.  The trace leaves as one formatted
-block per chunk, handed to a callable: this module opens no file.
+per run and filled in place, whatever the horizon.  Every period is
+tallied in a group of periods of one duration: idle, collision and a
+discrete model's success in each fading state are rows counted as
+identical periods (so a discrete run's trace is n + 2 lines formatted
+once), and a continuous chunk's successes are a group or two.  Totals are
+exact sums, rounded once; the CIs sum the residuals group by group.  The
+trace leaves as one formatted block per chunk, handed to a callable: this
+module opens no file.
 
 The fixed-transmission-time vs fixed-packet-size comparison works on
 two channel samples: the fixed-packet totals define a time and energy
@@ -154,8 +155,9 @@ class _Chunk:
 
     ``u`` holds a chunk's period-type uniforms and ``fades`` the successes'
     fades, or a discrete model's fade uniforms; ``mask`` is the bool scratch
-    of `categories` and `trace_text`.  ``power``, the two 3-row arrays and ``work`` (scratch of
-    `FadingModel.sample_h`) serve the rows of a continuous model; ``codes``
+    of `categories`, `groups_of` and `trace_text`.  ``power``, ``rows`` and
+    ``work`` (scratch of `FadingModel.sample_h`) serve the rows of a
+    continuous model, and ``dev`` the deviations of `groups_of`; ``codes``
     (the period types), ``states`` (a discrete model's fading states) and
     ``text`` serve the trace.
     """
@@ -198,6 +200,32 @@ class _Chunk:
                                   work=tuple(a[:size] for a in self.work))
         return _success_rows(config, h, self.power[:size], self.rows[:3 * size].reshape(3, size))
 
+    def groups_of(self, rows):
+        """``(count, mean, sums of squared deviations)`` of ``rows``' periods of each duration.
+
+        A success lasts its transmission time unless it relinquishes the
+        channel: one group, or two.  A mean is taken relative to the group's
+        first period, so identical periods have exactly that mean.
+        """
+        n = rows.shape[1]
+        same = np.equal(rows[0], rows[0, 0], out=self.mask[:n])
+        k = int(np.count_nonzero(same))
+        work = self.dev[:rows.size]
+        parts = [(rows, work.reshape(3, n))]
+        if k < n:  # copied into the work array, where each becomes its deviations
+            parts = [(part, part) for part in (
+                np.compress(same, rows, axis=1, out=work[:3 * k].reshape(3, k)),
+                np.compress(~same, rows, axis=1, out=work[3 * k:].reshape(3, n - k)))]
+        groups = []
+        for part, dev in parts:
+            first = part[:, :1].copy()
+            np.subtract(part, first, out=dev)
+            shift = dev.mean(axis=1, keepdims=True)
+            dev -= shift
+            dev *= dev
+            groups.append((dev.shape[1], (first + shift)[:, 0], dev.sum(axis=1)))
+        return groups
+
     def trace_text(self, table, size, success_codes):
         """The chunk's CSV rows: for each period the line of ``table`` at its code.
 
@@ -216,13 +244,11 @@ def run(config: SimConfig, trace=None) -> SimReport:
     One pass over the chunks in work arrays allocated once (`_Chunk`): a
     chunk's period types, then its successes' fades, drawn from the stream
     past the ``horizon`` period-type draws (one 64-bit output each), as one
-    call over the horizon would; nothing depends on ``_CHUNK``.  Idle and
-    collision periods enter the totals and co-moments by count.  So do a
-    discrete model's successes, by fading state: such a run has only
-    ``n + 2`` distinct periods, so its totals are exact sums of count times
-    row and its trace is ``n + 2`` lines formatted once.  A continuous
-    model's successes enter by rows.  An estimate that leaves the float
-    range raises NumericalError.
+    call over the horizon would; nothing depends on ``_CHUNK``.  The rows of
+    ``fixed`` are counted, and a continuous chunk's successes summed and
+    grouped (`_Chunk.groups_of`); each total is the exact sum of count
+    times row plus the chunks' sums, rounded once.  Periods that last 0 s
+    in total, or an estimate out of the float range, raise NumericalError.
 
     ``trace``, if given, is called with each block of the trace's bytes, in
     order, the CSV header first; what it raises ends the run.
@@ -244,54 +270,48 @@ def run(config: SimConfig, trace=None) -> SimReport:
         fixed = np.vstack([fixed, _success_rows(config, np.array(gains)).T])
         names += [b"success"] * len(gains)
         fade_thresholds = choice_thresholds(probs)
-    counts = [0] * len(fixed)  # periods so far by row; successes by kind too
-    n_success = 0
-    moments = _CoMoments()
-    success_sums = []
+    counts = [0] * len(fixed)  # periods so far by row of `fixed`
+    groups = []  # a continuous chunk's successes by duration (`_Chunk.groups_of`)
+    success_sums = []  # and their column sums
     lines = None  # the trace lines, formatted once per run
     if traced:
         trace(b"period_type,duration_s,energy_J,bits\n")
         lines = _trace_lines(names, fixed.T)
     for start in range(0, config.horizon, _CHUNK):
         size = min(_CHUNK, config.horizon - start)
-        n_idle, n_collision, n = chunk.categories(rng, chunk.u[:size], thresholds,
-                                                  chunk.codes[:size] if traced else None)
-        n_success += n
+        by_row = chunk.categories(rng, chunk.u[:size], thresholds,
+                                  chunk.codes[:size] if traced else None)
+        n = by_row[2]
         table, codes = lines, []  # the chunk's trace lines, and each success's line
         if discrete:
             codes = chunk.states[:n] if traced else None
-            by_state = chunk.categories(fades, chunk.fades[:n], fade_thresholds, codes)
-            counts = [total + m for total, m in zip(counts, [n_idle, n_collision, *by_state])]
+            by_row[2:] = chunk.categories(fades, chunk.fades[:n], fade_thresholds, codes)
             if traced:
                 codes += 2  # a state's line follows the idle and collision lines
-        else:
-            counts = [counts[0] + n_idle, counts[1] + n_collision]
-            moments.merge(n_idle, fixed[0], 0.0)
-            moments.merge(n_collision, fixed[1], 0.0)
-            if n:
-                rows = chunk.rows_of(config, fades, n)
-                success_sums.append(rows.sum(axis=1))
-                moments.merge_rows(rows, chunk.dev[:3 * n].reshape(3, n))
-                if traced:
-                    table = lines + _trace_lines([b"success"] * n, rows)
-                    codes = np.arange(2, n + 2)
+        elif n:
+            rows = chunk.rows_of(config, fades, n)
+            success_sums.append(rows.sum(axis=1).tolist())
+            groups += chunk.groups_of(rows)
+            if traced:
+                table = lines + _trace_lines([b"success"] * n, rows)
+                codes = np.arange(2, n + 2)
+        # a continuous chunk's successes are no row of `fixed`: zip drops their count
+        counts = [total + k for total, k in zip(counts, by_row)]
         if traced:
             trace(chunk.trace_text(table, size, codes))
 
-    if discrete:  # every success of a state is one identical period
-        for n, row in zip(counts, fixed):
-            moments.merge(n, row, 0.0)
-        total_time, total_energy, total_bits = (_sum_of_counts(counts, column)
-                                                for column in fixed.T.tolist())
-    else:
-        total_time, total_energy, total_bits = (
-            math.fsum([n * row[j] for n, row in zip(counts, fixed.tolist())] + [s[j] for s in success_sums])
-            for j in range(3)
-        )
-    theta_hat = total_bits / total_time
-    power_hat = total_energy / total_time
-    estimates = (theta_hat, _CI_FACTOR * moments.ratio_se(2, theta_hat, total_time),
-                 power_hat, _CI_FACTOR * moments.ratio_se(1, power_hat, total_time))
+    fixed = fixed.tolist()  # each row's periods are a group of identical periods
+    groups[:0] = [(k, row, (0.0, 0.0, 0.0)) for k, row in zip(counts, fixed) if k]
+    total_time, total_energy, total_bits = (
+        _sum_of_counts(counts + [1] * len(success_sums), column) for column in zip(*fixed, *success_sums))
+    if total_time == 0.0:
+        raise NumericalError("the periods last 0 s in total: no rate or power to estimate")
+    estimates = []
+    for j, total in ((2, total_bits), (1, total_energy)):
+        ratio = total / total_time
+        # the residuals of a ratio out of the float range would only warn
+        estimates += [ratio, _CI_FACTOR * _ratio_se(groups, j, ratio, total_time)
+                      if math.isfinite(ratio) else math.nan]
     if not all(map(math.isfinite, estimates)):
         raise NumericalError(f"the estimates leave the float range: bits {total_bits}, "
                              f"energy {total_energy}, time {total_time}")
@@ -299,7 +319,7 @@ def run(config: SimConfig, trace=None) -> SimReport:
         *estimates,
         n_idle=counts[0],
         n_collision=counts[1],
-        n_success=n_success,
+        n_success=config.horizon - counts[0] - counts[1],
         horizon=config.horizon,
         seed=config.seed,
         elapsed_time=total_time,
@@ -359,46 +379,23 @@ def _success_rows(config, h, power=None, out=None):
     return rows
 
 
-class _CoMoments:
-    """Count, mean and centred co-moment matrix of (duration, energy, bits).
+def _ratio_se(groups, j, ratio, total_time):
+    """Delta-method standard error of total[j] / total duration over ``groups`` of periods.
 
-    Groups of periods are merged by Chan's pairwise update, so nothing
-    depends on raw power sums; a group of identical periods adds an exact
-    zero, and identical periods throughout give a variance of exactly 0.
+    In a group of one duration (`_Chunk.groups_of`) the residuals ``y_j -
+    ratio * duration`` deviate as ``y_j`` does, so their sum of squares is
+    the groups' plus the spread of the groups' mean residuals, taken from
+    the first group's: identical periods throughout give exactly 0.
     """
-
-    def __init__(self):
-        self.n, self.mean, self.m2 = 0, np.zeros(3), np.zeros((3, 3))
-
-    def merge(self, n, mean, m2):
-        """Add a group of ``n`` periods (``m2`` is 0 for identical periods)."""
-        if n == 0:
-            return
-        total = self.n + n
-        delta = mean - self.mean
-        self.mean = self.mean + delta * (n / total)
-        self.m2 = self.m2 + m2 + np.outer(delta, delta) * (self.n * n / total)
-        self.n = total
-
-    def merge_rows(self, rows, dev):
-        """Add the periods of ``rows``, one per column; ``dev`` is a work array of its shape."""
-        # centred on the group mean, taken relative to its first period so
-        # that a group of identical periods has exactly that mean
-        first = rows[:, :1]
-        dev = np.subtract(rows, first, out=dev)
-        mean = first + dev.mean(axis=1, keepdims=True)
-        np.subtract(rows, mean, out=dev)
-        # numpy's own loop, not BLAS: the sums keep their order whatever
-        # BLAS's thread count, and a 3-row product is faster this way
-        self.merge(rows.shape[1], mean[:, 0], np.einsum("ij,kj->ik", dev, dev))
-
-    def ratio_se(self, j, ratio, total_time):
-        """Delta-method standard error of total[j] / total duration."""
-        if self.n < 2:
-            return 0.0
-        m2 = self.m2  # sum of (y_j - ratio * duration)**2 over the periods
-        ss = m2[j, j] - 2.0 * ratio * m2[j, 0] + ratio * ratio * m2[0, 0]
-        return math.sqrt(max(ss, 0.0) / (self.n - 1) / self.n) / (total_time / self.n)
+    counts = np.array([k for k, _, _ in groups], dtype=float)
+    n = int(counts.sum())
+    if n < 2:
+        return 0.0
+    means = np.array([mean for _, mean, _ in groups])
+    d = (means[:, j] - means[0, j]) - ratio * (means[:, 0] - means[0, 0])
+    d -= math.fsum(counts * d) / n
+    ss = math.fsum(counts * d * d) + math.fsum(squares[j] for _, _, squares in groups)
+    return math.sqrt(ss / (n - 1) / n) / (total_time / n)
 
 
 def _trace_lines(names, rows):

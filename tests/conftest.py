@@ -633,3 +633,37 @@ def oracle_ratio_estimate(numerators, durations):
     centred = numerators - ratio * durations
     var = float(np.dot(centred, centred)) / (n - 1)
     return ratio, float(ndtri(0.975)) * math.sqrt(var / n) / float(durations.mean())
+
+
+def _dyadic(values):
+    """``(integers, shift)`` with ``values[i] == integers[i] / 2**shift`` exactly."""
+    mantissas, exponents = np.frexp(np.asarray(values, dtype=float))
+    mantissas = (mantissas * 2.0**53).astype(np.int64).tolist()
+    exponents = (exponents - 53).tolist()
+    low = min(exponents, default=0)
+    return [m << (e - low) for m, e in zip(mantissas, exponents)], -low
+
+
+def exact_ratio_ci(numerators, durations, factor):
+    """``factor`` times the delta-method standard error of sum(numerators)/sum(durations), exactly.
+
+    Every sum is one of exact rationals: with the exact ratio ``r = P/Q``,
+    the residuals ``y - r*t`` are ``(Q*y - P*t)/Q`` and their sum of
+    squares an integer over a power of two and ``Q**2``.  Only the square
+    root is taken in floating point, by mpmath at 60 digits, and the result
+    rounded once to a float.  ``durations`` must not sum to 0.
+    """
+    import mpmath
+
+    n = len(durations)
+    if n < 2:
+        return 0.0
+    # one scale for both columns, so that Q*y - P*t is an integer
+    ints, shift = _dyadic(np.concatenate([numerators, durations]))
+    y, t = ints[:n], ints[n:]
+    p, q = sum(y), sum(t)
+    ss = sum((q * a - p * b) ** 2 for a, b in zip(y, t))  # over q**2 * 2**(2*shift)
+    with mpmath.workdps(60):
+        # sqrt(ss / ((n - 1) * n)) over the mean duration q / n; the scales 2**shift cancel
+        se = mpmath.sqrt(mpmath.mpf(ss) / ((n - 1) * n)) * n / (mpmath.mpf(q) * q)
+        return float(mpmath.mpf(factor) * se)

@@ -22,7 +22,7 @@ import yaml
 from hypothesis import given, settings, strategies as st
 
 from hopcap.cli import _geomspace, main
-from hopcap.config import SECTIONS, Rule, _integer
+from hopcap.config import MAX_HORIZON, MAX_POINTS, MAX_TUPLES, SECTIONS, Rule, _integer
 
 SINGLE_STATE_YAML = """\
 schema_version: 1
@@ -486,6 +486,12 @@ class TestSweepCommand:
         assert main(["sweep", "--config", str(fig1_cfg), "--grid", "1:10:5"]) == 2
         assert capsys.readouterr().err == "error: --grid.points: must be >= 10, got 5\n"
 
+    def test_grid_points_have_the_cap_of_sweep_points(self, fig1_cfg, capsys):
+        # a list of 10**30 points used to outgrow memory
+        for points in ("100001", str(10**30)):
+            assert main(["sweep", "--config", str(fig1_cfg), "--grid", f"1:10:{points}"]) == 2
+            assert capsys.readouterr().err == f"error: --grid.points: must be <= 100000, got {points}\n"
+
     def test_grid_keeps_the_sections_power_factors(self, exp_cfg, tmp_path):
         out_path = tmp_path / "sweep.csv"
         assert main(["sweep", "--config", str(exp_cfg), "--grid", "0.1:10:5",
@@ -663,6 +669,21 @@ class TestSimulateCommand:
         assert captured.err.startswith("numerical failure: the estimates leave the float range")
         assert "Traceback" not in captured.err
 
+    def test_periods_of_zero_seconds_in_total_are_a_numerical_failure(self, tmp_path, capsys):
+        # idle and collision periods take no time, and five periods at
+        # p_success = 1e-4 hold no success: this used to print
+        # "numerical failure: float division by zero"
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text(FIG1_YAML.replace("T_idle_s: 2.0e-5", "T_idle_s: 0")
+                       .replace("T_collision_s: 3.0e-4", "T_collision_s: 0")
+                       .replace("p_idle: 0.6", "p_idle: 0.5").replace("p_collision: 0.1", "p_collision: 0.4999")
+                       .replace("p_success: 0.3", "p_success: 1.0e-4"))
+        assert main(["simulate", "--config", str(cfg), "--horizon", "5"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == (
+            "numerical failure: the periods last 0 s in total: no rate or power to estimate")
+
     @pytest.mark.parametrize("argv, message", [
         (["simulate", "--seed", "-1"], "simulate.seed: must be >= 0, got -1"),
         (["simulate", "--horizon", "0"], "simulate.horizon: must be >= 1, got 0"),
@@ -670,13 +691,23 @@ class TestSimulateCommand:
         # a count below 1 used to write a header-only CSV with exit 0
         (["compare-ftt", "--count", "0"], "compare-ftt.count: must be >= 1, got 0"),
         (["compare-ftt", "--count", "-5"], "compare-ftt.count: must be >= 1, got -5"),
+        # past a cap: a value that used to size a loop or a list without end
+        (["simulate", "--horizon", "1000000001"],
+         "simulate.horizon: must be <= 1000000000, got 1000000001"),
+        (["compare-ftt", "--count", "100001"], "compare-ftt.count: must be <= 100000, got 100001"),
     ], ids=["simulate-seed", "simulate-horizon", "compare-ftt-seed", "compare-ftt-count-0",
-            "compare-ftt-count-negative"])
+            "compare-ftt-count-negative", "simulate-horizon-past-cap", "compare-ftt-count-past-cap"])
     def test_override_obeys_the_rule_of_its_key(self, argv, message, fig1_cfg, capsys):
         # a negative seed used to end in numpy's ValueError traceback, exit 1
         config = ["--config", str(fig1_cfg)] if argv[0] == "simulate" else []
         assert main(argv[:1] + config + argv[1:]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_count_at_its_cap_is_read(self, capsys):
+        # with one given tuple the count is read by its rule but draws nothing
+        argv = ["compare-ftt", "--h1", "2", "--h2", "1", "--p1", "1", "--p2", "1"]
+        assert main(argv + ["--count", str(MAX_TUPLES)]) == 0
+        assert capsys.readouterr().out == "tuples=1 violations=0\n"
 
     def test_seed_override_changes_output(self, fig1_cfg, tmp_path):
         out_a = tmp_path / "a.json"
@@ -1209,22 +1240,23 @@ SIMULATE_CASES = {
 }
 
 # stdout and the SHA-256 of the --trace file, as GOLDEN above.  The discrete
-# runs' totals are exact sums of counts times rows, rounded once
+# runs' totals are exact sums of counts times rows, rounded once; each CI95
+# is within 3e-16 of conftest.exact_ratio_ci over the run's periods
 GOLDEN_SIMULATE = {
     'discrete12-waterfill': (
-        '{"elapsed_time_s": 141.11774, "horizon": 200003, "periods": {"collision": 20025, "idle": 119652, "success": 60326}, "power_ci95_w": 0.004571128880071293, "power_hat_w": 0.8825387769981894, "seed": 97531, "theta_ci95_bps": 24903.727646230338, "theta_hat_bps": 3190220.7615276505, "total_bits": 450196743.967861, "total_energy_j": 124.54187767234846}\n',
+        '{"elapsed_time_s": 141.11774, "horizon": 200003, "periods": {"collision": 20025, "idle": 119652, "success": 60326}, "power_ci95_w": 0.004571128880071292, "power_hat_w": 0.8825387769981894, "seed": 97531, "theta_ci95_bps": 24903.727646230334, "theta_hat_bps": 3190220.7615276505, "total_bits": 450196743.967861, "total_energy_j": 124.54187767234846}\n',
         '96f23ab538ca99a9e9cdce5ca4407add952765bde6e6b3ff58c036383bdd42d2',
     ),
     'exponential-relinquish': (
-        '{"elapsed_time_s": 52.22434, "horizon": 200003, "periods": {"collision": 20025, "idle": 119652, "success": 60326}, "power_ci95_w": 0.0012249233059442412, "power_hat_w": 0.18544496117995055, "seed": 97531, "theta_ci95_bps": 4985.838211721084, "theta_hat_bps": 334263.5516218608, "total_bits": 17456693.36950761, "total_energy_j": 9.684740703948538}\n',
+        '{"elapsed_time_s": 52.22434, "horizon": 200003, "periods": {"collision": 20025, "idle": 119652, "success": 60326}, "power_ci95_w": 0.001224923305944127, "power_hat_w": 0.18544496117995055, "seed": 97531, "theta_ci95_bps": 4985.838211721326, "theta_hat_bps": 334263.5516218608, "total_bits": 17456693.36950761, "total_energy_j": 9.684740703948538}\n',
         'f4e85fd210cbd5030128e3db9c01d0716f4728bc08f6953eca50b5c8840634f4',
     ),
     'tab41-constant': (
-        '{"elapsed_time_s": 141.11774000000003, "horizon": 200003, "periods": {"collision": 20025, "idle": 119652, "success": 60326}, "power_ci95_w": 0.0006012946512517116, "power_hat_w": 0.8814533310978477, "seed": 97531, "theta_ci95_bps": 4142.037938290575, "theta_hat_bps": 735575.7250478808, "total_bits": 103802783.91761835, "total_energy_j": 124.38870200000001}\n',
+        '{"elapsed_time_s": 141.11774000000003, "horizon": 200003, "periods": {"collision": 20025, "idle": 119652, "success": 60326}, "power_ci95_w": 0.0006012946512517197, "power_hat_w": 0.8814533310978477, "seed": 97531, "theta_ci95_bps": 4142.037938290579, "theta_hat_bps": 735575.7250478808, "total_bits": 103802783.91761835, "total_energy_j": 124.38870200000001}\n',
         'f2af5e0636b760ab05873e182192e893d3c7436ab50bb16201dd49d803c4a8ce',
     ),
     'two-state-waterfill': (
-        '{"elapsed_time_s": 141.11774, "horizon": 200003, "periods": {"collision": 20025, "idle": 119652, "success": 60326}, "power_ci95_w": 0.000602970651501757, "power_hat_w": 0.8814387874581483, "seed": 97531, "theta_ci95_bps": 5766.554226250387, "theta_hat_bps": 3467013.6355798137, "total_bits": 489257128.8022069, "total_energy_j": 124.38664963443424}\n',
+        '{"elapsed_time_s": 141.11774, "horizon": 200003, "periods": {"collision": 20025, "idle": 119652, "success": 60326}, "power_ci95_w": 0.0006029706515017574, "power_hat_w": 0.8814387874581483, "seed": 97531, "theta_ci95_bps": 5766.554226250382, "theta_hat_bps": 3467013.6355798137, "total_bits": 489257128.8022069, "total_energy_j": 124.38664963443424}\n',
         'ea5b1910de5e83cc125cec18eb7dc6ff8e47bcbde4bd78181016a2e80f7a6166',
     ),
 }
@@ -1289,8 +1321,18 @@ def hostile_runs(draw):
 
     Half the ``simulate`` runs are moderate instead: a valid ``simulate``
     section and flags and no special value, so that the run can reach the
-    simulator; every other number still takes an extreme magnitude."""
+    simulator; every other number still takes an extreme magnitude.
+
+    Now and then an integer that sizes a run (points, periods, tuples) lies
+    at or past its cap: past it anywhere, where it exits 2 at once, and at it
+    only where the command does not use it, so that no run works that long."""
     num = lambda: draw(MAGNITUDES)
+
+    def sized(small, cap, used):
+        if draw(st.integers(0, 15)) < 15:
+            return draw(small)
+        return draw(st.sampled_from([cap + 1, 10**30] + ([] if used else [cap])))
+
     command = draw(st.sampled_from(["waterfill", "optimize", "stationary-points", "sweep",
                                     "simulate", "single-cell-bound", "compare-ftt"]))
     moderate = command == "simulate" and draw(st.booleans())
@@ -1313,7 +1355,8 @@ def hostile_runs(draw):
     d_min, d_max = sorted([num(), num()])
     power = {draw(st.sampled_from(["Pt_prime_W", "P_bar_W"])): num()}
     mac = dict(MAC, E_idle_J=num(), E_collision_J=num(), E_overhead_J=num())
-    sweep = {"d_min_m": d_min, "d_max_m": d_max, "points": draw(st.integers(1, 4)),
+    sweep = {"d_min_m": d_min, "d_max_m": d_max,
+             "points": sized(st.integers(1, 4), MAX_POINTS, used=command == "sweep"),
              "power_factors": [num()]}
     policy = draw(st.sampled_from(["waterfill", "constant"]))
     if moderate:
@@ -1321,7 +1364,7 @@ def hostile_runs(draw):
                     "horizon": draw(st.integers(1, 20_000)), "seed": draw(st.integers(0, 2**32)),
                     "policy": policy, "constant_power_W": draw(st.sampled_from([1e-3, 1.0, 10.0]))}
     else:
-        simulate = {"d_m": num(), "horizon": draw(st.integers(1, 200)), "seed": 3,
+        simulate = {"d_m": num(), "horizon": sized(st.integers(1, 200), MAX_HORIZON, command == "simulate"), "seed": 3,
                     "policy": policy, "constant_power_W": num()}
     # left out, or inside [0, mac.T_txop_s], so the simulator's own rule passes
     relinquish = draw(st.sampled_from([None, 0.0, 1e-4, 2e-3]))
@@ -1329,7 +1372,8 @@ def hostile_runs(draw):
         simulate["relinquish_overhead_s"] = relinquish
     # a scalar power_W reads as a list of one
     bound = {"area_m2": num(), "noise_W": num(), "power_W": draw(st.sampled_from([[num()], num()])),
-             "K_min": draw(st.integers(2, 50)), "K_max": 50, "points": 3}
+             "K_min": draw(st.integers(2, 50)), "K_max": 50,
+             "points": sized(st.just(3), MAX_POINTS, used=command == "single-cell-bound")}
     config = {"schema_version": 1, "fading": fading,
               "eta": draw(st.sampled_from([3.0, 2.0, 1.001, 0.5]) | MAGNITUDES),
               "d0_m": num(), "power": power, "mac": mac, "sweep": sweep, "simulate": simulate,
@@ -1345,7 +1389,8 @@ def hostile_runs(draw):
         mapping[key] = draw(st.sampled_from(SPECIAL) | st.floats())
     any_float = lambda: draw(MAGNITUDES | st.sampled_from(SPECIAL) | st.floats())
     # small horizons only: every period allocates
-    seeds, horizons = st.sampled_from([-1, 0, 3, 2**64]), st.sampled_from([-1, 0, 1, 200])
+    seeds, horizons = (st.sampled_from([-1, 0, 3, 2**64]),
+                       st.sampled_from([-1, 0, 1, 200, MAX_HORIZON + 1, 10**30]))
     if moderate:
         seeds, horizons = st.sampled_from([0, 3]), st.sampled_from([1, 200])
     argv = [command] + (["--config", "run.yaml"] if command != "compare-ftt" else [])
@@ -1356,8 +1401,11 @@ def hostile_runs(draw):
                  (("seed", seeds), ("horizon", horizons)) if draw(st.booleans())]
     elif command == "compare-ftt":
         argv += [f"--seed={draw(seeds)}"] if draw(st.booleans()) else []
-        if draw(st.booleans()):
+        explicit = draw(st.booleans())  # one given tuple: --count is read, not used
+        if explicit:
             argv += [f"--{key}={any_float()!r}" for key in ("h1", "h2", "p1", "p2")]
+        if draw(st.booleans()):
+            argv.append(f"--count={sized(st.sampled_from([1, 3]), MAX_TUPLES, used=not explicit)}")
     return config, csv_text, argv
 
 

@@ -10,6 +10,7 @@ import yaml
 
 from hopcap import macmodel
 from hopcap.cli import main
+from hopcap import config
 from hopcap.config import SECTIONS, _finite, parse_config
 from hopcap.macmodel import MacProfile
 
@@ -333,6 +334,36 @@ def test_value_breaking_the_rule_is_named(path, value, message, tmp_path, capsys
     sep = "" if message.startswith("[") else ": "
     assert error_of(["waterfill", "--config", str(cfg), "--pi", "1"], capsys) \
         == f"error: {path}{sep}{message}\n"
+
+
+# the integer keys that size a run, each with its cap; README's key table gives them
+CAPS = {"sweep.points": 100_000, "bound.points": 100_000, "simulate.horizon": 10**9}
+
+
+def test_the_caps_are_pinned():
+    assert (config.MAX_POINTS, config.MAX_HORIZON, config.MAX_TUPLES) == (100_000, 10**9, 100_000)
+    # the integer keys with a cap, read from the rules; K_min and K_max only
+    # bound the values of bound's points, and a seed sizes nothing
+    caps = {f"{name}.{key}": rule.read.keywords.get("maximum")
+            for name, section in SECTIONS.items() for key, rule in section.items()
+            if getattr(rule.read, "func", None) is config._integer}
+    assert caps == dict(CAPS, **{"simulate.seed": None, "bound.K_min": None, "bound.K_max": None})
+
+
+@pytest.mark.parametrize("path", sorted(CAPS))
+def test_a_value_at_the_cap_is_read(path):
+    raw = with_key(path, lambda mapping, key: mapping.__setitem__(key, CAPS[path]))
+    section, _, key = path.partition(".")
+    assert getattr(getattr(parse_config(raw), section), key) == CAPS[path]
+
+
+@pytest.mark.parametrize("path", sorted(CAPS))
+@pytest.mark.parametrize("past", [1, 10**30], ids=["one", "1e30"])
+def test_a_value_past_the_cap_is_named(path, past, tmp_path, capsys):
+    value = CAPS[path] + past
+    cfg = write(tmp_path, with_key(path, lambda mapping, key: mapping.__setitem__(key, value)))
+    assert error_of(["waterfill", "--config", str(cfg), "--pi", "1"], capsys) \
+        == f"error: {path}: must be <= {CAPS[path]}, got {value}\n"
 
 
 # -- the README's config section ---------------------------------------------

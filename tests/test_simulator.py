@@ -11,6 +11,7 @@ import pytest
 
 from conftest import (
     FixedUniforms,
+    exact_ratio_ci,
     example_profile,
     make_rng,
     oracle_ratio_estimate,
@@ -18,7 +19,7 @@ from conftest import (
     reference_trace,
     swap_energies,
 )
-from hopcap.errors import OrderingViolation, ValidationError
+from hopcap.errors import NumericalError, OrderingViolation, ValidationError
 from hopcap.fading import FadingModel
 from hopcap import macmodel, simulator, waterfill
 from hopcap.macmodel import MacProfile
@@ -423,6 +424,86 @@ class TestDiscreteByCounts:
         assert report.power_hat == pytest.approx(power, rel=1e-14, abs=0)
         assert report.theta_ci95 == pytest.approx(theta_ci, rel=1e-10, abs=0)
         assert report.power_ci95 == pytest.approx(power_ci, rel=1e-10, abs=0)
+
+
+def exact_cases():
+    """The goldens of `hopcap simulate` (tests/test_cli.py), and the two continuous trace cases."""
+    golden = dict(profile=profile_a(), eta=3.0)
+    return {
+        "two_state_waterfill": dict(golden, model=FIG1, d=0.3233,
+                                    policy=WaterfillPolicy(waterfill.solve(FIG1, 1.0 / 0.3233**3.0))),
+        "twelve_state_waterfill": dict(golden, model=TWELVE_STATE, d=0.5,
+                                       policy=WaterfillPolicy(waterfill.solve(TWELVE_STATE, 8.0))),
+        **{name: trace_cases()[name] for name in ("tab41_constant", "exponential_relinquish")},
+    }
+
+
+class TestIntervalsAgainstTheExactReference:
+    """Each CI95 against `exact_ratio_ci`: the residuals of every period, summed exactly."""
+
+    @pytest.mark.parametrize("case", sorted(exact_cases()))
+    @pytest.mark.parametrize("seed", [11, 97531])
+    def test_ci95_is_within_4e_15(self, case, seed):
+        # Chan's pooled co-moments read 3.2e-14 on two_state_waterfill at seed 11,
+        # and 9.4e-14 with relinquished periods; a group of one duration
+        # has no residual cross term, so it cancels nothing
+        config = quiet_config(horizon=200_003, **dict(exact_cases()[case], seed=seed))
+        kinds, durations, energies, bits = reference_periods(config)
+        report = simulator.run(config)
+        assert [report.n_idle, report.n_collision, report.n_success] == np.bincount(kinds).tolist()
+        for ci, numerators in ((report.theta_ci95, bits), (report.power_ci95, energies)):
+            exact = exact_ratio_ci(numerators, durations, simulator._CI_FACTOR)
+            assert abs(ci - exact) <= 4e-15 * exact, (ci, exact)
+
+
+class TestIdenticalPeriods:
+    """Identical periods throughout have no spread: both intervals are exactly 0."""
+
+    @staticmethod
+    def profile(t_txop):
+        return MacProfile(p_idle=0.0, p_collision=0.0, p_success=1.0, t_idle=2e-5,
+                          t_collision=3e-4, t_overhead=2e-4, t_txop=t_txop, bandwidth=1e6,
+                          e_idle=1e-6, e_collision=3e-5, e_overhead=5e-5)
+
+    @pytest.mark.parametrize("gain", [0.3, 2.0, 1e3])
+    @pytest.mark.parametrize("t_txop", [1e-3, 3.3e-3])
+    @pytest.mark.parametrize("power", [0.1, 1.0, 7.0])
+    @pytest.mark.parametrize("horizon", [2, 3, 70_001])
+    def test_one_state_every_period_a_success(self, gain, t_txop, power, horizon):
+        config = quiet_config(profile=self.profile(t_txop), model=FadingModel.discrete([(gain, 1.0)]),
+                              policy=ConstantPowerPolicy(power), d=0.7, eta=3.0, horizon=horizon,
+                              seed=5)
+        report = simulator.run(config)
+        assert report.n_success == horizon and report.theta_hat > 0.0
+        assert report.theta_ci95 == 0.0 and report.power_ci95 == 0.0
+
+    @pytest.mark.parametrize("relinquish", [None, 1e-4])
+    @pytest.mark.parametrize("case", ["tab41_constant", "exponential_relinquish"])
+    def test_continuous_successes_at_zero_power(self, case, relinquish):
+        # no power ships no bits, whatever the fade: every period is the same,
+        # in chunks of the default size, the last one partial
+        base = trace_cases()[case]
+        config = quiet_config(**dict(base, profile=self.profile(1e-3), policy=ConstantPowerPolicy(0.0),
+                                     relinquish_overhead=relinquish, horizon=70_001))
+        report = simulator.run(config)
+        assert report.total_bits == 0.0 and report.power_hat > 0.0
+        assert report.theta_ci95 == 0.0 and report.power_ci95 == 0.0
+
+
+class TestZeroDuration:
+    @pytest.mark.parametrize("model", [FIG1, FadingModel.exponential(1.0)],
+                             ids=["discrete", "exponential"])
+    def test_periods_of_zero_seconds_in_total_raise(self, model):
+        # idle and collision periods take no time, and five draws at
+        # p_success = 1e-4 give none of the successes, which would
+        profile = MacProfile(p_idle=0.5, p_collision=0.4999, p_success=1e-4, t_idle=0.0,
+                             t_collision=0.0, t_overhead=2e-4, t_txop=2e-3, bandwidth=1e6)
+        config = quiet_config(profile=profile, model=model, policy=ConstantPowerPolicy(1.0),
+                              d=1.0, eta=3.0, horizon=5, seed=97531)
+        assert not np.any(reference_periods(config)[0] == 2)
+        # it used to raise a bare ZeroDivisionError
+        with pytest.raises(NumericalError, match="^the periods last 0 s in total"):
+            simulator.run(config)
 
 
 class TestNoStaleBuffers:
