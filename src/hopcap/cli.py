@@ -282,14 +282,16 @@ def _cmd_compare_ftt(args, cfg) -> tuple:
             raise ConfigError("compare-ftt: give all of --h1 --h2 --p1 --p2 or none")
         tuples = [(args.h1, args.h2, args.p1, args.p2)]
     else:
-        rng = np.random.Generator(np.random.PCG64(seed))
-        tuples = []
-        for _ in range(count):
-            h1, h2 = sorted(np.exp(rng.uniform(math.log(1e-2), math.log(1e2), 2)))[::-1]
-            p1 = float(np.exp(rng.uniform(math.log(1e-2), math.log(1e2))))
-            # keep the tuple valid: the better state carries the higher rate
-            p2 = float(h1 * p1 / h2 * rng.uniform(0.0, 1.0)) or p1
-            tuples.append((float(h1), float(h2), p1, p2))
+        lo, hi = math.log(1e-2), math.log(1e2)
+        # per tuple, as four draws in turn: two log gains, a log power and a share of it
+        u = np.random.Generator(np.random.PCG64(seed)).uniform([lo, lo, lo, 0.0], [hi, hi, hi, 1.0],
+                                                              size=(count, 4))
+        gains, p1 = np.exp(u[:, :2]), np.exp(u[:, 2])
+        h1, h2 = gains.max(axis=1), gains.min(axis=1)
+        # keep the tuple valid: the better state carries the higher rate
+        p2 = h1 * p1 / h2 * u[:, 3]
+        p2[p2 == 0.0] = p1[p2 == 0.0]
+        tuples = zip(h1.tolist(), h2.tolist(), p1.tolist(), p2.tolist())
     for h1, h2, p1, p2 in tuples:  # a shortfall raises NumericalError
         res = simulator.compare_ftt_fp(h1, h2, p1, p2)
         rows.append((h1, h2, p1, p2, res.bits_fp, res.bits_ftt, res.energy, res.duration))

@@ -66,12 +66,14 @@ def _integer(value, where: str, minimum=None, maximum=None) -> int:
 
 
 # Caps on the integers that size a run: its list of points or of tuples, or
-# its chunk loop.  Without them a huge value ends in a MemoryError or in
-# hours of work instead of exit 2.  Each cap sits far above the documented
-# workloads (600 sweep points, 1e7 periods, 1000 tuples).  Measured on a
-# 2-vCPU machine: a sweep point takes 10 to 30 us and 85 bytes of CSV per
-# power factor, 1e8 periods 1.1 to 1.5 s, a compare-ftt tuple about 50 us;
-# so a capped run takes seconds, up to about 15 s at 10**9 periods.
+# its chunk loop; MAX_POINTS caps a sweep's or a bound's rows too (`_rows`),
+# its points times its power factors or powers.  Without them a huge value
+# ends in a MemoryError or in hours of work instead of exit 2.  Each cap
+# sits far above the documented workloads (600 sweep points, 1e7 periods,
+# 1000 tuples).  Measured on a 2-vCPU machine: a sweep point takes 10 to 30
+# us and 85 bytes of CSV per power factor, 1e8 periods 0.13 s (discrete) to
+# 1.0 s (continuous), a compare-ftt tuple about 50 us; so a capped run takes
+# seconds, up to about 10 s at 10**9 periods.
 MAX_POINTS = 100_000
 MAX_HORIZON = 10**9
 MAX_TUPLES = 100_000
@@ -84,6 +86,13 @@ def _positives(values, where: str, scalar=False) -> tuple:
     if not isinstance(values, list) or not values:
         raise ConfigError(f"{where}: need a non-empty list of numbers")
     return tuple(_finite(v, f"{where}[{i}]", positive=True) for i, v in enumerate(values))
+
+
+def _rows(record, count: str, values: str):
+    """The rest of a message when ``count`` times the length of ``values`` passes MAX_POINTS:
+    each value repeats every point, so this is the run's row count."""
+    n, k = getattr(record, count), len(getattr(record, values))
+    return n * k > MAX_POINTS and f": {count} * len({values}) must be <= {MAX_POINTS}, got {n} * {k}"
 
 
 def _choice(value, where: str, choices) -> str:
@@ -139,7 +148,8 @@ SECTIONS = {
         "power_factors": Rule(_positives, (1.0,)),
         "d_min_m": _POSITIVE,
         "d_max_m": _POSITIVE,
-    }, tie=lambda s: s.d_max_m <= s.d_min_m and ": d_max_m must exceed d_min_m"),
+    }, tie=lambda s: (s.d_max_m <= s.d_min_m and ": d_max_m must exceed d_min_m"
+                      or _rows(s, "points", "power_factors"))),
     "simulate": Section({
         "policy": Rule(partial(_choice, choices=("waterfill", "constant")), "waterfill"),
         "constant_power_W": Rule(_positive, None),
@@ -156,7 +166,7 @@ SECTIONS = {
         "area_m2": _POSITIVE,
         "noise_W": _POSITIVE,
         "points": Rule(partial(_integer, minimum=2, maximum=MAX_POINTS), 200),
-    }, tie=lambda b: b.K_max < b.K_min and ": K_max must be >= K_min"),
+    }, tie=lambda b: b.K_max < b.K_min and ": K_max must be >= K_min" or _rows(b, "points", "power_W")),
 }
 # the sections (fading by its states) and the top-level scalars
 _TOP_KEYS = {name.partition(".")[0] for name in SECTIONS} | {"schema_version", "eta", "d0_m"}

@@ -7,18 +7,21 @@ aggregate bit rate and the network power are ratio estimators, so the
 95% confidence intervals use the delta method over periods.
 
 The generator is numpy's PCG64, seeded from the config: identical seeds
-reproduce reports byte for byte (draw order: period types first, then
-fades for the successful periods, in sequence order).  `run` keeps that
-order in one pass over fixed chunks, drawing fades from a second copy of
-the stream, in work arrays of one chunk's length that are allocated once
-per run and filled in place, whatever the horizon.  Every period is
-tallied in a group of periods of one duration: idle, collision and a
-discrete model's success in each fading state are rows counted as
-identical periods (so a discrete run's trace is n + 2 lines formatted
-once), and a continuous chunk's successes are a group or two.  Totals are
-exact sums, rounded once; the CIs sum the residuals group by group.  The
-trace leaves as one formatted block per chunk, handed to a callable: this
-module opens no file.
+reproduce reports byte for byte.  The estimates read the periods only
+through each row's count (idle, collision and, for a discrete model, a
+success in each fading state) and a continuous model's success rows, so
+that is all `run` draws, in this order: the period-type counts in one
+multinomial, then a discrete model's state counts in another, or a
+continuous model's fades, a chunk of successes at a time, in work arrays
+allocated once per run.  An i.i.d. sequence of periods is its counts in a
+uniformly random order, and only the trace reads that order: a traced run
+draws it from a stream of its own, chunk by chunk, and reports what the
+untraced run of its seed reports.  Every period is tallied in a group of
+periods of one duration: a row's periods are identical (so a discrete
+run's trace is n + 2 lines formatted once), and a continuous chunk's
+successes are a group or two.  Totals are exact sums, rounded once; the
+CIs sum the residuals group by group.  The trace leaves as one formatted
+block per chunk, handed to a callable: this module opens no file.
 
 The fixed-transmission-time vs fixed-packet-size comparison works on
 two channel samples: the fixed-packet totals define a time and energy
@@ -42,7 +45,7 @@ from .waterfill import WaterfillSolution, gamma_and_lambda
 
 _CI_FACTOR = 1.959963984540054  # two-sided 95% normal quantile
 MIN_HORIZON_FOR_CI = 10_000
-_CHUNK = 1 << 16  # periods per chunk of `run`
+_CHUNK = 1 << 15  # successes drawn, or periods traced, per chunk of `run`
 _CELL = b",%.17g"  # a trace cell: every digit, and the sign of -0.0
 PACKET_BITS, BANDWIDTH_HZ = 1000.0, 1e6  # the packet and the band of `compare_ftt_fp`
 
@@ -151,48 +154,17 @@ class SimReport(NamedTuple):
 
 
 class _Chunk:
-    """The chunk-sized work arrays of `run`, allocated once per run and filled in place.
+    """The work arrays of `run` for a chunk of a continuous model's successes,
+    allocated once per run and filled in place: ``fades``, ``power``, ``rows``
+    and ``work`` (scratch of `FadingModel.sample_h`) for the rows, and
+    ``dev`` and ``mask`` for `groups_of`."""
 
-    ``u`` holds a chunk's period-type uniforms and ``fades`` the successes'
-    fades, or a discrete model's fade uniforms; ``mask`` is the bool scratch
-    of `categories`, `groups_of` and `trace_text`.  ``power``, ``rows`` and
-    ``work`` (scratch of `FadingModel.sample_h`) serve the rows of a
-    continuous model, and ``dev`` the deviations of `groups_of`; ``codes``
-    (the period types), ``states`` (a discrete model's fading states) and
-    ``text`` serve the trace.
-    """
-
-    def __init__(self, size, traced):
-        self.u, self.fades, self.power = np.empty(size), np.empty(size), np.empty(size)
+    def __init__(self, size):
+        self.fades, self.power = np.empty(size), np.empty(size)
         self.rows, self.dev = np.empty(3 * size), np.empty(3 * size)
         self.mask = np.empty(size, dtype=bool)
         self.work = (np.empty(size), np.empty(size), np.empty(size, dtype=np.intp),
                      np.empty(size, dtype=np.intp))
-        if traced:
-            self.states, self.codes = np.empty(size, dtype=np.intp), np.empty(size, dtype=np.intp)
-            self.text = np.empty(size, dtype=object)
-
-    def categories(self, rng, u, thresholds, codes=None):
-        """Draw ``u`` as ``rng.choice(len(p), u.size, p=p)`` would; return each category's count.
-
-        ``thresholds`` are p's (`choice_thresholds`): a draw's category is
-        the count of them at or below its uniform, so the draws and the
-        generator state after them are ``choice``'s.  ``codes``, if given, is
-        an integer array of u's length that receives each draw's category.
-        """
-        mask = self.mask[:u.size]
-        rng.random(out=u)
-        if codes is not None and not thresholds:  # one category
-            codes.fill(0)
-        at_or_above = [u.size]
-        for i, threshold in enumerate(thresholds):
-            np.greater_equal(u, threshold, out=mask)
-            at_or_above.append(int(np.count_nonzero(mask)))
-            if codes is not None and i:
-                codes += mask
-            elif codes is not None:  # the first mask is copied in, not added to zeros
-                np.copyto(codes, mask)
-        return [n - m for n, m in zip(at_or_above, at_or_above[1:] + [0])]
 
     def rows_of(self, config, fades, size):
         """`_success_rows` of ``size`` fades drawn from ``fades``, in the work arrays."""
@@ -205,7 +177,9 @@ class _Chunk:
 
         A success lasts its transmission time unless it relinquishes the
         channel: one group, or two.  A mean is taken relative to the group's
-        first period, so identical periods have exactly that mean.
+        first period, so identical periods have exactly that mean.  The
+        deviations are squared in units of a power of two, the exponent of
+        their column's mean (``math.frexp``), to stay in the float range.
         """
         n = rows.shape[1]
         same = np.equal(rows[0], rows[0, 0], out=self.mask[:n])
@@ -219,86 +193,61 @@ class _Chunk:
         groups = []
         for part, dev in parts:
             first = part[:, :1].copy()
-            np.subtract(part, first, out=dev)
+            # a group's durations are all its first's: only energy and bits deviate
+            dev = np.subtract(part[1:], first[1:], out=dev[1:])
             shift = dev.mean(axis=1, keepdims=True)
             dev -= shift
+            mean = first[:, 0] + np.r_[0.0, shift[:, 0]]
+            dev *= np.ldexp(1.0, -np.frexp(mean[1:])[1])[:, None]  # in units of the mean's power of two
             dev *= dev
-            groups.append((dev.shape[1], (first + shift)[:, 0], dev.sum(axis=1)))
+            groups.append((dev.shape[1], mean, np.r_[0.0, dev.sum(axis=1)]))
         return groups
-
-    def trace_text(self, table, size, success_codes):
-        """The chunk's CSV rows: for each period the line of ``table`` at its code.
-
-        A period's code is its type, a success's the next of ``success_codes``.
-        """
-        codes, success = self.codes[:size], self.mask[:size]
-        np.equal(codes, 2, out=success)
-        codes[success] = success_codes
-        text = np.take(np.array(table, dtype=object), codes, out=self.text[:size])
-        return b"".join(text.tolist())
 
 
 def run(config: SimConfig, trace=None) -> SimReport:
     """Simulate ``horizon`` contention periods and estimate rate and power.
 
-    One pass over the chunks in work arrays allocated once (`_Chunk`): a
-    chunk's period types, then its successes' fades, drawn from the stream
-    past the ``horizon`` period-type draws (one 64-bit output each), as one
-    call over the horizon would; nothing depends on ``_CHUNK``.  The rows of
-    ``fixed`` are counted, and a continuous chunk's successes summed and
-    grouped (`_Chunk.groups_of`); each total is the exact sum of count
-    times row plus the chunks' sums, rounded once.  Periods that last 0 s
-    in total, or an estimate out of the float range, raise NumericalError.
+    One stream draws the period-type counts (`_counts`), then a discrete
+    model's fading-state counts, or a continuous model's fades, ``_CHUNK``
+    successes at a time in work arrays allocated once (`_Chunk`).  The rows
+    of ``fixed`` are counted, and a continuous chunk's successes summed and
+    grouped (`_Chunk.groups_of`); each total is the exact sum of count times
+    row plus the chunks' sums, rounded once.  Periods that last 0 s in
+    total, or an estimate out of the float range, raise NumericalError.
 
     ``trace``, if given, is called with each block of the trace's bytes, in
-    order, the CSV header first; what it raises ends the run.
+    order, the CSV header first; what it raises ends the run.  Only the
+    trace draws the periods' order (`_write_trace`), so it changes no
+    estimate.
     """
     prof = config.profile
     rng = np.random.Generator(np.random.PCG64(config.seed))
-    fades = np.random.Generator(np.random.PCG64(config.seed).advance(config.horizon))
-    traced = trace is not None
-    chunk = _Chunk(min(_CHUNK, config.horizon), traced)
-    thresholds = choice_thresholds([prof.p_idle, prof.p_collision, prof.p_success])
-
+    *counts, n_success = _counts(rng, config.horizon, [prof.p_idle, prof.p_collision, prof.p_success])
     # the (duration, energy, bits) rows of idle and collision periods, then,
     # for a discrete model, of a success in each fading state
     fixed = np.array([[prof.t_idle, prof.e_idle, 0.0], [prof.t_collision, prof.e_collision, 0.0]])
-    names = [b"idle", b"collision"]
     discrete = config.model.is_discrete
     if discrete:
         gains, probs = config.model.kind
         fixed = np.vstack([fixed, _success_rows(config, np.array(gains)).T])
-        names += [b"success"] * len(gains)
-        fade_thresholds = choice_thresholds(probs)
-    counts = [0] * len(fixed)  # periods so far by row of `fixed`
+        counts += _counts(rng, n_success, probs)
+    chunk = _Chunk(min(_CHUNK, n_success))
     groups = []  # a continuous chunk's successes by duration (`_Chunk.groups_of`)
     success_sums = []  # and their column sums
-    lines = None  # the trace lines, formatted once per run
-    if traced:
-        trace(b"period_type,duration_s,energy_J,bits\n")
-        lines = _trace_lines(names, fixed.T)
-    for start in range(0, config.horizon, _CHUNK):
-        size = min(_CHUNK, config.horizon - start)
-        by_row = chunk.categories(rng, chunk.u[:size], thresholds,
-                                  chunk.codes[:size] if traced else None)
-        n = by_row[2]
-        table, codes = lines, []  # the chunk's trace lines, and each success's line
-        if discrete:
-            codes = chunk.states[:n] if traced else None
-            by_row[2:] = chunk.categories(fades, chunk.fades[:n], fade_thresholds, codes)
-            if traced:
-                codes += 2  # a state's line follows the idle and collision lines
-        elif n:
-            rows = chunk.rows_of(config, fades, n)
+
+    def successes():
+        """A continuous model's success rows, ``_CHUNK`` at a time, each chunk tallied as drawn."""
+        for start in range(0, 0 if discrete else n_success, _CHUNK):
+            rows = chunk.rows_of(config, rng, min(_CHUNK, n_success - start))
             success_sums.append(rows.sum(axis=1).tolist())
-            groups += chunk.groups_of(rows)
-            if traced:
-                table = lines + _trace_lines([b"success"] * n, rows)
-                codes = np.arange(2, n + 2)
-        # a continuous chunk's successes are no row of `fixed`: zip drops their count
-        counts = [total + k for total, k in zip(counts, by_row)]
-        if traced:
-            trace(chunk.trace_text(table, size, codes))
+            groups.extend(chunk.groups_of(rows))
+            yield rows
+
+    tally = successes()
+    if trace is not None:
+        _write_trace(trace, config, fixed, counts if discrete else counts + [n_success], tally)
+    for _ in tally:  # the chunks the trace did not take
+        pass
 
     fixed = fixed.tolist()  # each row's periods are a group of identical periods
     groups[:0] = [(k, row, (0.0, 0.0, 0.0)) for k, row in zip(counts, fixed) if k]
@@ -319,13 +268,69 @@ def run(config: SimConfig, trace=None) -> SimReport:
         *estimates,
         n_idle=counts[0],
         n_collision=counts[1],
-        n_success=config.horizon - counts[0] - counts[1],
+        n_success=n_success,
         horizon=config.horizon,
         seed=config.seed,
         elapsed_time=total_time,
         total_bits=total_bits,
         total_energy=total_energy,
     )
+
+
+def _counts(rng, n, probs) -> list:
+    """The count of each category in ``n`` i.i.d. draws over ``probs``: one multinomial
+    over ``probs`` by their ``math.fsum``, since numpy refuses a probability
+    past 1, which a model or a profile may hold within its tolerance."""
+    total = math.fsum(probs)
+    return rng.multinomial(n, [p / total for p in probs]).tolist()
+
+
+def _write_trace(trace, config, fixed, left, successes):
+    """Hand ``trace`` the CSV header, then the run's periods in a uniformly random order.
+
+    The order has a stream of its own, ``PCG64(seed).jumped()``.  ``left``
+    counts the periods of each row of ``fixed`` and, for a continuous model,
+    its successes, whose rows ``successes`` yields chunk by chunk.  Each
+    chunk of ``_CHUNK`` periods draws its count of each row from what
+    remains (`_hypergeometric_counts`) and shuffles its codes; the j-th
+    success of a continuous model takes the j-th row.
+    """
+    order = np.random.Generator(np.random.PCG64(config.seed).jumped())
+    trace(b"period_type,duration_s,energy_J,bits\n")
+    lines = _trace_lines([b"idle", b"collision"] + [b"success"] * (len(fixed) - 2), fixed.T)
+    pending = []  # a continuous model's success lines, formatted and not yet written
+    for start in range(0, config.horizon, _CHUNK):
+        by_row = _hypergeometric_counts(order, left, min(_CHUNK, config.horizon - start))
+        left = [n - k for n, k in zip(left, by_row)]
+        codes = np.repeat(np.arange(len(by_row)), by_row)
+        order.shuffle(codes)
+        if len(fixed) == 2:  # a continuous model: each success takes the next line
+            while len(pending) < by_row[2]:
+                rows = next(successes)
+                pending += _trace_lines([b"success"] * rows.shape[1], rows)
+            codes[codes == 2] = np.arange(2, 2 + by_row[2])
+            lines[2:], pending = pending[:by_row[2]], pending[by_row[2]:]
+        trace(b"".join(np.array(lines, dtype=object)[codes].tolist()))
+
+
+def _hypergeometric_counts(rng, left, size) -> list:
+    """The count by row of ``size`` items drawn without replacement from ``left`` of each row.
+
+    The draws are those of ``rng.multivariate_hypergeometric(left, size)``
+    (its "marginals" method: one hypergeometric draw per row but the last,
+    for the complement when ``size`` is more than half), which refuses
+    ``sum(left) >= 10**9``; a row of 10**9 items here leaves none in the
+    others, so its count is taken without a draw.
+    """
+    total = sum(left)
+    complement = size > total // 2
+    k, rest, counts = total - size if complement else size, total, []
+    for good in left[:-1]:
+        rest -= good
+        counts.append(int(rng.hypergeometric(good, rest, k)) if max(good, rest) < 10**9 else k * (good > 0))
+        k -= counts[-1]
+    counts.append(k)
+    return [n - c for n, c in zip(left, counts)] if complement else counts
 
 
 def _sum_of_counts(counts, values):
@@ -340,18 +345,6 @@ def _sum_of_counts(counts, values):
     ratios = [(n, *v.as_integer_ratio()) for n, v in pairs]
     scale = max((den for _, _, den in ratios), default=1)
     return sum(n * num * (scale // den) for n, num, den in ratios) / scale
-
-
-def choice_thresholds(probs) -> list:
-    """The thresholds by which ``rng.choice(len(probs), p=probs)`` picks categories.
-
-    ``choice`` draws ``u = rng.random(size)`` and picks for each ``u`` the
-    count of these thresholds at or below it: its cumulative sums of
-    ``probs`` divided by the last, which is left out.  Counting them gives
-    ``choice``'s categories and generator state without its checks of ``p``.
-    """
-    sums = np.cumsum(probs)
-    return (sums[:-1] / sums[-1]).tolist()
 
 
 def _success_rows(config, h, power=None, out=None):
@@ -385,17 +378,23 @@ def _ratio_se(groups, j, ratio, total_time):
     In a group of one duration (`_Chunk.groups_of`) the residuals ``y_j -
     ratio * duration`` deviate as ``y_j`` does, so their sum of squares is
     the groups' plus the spread of the groups' mean residuals, taken from
-    the first group's: identical periods throughout give exactly 0.
+    the first group's: identical periods throughout give exactly 0.  The
+    residuals are summed in units of ``2**e``, ``e`` the exponent of
+    ``ratio``, so their squares stay in the float range where the estimate
+    does; a power of two changes no bit of an interval that stayed in range
+    without it.
     """
     counts = np.array([k for k, _, _ in groups], dtype=float)
     n = int(counts.sum())
     if n < 2:
         return 0.0
+    e = math.frexp(ratio)[1]
     means = np.array([mean for _, mean, _ in groups])
-    d = (means[:, j] - means[0, j]) - ratio * (means[:, 0] - means[0, 0])
+    d = np.ldexp((means[:, j] - means[0, j]) - ratio * (means[:, 0] - means[0, 0]), -e)
     d -= math.fsum(counts * d) / n
-    ss = math.fsum(counts * d * d) + math.fsum(squares[j] for _, _, squares in groups)
-    return math.sqrt(ss / (n - 1) / n) / (total_time / n)
+    ss = math.fsum(counts * d * d) + math.fsum(
+        math.ldexp(squares[j], 2 * (math.frexp(mean[j])[1] - e)) for _, mean, squares in groups)
+    return math.ldexp(math.sqrt(ss / (n - 1) / n) / (total_time / n), e)
 
 
 def _trace_lines(names, rows):

@@ -36,20 +36,6 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
-class FixedUniforms(np.random.Generator):
-    """A generator whose ``random`` returns the given values, for ``choice`` too."""
-
-    def __init__(self, u):
-        super().__init__(np.random.PCG64(0))
-        self.u = np.asarray(u, dtype=float)
-
-    def random(self, size=None, dtype=np.float64, out=None):
-        if out is None:
-            return self.u.copy()
-        out[...] = self.u
-        return out
-
-
 def random_discrete_model(rng, max_states: int = 6) -> FadingModel:
     """Random finite fading model with well-separated gains."""
     n = int(rng.integers(1, max_states + 1))
@@ -555,28 +541,47 @@ def swap_energies(h1: float, h2: float, p1: float, p2: float):
 # -- simulator references -------------------------------------------------------
 
 
-def reference_periods(config):
-    """(kinds, durations, energies, bits) of every period of a simulator run.
+def reference_periods(config, chunk=None):
+    """(kinds, durations, energies, bits) of every period of a simulator run, in trace order.
 
-    Draws in the documented order with one call each: all period types,
-    then the fades of all successes, a discrete model's by ``rng.choice``
-    too.  Arrays span the whole horizon; only a continuous model's sampler
-    and the policy's power come from hopcap.
+    Draws in the documented order, one call each: the period-type counts
+    by ``rng.multinomial``, then a discrete model's state counts by another
+    or all the successes' fades by one ``sample_h`` call; then, from the
+    order's stream ``PCG64(seed).jumped()``, each chunk's counts by
+    ``multivariate_hypergeometric`` and a shuffle of its codes.  ``chunk``
+    is ``simulator._CHUNK`` unless given.  Arrays span the whole horizon;
+    only a continuous model's sampler and the policy's power come from
+    hopcap.
     """
+    from hopcap import simulator
+
+    chunk = chunk or simulator._CHUNK
     prof = config.profile
     rng = make_rng(config.seed)
-    kinds = rng.choice(3, size=config.horizon, p=[prof.p_idle, prof.p_collision, prof.p_success])
+    p = np.array([prof.p_idle, prof.p_collision, prof.p_success])
+    colors = rng.multinomial(config.horizon, p / math.fsum(p))
+    n = int(colors[2])
+    if config.model.is_discrete:
+        gains, probs = (np.array(column) for column in config.model.kind)
+        colors = np.concatenate([colors[:2], rng.multinomial(n, probs / math.fsum(probs))])
+    elif n:
+        h = config.model.sample_h(rng, n)
+    order = np.random.Generator(np.random.PCG64(config.seed).jumped())
+    codes = []
+    for start in range(0, config.horizon, chunk):
+        counts = order.multivariate_hypergeometric(colors, min(chunk, config.horizon - start))
+        colors = colors - counts
+        codes.append(np.repeat(np.arange(counts.size), counts))
+        order.shuffle(codes[-1])
+    codes = np.concatenate(codes)
+    kinds = np.minimum(codes, 2)
     success = kinds == 2
     durations = np.where(kinds == 0, prof.t_idle, np.where(kinds == 1, prof.t_collision, 0.0))
     energies = np.where(kinds == 0, prof.e_idle, np.where(kinds == 1, prof.e_collision, 0.0))
     bits = np.zeros(config.horizon)
-    n = int(success.sum())
     if n:
         if config.model.is_discrete:
-            gains, probs = config.model.kind
-            h = np.array(gains)[rng.choice(len(gains), size=n, p=probs)]
-        else:
-            h = config.model.sample_h(rng, n)
+            h = gains[codes[success] - 2]
         loss = config.d**config.eta
         p = config.policy.power(h, loss)
         rate = np.log1p(config.model.alpha_over_sigma2 * h * p / loss)

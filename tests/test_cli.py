@@ -492,6 +492,12 @@ class TestSweepCommand:
             assert main(["sweep", "--config", str(fig1_cfg), "--grid", f"1:10:{points}"]) == 2
             assert capsys.readouterr().err == f"error: --grid.points: must be <= 100000, got {points}\n"
 
+    def test_grid_rows_have_the_cap_of_sweep_rows(self, exp_cfg, capsys):
+        # the section's three power factors repeat every point of the grid
+        assert main(["sweep", "--config", str(exp_cfg), "--grid", "1:10:33334"]) == 2
+        assert capsys.readouterr().err == (
+            "error: --grid: points * len(power_factors) must be <= 100000, got 33334 * 3\n")
+
     def test_grid_keeps_the_sections_power_factors(self, exp_cfg, tmp_path):
         out_path = tmp_path / "sweep.csv"
         assert main(["sweep", "--config", str(exp_cfg), "--grid", "0.1:10:5",
@@ -669,6 +675,22 @@ class TestSimulateCommand:
         assert captured.err.startswith("numerical failure: the estimates leave the float range")
         assert "Traceback" not in captured.err
 
+    def test_estimates_past_1e154_keep_their_interval(self, tmp_path, capsys):
+        # residuals of about 1e201 square past the float range: this used to
+        # exit 3 with "the estimates leave the float range"
+        reports = []
+        for bandwidth in ("1.0e+6", "1.0e+200"):
+            cfg = tmp_path / "run.yaml"
+            cfg.write_text(FIG1_YAML.replace("W_hz: 1.0e+6", f"W_hz: {bandwidth}"))
+            assert main(["simulate", "--config", str(cfg), "--horizon", "20000"]) == 0
+            reports.append(json.loads(capsys.readouterr().out))
+        small, large = reports
+        assert 1e200 < large["theta_hat_bps"] < 1e201
+        for key in ("theta_hat_bps", "theta_ci95_bps", "total_bits"):
+            assert large[key] / small[key] == pytest.approx(1e194, rel=1e-14)
+        for key in ("power_hat_w", "power_ci95_w", "elapsed_time_s", "periods"):
+            assert large[key] == small[key]
+
     def test_periods_of_zero_seconds_in_total_are_a_numerical_failure(self, tmp_path, capsys):
         # idle and collision periods take no time, and five periods at
         # p_success = 1e-4 hold no success: this used to print
@@ -722,6 +744,17 @@ class TestCompareFttCommand:
         assert main(["compare-ftt", "--count", "200", "--seed", "4"]) == 0
         out = capsys.readouterr().out
         assert "violations=0" in out
+
+    @pytest.mark.parametrize("count, seed, digest", [
+        (1000, 7, "048f25b29c7c6054bc5c81171df1ea18ab79f3b1343b5918678831fb74c649ef"),
+        (100, 12345, "caad3e7eef55d739674eacd3cf8b6454727cfafebb20e580a42992bd68d4f0a4"),
+    ])
+    def test_random_tuples_keep_their_bytes(self, count, seed, digest, tmp_path, capsys):
+        # one uniform call of shape (count, 4) draws what four calls a tuple drew
+        out_path = tmp_path / "cmp.csv"
+        assert main(["compare-ftt", "--count", str(count), "--seed", str(seed), "--out", str(out_path)]) == 0
+        assert capsys.readouterr().out == f"tuples={count} violations=0\n"
+        assert hashlib.sha256(out_path.read_bytes()).hexdigest() == digest
 
     def test_explicit_tuple(self, capsys, tmp_path):
         out_path = tmp_path / "cmp.csv"
@@ -1241,23 +1274,23 @@ SIMULATE_CASES = {
 
 # stdout and the SHA-256 of the --trace file, as GOLDEN above.  The discrete
 # runs' totals are exact sums of counts times rows, rounded once; each CI95
-# is within 3e-16 of conftest.exact_ratio_ci over the run's periods
+# is within 1.3e-15 of conftest.exact_ratio_ci over the run's periods
 GOLDEN_SIMULATE = {
     'discrete12-waterfill': (
-        '{"elapsed_time_s": 141.11774, "horizon": 200003, "periods": {"collision": 20025, "idle": 119652, "success": 60326}, "power_ci95_w": 0.004571128880071292, "power_hat_w": 0.8825387769981894, "seed": 97531, "theta_ci95_bps": 24903.727646230334, "theta_hat_bps": 3190220.7615276505, "total_bits": 450196743.967861, "total_energy_j": 124.54187767234846}\n',
-        '96f23ab538ca99a9e9cdce5ca4407add952765bde6e6b3ff58c036383bdd42d2',
+        '{"elapsed_time_s": 140.34598, "horizon": 200003, "periods": {"collision": 20056, "idle": 119979, "success": 59968}, "power_ci95_w": 0.0046080893342856245, "power_hat_w": 0.877673420286697, "seed": 97531, "theta_ci95_bps": 25117.062936127753, "theta_hat_bps": 3192655.706654683, "total_bits": 448076393.953044, "total_energy_j": 123.17793629008837}\n',
+        'a64a628b818b003724e4d608ea963827f86607e402260edea6c423cde2895eb0',
     ),
     'exponential-relinquish': (
-        '{"elapsed_time_s": 52.22434, "horizon": 200003, "periods": {"collision": 20025, "idle": 119652, "success": 60326}, "power_ci95_w": 0.001224923305944127, "power_hat_w": 0.18544496117995055, "seed": 97531, "theta_ci95_bps": 4985.838211721326, "theta_hat_bps": 334263.5516218608, "total_bits": 17456693.36950761, "total_energy_j": 9.684740703948538}\n',
-        'f4e85fd210cbd5030128e3db9c01d0716f4728bc08f6953eca50b5c8840634f4',
+        '{"elapsed_time_s": 52.21828, "horizon": 200003, "periods": {"collision": 20056, "idle": 119979, "success": 59968}, "power_ci95_w": 0.0012306405091079835, "power_hat_w": 0.18603878654481223, "seed": 97531, "theta_ci95_bps": 5002.572788072146, "theta_hat_bps": 337287.285181931, "total_bits": 17612561.898069922, "total_energy_j": 9.714625446657237}\n',
+        '93cb7e8487a4c6fb8e8109b86a52137cae66ce532cc5ebe11d06aec3d04a290e',
     ),
     'tab41-constant': (
-        '{"elapsed_time_s": 141.11774000000003, "horizon": 200003, "periods": {"collision": 20025, "idle": 119652, "success": 60326}, "power_ci95_w": 0.0006012946512517197, "power_hat_w": 0.8814533310978477, "seed": 97531, "theta_ci95_bps": 4142.037938290579, "theta_hat_bps": 735575.7250478808, "total_bits": 103802783.91761835, "total_energy_j": 124.38870200000001}\n',
-        'f2af5e0636b760ab05873e182192e893d3c7436ab50bb16201dd49d803c4a8ce',
+        '{"elapsed_time_s": 140.34598, "horizon": 200003, "periods": {"collision": 20056, "idle": 119979, "success": 59968}, "power_ci95_w": 0.000605772119988184, "power_hat_w": 0.8810801634646037, "seed": 97531, "theta_ci95_bps": 4196.450356333571, "theta_hat_bps": 738076.7329897513, "total_bits": 103586102.40664497, "total_energy_j": 123.656059}\n',
+        'd3001d523a35e0eb625598dfece97d6efaa067c5bca3ece145b97f7a93780e8a',
     ),
     'two-state-waterfill': (
-        '{"elapsed_time_s": 141.11774, "horizon": 200003, "periods": {"collision": 20025, "idle": 119652, "success": 60326}, "power_ci95_w": 0.0006029706515017574, "power_hat_w": 0.8814387874581483, "seed": 97531, "theta_ci95_bps": 5766.554226250382, "theta_hat_bps": 3467013.6355798137, "total_bits": 489257128.8022069, "total_energy_j": 124.38664963443424}\n',
-        'ea5b1910de5e83cc125cec18eb7dc6ff8e47bcbde4bd78181016a2e80f7a6166',
+        '{"elapsed_time_s": 140.34598, "horizon": 200003, "periods": {"collision": 20056, "idle": 119979, "success": 59968}, "power_ci95_w": 0.0006077176743407092, "power_hat_w": 0.8811389262474554, "seed": 97531, "theta_ci95_bps": 6077.631578415386, "theta_hat_bps": 3473722.7146021607, "total_bits": 487523018.62910056, "total_energy_j": 123.66430612034685}\n',
+        '7e2b8aafdf0047918964e810e48859529d919b5f2e9f6b5d843ec5d620b5f009',
     ),
 }
 
@@ -1355,9 +1388,10 @@ def hostile_runs(draw):
     d_min, d_max = sorted([num(), num()])
     power = {draw(st.sampled_from(["Pt_prime_W", "P_bar_W"])): num()}
     mac = dict(MAC, E_idle_J=num(), E_collision_J=num(), E_overhead_J=num())
+    # two power factors, or two powers, take a section at its cap past the row cap
     sweep = {"d_min_m": d_min, "d_max_m": d_max,
              "points": sized(st.integers(1, 4), MAX_POINTS, used=command == "sweep"),
-             "power_factors": [num()]}
+             "power_factors": [num() for _ in range(draw(st.integers(1, 2)))]}
     policy = draw(st.sampled_from(["waterfill", "constant"]))
     if moderate:
         simulate = {"d_m": draw(st.sampled_from([0.1, 0.3233, 1.0, 3.0])),
@@ -1371,7 +1405,8 @@ def hostile_runs(draw):
     if relinquish is not None:
         simulate["relinquish_overhead_s"] = relinquish
     # a scalar power_W reads as a list of one
-    bound = {"area_m2": num(), "noise_W": num(), "power_W": draw(st.sampled_from([[num()], num()])),
+    bound = {"area_m2": num(), "noise_W": num(),
+             "power_W": draw(st.sampled_from([[num()], num(), [num(), num()]])),
              "K_min": draw(st.integers(2, 50)), "K_max": 50,
              "points": sized(st.just(3), MAX_POINTS, used=command == "single-cell-bound")}
     config = {"schema_version": 1, "fading": fading,

@@ -350,10 +350,20 @@ def test_the_caps_are_pinned():
     assert caps == dict(CAPS, **{"simulate.seed": None, "bound.K_min": None, "bound.K_max": None})
 
 
+# each value of a sweep's power factors or a bound's powers repeats every point
+ROWS = {"sweep": "power_factors", "bound": "power_W"}
+
+
 @pytest.mark.parametrize("path", sorted(CAPS))
 def test_a_value_at_the_cap_is_read(path):
-    raw = with_key(path, lambda mapping, key: mapping.__setitem__(key, CAPS[path]))
     section, _, key = path.partition(".")
+
+    def at_cap(mapping, name):
+        mapping[name] = CAPS[path]
+        if section in ROWS:  # one value, so that the rows are at their cap too
+            mapping[ROWS[section]] = [1.0]
+
+    raw = with_key(path, at_cap)
     assert getattr(getattr(parse_config(raw), section), key) == CAPS[path]
 
 
@@ -364,6 +374,24 @@ def test_a_value_past_the_cap_is_named(path, past, tmp_path, capsys):
     cfg = write(tmp_path, with_key(path, lambda mapping, key: mapping.__setitem__(key, value)))
     assert error_of(["waterfill", "--config", str(cfg), "--pi", "1"], capsys) \
         == f"error: {path}: must be <= {CAPS[path]}, got {value}\n"
+
+
+@pytest.mark.parametrize("section", sorted(ROWS))
+@pytest.mark.parametrize("points, values", [(100_000, 1), (50_000, 2), (25_000, 4), (2, 50_000)])
+def test_rows_at_the_cap_are_read(section, points, values):
+    raw = edited(lambda raw: raw[section].update(
+        {"points": points, ROWS[section]: [1.0 + i for i in range(values)]}))
+    record = getattr(parse_config(raw), section)
+    assert record.points * len(getattr(record, ROWS[section])) == config.MAX_POINTS
+
+
+@pytest.mark.parametrize("section", sorted(ROWS))
+@pytest.mark.parametrize("points, values", [(50_001, 2), (25_001, 4), (33_334, 3), (2, 50_001)])
+def test_rows_past_the_cap_are_named(section, points, values, tmp_path, capsys):
+    cfg = write(tmp_path, edited(lambda raw: raw[section].update(
+        {"points": points, ROWS[section]: [1.0 + i for i in range(values)]})))
+    assert error_of(["waterfill", "--config", str(cfg), "--pi", "1"], capsys) == (
+        f"error: {section}: points * len({ROWS[section]}) must be <= 100000, got {points} * {values}\n")
 
 
 # -- the README's config section ---------------------------------------------

@@ -602,24 +602,30 @@ def test_log_root_is_called_only_by_the_scan_and_the_exponential_root():
     assert callers == {("fading.py", "sign_change_roots"), ("hopopt.py", "_exponential_root")}
 
 
-def test_the_categorical_draw_and_the_sampler_each_have_one_caller():
-    # period types and a discrete model's fading states are drawn by one
-    # threshold count in the simulator; `sample_h` draws continuous fades only
-    def refers_to(name):
-        return lambda node: (isinstance(node, ast.Name) and node.id == name
-                             or isinstance(node, ast.Attribute) and node.attr == name
-                             or isinstance(node, ast.alias) and name in (node.name, node.asname)
-                             or isinstance(node, ast.Constant) and node.value == name)
-
+def test_the_counts_the_order_and_the_fades_each_have_one_drawer():
+    # the counts are drawn by one multinomial each (`_counts`), the order of a
+    # trace in `_write_trace` and its helper, continuous fades by `sample_h`
+    # in one place: no per-period draw creeps back in beside them
     def calls(name):
-        return lambda node: isinstance(node, ast.Call) and refers_to(name)(node.func)
+        return lambda node: isinstance(node, ast.Call) and (
+            isinstance(node.func, ast.Name) and node.func.id == name
+            or isinstance(node.func, ast.Attribute) and node.func.attr == name)
 
     paths = sorted((_SRC / "hopcap").glob("*.py"))
-    for name in ("choice_thresholds", "categories"):
-        assert {(path.name, scope) for path in paths
-                for scope in scopes_with(path, refers_to(name))} == {("simulator.py", "run")}, name
-    assert {(path.name, scope) for path in paths for scope in scopes_with(path, calls("sample_h"))} == {
-        ("simulator.py", "_Chunk.rows_of")}
+    drawers = {name: {(path.name, scope) for path in paths for scope in scopes_with(path, calls(name))}
+               for name in ("multinomial", "hypergeometric", "multivariate_hypergeometric", "shuffle",
+                            "permutation", "jumped", "sample_h", "choice", "random")}
+    assert drawers == {
+        "multinomial": {("simulator.py", "_counts")},
+        "hypergeometric": {("simulator.py", "_hypergeometric_counts")},
+        "multivariate_hypergeometric": set(),
+        "shuffle": {("simulator.py", "_write_trace")},
+        "permutation": set(),
+        "jumped": {("simulator.py", "_write_trace")},
+        "sample_h": {("simulator.py", "_Chunk.rows_of")},
+        "choice": set(),
+        "random": {("fading.py", "FadingModel.sample_h")},
+    }
 
 
 def test_one_routine_formats_every_trace_cell():

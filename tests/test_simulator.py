@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from conftest import (
-    FixedUniforms,
     exact_ratio_ci,
     example_profile,
     make_rng,
@@ -60,8 +59,8 @@ def analytic_targets(profile, model, policy, d, eta):
         p = policy.power(h, d**eta)
         mean_rate = float(np.sum(a * np.log1p(x * p / d**eta)))
         mean_power = float(np.sum(a * p))
-    else:
-        raise NotImplementedError
+    else:  # a water-fill ships Gamma and spends d**eta * pi on average
+        mean_rate, mean_power = policy.solution.gamma, d**eta * policy.solution.pi
     return macmodel.throughput(profile, mean_rate), macmodel.network_power(profile, mean_power)
 
 
@@ -286,17 +285,19 @@ class TestChunkedRun:
         assert text == (tmp_path / "ref.csv").read_text()
 
     @pytest.mark.parametrize("case", sorted(trace_cases()))
-    def test_chunk_size_changes_nothing(self, case, monkeypatch):
+    def test_chunk_size_changes_nothing(self, case, tmp_path, monkeypatch):
+        # the order is drawn per chunk, so the trace is the reference's at each size
         horizon = 3000
         config = quiet_config(horizon=horizon, **trace_cases()[case])
         runs = []
         for chunk in (1, 7, 4096, horizon):
             monkeypatch.setattr(simulator, "_CHUNK", chunk)
             blocks = []
-            runs.append((simulator.run(config, trace=blocks.append), b"".join(blocks)))
-        (first, first_bytes), rest = runs[0], runs[1:]
-        for report, trace in rest:
-            assert trace == first_bytes
+            runs.append(simulator.run(config, trace=blocks.append))
+            reference_trace(tmp_path / "ref.csv", *reference_periods(config))
+            assert b"".join(blocks) == (tmp_path / "ref.csv").read_bytes(), chunk
+        first, rest = runs[0], runs[1:]
+        for report in rest:
             assert (report.n_idle, report.n_collision, report.n_success) == (
                 first.n_idle, first.n_collision, first.n_success)
             for name in REPORT_FLOATS:
@@ -304,7 +305,7 @@ class TestChunkedRun:
 
     @pytest.mark.parametrize("case", sorted(trace_cases()))
     def test_estimates_match_the_two_pass_oracle(self, case):
-        # 200k periods span four chunks of the default size
+        # 200k periods hold two to four chunks of successes at the default size
         config = quiet_config(horizon=200_000, **trace_cases()[case])
         kinds, durations, energies, bits = reference_periods(config)
         report = simulator.run(config)
@@ -323,36 +324,24 @@ class TestChunkedRun:
         assert report.n_idle + report.n_collision + report.n_success == 1
 
     def test_no_success_draws_no_fade(self, monkeypatch):
-        # MacProfile requires p_success > 0; at 1e-300 the cumulative
-        # probabilities round to 1 before the success cell, so none is drawn
+        # MacProfile requires p_success > 0; at 1e-300 the multinomial leaves
+        # no period to the success count
         profile = MacProfile(
             p_idle=0.6, p_collision=0.4, p_success=1e-300,
             t_idle=5e-5, t_collision=5e-4, t_overhead=1e-4, t_txop=1e-3, bandwidth=2e6,
             e_idle=5e-7, e_collision=6e-5, e_overhead=2e-5,
         )
-        made = []  # each generator `run` makes, with its state when made
-
-        class Recorded(np.random.Generator):
-            def __init__(self, bit_generator):
-                super().__init__(bit_generator)
-                made.append((self, self.bit_generator.state))
-
         calls = []
         sample_h = FadingModel.sample_h
-        monkeypatch.setattr(np.random, "Generator", Recorded)
         monkeypatch.setattr(FadingModel, "sample_h",
                             lambda *a, **k: calls.append(a) or sample_h(*a, **k))
         # a discrete model's successes are counted by state, without
         # `sample_h`; an exponential model's are drawn by it
         for model in (FIG1, FadingModel.exponential(1.0)):
-            made.clear()
             report = simulator.run(quiet_config(
                 profile=profile, model=model, policy=ConstantPowerPolicy(0.5),
                 d=1.0, eta=3.0, horizon=5000, seed=9,
             ))
-            (periods, start), (fades, fades_start) = made
-            assert periods.bit_generator.state != start
-            assert fades.bit_generator.state == fades_start
             assert calls == []
             assert report.n_success == 0 and report.n_idle > 0 and report.n_collision > 0
             assert report.theta_hat == 0.0 and report.theta_ci95 == 0.0 and report.total_bits == 0.0
@@ -400,7 +389,8 @@ class TestDiscreteByCounts:
     @pytest.mark.parametrize("chunk", [1, 7, None], ids=["chunk1", "chunk7", "default"])
     @pytest.mark.parametrize("seed", [3, 8, 21])
     def test_totals_are_the_exact_sums(self, model, chunk, seed, monkeypatch):
-        # the default chunk size spans four chunks, the last one partial
+        # an untraced discrete run draws counts only, so no chunk size changes
+        # its report; the reference draws its order per chunk
         if chunk is not None:
             monkeypatch.setattr(simulator, "_CHUNK", chunk)
         # at pi = 0.001 the water-fill leaves the weaker states unserved: their bits are 0
@@ -454,6 +444,22 @@ class TestIntervalsAgainstTheExactReference:
         for ci, numerators in ((report.theta_ci95, bits), (report.power_ci95, energies)):
             exact = exact_ratio_ci(numerators, durations, simulator._CI_FACTOR)
             assert abs(ci - exact) <= 4e-15 * exact, (ci, exact)
+
+
+class TestIntervalsPastTheSquareRootOfTheFloatRange:
+    """Residuals past 1e154 square past the float range; in units of a power of two they do not."""
+
+    @pytest.mark.parametrize("case", sorted(exact_cases()))
+    def test_a_bandwidth_times_2_to_the_600_scales_theta_and_its_ci_exactly(self, case):
+        # bits of about 1e183: their squares used to overflow, and the run to raise
+        base = dict(exact_cases()[case], horizon=20_000, seed=3)
+        profile = base["profile"]
+        small = simulator.run(quiet_config(**base))
+        large = simulator.run(quiet_config(**dict(base, profile=profile._replace(
+            bandwidth=profile.bandwidth * 2.0**600))))
+        assert large.theta_hat > 1e180
+        assert large == small._replace(**{name: getattr(small, name) * 2.0**600
+                                          for name in ("theta_hat", "theta_ci95", "total_bits")})
 
 
 class TestIdenticalPeriods:
@@ -531,27 +537,21 @@ FADE_P = {name: FadingModel.discrete(states).kind.probs for name, states in {
     "one": [(2.0, 1.0)],
     "two": [(100.0, 0.01), (0.5, 0.99)],
     "twelve": [(2.0**-k, (k + 1) / 78) for k in range(12)],
-    # the cumulative sum reaches 1.0 at the second state: the third is never drawn
+    # the cumulative sum reaches 1.0 at the second state
     "rounds-to-one": [(3.0, 0.6), (2.0, 0.4), (1.0, 1e-17)],
-    # a hundred thresholds, each the running sum of up to 99 terms
+    # a hundred probabilities whose sum is 1 only to a few ulps
     "hundred": [(float(k + 1), 0.01) for k in range(100)],
 }.items()}
 
 
 class TestPeriodTypeDraw:
-    """`_Chunk.categories`, the one draw of `run`, against numpy's own ``choice``.
+    """`_counts`, the one draw of an untraced run's period types and a discrete
+    model's fading states: a multinomial over the probabilities over their fsum.
 
-    It draws the period types (idle, collision, success) and a discrete
-    model's fading states, which make a success one of ``n`` period types.
+    It replaces a draw of each period by numpy's ``choice``, whose sequence
+    it reduces to its counts: the same draws in law, checked against
+    ``choice`` itself, and exactly numpy's multinomial, generator state too.
     """
-
-    @staticmethod
-    def draw(rng, size, p, traced=True):
-        """(codes, counts) of `_Chunk.categories`, which fills the arrays the chunk holds."""
-        chunk = simulator._Chunk(size + 5, traced)
-        codes = chunk.codes[:size] if traced else None
-        counts = chunk.categories(rng, chunk.u[:size], simulator.choice_thresholds(p), codes)
-        return codes, counts
 
     @pytest.mark.parametrize("p", [
         [0.1, 0.2, 0.7],
@@ -564,46 +564,140 @@ class TestPeriodTypeDraw:
     ], ids=[f"p{i}" for i in range(6)] + list(FADE_P))
     @pytest.mark.parametrize("size", [1, 7, 65_536, 200_003])
     def test_same_draws_and_generator_state_as_choice(self, p, size):
+        from scipy.stats import chi2_contingency, ks_2samp
+
         for seed in (3, 11):
-            a, b, c = make_rng(seed), make_rng(seed), make_rng(seed)
-            want = a.choice(len(p), size=size, p=p)
-            got, counts = self.draw(b, size, p)
-            np.testing.assert_array_equal(got, want)
+            a, b = make_rng(seed), make_rng(seed)
+            want = a.multinomial(size, np.array(p) / math.fsum(p)).tolist()
+            counts = simulator._counts(b, size, p)
+            assert counts == want and all(type(n) is int for n in counts)
             assert a.bit_generator.state == b.bit_generator.state
-            assert counts == np.bincount(want, minlength=len(p)).tolist()
-            assert all(type(n) is int for n in counts)
-            assert self.draw(c, size, p, traced=False)[1] == counts
-            assert c.bit_generator.state == a.bit_generator.state
-        if p == FADE_P["rounds-to-one"]:
-            assert np.cumsum(p)[1] == 1.0 and counts[2] == 0
+            assert sum(counts) == size and all(n == 0 for n, q in zip(counts, p) if q == 0.0)
+        # 100 count vectors of each draw: the same totals by category (a
+        # chi-square test of homogeneity) and the same spread of the likeliest
+        # category's count (a two-sample KS test), each at the 0.1% level
+        drawn, chosen = make_rng(3), make_rng(11)
+        ours = np.array([simulator._counts(drawn, size, p) for _ in range(100)])
+        theirs = np.array([np.bincount(chosen.choice(len(p), size=size, p=p), minlength=len(p))
+                           for _ in range(100)])
+        seen = (ours.sum(axis=0) + theirs.sum(axis=0)) > 0
+        if np.count_nonzero(seen) == 1:  # one category holds every draw of both
+            np.testing.assert_array_equal(ours, theirs)
+        else:
+            assert chi2_contingency([ours.sum(axis=0)[seen], theirs.sum(axis=0)[seen]]).pvalue > 1e-3
+            likeliest = int(np.argmax(p))
+            assert ks_2samp(ours[:, likeliest], theirs[:, likeliest]).pvalue > 1e-3
+        if p == FADE_P["rounds-to-one"]:  # `choice` never reaches the third state; 1e-17 of a period does not
+            assert np.cumsum(p)[1] == 1.0 and ours[:, 2].sum() == theirs[:, 2].sum() == 0
 
-    @pytest.mark.parametrize("p", [
-        [0.25, 0.25, 0.5],
-        [0.0, 0.3, 0.7],
-        [0.1, 0.2, 0.7],
-        *(FadingModel.discrete([(float(n - k), (k + 1) / (n * (n + 1) / 2)) for k in range(n)]).kind.probs
-          for n in (2, 12, 100)),
-    ], ids=["p0", "p1", "p2", "2", "12", "100"])
-    def test_draws_on_the_thresholds(self, p):
-        c = np.cumsum(p)
-        c /= c[-1]
-        u = np.concatenate([[0.0, 1.0 - 2.0**-53], c[:-1], np.nextafter(c[:-1], 0.0),
-                            np.nextafter(c[:-1], 1.0)])
-        want = FixedUniforms(u).choice(len(p), size=u.size, p=p)
-        got, counts = self.draw(FixedUniforms(u), u.size, p)
-        np.testing.assert_array_equal(got, want)
-        assert counts == np.bincount(want, minlength=len(p)).tolist()
+    @pytest.mark.parametrize("p_success, state", [(1 + 5e-13, 1.0), (1.0, 1 + 5e-13)],
+                             ids=["period-type", "state"])
+    def test_a_probability_past_one_is_drawn(self, p_success, state):
+        # each is within the tolerance of its check; numpy refuses p > 1
+        with pytest.raises(ValueError, match="pvals > 1"):
+            make_rng(0).multinomial(10, [1 + 5e-13])
+        profile = MacProfile(p_idle=0.0, p_collision=0.0, p_success=p_success,
+                             t_idle=1e-5, t_collision=1e-4, t_overhead=1e-4, t_txop=1e-3, bandwidth=1e6)
+        report = simulator.run(quiet_config(profile=profile, model=FadingModel.discrete([(2.0, state)]),
+                                            policy=ConstantPowerPolicy(1.0), d=1.0, eta=3.0, horizon=5000,
+                                            seed=2))
+        assert report.n_success == 5000
 
-    @pytest.mark.parametrize("p", [[0.1, 0.2, 0.7], FADE_P["twelve"]], ids=["periods", "states"])
-    def test_leaves_the_arrays_past_size_untouched(self, p):
-        size = 1000
-        chunk = simulator._Chunk(size + 5, traced=True)
-        for array, junk in ((chunk.u, -1.0), (chunk.codes, 99), (chunk.mask, True)):
-            array.fill(junk)
-        chunk.categories(make_rng(4), chunk.u[:size], simulator.choice_thresholds(p),
-                         chunk.codes[:size])
-        assert np.all(chunk.u[size:] == -1.0) and np.all(chunk.codes[size:] == 99)
-        assert np.all(chunk.mask[size:])
+
+class TestTracedRuns:
+    """A trace draws the periods' order from a stream of its own: the report does not move."""
+
+    @pytest.mark.parametrize("case", sorted(trace_cases()))
+    @pytest.mark.parametrize("horizon", [1, 4999, 140_001])
+    def test_traced_and_untraced_reports_are_equal(self, case, horizon):
+        config = quiet_config(horizon=horizon, **trace_cases()[case])
+        blocks = []
+        assert simulator.run(config, trace=blocks.append) == simulator.run(config)
+
+    @pytest.mark.parametrize("case", sorted(trace_cases()))
+    def test_the_trace_re_adds_to_the_report(self, case, monkeypatch):
+        # the report sums a row of `fixed` as count times row, and a continuous
+        # model's successes chunk by chunk, in the order the trace takes them;
+        # re-added that way from the trace's text, every total is the report's
+        monkeypatch.setattr(simulator, "_CHUNK", 1000)
+        config = quiet_config(horizon=4321, **trace_cases()[case])
+        blocks = []
+        report = simulator.run(config, trace=blocks.append)
+        lines = b"".join(blocks).decode().splitlines()[1:]
+        kinds = np.array([line.split(",")[0] for line in lines])
+        values = np.array([[float(cell) for cell in line.split(",")[1:]] for line in lines])
+        assert [report.n_idle, report.n_collision, report.n_success] == [
+            int(np.sum(kinds == kind)) for kind in ("idle", "collision", "success")]
+        success = kinds == "success"
+        totals = []
+        for column in values.T:
+            successes = column[success].tolist()
+            if not config.model.is_discrete:  # a chunk's successes are summed by numpy, rounded once each
+                successes = [float(column[success][i:i + 1000].sum()) for i in range(0, len(successes), 1000)]
+            totals.append(float(sum(map(Fraction, column[~success].tolist() + successes))))
+        assert [report.elapsed_time, report.total_energy, report.total_bits] == totals
+        assert report.theta_hat == report.total_bits / report.elapsed_time
+        assert report.power_hat == report.total_energy / report.elapsed_time
+
+
+class TestOrderDraw:
+    """`_hypergeometric_counts` draws a chunk's counts by row, as numpy would where it can."""
+
+    def test_draws_as_numpy_s_multivariate_hypergeometric(self):
+        rng = make_rng(17)
+        for _ in range(300):
+            left = rng.integers(0, [1, 10, 1000, 10**6][rng.integers(4)] + 1, rng.integers(1, 8)).tolist()
+            if sum(left) == 0:
+                continue
+            size = int(rng.integers(1, sum(left) + 1))
+            seed = int(rng.integers(2**32))
+            a, b = make_rng(seed), make_rng(seed)
+            got = simulator._hypergeometric_counts(a, left, size)
+            assert got == b.multivariate_hypergeometric(left, size).tolist(), (left, size)
+            assert a.bit_generator.state == b.bit_generator.state
+            assert all(type(k) is int for k in got)
+
+    @pytest.mark.parametrize("left", [
+        [6 * 10**8, 4 * 10**8], [10**9, 0, 0], [0, 10**9, 0], [0, 0, 10**9],
+        [999_999_999, 1], [1, 2, 10**9 - 3], [3 * 10**8, 0, 7 * 10**8 - 1, 1],
+    ])
+    @pytest.mark.parametrize("size", [1, 65_536, 6 * 10**8, 10**9])
+    def test_a_horizon_at_the_cap(self, left, size):
+        # numpy refuses sum(colors) >= 10**9, so a traced run at the horizon's cap needs this
+        with pytest.raises(ValueError, match="must be less than 1000000000"):
+            make_rng(0).multivariate_hypergeometric(left, 1)
+        rng = make_rng(5)
+        counts = simulator._hypergeometric_counts(rng, left, size)
+        assert sum(counts) == size and all(0 <= k <= n for k, n in zip(counts, left))
+        if max(left) == 10**9 or size == 10**9:  # one row, or every item: no draw
+            assert counts == ([size * (n > 0) for n in left] if size < 10**9 else left)
+            assert rng.bit_generator.state == make_rng(5).bit_generator.state
+
+
+class TestDistancesFromTheRenewalFormulas:
+    """Over many seeds, each estimate lies a standard normal number of standard errors
+    from `analytic_targets`: one Kolmogorov-Smirnov test per estimate at the 0.1% level."""
+
+    @pytest.mark.parametrize("case", ["twelve_state_waterfill", "exponential_waterfill"])
+    def test_distances_look_standard_normal(self, case):
+        from scipy.stats import kstest
+
+        exp = FadingModel.exponential(1.0)
+        base = {
+            "twelve_state_waterfill": dict(profile=profile_a(), model=TWELVE_STATE, d=0.5, eta=3.0,
+                                           policy=WaterfillPolicy(waterfill.solve(TWELVE_STATE, 8.0))),
+            "exponential_waterfill": dict(profile=profile_b(), model=exp, d=1.0, eta=2.0,
+                                          policy=WaterfillPolicy(waterfill.solve(exp, 1.0))),
+        }[case]
+        targets = analytic_targets(*(base[key] for key in ("profile", "model", "policy", "d", "eta")))
+        distances = [], []
+        for seed in range(300):
+            report = simulator.run(SimConfig(horizon=20_000, seed=seed, **base))
+            for z, estimate, ci95, target in zip(distances, (report.theta_hat, report.power_hat),
+                                                 (report.theta_ci95, report.power_ci95), targets):
+                z.append((estimate - target) / (ci95 / simulator._CI_FACTOR))
+        for z in distances:
+            assert kstest(z, "norm").pvalue > 1e-3
 
 
 class TestCompareFttFp:
