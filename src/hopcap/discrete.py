@@ -93,24 +93,19 @@ def segment_index(table: DiscreteWaterfillTable, pi: float) -> int:
     return bisect.bisect_left(table.pi_breaks, pi)
 
 
-def lambda_closed_form(table: DiscreteWaterfillTable, pi: float) -> float:
-    """Multiplier lam(Pi) = p_k / (alpha_k + Pi)."""
-    k = segment_index(table, pi)
-    return float(table.p[k] / (table.alpha[k] + pi))
+def gamma_of_pi(table: DiscreteWaterfillTable, pi: float) -> tuple:
+    """(Gamma, lam) at normalized power Pi, in closed form, from one segment lookup.
 
-
-def gamma_of_pi(table: DiscreteWaterfillTable, pi: float) -> float:
-    """Optimal rate (nats) at normalized power Pi, E[log(X/lam)^+], in closed form.
-
-    Evaluated as p_k * (log1p(Pi/alpha_k) + b_k), a sum of two terms that
-    are never negative, rather than the paper's p_k * log(gamma_k*(alpha_k
-    + Pi)), so small Pi does not cancel digits.
+    The optimal rate (nats) E[log(X/lam)^+] is evaluated as p_k *
+    (log1p(Pi/alpha_k) + b_k), a sum of two terms that are never negative,
+    rather than the paper's p_k * log(gamma_k*(alpha_k + Pi)), so small Pi
+    does not cancel digits; the multiplier is lam(Pi) = p_k / (alpha_k + Pi).
     """
     k = segment_index(table, pi)
     t = pi / table.alpha[k]
     # where t overflows, log1p(t) is log(Pi) - log(alpha_k) to within 1/t
     rise = math.log1p(t) if t < math.inf else math.log(pi) - math.log(table.alpha[k])
-    return float(table.p[k] * (rise + table.b[k]))
+    return float(table.p[k] * (rise + table.b[k])), float(table.p[k] / (table.alpha[k] + pi))
 
 
 def stationary_roots(table: DiscreteWaterfillTable, eta: float) -> list:

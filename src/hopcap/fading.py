@@ -9,11 +9,11 @@ A tabulated density is two float tuples, nodes and values, and is linear
 between its nodes, so its tails are exact: `TailTable`
 (``FadingModel.tails``) holds the mass, water-fill power and rate above
 each node, and a query at any ``lam`` adds one closed-form partial cell.
-Its draws invert the CDF exactly through `InverseTable`
-(``FadingModel.inverse``): per-cell columns and a guide table, built
-with numpy.  Every kind's scalar path is plain ``math``; numpy is
-imported only for sampling, by ``sample_h``, which returns an array, and
-by the inverse table it reads.  Every root of the stationary
+Its draws invert the CDF exactly, at every scale of the values, through
+`InverseTable` (``FadingModel.inverse``): per-cell columns and a guide
+table, built with numpy.  Every kind's scalar path is plain ``math``;
+numpy is imported only for sampling, by ``sample_h``, which returns an
+array, and by the inverse table it reads.  Every root of the stationary
 enumerations is found here, by `log_root`: safeguarded Halley steps in
 log x, which stop on a relative step, so a root keeps its digits at any
 scale of the nodes.  The discrete and tabulated enumerations reach it
@@ -391,9 +391,13 @@ class InverseTable:
     falls in the cell j of the last node with ``cdf[j] <= u``, which has
     positive mass.  ``columns`` holds per cell the CDF at its top and at
     its foot, its foot x_j and density f_j, its width, twice its slope and
-    f_j**2.  ``guide[b]`` is the cell of u = b/4096: a draw in bin b lies in
-    that cell or above it, at most one cell above unless ``spans[b]`` is
-    set.  Every column is a numpy array, read by `FadingModel.sample_h` as it is.
+    f_j**2.  The density columns and ``total`` are in units of ``2**e``, e
+    the exponent of the largest f, so that no f_j**2 overflows, at any
+    scale of the values; a power of two rounds nothing.  A cell of
+    subnormal width can still overflow its slope.  ``guide[b]`` is the cell
+    of u = b/4096: a draw in bin b lies in that cell or above it, at most
+    one cell above unless ``spans[b]`` is set.  Every column is a numpy
+    array, read by `FadingModel.sample_h` as it is.
     """
 
     def __init__(self, x, f):
@@ -402,8 +406,9 @@ class InverseTable:
         x, f = np.array(x), np.array(f)
         width = np.diff(x)
         sums = np.concatenate(([0.0], np.cumsum(0.5 * (f[1:] + f[:-1]) * width)))
-        self.total = sums[-1]
-        self.cdf = cdf = sums / self.total
+        self.cdf = cdf = sums / sums[-1]
+        e = -int(np.frexp(f.max())[1])
+        f, self.total = np.ldexp(f, e), np.ldexp(sums[-1], e)
         self.columns = (cdf[1:], cdf[:-1], x[:-1], f[:-1], width,
                         2.0 * (np.diff(f) / width), f[:-1] * f[:-1])
         edges = np.arange(_GUIDE_BINS + 1) / _GUIDE_BINS

@@ -145,8 +145,8 @@ def _roots(problem: HopProblem) -> list:
     model, eta = problem.model, problem.eta
     if model.is_discrete:
         table = model.table
-        roots = [(pi, _discrete.lambda_closed_form(table, pi), _discrete.gamma_of_pi(table, pi),
-                  segment) for pi, segment in _discrete.stationary_roots(table, eta)]
+        roots = [(pi, lam, gamma, segment) for pi, segment in _discrete.stationary_roots(table, eta)
+                 for gamma, lam in [_discrete.gamma_of_pi(table, pi)]]
     else:
         lams = ([_exponential_root(model, eta)] if isinstance(model.kind, Exponential)
                 else _tabulated_roots(model, eta))

@@ -6,11 +6,17 @@ periods.  Throughput and network power share one renewal denominator,
     cycle = p_idle*t_idle + p_collision*t_collision + p_success*(t_overhead + t_txop)
 
 so the aggregate bit rate is linear in the mean per-transmission rate
-and the drawn power is linear in the mean transmit power.  This module
-also houses the single-cell motivation: with K simultaneous
-transmissions in a confined area the aggregate rate is capped
-independently of transmit power, so spatial reuse stops paying once the
-shrinking reach outweighs it.
+and the drawn power is linear in the mean transmit power.
+
+The case for a fixed transmission time over a fixed packet size,
+`compare_ftt_fp`, works on two channel samples: the fixed-packet totals
+define a time and energy budget, and the fixed-time scheme water-fills
+that budget over the same two states; its bit count never falls short.
+Like the rest of this module it is plain ``math``.  The module also
+houses the single-cell motivation: with K simultaneous transmissions in
+a confined area the aggregate rate is capped independently of transmit
+power, so spatial reuse stops paying once the shrinking reach outweighs
+it.
 """
 
 from __future__ import annotations
@@ -18,10 +24,12 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .errors import BudgetExhausted, ValidationError
-from .fading import PROB_SUM_TOL
+from .errors import BudgetExhausted, NumericalError, OrderingViolation, ValidationError
+from .fading import PROB_SUM_TOL, FadingModel
+from .waterfill import gamma_and_lambda
 
 LN2 = math.log(2.0)
+PACKET_BITS, BANDWIDTH_HZ = 1000.0, 1e6  # the packet and the band of `compare_ftt_fp`
 
 
 class _MacProfileFields(NamedTuple):
@@ -114,6 +122,50 @@ def pt_prime(profile: MacProfile, p_bar: float) -> float:
         )
     p_t = p_bar - p_overhead
     return profile.cycle_time / (profile.p_success * profile.t_txop) * p_t
+
+
+class FttFpComparison(NamedTuple):
+    """Bit totals of the two schemes over one pair of channel samples."""
+
+    bits_fp: float
+    bits_ftt: float
+    energy: float
+    duration: float
+
+
+def compare_ftt_fp(h1: float, h2: float, p1: float, p2: float) -> FttFpComparison:
+    """Compare fixed-packet and fixed-time transmission on two samples.
+
+    The fixed-packet scheme ships ``PACKET_BITS`` in each state, taking
+    total time T_P and energy E_P.  The fixed-time scheme splits T_P
+    into two equal slots over the same states and water-fills the energy
+    budget E_P; the returned bit counts satisfy bits_ftt >= bits_fp.
+    Requires h1*p1 >= h2*p2 (better state carries the higher rate).  This
+    loses no generality: exchanging the two rates otherwise keeps the
+    total time and strictly lowers the energy.
+    """
+    if not math.inf > h1 >= h2 > 0:
+        raise ValidationError(f"need finite h1 >= h2 > 0, got h1={h1}, h2={h2}")
+    if not (0 < p1 < math.inf and 0 < p2 < math.inf):
+        raise ValidationError("powers must be finite and > 0")
+    if h1 * p1 < h2 * p2:
+        raise OrderingViolation(
+            f"h1*p1={h1 * p1} < h2*p2={h2 * p2}: swap the rates first"
+        )
+    r1 = BANDWIDTH_HZ * math.log2(1.0 + h1 * p1)
+    r2 = BANDWIDTH_HZ * math.log2(1.0 + h2 * p2)
+    t1, t2 = PACKET_BITS / r1, PACKET_BITS / r2
+    duration = t1 + t2
+    energy = p1 * t1 + p2 * t2
+    bits_fp = 2.0 * PACKET_BITS
+
+    # one equally likely state per slot, water-filled at the mean power energy/duration
+    states = [(h1, 0.5), (h2, 0.5)] if h1 != h2 else [(h1, 1.0)]
+    gamma, _ = gamma_and_lambda(FadingModel.discrete(states), energy / duration)
+    bits_ftt = duration * BANDWIDTH_HZ * gamma / LN2
+    if not bits_ftt >= bits_fp * (1.0 - 1e-9):
+        raise NumericalError(f"fixed-time bits {bits_ftt} fall short of {bits_fp}")
+    return FttFpComparison(bits_fp=bits_fp, bits_ftt=bits_ftt, energy=energy, duration=duration)
 
 
 def spatial_reuse_bound(k: int, power: float, noise: float, area: float, eta: float):

@@ -22,11 +22,6 @@ run's trace is n + 2 lines formatted once), and a continuous chunk's
 successes are a group or two.  Totals are exact sums, rounded once; the
 CIs sum the residuals group by group.  The trace leaves as one formatted
 block per chunk, handed to a callable: this module opens no file.
-
-The fixed-transmission-time vs fixed-packet-size comparison works on
-two channel samples: the fixed-packet totals define a time and energy
-budget, and the fixed-time scheme water-fills that budget over the same
-two states; its bit count never falls short.
 """
 
 from __future__ import annotations
@@ -38,16 +33,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NumericalError, OrderingViolation, ValidationError
+from .errors import NumericalError, ValidationError
 from .fading import FadingModel
 from .macmodel import LN2, MacProfile
-from .waterfill import WaterfillSolution, gamma_and_lambda
+from .waterfill import WaterfillSolution
 
 _CI_FACTOR = 1.959963984540054  # two-sided 95% normal quantile
 MIN_HORIZON_FOR_CI = 10_000
 _CHUNK = 1 << 15  # successes drawn, or periods traced, per chunk of `run`
 _CELL = b",%.17g"  # a trace cell: every digit, and the sign of -0.0
-PACKET_BITS, BANDWIDTH_HZ = 1000.0, 1e6  # the packet and the band of `compare_ftt_fp`
 
 
 class SmallHorizonWarning(UserWarning):
@@ -409,50 +403,3 @@ def _trace_lines(names, rows):
         values, inverse = np.unique(column.view(np.int64), return_inverse=True)
         lines += np.array([cell % v for v in values.view(np.float64).tolist()], dtype=object)[inverse]
     return lines.tolist()
-
-
-# -- fixed transmission time vs fixed packet size -------------------------
-
-
-class FttFpComparison(NamedTuple):
-    """Bit totals of the two schemes over one pair of channel samples."""
-
-    bits_fp: float
-    bits_ftt: float
-    energy: float
-    duration: float
-
-
-def compare_ftt_fp(h1: float, h2: float, p1: float, p2: float) -> FttFpComparison:
-    """Compare fixed-packet and fixed-time transmission on two samples.
-
-    The fixed-packet scheme ships ``PACKET_BITS`` in each state, taking
-    total time T_P and energy E_P.  The fixed-time scheme splits T_P
-    into two equal slots over the same states and water-fills the energy
-    budget E_P; the returned bit counts satisfy bits_ftt >= bits_fp.
-    Requires h1*p1 >= h2*p2 (better state carries the higher rate).  This
-    loses no generality: exchanging the two rates otherwise keeps the
-    total time and strictly lowers the energy.
-    """
-    if not math.inf > h1 >= h2 > 0:
-        raise ValidationError(f"need finite h1 >= h2 > 0, got h1={h1}, h2={h2}")
-    if not (0 < p1 < math.inf and 0 < p2 < math.inf):
-        raise ValidationError("powers must be finite and > 0")
-    if h1 * p1 < h2 * p2:
-        raise OrderingViolation(
-            f"h1*p1={h1 * p1} < h2*p2={h2 * p2}: swap the rates first"
-        )
-    r1 = BANDWIDTH_HZ * math.log2(1.0 + h1 * p1)
-    r2 = BANDWIDTH_HZ * math.log2(1.0 + h2 * p2)
-    t1, t2 = PACKET_BITS / r1, PACKET_BITS / r2
-    duration = t1 + t2
-    energy = p1 * t1 + p2 * t2
-    bits_fp = 2.0 * PACKET_BITS
-
-    # one equally likely state per slot, water-filled at the mean power energy/duration
-    states = [(h1, 0.5), (h2, 0.5)] if h1 != h2 else [(h1, 1.0)]
-    gamma, _ = gamma_and_lambda(FadingModel.discrete(states), energy / duration)
-    bits_ftt = duration * BANDWIDTH_HZ * gamma / LN2
-    if not bits_ftt >= bits_fp * (1.0 - 1e-9):
-        raise NumericalError(f"fixed-time bits {bits_ftt} fall short of {bits_fp}")
-    return FttFpComparison(bits_fp=bits_fp, bits_ftt=bits_ftt, energy=energy, duration=duration)

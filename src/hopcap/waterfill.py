@@ -153,8 +153,7 @@ def gamma_and_lambda(model: FadingModel, pi: float):
     pi_h, lam = c * pi, math.nan
     if 0.0 < pi_h < math.inf:
         if model.is_discrete:
-            gamma, lam_h = (_discrete.gamma_of_pi(model.table, pi_h),
-                            _discrete.lambda_closed_form(model.table, pi_h))
+            gamma, lam_h = _discrete.gamma_of_pi(model.table, pi_h)
         elif isinstance(model.kind, Exponential):
             gamma, lam_h = _level(model, pi_h, _exponential_start(model, pi_h), 0.0, math.inf)
         else:

@@ -14,7 +14,7 @@ the y-domain characterisation of the optimum (every root, compared with
 Pt**(1/eta)``), `boundary_limits` (``psi -> 0`` at both ends; `psi`, like
 `stationary_residual`, evaluates `waterfill.gamma_and_lambda` by
 definition) and `swap_energies`, the swap lemma behind the ordering
-precondition of `simulator.compare_ftt_fp`.
+precondition of `macmodel.compare_ftt_fp`.
 """
 
 import csv

@@ -210,7 +210,7 @@ def test_c5_closed_form_agreement_and_count_bound():
             d = float(np.exp(rng.uniform(np.log(1e-2), np.log(1e2))))
             eta = float(rng.uniform(2.0, 4.0))
             pt = float(np.exp(rng.uniform(np.log(1e-2), np.log(1e2))))
-            cf = discrete.gamma_of_pi(table, model.alpha_over_sigma2 * pt / d**eta)
+            cf, _ = discrete.gamma_of_pi(table, model.alpha_over_sigma2 * pt / d**eta)
             wf, _ = oracle_discrete_waterfill(model, pt / d**eta)
             worst = max(worst, abs(cf - wf) / max(wf, 1e-300))
     counts_ok = True
@@ -309,7 +309,7 @@ def test_c8_fixed_time_never_beaten():
             h1 *= 1.0000001
         p1 = float(np.exp(rng.uniform(np.log(1e-2), np.log(1e2))))
         p2 = float(h1 * p1 / h2) * float(rng.uniform(1e-3, 1.0))
-        res = simulator.compare_ftt_fp(float(h1), float(h2), p1, p2)
+        res = macmodel.compare_ftt_fp(float(h1), float(h2), p1, p2)
         if res.bits_ftt < res.bits_fp * (1 - 1e-9):
             violations += 1
     swaps_ok = True

@@ -169,11 +169,12 @@ def loaded_after_each(argvs):
 
 def test_scalar_commands_load_no_numpy_scipy_or_simulator(exp_cfg, fig1_cfg, tab_cfg, tmp_path):
     cfgs = (exp_cfg, fig1_cfg, tab_cfg)
+    given = ["compare-ftt", "--h1", "2", "--h2", "1", "--p1", "1", "--p2", "1"]
     # the commands that write no --out file, and so no manifest, run first
     argvs = [argv for cfg in cfgs for argv in (
         ["waterfill", "--config", str(cfg), "--pi", "2.5"],
         ["optimize", "--config", str(cfg)],
-    )]
+    )] + [given]
     bare = len(argvs)
     for cfg in cfgs:
         argvs += [
@@ -184,11 +185,14 @@ def test_scalar_commands_load_no_numpy_scipy_or_simulator(exp_cfg, fig1_cfg, tab
         ]
     argvs.append(["single-cell-bound", "--config", str(fig1_cfg),
                   "--out", str(tmp_path / "fig1.bound.csv")])
+    argvs.append(given + ["--out", str(tmp_path / "given.ftt.csv")])
+    drawn = ["compare-ftt", "--count", "3"]
     simulate = ["simulate", "--config", str(fig1_cfg), "--horizon", "10000"]
-    loaded, stdlib = loaded_after_each(argvs + [simulate])
-    *scalar, after_simulate = loaded
+    loaded, stdlib = loaded_after_each(argvs + [drawn, simulate])
+    *scalar, after_drawn, after_simulate = loaded
     assert scalar == [[]] * len(argvs)
-    # the guard is not vacuous: a command that builds arrays does load them
+    # the guard is not vacuous: the commands that build arrays do load them
+    assert "numpy" in after_drawn and "hopcap.simulator" not in after_drawn
     assert "numpy" in after_simulate and "hopcap.simulator" in after_simulate
     # no scalar command loads dataclasses or inspect; hashlib comes with the first manifest
     assert stdlib[:len(argvs)] == [[]] * bare + [["hashlib"]] * (len(argvs) - bare)
@@ -545,7 +549,7 @@ class TestSweepCommand:
         table = discrete.build_table(model)
         for row in read_csv(out_path):
             d = float(row["d_m"])
-            gamma = discrete.gamma_of_pi(table, 1.0 / d**3)
+            gamma, _ = discrete.gamma_of_pi(table, 1.0 / d**3)
             assert abs(float(row["gamma_nats"]) - gamma) < 1e-12 * max(gamma, 1e-12)
 
 
@@ -785,6 +789,22 @@ class TestCompareFttCommand:
                 worst = max(worst, float(abs(mpmath.mpf(row["bits_ftt"]) / exact - 1)))
         return worst
 
+    @pytest.mark.parametrize("argv", [
+        ["--count", "1000", "--seed", "7"],
+        ["--h1", "2.0", "--h2", "0.5", "--p1", "1.0", "--p2", "1.0"],
+        ["--h1", "1.3", "--h2", "1.3", "--p1", "0.8", "--p2", "0.8"],
+    ], ids=["drawn", "given", "equal-states"])
+    def test_summary_records_the_smallest_margin(self, argv, tmp_path, capsys):
+        out_path = tmp_path / "cmp.csv"
+        assert main(["compare-ftt", *argv, "--out", str(out_path)]) == 0
+        summary = json.loads(Path(f"{out_path}.manifest.json").read_text())["summary"]
+        rows = read_csv(out_path)
+        margins = [float(row["bits_ftt"]) / float(row["bits_fp"]) - 1.0 for row in rows]
+        closest = rows[margins.index(min(margins))]
+        assert summary == {"violations": 0, "min_margin": min(margins), "min_margin_at": {
+            key: float(closest[key]) for key in ("h1", "h2", "P1_W", "P2_W")}}
+        assert summary["min_margin"] >= -1e-9
+
     def test_fixed_time_bits_match_a_40_digit_water_fill(self, tmp_path, capsys):
         # the closed form inv_level - 1/h1 cancels: it was up to 7.1e-14 off on these tuples
         out_path = tmp_path / "cmp.csv"
@@ -867,6 +887,14 @@ class TestBlasThreads:
         self.fresh(["-m", "hopcap.cli", "compare-ftt", "--count", "3", "--out", str(out)])
         manifest = json.loads(Path(f"{out}.manifest.json").read_text())
         assert manifest["openblas_num_threads"] == "1"
+
+    def test_a_given_tuple_records_the_default_and_no_numpy(self, tmp_path):
+        # a given tuple is compared in the scalar layer: numpy never loads
+        out = tmp_path / "ftt.csv"
+        self.fresh(["-m", "hopcap.cli", "compare-ftt", "--h1", "2", "--h2", "1", "--p1", "1",
+                    "--p2", "1", "--out", str(out)])
+        manifest = json.loads(Path(f"{out}.manifest.json").read_text())
+        assert manifest["openblas_num_threads"] == "1" and manifest["versions"]["numpy"] is None
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="no per-thread /proc")
     def test_a_simulate_process_runs_one_thread(self, fig1_cfg):

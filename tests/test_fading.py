@@ -513,6 +513,23 @@ class TestTabulatedSampling:
         h = self.gap_model().sample_h(self.Uniforms(u), u.size)
         assert not np.any((h > 2.0) & (h < 3.0))
 
+    @pytest.mark.parametrize("scale", [2.0**-520, 2.0**-1000], ids=["2**-520", "2**-1000"])
+    def test_draws_and_reports_scale_exactly_with_the_density(self, scale):
+        # values a/s past 1.3e154 overflowed f**2 and twice the slope: every draw
+        # fell on its cell's foot node, 22% off at the median
+        h, a = [0.25, 0.5, 0.75, 95.0, 100.0, 105.0], [0.0, 3.6, 0.0, 0.0, 0.02, 0.0]
+        base = FadingModel.tabulated(h, a)
+        # X = c*H keeps its distribution: nodes h*s, values a/s and c = 1/s
+        model = FadingModel.tabulated([v * scale for v in h], [v / scale for v in a], 1.0 / scale)
+        for seed in (3, 11):
+            want = base.sample_h(make_rng(seed), 200_000)
+            assert model.sample_h(make_rng(seed), 200_000).tobytes() == (want * scale).tobytes()
+        for policy in (lambda m: simulator.ConstantPowerPolicy(1.0),
+                       lambda m: simulator.WaterfillPolicy(waterfill.solve(m, 1.0))):
+            runs = [simulator.run(sim_config(model=m, policy=policy(m), horizon=200_000, seed=7))
+                    for m in (base, model)]
+            assert runs[0].to_json() == runs[1].to_json()
+
     def test_sample_mean_agrees_with_the_exact_mean(self):
         # linear inversion of the cdf put the mean about 7 SE too high here
         model = tabulated_exp(points=41)

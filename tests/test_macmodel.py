@@ -1,11 +1,13 @@
-"""Renewal throughput/power formulas and the spatial-reuse rate cap."""
+"""Renewal throughput/power formulas, the two-sample fixed-time vs
+fixed-packet comparison and the spatial-reuse rate cap."""
 
 import math
 
 import numpy as np
 import pytest
 
-from hopcap.errors import BudgetExhausted, ValidationError
+from conftest import make_rng, swap_energies
+from hopcap.errors import BudgetExhausted, OrderingViolation, ValidationError
 from hopcap import macmodel
 from hopcap.macmodel import MacProfile
 
@@ -125,6 +127,50 @@ class TestValidation:
                 t_idle=0.0, t_collision=0.0, t_overhead=0.0,
                 t_txop=1.0, bandwidth=1.0,
             )
+
+
+class TestCompareFttFp:
+    def test_symmetric_case_exact_equality(self):
+        res = macmodel.compare_ftt_fp(1.3, 1.3, 0.8, 0.8)
+        assert res.bits_ftt == pytest.approx(res.bits_fp, rel=1e-12)
+
+    def test_reference_case_strictly_better(self):
+        res = macmodel.compare_ftt_fp(2.0, 0.5, 1.0, 1.0)
+        assert res.bits_fp == 2000.0
+        assert res.bits_ftt > res.bits_fp
+
+    def test_ordering_violation_raises(self):
+        with pytest.raises(OrderingViolation):
+            macmodel.compare_ftt_fp(2.0, 0.5, 0.01, 1.0)
+
+    def test_invalid_states_rejected(self):
+        with pytest.raises(ValidationError):
+            macmodel.compare_ftt_fp(0.5, 2.0, 1.0, 1.0)
+
+    def test_never_worse_over_random_tuples(self):
+        rng = make_rng(606)
+        for _ in range(200):
+            h2, h1 = np.sort(np.exp(rng.uniform(np.log(1e-2), np.log(1e2), 2)))
+            p1 = float(np.exp(rng.uniform(np.log(1e-2), np.log(1e2))))
+            p2 = float(h1 * p1 / h2) * float(rng.uniform(1e-3, 1.0))
+            res = macmodel.compare_ftt_fp(float(h1), float(h2), p1, p2)
+            assert res.bits_ftt >= res.bits_fp * (1 - 1e-9)
+
+    def test_swap_strictly_reduces_energy(self):
+        rng = make_rng(707)
+        checked = 0
+        for _ in range(400):
+            h2, h1 = np.sort(np.exp(rng.uniform(np.log(1e-2), np.log(1e2), 2)))
+            if h1 == h2:
+                continue
+            p1 = float(np.exp(rng.uniform(np.log(1e-2), np.log(1e2))))
+            # violate the ordering on purpose: h1*p1 < h2*p2
+            p2 = float(h1 * p1 / h2) * float(rng.uniform(1.001, 10.0))
+            energy, swapped, p1_swapped = swap_energies(float(h1), float(h2), p1, p2)
+            assert swapped < energy
+            assert h1 * p1_swapped == pytest.approx(h2 * p2, rel=1e-12)
+            checked += 1
+        assert checked > 350
 
 
 class TestSpatialReuseBound:

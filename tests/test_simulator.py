@@ -1,5 +1,4 @@
-"""Monte Carlo runs against the renewal formulas, plus the two-sample
-fixed-time vs fixed-packet comparison."""
+"""Monte Carlo runs against the renewal formulas."""
 
 import math
 import tracemalloc
@@ -16,18 +15,12 @@ from conftest import (
     oracle_ratio_estimate,
     reference_periods,
     reference_trace,
-    swap_energies,
 )
-from hopcap.errors import NumericalError, OrderingViolation, ValidationError
+from hopcap.errors import NumericalError, ValidationError
 from hopcap.fading import FadingModel
 from hopcap import macmodel, simulator, waterfill
 from hopcap.macmodel import MacProfile
-from hopcap.simulator import (
-    ConstantPowerPolicy,
-    SimConfig,
-    WaterfillPolicy,
-    compare_ftt_fp,
-)
+from hopcap.simulator import ConstantPowerPolicy, SimConfig, WaterfillPolicy
 
 FIG1 = FadingModel.discrete([(100.0, 0.01), (0.5, 0.99)])
 
@@ -698,50 +691,6 @@ class TestDistancesFromTheRenewalFormulas:
                 z.append((estimate - target) / (ci95 / simulator._CI_FACTOR))
         for z in distances:
             assert kstest(z, "norm").pvalue > 1e-3
-
-
-class TestCompareFttFp:
-    def test_symmetric_case_exact_equality(self):
-        res = compare_ftt_fp(1.3, 1.3, 0.8, 0.8)
-        assert res.bits_ftt == pytest.approx(res.bits_fp, rel=1e-12)
-
-    def test_reference_case_strictly_better(self):
-        res = compare_ftt_fp(2.0, 0.5, 1.0, 1.0)
-        assert res.bits_fp == 2000.0
-        assert res.bits_ftt > res.bits_fp
-
-    def test_ordering_violation_raises(self):
-        with pytest.raises(OrderingViolation):
-            compare_ftt_fp(2.0, 0.5, 0.01, 1.0)
-
-    def test_invalid_states_rejected(self):
-        with pytest.raises(ValidationError):
-            compare_ftt_fp(0.5, 2.0, 1.0, 1.0)
-
-    def test_never_worse_over_random_tuples(self):
-        rng = make_rng(606)
-        for _ in range(200):
-            h2, h1 = np.sort(np.exp(rng.uniform(np.log(1e-2), np.log(1e2), 2)))
-            p1 = float(np.exp(rng.uniform(np.log(1e-2), np.log(1e2))))
-            p2 = float(h1 * p1 / h2) * float(rng.uniform(1e-3, 1.0))
-            res = compare_ftt_fp(float(h1), float(h2), p1, p2)
-            assert res.bits_ftt >= res.bits_fp * (1 - 1e-9)
-
-    def test_swap_strictly_reduces_energy(self):
-        rng = make_rng(707)
-        checked = 0
-        for _ in range(400):
-            h2, h1 = np.sort(np.exp(rng.uniform(np.log(1e-2), np.log(1e2), 2)))
-            if h1 == h2:
-                continue
-            p1 = float(np.exp(rng.uniform(np.log(1e-2), np.log(1e2))))
-            # violate the ordering on purpose: h1*p1 < h2*p2
-            p2 = float(h1 * p1 / h2) * float(rng.uniform(1.001, 10.0))
-            energy, swapped, p1_swapped = swap_energies(float(h1), float(h2), p1, p2)
-            assert swapped < energy
-            assert h1 * p1_swapped == pytest.approx(h2 * p2, rel=1e-12)
-            checked += 1
-        assert checked > 350
 
 
 def test_package_resolves_simulator_names_on_first_use():
