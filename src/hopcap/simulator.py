@@ -64,15 +64,15 @@ class WaterfillPolicy(NamedTuple):
     """Transmit P(h) = loss * xi(c*h) from a solved water-fill, with loss = d**eta.
 
     ``xi(x) = (1/lam - 1/x)^+`` is the normalized power poured on state x.
-    ``out``, if given, is an array of h's shape that receives the power.
+    ``out``, if given, is an array of h's shape that receives the power; no c*h is formed (`_fold`).
     """
 
     solution: WaterfillSolution
 
     def power(self, h, loss, out=None):
-        p = np.multiply(self.solution.model.alpha_over_sigma2, h, out=out)
-        p = np.divide(1.0, p, out=out)
-        p = np.subtract(1.0 / self.solution.lam, p, out=out)
+        loss, (c, lam) = _fold(loss, self.solution.model.alpha_over_sigma2, self.solution.lam)
+        p = np.divide(1.0, np.multiply(c, h, out=out), out=out)
+        p = np.subtract(1.0 / lam, p, out=out)
         p = np.maximum(p, 0.0, out=out)
         return np.multiply(loss, p, out=out)
 
@@ -225,19 +225,19 @@ def run(config: SimConfig, trace=None) -> SimReport:
         gains, probs = config.model.kind
         fixed = np.vstack([fixed, _success_rows(config, np.array(gains)).T])
         counts += _counts(rng, n_success, probs)
-    chunk = _Chunk(min(_CHUNK, n_success))
     groups = []  # a continuous chunk's successes by duration (`_Chunk.groups_of`)
     success_sums = []  # and their column sums
 
     def successes():
         """A continuous model's success rows, ``_CHUNK`` at a time, each chunk tallied as drawn."""
-        for start in range(0, 0 if discrete else n_success, _CHUNK):
+        chunk = _Chunk(min(_CHUNK, n_success))
+        for start in range(0, n_success, _CHUNK):
             rows = chunk.rows_of(config, rng, min(_CHUNK, n_success - start))
             success_sums.append(rows.sum(axis=1).tolist())
             groups.extend(chunk.groups_of(rows))
             yield rows
 
-    tally = successes()
+    tally = iter(()) if discrete else successes()
     if trace is not None:
         _write_trace(trace, config, fixed, counts if discrete else counts + [n_success], tally)
     for _ in tally:  # the chunks the trace did not take
@@ -345,7 +345,7 @@ def _success_rows(config, h, power=None, out=None):
     """(duration, energy, bits) of successful periods with fades ``h``, by row.
 
     ``power``, if given, is an array of h's length and ``out`` one of shape
-    (3, h.size): the power and the rows are computed in them.
+    (3, h.size): the power and the rows are computed in them, the SNR without c*h (`_fold`).
     """
     prof = config.profile
     loss = config.d**config.eta
@@ -357,13 +357,23 @@ def _success_rows(config, h, power=None, out=None):
         duration[p == 0.0] = prof.t_overhead + config.relinquish_overhead
     np.multiply(prof.t_txop, p, out=energy)
     energy += prof.e_overhead
-    np.multiply(config.model.alpha_over_sigma2, h, out=bits)
+    loss, (c,) = _fold(loss, config.model.alpha_over_sigma2)
+    np.multiply(c, h, out=bits)
     bits *= p
     bits /= loss
     np.log1p(bits, out=bits)
     bits *= prof.t_txop * prof.bandwidth
     bits /= LN2
     return rows
+
+
+def _fold(loss, *scalars):
+    """loss and ``scalars`` (c, lam) times 2**-k, which rounds nothing in range, k loss's exponent
+    moved only as far as keeps each scalar and its reciprocal normal (a folded scalar can still
+    leave the range): the fades meet c/loss, the SNR per watt, so no c*h is formed."""
+    exponents = [math.frexp(s)[1] for s in scalars]
+    k = min(max(math.frexp(loss)[1], max(exponents) - 1021), min(exponents) + 1021)
+    return math.ldexp(loss, -k), [math.ldexp(s, -k) for s in scalars]
 
 
 def _ratio_se(groups, j, ratio, total_time):

@@ -198,6 +198,26 @@ def test_scalar_commands_load_no_numpy_scipy_or_simulator(exp_cfg, fig1_cfg, tab
     assert stdlib[:len(argvs)] == [[]] * bare + [["hashlib"]] * (len(argvs) - bare)
 
 
+def test_each_module_imports_alone():
+    # the package imports none of its modules, so a cycle among them would
+    # show only when one is imported first: each is, in a fresh interpreter
+    code = ("import importlib, json, sys; importlib.import_module(sys.argv[1]); print(json.dumps("
+            "sorted(m for m in sys.modules if m.split('.')[0] in ('hopcap', 'numpy', 'yaml'))))")
+    env = dict(os.environ, PYTHONPATH=str(_SRC))
+
+    def loaded(name):
+        out = subprocess.run([sys.executable, "-c", code, name], env=env, capture_output=True,
+                             text=True, check=True)
+        return json.loads(out.stdout)
+
+    modules = sorted(path.stem for path in (_SRC / "hopcap").glob("*.py") if path.stem != "__init__")
+    assert len(modules) >= 9  # cli, config, discrete, errors, fading, hopopt, macmodel, simulator, waterfill
+    for module in modules:
+        assert f"hopcap.{module}" in loaded(f"hopcap.{module}")
+    assert loaded("hopcap") == ["hopcap"]
+    assert not any(m.startswith("numpy") for m in loaded("hopcap.fading"))
+
+
 class TestWaterfillCommand:
     def test_single_state_prints_expected_values(self, single_cfg, capsys):
         assert main(["waterfill", "--config", str(single_cfg), "--pi", "1.0"]) == 0

@@ -4,6 +4,7 @@ import math
 import sys
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -124,6 +125,51 @@ class TestStationaryPoints:
             fd = (psi(problem, d + h) - psi(problem, d - h)) / (2 * h)
             analytic = stationary_residual(problem, problem.pt_prime / d**problem.eta)
             assert fd == pytest.approx(analytic, rel=1e-4, abs=1e-10)
+
+
+def exponential_root_u(eta):
+    """The root in u = nu*lam of E1(u)*(1 + eta*u) - eta*exp(-u), eta > 1, at 40 digits.
+
+    Bisection in log u on the residual times exp(u), which is positive at
+    u = 1e-8 and negative at u = 2000 for every eta in (1, 6].
+    """
+    with mpmath.workdps(40):
+        eta = mpmath.mpf(eta)
+        residual = lambda u: mpmath.exp(u) * mpmath.e1(u) * (1 + eta * u) - eta
+        lo, hi = mpmath.mpf("1e-8"), mpmath.mpf(2000)
+        assert residual(lo) > 0 > residual(hi)
+        while hi - lo > lo * mpmath.mpf(10) ** -36:
+            mid = mpmath.sqrt(lo * hi)
+            lo, hi = (mid, hi) if residual(mid) > 0 else (lo, mid)
+        return (lo + hi) / 2
+
+
+class TestExponentialRootAgainstMpmath:
+    """The exponential stationary lam against a 40-digit root, 20 seeded models per eta range.
+
+    The rate is log-uniform in [e^-3, e^3].  Near eta = 1 the root u is
+    about (2*eta - 1)/(eta - 1), and there the residual's two terms cancel
+    to a relative (eta - 1)**2/(2*eta - 1) of themselves, 1e-4 at eta =
+    1.01: each rounding of them moves lam by up to 1e4 ulps, 2.3e-12.
+    Measured: 9.7e-13 at most below 1.1, 3.4e-15 above 1.2, where that
+    gain is at most 35 and the kernel's own few ulps dominate.  Each bound
+    is twice or three times its measure; a residual free of the
+    cancellation would tighten the first.
+    """
+
+    @pytest.mark.parametrize("lo, hi, bound", [(1.01, 1.1, 2e-12), (1.2, 6.0, 1e-14)],
+                             ids=["eta_near_1", "eta_1.2_to_6"])
+    def test_lam_within_the_bound(self, lo, hi, bound):
+        rng = make_rng(7)
+        for _ in range(20):
+            eta, rate = float(rng.uniform(lo, hi)), float(np.exp(rng.uniform(-3.0, 3.0)))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", hopopt.EtaBelowTwoWarning)
+                problem = hopopt.HopProblem(model=FadingModel.exponential(rate), eta=eta, pt_prime=1.0)
+            (point,) = hopopt.stationary_points(problem).points
+            with mpmath.workdps(40):
+                want = exponential_root_u(eta) / rate
+                assert abs(point.lam - want) <= bound * want, (eta, rate)
 
 
 def rechar_matches(problem, rel=1e-6) -> list:

@@ -408,6 +408,16 @@ class TestDiscreteByCounts:
         assert report.theta_ci95 == pytest.approx(theta_ci, rel=1e-10, abs=0)
         assert report.power_ci95 == pytest.approx(power_ci, rel=1e-10, abs=0)
 
+    def test_builds_no_work_arrays(self, monkeypatch):
+        # the chunk's arrays hold a continuous model's successes, which a discrete run has none of
+        def refuse(size):
+            raise AssertionError(f"a discrete run built a chunk of {size}")
+
+        monkeypatch.setattr(simulator, "_Chunk", refuse)
+        config = quiet_config(profile=profile_a(), model=FIG1, policy=ConstantPowerPolicy(0.5),
+                              d=0.5, eta=3.0, horizon=3000, seed=3)
+        assert simulator.run(config, trace=[].append) == simulator.run(config)
+
 
 def exact_cases():
     """The goldens of `hopcap simulate` (tests/test_cli.py), and the two continuous trace cases."""
@@ -453,6 +463,35 @@ class TestIntervalsPastTheSquareRootOfTheFloatRange:
         assert large.theta_hat > 1e180
         assert large == small._replace(**{name: getattr(small, name) * 2.0**600
                                           for name in ("theta_hat", "theta_ci95", "total_bits")})
+
+
+class TestSnrWhoseProductCTimesHLeavesTheFloatRange:
+    """The SNR c*h*p/d**eta is formed without c*h, which may leave the range where the SNR does not."""
+
+    @staticmethod
+    def report(policy, k, gain_k, d):
+        """The seed-3 report of FIG1 with c = 2**k and its gains times 2**gain_k, at eta 2;
+        the water-fill's pi_H = c*pi stays that of pi = 1 at unit scale."""
+        model = FadingModel.discrete([(g * 2.0**gain_k, a) for g, a in zip(*FIG1.kind)], 2.0**k)
+        power = (ConstantPowerPolicy(0.7) if policy == "constant"
+                 else WaterfillPolicy(waterfill.solve(model, 2.0**-(k + gain_k))))
+        config = SimConfig(profile=profile_a(), model=model, policy=power, d=d, eta=2.0,
+                           horizon=20_000, seed=3)
+        return simulator.run(config).to_json()
+
+    @pytest.mark.parametrize("k", [-1020, 1020])
+    @pytest.mark.parametrize("policy", ["constant", "waterfill"])
+    def test_c_and_the_path_loss_times_2_to_the_k_move_no_byte(self, policy, k):
+        # at k = 1020, c*h of the gain 100 overflows: under either policy the run
+        # used to raise NumericalError, "the estimates leave the float range: bits inf"
+        assert (2.0**(k / 2))**2.0 == 2.0**k
+        assert self.report(policy, k, 0, 2.0**(k / 2)) == self.report(policy, 0, 0, 1.0)
+
+    @pytest.mark.parametrize("k, d", [(-1000, 1e6), (1000, 1e-6)])
+    @pytest.mark.parametrize("policy", ["constant", "waterfill"])
+    def test_c_times_2_to_the_k_and_the_gains_over_it_move_no_byte(self, policy, k, d):
+        # c*h stays in range while c and d**eta lie 2**1000 and more apart: the fold keeps both normal
+        assert self.report(policy, k, -k, d) == self.report(policy, 0, 0, d)
 
 
 class TestIdenticalPeriods:
@@ -692,12 +731,3 @@ class TestDistancesFromTheRenewalFormulas:
         for z in distances:
             assert kstest(z, "norm").pvalue > 1e-3
 
-
-def test_package_resolves_simulator_names_on_first_use():
-    import hopcap
-
-    for name in ("ConstantPowerPolicy", "SimConfig", "SimReport", "WaterfillPolicy"):
-        assert getattr(hopcap, name) is getattr(simulator, name)
-        assert name in hopcap.__all__
-    with pytest.raises(AttributeError):
-        hopcap.NoSuchName
