@@ -251,16 +251,25 @@ def _cmd_simulate(args, cfg) -> tuple:
     stages = [("config_and_policy", args.loading), ("run", time.monotonic())]
     # a trace that goes into a manifest is hashed as it is written, not read back
     digest = _sha256() if args.trace is not None and args.out else None
+    spent = 0.0  # inside the trace's callable, which counts to write_and_hash, not run
+
+    def write(data):
+        nonlocal spent
+        start = time.monotonic()
+        fh.write(data)
+        if digest is not None:
+            digest.update(data)
+        spent += time.monotonic() - start
+
     if args.trace is None:
         report = simulator.run(sim_config)
     else:
         try:
             with open(args.trace, "wb") as fh:
-                report = simulator.run(sim_config, fh.write if digest is None else
-                                       lambda data: (fh.write(data), digest.update(data)))
+                report = simulator.run(sim_config, write)
         except OSError as exc:
             raise ConfigError(f"cannot write trace: {exc}") from exc
-    stages.append(("write_and_hash", time.monotonic()))
+    stages.append(("write_and_hash", time.monotonic() - spent))
     payload = report.to_json()
     print(payload)
     outputs = {args.trace: digest.hexdigest()} if digest is not None else {}

@@ -13,15 +13,15 @@ success in each fading state) and a continuous model's success rows, so
 that is all `run` draws, in this order: the period-type counts in one
 multinomial, then a discrete model's state counts in another, or a
 continuous model's fades, a chunk of successes at a time, in work arrays
-allocated once per run.  An i.i.d. sequence of periods is its counts in a
-uniformly random order, and only the trace reads that order: a traced run
-draws it from a stream of its own, chunk by chunk, and reports what the
-untraced run of its seed reports.  Every period is tallied in a group of
-periods of one duration: a row's periods are identical (so a discrete
-run's trace is n + 2 lines formatted once), and a continuous chunk's
-successes are a group or two.  Totals are exact sums, rounded once; the
-CIs sum the residuals group by group.  The trace leaves as one formatted
-block per chunk, handed to a callable: this module opens no file.
+allocated once per run.  Since the periods are i.i.d., their order carries
+nothing the estimates read, and no order is drawn: a trace lists the
+periods row by row, so a traced run reports what the untraced run of its
+seed reports.  Every period is tallied in a group of periods of one
+duration: a row's periods are identical (so a discrete run's trace is
+n + 2 lines formatted once, each repeated by its count), and a
+continuous chunk's successes are a group or two.  Totals are exact sums,
+rounded once; the CIs sum the residuals group by group.  The trace
+leaves in blocks handed to a callable: this module opens no file.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from .waterfill import WaterfillSolution
 
 _CI_FACTOR = 1.959963984540054  # two-sided 95% normal quantile
 MIN_HORIZON_FOR_CI = 10_000
-_CHUNK = 1 << 15  # successes drawn, or periods traced, per chunk of `run`
+_CHUNK = 1 << 15  # successes drawn per chunk of `run`, and trace lines per block at most
 _CELL = b",%.17g"  # a trace cell: every digit, and the sign of -0.0
 
 
@@ -210,9 +210,9 @@ def run(config: SimConfig, trace=None) -> SimReport:
     total, or an estimate out of the float range, raise NumericalError.
 
     ``trace``, if given, is called with each block of the trace's bytes, in
-    order, the CSV header first; what it raises ends the run.  Only the
-    trace draws the periods' order (`_write_trace`), so it changes no
-    estimate.
+    order, the CSV header first; what it raises ends the run.  The trace
+    lists the periods row by row (`_write_trace`) and draws nothing, so it
+    changes no estimate.
     """
     prof = config.profile
     rng = np.random.Generator(np.random.PCG64(config.seed))
@@ -239,8 +239,8 @@ def run(config: SimConfig, trace=None) -> SimReport:
 
     tally = iter(()) if discrete else successes()
     if trace is not None:
-        _write_trace(trace, config, fixed, counts if discrete else counts + [n_success], tally)
-    for _ in tally:  # the chunks the trace did not take
+        _write_trace(trace, fixed, counts, tally)
+    for _ in tally:  # the chunks of an untraced run
         pass
 
     fixed = fixed.tolist()  # each row's periods are a group of identical periods
@@ -279,52 +279,22 @@ def _counts(rng, n, probs) -> list:
     return rng.multinomial(n, [p / total for p in probs]).tolist()
 
 
-def _write_trace(trace, config, fixed, left, successes):
-    """Hand ``trace`` the CSV header, then the run's periods in a uniformly random order.
+def _write_trace(trace, fixed, counts, successes):
+    """Hand ``trace`` the CSV header, then the run's periods row by row.
 
-    The order has a stream of its own, ``PCG64(seed).jumped()``.  ``left``
-    counts the periods of each row of ``fixed`` and, for a continuous model,
-    its successes, whose rows ``successes`` yields chunk by chunk.  Each
-    chunk of ``_CHUNK`` periods draws its count of each row from what
-    remains (`_hypergeometric_counts`) and shuffles its codes; the j-th
-    success of a continuous model takes the j-th row.
+    ``counts`` counts the periods of each row of ``fixed`` (idle, collision,
+    then a discrete model's fading states), and each row's line goes out
+    repeated by its count.  A continuous model's successes follow in the
+    order they were drawn, one block per chunk that ``successes`` yields.
+    No block holds more than ``_CHUNK`` lines.
     """
-    order = np.random.Generator(np.random.PCG64(config.seed).jumped())
     trace(b"period_type,duration_s,energy_J,bits\n")
-    lines = _trace_lines([b"idle", b"collision"] + [b"success"] * (len(fixed) - 2), fixed.T)
-    pending = []  # a continuous model's success lines, formatted and not yet written
-    for start in range(0, config.horizon, _CHUNK):
-        by_row = _hypergeometric_counts(order, left, min(_CHUNK, config.horizon - start))
-        left = [n - k for n, k in zip(left, by_row)]
-        codes = np.repeat(np.arange(len(by_row)), by_row)
-        order.shuffle(codes)
-        if len(fixed) == 2:  # a continuous model: each success takes the next line
-            while len(pending) < by_row[2]:
-                rows = next(successes)
-                pending += _trace_lines([b"success"] * rows.shape[1], rows)
-            codes[codes == 2] = np.arange(2, 2 + by_row[2])
-            lines[2:], pending = pending[:by_row[2]], pending[by_row[2]:]
-        trace(b"".join(np.array(lines, dtype=object)[codes].tolist()))
-
-
-def _hypergeometric_counts(rng, left, size) -> list:
-    """The count by row of ``size`` items drawn without replacement from ``left`` of each row.
-
-    The draws are those of ``rng.multivariate_hypergeometric(left, size)``
-    (its "marginals" method: one hypergeometric draw per row but the last,
-    for the complement when ``size`` is more than half), which refuses
-    ``sum(left) >= 10**9``; a row of 10**9 items here leaves none in the
-    others, so its count is taken without a draw.
-    """
-    total = sum(left)
-    complement = size > total // 2
-    k, rest, counts = total - size if complement else size, total, []
-    for good in left[:-1]:
-        rest -= good
-        counts.append(int(rng.hypergeometric(good, rest, k)) if max(good, rest) < 10**9 else k * (good > 0))
-        k -= counts[-1]
-    counts.append(k)
-    return [n - c for n, c in zip(left, counts)] if complement else counts
+    names = [b"idle", b"collision"] + [b"success"] * (len(fixed) - 2)
+    for line, k in zip(_trace_lines(names, fixed.T), counts):
+        for start in range(0, k, _CHUNK):
+            trace(line * min(_CHUNK, k - start))
+    for rows in successes:
+        trace(b"".join(_trace_lines([b"success"] * rows.shape[1], rows)))
 
 
 def _sum_of_counts(counts, values):

@@ -22,6 +22,7 @@ import math
 from typing import NamedTuple
 
 import numpy as np
+import pytest
 from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.special import ndtri
@@ -541,21 +542,17 @@ def swap_energies(h1: float, h2: float, p1: float, p2: float):
 # -- simulator references -------------------------------------------------------
 
 
-def reference_periods(config, chunk=None):
+def reference_periods(config):
     """(kinds, durations, energies, bits) of every period of a simulator run, in trace order.
 
     Draws in the documented order, one call each: the period-type counts
     by ``rng.multinomial``, then a discrete model's state counts by another
-    or all the successes' fades by one ``sample_h`` call; then, from the
-    order's stream ``PCG64(seed).jumped()``, each chunk's counts by
-    ``multivariate_hypergeometric`` and a shuffle of its codes.  ``chunk``
-    is ``simulator._CHUNK`` unless given.  Arrays span the whole horizon;
-    only a continuous model's sampler and the policy's power come from
-    hopcap.
+    or all the successes' fades by one ``sample_h`` call.  The periods go
+    row by row: the idle ones, the collisions, then the successes, a
+    discrete model's state by state and a continuous model's in the order
+    drawn.  Arrays span the whole horizon; only a continuous model's
+    sampler and the policy's power come from hopcap.
     """
-    from hopcap import simulator
-
-    chunk = chunk or simulator._CHUNK
     prof = config.profile
     rng = make_rng(config.seed)
     p = np.array([prof.p_idle, prof.p_collision, prof.p_success])
@@ -566,14 +563,7 @@ def reference_periods(config, chunk=None):
         colors = np.concatenate([colors[:2], rng.multinomial(n, probs / math.fsum(probs))])
     elif n:
         h = config.model.sample_h(rng, n)
-    order = np.random.Generator(np.random.PCG64(config.seed).jumped())
-    codes = []
-    for start in range(0, config.horizon, chunk):
-        counts = order.multivariate_hypergeometric(colors, min(chunk, config.horizon - start))
-        colors = colors - counts
-        codes.append(np.repeat(np.arange(counts.size), counts))
-        order.shuffle(codes[-1])
-    codes = np.concatenate(codes)
+    codes = np.repeat(np.arange(colors.size), colors)
     kinds = np.minimum(codes, 2)
     success = kinds == 2
     durations = np.where(kinds == 0, prof.t_idle, np.where(kinds == 1, prof.t_collision, 0.0))
@@ -623,6 +613,18 @@ def reference_trace(path, kinds, durations, energies, bits):
         writer.writerow(["period_type", "duration_s", "energy_J", "bits"])
         for k, t, e, b in zip(kinds.tolist(), durations.tolist(), energies.tolist(), bits.tolist()):
             writer.writerow([names[k], "%.17g" % t, "%.17g" % e, "%.17g" % b])
+
+
+def assert_same_trace(got, want, context=None):
+    """Fail unless the trace bytes ``got`` are ``want``, naming the line counts and the
+    first line that differs: a diff of two long unequal texts takes pytest minutes."""
+    if got == want:
+        return
+    lines = got.splitlines(keepends=True), want.splitlines(keepends=True)
+    i = next((i for i, (a, b) in enumerate(zip(*lines)) if a != b), min(map(len, lines)))
+    first = [part[i] if i < len(part) else b"<end of trace>" for part in lines]
+    pytest.fail(f"{context or 'trace'}: {len(lines[0])} lines, expected {len(lines[1])}; line {i + 1} "
+                f"is {first[0]!r}, expected {first[1]!r}", pytrace=False)
 
 
 def oracle_ratio_estimate(numerators, durations):

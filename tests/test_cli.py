@@ -13,6 +13,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import time
 from functools import partial
 from pathlib import Path
 
@@ -647,14 +648,22 @@ class TestSimulateCommand:
 
     def test_manifest_records_stage_times(self, fig1_cfg, tmp_path):
         out_path = tmp_path / "sim.json"
-        assert main(["simulate", "--config", str(fig1_cfg), "--out", str(out_path)]) == 0
-        manifest = json.loads((tmp_path / "sim.json.manifest.json").read_text())
-        stages = manifest["stages_s"]
-        assert sorted(stages) == ["config_and_policy", "run", "write_and_hash"]
-        assert all(t >= 0.0 for t in stages.values()) and stages["run"] > 0.0
-        # wall_time_s starts after the config load and ends before the hashing
-        assert sum(stages.values()) >= manifest["wall_time_s"]
-        assert manifest["warnings"] == []
+        argv = ["simulate", "--config", str(fig1_cfg), "--out", str(out_path)]
+        for trace in ([], ["--trace", str(tmp_path / "trace.csv")]):
+            start = time.monotonic()
+            assert main(argv + trace) == 0
+            span = time.monotonic() - start
+            manifest = json.loads((tmp_path / "sim.json.manifest.json").read_text())
+            stages = manifest["stages_s"]
+            assert sorted(stages) == ["config_and_policy", "run", "write_and_hash"]
+            assert all(t >= 0.0 for t in stages.values()) and stages["run"] > 0.0
+            # wall_time_s starts after the config load and ends before the hashing
+            assert sum(stages.values()) >= manifest["wall_time_s"]
+            assert manifest["warnings"] == []
+        # the traced run: its trace is written and hashed inside `simulator.run`, and
+        # that time counts to write_and_hash, so that `run` is the simulator alone
+        assert stages["write_and_hash"] > 0.0
+        assert stages["run"] + stages["write_and_hash"] <= span
 
     def test_manifest_names_the_warnings_and_stderr_keeps_them(self, fig1_cfg, tmp_path):
         import warnings
@@ -1326,19 +1335,19 @@ SIMULATE_CASES = {
 GOLDEN_SIMULATE = {
     'discrete12-waterfill': (
         '{"elapsed_time_s": 140.34598, "horizon": 200003, "periods": {"collision": 20056, "idle": 119979, "success": 59968}, "power_ci95_w": 0.0046080893342856245, "power_hat_w": 0.877673420286697, "seed": 97531, "theta_ci95_bps": 25117.062936127753, "theta_hat_bps": 3192655.706654683, "total_bits": 448076393.953044, "total_energy_j": 123.17793629008837}\n',
-        'a64a628b818b003724e4d608ea963827f86607e402260edea6c423cde2895eb0',
+        'c2f7e3a36c8f2237ee39789642ab6267c158628c0f33fcbb627a571eeff87cb4',
     ),
     'exponential-relinquish': (
         '{"elapsed_time_s": 52.21828, "horizon": 200003, "periods": {"collision": 20056, "idle": 119979, "success": 59968}, "power_ci95_w": 0.0012306405091079835, "power_hat_w": 0.18603878654481223, "seed": 97531, "theta_ci95_bps": 5002.572788072146, "theta_hat_bps": 337287.285181931, "total_bits": 17612561.898069922, "total_energy_j": 9.714625446657237}\n',
-        '93cb7e8487a4c6fb8e8109b86a52137cae66ce532cc5ebe11d06aec3d04a290e',
+        '97e3d012eaaf0ce96a26f9b3f1dc89a15bc328de194e4b4d0cadd21ffa12b08d',
     ),
     'tab41-constant': (
         '{"elapsed_time_s": 140.34598, "horizon": 200003, "periods": {"collision": 20056, "idle": 119979, "success": 59968}, "power_ci95_w": 0.000605772119988184, "power_hat_w": 0.8810801634646037, "seed": 97531, "theta_ci95_bps": 4196.450356333571, "theta_hat_bps": 738076.7329897513, "total_bits": 103586102.40664497, "total_energy_j": 123.656059}\n',
-        'd3001d523a35e0eb625598dfece97d6efaa067c5bca3ece145b97f7a93780e8a',
+        '34f0a29f45b4247459c599e445d6894c13259ba0c1b1973d27e89869c13c7535',
     ),
     'two-state-waterfill': (
         '{"elapsed_time_s": 140.34598, "horizon": 200003, "periods": {"collision": 20056, "idle": 119979, "success": 59968}, "power_ci95_w": 0.0006077176743407092, "power_hat_w": 0.8811389262474554, "seed": 97531, "theta_ci95_bps": 6077.631578415386, "theta_hat_bps": 3473722.7146021607, "total_bits": 487523018.62910056, "total_energy_j": 123.66430612034685}\n',
-        '7e2b8aafdf0047918964e810e48859529d919b5f2e9f6b5d843ec5d620b5f009',
+        'd882d2c7c326c0c6a835928eb7d9c9be58e37c76cc31db02c70e1185b504b420',
     ),
 }
 

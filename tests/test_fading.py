@@ -620,9 +620,9 @@ def test_log_root_is_called_only_by_the_scan_and_the_exponential_root():
 
 
 def test_the_counts_the_order_and_the_fades_each_have_one_drawer():
-    # the counts are drawn by one multinomial each (`_counts`), the order of a
-    # trace in `_write_trace` and its helper, continuous fades by `sample_h`
-    # in one place: no per-period draw creeps back in beside them
+    # the counts are drawn by one multinomial each (`_counts`) and continuous
+    # fades by `sample_h` in one place; a trace lists its periods row by row,
+    # so no order is drawn: no per-period draw creeps back in beside them
     def calls(name):
         return lambda node: isinstance(node, ast.Call) and (
             isinstance(node.func, ast.Name) and node.func.id == name
@@ -634,11 +634,11 @@ def test_the_counts_the_order_and_the_fades_each_have_one_drawer():
                             "permutation", "jumped", "sample_h", "choice", "random")}
     assert drawers == {
         "multinomial": {("simulator.py", "_counts")},
-        "hypergeometric": {("simulator.py", "_hypergeometric_counts")},
+        "hypergeometric": set(),
         "multivariate_hypergeometric": set(),
-        "shuffle": {("simulator.py", "_write_trace")},
+        "shuffle": set(),
         "permutation": set(),
-        "jumped": {("simulator.py", "_write_trace")},
+        "jumped": set(),
         "sample_h": {("simulator.py", "_Chunk.rows_of")},
         "choice": set(),
         "random": {("fading.py", "FadingModel.sample_h")},

@@ -1,5 +1,6 @@
 """Monte Carlo runs against the renewal formulas."""
 
+import itertools
 import math
 import tracemalloc
 from fractions import Fraction
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    assert_same_trace,
     exact_ratio_ci,
     example_profile,
     make_rng,
@@ -176,18 +178,26 @@ class TestTraceAndKnobs:
         assert lines[0] == "period_type,duration_s,energy_J,bits"
         assert len(lines) == 501
 
-    @pytest.mark.parametrize("model", [FIG1, FadingModel.exponential(1.0)],
-                             ids=["discrete", "exponential"])
-    def test_trace_goes_out_header_first_then_a_block_per_chunk(self, model, monkeypatch):
+    @pytest.mark.parametrize("model, successes", [
+        (FIG1, [3, 200, 98]), (FadingModel.exponential(1.0), [200, 101])], ids=["discrete", "exponential"])
+    def test_trace_goes_out_header_first_then_a_block_per_chunk(self, model, successes, monkeypatch):
         monkeypatch.setattr(simulator, "_CHUNK", 200)
         config = quiet_config(
             profile=profile_a(), model=model, policy=ConstantPowerPolicy(0.5),
-            d=1.0, eta=3.0, horizon=500, seed=3,
+            d=1.0, eta=3.0, horizon=1000, seed=3,
         )
         blocks = []
         simulator.run(config, trace=blocks.append)
         assert blocks[0] == b"period_type,duration_s,energy_J,bits\n"
-        assert [block.count(b"\n") for block in blocks[1:]] == [200, 200, 100]
+        # row by row, a chunk at most per block: 604 idle periods, 95 collisions, then a
+        # discrete model's 3 successes at gain 100 and 298 at 0.5, or a continuous model's
+        # successes as drawn, a chunk of fades a block
+        assert [(block[:block.index(b",")], block.count(b"\n")) for block in blocks[1:]] == [
+            (b"idle", 200), (b"idle", 200), (b"idle", 200), (b"idle", 4), (b"collision", 95),
+            *[(b"success", n) for n in successes]]
+        # a row's block is its one line repeated; each continuous success has its own fade
+        assert [len(set(block.splitlines())) for block in blocks[1:]] == [1] * 5 + (
+            [1] * 3 if model.is_discrete else successes)
 
         def refuse(data):
             raise OSError("no room")
@@ -257,7 +267,7 @@ class TestChunkedRun:
         reference_trace(tmp_path / "ref.csv", *periods)
         blocks = []
         simulator.run(config, trace=blocks.append)
-        assert b"".join(blocks) == (tmp_path / "ref.csv").read_bytes()
+        assert_same_trace(b"".join(blocks), (tmp_path / "ref.csv").read_bytes())
         if case == "exponential_relinquish":
             kinds, durations, _, _ = periods
             assert np.any((kinds == 2) & (durations < config.profile.t_overhead + config.profile.t_txop))
@@ -273,28 +283,43 @@ class TestChunkedRun:
         reference_trace(tmp_path / "ref.csv", *reference_periods(config))
         blocks = []
         simulator.run(config, trace=blocks.append)
-        text = b"".join(blocks).decode()
-        assert ",-0\n" in text and ",0\n" in text
-        assert text == (tmp_path / "ref.csv").read_text()
+        text = b"".join(blocks)
+        assert b",-0\n" in text and b",0\n" in text
+        assert_same_trace(text, (tmp_path / "ref.csv").read_bytes())
 
     @pytest.mark.parametrize("case", sorted(trace_cases()))
     def test_chunk_size_changes_nothing(self, case, tmp_path, monkeypatch):
-        # the order is drawn per chunk, so the trace is the reference's at each size
+        # the trace goes row by row, so at every size it is the same bytes, the reference's
         horizon = 3000
         config = quiet_config(horizon=horizon, **trace_cases()[case])
+        reference_trace(tmp_path / "ref.csv", *reference_periods(config))
         runs = []
         for chunk in (1, 7, 4096, horizon):
             monkeypatch.setattr(simulator, "_CHUNK", chunk)
             blocks = []
             runs.append(simulator.run(config, trace=blocks.append))
-            reference_trace(tmp_path / "ref.csv", *reference_periods(config))
-            assert b"".join(blocks) == (tmp_path / "ref.csv").read_bytes(), chunk
+            assert_same_trace(b"".join(blocks), (tmp_path / "ref.csv").read_bytes(), f"chunk {chunk}")
         first, rest = runs[0], runs[1:]
         for report in rest:
             assert (report.n_idle, report.n_collision, report.n_success) == (
                 first.n_idle, first.n_collision, first.n_success)
             for name in REPORT_FLOATS:
                 assert getattr(report, name) == pytest.approx(getattr(first, name), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("got, message", [
+        (b"h\n" + b"a,1\n" * 9999 + b"b,2\n" + b"a,1\n" * 10**5,
+         r"trace: 110001 lines, expected 110001; line 10001 is b'b,2\n', expected b'a,1\n'"),
+        (b"h\n" + b"a,1\n" * 10**5,
+         r"trace: 100001 lines, expected 110001; line 100002 is b'<end of trace>', expected b'a,1\n'"),
+    ], ids=["a-line-differs", "a-line-is-missing"])
+    def test_a_trace_mismatch_names_its_first_differing_line(self, got, message):
+        # two unequal traces of 400 KB fail at once, with the line counts and the
+        # first line that differs, and no diff of the texts
+        want = b"h\n" + b"a,1\n" * (10**5 + 10_000)
+        assert_same_trace(want, want)
+        with pytest.raises(pytest.fail.Exception) as failed:
+            assert_same_trace(got, want)
+        assert str(failed.value) == message
 
     @pytest.mark.parametrize("case", sorted(trace_cases()))
     def test_estimates_match_the_two_pass_oracle(self, case):
@@ -354,20 +379,29 @@ class TestChunkedRun:
         assert report.theta_ci95 == 0.0 and report.power_ci95 == 0.0
 
     def test_memory_does_not_grow_with_the_horizon(self):
-        # an array of the horizon's period types, even at one byte each, adds 3 MB
-        peaks = []
-        for horizon in (1_000_000, 4_000_000):
-            config = SimConfig(
-                profile=profile_a(), model=FIG1, policy=ConstantPowerPolicy(0.5),
-                d=1.0, eta=3.0, horizon=horizon, seed=13,
-            )
-            tracemalloc.start()
-            try:
-                simulator.run(config)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-        assert abs(peaks[1] - peaks[0]) <= 0.25 * 2**20, peaks
+        # an array of the horizon's period types, even at one byte each, adds 3 MB, and a
+        # trace held whole some 60 MB per 1e6 periods; a traced run's callable keeps only
+        # each block's line count.  A continuous trace formats each success's line, which
+        # tracemalloc slows to some 10 us, so that run has 4% successes: more than a chunk
+        # of them at either horizon, and an array of them would add 1 MB
+        few = profile_a()._replace(p_collision=0.36, p_success=0.04)
+        for model, profile, lines in ((FIG1, profile_a(), None), (FIG1, profile_a(), []),
+                                      (FadingModel.exponential(1.0), few, [])):
+            peaks = []
+            for horizon in (1_000_000, 4_000_000):
+                config = SimConfig(
+                    profile=profile, model=model, policy=ConstantPowerPolicy(0.5),
+                    d=1.0, eta=3.0, horizon=horizon, seed=13,
+                )
+                trace = None if lines is None else lambda block: lines.append(block.count(b"\n"))
+                tracemalloc.start()
+                try:
+                    simulator.run(config, trace=trace)
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+            assert abs(peaks[1] - peaks[0]) <= 0.25 * 2**20, (model.kind, lines is not None, peaks)
+            assert lines is None or max(lines) <= simulator._CHUNK
 
 
 TWELVE_STATE = FadingModel.discrete(
@@ -383,7 +417,7 @@ class TestDiscreteByCounts:
     @pytest.mark.parametrize("seed", [3, 8, 21])
     def test_totals_are_the_exact_sums(self, model, chunk, seed, monkeypatch):
         # an untraced discrete run draws counts only, so no chunk size changes
-        # its report; the reference draws its order per chunk
+        # its report, and the reference has no chunks
         if chunk is not None:
             monkeypatch.setattr(simulator, "_CHUNK", chunk)
         # at pi = 0.001 the water-fill leaves the weaker states unserved: their bits are 0
@@ -561,7 +595,8 @@ class TestNoStaleBuffers:
                 assert reports.setdefault(i, report) == report, (name, repeat)
                 if blocks is not None:
                     reference_trace(tmp_path / "ref.csv", *reference_periods(config))
-                    assert b"".join(blocks) == (tmp_path / "ref.csv").read_bytes(), (name, repeat)
+                    assert_same_trace(b"".join(blocks), (tmp_path / "ref.csv").read_bytes(),
+                                      f"{name}, repeat {repeat}")
 
 
 # the fading-state probabilities of discrete models, as the model sorts them
@@ -637,7 +672,7 @@ class TestPeriodTypeDraw:
 
 
 class TestTracedRuns:
-    """A trace draws the periods' order from a stream of its own: the report does not move."""
+    """A trace lists the periods row by row and draws nothing: the report does not move."""
 
     @pytest.mark.parametrize("case", sorted(trace_cases()))
     @pytest.mark.parametrize("horizon", [1, 4999, 140_001])
@@ -673,21 +708,11 @@ class TestTracedRuns:
 
 
 class TestOrderDraw:
-    """`_hypergeometric_counts` draws a chunk's counts by row, as numpy would where it can."""
+    """No order is drawn: a horizon's row counts, at the cap too, go out row by row.
 
-    def test_draws_as_numpy_s_multivariate_hypergeometric(self):
-        rng = make_rng(17)
-        for _ in range(300):
-            left = rng.integers(0, [1, 10, 1000, 10**6][rng.integers(4)] + 1, rng.integers(1, 8)).tolist()
-            if sum(left) == 0:
-                continue
-            size = int(rng.integers(1, sum(left) + 1))
-            seed = int(rng.integers(2**32))
-            a, b = make_rng(seed), make_rng(seed)
-            got = simulator._hypergeometric_counts(a, left, size)
-            assert got == b.multivariate_hypergeometric(left, size).tolist(), (left, size)
-            assert a.bit_generator.state == b.bit_generator.state
-            assert all(type(k) is int for k in got)
+    The order draw this replaced needed a hypergeometric draw that numpy
+    refuses at 10**9 items; the row-order trace needs no draw at all.
+    """
 
     @pytest.mark.parametrize("left", [
         [6 * 10**8, 4 * 10**8], [10**9, 0, 0], [0, 10**9, 0], [0, 0, 10**9],
@@ -695,15 +720,43 @@ class TestOrderDraw:
     ])
     @pytest.mark.parametrize("size", [1, 65_536, 6 * 10**8, 10**9])
     def test_a_horizon_at_the_cap(self, left, size):
-        # numpy refuses sum(colors) >= 10**9, so a traced run at the horizon's cap needs this
-        with pytest.raises(ValueError, match="must be less than 1000000000"):
-            make_rng(0).multivariate_hypergeometric(left, 1)
-        rng = make_rng(5)
-        counts = simulator._hypergeometric_counts(rng, left, size)
-        assert sum(counts) == size and all(0 <= k <= n for k, n in zip(counts, left))
-        if max(left) == 10**9 or size == 10**9:  # one row, or every item: no draw
-            assert counts == ([size * (n > 0) for n in left] if size < 10**9 else left)
-            assert rng.bit_generator.state == make_rng(5).bit_generator.state
+        # `left` weighs the rows (idle, collision, then a success in each fading
+        # state) and `size` is the horizon, at most config.MAX_HORIZON
+        from hopcap.config import MAX_HORIZON
+
+        assert size <= MAX_HORIZON
+        counts = simulator._counts(make_rng(5), size, left)
+        assert sum(counts) == size and all(type(k) is int for k in counts)
+        assert all(k == 0 for k, w in zip(counts, left) if w == 0)
+        if sum(w > 0 for w in left) == 1:  # one row holds every period
+            assert counts == [size * (w > 0) for w in left]
+
+        # the trace of those counts: a reader that refuses a fourth block of lines ends it
+        rows = [(1e-5, 1e-7, 0.0), (1e-4, 2e-6, 0.0), (1.1e-3, 5e-4, 3e3), (1.1e-3, -0.0, 0.0)]
+        names = [b"idle", b"collision"] + [b"success"] * (len(left) - 2)
+        lines = [b"%s,%.17g,%.17g,%.17g\n" % (name, *row) for name, row in zip(names, rows)]
+        want = [line * n for line, n in itertools.islice(
+            ((line, min(simulator._CHUNK, k - start)) for line, k in zip(lines, counts)
+             for start in range(0, k, simulator._CHUNK)), 3)]
+
+        class Enough(Exception):
+            pass
+
+        blocks = []
+
+        def read(block):
+            blocks.append(block)
+            if len(blocks) > 4:  # the header and three blocks
+                raise Enough
+
+        try:
+            simulator._write_trace(read, np.array(rows[:len(left)]), counts, iter(()))
+        except Enough:
+            assert sum(map(len, want)) < sum(k * len(line) for line, k in zip(lines, counts))
+        else:
+            assert b"".join(blocks[1:]) == b"".join(line * k for line, k in zip(lines, counts))
+        assert blocks[0] == b"period_type,duration_s,energy_J,bits\n"
+        assert blocks[1:4] == want
 
 
 class TestDistancesFromTheRenewalFormulas:
