@@ -6,32 +6,32 @@ fade, applies the power policy and ships rate*T bits.  Estimates of the
 aggregate bit rate and the network power are ratio estimators, so the
 95% confidence intervals use the delta method over periods.
 
-The generator is numpy's PCG64, seeded from the config: identical seeds
-reproduce reports byte for byte.  The estimates read the periods only
-through each row's count (idle, collision and, for a discrete model, a
-success in each fading state) and a continuous model's success rows, so
-that is all `run` draws, in this order: the period-type counts in one
-multinomial, then a discrete model's state counts in another, or a
-continuous model's fades, a chunk of successes at a time, in work arrays
-allocated once per run.  Since the periods are i.i.d., their order carries
-nothing the estimates read, and no order is drawn: a trace lists the
-periods row by row, so a traced run reports what the untraced run of its
-seed reports.  Every period is tallied in a group of periods of one
-duration: a row's periods are identical (so a discrete run's trace is
-n + 2 lines formatted once, each repeated by its count), and a
-continuous chunk's successes are a group or two.  Totals are exact sums,
-rounded once; the CIs sum the residuals group by group.  The trace
-leaves in blocks handed to a callable: this module opens no file.
+The estimates read the periods only through each row's count (idle,
+collision and, for a discrete model, a success in each fading state) and
+a continuous model's success rows, so that is all `run` draws: the counts
+from a ``random.Random``, a chain of binomials each (`_counts`), and a
+continuous model's fades from numpy's PCG64, a chunk of successes at a
+time, in work arrays allocated once per run.  Both are seeded from the
+config: identical seeds reproduce reports byte for byte.  A discrete run
+is a few counts and n + 2 rows in ``math``, and loads no numpy.  Since
+the periods are i.i.d., their order carries nothing the estimates read,
+and no order is drawn: a trace lists the periods row by row, so a traced
+run reports what the untraced run of its seed reports.  Every period is
+tallied in a group of periods of one duration: a row's periods are
+identical (so a discrete run's trace is n + 2 lines formatted once, each
+repeated by its count), and a continuous chunk's successes are a group
+or two.  Totals are exact sums, rounded once; the CIs sum the residuals
+group by group.  The trace leaves in blocks handed to a callable: this
+module opens no file.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import random
 import warnings
 from typing import NamedTuple
-
-import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .fading import FadingModel
@@ -41,7 +41,7 @@ from .waterfill import WaterfillSolution
 _CI_FACTOR = 1.959963984540054  # two-sided 95% normal quantile
 MIN_HORIZON_FOR_CI = 10_000
 _CHUNK = 1 << 15  # successes drawn per chunk of `run`, and trace lines per block at most
-_CELL = b",%.17g"  # a trace cell: every digit, and the sign of -0.0
+_LINE = b"%s,%.17g,%.17g,%.17g\n"  # a trace line: every digit, and the sign of -0.0
 
 
 class SmallHorizonWarning(UserWarning):
@@ -53,11 +53,13 @@ class ConstantPowerPolicy(NamedTuple):
 
     power_w: float
 
-    def power(self, h, loss, out=None):
-        if out is None:
-            return np.full_like(np.asarray(h, dtype=float), self.power_w)
+    def power(self, h, loss, out):
         out.fill(self.power_w)
         return out
+
+    def power_at(self, h, loss):
+        """The power at one fade ``h``."""
+        return self.power_w
 
 
 class WaterfillPolicy(NamedTuple):
@@ -70,11 +72,18 @@ class WaterfillPolicy(NamedTuple):
     solution: WaterfillSolution
 
     def power(self, h, loss, out=None):
+        import numpy as np
         loss, (c, lam) = _fold(loss, self.solution.model.alpha_over_sigma2, self.solution.lam)
         p = np.divide(1.0, np.multiply(c, h, out=out), out=out)
         p = np.subtract(1.0 / lam, p, out=out)
         p = np.maximum(p, 0.0, out=out)
         return np.multiply(loss, p, out=out)
+
+    def power_at(self, h, loss):
+        """`power` at one fade ``h``, in plain floats in its order of operations; a c*h of 0 gets none."""
+        loss, (c, lam) = _fold(loss, self.solution.model.alpha_over_sigma2, self.solution.lam)
+        x = c * h
+        return loss * max(1.0 / lam - 1.0 / x, 0.0) if x else 0.0
 
 
 class _SimConfigFields(NamedTuple):
@@ -154,6 +163,7 @@ class _Chunk:
     ``dev`` and ``mask`` for `groups_of`."""
 
     def __init__(self, size):
+        import numpy as np
         self.fades, self.power = np.empty(size), np.empty(size)
         self.rows, self.dev = np.empty(3 * size), np.empty(3 * size)
         self.mask = np.empty(size, dtype=bool)
@@ -175,6 +185,7 @@ class _Chunk:
         deviations are squared in units of a power of two, the exponent of
         their column's mean (``math.frexp``), to stay in the float range.
         """
+        import numpy as np
         n = rows.shape[1]
         same = np.equal(rows[0], rows[0, 0], out=self.mask[:n])
         k = int(np.count_nonzero(same))
@@ -194,20 +205,21 @@ class _Chunk:
             mean = first[:, 0] + np.r_[0.0, shift[:, 0]]
             dev *= np.ldexp(1.0, -np.frexp(mean[1:])[1])[:, None]  # in units of the mean's power of two
             dev *= dev
-            groups.append((dev.shape[1], mean, np.r_[0.0, dev.sum(axis=1)]))
+            groups.append((dev.shape[1], mean.tolist(), [0.0, *dev.sum(axis=1).tolist()]))
         return groups
 
 
 def run(config: SimConfig, trace=None) -> SimReport:
     """Simulate ``horizon`` contention periods and estimate rate and power.
 
-    One stream draws the period-type counts (`_counts`), then a discrete
-    model's fading-state counts, or a continuous model's fades, ``_CHUNK``
-    successes at a time in work arrays allocated once (`_Chunk`).  The rows
-    of ``fixed`` are counted, and a continuous chunk's successes summed and
-    grouped (`_Chunk.groups_of`); each total is the exact sum of count times
-    row plus the chunks' sums, rounded once.  Periods that last 0 s in
-    total, or an estimate out of the float range, raise NumericalError.
+    One ``random.Random`` draws the period-type counts (`_counts`), then a
+    discrete model's fading-state counts; a continuous model's fades come
+    from a PCG64 stream of their own, ``_CHUNK`` successes at a time in work
+    arrays allocated once (`_Chunk`).  The rows of ``fixed`` are counted,
+    and a continuous chunk's successes summed and grouped
+    (`_Chunk.groups_of`); each total is the exact sum of count times row
+    plus the chunks' sums, rounded once.  Periods that last 0 s in total,
+    or an estimate out of the float range, raise NumericalError.
 
     ``trace``, if given, is called with each block of the trace's bytes, in
     order, the CSV header first; what it raises ends the run.  The trace
@@ -215,24 +227,26 @@ def run(config: SimConfig, trace=None) -> SimReport:
     changes no estimate.
     """
     prof = config.profile
-    rng = np.random.Generator(np.random.PCG64(config.seed))
+    rng = random.Random(config.seed)
     *counts, n_success = _counts(rng, config.horizon, [prof.p_idle, prof.p_collision, prof.p_success])
     # the (duration, energy, bits) rows of idle and collision periods, then,
     # for a discrete model, of a success in each fading state
-    fixed = np.array([[prof.t_idle, prof.e_idle, 0.0], [prof.t_collision, prof.e_collision, 0.0]])
+    fixed = [[prof.t_idle, prof.e_idle, 0.0], [prof.t_collision, prof.e_collision, 0.0]]
     discrete = config.model.is_discrete
     if discrete:
         gains, probs = config.model.kind
-        fixed = np.vstack([fixed, _success_rows(config, np.array(gains)).T])
+        fixed += [_success_row(config, h) for h in gains]
         counts += _counts(rng, n_success, probs)
     groups = []  # a continuous chunk's successes by duration (`_Chunk.groups_of`)
     success_sums = []  # and their column sums
 
     def successes():
         """A continuous model's success rows, ``_CHUNK`` at a time, each chunk tallied as drawn."""
+        import numpy as np
+        fades = np.random.Generator(np.random.PCG64(config.seed))
         chunk = _Chunk(min(_CHUNK, n_success))
         for start in range(0, n_success, _CHUNK):
-            rows = chunk.rows_of(config, rng, min(_CHUNK, n_success - start))
+            rows = chunk.rows_of(config, fades, min(_CHUNK, n_success - start))
             success_sums.append(rows.sum(axis=1).tolist())
             groups.extend(chunk.groups_of(rows))
             yield rows
@@ -243,7 +257,7 @@ def run(config: SimConfig, trace=None) -> SimReport:
     for _ in tally:  # the chunks of an untraced run
         pass
 
-    fixed = fixed.tolist()  # each row's periods are a group of identical periods
+    # each row's periods are a group of identical periods
     groups[:0] = [(k, row, (0.0, 0.0, 0.0)) for k, row in zip(counts, fixed) if k]
     total_time, total_energy, total_bits = (
         _sum_of_counts(counts + [1] * len(success_sums), column) for column in zip(*fixed, *success_sums))
@@ -272,11 +286,54 @@ def run(config: SimConfig, trace=None) -> SimReport:
 
 
 def _counts(rng, n, probs) -> list:
-    """The count of each category in ``n`` i.i.d. draws over ``probs``: one multinomial
-    over ``probs`` by their ``math.fsum``, since numpy refuses a probability
-    past 1, which a model or a profile may hold within its tolerance."""
-    total = math.fsum(probs)
-    return rng.multinomial(n, [p / total for p in probs]).tolist()
+    """The count of each category in ``n`` i.i.d. draws over ``probs`` over their ``math.fsum``,
+    by a chain of binomials: each category but the last draws its count of the draws left at its
+    share of the categories left, and the last takes the rest.  So a probability past 1, which a
+    model or a profile may hold within its tolerance, is drawn too."""
+    counts = []
+    for i, p in enumerate(probs[:-1]):
+        counts.append(_binomial(rng, n, p / math.fsum(probs[i:]) if p else 0.0))
+        n -= counts[-1]
+    return counts + [n]
+
+
+def _binomial(rng, n, p) -> int:
+    """A Binomial(n, p) count drawn from ``rng``, a ``random.Random``, by the methods of CPython
+    3.12's ``random.binomialvariate``: n - B(n, 1 - p) above p = 0.5, geometric waiting times
+    (Devroye, in units of ``log1p(-p)``, which keeps the smallest p) below a mean of 10, else
+    Hörmann's BTRS (J. Stat. Comput. Simul. 46, 1993) with the log of v that the paper omits.
+    A uniform whose log is taken lies in (0, 1], and one at the pole of the hat is drawn again."""
+    if p > 0.5:
+        return n - _binomial(rng, n, 1.0 - p)
+    if p == 0.0:
+        return 0
+    if n * p < 10.0:
+        x, y, c = -1, 0, math.log1p(-p)
+        while y <= n:  # a waiting time past n ends the count, past the float range too
+            y += math.floor(min(math.log(1.0 - rng.random()) / c, n)) + 1
+            x += 1
+        return x
+    spq = math.sqrt(n * p * (1.0 - p))
+    b = 1.15 + 2.53 * spq
+    a = -0.0873 + 0.0248 * b + 0.01 * p
+    c = n * p + 0.5
+    vr = 0.92 - 4.2 / b
+    alpha = (2.83 + 5.1 / b) * spq
+    lpq = math.log(p / (1.0 - p))
+    m = math.floor((n + 1) * p)  # the mode
+    h = math.lgamma(m + 1) + math.lgamma(n - m + 1)
+    while True:
+        u = rng.random() - 0.5
+        us = 0.5 - abs(u)
+        k = math.floor((2.0 * a / us + b) * u + c) if us else -1
+        if not 0 <= k <= n:
+            continue
+        v = 1.0 - rng.random()
+        if us >= 0.07 and v <= vr:  # the squeeze
+            return k
+        v *= alpha / (a / (us * us) + b)
+        if math.log(v) <= h - math.lgamma(k + 1) - math.lgamma(n - k + 1) + (k - m) * lpq:
+            return k
 
 
 def _write_trace(trace, fixed, counts, successes):
@@ -290,11 +347,11 @@ def _write_trace(trace, fixed, counts, successes):
     """
     trace(b"period_type,duration_s,energy_J,bits\n")
     names = [b"idle", b"collision"] + [b"success"] * (len(fixed) - 2)
-    for line, k in zip(_trace_lines(names, fixed.T), counts):
+    for line, k in zip(_trace_lines(names, zip(*fixed)), counts):
         for start in range(0, k, _CHUNK):
             trace(line * min(_CHUNK, k - start))
     for rows in successes:
-        trace(b"".join(_trace_lines([b"success"] * rows.shape[1], rows)))
+        trace(b"".join(_trace_lines([b"success"] * rows.shape[1], rows.tolist())))
 
 
 def _sum_of_counts(counts, values):
@@ -311,16 +368,16 @@ def _sum_of_counts(counts, values):
     return sum(n * num * (scale // den) for n, num, den in ratios) / scale
 
 
-def _success_rows(config, h, power=None, out=None):
-    """(duration, energy, bits) of successful periods with fades ``h``, by row.
+def _success_rows(config, h, power, rows):
+    """(duration, energy, bits) of successful periods with the array of fades ``h``, by row.
 
-    ``power``, if given, is an array of h's length and ``out`` one of shape
-    (3, h.size): the power and the rows are computed in them, the SNR without c*h (`_fold`).
+    ``power`` is an array of h's length and ``rows`` one of shape (3, h.size):
+    the power and the rows are computed in them, the SNR without c*h (`_fold`).
     """
+    import numpy as np
     prof = config.profile
     loss = config.d**config.eta
-    p = config.policy.power(h, loss, out=power)
-    rows = np.empty((3, h.size)) if out is None else out
+    p = config.policy.power(h, loss, power)
     duration, energy, bits = rows
     duration.fill(prof.t_overhead + prof.t_txop)
     if config.relinquish_overhead is not None:
@@ -335,6 +392,17 @@ def _success_rows(config, h, power=None, out=None):
     bits *= prof.t_txop * prof.bandwidth
     bits /= LN2
     return rows
+
+
+def _success_row(config, h):
+    """`_success_rows` of one fade ``h``, in plain floats and in its order of operations."""
+    prof = config.profile
+    loss = config.d**config.eta
+    p = config.policy.power_at(h, loss)
+    held = prof.t_txop if p or config.relinquish_overhead is None else config.relinquish_overhead
+    loss, (c,) = _fold(loss, config.model.alpha_over_sigma2)
+    bits = math.log1p(c * h * p / loss) * (prof.t_txop * prof.bandwidth) / LN2
+    return [prof.t_overhead + held, prof.t_txop * p + prof.e_overhead, bits]
 
 
 def _fold(loss, *scalars):
@@ -358,28 +426,19 @@ def _ratio_se(groups, j, ratio, total_time):
     does; a power of two changes no bit of an interval that stayed in range
     without it.
     """
-    counts = np.array([k for k, _, _ in groups], dtype=float)
-    n = int(counts.sum())
+    n = sum(k for k, _, _ in groups)
     if n < 2:
         return 0.0
     e = math.frexp(ratio)[1]
-    means = np.array([mean for _, mean, _ in groups])
-    d = np.ldexp((means[:, j] - means[0, j]) - ratio * (means[:, 0] - means[0, 0]), -e)
-    d -= math.fsum(counts * d) / n
-    ss = math.fsum(counts * d * d) + math.fsum(
+    first = groups[0][1]
+    d = [math.ldexp((mean[j] - first[j]) - ratio * (mean[0] - first[0]), -e) for _, mean, _ in groups]
+    shift = math.fsum(k * x for (k, _, _), x in zip(groups, d)) / n
+    d = [x - shift for x in d]
+    ss = math.fsum(k * x * x for (k, _, _), x in zip(groups, d)) + math.fsum(
         math.ldexp(squares[j], 2 * (math.frexp(mean[j])[1] - e)) for _, mean, squares in groups)
     return math.ldexp(math.sqrt(ss / (n - 1) / n) / (total_time / n), e)
 
 
-def _trace_lines(names, rows):
-    """The trace lines ``name,duration,energy,bits`` of ``names`` and the columns of ``rows``.
-
-    Each distinct value of a row of ``rows`` is formatted once: a success's
-    energy, say, is one value over a run at constant power.
-    """
-    lines = np.array(names, dtype=object)
-    for column, cell in zip(rows, (_CELL, _CELL, _CELL + b"\n")):
-        # unique bit patterns, so that -0.0 and 0.0 keep their own text
-        values, inverse = np.unique(column.view(np.int64), return_inverse=True)
-        lines += np.array([cell % v for v in values.view(np.float64).tolist()], dtype=object)[inverse]
-    return lines.tolist()
+def _trace_lines(names, columns):
+    """The trace lines ``name,duration,energy,bits`` of ``names`` and the three ``columns``."""
+    return [_LINE % line for line in zip(names, *columns)]

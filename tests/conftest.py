@@ -19,6 +19,7 @@ precondition of `macmodel.compare_ftt_fp`.
 
 import csv
 import math
+import random
 from typing import NamedTuple
 
 import numpy as np
@@ -546,23 +547,26 @@ def reference_periods(config):
     """(kinds, durations, energies, bits) of every period of a simulator run, in trace order.
 
     Draws in the documented order, one call each: the period-type counts
-    by ``rng.multinomial``, then a discrete model's state counts by another
-    or all the successes' fades by one ``sample_h`` call.  The periods go
+    by ``simulator._counts`` on a fresh ``random.Random`` of the seed, then
+    a discrete model's state counts by another, or all the successes' fades
+    by one ``sample_h`` call on a fresh PCG64 of the seed.  The periods go
     row by row: the idle ones, the collisions, then the successes, a
     discrete model's state by state and a continuous model's in the order
-    drawn.  Arrays span the whole horizon; only a continuous model's
-    sampler and the policy's power come from hopcap.
+    drawn.  Arrays span the whole horizon; only the count drawer, a
+    continuous model's sampler and the policy's power come from hopcap.
     """
+    from hopcap.simulator import _counts
+
     prof = config.profile
-    rng = make_rng(config.seed)
-    p = np.array([prof.p_idle, prof.p_collision, prof.p_success])
-    colors = rng.multinomial(config.horizon, p / math.fsum(p))
-    n = int(colors[2])
+    rng = random.Random(config.seed)
+    colors = _counts(rng, config.horizon, [prof.p_idle, prof.p_collision, prof.p_success])
+    n = colors[2]
     if config.model.is_discrete:
-        gains, probs = (np.array(column) for column in config.model.kind)
-        colors = np.concatenate([colors[:2], rng.multinomial(n, probs / math.fsum(probs))])
+        gains = np.array(config.model.kind.gains)
+        colors = colors[:2] + _counts(rng, n, config.model.kind.probs)
     elif n:
-        h = config.model.sample_h(rng, n)
+        h = config.model.sample_h(make_rng(config.seed), n)
+    colors = np.array(colors)
     codes = np.repeat(np.arange(colors.size), colors)
     kinds = np.minimum(codes, 2)
     success = kinds == 2
@@ -573,8 +577,11 @@ def reference_periods(config):
         if config.model.is_discrete:
             h = gains[codes[success] - 2]
         loss = config.d**config.eta
-        p = config.policy.power(h, loss)
-        rate = np.log1p(config.model.alpha_over_sigma2 * h * p / loss)
+        p = config.policy.power(h, loss, np.empty(n))
+        snr = config.model.alpha_over_sigma2 * h * p / loss
+        # a discrete model's rows are plain math (`simulator._success_row`), and
+        # np.log1p may round 1 ulp away from math.log1p
+        rate = np.array([math.log1p(x) for x in snr.tolist()]) if config.model.is_discrete else np.log1p(snr)
         occupancy = np.full(n, prof.t_overhead + prof.t_txop)
         if config.relinquish_overhead is not None:
             occupancy[p == 0.0] = prof.t_overhead + config.relinquish_overhead

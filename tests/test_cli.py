@@ -6,6 +6,7 @@ import csv
 import gc
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
@@ -192,7 +193,8 @@ def test_scalar_commands_load_no_numpy_scipy_or_simulator(exp_cfg, fig1_cfg, tab
     loaded, stdlib = loaded_after_each(argvs + [drawn, simulate])
     *scalar, after_drawn, after_simulate = loaded
     assert scalar == [[]] * len(argvs)
-    # the guard is not vacuous: the commands that build arrays do load them
+    # the guard is not vacuous: drawn tuples load numpy, and simulate the simulator (numpy is
+    # the drawn run's here; a discrete simulate alone loads none, as TestBlasThreads checks)
     assert "numpy" in after_drawn and "hopcap.simulator" not in after_drawn
     assert "numpy" in after_simulate and "hopcap.simulator" in after_simulate
     # no scalar command loads dataclasses or inspect; hashlib comes with the first manifest
@@ -217,6 +219,7 @@ def test_each_module_imports_alone():
         assert f"hopcap.{module}" in loaded(f"hopcap.{module}")
     assert loaded("hopcap") == ["hopcap"]
     assert not any(m.startswith("numpy") for m in loaded("hopcap.fading"))
+    assert not any(m.startswith("numpy") for m in loaded("hopcap.simulator"))
 
 
 class TestWaterfillCommand:
@@ -925,6 +928,39 @@ class TestBlasThreads:
         manifest = json.loads(Path(f"{out}.manifest.json").read_text())
         assert manifest["openblas_num_threads"] == "1" and manifest["versions"]["numpy"] is None
 
+    def test_a_discrete_simulate_records_the_default_and_no_numpy(self, tmp_path):
+        # a discrete run is counts and n + 2 rows in math: numpy never loads, under
+        # either policy, with relinquished periods or without, traced or not.  The
+        # runs share one process, so the continuous run that ends it, and loads
+        # numpy, comes last
+        fadings = {"two-state": yaml.safe_load(FIG1_YAML)["fading"],
+                   "twelve-state": {"kind": "discrete", "states": TWELVE_STATES}}
+        argvs = []
+        for (name, fading), policy, relinquish, traced in itertools.product(
+                fadings.items(), ("waterfill", "constant"), (None, 1.0e-4), (False, True)):
+            extra = {"constant_power_W": 0.5} if policy == "constant" else {}
+            if relinquish is not None:
+                extra["relinquish_overhead_s"] = relinquish
+            stem = tmp_path / f"{name}-{policy}-{relinquish}-{traced}"
+            cfg = stem.with_suffix(".yaml")
+            cfg.write_text(simulate_yaml(fading, 3.0, 1.0, d_m=0.5, policy=policy, **extra))
+            argvs.append(["simulate", "--config", str(cfg), "--horizon", "20000",
+                          "--out", f"{stem}.json"] + ["--trace", f"{stem}.csv"] * traced)
+        cfg = tmp_path / "exponential.yaml"
+        cfg.write_text(SIMULATE_CASES["exponential-relinquish"])
+        argvs.append(["simulate", "--config", str(cfg), "--horizon", "20000",
+                      "--out", str(tmp_path / "exponential.json")])
+        code = ("import json, sys; from hopcap.cli import main\n"
+                "loaded = [main(argv) == 0 and 'numpy' in sys.modules for argv in json.loads(sys.argv[1])]\n"
+                "print(json.dumps(loaded))")
+        loaded = json.loads(self.fresh(["-c", code, json.dumps(argvs)]).splitlines()[-1])
+        assert loaded == [False] * 16 + [True]
+        for argv in argvs:
+            manifest = json.loads(Path(argv[argv.index("--out") + 1] + ".manifest.json").read_text())
+            assert manifest["openblas_num_threads"] == "1"
+            assert manifest["versions"]["numpy"] == (np.__version__ if argv is argvs[-1] else None)
+            assert len(manifest["outputs"]) == 1 + ("--trace" in argv)
+
     @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="no per-thread /proc")
     def test_a_simulate_process_runs_one_thread(self, fig1_cfg):
         code = ("import os, sys; from hopcap.cli import main; main(sys.argv[1:]); "
@@ -1331,23 +1367,23 @@ SIMULATE_CASES = {
 
 # stdout and the SHA-256 of the --trace file, as GOLDEN above.  The discrete
 # runs' totals are exact sums of counts times rows, rounded once; each CI95
-# is within 1.3e-15 of conftest.exact_ratio_ci over the run's periods
+# is within 8.9e-16 of conftest.exact_ratio_ci over the run's periods
 GOLDEN_SIMULATE = {
     'discrete12-waterfill': (
-        '{"elapsed_time_s": 140.34598, "horizon": 200003, "periods": {"collision": 20056, "idle": 119979, "success": 59968}, "power_ci95_w": 0.0046080893342856245, "power_hat_w": 0.877673420286697, "seed": 97531, "theta_ci95_bps": 25117.062936127753, "theta_hat_bps": 3192655.706654683, "total_bits": 448076393.953044, "total_energy_j": 123.17793629008837}\n',
-        'c2f7e3a36c8f2237ee39789642ab6267c158628c0f33fcbb627a571eeff87cb4',
+        '{"elapsed_time_s": 139.66824, "horizon": 200003, "periods": {"collision": 20197, "idle": 120167, "success": 59639}, "power_ci95_w": 0.004605335178455183, "power_hat_w": 0.8821735780551443, "seed": 97531, "theta_ci95_bps": 25082.849467367625, "theta_hat_bps": 3208570.0832986543, "total_bits": 448135336.45097643, "total_energy_j": 123.21163102146463}\n',
+        '5cc47cc71bf4cb8c8a5bfba1d9d310dccdf5ca9f23d2978d3f29f43cb17008d6',
     ),
     'exponential-relinquish': (
-        '{"elapsed_time_s": 52.21828, "horizon": 200003, "periods": {"collision": 20056, "idle": 119979, "success": 59968}, "power_ci95_w": 0.0012306405091079835, "power_hat_w": 0.18603878654481223, "seed": 97531, "theta_ci95_bps": 5002.572788072146, "theta_hat_bps": 337287.285181931, "total_bits": 17612561.898069922, "total_energy_j": 9.714625446657237}\n',
-        '97e3d012eaaf0ce96a26f9b3f1dc89a15bc328de194e4b4d0cadd21ffa12b08d',
+        '{"elapsed_time_s": 52.009840000000004, "horizon": 200003, "periods": {"collision": 20197, "idle": 120167, "success": 59639}, "power_ci95_w": 0.0012327712956947934, "power_hat_w": 0.18580526488340168, "seed": 97531, "theta_ci95_bps": 5011.062965667195, "theta_hat_bps": 336448.2349959664, "total_bits": 17498618.870422617, "total_energy_j": 9.663702097743341}\n',
+        '5d16b1bc46dda5046bde846fc165dc134797469121c1fc8c45aad51dae027198',
     ),
     'tab41-constant': (
-        '{"elapsed_time_s": 140.34598, "horizon": 200003, "periods": {"collision": 20056, "idle": 119979, "success": 59968}, "power_ci95_w": 0.000605772119988184, "power_hat_w": 0.8810801634646037, "seed": 97531, "theta_ci95_bps": 4196.450356333571, "theta_hat_bps": 738076.7329897513, "total_bits": 103586102.40664497, "total_energy_j": 123.656059}\n',
-        '34f0a29f45b4247459c599e445d6894c13259ba0c1b1973d27e89869c13c7535',
+        '{"elapsed_time_s": 139.66824, "horizon": 200003, "periods": {"collision": 20197, "idle": 120167, "success": 59639}, "power_ci95_w": 0.0006115416848606462, "power_hat_w": 0.8805582929948856, "seed": 97531, "theta_ci95_bps": 4207.221771577582, "theta_hat_bps": 737688.3078987, "total_bits": 103031627.63278952, "total_energy_j": 122.986027}\n',
+        '3218f9a13877822f9d47d69285236423fbd1d44d40c96b096a5b13b272e34c7a',
     ),
     'two-state-waterfill': (
-        '{"elapsed_time_s": 140.34598, "horizon": 200003, "periods": {"collision": 20056, "idle": 119979, "success": 59968}, "power_ci95_w": 0.0006077176743407092, "power_hat_w": 0.8811389262474554, "seed": 97531, "theta_ci95_bps": 6077.631578415386, "theta_hat_bps": 3473722.7146021607, "total_bits": 487523018.62910056, "total_energy_j": 123.66430612034685}\n',
-        'd882d2c7c326c0c6a835928eb7d9c9be58e37c76cc31db02c70e1185b504b420',
+        '{"elapsed_time_s": 139.66824, "horizon": 200003, "periods": {"collision": 20197, "idle": 120167, "success": 59639}, "power_ci95_w": 0.0006132358593124583, "power_hat_w": 0.8805521397615592, "seed": 97531, "theta_ci95_bps": 5842.277310850676, "theta_hat_bps": 3464054.1970249005, "total_bits": 483818352.96308106, "total_energy_j": 122.98516758873099}\n',
+        'c20e1c818fbcd52f981518a3c8a03df4f647bf4b70e43ea20529a35b05c55d0b',
     ),
 }
 

@@ -588,6 +588,9 @@ def test_numpy_is_imported_only_where_arrays_are():
         "discrete.py": set(),
         "fading.py": {"FadingModel.sample_h", "InverseTable.__init__"},
         "waterfill.py": set(),
+        # a discrete run is counts and rows in math: only a continuous run's arrays need numpy
+        "simulator.py": {"WaterfillPolicy.power", "_Chunk.__init__", "_Chunk.groups_of",
+                         "run.successes", "_success_rows"},
     }
     for name, scopes in allowed.items():
         assert importers(_SRC / "hopcap" / name, "numpy") == scopes, name
@@ -620,9 +623,10 @@ def test_log_root_is_called_only_by_the_scan_and_the_exponential_root():
 
 
 def test_the_counts_the_order_and_the_fades_each_have_one_drawer():
-    # the counts are drawn by one multinomial each (`_counts`) and continuous
-    # fades by `sample_h` in one place; a trace lists its periods row by row,
-    # so no order is drawn: no per-period draw creeps back in beside them
+    # the counts are drawn by one chain of binomials each (`_counts`, by
+    # `_binomial`) and continuous fades by `sample_h` in one place; a trace lists
+    # its periods row by row, so no order is drawn: no per-period draw creeps
+    # back in beside them
     def calls(name):
         return lambda node: isinstance(node, ast.Call) and (
             isinstance(node.func, ast.Name) and node.func.id == name
@@ -631,9 +635,9 @@ def test_the_counts_the_order_and_the_fades_each_have_one_drawer():
     paths = sorted((_SRC / "hopcap").glob("*.py"))
     drawers = {name: {(path.name, scope) for path in paths for scope in scopes_with(path, calls(name))}
                for name in ("multinomial", "hypergeometric", "multivariate_hypergeometric", "shuffle",
-                            "permutation", "jumped", "sample_h", "choice", "random")}
+                            "permutation", "jumped", "sample_h", "choice", "random", "_binomial")}
     assert drawers == {
-        "multinomial": {("simulator.py", "_counts")},
+        "multinomial": set(),
         "hypergeometric": set(),
         "multivariate_hypergeometric": set(),
         "shuffle": set(),
@@ -641,12 +645,14 @@ def test_the_counts_the_order_and_the_fades_each_have_one_drawer():
         "jumped": set(),
         "sample_h": {("simulator.py", "_Chunk.rows_of")},
         "choice": set(),
-        "random": {("fading.py", "FadingModel.sample_h")},
+        "random": {("fading.py", "FadingModel.sample_h"), ("simulator.py", "_binomial")},
+        # p > 0.5 draws n - B(n, 1 - p)
+        "_binomial": {("simulator.py", "_counts"), ("simulator.py", "_binomial")},
     }
 
 
 def test_one_routine_formats_every_trace_cell():
-    # every trace cell is `_CELL` filled in by `_trace_lines`, so a second
+    # every trace line is `_LINE` filled in by `_trace_lines`, so a second
     # formatter of the trace cells, by % or by a format spec, cannot fork
     # off beside it
     path = _SRC / "hopcap" / "simulator.py"
@@ -654,10 +660,10 @@ def test_one_routine_formats_every_trace_cell():
     formats = [node for node in ast.walk(tree)
                if isinstance(node, ast.Constant) and ".17g" in str(node.value)]
     assigned = [node.value for node in ast.walk(tree) if isinstance(node, ast.Assign)
-                and [getattr(target, "id", None) for target in node.targets] == ["_CELL"]]
+                and [getattr(target, "id", None) for target in node.targets] == ["_LINE"]]
     assert len(formats) == 1 and formats == assigned
-    assert formats[0].value == b",%.17g"
-    assert scopes_with(path, lambda node: isinstance(node, ast.Name) and node.id == "_CELL") == {
+    assert formats[0].value == b"%s,%.17g,%.17g,%.17g\n"
+    assert scopes_with(path, lambda node: isinstance(node, ast.Name) and node.id == "_LINE") == {
         "", "_trace_lines"}
 
 
