@@ -8,21 +8,22 @@ aggregate bit rate and the network power are ratio estimators, so the
 
 The estimates read the periods only through each row's count (idle,
 collision and, for a discrete model, a success in each fading state) and
-a continuous model's success rows, so that is all `run` draws: the counts
-from a ``random.Random``, a chain of binomials each (`_counts`), and a
-continuous model's fades from numpy's PCG64, a chunk of successes at a
-time, in work arrays allocated once per run.  Both are seeded from the
-config: identical seeds reproduce reports byte for byte.  A discrete run
-is a few counts and n + 2 rows in ``math``, and loads no numpy.  Since
-the periods are i.i.d., their order carries nothing the estimates read,
-and no order is drawn: a trace lists the periods row by row, so a traced
-run reports what the untraced run of its seed reports.  Every period is
-tallied in a group of periods of one duration: a row's periods are
-identical (so a discrete run's trace is n + 2 lines formatted once, each
-repeated by its count), and a continuous chunk's successes are a group
-or two.  Totals are exact sums, rounded once; the CIs sum the residuals
-group by group.  The trace leaves in blocks handed to a callable: this
-module opens no file.
+a continuous model's success rows, so that is all `run` draws: the
+counts from a ``random.Random``, a chain of binomials each (`_counts`),
+and a continuous model's fades from numpy's PCG64.  Both are seeded from
+the config: identical seeds reproduce reports byte for byte.  A discrete
+run is a few counts and n + 2 rows in ``math``, and loads no numpy; all
+of a continuous run's array work is in `_chunks`, a chunk of successes
+at a time, with numpy's floating-point warnings off.  Since the periods
+are i.i.d., their order carries nothing the estimates read, and no order
+is drawn: a trace lists the periods row by row, so a traced run reports
+what the untraced run of its seed reports.  Every period is tallied in a
+group of periods of one duration: a row's periods are identical (so a
+discrete run's trace is n + 2 lines formatted once, each repeated by its
+count), and a continuous chunk's successes are a group or two.  Totals
+are exact sums, rounded once; the CIs sum the residuals group by group.
+The trace leaves in blocks handed to a callable: this module opens no
+file.
 """
 
 from __future__ import annotations
@@ -156,75 +157,21 @@ class SimReport(NamedTuple):
         )
 
 
-class _Chunk:
-    """The work arrays of `run` for a chunk of a continuous model's successes,
-    allocated once per run and filled in place: ``fades``, ``power``, ``rows``
-    and ``work`` (scratch of `FadingModel.sample_h`) for the rows, and
-    ``dev`` and ``mask`` for `groups_of`."""
-
-    def __init__(self, size):
-        import numpy as np
-        self.fades, self.power = np.empty(size), np.empty(size)
-        self.rows, self.dev = np.empty(3 * size), np.empty(3 * size)
-        self.mask = np.empty(size, dtype=bool)
-        self.work = (np.empty(size), np.empty(size), np.empty(size, dtype=np.intp),
-                     np.empty(size, dtype=np.intp))
-
-    def rows_of(self, config, fades, size):
-        """`_success_rows` of ``size`` fades drawn from ``fades``, in the work arrays."""
-        h = config.model.sample_h(fades, size, out=self.fades[:size],
-                                  work=tuple(a[:size] for a in self.work))
-        return _success_rows(config, h, self.power[:size], self.rows[:3 * size].reshape(3, size))
-
-    def groups_of(self, rows):
-        """``(count, mean, sums of squared deviations)`` of ``rows``' periods of each duration.
-
-        A success lasts its transmission time unless it relinquishes the
-        channel: one group, or two.  A mean is taken relative to the group's
-        first period, so identical periods have exactly that mean.  The
-        deviations are squared in units of a power of two, the exponent of
-        their column's mean (``math.frexp``), to stay in the float range.
-        """
-        import numpy as np
-        n = rows.shape[1]
-        same = np.equal(rows[0], rows[0, 0], out=self.mask[:n])
-        k = int(np.count_nonzero(same))
-        work = self.dev[:rows.size]
-        parts = [(rows, work.reshape(3, n))]
-        if k < n:  # copied into the work array, where each becomes its deviations
-            parts = [(part, part) for part in (
-                np.compress(same, rows, axis=1, out=work[:3 * k].reshape(3, k)),
-                np.compress(~same, rows, axis=1, out=work[3 * k:].reshape(3, n - k)))]
-        groups = []
-        for part, dev in parts:
-            first = part[:, :1].copy()
-            # a group's durations are all its first's: only energy and bits deviate
-            dev = np.subtract(part[1:], first[1:], out=dev[1:])
-            shift = dev.mean(axis=1, keepdims=True)
-            dev -= shift
-            mean = first[:, 0] + np.r_[0.0, shift[:, 0]]
-            dev *= np.ldexp(1.0, -np.frexp(mean[1:])[1])[:, None]  # in units of the mean's power of two
-            dev *= dev
-            groups.append((dev.shape[1], mean.tolist(), [0.0, *dev.sum(axis=1).tolist()]))
-        return groups
-
-
 def run(config: SimConfig, trace=None) -> SimReport:
     """Simulate ``horizon`` contention periods and estimate rate and power.
 
     One ``random.Random`` draws the period-type counts (`_counts`), then a
-    discrete model's fading-state counts; a continuous model's fades come
-    from a PCG64 stream of their own, ``_CHUNK`` successes at a time in work
-    arrays allocated once (`_Chunk`).  The rows of ``fixed`` are counted,
-    and a continuous chunk's successes summed and grouped
-    (`_Chunk.groups_of`); each total is the exact sum of count times row
-    plus the chunks' sums, rounded once.  Periods that last 0 s in total,
-    or an estimate out of the float range, raise NumericalError.
+    discrete model's fading-state counts; a continuous model's successes
+    come a chunk at a time from `_chunks`, each with its column sums and
+    its groups of one duration.  The rows of ``fixed`` are counted; each
+    total is the exact sum of count times row plus the chunks' sums,
+    rounded once.  Periods that last 0 s in total, or an estimate out of
+    the float range, raise NumericalError.
 
     ``trace``, if given, is called with each block of the trace's bytes, in
-    order, the CSV header first; what it raises ends the run.  The trace
-    lists the periods row by row (`_write_trace`) and draws nothing, so it
-    changes no estimate.
+    order: the CSV header and the counted rows (`_write_trace`), then a
+    block per chunk of successes; what it raises ends the run.  The trace
+    draws nothing, so it changes no estimate.
     """
     prof = config.profile
     rng = random.Random(config.seed)
@@ -237,28 +184,18 @@ def run(config: SimConfig, trace=None) -> SimReport:
         gains, probs = config.model.kind
         fixed += [_success_row(config, h) for h in gains]
         counts += _counts(rng, n_success, probs)
-    groups = []  # a continuous chunk's successes by duration (`_Chunk.groups_of`)
-    success_sums = []  # and their column sums
-
-    def successes():
-        """A continuous model's success rows, ``_CHUNK`` at a time, each chunk tallied as drawn."""
-        import numpy as np
-        fades = np.random.Generator(np.random.PCG64(config.seed))
-        chunk = _Chunk(min(_CHUNK, n_success))
-        for start in range(0, n_success, _CHUNK):
-            rows = chunk.rows_of(config, fades, min(_CHUNK, n_success - start))
-            success_sums.append(rows.sum(axis=1).tolist())
-            groups.extend(chunk.groups_of(rows))
-            yield rows
-
-    tally = iter(()) if discrete else successes()
+    chunks = () if discrete else _chunks(config, n_success)
     if trace is not None:
-        _write_trace(trace, fixed, counts, tally)
-    for _ in tally:  # the chunks of an untraced run
-        pass
+        _write_trace(trace, fixed, counts)
+    # each row's periods are a group of identical periods, then each chunk's by duration
+    groups = [(k, row, (0.0, 0.0, 0.0)) for k, row in zip(counts, fixed) if k]
+    success_sums = []
+    for rows, sums, chunk_groups in chunks:
+        if trace is not None:
+            trace(b"".join(_trace_lines([b"success"] * rows.shape[1], rows.tolist())))
+        success_sums.append(sums)
+        groups += chunk_groups
 
-    # each row's periods are a group of identical periods
-    groups[:0] = [(k, row, (0.0, 0.0, 0.0)) for k, row in zip(counts, fixed) if k]
     total_time, total_energy, total_bits = (
         _sum_of_counts(counts + [1] * len(success_sums), column) for column in zip(*fixed, *success_sums))
     if total_time == 0.0:
@@ -283,6 +220,66 @@ def run(config: SimConfig, trace=None) -> SimReport:
         total_bits=total_bits,
         total_energy=total_energy,
     )
+
+
+def _chunks(config, n):
+    """A continuous model's ``n`` successes, ``_CHUNK`` at a time: each chunk's
+    (duration, energy, bits) rows (`_success_rows`), their column sums and
+    their groups of one duration (`_groups`).
+
+    The fades come from a PCG64 stream seeded by the config, into work arrays
+    allocated once (``work`` is the scratch of `FadingModel.sample_h`).  A
+    chunk is computed under ``np.errstate(all="ignore")``, left before it is
+    yielded: a value out of the float range shows in the estimates only.
+    """
+    import numpy as np
+    fades = np.random.Generator(np.random.PCG64(config.seed))
+    size = min(_CHUNK, n)
+    h, power, rows, dev = np.empty(size), np.empty(size), np.empty(3 * size), np.empty(3 * size)
+    mask = np.empty(size, dtype=bool)
+    work = (np.empty(size), np.empty(size), np.empty(size, dtype=np.intp), np.empty(size, dtype=np.intp))
+    for start in range(0, n, _CHUNK):
+        k = min(_CHUNK, n - start)
+        with np.errstate(all="ignore"):
+            drawn = config.model.sample_h(fades, k, out=h[:k], work=tuple(a[:k] for a in work))
+            chunk = _success_rows(config, drawn, power[:k], rows[:3 * k].reshape(3, k))
+            sums, groups = chunk.sum(axis=1).tolist(), _groups(chunk, dev, mask)
+        yield chunk, sums, groups
+
+
+def _groups(rows, work, mask):
+    """``(count, mean, sums of squared deviations)`` of ``rows``' periods of each duration.
+
+    A success lasts its transmission time unless it relinquishes the
+    channel: one group, or two.  A mean is taken relative to the group's
+    first period, so identical periods have exactly that mean.  The
+    deviations are squared in units of a power of two, the exponent of
+    their column's mean (``math.frexp``), to stay in the float range.
+    ``work`` and ``mask`` hold ``rows.size`` floats and ``rows.shape[1]``
+    booleans or more; ``rows`` is left as it is.
+    """
+    import numpy as np
+    n = rows.shape[1]
+    same = np.equal(rows[0], rows[0, 0], out=mask[:n])
+    k = int(np.count_nonzero(same))
+    work = work[:rows.size]
+    parts = [(rows, work.reshape(3, n))]
+    if k < n:  # copied into the work array, where each becomes its deviations
+        parts = [(part, part) for part in (
+            np.compress(same, rows, axis=1, out=work[:3 * k].reshape(3, k)),
+            np.compress(~same, rows, axis=1, out=work[3 * k:].reshape(3, n - k)))]
+    groups = []
+    for part, dev in parts:
+        first = part[:, :1].copy()
+        # a group's durations are all its first's: only energy and bits deviate
+        dev = np.subtract(part[1:], first[1:], out=dev[1:])
+        shift = dev.mean(axis=1, keepdims=True)
+        dev -= shift
+        mean = first[:, 0] + np.r_[0.0, shift[:, 0]]
+        dev *= np.ldexp(1.0, -np.frexp(mean[1:])[1])[:, None]  # in units of the mean's power of two
+        dev *= dev
+        groups.append((dev.shape[1], mean.tolist(), [0.0, *dev.sum(axis=1).tolist()]))
+    return groups
 
 
 def _counts(rng, n, probs) -> list:
@@ -336,22 +333,18 @@ def _binomial(rng, n, p) -> int:
             return k
 
 
-def _write_trace(trace, fixed, counts, successes):
-    """Hand ``trace`` the CSV header, then the run's periods row by row.
+def _write_trace(trace, fixed, counts):
+    """Hand ``trace`` the CSV header, then the periods of the rows of ``fixed``.
 
-    ``counts`` counts the periods of each row of ``fixed`` (idle, collision,
-    then a discrete model's fading states), and each row's line goes out
-    repeated by its count.  A continuous model's successes follow in the
-    order they were drawn, one block per chunk that ``successes`` yields.
-    No block holds more than ``_CHUNK`` lines.
+    ``counts`` counts the periods of each row (idle, collision, then a
+    discrete model's fading states), and each row's line goes out repeated
+    by its count, in blocks of at most ``_CHUNK`` lines.
     """
     trace(b"period_type,duration_s,energy_J,bits\n")
     names = [b"idle", b"collision"] + [b"success"] * (len(fixed) - 2)
     for line, k in zip(_trace_lines(names, zip(*fixed)), counts):
         for start in range(0, k, _CHUNK):
             trace(line * min(_CHUNK, k - start))
-    for rows in successes:
-        trace(b"".join(_trace_lines([b"success"] * rows.shape[1], rows.tolist())))
 
 
 def _sum_of_counts(counts, values):
@@ -417,7 +410,7 @@ def _fold(loss, *scalars):
 def _ratio_se(groups, j, ratio, total_time):
     """Delta-method standard error of total[j] / total duration over ``groups`` of periods.
 
-    In a group of one duration (`_Chunk.groups_of`) the residuals ``y_j -
+    In a group of one duration (`_groups`) the residuals ``y_j -
     ratio * duration`` deviate as ``y_j`` does, so their sum of squares is
     the groups' plus the spread of the groups' mean residuals, taken from
     the first group's: identical periods throughout give exactly 0.  The

@@ -15,6 +15,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import warnings
 from functools import partial
 from pathlib import Path
 
@@ -710,6 +711,23 @@ class TestSimulateCommand:
         assert captured.out == ""
         assert captured.err.startswith("numerical failure: the estimates leave the float range")
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("fading", [
+        {"kind": "exponential", "rate": 1.0}, {"kind": "tabulated", "csv": "flat.csv"},
+        yaml.safe_load(FIG1_YAML)["fading"]], ids=["exponential", "tabulated", "two-state"])
+    def test_an_overflow_is_one_line_on_stderr_whatever_the_kind(self, fading, tmp_path):
+        # 1e10 W over d**eta = 1e-300 overflows every success's SNR: a continuous
+        # run used to print numpy's RuntimeWarnings before the exit-3 message
+        (tmp_path / "flat.csv").write_text("h,a\n0,1\n0.5,1\n1,1\n")
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text(simulate_yaml(fading, 3.0, 1.0, d_m=1e-100, policy="constant",
+                                     constant_power_W=1e10))
+        run = subprocess.run([sys.executable, "-m", "hopcap.cli", "simulate", "--config", str(cfg),
+                              "--horizon", "20000"], env=dict(os.environ, PYTHONPATH=str(_SRC)),
+                             capture_output=True, text=True)
+        assert (run.returncode, run.stdout) == (3, "")
+        assert run.stderr.startswith("numerical failure: the estimates leave the float range: ")
+        assert len(run.stderr.splitlines()) == 1
 
     def test_estimates_past_1e154_keep_their_interval(self, tmp_path, capsys):
         # residuals of about 1e201 square past the float range: this used to
@@ -1423,6 +1441,20 @@ class TestGoldenBytes:
         assert main(["simulate", "--config", str(cfg), "--out", str(out),
                      "--trace", str(trace)]) == 0
         stdout, digest = GOLDEN_SIMULATE[name]
+        assert capsys.readouterr().out == stdout
+        assert out.read_text() == stdout
+        assert hashlib.sha256(trace.read_bytes()).hexdigest() == digest
+
+    def test_a_continuous_simulate_shows_no_numpy_warning(self, tmp_path, capsys):
+        # numpy's floating-point warnings stay silent: with every warning an
+        # error, the run still ends with its golden bytes
+        cfg, out, trace = tmp_path / "run.yaml", tmp_path / "sim.json", tmp_path / "trace.csv"
+        cfg.write_text(SIMULATE_CASES["exponential-relinquish"])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["simulate", "--config", str(cfg), "--out", str(out),
+                         "--trace", str(trace)]) == 0
+        stdout, digest = GOLDEN_SIMULATE["exponential-relinquish"]
         assert capsys.readouterr().out == stdout
         assert out.read_text() == stdout
         assert hashlib.sha256(trace.read_bytes()).hexdigest() == digest

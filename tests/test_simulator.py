@@ -207,6 +207,28 @@ class TestTraceAndKnobs:
         with pytest.raises(OSError, match="no room"):  # what the callable raises ends the run
             simulator.run(config, trace=refuse)
 
+    @pytest.mark.parametrize("model", [FIG1, FadingModel.exponential(1.0)], ids=["discrete", "exponential"])
+    def test_a_refused_success_block_ends_the_run(self, model, monkeypatch):
+        # a discrete model's success blocks go out with the counted rows, a
+        # continuous model's one per chunk: refusing the first ends the run either way
+        monkeypatch.setattr(simulator, "_CHUNK", 200)
+        config = quiet_config(
+            profile=profile_a(), model=model, policy=ConstantPowerPolicy(0.5),
+            d=1.0, eta=3.0, horizon=1000, seed=3,
+        )
+        blocks = []
+
+        def refuse_successes(block):
+            if block.startswith(b"success"):
+                raise OSError("no room for successes")
+            blocks.append(block)
+
+        with pytest.raises(OSError, match="no room for successes"):
+            simulator.run(config, trace=refuse_successes)
+        # the header, 613 idle periods in four blocks and 93 collisions in one
+        assert [block.count(b"\n") for block in blocks] == [1, 200, 200, 200, 13, 93]
+        assert [block[:block.index(b",")] for block in blocks[1:]] == [b"idle"] * 4 + [b"collision"]
+
     def test_relinquish_knob_reduces_elapsed_time(self):
         # waterfill at tiny pi leaves many fades unserved; relinquishing
         # early must shorten the run without touching the bit total
@@ -446,10 +468,10 @@ class TestDiscreteByCounts:
 
     def test_builds_no_work_arrays(self, monkeypatch):
         # the chunk's arrays hold a continuous model's successes, which a discrete run has none of
-        def refuse(size):
-            raise AssertionError(f"a discrete run built a chunk of {size}")
+        def refuse(config, n):
+            raise AssertionError(f"a discrete run built chunks of {n} successes")
 
-        monkeypatch.setattr(simulator, "_Chunk", refuse)
+        monkeypatch.setattr(simulator, "_chunks", refuse)
         config = quiet_config(profile=profile_a(), model=FIG1, policy=ConstantPowerPolicy(0.5),
                               d=0.5, eta=3.0, horizon=3000, seed=3)
         assert simulator.run(config, trace=[].append) == simulator.run(config)
@@ -854,7 +876,7 @@ class TestOrderDraw:
                 raise Enough
 
         try:
-            simulator._write_trace(read, rows[:len(left)], counts, iter(()))
+            simulator._write_trace(read, rows[:len(left)], counts)
         except Enough:
             assert sum(map(len, want)) < sum(k * len(line) for line, k in zip(lines, counts))
         else:
